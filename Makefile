@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: tier1 vet build test race fuzz-smoke bench bench-compare bench-overlap trace-smoke telemetry-smoke block-smoke scale-smoke
+.PHONY: tier1 vet build test race fuzz-smoke bench bench-compare bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
 # tier1 is the pre-merge gate: static checks, full build and test suite
 # (including the noasm scalar-only configuration of the force kernels),
@@ -81,9 +81,15 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare "$$old" bench-new.json
 
 # Serial vs pipelined gravity phase; nonhidden_ms should drop and
-# overlap_% rise in the Pipelined variants.
+# overlap_% rise in the Pipelined rows.
 bench-overlap:
 	$(GO) test -run XXX -bench 'BenchmarkOverlap' -benchtime 3x .
+
+# The end-to-end benchmark BENCHMARK.json declares: four workloads, step time
+# at stated force accuracy, and the per-layer replay. Results are comparable
+# only between runs on one host (`go run ./benchmark compare` refuses others).
+e2e-bench:
+	$(GO) run ./benchmark run -out benchmark/out/e2e.json
 
 # End-to-end smoke test of the observability layer: a traced 4-rank run must
 # produce a Perfetto-loadable Chrome trace and a parseable metrics stream,

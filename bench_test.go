@@ -259,28 +259,17 @@ func BenchmarkAblation_BoundaryDepth6(b *testing.B) { benchBoundaryDepth(b, 6) }
 // ---------------------------------------------------------------------------
 // §III.B.3 overlap: the pipelined gravity phase (receiver goroutine +
 // LET-builder pool + interleaved walks) against the strict
-// local-walk-then-LETs baseline, plus the polled variant (no receiver
-// goroutine: the compute thread drains the mailbox between local-walk
-// chunks). nonhidden_ms is the communication time the pipeline failed to
-// hide behind compute; overlap_% is the fraction of received LETs walked
-// while the local walk was still running.
+// local-walk-then-LETs baseline. nonhidden_ms is the communication time the
+// pipeline failed to hide behind compute; overlap_% is the fraction of
+// received LETs walked while the local walk was still running.
 
-type overlapMode int
-
-const (
-	overlapSerial overlapMode = iota
-	overlapPipelined
-	overlapPolled
-)
-
-func benchOverlap(b *testing.B, ranks int, mode overlapMode) {
+func benchOverlap(b *testing.B, ranks int, serial bool) {
 	const perRank = 3000
 	parts := NewMilkyWay(perRank*ranks, 5)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 2, Theta: 0.4,
 		Softening: SofteningForN(len(parts)), GravConst: G,
-		SerialLET:    mode == overlapSerial,
-		PollReceiver: mode == overlapPolled,
+		SerialLET: serial,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)
@@ -298,14 +287,12 @@ func benchOverlap(b *testing.B, ranks int, mode overlapMode) {
 	b.ReportMetric(ms(st.MaxTimes.Total), "total_ms")
 }
 
-func BenchmarkOverlap_Serial_R8(b *testing.B)     { benchOverlap(b, 8, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8, overlapPipelined) }
-func BenchmarkOverlap_Polled_R8(b *testing.B)     { benchOverlap(b, 8, overlapPolled) }
-func BenchmarkOverlap_Serial_R16(b *testing.B)    { benchOverlap(b, 16, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16, overlapPipelined) }
-func BenchmarkOverlap_Serial_R32(b *testing.B)    { benchOverlap(b, 32, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, overlapPipelined) }
-func BenchmarkOverlap_Polled_R32(b *testing.B)    { benchOverlap(b, 32, overlapPolled) }
+func BenchmarkOverlap_Serial_R8(b *testing.B)     { benchOverlap(b, 8, true) }
+func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8, false) }
+func BenchmarkOverlap_Serial_R16(b *testing.B)    { benchOverlap(b, 16, true) }
+func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16, false) }
+func BenchmarkOverlap_Serial_R32(b *testing.B)    { benchOverlap(b, 32, true) }
+func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
 
 // ---------------------------------------------------------------------------
 // Force-kernel microbenchmarks: the batched SoA kernels against the scalar

@@ -111,16 +111,10 @@ type Config struct {
 
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: LETs are built and pushed on the compute thread before the
-	// local walk, and incoming ones are walked only after it. Kept as the
-	// measurable non-overlapped baseline for the overlap benchmarks.
+	// local walk, and incoming ones are walked only after it, in rank order.
+	// Kept as the deterministic reference of the bitwise equivalence tests
+	// and the non-overlapped baseline of the overlap benchmarks.
 	SerialLET bool
-
-	// PollReceiver replaces the dedicated receiver goroutine of the gravity
-	// pipeline with polling from the compute loop: between local-walk chunks
-	// the compute thread drains any LETs that have arrived and walks them
-	// inline. Saves one goroutine (thread) per rank at the cost of coarser
-	// arrival latency; results are identical. Default off.
-	PollReceiver bool
 
 	// Tracing enables the event-level observability layer: per-rank span
 	// timelines (exported with WriteChromeTrace), LET-arrival and walk
@@ -227,22 +221,10 @@ type StepStats struct {
 	ActiveFrac float64
 }
 
-// Simulation is a running distributed N-body system.
-type Simulation struct {
-	inner *sim.Simulation
-}
-
-// New creates a simulation from the given particles.
-func New(cfg Config, parts []Particle) (*Simulation, error) {
-	var rec *obs.Recorder
-	if cfg.Tracing {
-		ranks := cfg.Ranks
-		if ranks <= 0 {
-			ranks = 1 // mirror sim.New's default
-		}
-		rec = obs.New(ranks, 0)
-	}
-	inner, err := sim.New(sim.Config{
+// simConfig is the one translation from the public configuration to the
+// engine's; rec is the run's tracing recorder (nil without Config.Tracing).
+func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
+	return sim.Config{
 		Ranks:          cfg.Ranks,
 		WorkersPerRank: cfg.WorkersPerRank,
 		Theta:          cfg.Theta,
@@ -260,13 +242,77 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 		External:       wrapExternal(cfg.External),
 		LETWorkers:     cfg.LETWorkers,
 		SerialLET:      cfg.SerialLET,
-		PollReceiver:   cfg.PollReceiver,
 		Obs:            rec,
-	}, toBody(parts))
+	}
+}
+
+// traced is the trace-export surface Simulation and NodeSimulation share: a
+// view of the run's recorder, nil without Config.Tracing.
+type traced struct {
+	rec *obs.Recorder
+}
+
+// newTraced creates the recorder of a ranks-rank run when cfg asks for one.
+func newTraced(cfg Config, ranks int) traced {
+	if !cfg.Tracing {
+		return traced{}
+	}
+	return traced{rec: obs.New(ranks, 0)}
+}
+
+// ErrTracingDisabled is returned by the trace exporters when the simulation
+// was created without Config.Tracing.
+var ErrTracingDisabled = errors.New("bonsai: tracing not enabled (set Config.Tracing)")
+
+// WriteChromeTrace exports the recorded span timeline in Chrome trace-event
+// JSON (load in Perfetto / chrome://tracing: one process per rank, one lane
+// per pipeline role). A NodeSimulation exports its own rank; for the all-rank
+// view of a multi-process run use the launcher's telemetry collector.
+// Requires Config.Tracing.
+func (t traced) WriteChromeTrace(w io.Writer) error {
+	if t.rec == nil {
+		return ErrTracingDisabled
+	}
+	return t.rec.WriteChromeTrace(w)
+}
+
+// WriteMetricsJSONL exports one JSON object per force evaluation (overlap
+// fraction, straggler rank, imbalance, Gflop/s, worst LET arrival): folded
+// over all ranks by a Simulation, this rank's view from a NodeSimulation.
+// Requires Config.Tracing.
+func (t traced) WriteMetricsJSONL(w io.Writer) error {
+	if t.rec == nil {
+		return ErrTracingDisabled
+	}
+	return t.rec.WriteMetricsJSONL(w)
+}
+
+// PublishExpvar exposes the live metric histograms through the expvar
+// variable "bonsai.obs" (serve with net/http's /debug/vars). Requires
+// Config.Tracing; safe to call repeatedly, and a later simulation's call
+// repoints the variable at its own recorder.
+func (t traced) PublishExpvar() error {
+	if t.rec == nil {
+		return ErrTracingDisabled
+	}
+	t.rec.PublishExpvar()
+	return nil
+}
+
+// Simulation is a running distributed N-body system.
+type Simulation struct {
+	inner *sim.Simulation
+	traced
+}
+
+// New creates a simulation from the given particles.
+func New(cfg Config, parts []Particle) (*Simulation, error) {
+	tr := newTraced(cfg, max(cfg.Ranks, 1)) // sim.New defaults Ranks to 1
+	inner, err := sim.New(simConfig(cfg, tr.rec), toBody(parts))
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{inner: inner}, nil
+	return &Simulation{inner: inner, traced: tr}, nil
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
@@ -342,45 +388,6 @@ func (s *Simulation) RestoreSubstep(sub int) error { return s.inner.RestoreSubst
 // from a snapshot, so the domain-update schedule continues where it stopped.
 func (s *Simulation) SetClock(step int, t float64) { s.inner.SetClock(step, t) }
 
-// ErrTracingDisabled is returned by the trace exporters when the simulation
-// was created without Config.Tracing.
-var ErrTracingDisabled = errors.New("bonsai: tracing not enabled (set Config.Tracing)")
-
-// WriteChromeTrace exports the recorded span timeline in Chrome trace-event
-// JSON (load in Perfetto / chrome://tracing: one process per rank, one lane
-// per pipeline role). Requires Config.Tracing.
-func (s *Simulation) WriteChromeTrace(w io.Writer) error {
-	rec := s.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteChromeTrace(w)
-}
-
-// WriteMetricsJSONL exports one JSON object per force evaluation (overlap
-// fraction, straggler rank, imbalance, Gflop/s, worst LET arrival) followed
-// by the histogram snapshots. Requires Config.Tracing.
-func (s *Simulation) WriteMetricsJSONL(w io.Writer) error {
-	rec := s.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteMetricsJSONL(w)
-}
-
-// PublishExpvar exposes the live metric histograms through the expvar
-// variable "bonsai.obs" (serve with net/http's /debug/vars). Requires
-// Config.Tracing; safe to call repeatedly, and a later simulation's call
-// repoints the variable at its own recorder.
-func (s *Simulation) PublishExpvar() error {
-	rec := s.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	rec.PublishExpvar()
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // multi-process runs
 
@@ -422,6 +429,7 @@ func (w *World) CommBytes() int64 { return w.inner.TotalBytes() }
 // collective structure of the pipeline keeps them synchronized.
 type NodeSimulation struct {
 	inner *sim.Node
+	traced
 }
 
 // NewNodeSimulation creates the driver for one rank of a multi-process run.
@@ -432,37 +440,16 @@ type NodeSimulation struct {
 // metrics, and communication histograms — the state ServeTelemetry exposes
 // for the launcher's collector to merge across processes.
 func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeSimulation, error) {
-	var rec *obs.Recorder
-	if cfg.Tracing {
-		rec = obs.New(w.inner.Size(), 0)
-		w.inner.EnableObs(rec.Metrics().QueueDepthHist())
-		w.inner.ObserveFrameBytes(rec.Metrics().FrameBytesHist())
+	tr := newTraced(cfg, w.inner.Size())
+	if tr.rec != nil {
+		w.inner.EnableObs(tr.rec.Metrics().QueueDepthHist())
+		w.inner.ObserveFrameBytes(tr.rec.Metrics().FrameBytesHist())
 	}
-	inner, err := sim.NewNode(sim.Config{
-		Ranks:          cfg.Ranks,
-		WorkersPerRank: cfg.WorkersPerRank,
-		Theta:          cfg.Theta,
-		Eps:            cfg.Softening,
-		DT:             cfg.DT,
-		NLeaf:          cfg.NLeaf,
-		NGroup:         cfg.NGroup,
-		BoundaryDepth:  cfg.BoundaryDepth,
-		DomainFreq:     cfg.DomainFreq,
-		GlobalTree:     cfg.GlobalTree,
-		BlockSteps:     cfg.BlockSteps,
-		MaxRungs:       cfg.MaxRungs,
-		EtaDT:          cfg.EtaDT,
-		G:              cfg.GravConst,
-		External:       wrapExternal(cfg.External),
-		LETWorkers:     cfg.LETWorkers,
-		SerialLET:      cfg.SerialLET,
-		PollReceiver:   cfg.PollReceiver,
-		Obs:            rec,
-	}, w.inner, rank, toBody(parts))
+	inner, err := sim.NewNode(simConfig(cfg, tr.rec), w.inner, rank, toBody(parts))
 	if err != nil {
 		return nil, err
 	}
-	return &NodeSimulation{inner: inner}, nil
+	return &NodeSimulation{inner: inner, traced: tr}, nil
 }
 
 // SliceForRank cuts rank r's initial share out of a global particle set,
@@ -523,38 +510,6 @@ func (n *NodeSimulation) GatherParticles(root int) []Particle {
 // checkpoint via LatestCheckpoint/LoadRankCheckpoint.
 func (n *NodeSimulation) Checkpoint(dir string) error { return n.inner.Checkpoint(dir) }
 
-// WriteChromeTrace exports this rank's recorded span timeline as Chrome
-// trace-event JSON. For the all-rank merged view use the launcher's
-// telemetry collector instead. Requires Config.Tracing.
-func (n *NodeSimulation) WriteChromeTrace(w io.Writer) error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteChromeTrace(w)
-}
-
-// WriteMetricsJSONL exports this rank's per-evaluation metric records.
-// Requires Config.Tracing.
-func (n *NodeSimulation) WriteMetricsJSONL(w io.Writer) error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteMetricsJSONL(w)
-}
-
-// PublishExpvar exposes this rank's live metric histograms through the
-// expvar variable "bonsai.obs". Requires Config.Tracing.
-func (n *NodeSimulation) PublishExpvar() error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	rec.PublishExpvar()
-	return nil
-}
-
 // NodeTelemetry is a worker's live telemetry endpoint: spans, step metrics,
 // histograms, Prometheus gauges, expvar, and pprof served over HTTP, plus
 // the end-of-run gate the launcher's collector releases after its final
@@ -566,12 +521,11 @@ type NodeTelemetry struct {
 // ServeTelemetry starts serving this rank's telemetry on the listener (owned
 // by the endpoint from here on). Requires Config.Tracing.
 func (n *NodeSimulation) ServeTelemetry(ln net.Listener) (*NodeTelemetry, error) {
-	rec := n.inner.Obs()
-	if rec == nil {
+	if n.rec == nil {
 		return nil, ErrTracingDisabled
 	}
 	srv := telemetry.Serve(ln, telemetry.ServerConfig{
-		Rec:       rec,
+		Rec:       n.rec,
 		Rank:      n.inner.Rank(),
 		Ranks:     n.inner.Ranks(),
 		KernelISA: grav.KernelISA(),

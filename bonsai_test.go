@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bonsai/internal/mpi"
+	"bonsai/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -323,5 +327,63 @@ func TestBlockStepsPublicAPI(t *testing.T) {
 	}
 	if _, err := New(Config{BlockSteps: true, MaxRungs: 17}, parts); err == nil {
 		t.Error("MaxRungs 17 accepted")
+	}
+}
+
+// TestSimulationAndNodeShareEngineConfig sets every public Config field in
+// turn and checks that Simulation and NodeSimulation hand the engine the same
+// sim.Config for it, and that the field reaches the engine at all — so a field
+// wired into one driver and not the other, or into neither, fails here.
+func TestSimulationAndNodeShareEngineConfig(t *testing.T) {
+	parts := NewPlummer(64, 1, 1, 1, 3)
+	build := func(cfg Config) (inProcess, node sim.Config) {
+		t.Helper()
+		s, err := New(cfg, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks := max(cfg.Ranks, 1)
+		w := &World{inner: mpi.NewWorld(ranks)}
+		n, err := NewNodeSimulation(cfg, w, 0, SliceForRank(parts, 0, ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.inner.Config(), n.inner.Config()
+	}
+	// same compares two engine configs; the recorder and the field callback
+	// are per-instance, so those two compare by presence.
+	same := func(a, b sim.Config) bool {
+		if (a.Obs == nil) != (b.Obs == nil) || (a.External == nil) != (b.External == nil) {
+			return false
+		}
+		a.Obs, b.Obs, a.External, b.External = nil, nil, nil, nil
+		return reflect.DeepEqual(a, b)
+	}
+	defaults, _ := build(Config{})
+
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		t.Run(typ.Field(i).Name, func(t *testing.T) {
+			var cfg Config
+			switch f := reflect.ValueOf(&cfg).Elem().Field(i); f.Kind() {
+			case reflect.Int:
+				f.SetInt(3)
+			case reflect.Float64:
+				f.SetFloat(0.37)
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Func:
+				f.Set(reflect.ValueOf(ExternalField(func(Vec3) (Vec3, float64) { return Vec3{}, 0 })))
+			default:
+				t.Fatalf("no test value for a %v field; extend the switch", f.Kind())
+			}
+			inProcess, node := build(cfg)
+			if !same(inProcess, node) {
+				t.Errorf("engine configs differ:\n Simulation     %+v\n NodeSimulation %+v", inProcess, node)
+			}
+			if same(inProcess, defaults) {
+				t.Error("setting the field left the engine config at its defaults")
+			}
+		})
 	}
 }

@@ -10,18 +10,17 @@ import (
 )
 
 // launchConfig is everything the launcher and its forked workers must agree
-// on: the transport topology, the checkpoint location, and the run length.
-// Workers re-derive the same rank addresses from the same flags.
+// on besides the simulation itself (simFlags): the transport topology and the
+// checkpoint location. Workers re-derive the same rank addresses from the
+// same flags.
 type launchConfig struct {
 	transport   string // "unix" or "tcp"
 	ranks       int
-	steps       int
 	ckptEvery   int
 	ckptDir     string
 	portBase    int
 	maxRestarts int
 	sockDir     string
-	quiet       bool
 
 	// Telemetry plane: any of the output paths (or the live endpoint) turns
 	// on worker tracing plus the launcher-side collector that merges it.

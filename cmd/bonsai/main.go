@@ -6,7 +6,7 @@
 //	# 100k-particle Milky Way on 4 simulated ranks, 100 steps
 //	bonsai -model milkyway -n 100000 -ranks 4 -steps 100
 //
-//	# resume from a snapshot and store snapshots every 50 steps
+//	# resume from a snapshot and store snapshots every 50 steps (any transport)
 //	bonsai -restore mw.snap -steps 500 -snap-every 50 -snap-prefix mw
 //
 //	# real multi-process run: 4 worker processes over unix sockets, with
@@ -24,7 +24,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 
 	"bonsai"
 )
@@ -72,20 +71,28 @@ func main() {
 	)
 	flag.Parse()
 
+	f := simFlags{
+		model: *model, n: *n, seed: *seed, restore: *restore,
+		ranks: *ranks, workers: *workers, theta: *theta, eps: *eps, dt: *dt,
+		blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
+		globalTree: *globalTree, serialLET: *serialLET,
+		steps: *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
+	}
 	switch *transport {
 	case "chan":
-		// Fall through to the in-process simulation below.
+		if *promSnapshot != "" {
+			log.Fatal("-prom-snapshot requires -transport unix or tcp (the launcher's collector writes it)")
+		}
+		runInProcess(f, *tracePath, *metricsOut, *expvarAddr)
 	case "unix", "tcp":
 		lc := launchConfig{
 			transport:   *transport,
 			ranks:       *ranks,
-			steps:       *steps,
 			ckptEvery:   *ckptEvery,
 			ckptDir:     *ckptDir,
 			portBase:    *portBase,
 			maxRestarts: *maxRestarts,
 			sockDir:     *sockDir,
-			quiet:       *quiet,
 
 			tracePath:     *tracePath,
 			metricsOut:    *metricsOut,
@@ -95,164 +102,59 @@ func main() {
 			telePortBase:  *telePortBase,
 		}
 		if *workerRank >= 0 {
-			runWorker(lc, *workerRank, workerSimConfig{
-				model: *model, n: *n, seed: *seed, restore: *restore,
-				workers: *workers, theta: *theta, eps: *eps, dt: *dt,
-				blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
-				globalTree: *globalTree, serialLET: *serialLET,
-			})
+			runWorker(lc, *workerRank, f)
 		} else {
 			runLauncher(lc)
 		}
-		return
 	default:
 		log.Fatalf("unknown transport %q (want chan, unix or tcp)", *transport)
 	}
-	if *promSnapshot != "" {
-		log.Fatal("-prom-snapshot requires -transport unix or tcp (the launcher's collector writes it)")
-	}
+}
 
-	var parts []bonsai.Particle
-	var startTime float64
-	var startStep int
-	switch {
-	case *restore != "":
-		var err error
-		startTime, startStep, parts, err = bonsai.LoadSnapshot(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("restored %d particles at t=%.4f (step %d)\n", len(parts), startTime, startStep)
-	case *model == "milkyway":
-		parts = bonsai.NewMilkyWay(*n, *seed)
-	case *model == "plummer":
-		parts = bonsai.NewPlummer(*n, 1, 1, 1, *seed)
-	default:
-		log.Fatalf("unknown model %q", *model)
-	}
-
-	if *eps == 0 {
-		*eps = bonsai.SofteningForN(len(parts))
-	}
-	if *dt == 0 {
-		if *model == "plummer" && *restore == "" {
-			// Model units (G = M = a = 1): a fraction of the dynamical time.
-			*dt = 0.01
-		} else {
-			// The paper's softening-crossing criterion, capped by the
-			// disk's orbital timescale (binding at reduced N).
-			*dt = bonsai.SuggestedDT(len(parts))
-		}
-	}
-	if *workers == 0 {
-		*workers = max(1, runtime.GOMAXPROCS(0) / *ranks)
-	}
-
-	gconst := bonsai.G // galactic units for milkyway and snapshot runs
-	if *model == "plummer" && *restore == "" {
-		gconst = 1
-	}
-	tracing := *tracePath != "" || *metricsOut != "" || *expvarAddr != ""
-	s, err := bonsai.New(bonsai.Config{
-		Ranks:          *ranks,
-		WorkersPerRank: *workers,
-		Theta:          *theta,
-		Softening:      *eps,
-		DT:             *dt,
-		GlobalTree:     *globalTree,
-		BlockSteps:     *blockSteps,
-		MaxRungs:       *maxRungs,
-		EtaDT:          *etaDT,
-		GravConst:      gconst,
-		SerialLET:      *serialLET,
-		Tracing:        tracing,
-	}, parts)
+// runInProcess hosts every rank in this process, one goroutine each.
+func runInProcess(f simFlags, tracePath, metricsOut, expvarAddr string) {
+	r := newRun(f, tracePath != "" || metricsOut != "" || expvarAddr != "")
+	s, err := bonsai.New(r.cfg, r.parts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *blockSteps && *restore != "" {
-		// Snapshots are taken at top-of-step barriers; restoring at barrier 0
-		// keeps the snapshot's rung hierarchy instead of re-assigning it.
-		if err := s.RestoreSubstep(0); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *expvarAddr != "" {
+	if expvarAddr != "" {
 		if err := s.PublishExpvar(); err != nil {
 			log.Fatal(err)
 		}
 		go func() {
-			if err := http.ListenAndServe(*expvarAddr, nil); err != nil {
+			if err := http.ListenAndServe(expvarAddr, nil); err != nil {
 				log.Printf("expvar server: %v", err)
 			}
 		}()
-		fmt.Printf("live metrics: http://%s/debug/vars\n", *expvarAddr)
+		fmt.Printf("live metrics: http://%s/debug/vars\n", expvarAddr)
 	}
+	r.printHeader("in-process")
 
-	fmt.Printf("N=%d ranks=%d workers/rank=%d theta=%.2f eps=%.4f kpc dt=%.3e (%.2f Myr)\n",
-		len(parts), *ranks, *workers, *theta, *eps, *dt, bonsai.Gyr(*dt)*1e3)
+	exch := r.loop(s, true, r.restore != "", s.Particles, nil)
 
-	var exchBoundary, exchServed int
-	var exchGlobBytes int64
-	for i := 0; i < *steps; i++ {
-		st := s.Step()
-		exchBoundary += st.BoundarySent
-		exchServed += st.GlobalServed
-		exchGlobBytes += st.GlobBytes
-		if !*quiet {
-			k, p := s.Energy()
-			block := ""
-			if st.Substeps > 0 {
-				block = fmt.Sprintf("  sub %d/%d reb, active %3.0f%%",
-					st.Substeps, st.Rebuilds, st.ActiveFrac*100)
-			}
-			if slots := st.BoundarySent + st.GlobalServed; slots > 0 {
-				block += fmt.Sprintf("  exch %d/%d global %2.0f%%",
-					st.BoundarySent, slots, st.GlobalServedFrac*100)
-			}
-			fmt.Printf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]  pp/pc %.0f/%.0f  %5.2f Gflop/s%s\n",
-				startStep+s.StepCount(), (startTime+bonsai.Gyr(s.Time()))*1e3, k+p,
-				st.MaxTimes.Total.Seconds()*1e3,
-				st.Times.SortBuild.Seconds()*1e3, st.Times.Domain.Seconds()*1e3,
-				st.Times.TreeProps.Seconds()*1e3,
-				st.Times.GravLocal.Seconds()*1e3, st.Times.GravLET.Seconds()*1e3,
-				st.Times.NonHiddenComm.Seconds()*1e3,
-				st.PPPerParticle, st.PCPerParticle, st.AppGflops, block)
-		}
-		if *snapEvery > 0 && (i+1)%*snapEvery == 0 {
-			path := fmt.Sprintf("%s_%05d.snap", *snapPrefix, startStep+s.StepCount())
-			if err := bonsai.SaveSnapshot(path, startTime+s.Time(), startStep+s.StepCount(), s.Particles()); err != nil {
-				log.Fatal(err)
-			}
-			if !*quiet {
-				fmt.Printf("  snapshot -> %s\n", path)
-			}
-		}
-	}
-
-	if *tracePath != "" {
-		if err := writeFileWith(*tracePath, s.WriteChromeTrace); err != nil {
+	if tracePath != "" {
+		if err := writeFileWith(tracePath, s.WriteChromeTrace); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace -> %s (open in https://ui.perfetto.dev)\n", *tracePath)
+		fmt.Printf("trace -> %s (open in https://ui.perfetto.dev)\n", tracePath)
 	}
-	if *metricsOut != "" {
-		if err := writeFileWith(*metricsOut, s.WriteMetricsJSONL); err != nil {
+	if metricsOut != "" {
+		if err := writeFileWith(metricsOut, s.WriteMetricsJSONL); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("metrics -> %s (summarize with tracestats -metrics)\n", *metricsOut)
+		fmt.Printf("metrics -> %s (summarize with tracestats -metrics)\n", metricsOut)
 	}
 
 	// One machine-readable exchange summary for the run (make scale-smoke
 	// asserts on these key=value tokens).
-	if slots := exchBoundary + exchServed; slots > 0 {
+	if slots := exch.BoundarySent + exch.GlobalServed; slots > 0 {
 		fmt.Printf("exchange: boundary-trees=%d pair-slots=%d global-served-frac=%.3f coarse-bytes=%d\n",
-			exchBoundary, slots, float64(exchServed)/float64(slots), exchGlobBytes)
+			exch.BoundarySent, slots, float64(exch.GlobalServed)/float64(slots), exch.GlobBytes)
 	}
 
 	k, p := s.Energy()
-	fmt.Printf("done: t=%.4f Gyr, E=%.5e K=%.4e W=%.4e, comm=%.1f MB\n",
-		startTime+bonsai.Gyr(s.Time()), k+p, k, p, float64(s.CommBytes())/1e6)
+	r.printDone(s.Time(), k, p, "comm", s.CommBytes())
 }
 
 // writeFileWith creates path and streams an exporter into it.

@@ -109,11 +109,12 @@ func (m *Metrics) Snapshot() []HistSnapshot {
 }
 
 // StepMetrics is one line of the per-step JSONL metrics stream: the overlap
-// and straggler summary of one force evaluation. An in-process Simulation
-// emits one aggregated record per evaluation (Rank 0, Ranks = world size,
-// mean/max over ranks); a multi-process Node emits one per-rank record per
-// evaluation (Rank = the reporting rank, Mean == Max == that rank's step
-// time), and the telemetry collector merges the per-rank streams.
+// and straggler summary of one force evaluation. A Node emits one per-rank
+// record per evaluation (Rank = the reporting rank, Mean == Max == that
+// rank's step time). MergeStepMetrics folds the per-rank records of an
+// evaluation into one (Rank 0, Ranks = world size, mean/max over ranks): an
+// in-process Simulation writes that fold of its nodes' records, and the
+// telemetry collector applies it to a multi-process run's streams.
 type StepMetrics struct {
 	Step            int     `json:"step"` // force-evaluation sequence number
 	Rank            int     `json:"rank"` // reporting rank (per-rank node records)

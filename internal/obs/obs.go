@@ -13,7 +13,9 @@
 // *RankRec / *Hist and call unconditionally. Enabled recording appends into a
 // preallocated per-rank span buffer through an atomic cursor — no locks, no
 // allocations, safe for the concurrent receiver/builder/compute goroutines of
-// one rank. Overflowing spans are counted and dropped, never reallocated.
+// one rank. Overflowing spans are counted and dropped, never reallocated. A
+// rank's buffer is allocated when the rank is first asked for, so a recorder
+// sized for a p-rank world costs a process only the ranks it hosts.
 package obs
 
 import (
@@ -118,6 +120,7 @@ const DefaultSpanCap = 1 << 15
 // are nil-safe and record nothing.
 type Recorder struct {
 	epoch   time.Time
+	spanCap int
 	ranks   []RankRec
 	metrics Metrics
 
@@ -126,21 +129,21 @@ type Recorder struct {
 }
 
 // New creates an enabled recorder for the given rank count. spanCap is the
-// per-rank span capacity (<= 0 selects DefaultSpanCap); the buffers are fully
-// preallocated so recording never allocates.
+// per-rank span capacity (<= 0 selects DefaultSpanCap). A rank's buffer is
+// allocated in full by its first Rank call, so recording never allocates.
 func New(ranks, spanCap int) *Recorder {
 	if spanCap <= 0 {
 		spanCap = DefaultSpanCap
 	}
 	r := &Recorder{
 		epoch:   time.Now(),
+		spanCap: spanCap,
 		ranks:   make([]RankRec, ranks),
 		metrics: newMetrics(),
 	}
 	for i := range r.ranks {
 		r.ranks[i].rank = i
 		r.ranks[i].epoch = r.epoch
-		r.ranks[i].spans = make([]Span, spanCap)
 	}
 	return r
 }
@@ -167,12 +170,15 @@ func (r *Recorder) Ranks() int {
 	return len(r.ranks)
 }
 
-// Rank returns rank i's span buffer, or nil when the recorder is disabled.
+// Rank returns rank i's span buffer, allocating it on the first call, or nil
+// when the recorder is disabled.
 func (r *Recorder) Rank(i int) *RankRec {
 	if r == nil {
 		return nil
 	}
-	return &r.ranks[i]
+	rr := &r.ranks[i]
+	rr.alloc.Do(func() { rr.spans = make([]Span, r.spanCap) })
+	return rr
 }
 
 // Metrics returns the histogram set, or nil when disabled.
@@ -205,13 +211,16 @@ func (r *Recorder) Steps() []StepMetrics {
 	return out
 }
 
-// RankRec is one rank's preallocated span buffer. Concurrent goroutines of
-// the rank (compute, receiver, builders) append through an atomic cursor; the
-// buffer is read only after the writers have been joined (end of run).
+// RankRec is one rank's span buffer. Concurrent goroutines of the rank
+// (compute, receiver, builders) append through an atomic cursor; the buffer
+// is read only after the writers have been joined (end of run). Readers check
+// the cursor first: a non-zero cursor orders the buffer's allocation before
+// the read, so a rank nobody asked for is never touched.
 type RankRec struct {
 	rank  int
 	epoch time.Time
 	n     atomic.Int64
+	alloc sync.Once
 	spans []Span
 }
 
@@ -259,6 +268,9 @@ func (rr *RankRec) Spans() []Span {
 		return nil
 	}
 	n := rr.n.Load()
+	if n == 0 {
+		return nil
+	}
 	if int(n) > len(rr.spans) {
 		n = int64(len(rr.spans))
 	}
@@ -270,7 +282,11 @@ func (rr *RankRec) Dropped() int64 {
 	if rr == nil {
 		return 0
 	}
-	if over := rr.n.Load() - int64(len(rr.spans)); over > 0 {
+	n := rr.n.Load()
+	if n == 0 {
+		return 0
+	}
+	if over := n - int64(len(rr.spans)); over > 0 {
 		return over
 	}
 	return 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"expvar"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,55 @@ func TestRecorderConcurrent(t *testing.T) {
 				t.Fatalf("rank %d: span ends before it starts: %+v", rank, s)
 			}
 		}
+	}
+}
+
+// TestRecorderAllocatesRanksOnFirstUse: a worker process builds a recorder
+// sized for the whole world and records one rank. It must pay for that rank's
+// buffer only, and the rank must record and export as a preallocated one did.
+func TestRecorderAllocatesRanksOnFirstUse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New(256, 0)
+	rr := r.Rank(3)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 4<<20 {
+		t.Errorf("New(256, 0) + Rank(3) grew the heap by %d bytes, want < 4 MiB", grown)
+	}
+
+	now := time.Now()
+	rr.Span(0, PhaseWalkLocal, LaneCompute, 0, now, now.Add(time.Millisecond), 7)
+	if r.Rank(3) != rr {
+		t.Error("second Rank(3) call returned a different buffer")
+	}
+	if got := rr.Spans(); len(got) != 1 || got[0].Arg != 7 {
+		t.Fatalf("Rank(3) spans = %+v, want the one recorded", got)
+	}
+	tracks := r.Tracks()
+	if len(tracks) != 256 {
+		t.Fatalf("Tracks() has %d entries, want one per rank", len(tracks))
+	}
+	for _, tr := range tracks {
+		want := 0
+		if tr.Rank == 3 {
+			want = 1
+		}
+		if len(tr.Spans) != want || tr.Dropped != 0 {
+			t.Errorf("rank %d track: %d spans, %d dropped, want %d and 0", tr.Rank, len(tr.Spans), tr.Dropped, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ParseChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := AnalyzeTrace(events); rep.NumRanks != 1 {
+		t.Errorf("exported trace shows %d ranks, want the one that recorded", rep.NumRanks)
 	}
 }
 

@@ -469,26 +469,6 @@ func (r *rank) clampRungs() {
 	}
 }
 
-// add accumulates another evaluation's stats into a step-level total.
-func (a *RankStats) add(b RankStats) {
-	a.Times.Add(b.Times)
-	a.Grav.Add(b.Grav)
-	a.NLocal = b.NLocal
-	a.LETsSent += b.LETsSent
-	a.LETsRecv += b.LETsRecv
-	a.BoundaryUsed += b.BoundaryUsed
-	a.LETBytesSent += b.LETBytesSent
-	a.BoundarySent += b.BoundarySent
-	a.GlobalServed += b.GlobalServed
-	a.GlobBytes += b.GlobBytes
-	a.LETsOverlapped += b.LETsOverlapped
-	a.RecvIdle += b.RecvIdle
-	if b.ArrivalsSeen > 0 && (a.ArrivalsSeen == 0 || b.WorstArrival > a.WorstArrival) {
-		a.WorstArrival = b.WorstArrival
-	}
-	a.ArrivalsSeen += b.ArrivalsSeen
-}
-
 // resetBlockStep clears the per-step block accumulators.
 func (r *rank) resetBlockStep() {
 	r.stepAccum = RankStats{}
@@ -496,128 +476,27 @@ func (r *rank) resetBlockStep() {
 	r.stepActive, r.stepTotal = 0, 0
 }
 
-// --- Simulation driver -----------------------------------------------------
-
-// stepBlock is Step's block-timestep path: run every remaining substep of
-// the top-level step in lockstep across the in-process ranks, then fold the
-// per-evaluation records into the metrics stream and the step aggregate.
-func (s *Simulation) stepBlock() StepStats {
-	s.advanceBlock(0)
-	return s.finishBlockStep()
-}
-
-// advanceBlock runs up to maxB substep advances on every rank (the rest of
-// the step when maxB <= 0) and records their evaluations. Returns true when
-// the top-of-step barrier was crossed.
-func (s *Simulation) advanceBlock(maxB int) bool {
-	first := s.first
-	s.first = false
-	evalBase := s.evals
-	step := s.step
-	s.parallel(func(r *rank) { r.blockAdvance(step, evalBase, first, maxB) })
-
-	evs := len(s.ranks[0].blockEvals)
-	for e := 0; e < evs; e++ {
-		rs := make([]RankStats, len(s.ranks))
-		for i, r := range s.ranks {
-			rs[i] = r.blockEvals[e].stats
-		}
-		s.recordStepMetrics(evalBase+e, rs, &s.ranks[0].blockEvals[e])
-	}
-	s.evals += evs
-	if evs == 0 {
-		return false
-	}
-	S := 1 << s.cfg.MaxRungs
-	return s.ranks[0].blockEvals[evs-1].boundary == S
-}
-
-// finishBlockStep aggregates the step's accumulated substep stats, advances
-// the clock, and clears the accumulators. Call once the top barrier is
-// crossed (Substep() == 0).
-func (s *Simulation) finishBlockStep() StepStats {
-	rs := make([]RankStats, len(s.ranks))
-	for i, r := range s.ranks {
-		rs[i] = r.stepAccum
-	}
-	out := aggregate(s.step, rs)
-	r0 := s.ranks[0]
-	out.Substeps = r0.stepSub
-	out.Rebuilds = r0.stepReb
-	if r0.stepTotal > 0 {
-		out.ActiveFrac = r0.stepActive / r0.stepTotal
-	}
-	for _, r := range s.ranks {
-		r.resetBlockStep()
-	}
-	s.step++
-	s.time += s.cfg.DT
-	return out
-}
-
-// Substep returns the current substep barrier (0 at top of step). Only
-// meaningful with Config.BlockSteps.
-func (s *Simulation) Substep() int { return s.ranks[0].sub }
-
-// SubstepN advances n occupied substep barriers (block-timestep runs only)
-// and returns true when the advance crossed the top-of-step barrier, which
-// also completes the step and advances the clock. Exposed for restart tests
-// and substep-resolution drivers; Step() remains the normal entry point.
-func (s *Simulation) SubstepN(n int) (bool, error) {
-	if !s.cfg.BlockSteps {
-		return false, fmt.Errorf("sim: SubstepN requires Config.BlockSteps")
-	}
-	done := s.advanceBlock(n)
-	if done {
-		s.finishBlockStep()
-	}
-	return done, nil
-}
-
-// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
-// substep barrier: sub is the barrier index (0 ≤ sub < 2^MaxRungs), and the
-// particles' snapshot rungs are kept (clamped to MaxRungs) instead of being
-// re-assigned by the priming evaluation. Call before the first Step or
-// SubstepN, together with SetClock for the step/time counters.
-func (s *Simulation) RestoreSubstep(sub int) error {
-	if !s.cfg.BlockSteps {
-		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")
-	}
-	if S := 1 << s.cfg.MaxRungs; sub < 0 || sub >= S {
-		return fmt.Errorf("sim: substep %d outside [0, %d)", sub, S)
-	}
-	for _, r := range s.ranks {
-		r.sub = sub
-		r.restored = true
-		r.treeOK = false
-		r.clampRungs()
-	}
-	return nil
-}
-
-// SetClock fast-forwards the step counter and simulation time when resuming
-// from a snapshot, so the domain-epoch schedule continues from the restored
-// step instead of restarting at 0.
-func (s *Simulation) SetClock(step int, time float64) {
-	s.step = step
-	s.time = time
-}
-
 // --- Node driver -----------------------------------------------------------
 
-// stepBlock is Node.Step's block-timestep path: the same substep sequence as
-// Simulation.stepBlock, driven from this rank alone (the collectives inside
-// keep the world in lockstep). Returns the step-summed stats of this rank.
-func (n *Node) stepBlock() RankStats {
+// advanceBlock runs up to maxB substep advances (the rest of the top-level
+// step when maxB <= 0) in lockstep with every other rank — the collectives
+// inside keep the world aligned — and records their evaluations. When the
+// advance crosses the top-of-step barrier it completes the step: done is
+// true, the clock advances, and the returned stats sum every substep
+// evaluation of the step.
+func (n *Node) advanceBlock(maxB int) (rs RankStats, done bool) {
 	first := n.first
 	n.first = false
 	r := n.r
-	r.blockAdvance(n.step, n.evals, first, 0)
+	done = r.blockAdvance(n.step, n.evals, first, maxB)
 	for e := range r.blockEvals {
-		n.recordStepMetrics(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
+		n.record(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
 	}
 	n.evals += len(r.blockEvals)
-	out := r.stepAccum
+	if !done {
+		return RankStats{}, false
+	}
+	rs = r.stepAccum
 	n.lastSub, n.lastReb = r.stepSub, r.stepReb
 	n.lastActiveFrac = 0
 	if r.stepTotal > 0 {
@@ -626,15 +505,32 @@ func (n *Node) stepBlock() RankStats {
 	r.resetBlockStep()
 	n.step++
 	n.time += n.cfg.DT
-	return out
+	return rs, true
 }
 
-// Substep returns the current substep barrier (0 at top of step).
+// Substep returns the current substep barrier (0 at top of step). Only
+// meaningful with Config.BlockSteps.
 func (n *Node) Substep() int { return n.r.sub }
 
-// RestoreSubstep resumes this rank from a snapshot taken at a substep
-// barrier — the Node counterpart of Simulation.RestoreSubstep (collective:
-// every rank of the world must restore the same barrier).
+// SubstepN advances k occupied substep barriers (block-timestep runs only;
+// collective) and returns true when the advance crossed the top-of-step
+// barrier, which also completes the step and advances the clock. Exposed for
+// restart tests and substep-resolution drivers; Step remains the normal entry
+// point.
+func (n *Node) SubstepN(k int) (bool, error) {
+	if !n.cfg.BlockSteps {
+		return false, fmt.Errorf("sim: SubstepN requires Config.BlockSteps")
+	}
+	_, done := n.advanceBlock(k)
+	return done, nil
+}
+
+// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
+// substep barrier: sub is the barrier index (0 ≤ sub < 2^MaxRungs), and the
+// particles' snapshot rungs are kept (clamped to MaxRungs) instead of being
+// re-assigned by the priming evaluation. Every rank of the world must restore
+// the same barrier. Call before the first Step or SubstepN, together with
+// SetClock for the step/time counters.
 func (n *Node) RestoreSubstep(sub int) error {
 	if !n.cfg.BlockSteps {
 		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")

@@ -188,80 +188,112 @@ func TestBlockEnergyConservation(t *testing.T) {
 	}
 }
 
+// substepper is what the mid-step restart contract is stated over: the
+// in-process Simulation and a fleet of Nodes over any world both provide it.
+// SubstepN(0) finishes the current top-level step, as Step does.
+type substepper interface {
+	SubstepN(n int) (bool, error)
+	Substep() int
+	RestoreSubstep(sub int) error
+	SetClock(step int, time float64)
+	StepCount() int
+	Time() float64
+	Particles() []body.Particle
+}
+
 // TestBlockSubstepRestart checks the mid-step restart contract: stopping at
 // a substep barrier, rebuilding a simulation from the particle state (rungs
 // travel with the particles), and resuming via RestoreSubstep must continue
 // the trajectory. The restart rebuilds its tree where the original reused
 // one, so forces differ within multipole acceptance error — same tolerance
-// as the top-level snapshot-restart test.
+// as the top-level snapshot-restart test. The socket case holds one-rank-per-
+// connection Nodes to the same contract.
 func TestBlockSubstepRestart(t *testing.T) {
-	parts := concentrated(800, 64)
 	cfg := Config{
 		Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3,
 		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
 	}
+	for _, c := range []struct {
+		name string
+		mk   func(t *testing.T, parts []body.Particle) substepper
+	}{
+		{"simulation", func(t *testing.T, parts []body.Particle) substepper {
+			s, err := New(cfg, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"socket-nodes", func(t *testing.T, parts []body.Particle) substepper {
+			return newFleet(t, cfg, newTestSockWorld(t, "unix", cfg.Ranks), parts)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			parts := concentrated(800, 64)
+			step := func(s substepper) {
+				if done, err := s.SubstepN(0); err != nil || !done {
+					t.Fatalf("SubstepN(0) = (%v, %v), want a completed step", done, err)
+				}
+			}
 
-	// Continuous run: 3 top-level steps.
-	s1, err := New(cfg, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		s1.Step()
-	}
-	want := s1.Particles()
+			// Continuous run: 3 top-level steps.
+			s1 := c.mk(t, parts)
+			for i := 0; i < 3; i++ {
+				step(s1)
+			}
+			want := s1.Particles()
 
-	// Interrupted run: one step, then substep-at-a-time into step 1 until a
-	// mid-step barrier is reached (a model with spread rungs reaches one).
-	s2, _ := New(cfg, parts)
-	s2.Step()
-	mid := 0
-	for i := 0; i < 64; i++ {
-		done, err := s2.SubstepN(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !done && s2.Substep() > 0 {
-			mid = s2.Substep()
-			break
-		}
-		if done {
-			t.Fatal("step 1 completed without ever pausing at a mid-step barrier; rungs never spread")
-		}
-	}
-	if mid == 0 {
-		t.Fatal("never reached a mid-step barrier")
-	}
+			// Interrupted run: one step, then substep-at-a-time into step 1
+			// until a mid-step barrier is reached (a model with spread rungs
+			// reaches one).
+			s2 := c.mk(t, parts)
+			step(s2)
+			mid := 0
+			for i := 0; i < 64; i++ {
+				done, err := s2.SubstepN(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !done && s2.Substep() > 0 {
+					mid = s2.Substep()
+					break
+				}
+				if done {
+					t.Fatal("step 1 completed without ever pausing at a mid-step barrier; rungs never spread")
+				}
+			}
+			if mid == 0 {
+				t.Fatal("never reached a mid-step barrier")
+			}
 
-	// Restart from the barrier: particle state (positions, velocities, rungs)
-	// plus the substep index and clock.
-	s3, err := New(cfg, s2.Particles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.RestoreSubstep(mid); err != nil {
-		t.Fatal(err)
-	}
-	s3.SetClock(s2.StepCount(), s2.Time())
-	for { // finish step 1
-		done, err := s3.SubstepN(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	s3.Step() // step 2
-	got := s3.Particles()
+			// Restart from the barrier: particle state (positions, velocities,
+			// rungs) plus the substep index and clock.
+			s3 := c.mk(t, s2.Particles())
+			if err := s3.RestoreSubstep(mid); err != nil {
+				t.Fatal(err)
+			}
+			s3.SetClock(s2.StepCount(), s2.Time())
+			for { // finish step 1
+				done, err := s3.SubstepN(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
+			}
+			step(s3) // step 2
+			got := s3.Particles()
 
-	var sum2, ref2 float64
-	for i := range want {
-		sum2 += got[i].Pos.Sub(want[i].Pos).Norm2()
-		ref2 += want[i].Pos.Norm2()
-	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-4 {
-		t.Errorf("substep restart diverged: rms position difference %v", rms)
+			var sum2, ref2 float64
+			for i := range want {
+				sum2 += got[i].Pos.Sub(want[i].Pos).Norm2()
+				ref2 += want[i].Pos.Norm2()
+			}
+			if rms := math.Sqrt(sum2 / ref2); rms > 1e-4 {
+				t.Errorf("substep restart diverged: rms position difference %v", rms)
+			}
+		})
 	}
 }
 
@@ -279,7 +311,7 @@ func TestNodeBlockMatchesSimulation(t *testing.T) {
 	}
 	w := newTestSockWorld(t, "unix", ranks)
 	nodes := runNodes(t, cfg, w, parts, 3)
-	got := gatherAll(nodes)
+	got := nodes.Particles()
 
 	s, err := New(cfg, parts)
 	if err != nil {

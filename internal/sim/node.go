@@ -8,35 +8,38 @@ import (
 
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
-	"bonsai/internal/grav"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/snapshot"
 )
 
 // Node drives ONE rank of a distributed simulation over an externally
-// provided mpi.World — the SPMD counterpart of Simulation, which owns all
-// ranks of an in-process world. Every process of a socket-transport run
-// (cmd/bonsai's launcher) creates one Node per hosted rank and calls Step in
-// lockstep; the collective structure of the pipeline keeps the ranks
-// synchronized exactly as Simulation's parallel() does.
-//
-// The step pipeline, evaluation numbering, and integration order are the same
-// code paths as Simulation's (rank.stepForces plus the KDK kicks), so an
-// 8-rank Node run over sockets reproduces an 8-rank Simulation to within
-// LET-arrival-order float jitter.
+// provided mpi.World: the only step driver in the package. Every process of a
+// socket-transport run (cmd/bonsai's launcher) creates one Node per hosted
+// rank and calls Step in lockstep; the in-process Simulation is p Nodes over a
+// channel world, released together on p goroutines. Either way the collective
+// structure of the pipeline keeps the ranks synchronized, so an 8-rank run
+// over sockets reproduces the in-process one to within LET-arrival-order
+// float jitter.
 type Node struct {
 	cfg   Config
 	comm  *mpi.Comm
 	r     *rank
 	step  int
-	evals int
+	evals int // completed force evaluations (tracing sequence number)
 	time  float64
 	first bool
 
 	// Block-timestep summary of the last completed step (see BlockSummary).
 	lastSub, lastReb int
 	lastActiveFrac   float64
+
+	// hold diverts this rank's per-evaluation metrics records from the
+	// recorder's stream into held, for the owning Simulation to merge across
+	// its ranks. A standalone Node streams them; the telemetry collector
+	// merges across processes.
+	hold bool
+	held []obs.StepMetrics
 }
 
 // BlockSummary reports the block-timestep accounting of the most recent Step:
@@ -48,8 +51,8 @@ func (n *Node) BlockSummary() (substeps, rebuilds int, activeFrac float64) {
 
 // NewNode creates the driver for one rank. parts is this rank's initial
 // slice of the global particle set; every rank of the world must receive the
-// same Config and a consistent split (Simulation.New's split of the global
-// set ordered by rank, e.g. SliceForRank). cfg.Ranks must equal w.Size().
+// same Config and a consistent split of the global set ordered by rank (e.g.
+// SliceForRank). cfg.Ranks must equal w.Size().
 func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,9 +88,9 @@ func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node
 	return n, nil
 }
 
-// SliceForRank cuts rank r's initial slice out of a global particle set,
-// using the same even split as Simulation.New — every process generates or
-// loads the same global set and keeps only its share.
+// SliceForRank cuts rank r's initial slice out of a global particle set by an
+// even split — every process generates or loads the same global set and keeps
+// only its share.
 func SliceForRank(parts []body.Particle, r, ranks int) []body.Particle {
 	lo := r * len(parts) / ranks
 	hi := (r + 1) * len(parts) / ranks
@@ -100,9 +103,8 @@ func (n *Node) Rank() int { return n.comm.Rank() }
 // Ranks returns the world size.
 func (n *Node) Ranks() int { return n.comm.Size() }
 
-// Obs returns the node's tracing recorder (nil when tracing is disabled) —
-// the state a worker's telemetry endpoint serves.
-func (n *Node) Obs() *obs.Recorder { return n.cfg.Obs }
+// Config returns the effective (default-filled) configuration.
+func (n *Node) Config() Config { return n.cfg }
 
 // PairBytes returns the cumulative wire bytes this rank has sent to rank
 // `to` (0 when the transport does not track traffic).
@@ -117,8 +119,8 @@ func (n *Node) Time() float64 { return n.time }
 func (n *Node) StepCount() int { return n.step }
 
 // SetClock fast-forwards the step counter and simulation time, for resuming
-// from a checkpoint: the domain-epoch schedule (step % DomainFreq) must
-// continue from the restored step, not restart at 0.
+// from a snapshot or checkpoint: the domain-epoch schedule (step % DomainFreq)
+// must continue from the restored step, not restart at 0.
 func (n *Node) SetClock(step int, time float64) {
 	n.step = step
 	n.time = time
@@ -130,98 +132,66 @@ func (n *Node) Particles() []body.Particle { return n.r.parts }
 
 func (n *Node) domainDue() bool { return n.step%n.cfg.DomainFreq == 0 }
 
+// forces runs one full-pipeline force evaluation. domainUpdate selects
+// whether it re-decomposes and exchanges particles; all ranks must pass the
+// same value (the decomposition is collective).
 func (n *Node) forces(domainUpdate bool) RankStats {
 	eval := n.evals
 	n.evals++
 	n.r.stepForces(n.step, eval, domainUpdate)
-	n.recordStepMetrics(eval, n.r.stats, nil)
+	n.record(eval, n.r.stats, nil)
 	return n.r.stats
 }
 
-// recordStepMetrics appends this rank's view of one force evaluation to the
-// tracing recorder's metrics stream. Unlike Simulation's aggregated record, a
-// Node only knows its own times: Mean == Max == this rank's step time and
-// Straggler names itself; the telemetry collector (or MergeStepMetrics) folds
-// the per-rank streams into the cross-rank aggregate. be carries the
-// block-timestep diagnostics of a substep evaluation (nil on the global-dt
-// path). No-op when tracing is disabled.
-func (n *Node) recordStepMetrics(eval int, rs RankStats, be *blockEval) {
-	rec := n.cfg.Obs
-	if rec == nil {
+// record emits this rank's metrics record of one force evaluation. be carries
+// the block-timestep diagnostics of a substep evaluation (nil on the
+// global-dt path). No-op when tracing is disabled.
+func (n *Node) record(eval int, rs RankStats, be *blockEval) {
+	if n.cfg.Obs == nil {
 		return
 	}
-	t := rs.Times
-	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
-	m := obs.StepMetrics{
-		Step:            eval,
-		Rank:            n.comm.Rank(),
-		Ranks:           n.comm.Size(),
-		N:               len(n.r.parts),
-		MeanStepMS:      ms(t.Total),
-		MaxStepMS:       ms(t.Total),
-		Straggler:       n.comm.Rank(),
-		NonHiddenCommMS: ms(t.NonHiddenComm),
-		LETsRecv:        rs.LETsRecv,
-		LETsOverlapped:  rs.LETsOverlapped,
-		BoundarySent:    rs.BoundarySent,
-		GlobalServed:    rs.GlobalServed,
-		GlobBytes:       rs.GlobBytes,
-		ArrivalsSeen:    rs.ArrivalsSeen,
-		WalkGflops:      rs.WalkGflops(),
-		AppGflops:       finiteRate(rs.Grav.Gflops(t.Total)),
-		KernelISA:       grav.KernelISA(),
-		SortBuildMS:     ms(t.SortBuild),
-		DomainMS:        ms(t.Domain),
-		TreePropsMS:     ms(t.TreeProps),
-		GravLocalMS:     ms(t.GravLocal),
-		GravLETMS:       ms(t.GravLET),
-		OtherMS:         ms(t.Other),
+	m := rs.stepMetrics(eval, n.comm.Rank(), n.comm.Size(), be)
+	if n.hold {
+		n.held = append(n.held, m)
+	} else {
+		n.cfg.Obs.AddStep(m)
 	}
-	if rs.LETsRecv > 0 {
-		m.OverlapFrac = float64(rs.LETsOverlapped) / float64(rs.LETsRecv)
-	}
-	if slots := rs.GlobalServed + rs.BoundarySent; slots > 0 {
-		m.GlobalServedFrac = float64(rs.GlobalServed) / float64(slots)
-	}
-	if rs.ArrivalsSeen > 0 {
-		m.WorstArrivalMS = float64(rs.WorstArrival) / 1e6
-	}
-	if be != nil {
-		m.Substep = be.boundary
-		m.TreeRebuilt = be.rebuilt
-		if be.totalN > 0 {
-			m.ActiveN = be.activeN
-			m.ActiveFrac = float64(be.activeN) / float64(be.totalN)
-		}
-		m.RungPop = be.rungPop
-	}
-	rec.AddStep(m)
 }
 
-// Step advances this rank by one leapfrog step, in lockstep with every other
-// rank of the world, and returns the rank's force-phase statistics. The
-// sequence of collective operations is identical to Simulation.Step —
-// including the block-timestep path, which dispatches to the same
-// blockAdvance every other rank runs.
+// Step advances this rank by one leapfrog step (kick-drift-kick), in lockstep
+// with every other rank of the world, and returns the rank's force-phase
+// statistics. With Config.BlockSteps the step runs as a sequence of
+// block-timestep substeps (see block.go) and the stats sum every substep
+// evaluation.
 func (n *Node) Step() RankStats {
 	if n.cfg.BlockSteps {
-		return n.stepBlock()
+		rs, _ := n.advanceBlock(0)
+		return rs
 	}
 	primed := false
 	if n.first {
+		// Prime accelerations at t=0.
 		n.forces(n.domainDue())
 		n.first = false
 		primed = true
 	}
 	dt := n.cfg.DT
 	r := n.r
+	// Kick half + drift full (uses accelerations from the previous force
+	// evaluation, which are aligned with the rank's current particle order).
 	t0 := time.Now()
 	for i := range r.parts {
 		r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
 		r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
 	}
 	r.obs.Span(n.evals, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 0)
+	// New forces at t+dt. If the t=0 priming evaluation just ran the domain
+	// update, positions have only drifted within the same step, so the
+	// decomposition is still fresh: skip the second update.
 	rs := n.forces(n.domainDue() && !primed)
+	// Kick half. The span is tagged with the evaluation whose accelerations
+	// it applies (the one that just ran), so traces never mint an evaluation
+	// ID that has no force phase.
 	t0 = time.Now()
 	for i := range r.parts {
 		r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
@@ -232,19 +202,20 @@ func (n *Node) Step() RankStats {
 	return rs
 }
 
+// ComputeForces runs the force pipeline once without advancing time
+// (collective). Scaling measurements use it to time pure force iterations:
+// every call runs the full pipeline, including the domain update when the
+// current step is an update epoch.
+func (n *Node) ComputeForces() RankStats {
+	rs := n.forces(n.domainDue())
+	n.first = false
+	return rs
+}
+
 // Energy returns the total kinetic and potential energy across all ranks
-// (collective: every rank must call it at the same point). Pairwise
-// self-gravity potential is halved as in Simulation.Energy.
+// (collective: every rank must call it at the same point).
 func (n *Node) Energy() (kin, pot float64) {
-	r := n.r
-	ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
-	for i := range r.parts {
-		kin += 0.5 * r.parts[i].Mass * r.parts[i].Vel.Norm2()
-		pot += 0.5 * r.parts[i].Mass * r.pot[i]
-		if ext {
-			pot += r.parts[i].Mass * r.extPot[i]
-		}
-	}
+	kin, pot = n.r.energy(0, 0)
 	sum := mpi.Allreduce(n.comm, []float64{kin, pot}, func(a, b []float64) []float64 {
 		return []float64{a[0] + b[0], a[1] + b[1]}
 	}, 16)

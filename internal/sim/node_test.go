@@ -44,50 +44,88 @@ func newTestSockWorld(t *testing.T, network string, size int) *mpi.World {
 	return w
 }
 
-// runNodes drives one Node per rank of w concurrently for steps steps, from
-// identical global initial conditions, and returns the rank-0 node.
-func runNodes(t *testing.T, cfg Config, w *mpi.World, parts []body.Particle, steps int) []*Node {
+// fleet is one Node per rank of a world, driven in lockstep from the test
+// goroutine: what Simulation is for a channel world, over any transport.
+type fleet []*Node
+
+// newFleet creates the nodes of w from identical global initial conditions.
+func newFleet(t *testing.T, cfg Config, w *mpi.World, parts []body.Particle) fleet {
 	t.Helper()
 	size := w.Size()
-	nodes := make([]*Node, size)
-	for r := 0; r < size; r++ {
+	f := make(fleet, size)
+	for r := range f {
 		n, err := NewNode(cfg, w, r, SliceForRank(parts, r, size))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[r] = n
+		f[r] = n
 	}
+	return f
+}
+
+// each runs fn on every node concurrently and waits: one collective round.
+func (f fleet) each(fn func(n *Node)) {
 	var wg sync.WaitGroup
-	for _, n := range nodes {
+	for _, n := range f {
 		wg.Add(1)
 		go func(n *Node) {
 			defer wg.Done()
-			for i := 0; i < steps; i++ {
-				n.Step()
-			}
+			fn(n)
 		}(n)
 	}
 	wg.Wait()
-	return nodes
 }
 
-// gatherAll runs the collective GatherParticles on every node concurrently
-// and returns root's view.
-func gatherAll(nodes []*Node) []body.Particle {
-	var wg sync.WaitGroup
-	var got []body.Particle
-	for r, n := range nodes {
-		wg.Add(1)
-		go func(r int, n *Node) {
-			defer wg.Done()
-			g := n.GatherParticles(0)
-			if r == 0 {
-				got = g
-			}
-		}(r, n)
+func (f fleet) SubstepN(k int) (done bool, err error) {
+	f.each(func(n *Node) {
+		if d, e := n.SubstepN(k); n.Rank() == 0 {
+			done, err = d, e
+		}
+	})
+	return done, err
+}
+
+func (f fleet) RestoreSubstep(sub int) (err error) {
+	for _, n := range f {
+		if e := n.RestoreSubstep(sub); e != nil {
+			err = e
+		}
 	}
-	wg.Wait()
+	return err
+}
+
+func (f fleet) SetClock(step int, time float64) {
+	for _, n := range f {
+		n.SetClock(step, time)
+	}
+}
+
+func (f fleet) Substep() int   { return f[0].Substep() }
+func (f fleet) StepCount() int { return f[0].StepCount() }
+func (f fleet) Time() float64  { return f[0].Time() }
+
+// Particles runs the collective GatherParticles on every node and returns
+// root's view.
+func (f fleet) Particles() (got []body.Particle) {
+	f.each(func(n *Node) {
+		if g := n.GatherParticles(0); n.Rank() == 0 {
+			got = g
+		}
+	})
 	return got
+}
+
+// runNodes drives one Node per rank of w concurrently for steps steps, from
+// identical global initial conditions.
+func runNodes(t *testing.T, cfg Config, w *mpi.World, parts []body.Particle, steps int) fleet {
+	t.Helper()
+	f := newFleet(t, cfg, w, parts)
+	f.each(func(n *Node) {
+		for i := 0; i < steps; i++ {
+			n.Step()
+		}
+	})
+	return f
 }
 
 // rmsPosDiff returns the rms position difference between two equally ordered
@@ -130,7 +168,7 @@ func TestNodeSocketMatchesInProcess(t *testing.T) {
 
 	w := newTestSockWorld(t, "unix", ranks)
 	nodes := runNodes(t, cfg, w, parts, steps)
-	got := gatherAll(nodes)
+	got := nodes.Particles()
 
 	if rms := rmsPosDiff(t, want, got); rms >= 1e-12 {
 		t.Errorf("rms position difference chan vs unix socket = %g, want < 1e-12", rms)
@@ -193,23 +231,17 @@ func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 	// Continuous reference.
 	wRef := mpi.NewWorld(ranks)
 	ref := runNodes(t, cfg, wRef, parts, total)
-	want := gatherAll(ref)
+	want := ref.Particles()
 
 	// Run to the checkpoint, write it, throw the nodes away.
 	dir := t.TempDir()
 	w1 := mpi.NewWorld(ranks)
 	nodes := runNodes(t, cfg, w1, parts, at)
-	var wg sync.WaitGroup
-	for _, n := range nodes {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			if err := n.Checkpoint(dir); err != nil {
-				t.Error(err)
-			}
-		}(n)
-	}
-	wg.Wait()
+	nodes.each(func(n *Node) {
+		if err := n.Checkpoint(dir); err != nil {
+			t.Error(err)
+		}
+	})
 
 	step, nr, ok := snapshot.LatestCkpt(dir)
 	if !ok || step != at || nr != ranks {
@@ -218,7 +250,7 @@ func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 
 	// Fresh world, fresh nodes, restored slices — like restarted processes.
 	w2 := mpi.NewWorld(ranks)
-	resumed := make([]*Node, ranks)
+	resumed := make(fleet, ranks)
 	for r := 0; r < ranks; r++ {
 		h, restored, err := snapshot.LoadRankCkpt(dir, step, r)
 		if err != nil {
@@ -231,17 +263,12 @@ func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 		n.SetClock(int(h.Step), h.Time)
 		resumed[r] = n
 	}
-	for _, n := range resumed {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			for i := 0; i < total-at; i++ {
-				n.Step()
-			}
-		}(n)
-	}
-	wg.Wait()
-	got := gatherAll(resumed)
+	resumed.each(func(n *Node) {
+		for i := 0; i < total-at; i++ {
+			n.Step()
+		}
+	})
+	got := resumed.Particles()
 	if rms := rmsPosDiff(t, want, got); rms >= 1e-12 {
 		t.Errorf("rms position difference continuous vs restarted = %g, want < 1e-12", rms)
 	}

@@ -62,8 +62,8 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	for i, r := range s.ranks {
-		p := r.stats.Times
+	for i, n := range s.nodes {
+		p := n.r.stats.Times
 		sum := p.Accounted() + p.Other
 		if p.Other < 0 {
 			t.Errorf("rank %d: negative Other %v", i, p.Other)
@@ -178,10 +178,29 @@ func TestTracingIntegration(t *testing.T) {
 		t.Error("empty trace report")
 	}
 
-	// Metrics stream.
+	// Metrics stream: one cross-rank record per evaluation, folded from the
+	// nodes' per-rank records.
 	steps := rec.Steps()
 	if len(steps) != 3 {
 		t.Fatalf("recorded %d step metrics, want 3", len(steps))
+	}
+	for e, m := range steps {
+		if m.Step != e || m.Ranks != ranks || m.N != 4000 {
+			t.Errorf("record %d: step %d, %d ranks, n %d; want step %d, %d ranks, n 4000",
+				e, m.Step, m.Ranks, m.N, e, ranks)
+		}
+		if m.MeanStepMS > m.MaxStepMS || m.MeanStepMS <= 0 {
+			t.Errorf("record %d: mean step %v ms, max %v ms", e, m.MeanStepMS, m.MaxStepMS)
+		}
+	}
+	slowest := 0
+	for i, n := range s.nodes {
+		if n.r.stats.Times.Total > s.nodes[slowest].r.stats.Times.Total {
+			slowest = i
+		}
+	}
+	if last := steps[2]; last.Straggler != slowest {
+		t.Errorf("last record names rank %d the straggler, rank %d had the longest evaluation", last.Straggler, slowest)
 	}
 	var mbuf bytes.Buffer
 	if err := rec.WriteMetricsJSONL(&mbuf); err != nil {

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // TestWorkerCountBitwiseInvariance is the end-to-end determinism guarantee
 // for the multicore tree pipeline: a single-rank simulation stepped with 8
@@ -43,117 +38,6 @@ func TestWorkerCountBitwiseInvariance(t *testing.T) {
 	}
 }
 
-// TestLETBudgetEquivalence: capping the process-wide LET-builder budget only
-// serializes construction, never changes what is built; an 8-rank run under a
-// tight budget must match the unbudgeted run to floating-point accumulation
-// noise (LET walk order depends on arrival order either way).
-func TestLETBudgetEquivalence(t *testing.T) {
-	parts := plummer(4_000, 6)
-
-	run := func(budget int) ([]float64, *Simulation) {
-		s, err := New(Config{Ranks: 8, Theta: 0.4, Eps: 0.05, WorkersPerRank: 2, LETBudget: budget}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ComputeForces()
-		acc, _ := s.Accelerations()
-		mags := make([]float64, len(acc))
-		for i, a := range acc {
-			mags[i] = a.Norm2()
-		}
-		return mags, s
-	}
-	ref, _ := run(0)
-	got, _ := run(2)
-	var sum2, ref2 float64
-	for i := range ref {
-		d := math.Sqrt(ref[i]) - math.Sqrt(got[i])
-		sum2 += d * d
-		ref2 += ref[i]
-	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
-		t.Errorf("budgeted run diverged from unbudgeted: rms %v", rms)
-	}
-	// The semaphore must drain completely once the runs finish.
-	letBudget.mu.Lock()
-	inUse := letBudget.inUse
-	letBudget.mu.Unlock()
-	if inUse != 0 {
-		t.Errorf("letBudget has %d units leaked", inUse)
-	}
-}
-
-// TestPollReceiverEquivalence: replacing the receiver goroutine with
-// compute-thread polling changes only when LETs are noticed, never what is
-// walked; an 8-rank polled run must match the pipelined run to
-// floating-point accumulation noise (LET walk order depends on arrival
-// order in both modes).
-func TestPollReceiverEquivalence(t *testing.T) {
-	parts := plummer(4_000, 9)
-
-	run := func(poll bool) []float64 {
-		s, err := New(Config{Ranks: 8, Theta: 0.4, Eps: 0.05, WorkersPerRank: 2, PollReceiver: poll}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := s.ComputeForces()
-		if st.LETsRecv == 0 {
-			t.Fatalf("poll=%v: no full LETs exchanged; the test would not exercise the receive path", poll)
-		}
-		acc, _ := s.Accelerations()
-		mags := make([]float64, len(acc))
-		for i, a := range acc {
-			mags[i] = a.Norm2()
-		}
-		return mags
-	}
-	ref := run(false)
-	got := run(true)
-	var sum2, ref2 float64
-	for i := range ref {
-		d := math.Sqrt(ref[i]) - math.Sqrt(got[i])
-		sum2 += d * d
-		ref2 += ref[i]
-	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
-		t.Errorf("polled run diverged from pipelined: rms %v", rms)
-	}
-}
-
-// TestProcSemRespectsCapacity hammers the process semaphore from many
-// goroutines and checks the concurrent-holder count never exceeds the cap.
-func TestProcSemRespectsCapacity(t *testing.T) {
-	sem := newProcSem()
-	const cap, goroutines, rounds = 3, 32, 50
-	var cur, max atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				sem.acquire(cap)
-				c := cur.Add(1)
-				for {
-					m := max.Load()
-					if c <= m || max.CompareAndSwap(m, c) {
-						break
-					}
-				}
-				cur.Add(-1)
-				sem.release()
-			}
-		}()
-	}
-	wg.Wait()
-	if m := max.Load(); m > cap {
-		t.Errorf("observed %d concurrent holders, cap %d", m, cap)
-	}
-	if sem.inUse != 0 {
-		t.Errorf("semaphore left %d units in use", sem.inUse)
-	}
-}
-
 // TestSteadyStateTreePhasesAllocFree: once a rank's scratch is warm, the
 // sort, tree-build, property, and group phases of a step allocate nothing at
 // workers=1 — the per-step buffers (keys, sorter, reorder target, cell
@@ -166,7 +50,7 @@ func TestSteadyStateTreePhasesAllocFree(t *testing.T) {
 	}
 	s.Run(3) // warm every per-step buffer, including post-exchange sizes
 
-	r := s.ranks[0]
+	r := s.nodes[0].r
 	if a := testing.AllocsPerRun(5, func() {
 		r.sortBuild()
 		r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)

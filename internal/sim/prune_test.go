@@ -108,7 +108,7 @@ func TestGlobalTreePruneBitwiseSerial(t *testing.T) {
 	}
 }
 
-// TestGlobalTreePruneOverlapRMS: the overlapped modes walk remote trees in
+// TestGlobalTreePruneOverlapRMS: the overlapped mode walks remote trees in
 // arrival order, so bitwise equality is out of reach by design — but pruning
 // must stay within float-reassociation noise of the unpruned serial baseline.
 func TestGlobalTreePruneOverlapRMS(t *testing.T) {
@@ -118,26 +118,20 @@ func TestGlobalTreePruneOverlapRMS(t *testing.T) {
 		DomainFreq: 1, SerialLET: true,
 	}
 	want := accOf(t, base, parts)
-	for _, mode := range []struct {
-		name string
-		poll bool
-	}{{"pipelined", false}, {"polled", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := base
-			cfg.SerialLET = false
-			cfg.PollReceiver = mode.poll
-			cfg.GlobalTree = 3
-			got := accOf(t, cfg, parts)
-			var sum2, ref2 float64
-			for i := range want {
-				sum2 += got[i].Sub(want[i]).Norm2()
-				ref2 += want[i].Norm2()
-			}
-			if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
-				t.Errorf("%s overlap with pruning diverged: rms %v", mode.name, rms)
-			}
-		})
-	}
+	t.Run("pipelined", func(t *testing.T) {
+		cfg := base
+		cfg.SerialLET = false
+		cfg.GlobalTree = 3
+		got := accOf(t, cfg, parts)
+		var sum2, ref2 float64
+		for i := range want {
+			sum2 += got[i].Sub(want[i]).Norm2()
+			ref2 += want[i].Norm2()
+		}
+		if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
+			t.Errorf("pipelined overlap with pruning diverged: rms %v", rms)
+		}
+	})
 }
 
 // TestGlobalTreePruneTrajectoriesBitwise integrates several steps (domain

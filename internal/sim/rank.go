@@ -116,13 +116,13 @@ type walkTargets struct {
 
 const (
 	tagLETBase      = 1 << 20        // user-tag space for LET pushes, offset by step parity
-	tagBoundaryBase = tagLETBase + 2 // boundary-tree pushes (overlap modes), offset by step parity
+	tagBoundaryBase = tagLETBase + 2 // boundary-tree pushes (overlapped mode), offset by step parity
 )
 
 // stepForces runs the full force pipeline for one step and leaves
 // accelerations/potentials in r.acc/r.pot (aligned with r.parts).
 // domainUpdate selects whether this evaluation re-decomposes and exchanges
-// particles; the caller (the Simulation) owns the domain-epoch schedule so
+// particles; the caller (the Node) owns the domain-epoch schedule so
 // that the t=0 priming evaluation and the first post-drift evaluation do not
 // both pay for a decomposition in the same step. eval is the global force-
 // evaluation sequence number, used only to tag trace spans (a step can run
@@ -307,9 +307,7 @@ func (r *rank) sortBuild() {
 // walk with walks of already-arrived LETs so an arrived tree never waits for
 // the local walk to finish. Config.SerialLET removes all overlap — builds
 // before the walk on the compute thread, receives strictly after — as the
-// measurable baseline for the overlap benchmarks. Config.PollReceiver keeps
-// the overlap but drops the receiver goroutine: the compute thread polls the
-// mailbox between local-walk chunks instead.
+// measurable baseline for the overlap benchmarks.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
 // comes from t: the full pipeline passes every local particle, block-timestep
@@ -323,8 +321,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	tag := tagLETBase + tagPar
 
 	// --- Boundary tree exchange. The SerialLET baseline keeps the blocking
-	// allgather, fully exposing the exchange cost. The overlap modes
-	// pipeline the exchange itself: the local boundary tree is pushed
+	// allgather, fully exposing the exchange cost. The overlapped mode
+	// pipelines the exchange itself: the local boundary tree is pushed
 	// point-to-point and arrivals are processed between local-walk chunks,
 	// so the exchange hides behind the walk just like the LET traffic it
 	// gates. With Config.GlobalTree > 0 the exchange is also hierarchical:
@@ -434,14 +432,6 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	// the pipeline would hide.
 	sentBytes := make([]int64, p)
 	buildLET := func(j, worker int) {
-		// Under a process-wide builder budget, take one unit for the
-		// duration of the construction+push. The serial baseline skips the
-		// budget: it builds on the compute thread and must not block on
-		// other ranks' builders.
-		if b := r.cfg.LETBudget; b > 0 && !r.cfg.SerialLET {
-			letBudget.acquire(b)
-			defer letBudget.release()
-		}
 		var tb time.Time
 		if r.obs != nil {
 			tb = time.Now()
@@ -566,7 +556,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			r.stats.LETsRecv++
 		}
 	} else {
-		// --- Overlapped modes. Boundaries are processed the moment they
+		// --- Overlapped mode. Boundaries are processed the moment they
 		// arrive (between local-walk chunks): each one immediately yields
 		// the pairwise sufficiency decisions — feeding the LET-builder pool
 		// without waiting for the slowest peer — and sufficient boundary
@@ -581,12 +571,9 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		}
 		expectFrom := 0 // full LETs that will arrive for us (grows as boundaries land)
 		letsSent := 0
-		var boundaryWalks []int   // ranks whose boundary/coarse tree serves as LET
-		jobs := make(chan int, p) // full-LET destinations, fed per arrival
-		var letCount chan int     // final expectFrom for the receiver goroutine
-		if !r.cfg.PollReceiver {
-			letCount = make(chan int, 1)
-		}
+		var boundaryWalks []int       // ranks whose boundary/coarse tree serves as LET
+		jobs := make(chan int, p)     // full-LET destinations, fed per arrival
+		letCount := make(chan int, 1) // final expectFrom for the receiver goroutine
 		if glob != nil {
 			// Prefilled pairs settle immediately from the allgathered coarse
 			// data, through the same pairwise predicates an arriving boundary
@@ -625,16 +612,12 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			}
 			if bLeft--; bLeft == 0 {
 				close(jobs)
-				if letCount != nil {
-					letCount <- expectFrom
-				}
+				letCount <- expectFrom
 			}
 		}
 		if bLeft == 0 { // single rank or fully prefilled: no boundaries in flight
 			close(jobs)
-			if letCount != nil {
-				letCount <- expectFrom
-			}
+			letCount <- expectFrom
 		}
 
 		// Builder pool: consumes destinations as boundaries arrive, so
@@ -657,36 +640,33 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		}
 		go func() { bwg.Wait(); close(done) }()
 
-		// Receiver goroutine (pipelined mode only): drains the mailbox as
-		// messages arrive so a LET is ready for the compute side the moment
-		// the sender pushes it. It learns how many LETs to expect once the
+		// Receiver goroutine: drains the mailbox as messages arrive so a LET
+		// is ready for the compute side the moment the sender pushes it. It
+		// learns how many LETs to expect once the
 		// compute side has processed every boundary. The payload carries
 		// the source rank so the compute-side walk span can name it.
 		type letArrival struct {
 			let  *lettree.LET
 			from int
 		}
-		var arrivals chan letArrival
-		if !r.cfg.PollReceiver {
-			arrivals = make(chan letArrival, p)
-			go func() {
-				defer close(arrivals)
-				for k := <-letCount; k > 0; k-- {
-					tR := time.Now()
-					from, msg := r.comm.RecvAny(tag)
-					recvIdle.Add(int64(time.Since(tR)))
-					if r.obs != nil {
-						now := time.Now()
-						r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
-						// The append happens-before the channel send below,
-						// and the compute thread reads arrivalNS only after
-						// draining the closed channel: no race.
-						recordArrival(now, from, obs.LaneReceiver)
-					}
-					arrivals <- letArrival{msg.(*lettree.LET), from}
+		arrivals := make(chan letArrival, p) // never blocks the receiver: at most p-1 LETs arrive
+		go func() {
+			defer close(arrivals)
+			for k := <-letCount; k > 0; k-- {
+				tR := time.Now()
+				from, msg := r.comm.RecvAny(tag)
+				recvIdle.Add(int64(time.Since(tR)))
+				if r.obs != nil {
+					now := time.Now()
+					r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
+					// The append happens-before the channel send below,
+					// and the compute thread reads arrivalNS only after
+					// draining the closed channel: no race.
+					recordArrival(now, from, obs.LaneReceiver)
 				}
-			}()
-		}
+				arrivals <- letArrival{msg.(*lettree.LET), from}
+			}
+		}()
 
 		// Compute: interleave local-tree chunks with boundary processing
 		// and walks of already-arrived LETs. Chunks are sized to give the
@@ -696,23 +676,6 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		if chunk < r.cfg.WorkersPerRank {
 			chunk = r.cfg.WorkersPerRank
 		}
-		letRecvd := 0
-		pollLET := func(overlapped bool) bool { // polled-receiver mode only
-			from, msg, ok := r.comm.TryRecvAny(tag)
-			if !ok {
-				return false
-			}
-			if r.obs != nil {
-				recordArrival(time.Now(), from, obs.LaneCompute)
-			}
-			walkRemote(msg.(*lettree.LET), from, obs.PhaseWalkLET, "received LET")
-			letRecvd++
-			r.stats.LETsRecv++
-			if overlapped {
-				r.stats.LETsOverlapped++
-			}
-			return true
-		}
 		pending := t.groups
 		for len(pending) > 0 {
 			if bLeft > 0 {
@@ -721,24 +684,17 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 					continue
 				}
 			}
-			if r.cfg.PollReceiver {
-				if pollLET(true) {
-					continue
+			select {
+			case a, ok := <-arrivals:
+				if !ok {
+					arrivals = nil
+					break
 				}
-			} else {
-				select {
-				case a, ok := <-arrivals:
-					if !ok {
-						arrivals = nil
-						break
-					}
-					walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-					letRecvd++
-					r.stats.LETsRecv++
-					r.stats.LETsOverlapped++
-					continue
-				default:
-				}
+				walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
+				r.stats.LETsRecv++
+				r.stats.LETsOverlapped++
+				continue
+			default:
 			}
 			n := chunk
 			if n > len(pending) {
@@ -776,56 +732,24 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		// Straggler drain. While blocked waiting for a remote LET the
 		// compute thread steals queued LET-build jobs from its own pool —
 		// finishing sends sooner helps the peers this rank is waiting on.
-		if r.cfg.PollReceiver {
-			for letRecvd < expectFrom {
-				if pollLET(false) {
+		for arrivals != nil {
+			tR := time.Now()
+			select {
+			case a, ok := <-arrivals:
+				if !ok {
+					arrivals = nil
 					continue
 				}
-				if steal != nil {
-					select {
-					case j, ok := <-steal:
-						if !ok {
-							steal = nil
-						} else {
-							buildLET(j, 0)
-						}
-						continue
-					default:
-					}
-				}
-				tR := time.Now()
-				from, msg := r.comm.RecvAny(tag)
 				d := time.Since(tR)
 				waitTime += d
-				if r.obs != nil {
-					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
-					recordArrival(tR.Add(d), from, obs.LaneCompute)
-				}
-				walkRemote(msg.(*lettree.LET), from, obs.PhaseWalkLET, "received LET")
-				letRecvd++
+				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(a.from))
+				walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
 				r.stats.LETsRecv++
-			}
-		} else {
-			for arrivals != nil {
-				tR := time.Now()
-				select {
-				case a, ok := <-arrivals:
-					if !ok {
-						arrivals = nil
-						continue
-					}
-					d := time.Since(tR)
-					waitTime += d
-					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(a.from))
-					walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-					letRecvd++
-					r.stats.LETsRecv++
-				case j, ok := <-steal:
-					if !ok {
-						steal = nil // nil channel: case blocks from now on
-					} else {
-						buildLET(j, 0)
-					}
+			case j, ok := <-steal:
+				if !ok {
+					steal = nil // nil channel: case blocks from now on
+				} else {
+					buildLET(j, 0)
 				}
 			}
 		}
@@ -922,6 +846,22 @@ func (r *rank) finishForces(t *walkTargets) {
 	} else {
 		t.ext = t.ext[:0]
 	}
+}
+
+// energy adds this rank's kinetic and potential energy from the most recent
+// force evaluation to the running sums. The pairwise self-gravity potential
+// is halved (each pair is counted twice by the per-particle sums); the
+// external-field potential, if any, enters at full weight.
+func (r *rank) energy(kin, pot float64) (float64, float64) {
+	ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
+	for i := range r.parts {
+		kin += 0.5 * r.parts[i].Mass * r.parts[i].Vel.Norm2()
+		pot += 0.5 * r.parts[i].Mass * r.pot[i]
+		if ext {
+			pot += r.parts[i].Mass * r.extPot[i]
+		}
+	}
+	return kin, pot
 }
 
 func resize[T any](s []T, n int) []T {

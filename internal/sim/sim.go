@@ -26,10 +26,8 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"bonsai/internal/body"
-	"bonsai/internal/domain"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/vec"
@@ -97,34 +95,18 @@ type Config struct {
 	// capped at the number of destination ranks.
 	LETWorkers int
 
-	// LETBudget, when positive, caps the number of LET constructions
-	// running concurrently across the whole process (all ranks, all
-	// in-process simulations) via a shared semaphore. Oversubscribed
-	// many-rank runs — 64 simulated ranks on an 8-core host — otherwise
-	// spawn per-rank builder pools that starve the walk workers. 0 (the
-	// default) keeps the per-rank LETWorkers sizing with no global cap.
-	LETBudget int
-
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: outgoing LETs are built and pushed on the compute thread
 	// before the local tree-walk, and incoming ones are walked only after
-	// it completes. Kept as the measurable non-overlapped baseline for
-	// BenchmarkOverlap.
+	// it completes, in ascending peer order. Kept as the deterministic
+	// reference the bitwise equivalence suites compare against and as the
+	// non-overlapped baseline of BenchmarkOverlap.
 	SerialLET bool
-
-	// PollReceiver replaces the dedicated receiver goroutine of the
-	// pipelined gravity phase with polling from the compute loop: between
-	// local-walk chunks the compute thread drains whatever LETs have
-	// already arrived (mpi.TryRecvAny) and walks them inline, falling back
-	// to a blocking drain only for stragglers after the local walk. One
-	// fewer goroutine per rank, identical results, coarser arrival
-	// latency. Ignored when SerialLET is set. Default off.
-	PollReceiver bool
 
 	// Obs, if non-nil, enables event-level tracing and metrics: every rank
 	// records phase spans and gravity-pipeline events (LET build/send/
 	// recv/walk, arrivals vs local-walk completion) into the recorder's
-	// preallocated per-rank buffers, the MPI layer meters queue depth and
+	// per-rank buffers, the MPI layer meters queue depth and
 	// per-pair bytes, and a per-evaluation metrics record is appended after
 	// every force computation. The recorder must have been created for
 	// exactly Ranks ranks. nil (the default) disables all of it at the
@@ -144,9 +126,6 @@ func (c *Config) letBuilders(dests int) int {
 		if w < 2 {
 			w = 2
 		}
-	}
-	if c.LETBudget > 0 && w > c.LETBudget {
-		w = c.LETBudget // pool larger than the global budget would just idle
 	}
 	if w > dests {
 		w = dests
@@ -227,15 +206,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Simulation is a running N-body system distributed over simulated ranks.
+// Simulation is a running N-body system distributed over simulated ranks: the
+// owner of an in-process mpi.World and one Node per rank. Every advancing
+// method releases all nodes together, each on its own goroutine — the same
+// SPMD step loop a multi-process run executes one rank per process — and
+// folds what the ranks report. The gathers read the nodes' state directly and
+// are not collective: call them from one goroutine, between advances.
 type Simulation struct {
-	cfg   Config
 	world *mpi.World
-	ranks []*rank
-	step  int
-	evals int // completed force evaluations (tracing sequence number)
-	time  float64
-	first bool
+	nodes []*Node
 }
 
 // New distributes the particles over cfg.Ranks simulated processes. The
@@ -252,207 +231,83 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 	if cfg.Ranks > len(parts) {
 		return nil, fmt.Errorf("sim: %d ranks for %d particles", cfg.Ranks, len(parts))
 	}
-	for i := range parts {
-		if !parts[i].Pos.IsFinite() || !parts[i].Vel.IsFinite() ||
-			math.IsNaN(parts[i].Mass) || math.IsInf(parts[i].Mass, 0) || parts[i].Mass < 0 {
-			return nil, fmt.Errorf("sim: particle %d (id %d) has non-finite or negative state", i, parts[i].ID)
-		}
-	}
-	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
-		return nil, fmt.Errorf("sim: obs recorder built for %d ranks, simulation has %d",
-			cfg.Obs.Ranks(), cfg.Ranks)
-	}
-	s := &Simulation{
-		cfg:   cfg,
-		world: mpi.NewWorld(cfg.Ranks),
-		first: true,
-	}
+	s := &Simulation{world: mpi.NewWorld(cfg.Ranks)}
 	if cfg.Obs != nil {
 		s.world.EnableObs(cfg.Obs.Metrics().QueueDepthHist())
 		s.world.ObserveFrameBytes(cfg.Obs.Metrics().FrameBytesHist())
 	}
 	for r := 0; r < cfg.Ranks; r++ {
-		lo := r * len(parts) / cfg.Ranks
-		hi := (r + 1) * len(parts) / cfg.Ranks
-		local := make([]body.Particle, hi-lo)
-		copy(local, parts[lo:hi])
-		s.ranks = append(s.ranks, &rank{
-			cfg:   &s.cfg,
-			comm:  s.world.Comm(r),
-			parts: local,
-			dec:   domain.Uniform(cfg.Ranks),
-			obs:   cfg.Obs.Rank(r),
-			met:   cfg.Obs.Metrics(),
-		})
+		n, err := NewNode(cfg, s.world, r, SliceForRank(parts, r, cfg.Ranks))
+		if err != nil {
+			return nil, err
+		}
+		n.hold = true // merged across ranks by mergeMetrics, not streamed per rank
+		s.nodes = append(s.nodes, n)
 	}
 	return s, nil
 }
 
-// Obs returns the tracing recorder, or nil when tracing is disabled.
-func (s *Simulation) Obs() *obs.Recorder { return s.cfg.Obs }
-
 // Config returns the effective (default-filled) configuration.
-func (s *Simulation) Config() Config { return s.cfg }
+func (s *Simulation) Config() Config { return s.nodes[0].cfg }
 
 // World exposes the message-passing runtime, for traffic accounting.
 func (s *Simulation) World() *mpi.World { return s.world }
 
 // Time returns the current simulation time.
-func (s *Simulation) Time() float64 { return s.time }
+func (s *Simulation) Time() float64 { return s.nodes[0].Time() }
 
 // StepCount returns the number of completed steps.
-func (s *Simulation) StepCount() int { return s.step }
+func (s *Simulation) StepCount() int { return s.nodes[0].StepCount() }
 
-// parallel runs fn on every rank concurrently and waits.
-func (s *Simulation) parallel(fn func(r *rank)) {
+// Substep returns the current substep barrier (0 at top of step). Only
+// meaningful with Config.BlockSteps.
+func (s *Simulation) Substep() int { return s.nodes[0].Substep() }
+
+// advance runs fn on every node concurrently, waits, and folds the per-rank
+// metrics records the nodes held back into the recorder's stream.
+func (s *Simulation) advance(fn func(i int, n *Node)) {
 	var wg sync.WaitGroup
-	for _, r := range s.ranks {
+	for i, n := range s.nodes {
 		wg.Add(1)
-		go func(r *rank) {
+		go func(i int, n *Node) {
 			defer wg.Done()
-			fn(r)
-		}(r)
+			fn(i, n)
+		}(i, n)
 	}
 	wg.Wait()
+	s.mergeMetrics()
 }
 
-// forces runs the distributed force pipeline on all ranks. domainUpdate
-// selects whether this evaluation re-decomposes and exchanges particles; all
-// ranks must see the same value (the decomposition is collective).
-func (s *Simulation) forces(domainUpdate bool) []RankStats {
-	eval := s.evals
-	s.evals++
-	s.parallel(func(r *rank) { r.stepForces(s.step, eval, domainUpdate) })
-	stats := make([]RankStats, len(s.ranks))
-	for i, r := range s.ranks {
-		stats[i] = r.stats
-	}
-	s.recordStepMetrics(eval, stats, nil)
-	return stats
-}
-
-// recordStepMetrics appends one per-evaluation record to the tracing
-// recorder's metrics stream and feeds the imbalance histogram. be carries
-// the block-timestep diagnostics of a substep evaluation (nil on the
-// global-dt path). No-op when tracing is disabled.
-func (s *Simulation) recordStepMetrics(eval int, rs []RankStats, be *blockEval) {
-	rec := s.cfg.Obs
+// mergeMetrics appends one cross-rank record per evaluation of the advance
+// just run — the obs.MergeStepMetrics fold of the nodes' per-rank records,
+// the same one the telemetry collector applies to a multi-process stream —
+// and feeds the imbalance histogram. No-op when tracing is disabled.
+func (s *Simulation) mergeMetrics() {
+	rec := s.nodes[0].cfg.Obs
 	if rec == nil {
 		return
 	}
-	agg := aggregate(eval, rs)
-	straggler := 0
-	var maxTotal time.Duration
-	arrivals := 0
-	worst := time.Duration(math.MinInt64)
-	for i := range rs {
-		if rs[i].Times.Total > maxTotal {
-			maxTotal = rs[i].Times.Total
-			straggler = i
-		}
-		if rs[i].ArrivalsSeen > 0 {
-			arrivals += rs[i].ArrivalsSeen
-			if rs[i].WorstArrival > worst {
-				worst = rs[i].WorstArrival
-			}
-		}
+	var per []obs.StepMetrics
+	for _, n := range s.nodes {
+		per = append(per, n.held...)
+		n.held = n.held[:0]
 	}
-	worstMS := 0.0
-	if arrivals > 0 {
-		worstMS = float64(worst) / 1e6
+	for _, m := range obs.MergeStepMetrics(per) {
+		rec.Metrics().ImbalanceHist().Observe(int64((m.MaxStepMS - m.MeanStepMS) * 1e6))
+		rec.AddStep(m)
 	}
-	imbPct := 0.0
-	if agg.Times.Total > 0 {
-		imbPct = (float64(agg.MaxTimes.Total)/float64(agg.Times.Total) - 1) * 100
-	}
-	rec.Metrics().ImbalanceHist().Observe(int64(agg.MaxTimes.Total - agg.Times.Total))
-	m := obs.StepMetrics{
-		Step:             eval,
-		Ranks:            agg.Ranks,
-		N:                agg.N,
-		MeanStepMS:       agg.Times.Total.Seconds() * 1e3,
-		MaxStepMS:        agg.MaxTimes.Total.Seconds() * 1e3,
-		ImbalancePct:     imbPct,
-		Straggler:        straggler,
-		NonHiddenCommMS:  agg.Times.NonHiddenComm.Seconds() * 1e3,
-		OverlapFrac:      agg.OverlapFrac,
-		LETsRecv:         agg.LETsRecv,
-		LETsOverlapped:   agg.LETsOverlapped,
-		BoundarySent:     agg.BoundarySent,
-		GlobalServed:     agg.GlobalServed,
-		GlobalServedFrac: agg.GlobalServedFrac,
-		GlobBytes:        agg.GlobBytes,
-		ArrivalsSeen:     arrivals,
-		WorstArrivalMS:   worstMS,
-		WalkGflops:       agg.WalkGflops,
-		AppGflops:        agg.AppGflops,
-		KernelISA:        agg.KernelISA,
-		SortBuildMS:      agg.Times.SortBuild.Seconds() * 1e3,
-		DomainMS:         agg.Times.Domain.Seconds() * 1e3,
-		TreePropsMS:      agg.Times.TreeProps.Seconds() * 1e3,
-		GravLocalMS:      agg.Times.GravLocal.Seconds() * 1e3,
-		GravLETMS:        agg.Times.GravLET.Seconds() * 1e3,
-		OtherMS:          agg.Times.Other.Seconds() * 1e3,
-	}
-	if be != nil {
-		m.Substep = be.boundary
-		m.TreeRebuilt = be.rebuilt
-		if be.totalN > 0 {
-			m.ActiveN = be.activeN
-			m.ActiveFrac = float64(be.activeN) / float64(be.totalN)
-		}
-		m.RungPop = be.rungPop
-	}
-	rec.AddStep(m)
 }
-
-// domainDue reports whether the current step is a domain-update epoch.
-func (s *Simulation) domainDue() bool { return s.step%s.cfg.DomainFreq == 0 }
 
 // Step advances the system by one leapfrog step (kick-drift-kick) and
 // returns the aggregated statistics of the force computation. With
 // Config.BlockSteps the step runs as a sequence of block-timestep substeps
 // (see block.go); the returned stats then sum every substep evaluation.
 func (s *Simulation) Step() StepStats {
-	if s.cfg.BlockSteps {
-		return s.stepBlock()
-	}
-	primed := false
-	if s.first {
-		// Prime accelerations at t=0.
-		s.forces(s.domainDue())
-		s.first = false
-		primed = true
-	}
-	dt := s.cfg.DT
-	// Kick half + drift full (uses accelerations from the previous force
-	// evaluation, which are aligned with each rank's current particle order).
-	s.parallel(func(r *rank) {
-		t0 := time.Now()
-		for i := range r.parts {
-			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-			r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
-		}
-		r.obs.Span(s.evals, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 0)
-	})
-	// New forces at t+dt. If the t=0 priming evaluation just ran the
-	// domain update, positions have only drifted within the same step, so
-	// the decomposition is still fresh: skip the second update (the seed
-	// code re-decomposed and re-exchanged every particle twice at step 0).
-	rs := s.forces(s.domainDue() && !primed)
-	// Kick half. The span is tagged with the evaluation whose accelerations
-	// it applies (the one that just ran), so traces never mint an evaluation
-	// ID that has no force phase.
-	s.parallel(func(r *rank) {
-		t0 := time.Now()
-		for i := range r.parts {
-			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-		}
-		r.obs.Span(s.evals-1, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 1)
-	})
-	s.step++
-	s.time += dt
-	return aggregate(s.step, rs)
+	rs := make([]RankStats, len(s.nodes))
+	s.advance(func(i int, n *Node) { rs[i] = n.Step() })
+	out := aggregate(s.StepCount(), rs)
+	out.Substeps, out.Rebuilds, out.ActiveFrac = s.nodes[0].BlockSummary()
+	return out
 }
 
 // Run advances n steps and returns the per-step statistics.
@@ -469,16 +324,48 @@ func (s *Simulation) Run(n int) []StepStats {
 // every call runs the full pipeline, including the domain update when the
 // current step is an update epoch.
 func (s *Simulation) ComputeForces() StepStats {
-	rs := s.forces(s.domainDue())
-	s.first = false
-	return aggregate(s.step, rs)
+	rs := make([]RankStats, len(s.nodes))
+	s.advance(func(i int, n *Node) { rs[i] = n.ComputeForces() })
+	return aggregate(s.StepCount(), rs)
+}
+
+// SubstepN advances n occupied substep barriers (block-timestep runs only)
+// and returns true when the advance crossed the top-of-step barrier, which
+// also completes the step and advances the clock. Exposed for restart tests
+// and substep-resolution drivers; Step() remains the normal entry point.
+func (s *Simulation) SubstepN(n int) (done bool, err error) {
+	s.advance(func(i int, nd *Node) {
+		if d, e := nd.SubstepN(n); i == 0 {
+			done, err = d, e
+		}
+	})
+	return done, err
+}
+
+// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
+// substep barrier on every rank; see Node.RestoreSubstep.
+func (s *Simulation) RestoreSubstep(sub int) error {
+	for _, n := range s.nodes {
+		if err := n.RestoreSubstep(sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SetClock fast-forwards every rank's step counter and simulation time; see
+// Node.SetClock.
+func (s *Simulation) SetClock(step int, time float64) {
+	for _, n := range s.nodes {
+		n.SetClock(step, time)
+	}
 }
 
 // Particles gathers all particles, sorted by ID, with their current state.
 func (s *Simulation) Particles() []body.Particle {
 	var all []body.Particle
-	for _, r := range s.ranks {
-		all = append(all, r.parts...)
+	for _, n := range s.nodes {
+		all = append(all, n.r.parts...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return all
@@ -495,7 +382,8 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 		pot float64
 	}
 	var all []rec
-	for _, r := range s.ranks {
+	for _, n := range s.nodes {
+		r := n.r
 		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 		for i := range r.parts {
 			p := r.pot[i]
@@ -516,19 +404,10 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 }
 
 // Energy returns the total kinetic and potential energy from the most recent
-// force evaluation. The pairwise self-gravity potential is halved (each pair
-// is counted twice by the per-particle sums); the external-field potential,
-// if any, enters at full weight.
+// force evaluation; see rank.energy for the weighting.
 func (s *Simulation) Energy() (kin, pot float64) {
-	for _, r := range s.ranks {
-		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
-		for i := range r.parts {
-			kin += 0.5 * r.parts[i].Mass * r.parts[i].Vel.Norm2()
-			pot += 0.5 * r.parts[i].Mass * r.pot[i]
-			if ext {
-				pot += r.parts[i].Mass * r.extPot[i]
-			}
-		}
+	for _, n := range s.nodes {
+		kin, pot = n.r.energy(kin, pot)
 	}
 	return kin, pot
 }
@@ -536,7 +415,8 @@ func (s *Simulation) Energy() (kin, pot float64) {
 // Momentum returns the total linear momentum.
 func (s *Simulation) Momentum() vec.V3 {
 	var p vec.V3
-	for _, r := range s.ranks {
+	for _, n := range s.nodes {
+		r := n.r
 		for i := range r.parts {
 			p = p.Add(r.parts[i].Vel.Scale(r.parts[i].Mass))
 		}
@@ -552,7 +432,8 @@ func (s *Simulation) Owners() []int {
 		rank int
 	}
 	var all []rec
-	for ri, r := range s.ranks {
+	for ri, n := range s.nodes {
+		r := n.r
 		for i := range r.parts {
 			all = append(all, rec{r.parts[i].ID, ri})
 		}
@@ -568,9 +449,9 @@ func (s *Simulation) Owners() []int {
 // RankCounts returns the current particle count per rank (load balance
 // diagnostics).
 func (s *Simulation) RankCounts() []int {
-	out := make([]int, len(s.ranks))
-	for i, r := range s.ranks {
-		out[i] = len(r.parts)
+	out := make([]int, len(s.nodes))
+	for i, n := range s.nodes {
+		out[i] = len(n.r.parts)
 	}
 	return out
 }

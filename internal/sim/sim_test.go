@@ -371,7 +371,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 func TestCommunicationMostlyHidden(t *testing.T) {
 	// The paper's headline mechanism (§III.B): LET communication hides
 	// behind the gravity computation — including the boundary-tree
-	// exchange, which the overlap modes pipeline instead of running as a
+	// exchange, which the overlapped mode pipelines instead of running as a
 	// blocking allgather. The non-hidden communication time must stay a
 	// small fraction of the gravity-walk time. The particle count is sized
 	// so the walk dominates the in-process schedule even with the SIMD
@@ -420,8 +420,8 @@ func TestSnapLevelKeepsPhysicsAndAlignment(t *testing.T) {
 	if len(s.Particles()) != 3000 {
 		t.Error("particles lost under snapping")
 	}
-	for _, r := range s.ranks {
-		if !r.dec.AlignedToLevel(9) {
+	for _, n := range s.nodes {
+		if !n.r.dec.AlignedToLevel(9) {
 			t.Error("decomposition not aligned after snapping")
 		}
 	}

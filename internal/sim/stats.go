@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bonsai/internal/grav"
+	"bonsai/internal/obs"
 )
 
 // PhaseTimes is the per-step wall-clock breakdown of one rank, mirroring the
@@ -98,6 +99,26 @@ type RankStats struct {
 	ArrivalsSeen int
 }
 
+// add accumulates another evaluation's stats into a step-level total.
+func (a *RankStats) add(b RankStats) {
+	a.Times.Add(b.Times)
+	a.Grav.Add(b.Grav)
+	a.NLocal = b.NLocal
+	a.LETsSent += b.LETsSent
+	a.LETsRecv += b.LETsRecv
+	a.BoundaryUsed += b.BoundaryUsed
+	a.LETBytesSent += b.LETBytesSent
+	a.BoundarySent += b.BoundarySent
+	a.GlobalServed += b.GlobalServed
+	a.GlobBytes += b.GlobBytes
+	a.LETsOverlapped += b.LETsOverlapped
+	a.RecvIdle += b.RecvIdle
+	if b.ArrivalsSeen > 0 && (a.ArrivalsSeen == 0 || b.WorstArrival > a.WorstArrival) {
+		a.WorstArrival = b.WorstArrival
+	}
+	a.ArrivalsSeen += b.ArrivalsSeen
+}
+
 // WalkGflops returns this rank's effective gravity-walk rate in Gflop/s
 // (interactions evaluated over local + LET walk wall-clock, §VI.A counting).
 // A rank with zero walk time — an empty domain, or a clock too coarse to
@@ -105,6 +126,61 @@ type RankStats struct {
 // poison a step aggregate.
 func (r RankStats) WalkGflops() float64 {
 	return finiteRate(r.Grav.Gflops(r.Times.GravLocal + r.Times.GravLET))
+}
+
+// stepMetrics is the one conversion from a rank's statistics of a force
+// evaluation to its record in the metrics stream. A rank only knows its own
+// times: Mean == Max == its step time and Straggler names itself;
+// obs.MergeStepMetrics folds the per-rank records of an evaluation into the
+// cross-rank one. be carries the block-timestep diagnostics of a substep
+// evaluation (nil on the global-dt path).
+func (r RankStats) stepMetrics(eval, rank, ranks int, be *blockEval) obs.StepMetrics {
+	t := r.Times
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
+	m := obs.StepMetrics{
+		Step:            eval,
+		Rank:            rank,
+		Ranks:           ranks,
+		N:               r.NLocal,
+		MeanStepMS:      ms(t.Total),
+		MaxStepMS:       ms(t.Total),
+		Straggler:       rank,
+		NonHiddenCommMS: ms(t.NonHiddenComm),
+		LETsRecv:        r.LETsRecv,
+		LETsOverlapped:  r.LETsOverlapped,
+		BoundarySent:    r.BoundarySent,
+		GlobalServed:    r.GlobalServed,
+		GlobBytes:       r.GlobBytes,
+		ArrivalsSeen:    r.ArrivalsSeen,
+		WalkGflops:      r.WalkGflops(),
+		AppGflops:       finiteRate(r.Grav.Gflops(t.Total)),
+		KernelISA:       grav.KernelISA(),
+		SortBuildMS:     ms(t.SortBuild),
+		DomainMS:        ms(t.Domain),
+		TreePropsMS:     ms(t.TreeProps),
+		GravLocalMS:     ms(t.GravLocal),
+		GravLETMS:       ms(t.GravLET),
+		OtherMS:         ms(t.Other),
+	}
+	if r.LETsRecv > 0 {
+		m.OverlapFrac = float64(r.LETsOverlapped) / float64(r.LETsRecv)
+	}
+	if slots := r.GlobalServed + r.BoundarySent; slots > 0 {
+		m.GlobalServedFrac = float64(r.GlobalServed) / float64(slots)
+	}
+	if r.ArrivalsSeen > 0 {
+		m.WorstArrivalMS = float64(r.WorstArrival) / 1e6
+	}
+	if be != nil {
+		m.Substep = be.boundary
+		m.TreeRebuilt = be.rebuilt
+		if be.totalN > 0 {
+			m.ActiveN = be.activeN
+			m.ActiveFrac = float64(be.activeN) / float64(be.totalN)
+		}
+		m.RungPop = be.rungPop
+	}
+	return m
 }
 
 // finiteRate clamps non-finite rates (0/0 or x/0 artifacts) to zero.
@@ -175,9 +251,9 @@ type StepStats struct {
 	ActiveFrac float64
 }
 
-// Aggregate combines per-rank stats into a StepStats; external drivers (the
-// facade's multi-process Node runs) use it to fold the stats a rank reports
-// into the same summary shape Simulation produces.
+// Aggregate combines per-rank stats into a StepStats; the facade's
+// multi-process Node runs use it to report one rank's stats in the summary
+// shape Simulation produces.
 func Aggregate(step int, rs []RankStats) StepStats { return aggregate(step, rs) }
 
 // aggregate combines per-rank stats into a StepStats.

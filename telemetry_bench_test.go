@@ -36,7 +36,7 @@ func benchTelemetryStep(b *testing.B, telemetryOn bool) {
 			b.Fatal(err)
 		}
 		srv := telemetry.Serve(ln, telemetry.ServerConfig{
-			Rec: s.inner.Obs(), Rank: 0, Ranks: ranks, KernelISA: "bench",
+			Rec: s.rec, Rank: 0, Ranks: ranks, KernelISA: "bench",
 		})
 		col := telemetry.NewCollector(telemetry.CollectorConfig{
 			Network: "unix", Addrs: []string{sock},
