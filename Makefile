@@ -6,11 +6,12 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # tier1 is the pre-merge gate: static checks, full build and test suite
 # (including the noasm scalar-only configuration of the force kernels),
 # the race-detector subset covering the concurrent gravity pipeline
-# (8+ ranks, multiple walk workers), the MPI mailbox plus the socket
-# transports (the ./internal/mpi conformance matrix runs every transport
-# test over unix and tcp at 8 ranks), and the parallel sort, plus short
-# fuzzes of the fused sort+build against the separate reference and of the
-# SIMD force kernels against the scalar reference.
+# (8+ ranks, multiple walk workers, one boundary tree walked by eight
+# goroutines at once), the MPI mailbox plus the socket transports (the
+# ./internal/mpi conformance matrix runs every transport test over unix and
+# tcp at 8 ranks), and the parallel sort, plus short fuzzes of the fused
+# sort+build against the separate reference, of the SIMD force kernels
+# against the scalar reference, and of the LET frame decoder.
 tier1: vet build test race fuzz-smoke
 
 # A 10-second fuzz of the fused MSD sort + tree construction (random clouds,
@@ -20,15 +21,19 @@ tier1: vet build test race fuzz-smoke
 # (agreement to 1e-12, relative to the accumulated contribution magnitude),
 # a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
-# Plummer models and step counts), and a 10-second fuzz of the coarse
+# Plummer models and step counts), a 10-second fuzz of the coarse
 # global-tree exchange pruning against the unpruned all-pairs exchange
 # (bitwise-identical accelerations over random clouds, rank counts, and
-# coarse depths).
+# coarse depths), and a 10-second fuzz of lettree.Unmarshal (truncated,
+# bit-flipped and cyclic frames must be rejected or decode to a tree every
+# walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
+# minimisation of each multi-kB finding from eating the whole budget).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSortBuildEquivalence -fuzztime 10s ./internal/octree
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run XXX -fuzz FuzzPruneEquivalence -fuzztime 10s ./internal/sim
+	$(GO) test -run XXX -fuzz FuzzLETUnmarshal -fuzztime 10s -fuzzminimizetime 1s ./internal/lettree
 
 vet:
 	$(GO) vet ./...
@@ -44,7 +49,7 @@ test:
 	$(GO) test -tags noasm ./internal/grav/...
 
 race:
-	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/octree ./internal/par
+	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/octree ./internal/lettree ./internal/par
 	$(GO) test -race -tags noasm -count=1 ./internal/grav
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched

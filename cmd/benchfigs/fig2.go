@@ -108,7 +108,7 @@ func printFig2(outdir string) {
 		tr := buildTree(pos, mass, grid)
 		bt := lettree.BoundaryTree(tr, 4, body.Bounds(owned[r]))
 		fmt.Printf("  rank %d: local tree %5d cells -> boundary tree %4d cells, %5d particles, %6.1f KiB\n",
-			r, len(tr.Cells), len(bt.Cells), len(bt.Parts), float64(bt.WireBytes())/1024)
+			r, len(tr.Cells), len(bt.Cells), len(bt.Pos), float64(bt.WireBytes())/1024)
 	}
 
 	// Contiguity: along the Hilbert curve each domain is one key interval.

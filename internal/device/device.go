@@ -258,7 +258,8 @@ type Run struct {
 
 // ExecuteTreeWalk runs the tree-walk force kernel for all groups in
 // warp-lockstep on the modeled device: each group's interaction lists are
-// gathered once into SoA scratch and evaluated WarpSize targets at a time
+// gathered once into SoA scratch (octree.Walker.Gather, the traversal and
+// gather of the CPU walk itself) and evaluated WarpSize targets at a time
 // through the same batched kernels the CPU walk uses (idle lanes in partial
 // warps burn cycles without contributing flops, exactly as on hardware), so
 // the emulated forces stay bitwise identical to octree.Tree.Walk. Forces are
@@ -270,22 +271,14 @@ func ExecuteTreeWalk(s Spec, k Kernel, t *octree.Tree, groups []octree.Group,
 		return Run{}, fmt.Errorf("device %s does not support kernel %s (needs __shfl)", s.Name, k.Name)
 	}
 	run := Run{Device: s.Name, Kernel: k.Name}
-	var lists octree.WalkLists
-	var pp grav.PPSoA
-	var pc grav.PCSoA
+	var walker octree.Walker
+	pc, pp := &walker.PC, &walker.PP
 	var tg grav.Targets
+	cells := t.WalkView(theta)
 
 	for gi := range groups {
 		g := &groups[gi]
-		t.Collect(g.Box, theta, &lists)
-		pc.Reset()
-		for _, ci := range lists.CellIdx {
-			pc.Append(t.Cells[ci].MP)
-		}
-		pp.Reset()
-		for _, pj := range lists.PartIdx {
-			pp.Append(t.Pos[pj], t.Mass[pj])
-		}
+		walker.Gather(t, cells, g.Box)
 		gLo, gHi := g.Start, g.Start+g.N
 		tg.Gather(tpos[gLo:gHi])
 
@@ -298,9 +291,9 @@ func ExecuteTreeWalk(s Spec, k Kernel, t *octree.Tree, groups []octree.Group,
 				hi = int(g.N)
 			}
 			// Every lane walks the same lists in lockstep.
-			grav.PCBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &pc, eps2,
+			grav.PCBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], pc, eps2,
 				tg.AX[lo:hi], tg.AY[lo:hi], tg.AZ[lo:hi], tg.Pot[lo:hi])
-			grav.PPBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &pp, eps2,
+			grav.PPBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], pp, eps2,
 				tg.AX[lo:hi], tg.AY[lo:hi], tg.AZ[lo:hi], tg.Pot[lo:hi])
 			// The warp burns full-width cycles regardless of idle lanes.
 			run.Cycles += float64(pc.Len()) * s.warpCycles(k, false)

@@ -168,9 +168,9 @@ func TestWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Counts, c.Counts) {
 		t.Fatal("counts changed across the wire")
 	}
-	if len(got.Tree.Cells) != len(c.Tree.Cells) || len(got.Tree.Parts) != len(c.Tree.Parts) {
+	if len(got.Tree.Cells) != len(c.Tree.Cells) || len(got.Tree.Pos) != len(c.Tree.Pos) {
 		t.Fatalf("tree shape changed: %d/%d cells, %d/%d parts",
-			len(got.Tree.Cells), len(c.Tree.Cells), len(got.Tree.Parts), len(c.Tree.Parts))
+			len(got.Tree.Cells), len(c.Tree.Cells), len(got.Tree.Pos), len(c.Tree.Pos))
 	}
 	if got.Tree.Box != c.Tree.Box {
 		t.Fatal("advertised box changed across the wire")

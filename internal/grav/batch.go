@@ -36,6 +36,12 @@ func (s *PPSoA) Reset() {
 	s.X, s.Y, s.Z, s.M = s.X[:0], s.Y[:0], s.Z[:0], s.M[:0]
 }
 
+// Resize sets the list length to n, keeping capacity; the walk's gather then
+// fills every slot by index instead of appending one element at a time.
+func (s *PPSoA) Resize(n int) {
+	s.X, s.Y, s.Z, s.M = growTo(s.X, n), growTo(s.Y, n), growTo(s.Z, n), growTo(s.M, n)
+}
+
 // Append adds one source particle.
 func (s *PPSoA) Append(p vec.V3, m float64) {
 	s.X = append(s.X, p.X)
@@ -59,6 +65,13 @@ func (s *PCSoA) Reset() {
 	s.X, s.Y, s.Z, s.M = s.X[:0], s.Y[:0], s.Z[:0], s.M[:0]
 	s.XX, s.YY, s.ZZ = s.XX[:0], s.YY[:0], s.ZZ[:0]
 	s.XY, s.XZ, s.YZ = s.XY[:0], s.XZ[:0], s.YZ[:0]
+}
+
+// Resize sets the list length to n, keeping capacity (see PPSoA.Resize).
+func (s *PCSoA) Resize(n int) {
+	s.X, s.Y, s.Z, s.M = growTo(s.X, n), growTo(s.Y, n), growTo(s.Z, n), growTo(s.M, n)
+	s.XX, s.YY, s.ZZ = growTo(s.XX, n), growTo(s.YY, n), growTo(s.ZZ, n)
+	s.XY, s.XZ, s.YZ = growTo(s.XY, n), growTo(s.XZ, n), growTo(s.YZ, n)
 }
 
 // Append adds one cell multipole.
@@ -114,9 +127,12 @@ func (t *Targets) Scatter(acc []vec.V3, pot []float64) {
 	}
 }
 
+// growTo returns s with length n, reallocating (with a quarter of headroom,
+// so a run of slowly growing lists settles in a few steps) only when the
+// capacity is short. Old contents are not kept.
 func growTo(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/4)
 	}
 	return s[:n]
 }

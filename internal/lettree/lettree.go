@@ -24,50 +24,48 @@
 package lettree
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bonsai/internal/grav"
 	"bonsai/internal/obs"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
-// NilCell marks an absent child, as in package octree.
-const NilCell = int32(-1)
-
 // DefaultBoundaryDepth is how many levels of the local tree a boundary tree
 // retains below its root.
 const DefaultBoundaryDepth = 4
 
-// Part is a source particle carried by a LET leaf.
-type Part struct {
-	Pos  vec.V3
-	Mass float64
-}
-
-// Cell is one LET node. A cell with Openable == false carries only its
+// Cell is one LET node. Cells are stored in depth-first preorder: a
+// non-leaf cell's first child is the next cell, and its subtree is the index
+// range up to Skip. A cell with Openable == false carries only its
 // multipole: the structure below it was pruned because (by the MAC) no
 // target in the destination domain can ever need to open it.
 type Cell struct {
 	MP       grav.Multipole
 	Side     float64
 	Delta    float64
-	Children [8]int32
+	Skip     int32 // index of the first cell after this cell's subtree
+	PStart   int32 // leaf particle range in LET.Pos / LET.Mass
+	PN       int32
+	Oct      uint8 // octant within the parent cell (0 for the root)
 	Leaf     bool
 	Openable bool
-	PStart   int32 // leaf particle range in LET.Parts
-	PN       int32
 }
 
 // LET is a standalone essential tree: the root is Cells[0].
 type LET struct {
 	Cells []Cell
-	Parts []Part
+	// Pos and Mass are the source particles the leaves carry, in leaf order.
+	Pos  []vec.V3
+	Mass []float64
 	// Box is the bounding box of the *owning* rank's particles; for boundary
 	// trees this doubles as the remote-domain geometry other ranks test
 	// against.
 	Box vec.Box
+
+	// view caches the walk records (octree.View). A LET is immutable once
+	// built, so the view is never invalidated; a boundary tree handed by
+	// reference to every rank is viewed once, under the view's lock.
+	view octree.View
 }
 
 // Empty reports whether the LET carries no mass.
@@ -85,50 +83,9 @@ func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 	if depth <= 0 {
 		depth = DefaultBoundaryDepth
 	}
-	out := &LET{Box: localBox}
-	if t.Root() == octree.NilCell {
-		return out
-	}
-	var rec func(src int32, lvl int) int32
-	rec = func(src int32, lvl int) int32 {
-		sc := &t.Cells[src]
-		idx := int32(len(out.Cells))
-		out.Cells = append(out.Cells, Cell{
-			MP:       sc.MP,
-			Side:     sc.Side,
-			Delta:    sc.Delta,
-			Children: noChildren(),
-			Leaf:     true,
-			Openable: false,
-		})
-		switch {
-		case sc.Leaf:
-			// Real leaf: carry its particles; fully openable.
-			c := &out.Cells[idx]
-			c.Openable = true
-			c.PStart = int32(len(out.Parts))
-			c.PN = sc.N
-			for i := sc.Start; i < sc.Start+sc.N; i++ {
-				out.Parts = append(out.Parts, Part{Pos: t.Pos[i], Mass: t.Mass[i]})
-			}
-		case lvl < depth:
-			// Internal cell within the retained depth: recurse.
-			out.Cells[idx].Leaf = false
-			out.Cells[idx].Openable = true
-			for o, ch := range sc.Children {
-				if ch == octree.NilCell {
-					continue
-				}
-				ci := rec(ch, lvl+1)
-				out.Cells[idx].Children[o] = ci
-			}
-		default:
-			// Truncated: multipole only (Openable stays false).
-		}
-		return idx
-	}
-	rec(t.Root(), 0)
-	return out
+	return extract(t, localBox, 0, func(c *octree.Cell, lvl int) bool {
+		return c.Leaf || lvl < depth
+	})
 }
 
 // BuildFor constructs the full LET of the local octree for a remote domain
@@ -136,62 +93,54 @@ func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 // require the remote to open is expanded, every distant cell is emitted as a
 // closed multipole, and opened leaves contribute their particles.
 //
-// BuildFor only depends on the parent→child structure of the source tree,
-// never on cell indices, so it is oblivious to whether the tree came from
-// the serial or the parallel (subtree-stitched) constructor — which is also
-// why builder goroutines can run against the shared tree concurrently with
-// the walks. Cell storage is preallocated from the source tree size: LETs
-// for nearby domains approach the full tree, distant ones stay tiny, and a
-// quarter-size initial capacity avoids the repeated append regrowth that
-// dominated construction for near neighbours.
+// BuildFor only reads the source tree's cells and particles, never its walk
+// view, which is why builder goroutines can run against the shared tree
+// concurrently with the walks. Cell storage is preallocated from the source
+// tree size: LETs for nearby domains approach the full tree, distant ones
+// stay tiny, and a quarter-size initial capacity avoids the repeated append
+// regrowth that dominated construction for near neighbours.
 func BuildFor(t *octree.Tree, remoteBox vec.Box, theta float64, localBox vec.Box) *LET {
+	return extract(t, localBox, len(t.Cells)/4+8, func(c *octree.Cell, _ int) bool {
+		return octree.MACOpen(remoteBox, c, theta)
+	})
+}
+
+// extract copies the part of the octree that expand selects into a LET, in
+// the octree's own depth-first order: a cell expand rejects is emitted as a
+// closed multipole, an expanded leaf carries its particles, an expanded
+// inner cell is followed by its children.
+func extract(t *octree.Tree, localBox vec.Box, cellCap int, expand func(c *octree.Cell, lvl int) bool) *LET {
 	out := &LET{Box: localBox}
 	if t.Root() == octree.NilCell {
 		return out
 	}
-	out.Cells = make([]Cell, 0, len(t.Cells)/4+8)
-	var rec func(src int32) int32
-	rec = func(src int32) int32 {
+	out.Cells = make([]Cell, 0, cellCap)
+	var rec func(src int32, lvl int, oct uint8)
+	rec = func(src int32, lvl int, oct uint8) {
 		sc := &t.Cells[src]
-		idx := int32(len(out.Cells))
-		out.Cells = append(out.Cells, Cell{
-			MP:       sc.MP,
-			Side:     sc.Side,
-			Delta:    sc.Delta,
-			Children: noChildren(),
-			Leaf:     true,
-			Openable: false,
-		})
-		if !octree.MACOpen(remoteBox, sc, theta) {
-			return idx // closed multipole; remote will never open it
-		}
-		if sc.Leaf {
-			c := &out.Cells[idx]
+		idx := len(out.Cells)
+		c := Cell{MP: sc.MP, Side: sc.Side, Delta: sc.Delta, Oct: oct, Leaf: true}
+		if expand(sc, lvl) {
 			c.Openable = true
-			c.PStart = int32(len(out.Parts))
-			c.PN = sc.N
-			for i := sc.Start; i < sc.Start+sc.N; i++ {
-				out.Parts = append(out.Parts, Part{Pos: t.Pos[i], Mass: t.Mass[i]})
+			c.Leaf = sc.Leaf
+			if sc.Leaf {
+				c.PStart, c.PN = int32(len(out.Pos)), sc.N
+				out.Pos = append(out.Pos, t.Pos[sc.Start:sc.Start+sc.N]...)
+				out.Mass = append(out.Mass, t.Mass[sc.Start:sc.Start+sc.N]...)
 			}
-			return idx
 		}
-		out.Cells[idx].Leaf = false
-		out.Cells[idx].Openable = true
-		for o, ch := range sc.Children {
-			if ch == octree.NilCell {
-				continue
+		out.Cells = append(out.Cells, c)
+		if !c.Leaf {
+			for o, ch := range sc.Children {
+				if ch != octree.NilCell {
+					rec(ch, lvl+1, uint8(o))
+				}
 			}
-			ci := rec(ch)
-			out.Cells[idx].Children[o] = ci
 		}
-		return idx
+		out.Cells[idx].Skip = int32(len(out.Cells))
 	}
-	rec(t.Root())
+	rec(t.Root(), 0, 0)
 	return out
-}
-
-func noChildren() [8]int32 {
-	return [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell}
 }
 
 // VisitCells calls fn for every cell reachable from the root, with the cell's
@@ -206,13 +155,40 @@ func (l *LET) VisitCells(fn func(idx int32, level int, path uint64)) {
 	var rec func(idx int32, level int, path uint64)
 	rec = func(idx int32, level int, path uint64) {
 		fn(idx, level, path)
-		for o, ch := range l.Cells[idx].Children {
-			if ch != NilCell {
-				rec(ch, level+1, path*8+uint64(o))
-			}
+		for ch := idx + 1; ch < l.Cells[idx].Skip; ch = l.Cells[ch].Skip {
+			rec(ch, level+1, path*8+uint64(l.Cells[ch].Oct))
 		}
 	}
 	rec(0, 0, 0)
+}
+
+// ---------------------------------------------------------------------------
+// The walk view
+
+// WalkView returns the LET's walk records for θ (octree.Source).
+func (l *LET) WalkView(theta float64) []octree.ViewCell {
+	return l.view.For(theta, len(l.Cells), l.fillView)
+}
+
+// Multipole returns cell i's multipole (octree.Source).
+func (l *LET) Multipole(i int32) *grav.Multipole { return &l.Cells[i].MP }
+
+// Particles returns the source particles leaf runs index into (octree.Source).
+func (l *LET) Particles() ([]vec.V3, []float64) { return l.Pos, l.Mass }
+
+func (l *LET) fillView(cells []octree.ViewCell, theta float64) {
+	for i := range cells {
+		c := &l.Cells[i]
+		v := octree.ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z, Skip: c.Skip}
+		switch {
+		case !c.Openable:
+			v.Kind = octree.ViewPruned
+		case c.Leaf:
+			v.Kind, v.Start, v.N = octree.ViewLeaf, c.PStart, c.PN
+		}
+		v.SetMAC(c.Side, c.Delta, c.MP.M, theta)
+		cells[i] = v
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -224,57 +200,31 @@ func (l *LET) VisitCells(fn func(idx int32, level int, path uint64)) {
 // pruned cell. Both sides of a rank pair evaluate this on identical inputs,
 // which is what makes the paper's push protocol handshake-free.
 func Sufficient(l *LET, targetBox vec.Box, theta float64) bool {
-	if l.Empty() {
-		return true
-	}
 	// An empty target box (a rank with no active walk targets this substep)
 	// opens nothing: any tree is sufficient. Both the would-be sender and the
 	// receiver see the same empty box, so neither builds nor expects a LET.
-	if targetBox.Empty() {
+	if l.Empty() || targetBox.Empty() {
 		return true
 	}
-	var rec func(idx int32) bool
-	rec = func(idx int32) bool {
-		c := &l.Cells[idx]
-		if c.MP.M == 0 {
-			return true
-		}
-		if !macOpen(targetBox, c, theta) {
-			return true
-		}
-		if !c.Openable {
+	cells := l.WalkView(theta)
+	for i := 0; i < len(cells); {
+		c := &cells[i]
+		switch {
+		case !(targetBox.Dist2(vec.V3{X: c.X, Y: c.Y, Z: c.Z}) < c.Open2):
+			i = int(c.Skip)
+		case c.Kind == octree.ViewPruned:
 			return false
+		case c.Kind == octree.ViewInner:
+			i++
+		default:
+			i = int(c.Skip)
 		}
-		if c.Leaf {
-			return true // particles present
-		}
-		for _, ch := range c.Children {
-			if ch != NilCell && !rec(ch) {
-				return false
-			}
-		}
-		return true
 	}
-	return rec(0)
-}
-
-func macOpen(groupBox vec.Box, c *Cell, theta float64) bool {
-	open := c.Side/theta + c.Delta
-	return groupBox.Dist2(c.MP.COM) < open*open
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // Gravity from a LET
-
-// walkScratch reuses traversal and SoA gather buffers across groups.
-type walkScratch struct {
-	stack []int32
-	pp    grav.PPSoA
-	pc    grav.PCSoA
-	tg    grav.Targets
-}
-
-var scratchPool = sync.Pool{New: func() any { return &walkScratch{} }}
 
 // Walk accumulates the gravitational forces exerted by the LET's mass on the
 // target particles (grouped as in the local walk). ForcedAccepts counts
@@ -291,100 +241,10 @@ func Walk(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 // it. A nil listLen costs one branch per group.
 func WalkObs(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forcedAccepts int64) {
-
-	if l.Empty() || len(groups) == 0 {
+	if l.Empty() {
 		return 0
 	}
-	if workers <= 1 {
-		var local grav.Stats
-		var forced int64
-		sc := scratchPool.Get().(*walkScratch)
-		for g := range groups {
-			forced += walkGroup(l, &groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-		}
-		scratchPool.Put(sc)
-		if st != nil {
-			st.Add(local)
-		}
-		return forced
-	}
-
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	var forcedTotal atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local grav.Stats
-			var forced int64
-			sc := scratchPool.Get().(*walkScratch)
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(groups) {
-					break
-				}
-				forced += walkGroup(l, &groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-			}
-			scratchPool.Put(sc)
-			if st != nil {
-				st.AddAtomic(local)
-			}
-			forcedTotal.Add(forced)
-		}()
-	}
-	wg.Wait()
-	return forcedTotal.Load()
-}
-
-func walkGroup(l *LET, g *octree.Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, sc *walkScratch, st *grav.Stats, listLen *obs.Hist) (forced int64) {
-
-	sc.stack = append(sc.stack[:0], 0)
-	sc.pc.Reset()
-	sc.pp.Reset()
-
-	// Traverse once per group, gathering accepted multipoles and opened-leaf
-	// particles directly into the SoA scratch the batched kernels stream.
-	for len(sc.stack) > 0 {
-		idx := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		c := &l.Cells[idx]
-		if c.MP.M == 0 {
-			continue
-		}
-		if !macOpen(g.Box, c, theta) {
-			sc.pc.Append(c.MP)
-			continue
-		}
-		if !c.Openable {
-			sc.pc.Append(c.MP) // degrade gracefully; flagged
-			forced++
-			continue
-		}
-		if c.Leaf {
-			for i := c.PStart; i < c.PStart+c.PN; i++ {
-				sc.pp.Append(l.Parts[i].Pos, l.Parts[i].Mass)
-			}
-			continue
-		}
-		for _, ch := range c.Children {
-			if ch != NilCell {
-				sc.stack = append(sc.stack, ch)
-			}
-		}
-	}
-
-	lo, hi := g.Start, g.Start+g.N
-	sc.tg.Gather(tpos[lo:hi])
-	listLen.Observe(int64(sc.pc.Len() + sc.pp.Len()))
-	grav.PCBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pc, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	grav.PPBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pp, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	sc.tg.Scatter(acc[lo:hi], pot[lo:hi])
-
-	st.PC += uint64(sc.pc.Len()) * uint64(g.N)
-	st.PP += uint64(sc.pp.Len()) * uint64(g.N)
-	return forced
+	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
 }
 
 // TotalMass returns the LET root's mass.

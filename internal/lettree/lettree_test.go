@@ -73,8 +73,8 @@ func TestBuildForDistantDomainIsTiny(t *testing.T) {
 	if len(let.Cells) != 1 {
 		t.Fatalf("distant LET has %d cells, want 1 (closed root)", len(let.Cells))
 	}
-	if len(let.Parts) != 0 {
-		t.Fatalf("distant LET carries %d particles", len(let.Parts))
+	if len(let.Pos) != 0 {
+		t.Fatalf("distant LET carries %d particles", len(let.Pos))
 	}
 }
 
@@ -83,7 +83,7 @@ func TestBuildForOverlappingDomainCarriesParticles(t *testing.T) {
 	tr, _ := octree.BuildFrom(pos, mass, 16, 2)
 	near := vec.Box{Min: vec.V3{X: -0.5, Y: -0.5, Z: -0.5}, Max: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}}
 	let := BuildFor(tr, near, 0.5, boxOf(pos))
-	if len(let.Parts) == 0 {
+	if len(let.Pos) == 0 {
 		t.Fatal("overlapping LET carries no particles")
 	}
 	if math.Abs(let.TotalMass()-tr.TotalMass()) > 1e-9*tr.TotalMass() {
@@ -349,17 +349,17 @@ func TestBuildForConcurrent(t *testing.T) {
 
 	for i := range boxes {
 		s, c := serial[i], conc[i]
-		if len(s.Cells) != len(c.Cells) || len(s.Parts) != len(c.Parts) {
+		if len(s.Cells) != len(c.Cells) || len(s.Pos) != len(c.Pos) {
 			t.Fatalf("box %d: concurrent LET shape (%d cells, %d parts) != serial (%d, %d)",
-				i, len(c.Cells), len(c.Parts), len(s.Cells), len(s.Parts))
+				i, len(c.Cells), len(c.Pos), len(s.Cells), len(s.Pos))
 		}
 		for j := range s.Cells {
 			if s.Cells[j] != c.Cells[j] {
 				t.Fatalf("box %d: cell %d differs", i, j)
 			}
 		}
-		for j := range s.Parts {
-			if s.Parts[j] != c.Parts[j] {
+		for j := range s.Pos {
+			if s.Pos[j] != c.Pos[j] || s.Mass[j] != c.Mass[j] {
 				t.Fatalf("box %d: particle %d differs", i, j)
 			}
 		}

@@ -2,8 +2,11 @@ package lettree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+
+	"bonsai/internal/vec"
 )
 
 // This file implements the byte-level wire format for LETs. The in-process
@@ -23,7 +26,19 @@ import (
 //	parts   nParts × { pos[3], mass } (f64)
 //
 // Leaf cells have no children, so their particle range [PStart, PN) is
-// carried in the first two child slots.
+// carried in the first two child slots. Cells are in depth-first preorder, so
+// the child slots are redundant with the cell order: Marshal derives them from
+// it, and Unmarshal accepts a frame only if they agree with it.
+
+// ErrNotPreorder is returned (wrapped) by Unmarshal for a frame whose child
+// links are not exactly those of a depth-first preorder cell sequence: a link
+// to the cell itself, to an ancestor, to an already linked cell or past the
+// end, or a cell no link reaches. The walks scan cells by position and would
+// not terminate, or would skip mass, on such a tree.
+var ErrNotPreorder = errors.New("lettree: child links are not in depth-first preorder")
+
+// NilCell marks an absent child slot on the wire, as in package octree.
+const NilCell = int32(-1)
 
 const wireMagic = 0x4c455431 // "LET1"
 
@@ -36,7 +51,7 @@ const (
 // WireBytes returns the exact encoded size of the LET; the mpi traffic
 // meters use it for every boundary-tree and LET transfer.
 func (l *LET) WireBytes() int {
-	return headerWireBytes + len(l.Cells)*cellWireBytes + len(l.Parts)*partWireBytes
+	return headerWireBytes + len(l.Cells)*cellWireBytes + len(l.Pos)*partWireBytes
 }
 
 // Marshal encodes the LET into a fresh byte slice of length WireBytes().
@@ -45,7 +60,7 @@ func (l *LET) Marshal() []byte {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], wireMagic)
 	le.PutUint32(buf[4:], uint32(len(l.Cells)))
-	le.PutUint32(buf[8:], uint32(len(l.Parts)))
+	le.PutUint32(buf[8:], uint32(len(l.Pos)))
 	off := 12
 	putF := func(f float64) {
 		le.PutUint64(buf[off:], math.Float64bits(f))
@@ -71,16 +86,15 @@ func (l *LET) Marshal() []byte {
 		putF(c.MP.Quad.XY)
 		putF(c.MP.Quad.XZ)
 		putF(c.MP.Quad.YZ)
+		for k := 0; k < 8; k += 2 {
+			le.PutUint64(buf[off+4*k:], math.MaxUint64) // two NilCell (int32(-1)) slots
+		}
 		if c.Leaf {
 			le.PutUint32(buf[off:], uint32(c.PStart))
 			le.PutUint32(buf[off+4:], uint32(c.PN))
-			nilBits := uint32(0xffffffff) // int32(-1) = NilCell
-			for k := 2; k < 8; k++ {
-				le.PutUint32(buf[off+4*k:], nilBits)
-			}
 		} else {
-			for k, ch := range c.Children {
-				le.PutUint32(buf[off+4*k:], uint32(ch))
+			for ch := int32(i) + 1; ch < c.Skip; ch = l.Cells[ch].Skip {
+				le.PutUint32(buf[off+4*int(l.Cells[ch].Oct):], uint32(ch))
 			}
 		}
 		off += 8 * 4
@@ -95,17 +109,19 @@ func (l *LET) Marshal() []byte {
 		buf[off+1] = 0 // reserved
 		off += 2
 	}
-	for i := range l.Parts {
-		p := &l.Parts[i]
-		putF(p.Pos.X)
-		putF(p.Pos.Y)
-		putF(p.Pos.Z)
-		putF(p.Mass)
+	for i, p := range l.Pos {
+		putF(p.X)
+		putF(p.Y)
+		putF(p.Z)
+		putF(l.Mass[i])
 	}
 	return buf[:off]
 }
 
-// Unmarshal decodes a LET produced by Marshal.
+// Unmarshal decodes a LET produced by Marshal. Frames from a peer are
+// untrusted: sizes are checked against the buffer before anything is
+// allocated, and the child links must be exactly preorder (ErrNotPreorder),
+// which is also what yields each cell's Skip and Oct.
 func Unmarshal(buf []byte) (*LET, error) {
 	le := binary.LittleEndian
 	if len(buf) < headerWireBytes {
@@ -116,9 +132,6 @@ func Unmarshal(buf []byte) (*LET, error) {
 	}
 	nCells := int(le.Uint32(buf[4:]))
 	nParts := int(le.Uint32(buf[8:]))
-	if nCells < 0 || nParts < 0 {
-		return nil, fmt.Errorf("lettree: negative counts")
-	}
 	want := headerWireBytes + nCells*cellWireBytes + nParts*partWireBytes
 	if len(buf) < want {
 		return nil, fmt.Errorf("lettree: truncated: have %d bytes, want %d", len(buf), want)
@@ -131,7 +144,8 @@ func Unmarshal(buf []byte) (*LET, error) {
 	}
 	l := &LET{
 		Cells: make([]Cell, nCells),
-		Parts: make([]Part, nParts),
+		Pos:   make([]vec.V3, nParts),
+		Mass:  make([]float64, nParts),
 	}
 	l.Box.Min.X = getF()
 	l.Box.Min.Y = getF()
@@ -139,8 +153,51 @@ func Unmarshal(buf []byte) (*LET, error) {
 	l.Box.Max.X = getF()
 	l.Box.Max.Y = getF()
 	l.Box.Max.Z = getF()
+
+	// open holds the non-leaf cells whose subtrees are still being decoded,
+	// each with the next child slot to match; slot k of cell i is read back
+	// from the frame.
+	type pending struct {
+		cell int32
+		slot int
+	}
+	child := func(p pending) int32 {
+		return int32(le.Uint32(buf[headerWireBytes+int(p.cell)*cellWireBytes+12*8+4*p.slot:]))
+	}
+	open := make([]pending, 0, 32)
+	// link matches cell i against the next child slot still pending, closing
+	// every subtree that has none left; i == nCells closes them all.
+	link := func(i int) error {
+		for len(open) > 0 {
+			p := &open[len(open)-1]
+			for p.slot < 8 && child(*p) == NilCell {
+				p.slot++
+			}
+			if p.slot == 8 {
+				l.Cells[p.cell].Skip = int32(i)
+				open = open[:len(open)-1]
+				continue
+			}
+			if i == nCells || child(*p) != int32(i) {
+				return fmt.Errorf("%w: cell %d child %d, next cell is %d", ErrNotPreorder, p.cell, child(*p), i)
+			}
+			l.Cells[i].Oct = uint8(p.slot)
+			p.slot++
+			return nil
+		}
+		if i != nCells {
+			return fmt.Errorf("%w: no link reaches cell %d", ErrNotPreorder, i)
+		}
+		return nil
+	}
+
 	for i := range l.Cells {
 		c := &l.Cells[i]
+		if i > 0 {
+			if err := link(i); err != nil {
+				return nil, err
+			}
+		}
 		c.MP.COM.X = getF()
 		c.MP.COM.Y = getF()
 		c.MP.COM.Z = getF()
@@ -154,10 +211,7 @@ func Unmarshal(buf []byte) (*LET, error) {
 		c.MP.Quad.XZ = getF()
 		c.MP.Quad.YZ = getF()
 		childBase := off
-		for k := 0; k < 8; k++ {
-			c.Children[k] = int32(le.Uint32(buf[off:]))
-			off += 4
-		}
+		off += 8 * 4
 		flags := buf[off]
 		off += 2
 		c.Leaf = flags&1 != 0
@@ -169,21 +223,17 @@ func Unmarshal(buf []byte) (*LET, error) {
 				return nil, fmt.Errorf("lettree: cell %d particle range [%d,%d) out of bounds", i, ps, ps+pn)
 			}
 			c.PStart, c.PN = ps, pn
-			c.Children = noChildren()
+			c.Skip = int32(i) + 1
 		} else {
-			for k := 0; k < 8; k++ {
-				if ch := c.Children[k]; ch != NilCell && (ch < 0 || int(ch) >= nCells) {
-					return nil, fmt.Errorf("lettree: cell %d child %d out of range", i, ch)
-				}
-			}
+			open = append(open, pending{cell: int32(i)})
 		}
 	}
-	for i := range l.Parts {
-		p := &l.Parts[i]
-		p.Pos.X = getF()
-		p.Pos.Y = getF()
-		p.Pos.Z = getF()
-		p.Mass = getF()
+	if err := link(nCells); err != nil {
+		return nil, err
+	}
+	for i := range l.Pos {
+		l.Pos[i] = vec.V3{X: getF(), Y: getF(), Z: getF()}
+		l.Mass[i] = getF()
 	}
 	return l, nil
 }

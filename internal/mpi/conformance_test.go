@@ -139,14 +139,15 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 			MP:       grav.Multipole{COM: vec.V3{X: 1, Y: 2, Z: 3}, M: 4.5, Quad: vec.Sym3{XX: 1, XY: 2, XZ: 3, YY: 4, YZ: 5, ZZ: 6}},
 			Side:     0.5,
 			Delta:    0.25,
-			Children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1},
+			Skip:     1,
 			Leaf:     true,
 			Openable: true,
 			PStart:   0,
 			PN:       2,
 		}},
-		Parts: []lettree.Part{{Pos: vec.V3{X: 1}, Mass: 2}, {Pos: vec.V3{Y: 3}, Mass: 4}},
-		Box:   vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}},
+		Pos:  []vec.V3{{X: 1}, {Y: 3}},
+		Mass: []float64{2, 4},
+		Box:  vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}},
 	}
 	payloads := []any{
 		nil,
@@ -265,9 +266,14 @@ func TestWireLETFramePayloadMatchesWireBytes(t *testing.T) {
 	// must equal LET.WireBytes() exactly — the invariant behind comparing
 	// PairBytes against sender-declared sizes in the sim.
 	let := &lettree.LET{
-		Cells: make([]lettree.Cell, 5),
-		Parts: make([]lettree.Part, 17),
+		Cells: make([]lettree.Cell, 5), // a root and four closed children
+		Pos:   make([]vec.V3, 17),
+		Mass:  make([]float64, 17),
 		Box:   vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
+	}
+	let.Cells[0] = lettree.Cell{Skip: 5, Openable: true}
+	for i := 1; i < 5; i++ {
+		let.Cells[i] = lettree.Cell{Skip: int32(i) + 1, Oct: uint8(i), Leaf: true}
 	}
 	w, cleanup := newSockWorld("unix", 2)
 	defer cleanup()
@@ -277,8 +283,8 @@ func TestWireLETFramePayloadMatchesWireBytes(t *testing.T) {
 			c.Send(1, 1, let, let.WireBytes())
 		} else {
 			got := c.Recv(0, 1).(*lettree.LET)
-			if len(got.Cells) != 5 || len(got.Parts) != 17 {
-				t.Errorf("LET arrived with %d cells, %d parts", len(got.Cells), len(got.Parts))
+			if len(got.Cells) != 5 || len(got.Pos) != 17 {
+				t.Errorf("LET arrived with %d cells, %d parts", len(got.Cells), len(got.Pos))
 			}
 		}
 	})

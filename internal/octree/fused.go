@@ -71,8 +71,7 @@ func SortBuildScratch(sc *BuildScratch, srt *psort.Sorter, kv []psort.KV,
 	if workers < 1 {
 		workers = 1
 	}
-	t := &sc.tree
-	*t = Tree{Keys: ks, Pos: pos, Mass: mass, Grid: grid, NLeaf: nleaf}
+	t := sc.resetTree(ks, pos, mass, grid, nleaf)
 	n := len(kv)
 	if n == 0 {
 		return t

@@ -15,12 +15,8 @@
 package octree
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bonsai/internal/grav"
 	"bonsai/internal/keys"
-	"bonsai/internal/obs"
 	"bonsai/internal/vec"
 )
 
@@ -67,6 +63,10 @@ type Tree struct {
 	// later top cell or a subtree root, so the order is always safe.
 	topCells []int32
 	subSpans []cellSpan
+
+	// view caches the walk records (view.go). Every properties sweep
+	// invalidates it; the next walk rebuilds it for its θ.
+	view View
 }
 
 // Build constructs an octree (structure and multipole properties) over
@@ -110,6 +110,7 @@ func BuildStructure(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid,
 // ComputePropertiesParallel is the multicore variant for trees built by the
 // parallel constructor; both produce bitwise-identical moments.
 func (t *Tree) ComputeProperties() {
+	t.view.invalidate()
 	for i := len(t.Cells) - 1; i >= 0; i-- {
 		t.momentsAt(int32(i))
 	}
@@ -325,174 +326,12 @@ func boundsOf(pos []vec.V3) vec.Box {
 // MACOpen reports whether a cell must be opened for a target group box under
 // the Bonsai MAC: open iff d < l/θ + δ, where d is the minimum distance from
 // the group box to the cell's centre of mass, l the cell side length and δ
-// the COM offset from the geometric centre.
+// the COM offset from the geometric centre. The walks test the same
+// inequality against the squared radius their view precomputed
+// (ViewCell.SetMAC); the LET builder calls this per-cell form.
 func MACOpen(groupBox vec.Box, c *Cell, theta float64) bool {
 	open := c.Side/theta + c.Delta
 	return groupBox.Dist2(c.MP.COM) < open*open
-}
-
-// WalkLists is the per-group interaction list produced by a traversal. A
-// WalkLists value owns its traversal scratch, so reusing one across Collect
-// calls (and across steps, as the sim and device layers do) is allocation
-// free once the buffers have grown to their working size.
-type WalkLists struct {
-	CellIdx []int32 // cells accepted as multipoles
-	PartIdx []int32 // source particles from opened leaves
-
-	stack []int32 // traversal scratch, reused across Collect calls
-}
-
-// walkScratch holds reusable per-worker buffers: traversal stack and lists,
-// plus the SoA gather scratch the batched kernels evaluate from.
-type walkScratch struct {
-	stack []int32
-	lists WalkLists
-	pp    grav.PPSoA
-	pc    grav.PCSoA
-	tg    grav.Targets
-}
-
-var scratchPool = sync.Pool{New: func() any { return &walkScratch{} }}
-
-// Collect traverses the tree for one target group box and fills the
-// interaction lists. Exposed for the LET builder and the device simulator,
-// which need the lists rather than the accumulated forces.
-func (t *Tree) Collect(groupBox vec.Box, theta float64, out *WalkLists) {
-	out.CellIdx = out.CellIdx[:0]
-	out.PartIdx = out.PartIdx[:0]
-	if len(t.Cells) == 0 {
-		return
-	}
-	if out.stack == nil {
-		out.stack = make([]int32, 0, 64)
-	}
-	out.stack = append(out.stack[:0], 0)
-	t.collect(groupBox, theta, &out.stack, out)
-}
-
-func (t *Tree) collect(groupBox vec.Box, theta float64, stack *[]int32, out *WalkLists) {
-	s := *stack
-	for len(s) > 0 {
-		idx := s[len(s)-1]
-		s = s[:len(s)-1]
-		c := &t.Cells[idx]
-		if c.MP.M == 0 {
-			continue
-		}
-		if !MACOpen(groupBox, c, theta) {
-			out.CellIdx = append(out.CellIdx, idx)
-			continue
-		}
-		if c.Leaf {
-			for i := c.Start; i < c.Start+c.N; i++ {
-				out.PartIdx = append(out.PartIdx, i)
-			}
-			continue
-		}
-		for _, ch := range c.Children {
-			if ch != NilCell {
-				s = append(s, ch)
-			}
-		}
-	}
-	*stack = s[:0]
-}
-
-// Walk computes gravitational forces exerted by this tree's mass distribution
-// on the target particles, one interaction list per group. Results are
-// *accumulated* into acc and pot (callers zero them first when appropriate).
-// The walk is parallel over groups with the given worker count (<=0 means 1;
-// the sim layer supplies its own pool size): workers claim groups from a
-// shared atomic counter, so no worker ever blocks on a feeder channel and the
-// tail of the group list is stolen by whichever workers finish early.
-// Interaction counts are added to st if non-nil, merged with atomic adds.
-func (t *Tree) Walk(groups []Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats) {
-	t.WalkObs(groups, tpos, theta, eps2, acc, pot, workers, st, nil)
-}
-
-// WalkObs is Walk with an optional observability hook: when listLen is
-// non-nil, the interaction-list length (accepted cells + opened-leaf
-// particles) of every target group is recorded into it. A nil listLen is the
-// disabled state and costs one branch per group.
-func (t *Tree) WalkObs(groups []Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) {
-
-	if len(t.Cells) == 0 || len(groups) == 0 {
-		return
-	}
-	if workers <= 1 {
-		var local grav.Stats
-		sc := scratchPool.Get().(*walkScratch)
-		for g := range groups {
-			t.walkGroup(&groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-		}
-		scratchPool.Put(sc)
-		if st != nil {
-			st.Add(local)
-		}
-		return
-	}
-
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local grav.Stats
-			sc := scratchPool.Get().(*walkScratch)
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(groups) {
-					break
-				}
-				t.walkGroup(&groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-			}
-			scratchPool.Put(sc)
-			if st != nil {
-				st.AddAtomic(local)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// walkGroup traverses for one group, gathers the interaction list into SoA
-// scratch, and evaluates the whole group through the batched kernels. Each
-// group writes a disjoint [Start, Start+N) range of acc/pot, so concurrent
-// workers never contend.
-func (t *Tree) walkGroup(g *Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, sc *walkScratch, st *grav.Stats, listLen *obs.Hist) {
-
-	if sc.stack == nil {
-		sc.stack = make([]int32, 0, 128)
-	}
-	sc.stack = append(sc.stack[:0], 0)
-	sc.lists.CellIdx = sc.lists.CellIdx[:0]
-	sc.lists.PartIdx = sc.lists.PartIdx[:0]
-	t.collect(g.Box, theta, &sc.stack, &sc.lists)
-
-	// Gather the interaction list once per group: cell multipoles and source
-	// particles into SoA slices, target positions into the accumulator block.
-	sc.pc.Reset()
-	for _, ci := range sc.lists.CellIdx {
-		sc.pc.Append(t.Cells[ci].MP)
-	}
-	sc.pp.Reset()
-	for _, pj := range sc.lists.PartIdx {
-		sc.pp.Append(t.Pos[pj], t.Mass[pj])
-	}
-	lo, hi := g.Start, g.Start+g.N
-	sc.tg.Gather(tpos[lo:hi])
-	listLen.Observe(int64(sc.pc.Len() + sc.pp.Len()))
-
-	grav.PCBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pc, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	grav.PPBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pp, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	sc.tg.Scatter(acc[lo:hi], pot[lo:hi])
-
-	st.PC += uint64(sc.pc.Len()) * uint64(g.N)
-	st.PP += uint64(sc.pp.Len()) * uint64(g.N)
 }
 
 // TotalMass returns the mass of the root cell (zero for an empty tree).

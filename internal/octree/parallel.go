@@ -92,8 +92,7 @@ func BuildStructureScratch(sc *BuildScratch, ks []keys.Key, pos []vec.V3, mass [
 	if nleaf <= 0 {
 		nleaf = DefaultNLeaf
 	}
-	t := &sc.tree
-	*t = Tree{Keys: ks, Pos: pos, Mass: mass, Grid: grid, NLeaf: nleaf}
+	t := sc.resetTree(ks, pos, mass, grid, nleaf)
 	if len(pos) == 0 {
 		return t
 	}
@@ -107,6 +106,15 @@ func BuildStructureScratch(sc *BuildScratch, ks []keys.Key, pos []vec.V3, mass [
 		return t
 	}
 	buildParallel(t, sc, workers)
+	return t
+}
+
+// resetTree points the scratch-owned tree at new particle arrays, keeping
+// only the walk view's storage from the previous build.
+func (sc *BuildScratch) resetTree(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid, nleaf int) *Tree {
+	t := &sc.tree
+	*t = Tree{Keys: ks, Pos: pos, Mass: mass, Grid: grid, NLeaf: nleaf,
+		view: View{cells: t.view.cells[:0]}}
 	return t
 }
 
@@ -297,6 +305,7 @@ func (t *Tree) ComputePropertiesParallel(workers int) {
 		t.ComputeProperties()
 		return
 	}
+	t.view.invalidate()
 	subs := t.subSpans
 	par.Dyn(len(subs), workers, func(k int) {
 		s := subs[k]

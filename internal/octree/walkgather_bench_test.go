@@ -9,11 +9,12 @@ import (
 
 // BenchmarkWalkGather splits the tree-walk into its non-kernel parts so the
 // bookkeeping cost is measurable on its own: Traverse runs only the MAC
-// traversal (interaction-list building), TraverseGather adds the SoA
-// gather/scatter the batched kernels consume, and Full is the complete walk
-// including the force kernels. Full minus TraverseGather is pure kernel time;
-// TraverseGather minus Traverse is the gather/scatter overhead the block
-// timestep's subset walks pay once per active group.
+// traversal of the preorder view (Collect: the scan plus the particle-index
+// expansion), TraverseGather runs the walk's own per-group Walker.Gather (the
+// scan plus the sized SoA copies) and the target gather/scatter, and Full is
+// the complete walk including the force kernels. Full minus TraverseGather is
+// pure kernel time; TraverseGather minus Traverse is the gather/scatter
+// overhead the block timestep's subset walks pay once per active group.
 func BenchmarkWalkGather(b *testing.B) {
 	pos, mass := clusteredCloud(100_000, 1)
 	tr, _ := BuildFrom(pos, mass, 16, 0)
@@ -36,24 +37,14 @@ func BenchmarkWalkGather(b *testing.B) {
 	})
 
 	b.Run("TraverseGather", func(b *testing.B) {
-		var lists WalkLists
-		var pp grav.PPSoA
-		var pc grav.PCSoA
-		var tg grav.Targets
+		var w Walker
+		cells := tr.WalkView(0.4)
 		for i := 0; i < b.N; i++ {
 			for g := range groups {
-				tr.Collect(groups[g].Box, 0.4, &lists)
-				pc.Reset()
-				for _, ci := range lists.CellIdx {
-					pc.Append(tr.Cells[ci].MP)
-				}
-				pp.Reset()
-				for _, pj := range lists.PartIdx {
-					pp.Append(tr.Pos[pj], tr.Mass[pj])
-				}
+				w.Gather(tr, cells, groups[g].Box)
 				lo, hi := groups[g].Start, groups[g].Start+groups[g].N
-				tg.Gather(tr.Pos[lo:hi])
-				tg.Scatter(acc[lo:hi], pot[lo:hi])
+				w.tg.Gather(tr.Pos[lo:hi])
+				w.tg.Scatter(acc[lo:hi], pot[lo:hi])
 			}
 		}
 	})
