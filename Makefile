@@ -7,9 +7,10 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # (including the noasm scalar-only configuration of the force kernels),
 # the race-detector subset covering the concurrent gravity pipeline
 # (8+ ranks, multiple walk workers, one boundary tree walked by eight
-# goroutines at once), the MPI mailbox plus the socket transports (the
-# ./internal/mpi conformance matrix runs every transport test over unix and
-# tcp at 8 ranks), and the parallel sort, plus short fuzzes of the fused
+# goroutines at once, eight batched passes over overlapping sets of shared
+# boundary trees, scripted LET arrival orders), the MPI mailbox plus the
+# socket transports (the ./internal/mpi conformance matrix runs every
+# transport test over unix and tcp at 8 ranks), and the parallel sort, plus short fuzzes of the fused
 # sort+build against the separate reference, of the SIMD force kernels
 # against the scalar reference, and of the LET frame decoder.
 tier1: vet build test race fuzz-smoke
@@ -18,7 +19,8 @@ tier1: vet build test race fuzz-smoke
 # sizes, and worker counts must produce cells bitwise identical to the
 # separate sort-then-build path), a 10-second fuzz of the dispatched
 # AVX2 force kernels against the always-compiled scalar reference
-# (agreement to 1e-12, relative to the accumulated contribution magnitude),
+# (agreement to 1e-12, relative to the accumulated contribution magnitude;
+# the committed corpus under internal/grav/testdata/fuzz is replayed first),
 # a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
 # Plummer models and step counts), a 10-second fuzz of the coarse
@@ -55,8 +57,9 @@ race:
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched
 # SIMD, ns/inter and Gflop/s under the §VI.A conventions),
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
-# split, the tree-pipeline phases (build / properties / groups, serial vs 8
-# workers), the fused MSD sort+build against the separate sort-then-build
+# split, one rank's batched pass over its 63 remote trees at p=64 against the
+# same work walked tree by tree, the tree-pipeline phases (build / properties
+# / groups, serial vs 8 workers), the fused MSD sort+build against the separate sort-then-build
 # path, the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
 # equivalent (wall-clock per simulated time + energy drift), recorded as a
@@ -68,6 +71,7 @@ bench:
 	@{ $(GO) test -run XXX -bench 'BenchmarkKernels' -benchtime 300x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalk100k' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkGather' -benchtime 2x -count=3 ./internal/octree ; \
+	   $(GO) test -run XXX -bench 'BenchmarkWalkRemote' -benchtime 200x -count=3 ./internal/sim ; \
 	   $(GO) test -run XXX -bench 'BenchmarkTreePipeline' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkSortBuildFused' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkPingPong|BenchmarkAllgather' -benchtime 200x -count=3 ./internal/mpi ; \
@@ -98,12 +102,14 @@ e2e-bench:
 
 # End-to-end smoke test of the observability layer: a traced 4-rank run must
 # produce a Perfetto-loadable Chrome trace and a parseable metrics stream,
-# and tracestats must turn both into the overlap/straggler report.
+# and tracestats must turn both into the overlap/straggler report, with the
+# remote walk's passes per evaluation and trees per pass.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 2 -q \
 	  -trace "$$tmp/trace.json" -metrics "$$tmp/metrics.jsonl" && \
-	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" "$$tmp/trace.json" && \
+	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" "$$tmp/trace.json" | tee "$$tmp/report.txt" && \
+	grep -q 'batched passes per rank per evaluation' "$$tmp/report.txt" && \
 	$(GO) run ./cmd/snapinfo -metrics "$$tmp/metrics.jsonl" >/dev/null && \
 	echo "trace-smoke: OK"
 

@@ -36,8 +36,9 @@ func (s *PPSoA) Reset() {
 	s.X, s.Y, s.Z, s.M = s.X[:0], s.Y[:0], s.Z[:0], s.M[:0]
 }
 
-// Resize sets the list length to n, keeping capacity; the walk's gather then
-// fills every slot by index instead of appending one element at a time.
+// Resize sets the list length to n, keeping capacity and the elements below
+// the old length; the walk's gather then fills the new slots by index
+// instead of appending one element at a time.
 func (s *PPSoA) Resize(n int) {
 	s.X, s.Y, s.Z, s.M = growTo(s.X, n), growTo(s.Y, n), growTo(s.Z, n), growTo(s.M, n)
 }
@@ -129,10 +130,11 @@ func (t *Targets) Scatter(acc []vec.V3, pot []float64) {
 
 // growTo returns s with length n, reallocating (with a quarter of headroom,
 // so a run of slowly growing lists settles in a few steps) only when the
-// capacity is short. Old contents are not kept.
+// capacity is short. The elements below the old length are kept, so a list
+// can be extended in place.
 func growTo(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n, n+n/4)
+		return append(make([]float64, 0, n+n/4), s...)[:n]
 	}
 	return s[:n]
 }
@@ -245,7 +247,14 @@ func ppBatchScalar(tx, ty, tz, sx, sy, sz, sm []float64, eps2 float64, ax, ay, a
 }
 
 // pcBatchScalar is the scalar p-c inner loop over raw SoA slices, with the
-// same r² == 0 guard as ppBatchScalar.
+// same r² == 0 guard as ppBatchScalar. Q·dr and dr·(Q·dr) are contracted with
+// math.FMA exactly as the SIMD kernel fuses them: past separations of ~2^215
+// rinv⁵ underflows to zero while these sums approach overflow, and with
+// separately rounded products one of them can overflow where the fused sum
+// stays finite, which made this loop return Inf·0 = NaN against a finite SIMD
+// result. Fused alike, both overflow (or neither does) on the same inputs.
+// (math.FMA is one instruction wherever the SIMD kernels can run; hosts
+// without hardware FMA take its exact software fallback.)
 func pcBatchScalar(tx, ty, tz, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz []float64,
 	eps2 float64, ax, ay, az, apot []float64) {
 	n := len(tx)
@@ -283,10 +292,10 @@ func pcBatchScalar(tx, ty, tz, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz []fl
 			rinv7 := rinv5 * rinv2
 
 			trQ := qxx[k] + qyy[k] + qzz[k]
-			qrx := qxx[k]*dx + qxy[k]*dy + qxz[k]*dz
-			qry := qxy[k]*dx + qyy[k]*dy + qyz[k]*dz
-			qrz := qxz[k]*dx + qyz[k]*dy + qzz[k]*dz
-			rqr := dx*qrx + dy*qry + dz*qrz
+			qrx := math.FMA(qxz[k], dz, math.FMA(qxy[k], dy, qxx[k]*dx))
+			qry := math.FMA(qyz[k], dz, math.FMA(qyy[k], dy, qxy[k]*dx))
+			qrz := math.FMA(qzz[k], dz, math.FMA(qyz[k], dy, qxz[k]*dx))
+			rqr := math.FMA(dz, qrz, math.FMA(dy, qry, dx*qrx))
 
 			poti += -cm[k]*rinv + 0.5*trQ*rinv3 - 1.5*rqr*rinv5
 			s := cm[k]*rinv3 - 1.5*trQ*rinv5 + 7.5*rqr*rinv7

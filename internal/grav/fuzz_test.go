@@ -13,7 +13,8 @@ import (
 // always-compiled scalar reference: random target/source clouds covering
 // every lane-remainder length (ns ≡ 0..3 mod 4), eps2 = 0, deliberately
 // coincident sources, signed zeros, and large-magnitude positions scaled up
-// to past the r² overflow threshold.
+// to past the r² overflow threshold (and, before that, past the scale where
+// the quadrupole's dr·(Q·dr) nears overflow against an underflowed rinv⁵).
 //
 // Agreement criterion: per accumulator, |simd−scalar| ≤ 1e-12·(1 + Σ|contrib|),
 // where Σ|contrib| is the sum of per-interaction contribution magnitudes. The
@@ -35,6 +36,12 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(8), uint16(4), uint16(130), uint8(3), int8(-120), true)
 	f.Add(int64(9), uint16(6), uint16(131), uint8(0), int8(127), false)
 	f.Add(int64(10), uint16(9), uint16(132), uint8(2), int8(-128), true)
+	// Scale 2^256 and up, unsoftened, ns ≡ 3 (mod 4): dr·(Q·dr) sits at the
+	// overflow threshold where rinv⁵ has underflowed, in the SIMD blocks and
+	// in the scalar remainder lanes.
+	f.Add(int64(89), uint16(80), uint16(7), uint8(0), int8(64), false)
+	f.Add(int64(11), uint16(32), uint16(3), uint8(0), int8(66), true)
+	f.Add(int64(12), uint16(14), uint16(135), uint8(0), int8(90), false)
 	f.Fuzz(func(t *testing.T, seed int64, ntRaw, nsRaw uint16, eps2Sel uint8, scaleExp int8, coincide bool) {
 		nt := int(ntRaw % 33)
 		ns := int(nsRaw % 259)

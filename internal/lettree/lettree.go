@@ -165,8 +165,12 @@ func (l *LET) VisitCells(fn func(idx int32, level int, path uint64)) {
 // ---------------------------------------------------------------------------
 // The walk view
 
-// WalkView returns the LET's walk records for θ (octree.Source).
+// WalkView returns the LET's walk records for θ (octree.Source); none for an
+// empty LET, which every walk therefore skips.
 func (l *LET) WalkView(theta float64) []octree.ViewCell {
+	if l.Empty() {
+		return nil
+	}
 	return l.view.For(theta, len(l.Cells), l.fillView)
 }
 
@@ -241,9 +245,6 @@ func Walk(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 // it. A nil listLen costs one branch per group.
 func WalkObs(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forcedAccepts int64) {
-	if l.Empty() {
-		return 0
-	}
 	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
 }
 

@@ -22,10 +22,13 @@ type Metrics struct {
 	// (the paper's Fig. 5 overlap story); positive values are stragglers the
 	// compute thread had to wait for.
 	LETArrival Hist
-	// LETWalk is the wall-clock latency of walking one received LET, ns.
+	// LETWalk is the wall-clock latency of one batched pass over banked
+	// remote trees (boundary trees and received LETs), ns.
 	LETWalk Hist
 	// ListLen is the interaction-list length (accepted cells + opened-leaf
-	// particles) per target group, local and LET walks combined.
+	// particles) the kernels saw per target group: one sample per group per
+	// local-walk chunk, and one per group per remote pass for the list merged
+	// over all of the pass's trees.
 	ListLen Hist
 	// QueueDepth is the receiving mailbox depth observed by each send.
 	QueueDepth Hist
@@ -57,7 +60,7 @@ func (m *Metrics) LETArrivalHist() *Hist {
 	return &m.LETArrival
 }
 
-// LETWalkHist returns the LET-walk-latency histogram (nil when disabled).
+// LETWalkHist returns the remote-pass walk-latency histogram (nil when disabled).
 func (m *Metrics) LETWalkHist() *Hist {
 	if m == nil {
 		return nil

@@ -2,7 +2,7 @@
 // per-rank span timelines (sort, domain, tree build/props, local walk, and
 // the per-LET build/send/recv/walk events of the gravity pipeline),
 // log-bucketed histograms of the quantities that locate stragglers (LET
-// arrival offset relative to local-walk completion, per-LET walk latency,
+// arrival offset relative to local-walk completion, remote-pass walk latency,
 // interaction-list lengths, mailbox queue depth, per-step imbalance), and
 // exporters: Chrome trace-event JSON (loadable in chrome://tracing or
 // Perfetto, one track per rank with one lane per thread role), a per-step
@@ -36,8 +36,8 @@ const (
 	PhaseTreeProps              // multipole computation + group making
 	PhaseBoundary               // boundary-tree allgather (blocking collective)
 	PhaseWalkLocal              // one local-tree walk chunk
-	PhaseWalkLET                // walk of one received full LET (arg = source rank)
-	PhaseWalkBound              // walk of a remote boundary tree (arg = source rank)
+	PhaseWalkLET                // one batched pass over banked remote trees, a full LET among them (arg = trees in the pass)
+	PhaseWalkBound              // one batched pass over boundary trees only (arg = trees in the pass)
 	PhaseLETBuild               // build + push of one outgoing LET (arg = destination rank)
 	PhaseRecvWait               // receiver goroutine blocked on an arrival (arg = source rank)
 	PhaseWaitLET                // compute thread blocked on straggler LETs / builder join

@@ -18,6 +18,8 @@ type RankStepReport struct {
 	ArrivalsUS []float64 // full-LET arrival offsets vs WalkEndUS, µs (negative = hidden)
 	Hidden     int       // arrivals with offset <= 0
 	Late       int       // arrivals with offset > 0
+	Passes     int       // batched remote-tree passes (walk:let + walk:boundary spans)
+	PassTrees  int       // remote trees walked over those passes
 }
 
 // StepReport aggregates one force evaluation across ranks.
@@ -51,6 +53,8 @@ func AnalyzeTrace(events []TraceEvent) TraceReport {
 		first, last float64
 		walkEnd     float64
 		arrivals    []float64 // absolute ts, µs
+		passes      int
+		passTrees   int
 		any         bool
 	}
 	cells := map[key]*acc{}
@@ -93,6 +97,10 @@ func AnalyzeTrace(events []TraceEvent) TraceReport {
 			}
 		case PhaseArrive.String():
 			a.arrivals = append(a.arrivals, ev.TS)
+		case PhaseWalkLET.String(), PhaseWalkBound.String():
+			a.passes++
+			n, _ := argInt(ev.Args, "arg")
+			a.passTrees += n
 		}
 	}
 
@@ -116,7 +124,8 @@ func AnalyzeTrace(events []TraceEvent) TraceReport {
 			if a == nil || !a.any {
 				continue
 			}
-			rr := RankStepReport{Rank: r, StartUS: a.first, BusyUS: a.last - a.first, WalkEndUS: a.walkEnd}
+			rr := RankStepReport{Rank: r, StartUS: a.first, BusyUS: a.last - a.first, WalkEndUS: a.walkEnd,
+				Passes: a.passes, PassTrees: a.passTrees}
 			startLo = math.Min(startLo, a.first)
 			startHi = math.Max(startHi, a.first)
 			for _, ts := range a.arrivals {
@@ -167,9 +176,10 @@ func argInt(args map[string]any, name string) (int, bool) {
 }
 
 // Format prints the per-rank LET-arrival-vs-walk-completion report: one block
-// per force evaluation naming the straggler, then a combined log-bucketed
-// histogram of arrival offsets over all ranks and steps (negative buckets are
-// LETs hidden behind the local walk).
+// per force evaluation naming the straggler, the remote-walk batching (passes
+// per rank per evaluation and mean trees per pass), then a combined
+// log-bucketed histogram of arrival offsets over all ranks and steps
+// (negative buckets are LETs hidden behind the local walk).
 func (rep TraceReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "trace: %d ranks, %d evaluations, %d events\n",
 		rep.NumRanks, len(rep.Steps), rep.Spans)
@@ -179,6 +189,7 @@ func (rep TraceReport) Format(w io.Writer) {
 	var all Hist
 	all.Name = "LET arrival offset vs local-walk completion"
 	all.Unit = "ns"
+	passes, passTrees, rankEvals := 0, 0, 0
 	for _, sr := range rep.Steps {
 		over := 0.0
 		if sr.MeanBusy > 0 {
@@ -187,6 +198,9 @@ func (rep TraceReport) Format(w io.Writer) {
 		fmt.Fprintf(w, "eval %d: straggler rank %d (busy %.2f ms, +%.0f%% over mean %.2f ms)\n",
 			sr.Step, sr.Straggler, sr.MaxBusy/1e3, over, sr.MeanBusy/1e3)
 		for _, rr := range sr.Ranks {
+			passes += rr.Passes
+			passTrees += rr.PassTrees
+			rankEvals++
 			line := fmt.Sprintf("  rank %d: busy %8.2f ms", rr.Rank, rr.BusyUS/1e3)
 			if len(rr.ArrivalsUS) > 0 {
 				lo, hi := math.Inf(1), math.Inf(-1)
@@ -204,6 +218,10 @@ func (rep TraceReport) Format(w io.Writer) {
 			}
 			fmt.Fprintln(w, line)
 		}
+	}
+	if passes > 0 {
+		fmt.Fprintf(w, "remote walk: %.2f batched passes per rank per evaluation, mean %.1f trees per pass\n",
+			float64(passes)/float64(rankEvals), float64(passTrees)/float64(passes))
 	}
 	fmt.Fprintln(w)
 	all.Snapshot().Format(w)

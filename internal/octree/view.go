@@ -217,55 +217,85 @@ func traverse(cells []ViewCell, box vec.Box, out *WalkLists) (forced int64) {
 // gather buffers the batched kernels evaluate from. Reusing one across
 // groups and steps is allocation free once the buffers have grown.
 type Walker struct {
-	PC grav.PCSoA // gathered accepted multipoles of the last Gather
-	PP grav.PPSoA // gathered opened-leaf particles of the last Gather
+	PC grav.PCSoA // accepted multipoles gathered since the last Reset
+	PP grav.PPSoA // opened-leaf particles gathered since the last Reset
 
 	lists WalkLists
 	tg    grav.Targets
+	srcs  []viewedSource // WalkSources' lead walker: the pass's trees, shared read-only with its workers
+}
+
+// viewedSource is one tree of a walk with its records for the walk's θ.
+type viewedSource struct {
+	src   Source
+	cells []ViewCell
+}
+
+// Reset empties the gathered interaction list.
+func (w *Walker) Reset() {
+	w.PC.Reset()
+	w.PP.Reset()
 }
 
 // Gather traverses cells (src's records for the walk's θ) for one group box
-// and copies the interaction list into w.PC and w.PP: accepted multipoles by
-// index into pre-sized slices, opened leaves run by run.
+// and leaves that one tree's interaction list in w.PC and w.PP.
 func (w *Walker) Gather(src Source, cells []ViewCell, box vec.Box) (forced int64) {
+	w.Reset()
+	return w.Append(src, cells, box)
+}
+
+// Append traverses cells (src's records for the walk's θ) for one group box
+// and appends the tree's interaction list to w.PC and w.PP: accepted
+// multipoles by index into the grown slices, opened leaves run by run. Called
+// once per tree, it builds a group's one merged list over many trees.
+func (w *Walker) Append(src Source, cells []ViewCell, box vec.Box) (forced int64) {
 	forced = traverse(cells, box, &w.lists)
 
-	pc := &w.PC
-	nc := len(w.lists.CellIdx)
-	pc.Resize(nc)
-	x, y, z, m := pc.X[:nc], pc.Y[:nc], pc.Z[:nc], pc.M[:nc]
-	xx, yy, zz := pc.XX[:nc], pc.YY[:nc], pc.ZZ[:nc]
-	xy, xz, yz := pc.XY[:nc], pc.XZ[:nc], pc.YZ[:nc]
-	for k, ci := range w.lists.CellIdx {
-		mp := src.Multipole(ci)
-		x[k], y[k], z[k], m[k] = mp.COM.X, mp.COM.Y, mp.COM.Z, mp.M
-		xx[k], yy[k], zz[k] = mp.Quad.XX, mp.Quad.YY, mp.Quad.ZZ
-		xy[k], xz[k], yz[k] = mp.Quad.XY, mp.Quad.XZ, mp.Quad.YZ
+	if nc := len(w.lists.CellIdx); nc > 0 {
+		pc := &w.PC
+		o := pc.Len()
+		pc.Resize(o + nc)
+		x, y, z, m := pc.X[o:o+nc], pc.Y[o:o+nc], pc.Z[o:o+nc], pc.M[o:o+nc]
+		xx, yy, zz := pc.XX[o:o+nc], pc.YY[o:o+nc], pc.ZZ[o:o+nc]
+		xy, xz, yz := pc.XY[o:o+nc], pc.XZ[o:o+nc], pc.YZ[o:o+nc]
+		for k, ci := range w.lists.CellIdx {
+			mp := src.Multipole(ci)
+			x[k], y[k], z[k], m[k] = mp.COM.X, mp.COM.Y, mp.COM.Z, mp.M
+			xx[k], yy[k], zz[k] = mp.Quad.XX, mp.Quad.YY, mp.Quad.ZZ
+			xy[k], xz[k], yz[k] = mp.Quad.XY, mp.Quad.XZ, mp.Quad.YZ
+		}
 	}
 
-	pp := &w.PP
-	pp.Resize(w.lists.nParts)
-	pos, mass := src.Particles()
-	o := 0
-	for _, r := range w.lists.runs {
-		n := int(r.n)
-		px, py, pz := pp.X[o:o+n], pp.Y[o:o+n], pp.Z[o:o+n]
-		for j, p := range pos[r.start : r.start+r.n] {
-			px[j], py[j], pz[j] = p.X, p.Y, p.Z
+	if w.lists.nParts > 0 {
+		pp := &w.PP
+		o := pp.Len()
+		pp.Resize(o + w.lists.nParts)
+		pos, mass := src.Particles()
+		for _, r := range w.lists.runs {
+			n := int(r.n)
+			px, py, pz := pp.X[o:o+n], pp.Y[o:o+n], pp.Z[o:o+n]
+			for j, p := range pos[r.start : r.start+r.n] {
+				px[j], py[j], pz[j] = p.X, p.Y, p.Z
+			}
+			copy(pp.M[o:o+n], mass[r.start:r.start+r.n])
+			o += n
 		}
-		copy(pp.M[o:o+n], mass[r.start:r.start+r.n])
-		o += n
 	}
 	return forced
 }
 
-// walkGroup gathers one group's interaction list and evaluates the whole
-// group through the batched kernels. Each group writes a disjoint
-// [Start, Start+N) range of acc/pot, so concurrent workers never contend.
-func (w *Walker) walkGroup(src Source, cells []ViewCell, g *Group, tpos []vec.V3, eps2 float64,
+// walkGroup gathers one group's interaction list over every tree of the walk
+// and evaluates the whole group against the whole list through the batched
+// kernels: one target gather, one PCBatch, one PPBatch, one scatter, however
+// many trees contributed. Each group writes a disjoint [Start, Start+N) range
+// of acc/pot, so concurrent workers never contend.
+func (w *Walker) walkGroup(srcs []viewedSource, g *Group, tpos []vec.V3, eps2 float64,
 	acc []vec.V3, pot []float64, st *grav.Stats, listLen *obs.Hist) (forced int64) {
 
-	forced = w.Gather(src, cells, g.Box)
+	w.Reset()
+	for i := range srcs {
+		forced += w.Append(srcs[i].src, srcs[i].cells, g.Box)
+	}
 	lo, hi := g.Start, g.Start+g.N
 	tg := &w.tg
 	tg.Gather(tpos[lo:hi])
@@ -282,31 +312,47 @@ func (w *Walker) walkGroup(src Source, cells []ViewCell, g *Group, tpos []vec.V3
 
 var walkerPool = sync.Pool{New: func() any { return &Walker{} }}
 
-// WalkSource accumulates into acc and pot the forces src's mass exerts on
-// the target particles, one interaction list per group, and returns the
-// number of forced accepts (always zero for an octree). The walk is parallel
-// over groups with the given worker count (<=0 means 1): workers claim groups
-// from a shared atomic counter, so no worker ever blocks on a feeder channel
-// and the tail of the group list is stolen by whichever workers finish early.
-// Interaction counts are added to st if non-nil, merged with atomic adds;
-// every group's list length is recorded into listLen if non-nil.
-func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
+// WalkSources is the one walk routine. It accumulates into acc and pot the
+// forces the mass of every tree in srcs exerts on the target particles, and
+// returns the number of forced accepts (always zero for an octree). Each
+// group is traversed against each tree separately — the MAC decisions and
+// interaction counts are those of one walk per tree — but the accepted cells
+// and opened-leaf particles of all the trees are gathered, in srcs order,
+// into one list per group, so the kernels see one long list instead of
+// len(srcs) short ones.
+//
+// The walk is parallel over groups with the given worker count (<=0 means 1):
+// workers claim groups from a shared atomic counter, so no worker ever blocks
+// on a feeder channel and the tail of the group list is stolen by whichever
+// workers finish early. Interaction counts are added to st if non-nil, merged
+// with atomic adds; every group's merged list length is recorded into listLen
+// if non-nil.
+func WalkSources(srcs []Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forced int64) {
 
 	if len(groups) == 0 {
 		return 0
 	}
-	cells := src.WalkView(theta)
-	if len(cells) == 0 {
+	lead := walkerPool.Get().(*Walker)
+	defer func() {
+		clear(lead.srcs) // a pooled walker must not keep the pass's trees alive
+		walkerPool.Put(lead)
+	}()
+	lead.srcs = lead.srcs[:0]
+	for _, src := range srcs {
+		if cells := src.WalkView(theta); len(cells) > 0 {
+			lead.srcs = append(lead.srcs, viewedSource{src, cells})
+		}
+	}
+	viewed := lead.srcs
+	if len(viewed) == 0 {
 		return 0
 	}
 	if workers <= 1 {
 		var local grav.Stats
-		w := walkerPool.Get().(*Walker)
 		for g := range groups {
-			forced += w.walkGroup(src, cells, &groups[g], tpos, eps2, acc, pot, &local, listLen)
+			forced += lead.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local, listLen)
 		}
-		walkerPool.Put(w)
 		if st != nil {
 			st.Add(local)
 		}
@@ -327,7 +373,7 @@ func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
 				if g >= len(groups) {
 					break
 				}
-				forced += w.walkGroup(src, cells, &groups[g], tpos, eps2, acc, pot, &local, listLen)
+				forced += w.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local, listLen)
 			}
 			walkerPool.Put(w)
 			if st != nil {
@@ -338,6 +384,12 @@ func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
 	}
 	wg.Wait()
 	return forcedTotal.Load()
+}
+
+// WalkSource is the one-tree case of WalkSources.
+func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
+	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forced int64) {
+	return WalkSources([]Source{src}, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
 }
 
 // Walk computes gravitational forces exerted by this tree's mass distribution

@@ -198,6 +198,19 @@ func TestWarmWalkAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, walk); n != 0 {
 		t.Fatalf("warm Walk at workers=1 allocated %v times per run", n)
 	}
+	// A pass over several trees: their views are resolved into the pooled
+	// lead walker, and the merged list grows in the same gather buffers.
+	srcs := []Source{tr}
+	for seed := int64(11); seed <= 12; seed++ {
+		p, m := randomCloud(1500, seed)
+		other, _ := BuildFrom(p, m, 16, 1)
+		srcs = append(srcs, other)
+	}
+	pass := func() { WalkSources(srcs, groups, tr.Pos, 0.4, 1e-4, acc, pot, 1, &st, nil) }
+	pass()
+	if n := testing.AllocsPerRun(5, pass); n != 0 {
+		t.Fatalf("warm WalkSources over %d trees at workers=1 allocated %v times per run", len(srcs), n)
+	}
 	var lists WalkLists
 	g := groups[len(groups)/2]
 	collect := func() { tr.Collect(g.Box, 0.4, &lists) }

@@ -119,9 +119,24 @@ func TestTracingIntegration(t *testing.T) {
 		if got := m.LETArrivalHist().Count(); got == 0 {
 			t.Error("LETs were received but the arrival histogram is empty")
 		}
-		if got := m.LETWalkHist().Count(); got == 0 {
-			t.Error("LETs were walked but the walk-latency histogram is empty")
+	}
+	// One walk:let / walk:boundary span and one LETWalkHist sample per
+	// batched pass; the passes' tree counts add up to every pair slot.
+	var passes, passTrees int64
+	for i := 0; i < ranks; i++ {
+		for _, sp := range rec.Rank(i).Spans() {
+			if sp.Phase == obs.PhaseWalkLET || sp.Phase == obs.PhaseWalkBound {
+				passes++
+				passTrees += sp.Arg
+			}
 		}
+	}
+	if passes == 0 || m.LETWalkHist().Count() != passes {
+		t.Errorf("%d batched passes traced, walk-latency histogram holds %d samples", passes, m.LETWalkHist().Count())
+	}
+	if slots := ranks * (ranks - 1); passTrees != int64(3*slots) || stats.LETsRecv+stats.BoundaryUsed != slots {
+		t.Errorf("pass spans count %d trees over 3 evaluations, the first step's last evaluation served %d; want %d pair slots each",
+			passTrees, stats.LETsRecv+stats.BoundaryUsed, slots)
 	}
 	if m.ListLenHist().Count() == 0 {
 		t.Error("interaction-list histogram is empty")
@@ -167,10 +182,18 @@ func TestTracingIntegration(t *testing.T) {
 	if len(rep.Steps) != 3 {
 		t.Errorf("trace analysis sees %d evaluations, want 3", len(rep.Steps))
 	}
+	var repPasses, repTrees int64
 	for _, sr := range rep.Steps {
 		if sr.Straggler < 0 || sr.Straggler >= ranks {
 			t.Errorf("eval %d: straggler rank %d out of range", sr.Step, sr.Straggler)
 		}
+		for _, rr := range sr.Ranks {
+			repPasses += int64(rr.Passes)
+			repTrees += int64(rr.PassTrees)
+		}
+	}
+	if repPasses != passes || repTrees != passTrees {
+		t.Errorf("trace analysis sees %d passes over %d trees, the spans hold %d over %d", repPasses, repTrees, passes, passTrees)
 	}
 	var repBuf bytes.Buffer
 	rep.Format(&repBuf)

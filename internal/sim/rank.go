@@ -67,6 +67,13 @@ type rank struct {
 	eval      int
 	arrivalNS []int64
 
+	// Gravity-phase scratch reused across evaluations: per-peer remote trees,
+	// push decisions and LET byte counts, and the ready set of banked trees.
+	boundaries   []*lettree.LET
+	sendBoundary []bool
+	sentBytes    []int64
+	ready        []octree.Source
+
 	// step-scoped
 	stats RankStats
 
@@ -303,11 +310,16 @@ func (r *rank) sortBuild() {
 // gravity performs the overlapped local + LET force computation, the paper's
 // three-role pipeline (§III.B.3): a receiver goroutine drains incoming full
 // LETs into a channel as they arrive, a pool of builder goroutines constructs
-// and pushes outgoing LETs, and the compute side interleaves the local-tree
-// walk with walks of already-arrived LETs so an arrived tree never waits for
-// the local walk to finish. Config.SerialLET removes all overlap — builds
-// before the walk on the compute thread, receives strictly after — as the
-// measurable baseline for the overlap benchmarks.
+// and pushes outgoing LETs, and the compute side walks the local tree in
+// chunks, polling between them. Remote trees are never walked one by one: a
+// boundary tree judged sufficient, or an arrived full LET, is banked in the
+// ready set, and a batched pass (flush) walks everything banked so far as ONE
+// merged interaction list per target group (octree.WalkSources): a few long
+// kernel lists instead of p−1 short ones. The flush policy is fixed: never
+// while local groups are pending; once after the local walk; then once per
+// wake-up of the straggler wait. Config.SerialLET removes all overlap —
+// builds before the walk, receives strictly after, one flush in
+// ascending-peer order — as the deterministic baseline.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
 // comes from t: the full pipeline passes every local particle, block-timestep
@@ -315,8 +327,7 @@ func (r *rank) sortBuild() {
 // separates consecutive gravity phases' traffic (step parity for global-dt
 // runs, evaluation parity for block runs, where one step holds many phases).
 func (r *rank) gravity(tagPar int, t *walkTargets) {
-	p := r.comm.Size()
-	me := r.comm.Rank()
+	p, me := r.comm.Size(), r.comm.Rank()
 	theta, eps2 := r.cfg.Theta, r.cfg.Eps*r.cfg.Eps
 	tag := tagLETBase + tagPar
 
@@ -330,7 +341,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	// tree needs to move at all.
 	tB := time.Now()
 	myBoundary := lettree.BoundaryTree(r.tree, r.cfg.BoundaryDepth, t.box)
-	boundaries := make([]*lettree.LET, p)
+	boundaries := resize(r.boundaries, p) // all nil: cleared when the phase ends
+	r.boundaries = boundaries
 	boundaries[me] = myBoundary
 
 	// Coarse global octree (Config.GlobalTree levels K > 0): one ring
@@ -350,7 +362,9 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		contrib := globtree.Extract(r.tree, K, t.box)
 		all := mpi.AllgatherRing(r.comm, contrib, (*globtree.Contribution).WireBytes)
 		glob = globtree.Merge(all, K)
-		sendBoundary = make([]bool, p)
+		sendBoundary = resize(r.sendBoundary, p)
+		r.sendBoundary = sendBoundary
+		clear(sendBoundary)
 		// With K == BoundaryDepth the coarse contribution IS the boundary
 		// tree (identical construction), so the allgather already delivered
 		// every boundary and no pair needs a separate push at all.
@@ -430,7 +444,9 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	// thread at all: LETs are built and pushed on the compute thread ahead
 	// of the local walk, and that time is exactly the communication cost
 	// the pipeline would hide.
-	sentBytes := make([]int64, p)
+	sentBytes := resize(r.sentBytes, p)
+	r.sentBytes = sentBytes
+	clear(sentBytes)
 	buildLET := func(j, worker int) {
 		var tb time.Time
 		if r.obs != nil {
@@ -449,21 +465,41 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	}
 	done := make(chan struct{})
 
-	walkRemote := func(l *lettree.LET, src int, ph obs.Phase, from string) {
+	// The ready set and its batched pass. bank adds one remote tree — a
+	// boundary (or coarse) tree judged sufficient, or a received full LET —
+	// and flush walks everything banked in one call: a walk:let span if a
+	// full LET is among them, else walk:boundary, carrying the tree count.
+	ready, readyLETs := r.ready[:0], 0
+	bank := func(l *lettree.LET, full bool) {
+		ready = append(ready, l)
+		if full {
+			readyLETs++
+			r.stats.LETsRecv++
+		} else {
+			r.stats.BoundaryUsed++
+		}
+	}
+	flush := func() {
+		if len(ready) == 0 {
+			return
+		}
+		ph := obs.PhaseWalkBound
+		if readyLETs > 0 {
+			ph = obs.PhaseWalkLET
+		}
 		tW := time.Now()
-		forced := lettree.WalkObs(l, t.groups, t.pos, theta, eps2,
+		forced := octree.WalkSources(ready, t.groups, t.pos, theta, eps2,
 			t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 		d := time.Since(tW)
 		letWalk += d
-		if r.obs != nil {
-			r.obs.Span(r.eval, ph, obs.LaneCompute, 0, tW, tW.Add(d), int64(src))
-			if ph == obs.PhaseWalkLET {
-				r.met.LETWalkHist().ObserveDuration(d)
-			}
-		}
+		r.obs.Span(r.eval, ph, obs.LaneCompute, 0, tW, tW.Add(d), int64(len(ready)))
+		r.met.LETWalkHist().ObserveDuration(d)
 		if forced != 0 {
-			panic(fmt.Sprintf("sim: rank %d: %s forced %d accepts", me, from, forced))
+			panic(fmt.Sprintf("sim: rank %d: %d remote trees (%d received LETs, the rest boundary trees judged sufficient) forced %d accepts",
+				me, len(ready), readyLETs, forced))
 		}
+		clear(ready)
+		ready, readyLETs = ready[:0], 0
 	}
 
 	// recordArrival notes a full LET's arrival for the hidden-vs-straggler
@@ -490,80 +526,58 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	}
 
 	if r.cfg.SerialLET {
-		// --- Decide, for every remote pair, whether boundary trees
-		// suffice. Both sides of each pair evaluate the same predicate on
-		// the same allgathered data, so no handshake is needed (the
-		// paper's symmetric double-check).
-		sendTo := make([]int, 0, p)   // ranks that need a full LET from us
-		expectFrom := make([]int, 0)  // ranks that will push a full LET to us
-		useBoundary := make([]int, 0) // ranks whose boundary/coarse tree serves as LET
-		for j := 0; j < p; j++ {
-			if j == me {
-				continue
-			}
-			// boundaries[j] is j's full boundary tree, or — with the global
-			// tree on, for distant pairs — j's coarse tree. The coarse tree
-			// is a bit-exact prefix of the boundary tree and was pre-vetted
-			// sufficient, so both predicates below read identically to the
-			// unpruned exchange.
-			if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
-				sendTo = append(sendTo, j)
-			}
-			if lettree.Sufficient(boundaries[j], boundaries[me].Box, theta) {
-				useBoundary = append(useBoundary, j)
-			} else {
-				expectFrom = append(expectFrom, j)
-			}
-		}
-
 		// Builds on the compute thread, ahead of the walk: the no-overlap
-		// baseline.
+		// baseline. Both sides of each pair evaluate the same predicate on
+		// the same allgathered data, so no handshake is needed (the paper's
+		// symmetric double-check). boundaries[j] is j's boundary tree or,
+		// for distant pairs under the global tree, its coarse tree: a
+		// bit-exact, pre-vetted prefix, so the predicates read identically.
 		tS := time.Now()
-		for _, j := range sendTo {
-			buildLET(j, 0)
+		for j := 0; j < p; j++ {
+			if j != me && !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
+				buildLET(j, 0)
+				r.stats.LETsSent++
+			}
 		}
 		waitTime += time.Since(tS)
-		r.stats.LETsSent += len(sendTo)
 		close(done)
 
-		// Baseline ordering: full local walk, then boundary trees, then
-		// blocking receives in deterministic (ascending peer) order. The
-		// fixed receive order makes the floating-point accumulation order —
-		// and therefore the accelerations — bitwise reproducible, which is
-		// what lets the pruned exchange be fuzzed for exact equivalence
-		// against this baseline. Sends are eager, so the known-source
-		// receives cannot deadlock.
+		// Baseline ordering: full local walk, then every remote tree in
+		// ascending peer order — its boundary tree where that suffices, else
+		// a blocking receive of its full LET — and one flush. The fixed order
+		// fixes each group's merged list and so the accelerations bitwise,
+		// which is what lets the pruned exchange be fuzzed for exact
+		// equivalence. Sends are eager, so the receives cannot deadlock.
 		tL := time.Now()
 		r.tree.WalkObs(t.groups, t.pos, theta, eps2, t.acc, t.pot,
 			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 		localWalk = time.Since(tL)
 		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(localWalk), int64(len(t.groups)))
 		markWalkDone()
-		for _, j := range useBoundary {
-			walkRemote(boundaries[j], j, obs.PhaseWalkBound, fmt.Sprintf("boundary of %d judged sufficient but", j))
-			r.stats.BoundaryUsed++
-		}
-		for _, j := range expectFrom {
-			tR := time.Now()
-			msg := r.comm.Recv(j, tag)
-			d := time.Since(tR)
-			waitTime += d
-			if r.obs != nil {
-				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(j))
-				recordArrival(tR.Add(d), j, obs.LaneCompute)
+		for j := 0; j < p; j++ {
+			switch {
+			case j == me:
+			case lettree.Sufficient(boundaries[j], myBoundary.Box, theta):
+				bank(boundaries[j], false)
+			default:
+				tR := time.Now()
+				msg := r.comm.Recv(j, tag)
+				d := time.Since(tR)
+				waitTime += d
+				if r.obs != nil {
+					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(j))
+					recordArrival(tR.Add(d), j, obs.LaneCompute)
+				}
+				bank(msg.(*lettree.LET), true)
 			}
-			walkRemote(msg.(*lettree.LET), j, obs.PhaseWalkLET, "received LET")
-			r.stats.LETsRecv++
 		}
+		flush()
 	} else {
 		// --- Overlapped mode. Boundaries are processed the moment they
 		// arrive (between local-walk chunks): each one immediately yields
 		// the pairwise sufficiency decisions — feeding the LET-builder pool
 		// without waiting for the slowest peer — and sufficient boundary
-		// trees are banked as guaranteed work for the straggler window
-		// after the local walk. Both sides of each pair evaluate the same
-		// predicate on the same two boundary trees, so no handshake is
-		// needed (the paper's symmetric double-check).
+		// trees are banked as guaranteed work for the first batched pass.
 		btag := tagBoundaryBase + tagPar
 		bLeft := p - 1 // boundaries still in flight
 		if glob != nil {
@@ -571,45 +585,37 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		}
 		expectFrom := 0 // full LETs that will arrive for us (grows as boundaries land)
 		letsSent := 0
-		var boundaryWalks []int       // ranks whose boundary/coarse tree serves as LET
 		jobs := make(chan int, p)     // full-LET destinations, fed per arrival
 		letCount := make(chan int, 1) // final expectFrom for the receiver goroutine
-		if glob != nil {
-			// Prefilled pairs settle immediately from the allgathered coarse
-			// data, through the same pairwise predicates an arriving boundary
-			// tree would face: a full LET is owed whenever our boundary tree
-			// alone cannot serve j's targets, and j's tree either banks as
-			// guaranteed local work or announces a full LET en route. With
-			// K < BoundaryDepth only mutually-distant peers are prefilled and
-			// both predicates settle the cheap way (monotonicity of the MAC
-			// over depth-truncation); with K == BoundaryDepth every peer is
-			// prefilled and near pairs exchange full LETs directly.
-			for j := 0; j < p; j++ {
-				if j == me || boundaries[j] == nil {
-					continue
-				}
-				if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
-					letsSent++
-					jobs <- j
-				}
-				if lettree.Sufficient(boundaries[j], myBoundary.Box, theta) {
-					boundaryWalks = append(boundaryWalks, j)
-				} else {
-					expectFrom++
-				}
+		// settle runs j's two pairwise predicates once its boundary (or
+		// coarse) tree is known: a full LET is owed whenever our boundary
+		// tree alone cannot serve j's targets, and j's tree either banks or
+		// announces a full LET en route. The boundaries[j] store
+		// happens-before the jobs send, so builders read the box safely.
+		settle := func(j int) {
+			if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
+				letsSent++
+				jobs <- j // never blocks: cap p, at most p-1 jobs
+			}
+			if lettree.Sufficient(boundaries[j], myBoundary.Box, theta) {
+				bank(boundaries[j], false)
+			} else {
+				expectFrom++
+			}
+		}
+		// Pairs prefilled from the allgathered coarse data settle at once.
+		// With K < BoundaryDepth only mutually-distant peers are prefilled
+		// and both predicates settle the cheap way (monotonicity of the MAC
+		// over depth-truncation); with K == BoundaryDepth every peer is
+		// prefilled and near pairs exchange full LETs directly.
+		for j := range boundaries {
+			if j != me && boundaries[j] != nil {
+				settle(j)
 			}
 		}
 		processBoundary := func(from int, bt *lettree.LET) {
 			boundaries[from] = bt
-			if !lettree.Sufficient(myBoundary, bt.Box, theta) {
-				letsSent++
-				jobs <- from // never blocks: cap p, at most p-1 jobs
-			}
-			if lettree.Sufficient(bt, myBoundary.Box, theta) {
-				boundaryWalks = append(boundaryWalks, from)
-			} else {
-				expectFrom++
-			}
+			settle(from)
 			if bLeft--; bLeft == 0 {
 				close(jobs)
 				letCount <- expectFrom
@@ -621,11 +627,9 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		}
 
 		// Builder pool: consumes destinations as boundaries arrive, so
-		// construction starts while most peers are still walking. The
-		// boundaries[j] store in processBoundary happens-before the jobs
-		// send, so builders safely read the destination box. steal is the
-		// compute thread's private view of the queue: it is nilled out once
-		// drained (a nil channel never matches in a select), while the
+		// construction starts while most peers are still walking. steal is
+		// the compute thread's private view of the queue: it is nilled out
+		// once drained (a nil channel never matches in a select), while the
 		// builders keep ranging over jobs itself.
 		steal := jobs
 		var bwg sync.WaitGroup
@@ -642,14 +646,9 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 		// Receiver goroutine: drains the mailbox as messages arrive so a LET
 		// is ready for the compute side the moment the sender pushes it. It
-		// learns how many LETs to expect once the
-		// compute side has processed every boundary. The payload carries
-		// the source rank so the compute-side walk span can name it.
-		type letArrival struct {
-			let  *lettree.LET
-			from int
-		}
-		arrivals := make(chan letArrival, p) // never blocks the receiver: at most p-1 LETs arrive
+		// learns how many LETs to expect once the compute side has processed
+		// every boundary.
+		arrivals := make(chan *lettree.LET, p) // never blocks the receiver: at most p-1 LETs arrive
 		go func() {
 			defer close(arrivals)
 			for k := <-letCount; k > 0; k-- {
@@ -664,14 +663,33 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 					// draining the closed channel: no race.
 					recordArrival(now, from, obs.LaneReceiver)
 				}
-				arrivals <- letArrival{msg.(*lettree.LET), from}
+				arrivals <- msg.(*lettree.LET)
 			}
 		}()
 
-		// Compute: interleave local-tree chunks with boundary processing
-		// and walks of already-arrived LETs. Chunks are sized to give the
-		// pipeline regular poll points while keeping each chunk wide enough
-		// to feed the walk worker pool.
+		// drain banks, without blocking, every LET already handed over.
+		drain := func() (n int) {
+			for arrivals != nil {
+				select {
+				case l, ok := <-arrivals:
+					if !ok {
+						arrivals = nil
+						break
+					}
+					bank(l, true)
+					n++
+				default:
+					return n
+				}
+			}
+			return n
+		}
+
+		// Compute: interleave local-tree chunks with boundary processing and
+		// the banking of arrived LETs; nothing remote is walked while local
+		// groups are pending. Chunks are sized to give the pipeline regular
+		// poll points while keeping each chunk wide enough to feed the walk
+		// worker pool.
 		chunk := (len(t.groups) + 15) / 16
 		if chunk < r.cfg.WorkersPerRank {
 			chunk = r.cfg.WorkersPerRank
@@ -684,22 +702,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 					continue
 				}
 			}
-			select {
-			case a, ok := <-arrivals:
-				if !ok {
-					arrivals = nil
-					break
-				}
-				walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-				r.stats.LETsRecv++
-				r.stats.LETsOverlapped++
-				continue
-			default:
-			}
-			n := chunk
-			if n > len(pending) {
-				n = len(pending)
-			}
+			r.stats.LETsOverlapped += drain()
+			n := min(chunk, len(pending))
 			tL := time.Now()
 			r.tree.WalkObs(pending[:n], t.pos, theta, eps2, t.acc, t.pot,
 				r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
@@ -722,29 +726,29 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			processBoundary(from, msg.(*lettree.LET))
 		}
 
-		// Banked boundary trees are guaranteed-local work: walk them now,
-		// while straggler LETs are still in flight.
-		for _, j := range boundaryWalks {
-			walkRemote(boundaries[j], j, obs.PhaseWalkBound, fmt.Sprintf("boundary of %d judged sufficient but", j))
-			r.stats.BoundaryUsed++
-		}
-
-		// Straggler drain. While blocked waiting for a remote LET the
-		// compute thread steals queued LET-build jobs from its own pool —
-		// finishing sends sooner helps the peers this rank is waiting on.
-		for arrivals != nil {
+		// Batched passes. The first walks the banked boundary trees plus
+		// every LET that has already arrived; after it, each wake-up of the
+		// straggler wait drains whatever else arrived meanwhile and flushes
+		// again. While blocked the compute thread steals queued LET-build
+		// jobs from its own pool — finishing sends sooner helps the peers
+		// this rank is waiting on.
+		for {
+			drain()
+			flush()
+			if arrivals == nil {
+				break
+			}
 			tR := time.Now()
 			select {
-			case a, ok := <-arrivals:
+			case l, ok := <-arrivals:
 				if !ok {
 					arrivals = nil
-					continue
+					break
 				}
 				d := time.Since(tR)
 				waitTime += d
-				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(a.from))
-				walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-				r.stats.LETsRecv++
+				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), 0)
+				bank(l, true)
 			case j, ok := <-steal:
 				if !ok {
 					steal = nil // nil channel: case blocks from now on
@@ -754,18 +758,11 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			}
 		}
 
-		// Builds still queued have no receiver to overlap with any more:
-		// run them here instead of idling in the <-done wait below.
-		for steal != nil {
-			select {
-			case j, ok := <-steal:
-				if !ok {
-					steal = nil
-				} else {
-					buildLET(j, 0)
-				}
-			default:
-				steal = nil
+		// Builds still queued have no receiver left to overlap with: run them
+		// here instead of idling in <-done (jobs is closed, the range ends).
+		if steal != nil {
+			for j := range steal {
+				buildLET(j, 0)
 			}
 		}
 		r.stats.LETsSent += letsSent
@@ -802,6 +799,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		r.arrivalNS = r.arrivalNS[:0]
 	}
 
+	clear(r.boundaries) // the scratch must not keep the peers' trees alive between phases
+	r.ready = ready
 	r.stats.Times.GravLocal = localWalk
 	r.stats.Times.GravLET = letWalk
 	r.stats.Times.NonHiddenComm = boundaryTime + waitTime
