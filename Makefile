@@ -55,14 +55,15 @@ race:
 	$(GO) test -race -tags noasm -count=1 ./internal/grav
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched
-# SIMD, ns/inter and Gflop/s under the §VI.A conventions),
+# SIMD, plus the p-p kernel's exact VSQRTPD/VDIVPD loop on its own rows,
+# ns/inter and Gflop/s under the §VI.A conventions),
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
 # split, one rank's batched pass over its 63 remote trees at p=64 against the
 # same work walked tree by tree, the tree-pipeline phases (build / properties
 # / groups, serial vs 8 workers), the fused MSD sort+build against the separate sort-then-build
 # path, the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
-# equivalent (wall-clock per simulated time + energy drift), recorded as a
+# equivalent (wall-clock per simulated time + energy drift in ppm), recorded as a
 # JSON baseline so the perf trajectory of successive PRs is measurable
 # (BENCH_<date>.json).
 # -count=3 gives benchjson three samples per benchmark; compares reduce them

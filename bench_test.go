@@ -306,6 +306,8 @@ func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
 // PCBatchScalar) to keep the historical series comparable across machines;
 // _SIMD_ goes through the dispatched entry points (AVX2+FMA where the CPU
 // supports it, otherwise the same scalar code — check the kernel_isa note).
+// _SIMDExact_ is the same p-p call unsoftened (ε² = 0), which ppNewtonOK
+// sends to the VSQRTPD/VDIVPD loop: the fallback keeps a tracked rate.
 
 const kernelBenchTargets = 64
 
@@ -361,6 +363,10 @@ func benchKernelPPScalar(b *testing.B, listLen int) {
 type ppBatchFn func(tx, ty, tz []float64, src *grav.PPSoA, eps2 float64, ax, ay, az, pot []float64)
 
 func benchKernelPPBatch(b *testing.B, listLen int, batch ppBatchFn) {
+	benchKernelPPBatchEps(b, listLen, 1e-4, batch)
+}
+
+func benchKernelPPBatchEps(b *testing.B, listLen int, eps2 float64, batch ppBatchFn) {
 	_, tg, srcPos, srcM, _ := kernelBenchSetup(listLen)
 	var src grav.PPSoA
 	for k := range srcPos {
@@ -368,7 +374,7 @@ func benchKernelPPBatch(b *testing.B, listLen int, batch ppBatchFn) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch(tg.X, tg.Y, tg.Z, &src, 1e-4, tg.AX, tg.AY, tg.AZ, tg.Pot)
+		batch(tg.X, tg.Y, tg.Z, &src, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 	}
 	reportKernelRate(b, listLen, grav.FlopsPP)
 }
@@ -421,6 +427,9 @@ func BenchmarkKernels_PC_SIMD_L512(b *testing.B)    { benchKernelPCBatch(b, 512,
 func BenchmarkKernels_PC_Scalar_L4096(b *testing.B) { benchKernelPCScalar(b, 4096) }
 func BenchmarkKernels_PC_Batch_L4096(b *testing.B)  { benchKernelPCBatch(b, 4096, grav.PCBatchScalar) }
 func BenchmarkKernels_PC_SIMD_L4096(b *testing.B)   { benchKernelPCBatch(b, 4096, grav.PCBatch) }
+
+func BenchmarkKernels_PP_SIMDExact_L64(b *testing.B)  { benchKernelPPBatchEps(b, 64, 0, grav.PPBatch) }
+func BenchmarkKernels_PP_SIMDExact_L512(b *testing.B) { benchKernelPPBatchEps(b, 512, 0, grav.PPBatch) }
 
 // ---------------------------------------------------------------------------
 // §I baseline: the TreePM mesh alternative the paper argues against for
@@ -516,7 +525,7 @@ func benchBlockSteps(b *testing.B, block bool) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simTime, "ns/simtime")
-	b.ReportMetric(dE, "dE/E")
+	b.ReportMetric(dE*1e6, "dE/E_ppm")
 	if block {
 		b.ReportMetric(float64(substeps)/float64(steps), "substeps/step")
 		b.ReportMetric(activeFrac/float64(steps)*100, "active%")

@@ -9,11 +9,16 @@
 // entirely, leaving the scalar reference as the only path.
 package grav
 
+import "math"
+
 // Implemented in kernels_avx2_amd64.s.
 //
 //go:noescape
 func ppAVX2(tx, ty, tz *float64, nt int, sx, sy, sz, sm *float64, ns int,
-	eps2 float64, ax, ay, az, apot *float64)
+	eps2 float64, ax, ay, az, apot *float64, newton bool)
+
+//go:noescape
+func maxAbs3AVX2(x, y, z *float64, n int) float64
 
 //go:noescape
 func pcAVX2(tx, ty, tz *float64, nt int,
@@ -65,11 +70,56 @@ func ppBatchAVX2(tx, ty, tz, sx, sy, sz, sm []float64, eps2 float64, ax, ay, az,
 	nv := ns &^ 3
 	if nt > 0 && nv > 0 {
 		ppAVX2(&tx[0], &ty[0], &tz[0], nt, &sx[0], &sy[0], &sz[0], &sm[0], nv,
-			eps2, &ax[0], &ay[0], &az[0], &apot[0])
+			eps2, &ax[0], &ay[0], &az[0], &apot[0],
+			ppNewtonOK(tx, ty, tz, sx[:nv], sy[:nv], sz[:nv], eps2))
 	}
 	if ns > nv {
 		ppBatchScalar(tx, ty, tz, sx[nv:], sy[nv:], sz[nv:], sm[nv:], eps2, ax, ay, az, apot)
 	}
+}
+
+// The Newton loop of ppAVX2 seeds 1/√r² from a float32 VRSQRTPS, which is
+// only valid while r² is a normal float32; these bounds keep a wide margin
+// inside that range (2⁻¹²⁶ … 2¹²⁸).
+const (
+	newtonR2Min = 0x1p-120
+	newtonR2Max = 0x1p120
+	// On short lists the ~95-cycle Newton dependency chain per target is not
+	// hidden and the divider loop is faster (measured crossover 12–20 sources).
+	newtonMinLanes = 32
+)
+
+// ppNewtonOK reports whether every r² = |s−t|² + ε² of the call provably
+// lies in [newtonR2Min, newtonR2Max], so ppAVX2 may take its Newton loop:
+// r² ≥ ε² bounds it below and 3·(max|s| + max|t|)² + ε² above. Everything
+// else — ε² = 0, subnormal or overflowing separations, Inf coordinates,
+// short lists — keeps the exact VSQRTPD/VDIVPD loop. Each comparison is
+// written so a NaN operand makes it false.
+func ppNewtonOK(tx, ty, tz, sx, sy, sz []float64, eps2 float64) bool {
+	if len(sx) < newtonMinLanes || !(eps2 >= newtonR2Min && eps2 <= newtonR2Max) {
+		return false
+	}
+	d := maxAbs3(sx, sy, sz) + maxAbs3(tx, ty, tz)
+	return 3*d*d+eps2 <= newtonR2Max
+}
+
+// maxAbs3 returns the largest |v| over three equal-length coordinate
+// slices, skipping NaNs (a NaN coordinate poisons its lanes identically in
+// both loops, so it need not pick one).
+func maxAbs3(x, y, z []float64) float64 {
+	n := len(x) &^ 3
+	m := 0.0
+	if n > 0 {
+		m = maxAbs3AVX2(&x[0], &y[0], &z[0], n)
+	}
+	for i := n; i < len(x); i++ {
+		for _, v := range [3]float64{x[i], y[i], z[i]} {
+			if a := math.Abs(v); a > m {
+				m = a
+			}
+		}
+	}
+	return m
 }
 
 // pcBatchAVX2 runs the assembly p-c kernel over the full 4-lane blocks of

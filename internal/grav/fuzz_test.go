@@ -42,6 +42,21 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(89), uint16(80), uint16(7), uint8(0), int8(64), false)
 	f.Add(int64(11), uint16(32), uint16(3), uint8(0), int8(66), true)
 	f.Add(int64(12), uint16(14), uint16(135), uint8(0), int8(90), false)
+	// Lists long enough (ns ≥ 32) for ppAVX2's Newton loop, around the bounds
+	// ppNewtonOK keeps it inside: scale 2^-500…2^-512 unsoftened (subnormal
+	// r², where an unguarded float32 seed is +Inf and PP.pot comes back ±Inf
+	// or NaN) …
+	f.Add(int64(13), uint16(9), uint16(64), uint8(0), int8(-125), false)
+	f.Add(int64(14), uint16(17), uint16(37), uint8(0), int8(-127), true)
+	f.Add(int64(15), uint16(32), uint16(130), uint8(0), int8(-128), false)
+	// … ε² = 1e-4 at scale 2^60, where r² straddles 2^120 inside one list
+	// (exact loop, by the extent bound) …
+	f.Add(int64(16), uint16(9), uint16(64), uint8(1), int8(15), false)
+	f.Add(int64(17), uint16(33), uint16(258), uint8(1), int8(15), true)
+	// … and ε² = 1 at the same scale, and at 2^56, the largest scale that
+	// still takes the Newton loop.
+	f.Add(int64(18), uint16(12), uint16(71), uint8(2), int8(15), false)
+	f.Add(int64(19), uint16(12), uint16(96), uint8(2), int8(14), true)
 	f.Fuzz(func(t *testing.T, seed int64, ntRaw, nsRaw uint16, eps2Sel uint8, scaleExp int8, coincide bool) {
 		nt := int(ntRaw % 33)
 		ns := int(nsRaw % 259)

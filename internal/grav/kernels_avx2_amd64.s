@@ -2,13 +2,15 @@
 // per YMM register, FMA accumulation, 1/sqrt as VSQRTPD+VDIVPD, and the
 // r² == 0 guard as a VCMPPD mask so an unsoftened coincident source
 // contributes exactly zero instead of Inf/NaN — the same semantics as the
-// scalar reference loops in batch.go.
+// scalar reference loops in batch.go. The p-p kernel has a second inner loop
+// that keeps 1/sqrt off the divider (float32 VRSQRTPS seed + two float64
+// Newton steps), for calls whose r² is known to stay a normal float32.
 //
 // Lane layout: the outer loop walks targets one at a time; the target's
 // coordinates are broadcast into 32-byte stack slots so the inner loop can
 // use them as memory operands, keeping all 16 YMM registers for source
-// lanes. The p-p inner loop is unrolled 2×4 wide (two independent
-// sqrt/div chains in flight); the p-c loop is 1×4 (its 11 live vector
+// lanes. The p-p inner loops are unrolled 2×4 wide (two independent
+// rsqrt chains in flight); the p-c loop is 1×4 (its 11 live vector
 // temporaries already fill the register file). The callers pass ns rounded
 // down to a multiple of 4; the 1-3 remainder lanes run through the scalar
 // reference in the Go wrapper (dispatch_amd64.go).
@@ -57,8 +59,52 @@ GLOBL negthree4<>(SB), RODATA|NOPTR, $32
 DATA one8<>+0(SB)/8, $0x3FF0000000000000 // 1.0
 GLOBL one8<>(SB), RODATA|NOPTR, $8
 
+// HSUM_ADD adds the four lanes of accumulator y (low half x) into the
+// float64 at (AX)(i*8); X4 and X5 are scratch.
+#define HSUM_ADD(y, x, i) \
+	VEXTRACTF128 $1, y, X4; \
+	VADDPD  X4, x, X4; \
+	VSHUFPD $1, X4, X4, X5; \
+	VADDSD  X5, X4, X4; \
+	VADDSD  (AX)(i*8), X4, X4; \
+	VMOVSD  X4, (AX)(i*8)
+
+// PPN_BLOCK is one 4-lane block of the p-p Newton loop, sources at byte
+// offset o from index DX: dx/dy/dz in a/b/c, r2 then h = r2/2 in h, the
+// reciprocal square root in r (low half rx), t scratch. eps2 starts the r2
+// FMA chain; r2 ≥ eps2 > 0 on this path, so there is no zero guard. Seed
+// error 1.5·2⁻¹² → 2.0e-7 → ≤ 6.1e-14 after two steps r ← r·(1.5 − h·r²).
+#define PPN_BLOCK(o, a, b, c, h, r, rx, t) \
+	VMOVUPD o(R8)(DX*8), a; \
+	VSUBPD  xi-128(SP), a, a; \
+	VMOVUPD o(R9)(DX*8), b; \
+	VSUBPD  yi-96(SP), b, b; \
+	VMOVUPD o(R10)(DX*8), c; \
+	VSUBPD  zi-64(SP), c, c; \
+	VMOVUPD eps-32(SP), h; \
+	VFMADD231PD a, a, h; \
+	VFMADD231PD b, b, h; \
+	VFMADD231PD c, c, h; \
+	VCVTPD2PSY h, rx; \
+	VRSQRTPS   rx, rx; \
+	VCVTPS2PD  rx, r; \
+	VMULPD  half4<>(SB), h, h; \
+	VMULPD  r, r, t; \
+	VFNMADD213PD threehalf4<>(SB), h, t; \
+	VMULPD  t, r, r; \
+	VMULPD  r, r, t; \
+	VFNMADD213PD threehalf4<>(SB), h, t; \
+	VMULPD  t, r, r; \
+	VMULPD  o(R11)(DX*8), r, h; \
+	VSUBPD  h, Y3, Y3; \
+	VMULPD  r, r, r; \
+	VMULPD  h, r, r; \
+	VFMADD231PD a, r, Y0; \
+	VFMADD231PD b, r, Y1; \
+	VFMADD231PD c, r, Y2
+
 // func ppAVX2(tx, ty, tz *float64, nt int, sx, sy, sz, sm *float64, ns int,
-//             eps2 float64, ax, ay, az, apot *float64)
+//             eps2 float64, ax, ay, az, apot *float64, newton bool)
 //
 // ns must be a positive multiple of 4 (the wrapper rounds down and runs the
 // remainder through the scalar path). Per 4-lane block:
@@ -68,13 +114,18 @@ GLOBL one8<>(SB), RODATA|NOPTR, $8
 //	rinv = 1/sqrt(r2)             (VSQRTPD+VDIVPD), masked to 0 where r2==0
 //	mr = m·rinv   mr3 = rinv²·mr
 //	ax += dx·mr3  ay += dy·mr3  az += dz·mr3  pot -= mr
-TEXT ·ppAVX2(SB), NOSPLIT, $128-112
+//
+// With newton set, rinv comes from PPN_BLOCK instead; the caller guarantees
+// 2⁻¹²⁰ ≤ r2 ≤ 2¹²⁰ for every pair (ppNewtonOK in dispatch_amd64.go).
+TEXT ·ppAVX2(SB), NOSPLIT, $128-113
 	MOVQ sx+32(FP), R8
 	MOVQ sy+40(FP), R9
 	MOVQ sz+48(FP), R10
 	MOVQ sm+56(FP), R11
 	MOVQ ns+64(FP), CX            // vector lane count (multiple of 4)
+	MOVBLZX newton+112(FP), SI
 	VBROADCASTSD eps2+72(FP), Y14
+	VMOVUPD Y14, eps-32(SP)       // the Newton loop reuses Y14/Y15 as scratch
 	VBROADCASTSD one8<>(SB), Y15
 	MOVQ CX, BX
 	ANDQ $-8, BX                  // limit of the 2×-unrolled loop
@@ -100,6 +151,8 @@ pp_target:
 	VXORPD Y2, Y2, Y2             // Σ dz·mr3
 	VXORPD Y3, Y3, Y3             // Σ -mr
 	XORQ DX, DX                   // source index k
+	TESTQ SI, SI
+	JNE  ppn_pair
 
 pp_pair:                              // 8 sources per iteration, 2 blocks
 	CMPQ DX, BX
@@ -187,35 +240,29 @@ pp_tail4:                             // last multiple-of-4 block, if any
 	ADDQ $4, DX
 	JMP  pp_tail4
 
+ppn_pair:                             // Newton loop, same 2×4 shape
+	CMPQ DX, BX
+	JGE  ppn_tail4
+	PPN_BLOCK(0, Y4, Y5, Y6, Y7, Y8, X8, Y14)
+	PPN_BLOCK(32, Y9, Y10, Y11, Y12, Y13, X13, Y15)
+	ADDQ $8, DX
+	JMP  ppn_pair
+
+ppn_tail4:
+	CMPQ DX, CX
+	JGE  pp_reduce
+	PPN_BLOCK(0, Y4, Y5, Y6, Y7, Y8, X8, Y14)
+	ADDQ $4, DX
+
 pp_reduce:                            // horizontal sums into the accumulators
 	MOVQ ax+80(FP), AX
-	VEXTRACTF128 $1, Y0, X4
-	VADDPD  X4, X0, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(DI*8), X4, X4
-	VMOVSD  X4, (AX)(DI*8)
+	HSUM_ADD(Y0, X0, DI)
 	MOVQ ay+88(FP), AX
-	VEXTRACTF128 $1, Y1, X4
-	VADDPD  X4, X1, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(DI*8), X4, X4
-	VMOVSD  X4, (AX)(DI*8)
+	HSUM_ADD(Y1, X1, DI)
 	MOVQ az+96(FP), AX
-	VEXTRACTF128 $1, Y2, X4
-	VADDPD  X4, X2, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(DI*8), X4, X4
-	VMOVSD  X4, (AX)(DI*8)
+	HSUM_ADD(Y2, X2, DI)
 	MOVQ apot+104(FP), AX
-	VEXTRACTF128 $1, Y3, X4
-	VADDPD  X4, X3, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(DI*8), X4, X4
-	VMOVSD  X4, (AX)(DI*8)
+	HSUM_ADD(Y3, X3, DI)
 
 	INCQ DI
 	JMP  pp_target
@@ -341,37 +388,50 @@ pc_src:
 
 pc_reduce:
 	MOVQ ax+128(FP), AX
-	VEXTRACTF128 $1, Y0, X4
-	VADDPD  X4, X0, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(BX*8), X4, X4
-	VMOVSD  X4, (AX)(BX*8)
+	HSUM_ADD(Y0, X0, BX)
 	MOVQ ay+136(FP), AX
-	VEXTRACTF128 $1, Y1, X4
-	VADDPD  X4, X1, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(BX*8), X4, X4
-	VMOVSD  X4, (AX)(BX*8)
+	HSUM_ADD(Y1, X1, BX)
 	MOVQ az+144(FP), AX
-	VEXTRACTF128 $1, Y2, X4
-	VADDPD  X4, X2, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(BX*8), X4, X4
-	VMOVSD  X4, (AX)(BX*8)
+	HSUM_ADD(Y2, X2, BX)
 	MOVQ apot+152(FP), AX
-	VEXTRACTF128 $1, Y3, X4
-	VADDPD  X4, X3, X4
-	VSHUFPD $1, X4, X4, X5
-	VADDSD  X5, X4, X4
-	VADDSD  (AX)(BX*8), X4, X4
-	VMOVSD  X4, (AX)(BX*8)
+	HSUM_ADD(Y3, X3, BX)
 
 	INCQ BX
 	JMP  pc_target
 
 pc_done:
+	VZEROUPPER
+	RET
+
+// func maxAbs3AVX2(x, y, z *float64, n int) float64
+//
+// Largest |v| over the first n (a positive multiple of 4) elements of three
+// arrays. The running maximum is VMAXPD's second source, which the
+// instruction returns whenever either operand is NaN: a NaN element is
+// skipped and can never replace an Inf already seen.
+TEXT ·maxAbs3AVX2(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), R8
+	MOVQ y+8(FP), R9
+	MOVQ z+16(FP), R10
+	MOVQ n+24(FP), CX
+	VPCMPEQD Y1, Y1, Y1
+	VPSRLQ   $1, Y1, Y1           // 0x7FFF…: sign-clearing mask
+	VXORPD Y0, Y0, Y0
+	XORQ DX, DX
+maxabs_loop:
+	VANDPD (R8)(DX*8), Y1, Y2
+	VMAXPD Y0, Y2, Y0
+	VANDPD (R9)(DX*8), Y1, Y2
+	VMAXPD Y0, Y2, Y0
+	VANDPD (R10)(DX*8), Y1, Y2
+	VMAXPD Y0, Y2, Y0
+	ADDQ $4, DX
+	CMPQ DX, CX
+	JLT  maxabs_loop
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD  X1, X0, X0
+	VSHUFPD $1, X0, X0, X1
+	VMAXSD  X1, X0, X0
+	VMOVSD  X0, ret+32(FP)
 	VZEROUPPER
 	RET
