@@ -18,9 +18,11 @@ tier1: vet build test race fuzz-smoke
 # A 10-second fuzz of the fused MSD sort + tree construction (random clouds,
 # sizes, and worker counts must produce cells bitwise identical to the
 # separate sort-then-build path), a 10-second fuzz of the dispatched
-# AVX2 force kernels against the always-compiled scalar reference
-# (agreement to 1e-12, relative to the accumulated contribution magnitude;
-# the committed corpus under internal/grav/testdata/fuzz is replayed first),
+# float32 AVX2 force kernels against the always-compiled scalar float64
+# reference (agreement to grav.KernelTol against the weighted contribution
+# norm, bitwise equality for every call outside the float32 range, exact
+# scaling under a change of units; the committed corpus under
+# internal/grav/testdata/fuzz is replayed first),
 # a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
 # Plummer models and step counts), a 10-second fuzz of the coarse
@@ -40,23 +42,27 @@ fuzz-smoke:
 vet:
 	$(GO) vet ./...
 
-# The noasm build strips the assembly kernels and pins the scalar reference,
-# proving the pure-Go fallback path stays buildable and correct.
+# The noasm build strips the assembly kernels and pins the scalar float64
+# reference, proving the pure-Go fallback path stays buildable and correct.
+# Every package whose tests compare forces through grav.KernelTol runs under
+# it too: there the tolerance is 1e-12, so the scheduling and ordering
+# assertions the float32 tier can only hold to ~1e-5 are still held tight.
+NOASM_PKGS = ./internal/grav ./internal/octree ./internal/lettree ./internal/device ./internal/sim
+
 build:
 	$(GO) build ./...
 	$(GO) build -tags noasm ./...
 
 test:
 	$(GO) test ./...
-	$(GO) test -tags noasm ./internal/grav/...
+	$(GO) test -tags noasm $(NOASM_PKGS)
 
 race:
 	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/octree ./internal/lettree ./internal/par
-	$(GO) test -race -tags noasm -count=1 ./internal/grav
+	$(GO) test -race -tags noasm -count=1 $(NOASM_PKGS)
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched
-# SIMD, plus the p-p kernel's exact VSQRTPD/VDIVPD loop on its own rows,
-# ns/inter and Gflop/s under the §VI.A conventions),
+# SIMD, ns/inter and Gflop/s under the §VI.A conventions),
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
 # split, one rank's batched pass over its 63 remote trees at p=64 against the
 # same work walked tree by tree, the tree-pipeline phases (build / properties

@@ -305,9 +305,8 @@ func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
 // _Batch_ pins the always-compiled scalar batch reference (PPBatchScalar/
 // PCBatchScalar) to keep the historical series comparable across machines;
 // _SIMD_ goes through the dispatched entry points (AVX2+FMA where the CPU
-// supports it, otherwise the same scalar code — check the kernel_isa note).
-// _SIMDExact_ is the same p-p call unsoftened (ε² = 0), which ppNewtonOK
-// sends to the VSQRTPD/VDIVPD loop: the fallback keeps a tracked rate.
+// supports it, otherwise the same scalar code — check the kernel_isa note)
+// and, since the float32 kernels, includes narrowing the list once per call.
 
 const kernelBenchTargets = 64
 
@@ -363,10 +362,6 @@ func benchKernelPPScalar(b *testing.B, listLen int) {
 type ppBatchFn func(tx, ty, tz []float64, src *grav.PPSoA, eps2 float64, ax, ay, az, pot []float64)
 
 func benchKernelPPBatch(b *testing.B, listLen int, batch ppBatchFn) {
-	benchKernelPPBatchEps(b, listLen, 1e-4, batch)
-}
-
-func benchKernelPPBatchEps(b *testing.B, listLen int, eps2 float64, batch ppBatchFn) {
 	_, tg, srcPos, srcM, _ := kernelBenchSetup(listLen)
 	var src grav.PPSoA
 	for k := range srcPos {
@@ -374,7 +369,7 @@ func benchKernelPPBatchEps(b *testing.B, listLen int, eps2 float64, batch ppBatc
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch(tg.X, tg.Y, tg.Z, &src, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
+		batch(tg.X, tg.Y, tg.Z, &src, 1e-4, tg.AX, tg.AY, tg.AZ, tg.Pot)
 	}
 	reportKernelRate(b, listLen, grav.FlopsPP)
 }
@@ -427,9 +422,6 @@ func BenchmarkKernels_PC_SIMD_L512(b *testing.B)    { benchKernelPCBatch(b, 512,
 func BenchmarkKernels_PC_Scalar_L4096(b *testing.B) { benchKernelPCScalar(b, 4096) }
 func BenchmarkKernels_PC_Batch_L4096(b *testing.B)  { benchKernelPCBatch(b, 4096, grav.PCBatchScalar) }
 func BenchmarkKernels_PC_SIMD_L4096(b *testing.B)   { benchKernelPCBatch(b, 4096, grav.PCBatch) }
-
-func BenchmarkKernels_PP_SIMDExact_L64(b *testing.B)  { benchKernelPPBatchEps(b, 64, 0, grav.PPBatch) }
-func BenchmarkKernels_PP_SIMDExact_L512(b *testing.B) { benchKernelPPBatchEps(b, 512, 0, grav.PPBatch) }
 
 // ---------------------------------------------------------------------------
 // §I baseline: the TreePM mesh alternative the paper argues against for

@@ -262,7 +262,9 @@ type Run struct {
 // gather of the CPU walk itself) and evaluated WarpSize targets at a time
 // through the same batched kernels the CPU walk uses (idle lanes in partial
 // warps burn cycles without contributing flops, exactly as on hardware), so
-// the emulated forces stay bitwise identical to octree.Tree.Walk. Forces are
+// the emulated forces are those of octree.Tree.Walk (bit for bit on the
+// scalar kernel tier, within grav.KernelTol on the float32 tier, where each
+// warp's call has its own coordinate frame). Forces are
 // accumulated into acc/pot; the returned Run carries the cycle model.
 func ExecuteTreeWalk(s Spec, k Kernel, t *octree.Tree, groups []octree.Group,
 	tpos []vec.V3, theta, eps2 float64, acc []vec.V3, pot []float64) (Run, error) {

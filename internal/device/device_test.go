@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
@@ -197,9 +198,15 @@ func TestExecuteTreeWalkMatchesPlainWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A warp's call sees 32 of the group's 64 targets: the same float64 sums
+	// on the scalar tier, its own float32 frame on the SIMD tier.
+	tol := grav.KernelTol()
+	if grav.KernelISA() == "scalar" {
+		tol = 0
+	}
 	for i := range acc {
-		if acc[i] != wantAcc[i] || pot[i] != wantPot[i] {
-			t.Fatalf("emulated kernel diverges from plain walk at particle %d", i)
+		if acc[i].Sub(wantAcc[i]).Norm() > tol*wantAcc[i].Norm() || math.Abs(pot[i]-wantPot[i]) > tol*math.Abs(wantPot[i]) {
+			t.Fatalf("emulated kernel diverges from plain walk at particle %d: %v %v, want %v %v", i, acc[i], pot[i], wantAcc[i], wantPot[i])
 		}
 	}
 	if run.Cycles <= 0 || run.ModelGflops <= 0 {

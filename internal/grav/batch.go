@@ -9,11 +9,11 @@
 // sources linearly through the cache exactly once per group.
 //
 // PPBatch and PCBatch dispatch to the fastest kernel the host supports: on
-// amd64 with AVX2+FMA an assembly kernel evaluates four float64 source lanes
+// amd64 with AVX2+FMA an assembly kernel evaluates eight float32 source lanes
 // per instruction (DESIGN.md §12); everywhere else — and always under the
-// `noasm` build tag — the scalar Go loops below run. The scalar loops are the
-// reference semantics: the SIMD path must agree with them to 1e-12 relative
-// error (FuzzKernelEquivalence) and shares their r²==0 guard.
+// `noasm` build tag — the scalar float64 Go loops below run. The scalar loops
+// are the reference semantics: the SIMD path agrees with them to KernelTol
+// (FuzzKernelEquivalence), and hands them every call outside its range.
 package grav
 
 import (
@@ -26,9 +26,12 @@ import (
 // PPSoA is a gathered particle-source list in structure-of-arrays layout:
 // contiguous position and mass slices the batched p-p kernel streams with a
 // bounds-check-free inner loop. A PPSoA is reusable scratch — Reset keeps the
-// capacity from previous gathers.
+// capacity from previous gathers — and PPBatch writes to it: one list is
+// evaluated by one goroutine at a time.
 type PPSoA struct {
 	X, Y, Z, M []float64
+
+	f32 []float32 // the SIMD kernel's narrowed tile, allocated on first use
 }
 
 // Reset empties the list, retaining capacity.
@@ -55,10 +58,13 @@ func (s *PPSoA) Append(p vec.V3, m float64) {
 func (s *PPSoA) Len() int { return len(s.X) }
 
 // PCSoA is a gathered cell-multipole list in SoA layout: centre of mass,
-// mass, and the six raw quadrupole second-moment components.
+// mass, and the six raw quadrupole second-moment components. Like a PPSoA it
+// is evaluated by one goroutine at a time.
 type PCSoA struct {
 	X, Y, Z, M             []float64
 	XX, YY, ZZ, XY, XZ, YZ []float64
+
+	f32 []float32 // the SIMD kernel's narrowed tile, allocated on first use
 }
 
 // Reset empties the list, retaining capacity.
@@ -141,12 +147,12 @@ func growTo(s []float64, n int) []float64 {
 
 // The dispatched batch kernels. Scalar by default; on amd64 hosts with
 // AVX2+FMA (and without the noasm build tag) init in dispatch_amd64.go
-// repoints them at the assembly kernels. Both signatures take raw SoA slices
-// so the assembly wrappers and the scalar loops are interchangeable.
+// repoints them at the wrappers of the assembly kernels.
 var (
-	ppKernel  = ppBatchScalar
-	pcKernel  = pcBatchScalar
+	ppKernel  = PPBatchScalar
+	pcKernel  = PCBatchScalar
 	kernelISA = "scalar"
+	kernelTol = 1e-12
 )
 
 // KernelISA reports the instruction set the dispatched batch kernels run on:
@@ -154,19 +160,35 @@ var (
 // loops (non-amd64 hosts, hosts without AVX2/FMA, or the noasm build tag).
 func KernelISA() string { return kernelISA }
 
+// KernelTol is the bound PPBatch and PCBatch guarantee against the scalar
+// reference, for every target of a call and each of its four sums:
+//
+//	|dispatched − scalar| ≤ KernelTol() · Σ_k (1 + span/R_k) · |c_k|
+//
+// where |c_k| is the magnitude of source k's contribution (m/R² and m/R for a
+// particle; for a cell each multipole term at its largest, |Q| the Frobenius
+// norm), R_k the softened distance and span how far the call's targets reach
+// from the first of them (the norm of the per-axis maxima). The scalar tier
+// differs from the reference in summation order only: 1e-12. The float32 tier
+// stores coordinates relative to the first target, so a source's position is
+// known to 2⁻²⁴ of its distance plus 2⁻²⁴ of the span, which is what the
+// weight says; for the tree walk's compact groups it is near 1 on all but the
+// nearest sources. Tests that compare whole force fields computed through
+// different call sequences use KernelTol() as the relative rms bound.
+func KernelTol() float64 { return kernelTol }
+
 // PPBatch evaluates every target against every gathered source particle,
 // accumulating accelerations and specific potentials into ax/ay/az/apot.
 // All target slices must share the length of tx. The per-interaction math is
 // identical to PP (Plummer softening eps2 = ε²; a source coincident with a
 // target contributes zero acceleration and -m/ε potential when eps2 > 0).
 // When eps2 == 0 a coincident source contributes nothing at all (the r² == 0
-// guard both kernel paths share), mirroring AccumulatePP's self-interaction
-// skip rather than producing Inf/NaN.
+// guard of the scalar loops, which every unsoftened call runs through),
+// mirroring AccumulatePP's self-interaction skip rather than producing
+// Inf/NaN.
 func PPBatch(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64) {
 	n := len(tx)
-	ns := len(src.X)
-	ppKernel(tx, ty[:n], tz[:n], src.X, src.Y[:ns], src.Z[:ns], src.M[:ns],
-		eps2, ax[:n], ay[:n], az[:n], apot[:n])
+	ppKernel(tx, ty[:n], tz[:n], src, eps2, ax[:n], ay[:n], az[:n], apot[:n])
 }
 
 // PCBatch evaluates every target against every gathered cell multipole with
@@ -175,51 +197,20 @@ func PPBatch(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []
 // (a cell COM exactly on an unsoftened target contributes nothing).
 func PCBatch(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
 	n := len(tx)
-	ns := len(src.X)
-	pcKernel(tx, ty[:n], tz[:n],
-		src.X, src.Y[:ns], src.Z[:ns], src.M[:ns],
-		src.XX[:ns], src.YY[:ns], src.ZZ[:ns], src.XY[:ns], src.XZ[:ns], src.YZ[:ns],
-		eps2, ax[:n], ay[:n], az[:n], apot[:n])
+	pcKernel(tx, ty[:n], tz[:n], src, eps2, ax[:n], ay[:n], az[:n], apot[:n])
 }
 
-// PPBatchScalar is the always-compiled scalar reference path of PPBatch,
-// bypassing SIMD dispatch. It is the semantic definition the assembly kernels
-// are fuzzed against, and the baseline BenchmarkKernels measures speedups
-// from.
+// PPBatchScalar is the always-compiled scalar float64 path of PPBatch,
+// bypassing SIMD dispatch: the semantic definition the assembly kernels are
+// fuzzed against, their fallback, and the baseline BenchmarkKernels measures
+// speedups from. The r² == 0 branch (possible only for an exactly coincident
+// source with eps2 == 0, or when every difference squares to zero in
+// subnormal underflow) zeroes the interaction instead of dividing by zero.
 func PPBatchScalar(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64) {
 	n := len(tx)
-	ns := len(src.X)
-	ppBatchScalar(tx, ty[:n], tz[:n], src.X, src.Y[:ns], src.Z[:ns], src.M[:ns],
-		eps2, ax[:n], ay[:n], az[:n], apot[:n])
-}
-
-// PCBatchScalar is the always-compiled scalar reference path of PCBatch,
-// bypassing SIMD dispatch.
-func PCBatchScalar(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
-	n := len(tx)
-	ns := len(src.X)
-	pcBatchScalar(tx, ty[:n], tz[:n],
-		src.X, src.Y[:ns], src.Z[:ns], src.M[:ns],
-		src.XX[:ns], src.YY[:ns], src.ZZ[:ns], src.XY[:ns], src.XZ[:ns], src.YZ[:ns],
-		eps2, ax[:n], ay[:n], az[:n], apot[:n])
-}
-
-// ppBatchScalar is the scalar p-p inner loop over raw SoA slices. The r² == 0
-// branch (possible only for an exactly coincident source with eps2 == 0, or
-// when every difference squares to zero in subnormal underflow) zeroes the
-// interaction instead of dividing by zero; the SIMD kernels implement the
-// identical guard with a compare mask.
-func ppBatchScalar(tx, ty, tz, sx, sy, sz, sm []float64, eps2 float64, ax, ay, az, apot []float64) {
-	n := len(tx)
-	ty = ty[:n]
-	tz = tz[:n]
-	ax = ax[:n]
-	ay = ay[:n]
-	az = az[:n]
-	apot = apot[:n]
-	sy = sy[:len(sx)]
-	sz = sz[:len(sx)]
-	sm = sm[:len(sx)]
+	ty, tz, ax, ay, az, apot = ty[:n], tz[:n], ax[:n], ay[:n], az[:n], apot[:n]
+	sx := src.X
+	sy, sz, sm := src.Y[:len(sx)], src.Z[:len(sx)], src.M[:len(sx)]
 	for i := 0; i < n; i++ {
 		xi, yi, zi := tx[i], ty[i], tz[i]
 		var axi, ayi, azi, poti float64
@@ -246,34 +237,20 @@ func ppBatchScalar(tx, ty, tz, sx, sy, sz, sm []float64, eps2 float64, ax, ay, a
 	}
 }
 
-// pcBatchScalar is the scalar p-c inner loop over raw SoA slices, with the
-// same r² == 0 guard as ppBatchScalar. Q·dr and dr·(Q·dr) are contracted with
-// math.FMA exactly as the SIMD kernel fuses them: past separations of ~2^215
-// rinv⁵ underflows to zero while these sums approach overflow, and with
-// separately rounded products one of them can overflow where the fused sum
-// stays finite, which made this loop return Inf·0 = NaN against a finite SIMD
-// result. Fused alike, both overflow (or neither does) on the same inputs.
-// (math.FMA is one instruction wherever the SIMD kernels can run; hosts
-// without hardware FMA take its exact software fallback.)
-func pcBatchScalar(tx, ty, tz, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz []float64,
-	eps2 float64, ax, ay, az, apot []float64) {
+// PCBatchScalar is the always-compiled scalar float64 path of PCBatch, with
+// the same r² == 0 guard as PPBatchScalar. Q·dr and dr·(Q·dr) are contracted
+// with math.FMA: past separations of ~2^215 rinv⁵ underflows to zero while
+// these sums approach overflow, and with separately rounded products one of
+// them can overflow where the fused sum stays finite, returning Inf·0 = NaN
+// where the fused form returns a finite value.
+func PCBatchScalar(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
 	n := len(tx)
-	ty = ty[:n]
-	tz = tz[:n]
-	ax = ax[:n]
-	ay = ay[:n]
-	az = az[:n]
-	apot = apot[:n]
+	ty, tz, ax, ay, az, apot = ty[:n], tz[:n], ax[:n], ay[:n], az[:n], apot[:n]
+	cx := src.X
 	nc := len(cx)
-	cy = cy[:nc]
-	cz = cz[:nc]
-	cm = cm[:nc]
-	qxx = qxx[:nc]
-	qyy = qyy[:nc]
-	qzz = qzz[:nc]
-	qxy = qxy[:nc]
-	qxz = qxz[:nc]
-	qyz = qyz[:nc]
+	cy, cz, cm := src.Y[:nc], src.Z[:nc], src.M[:nc]
+	qxx, qyy, qzz := src.XX[:nc], src.YY[:nc], src.ZZ[:nc]
+	qxy, qxz, qyz := src.XY[:nc], src.XZ[:nc], src.YZ[:nc]
 	for i := 0; i < n; i++ {
 		xi, yi, zi := tx[i], ty[i], tz[i]
 		var axi, ayi, azi, poti float64

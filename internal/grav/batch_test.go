@@ -20,9 +20,12 @@ func randTargets(rng *rand.Rand, nt int) ([]vec.V3, *Targets) {
 	return pos, &tg
 }
 
-// relErr returns |got-want| / (1+|want|).
-func relErr(got, want float64) float64 {
-	return math.Abs(got-want) / (1 + math.Abs(want))
+// withinTol reports whether a dispatched sum agrees with its reference to
+// KernelTol against norm, the weighted contribution norm of ppNorm/pcNorm.
+// The second term covers the float64 rounding of the reference itself, which
+// sums per-pair Force values in another order.
+func withinTol(diff, want, norm float64) bool {
+	return diff <= KernelTol()*norm+1e-12*(1+want)
 }
 
 func TestPPBatchMatchesScalar(t *testing.T) {
@@ -52,16 +55,18 @@ func TestPPBatchMatchesScalar(t *testing.T) {
 
 		PPBatch(tg.X, tg.Y, tg.Z, &src, tc.eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 
+		span := kernelSpan(tg.X, tg.Y, tg.Z)
 		for i := range tpos {
 			var want Force
 			for k := range srcPos {
 				want.Add(PP(tpos[i], srcPos[k], srcM[k], tc.eps2))
 			}
+			nacc, npot := ppNorm(tpos[i].X, tpos[i].Y, tpos[i].Z, &src, tc.eps2, span)
 			got := vec.V3{X: tg.AX[i], Y: tg.AY[i], Z: tg.AZ[i]}
-			if got.Sub(want.Acc).Norm() > 1e-12*(1+want.Acc.Norm()) {
+			if !withinTol(got.Sub(want.Acc).Norm(), want.Acc.Norm(), nacc) {
 				t.Fatalf("nt=%d ns=%d target %d: acc %v != %v", tc.nt, tc.ns, i, got, want.Acc)
 			}
-			if relErr(tg.Pot[i], want.Pot) > 1e-12 {
+			if !withinTol(math.Abs(tg.Pot[i]-want.Pot), math.Abs(want.Pot), npot) {
 				t.Fatalf("nt=%d ns=%d target %d: pot %v != %v", tc.nt, tc.ns, i, tg.Pot[i], want.Pot)
 			}
 		}
@@ -98,16 +103,18 @@ func TestPCBatchMatchesScalar(t *testing.T) {
 		const eps2 = 1e-4
 		PCBatch(tg.X, tg.Y, tg.Z, &src, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 
+		span := kernelSpan(tg.X, tg.Y, tg.Z)
 		for i := range tpos {
 			var want Force
 			for k := range cells {
 				want.Add(PC(tpos[i], cells[k], eps2))
 			}
+			nacc, npot := pcNorm(tpos[i].X, tpos[i].Y, tpos[i].Z, &src, eps2, span)
 			got := vec.V3{X: tg.AX[i], Y: tg.AY[i], Z: tg.AZ[i]}
-			if got.Sub(want.Acc).Norm() > 1e-12*(1+want.Acc.Norm()) {
+			if !withinTol(got.Sub(want.Acc).Norm(), want.Acc.Norm(), nacc) {
 				t.Fatalf("nt=%d ns=%d target %d: acc %v != %v", tc.nt, tc.ns, i, got, want.Acc)
 			}
-			if relErr(tg.Pot[i], want.Pot) > 1e-12 {
+			if !withinTol(math.Abs(tg.Pot[i]-want.Pot), math.Abs(want.Pot), npot) {
 				t.Fatalf("nt=%d ns=%d target %d: pot %v != %v", tc.nt, tc.ns, i, tg.Pot[i], want.Pot)
 			}
 		}
@@ -128,12 +135,15 @@ func TestBatchAccumulatesAcrossCalls(t *testing.T) {
 	PCBatch(tg.X, tg.Y, tg.Z, &pc, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 	PPBatch(tg.X, tg.Y, tg.Z, &pp, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 
+	span := kernelSpan(tg.X, tg.Y, tg.Z)
 	for i := range tpos {
 		var want Force
 		want.Add(PC(tpos[i], Multipole{COM: vec.V3{Y: 3}, M: 2}, eps2))
 		want.Add(PP(tpos[i], vec.V3{X: 2}, 1.5, eps2))
+		nc, _ := pcNorm(tpos[i].X, tpos[i].Y, tpos[i].Z, &pc, eps2, span)
+		np, _ := ppNorm(tpos[i].X, tpos[i].Y, tpos[i].Z, &pp, eps2, span)
 		got := vec.V3{X: tg.AX[i], Y: tg.AY[i], Z: tg.AZ[i]}
-		if got.Sub(want.Acc).Norm() > 1e-12*(1+want.Acc.Norm()) {
+		if !withinTol(got.Sub(want.Acc).Norm(), want.Acc.Norm(), nc+np) {
 			t.Fatalf("target %d: acc %v != %v", i, got, want.Acc)
 		}
 	}

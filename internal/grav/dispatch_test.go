@@ -30,68 +30,31 @@ func closeEnough(got, want, tol float64) bool {
 }
 
 // TestDispatchedMatchesScalarRemainders drives the dispatched kernels against
-// the scalar reference across every lane-remainder class (ns ≡ 0..3 mod 4)
-// and odd target counts, with pre-seeded accumulators so the += semantics of
-// the horizontal-sum epilogue are checked too. On hosts without AVX2+FMA (or
-// under -tags noasm) this degenerates to scalar-vs-scalar and stays green.
+// the scalar reference across every lane-remainder class (ns ≡ 0..7 mod 8),
+// both sides of the 512-lane tile boundary and odd target counts, with
+// pre-seeded accumulators so the += semantics of the reduce are checked too.
+// On hosts without AVX2+FMA (or under -tags noasm) this is scalar against
+// scalar, bit for bit.
 func TestDispatchedMatchesScalarRemainders(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, ns := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 31, 64, 257, 515} {
+	for _, ns := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 64, 257, 511, 512, 513, 515, 1024, 1031} {
 		for _, nt := range []int{1, 2, 3, 7} {
-			var pp PPSoA
-			var pc PCSoA
+			c := &kernelCase{eps2: 1e-4}
 			for k := 0; k < ns; k++ {
 				p := vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
-				pp.Append(p, rng.Float64())
-				pc.Append(Multipole{
+				c.pp.Append(p, rng.Float64())
+				c.pc.Append(Multipole{
 					COM:  p,
 					M:    rng.Float64(),
 					Quad: vec.Outer(0.1+rng.Float64(), vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}),
 				})
 			}
-			tx := make([]float64, nt)
-			ty := make([]float64, nt)
-			tz := make([]float64, nt)
 			seed := make([]float64, nt)
-			for i := range tx {
-				tx[i], ty[i], tz[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			for i := range seed {
+				c.tx, c.ty, c.tz = append(c.tx, rng.NormFloat64()), append(c.ty, rng.NormFloat64()), append(c.tz, rng.NormFloat64())
 				seed[i] = rng.NormFloat64()
 			}
-			run := func(eval func(ax, ay, az, apot []float64)) (ax, ay, az, apot []float64) {
-				ax = append([]float64(nil), seed...)
-				ay = append([]float64(nil), seed...)
-				az = append([]float64(nil), seed...)
-				apot = append([]float64(nil), seed...)
-				eval(ax, ay, az, apot)
-				return
-			}
-			const eps2 = 1e-4
-			ax, ay, az, apot := run(func(ax, ay, az, apot []float64) {
-				PPBatch(tx, ty, tz, &pp, eps2, ax, ay, az, apot)
-			})
-			wx, wy, wz, wpot := run(func(ax, ay, az, apot []float64) {
-				PPBatchScalar(tx, ty, tz, &pp, eps2, ax, ay, az, apot)
-			})
-			for i := 0; i < nt; i++ {
-				if !closeEnough(ax[i], wx[i], 1e-12) || !closeEnough(ay[i], wy[i], 1e-12) ||
-					!closeEnough(az[i], wz[i], 1e-12) || !closeEnough(apot[i], wpot[i], 1e-12) {
-					t.Fatalf("PP ns=%d nt=%d target %d: (%v %v %v %v) != (%v %v %v %v)",
-						ns, nt, i, ax[i], ay[i], az[i], apot[i], wx[i], wy[i], wz[i], wpot[i])
-				}
-			}
-			ax, ay, az, apot = run(func(ax, ay, az, apot []float64) {
-				PCBatch(tx, ty, tz, &pc, eps2, ax, ay, az, apot)
-			})
-			wx, wy, wz, wpot = run(func(ax, ay, az, apot []float64) {
-				PCBatchScalar(tx, ty, tz, &pc, eps2, ax, ay, az, apot)
-			})
-			for i := 0; i < nt; i++ {
-				if !closeEnough(ax[i], wx[i], 1e-12) || !closeEnough(ay[i], wy[i], 1e-12) ||
-					!closeEnough(az[i], wz[i], 1e-12) || !closeEnough(apot[i], wpot[i], 1e-12) {
-					t.Fatalf("PC ns=%d nt=%d target %d: (%v %v %v %v) != (%v %v %v %v)",
-						ns, nt, i, ax[i], ay[i], az[i], apot[i], wx[i], wy[i], wz[i], wpot[i])
-				}
-			}
+			checkAgainstScalar(t, c, seed, true)
 		}
 	}
 }
@@ -193,53 +156,5 @@ func TestBatchCoincidentUnsoftened(t *testing.T) {
 				t.Errorf("%s PCBatch target %d: pot %v != %v", got.name, i, got.ph, want.Pot)
 			}
 		}
-	}
-}
-
-// TestPPRinvAccuracy makes the documented bound on the dispatched p-p
-// kernel's reciprocal square root a checked number: 1.2·10⁵ separations,
-// log-uniform over [1e-15, 1e15], each read back as the potential of one
-// unit-mass source (the other lanes carry zero mass, so the sum is exact),
-// with the live source placed in the first block, the second block and the
-// tail block of the 2×4 loop in turn. The AVX2 Newton loop (float32 seed, two
-// float64 steps) is bounded by 6.1e-14; the scalar tier is exact.
-func TestPPRinvAccuracy(t *testing.T) {
-	const (
-		perLane = 40_000
-		ns      = 36
-		eps2    = 1e-36
-	)
-	rng := rand.New(rand.NewSource(43))
-	tx := make([]float64, perLane)
-	zero := make([]float64, perLane)
-	got := make([]float64, perLane)
-	want := make([]float64, perLane)
-	ax, ay, az := make([]float64, perLane), make([]float64, perLane), make([]float64, perLane) // ignored
-	worst, sum := 0.0, 0.0
-	for _, live := range []int{0, 7, 33} {
-		var src PPSoA
-		for k := 0; k < ns; k++ {
-			m := 0.0
-			if k == live {
-				m = 1
-			}
-			src.Append(vec.V3{}, m)
-		}
-		for i := range tx {
-			tx[i] = math.Pow(10, -15+30*rng.Float64())
-			got[i], want[i] = 0, 0
-		}
-		PPBatch(tx, zero, zero, &src, eps2, ax, ay, az, got)
-		PPBatchScalar(tx, zero, zero, &src, eps2, ax, ay, az, want)
-		for i := range tx {
-			rel := (got[i] - want[i]) / want[i]
-			sum += rel
-			worst = math.Max(worst, math.Abs(rel))
-		}
-	}
-	t.Logf("%s: worst |Δrinv/rinv| = %.2e, mean = %+.2e over %d separations",
-		KernelISA(), worst, sum/(3*perLane), 3*perLane)
-	if !(worst <= 1e-13) {
-		t.Fatalf("worst |Δrinv/rinv| = %v, want ≤ 1e-13", worst)
 	}
 }

@@ -1,437 +1,357 @@
-// AVX2+FMA batch force kernels (DESIGN.md §12). Four float64 source lanes
-// per YMM register, FMA accumulation, 1/sqrt as VSQRTPD+VDIVPD, and the
-// r² == 0 guard as a VCMPPD mask so an unsoftened coincident source
-// contributes exactly zero instead of Inf/NaN — the same semantics as the
-// scalar reference loops in batch.go. The p-p kernel has a second inner loop
-// that keeps 1/sqrt off the divider (float32 VRSQRTPS seed + two float64
-// Newton steps), for calls whose r² is known to stay a normal float32.
+// AVX2+FMA batch force kernels (DESIGN.md §12): single precision, eight
+// source lanes per YMM register. The Go wrapper (dispatch_amd64.go) narrows
+// one tile of sources to float32 — coordinates relative to the call's origin,
+// everything normalised by exact powers of two — into planes of planeLanes
+// lanes, padded with zero-mass lanes to a multiple of 8, so the kernels have
+// no remainder path. Each kernel narrows its targets the same way, keeps
+// eight float32 partial sums per accumulator, and at the end of the tile
+// finishes the sums in float64, undoes the normalisation and adds the result
+// into the caller's float64 arrays.
 //
-// Lane layout: the outer loop walks targets one at a time; the target's
-// coordinates are broadcast into 32-byte stack slots so the inner loop can
-// use them as memory operands, keeping all 16 YMM registers for source
-// lanes. The p-p inner loops are unrolled 2×4 wide (two independent
-// rsqrt chains in flight); the p-c loop is 1×4 (its 11 live vector
-// temporaries already fill the register file). The callers pass ns rounded
-// down to a multiple of 4; the 1-3 remainder lanes run through the scalar
-// reference in the Go wrapper (dispatch_amd64.go).
+// 1/√r² is VRSQRTPS plus one Newton step that leaves out the factor ½:
+// z = y·(3 − r²·y²) = 2/√r². The wrapper halves the masses (and divides the
+// quadrupoles by 16) and folds the remaining powers of two into the scale of
+// the sums. ε² starts the r² chain and the wrapper guarantees ε² ≥ 2⁻³² in
+// normalised units, so r² is never zero and no power of z overflows.
 
 //go:build !noasm
 
 #include "textflag.h"
 
-// 256-bit broadcast constant pool.
-DATA zero4<>+0(SB)/8, $0x0000000000000000
-DATA zero4<>+8(SB)/8, $0x0000000000000000
-DATA zero4<>+16(SB)/8, $0x0000000000000000
-DATA zero4<>+24(SB)/8, $0x0000000000000000
-GLOBL zero4<>(SB), RODATA|NOPTR, $32
+// Byte offsets into the wrapper's frame struct and between scratch planes.
+#define F_LSCALE 24
+#define F_SCALE  32
+#define F_EPS2   64
+#define PLANE    2048
 
-DATA half4<>+0(SB)/8, $0x3FE0000000000000 // 0.5
-DATA half4<>+8(SB)/8, $0x3FE0000000000000
-DATA half4<>+16(SB)/8, $0x3FE0000000000000
-DATA half4<>+24(SB)/8, $0x3FE0000000000000
-GLOBL half4<>(SB), RODATA|NOPTR, $32
+DATA kconst<>+0(SB)/4, $0x40400000  // 3
+DATA kconst<>+4(SB)/4, $0x3F400000  // 0.75
+DATA kconst<>+8(SB)/4, $0x40A00000  // 5
+DATA kconst<>+12(SB)/4, $0xC0C00000 // -6
+GLOBL kconst<>(SB), RODATA|NOPTR, $16
 
-DATA threehalf4<>+0(SB)/8, $0x3FF8000000000000 // 1.5
-DATA threehalf4<>+8(SB)/8, $0x3FF8000000000000
-DATA threehalf4<>+16(SB)/8, $0x3FF8000000000000
-DATA threehalf4<>+24(SB)/8, $0x3FF8000000000000
-GLOBL threehalf4<>(SB), RODATA|NOPTR, $32
+// FTZ_ON sets flush-to-zero and denormals-are-zero for the duration of a
+// kernel, as the GPU kernels run, and FTZ_OFF restores the caller's MXCSR.
+// The moments of a one-particle cell are rounding residue that lands in the
+// float32 denormal range, where every instruction touching one takes a
+// microcode assist (the p-c kernel ran 3× slower on the Milky Way model); in
+// normalised units a flushed value is below 2⁻¹²⁶ of the largest source.
+#define FTZ_ON \
+	VSTMXCSR mxcsr-4(SP); \
+	MOVL mxcsr-4(SP), AX; \
+	ORL  $0x8040, AX; \
+	MOVL AX, ftz-8(SP); \
+	VLDMXCSR ftz-8(SP)
+#define FTZ_OFF \
+	VLDMXCSR mxcsr-4(SP)
 
-DATA three4<>+0(SB)/8, $0x4008000000000000 // 3.0
-DATA three4<>+8(SB)/8, $0x4008000000000000
-DATA three4<>+16(SB)/8, $0x4008000000000000
-DATA three4<>+24(SB)/8, $0x4008000000000000
-GLOBL three4<>(SB), RODATA|NOPTR, $32
+// TARGET narrows coordinate DI of the array at ptr exactly as the wrapper
+// narrows sources — float32((t − origin)·lscale), origin at byte offset o of
+// the frame in SI — and broadcasts it to a stack slot.
+#define TARGET(ptr, o, slot) \
+	MOVQ ptr, AX; \
+	VMOVSD (AX)(DI*8), X0; \
+	VSUBSD o(SI), X0, X0; \
+	VMULSD F_LSCALE(SI), X0, X0; \
+	VCVTSD2SS X0, X0, X0; \
+	VBROADCASTSS X0, Y0; \
+	VMOVUPS Y0, slot
 
-DATA five4<>+0(SB)/8, $0x4014000000000000 // 5.0
-DATA five4<>+8(SB)/8, $0x4014000000000000
-DATA five4<>+16(SB)/8, $0x4014000000000000
-DATA five4<>+24(SB)/8, $0x4014000000000000
-GLOBL five4<>(SB), RODATA|NOPTR, $32
+// REDUCE folds the eight float32 partial sums of each of Y0..Y3 to two, widens
+// them, finishes the sums in float64, multiplies by the frame's four scales
+// and adds the results into ax, ay, az and apot at index DI.
+#define REDUCE \
+	VHADDPS Y1, Y0, Y0; \
+	VHADDPS Y3, Y2, Y2; \
+	VHADDPS Y2, Y0, Y0; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VCVTPS2PD X0, Y0; \
+	VCVTPS2PD X1, Y1; \
+	VADDPD  Y1, Y0, Y0; \
+	VMULPD  F_SCALE(SI), Y0, Y0; \
+	VSHUFPD $1, X0, X0, X1; \
+	MOVQ ax+56(FP), AX; \
+	VADDSD (AX)(DI*8), X0, X2; \
+	VMOVSD X2, (AX)(DI*8); \
+	MOVQ ay+64(FP), AX; \
+	VADDSD (AX)(DI*8), X1, X2; \
+	VMOVSD X2, (AX)(DI*8); \
+	VEXTRACTF128 $1, Y0, X0; \
+	VSHUFPD $1, X0, X0, X1; \
+	MOVQ az+72(FP), AX; \
+	VADDSD (AX)(DI*8), X0, X2; \
+	VMOVSD X2, (AX)(DI*8); \
+	MOVQ apot+80(FP), AX; \
+	VADDSD (AX)(DI*8), X1, X2; \
+	VMOVSD X2, (AX)(DI*8)
 
-DATA negthree4<>+0(SB)/8, $0xC008000000000000 // -3.0
-DATA negthree4<>+8(SB)/8, $0xC008000000000000
-DATA negthree4<>+16(SB)/8, $0xC008000000000000
-DATA negthree4<>+24(SB)/8, $0xC008000000000000
-GLOBL negthree4<>(SB), RODATA|NOPTR, $32
+// RSQRT2 turns r² in r into z = 2/√r² in z (relative error ≤ 2.1e-7, always
+// short): y = VRSQRTPS(r²), z = y·(3 − r²·y·y). three is 3.0 in all lanes.
+#define RSQRT2(r, z, three) \
+	VRSQRTPS r, z; \
+	VMULPS  z, r, r; \
+	VFNMADD213PS three, z, r; \
+	VMULPS  r, z, z
 
-DATA one8<>+0(SB)/8, $0x3FF0000000000000 // 1.0
-GLOBL one8<>(SB), RODATA|NOPTR, $8
-
-// HSUM_ADD adds the four lanes of accumulator y (low half x) into the
-// float64 at (AX)(i*8); X4 and X5 are scratch.
-#define HSUM_ADD(y, x, i) \
-	VEXTRACTF128 $1, y, X4; \
-	VADDPD  X4, x, X4; \
-	VSHUFPD $1, X4, X4, X5; \
-	VADDSD  X5, X4, X4; \
-	VADDSD  (AX)(i*8), X4, X4; \
-	VMOVSD  X4, (AX)(i*8)
-
-// PPN_BLOCK is one 4-lane block of the p-p Newton loop, sources at byte
-// offset o from index DX: dx/dy/dz in a/b/c, r2 then h = r2/2 in h, the
-// reciprocal square root in r (low half rx), t scratch. eps2 starts the r2
-// FMA chain; r2 ≥ eps2 > 0 on this path, so there is no zero guard. Seed
-// error 1.5·2⁻¹² → 2.0e-7 → ≤ 6.1e-14 after two steps r ← r·(1.5 − h·r²).
-#define PPN_BLOCK(o, a, b, c, h, r, rx, t) \
-	VMOVUPD o(R8)(DX*8), a; \
-	VSUBPD  xi-128(SP), a, a; \
-	VMOVUPD o(R9)(DX*8), b; \
-	VSUBPD  yi-96(SP), b, b; \
-	VMOVUPD o(R10)(DX*8), c; \
-	VSUBPD  zi-64(SP), c, c; \
-	VMOVUPD eps-32(SP), h; \
-	VFMADD231PD a, a, h; \
-	VFMADD231PD b, b, h; \
-	VFMADD231PD c, c, h; \
-	VCVTPD2PSY h, rx; \
-	VRSQRTPS   rx, rx; \
-	VCVTPS2PD  rx, r; \
-	VMULPD  half4<>(SB), h, h; \
-	VMULPD  r, r, t; \
-	VFNMADD213PD threehalf4<>(SB), h, t; \
-	VMULPD  t, r, r; \
-	VMULPD  r, r, t; \
-	VFNMADD213PD threehalf4<>(SB), h, t; \
-	VMULPD  t, r, r; \
-	VMULPD  o(R11)(DX*8), r, h; \
-	VSUBPD  h, Y3, Y3; \
-	VMULPD  r, r, r; \
-	VMULPD  h, r, r; \
-	VFMADD231PD a, r, Y0; \
-	VFMADD231PD b, r, Y1; \
-	VFMADD231PD c, r, Y2
-
-// func ppAVX2(tx, ty, tz *float64, nt int, sx, sy, sz, sm *float64, ns int,
-//             eps2 float64, ax, ay, az, apot *float64, newton bool)
+// PP_BLOCK is one 8-lane block of the p-p loop at byte offset o from lane DX:
 //
-// ns must be a positive multiple of 4 (the wrapper rounds down and runs the
-// remainder through the scalar path). Per 4-lane block:
+//	dr = s − t               r² = ε² + dx² + dy² + dz²   z = 2/√r²
+//	mz = m'·z   pot −= mz    a += dr·(mz·z²)
+#define PP_BLOCK(o, a, b, c, r, z) \
+	VMOVUPS o(R8)(DX*4), a; \
+	VSUBPS  xi-104(SP), a, a; \
+	VMOVUPS PLANE+o(R8)(DX*4), b; \
+	VSUBPS  yi-72(SP), b, b; \
+	VMOVUPS 2*PLANE+o(R8)(DX*4), c; \
+	VSUBPS  zi-40(SP), c, c; \
+	VMOVAPS Y15, r; \
+	VFMADD231PS a, a, r; \
+	VFMADD231PS b, b, r; \
+	VFMADD231PS c, c, r; \
+	RSQRT2(r, z, Y14); \
+	VMULPS  3*PLANE+o(R8)(DX*4), z, r; \
+	VSUBPS  r, Y3, Y3; \
+	VMULPS  z, z, z; \
+	VMULPS  r, z, z; \
+	VFMADD231PS a, z, Y0; \
+	VFMADD231PS b, z, Y1; \
+	VFMADD231PS c, z, Y2
+
+// func ppAVX2(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int,
+//             ax, ay, az, apot *float64)
 //
-//	dx = sx-xi  dy = sy-yi  dz = sz-zi
-//	r2 = dx²+dy²+dz²+eps2         (FMA)
-//	rinv = 1/sqrt(r2)             (VSQRTPD+VDIVPD), masked to 0 where r2==0
-//	mr = m·rinv   mr3 = rinv²·mr
-//	ax += dx·mr3  ay += dy·mr3  az += dz·mr3  pot -= mr
-//
-// With newton set, rinv comes from PPN_BLOCK instead; the caller guarantees
-// 2⁻¹²⁰ ≤ r2 ≤ 2¹²⁰ for every pair (ppNewtonOK in dispatch_amd64.go).
-TEXT ·ppAVX2(SB), NOSPLIT, $128-113
-	MOVQ sx+32(FP), R8
-	MOVQ sy+40(FP), R9
-	MOVQ sz+48(FP), R10
-	MOVQ sm+56(FP), R11
-	MOVQ ns+64(FP), CX            // vector lane count (multiple of 4)
-	MOVBLZX newton+112(FP), SI
-	VBROADCASTSD eps2+72(FP), Y14
-	VMOVUPD Y14, eps-32(SP)       // the Newton loop reuses Y14/Y15 as scratch
-	VBROADCASTSD one8<>(SB), Y15
+// src holds the planes x, y, z, m'; ns is a positive multiple of 8.
+TEXT ·ppAVX2(SB), NOSPLIT, $104-88
+	FTZ_ON
+	MOVQ f+32(FP), SI
+	MOVQ src+40(FP), R8
+	MOVQ ns+48(FP), CX
 	MOVQ CX, BX
-	ANDQ $-8, BX                  // limit of the 2×-unrolled loop
-	XORQ DI, DI                   // target index i
+	ANDQ $-16, BX                 // limit of the 2×-unrolled loop
+	VBROADCASTSS kconst<>+0(SB), Y14
+	VBROADCASTSS F_EPS2(SI), Y15
+	XORQ DI, DI                   // target index
 
 pp_target:
 	CMPQ DI, nt+24(FP)
 	JGE  pp_done
+	TARGET(tx+0(FP), 0, xi-104(SP))
+	TARGET(ty+8(FP), 8, yi-72(SP))
+	TARGET(tz+16(FP), 16, zi-40(SP))
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ DX, DX                   // source lane
 
-	// Broadcast target coordinates to stack slots.
-	MOVQ tx+0(FP), AX
-	VBROADCASTSD (AX)(DI*8), Y0
-	VMOVUPD Y0, xi-128(SP)
-	MOVQ ty+8(FP), AX
-	VBROADCASTSD (AX)(DI*8), Y0
-	VMOVUPD Y0, yi-96(SP)
-	MOVQ tz+16(FP), AX
-	VBROADCASTSD (AX)(DI*8), Y0
-	VMOVUPD Y0, zi-64(SP)
-
-	VXORPD Y0, Y0, Y0             // Σ dx·mr3
-	VXORPD Y1, Y1, Y1             // Σ dy·mr3
-	VXORPD Y2, Y2, Y2             // Σ dz·mr3
-	VXORPD Y3, Y3, Y3             // Σ -mr
-	XORQ DX, DX                   // source index k
-	TESTQ SI, SI
-	JNE  ppn_pair
-
-pp_pair:                              // 8 sources per iteration, 2 blocks
+pp_pair:                              // two independent rsqrt chains in flight
 	CMPQ DX, BX
-	JGE  pp_tail4
-
-	// Block A: lanes k..k+3 in Y4-Y8.
-	VMOVUPD (R8)(DX*8), Y4
-	VSUBPD  xi-128(SP), Y4, Y4    // dx
-	VMOVUPD (R9)(DX*8), Y5
-	VSUBPD  yi-96(SP), Y5, Y5     // dy
-	VMOVUPD (R10)(DX*8), Y6
-	VSUBPD  zi-64(SP), Y6, Y6     // dz
-
-	// Block B: lanes k+4..k+7 in Y9-Y13.
-	VMOVUPD 32(R8)(DX*8), Y9
-	VSUBPD  xi-128(SP), Y9, Y9
-	VMOVUPD 32(R9)(DX*8), Y10
-	VSUBPD  yi-96(SP), Y10, Y10
-	VMOVUPD 32(R10)(DX*8), Y11
-	VSUBPD  zi-64(SP), Y11, Y11
-
-	VMULPD      Y4, Y4, Y7
-	VFMADD231PD Y5, Y5, Y7
-	VFMADD231PD Y6, Y6, Y7
-	VADDPD      Y14, Y7, Y7       // r2 A
-	VMULPD      Y9, Y9, Y12
-	VFMADD231PD Y10, Y10, Y12
-	VFMADD231PD Y11, Y11, Y12
-	VADDPD      Y14, Y12, Y12     // r2 B
-
-	VSQRTPD Y7, Y8
-	VSQRTPD Y12, Y13
-	VDIVPD  Y8, Y15, Y8           // rinv A = 1/sqrt(r2)
-	VDIVPD  Y13, Y15, Y13         // rinv B
-	VCMPPD  $4, zero4<>(SB), Y7, Y7   // NEQ_UQ: r2 != 0
-	VCMPPD  $4, zero4<>(SB), Y12, Y12
-	VANDPD  Y7, Y8, Y8            // guarded rinv A
-	VANDPD  Y12, Y13, Y13         // guarded rinv B
-
-	VMULPD (R11)(DX*8), Y8, Y7    // mr A = m·rinv
-	VMULPD 32(R11)(DX*8), Y13, Y12
-	VSUBPD Y7, Y3, Y3             // pot -= mr A
-	VSUBPD Y12, Y3, Y3            // pot -= mr B
-	VMULPD Y8, Y8, Y8             // rinv² A
-	VMULPD Y13, Y13, Y13
-	VMULPD Y7, Y8, Y8             // mr3 A = rinv²·mr
-	VMULPD Y12, Y13, Y13
-
-	VFMADD231PD Y4, Y8, Y0
-	VFMADD231PD Y5, Y8, Y1
-	VFMADD231PD Y6, Y8, Y2
-	VFMADD231PD Y9, Y13, Y0
-	VFMADD231PD Y10, Y13, Y1
-	VFMADD231PD Y11, Y13, Y2
-
-	ADDQ $8, DX
+	JGE  pp_tail
+	PP_BLOCK(0, Y4, Y5, Y6, Y7, Y8)
+	PP_BLOCK(32, Y9, Y10, Y11, Y12, Y13)
+	ADDQ $16, DX
 	JMP  pp_pair
 
-pp_tail4:                             // last multiple-of-4 block, if any
+pp_tail:
 	CMPQ DX, CX
 	JGE  pp_reduce
+	PP_BLOCK(0, Y4, Y5, Y6, Y7, Y8)
 
-	VMOVUPD (R8)(DX*8), Y4
-	VSUBPD  xi-128(SP), Y4, Y4
-	VMOVUPD (R9)(DX*8), Y5
-	VSUBPD  yi-96(SP), Y5, Y5
-	VMOVUPD (R10)(DX*8), Y6
-	VSUBPD  zi-64(SP), Y6, Y6
-	VMULPD      Y4, Y4, Y7
-	VFMADD231PD Y5, Y5, Y7
-	VFMADD231PD Y6, Y6, Y7
-	VADDPD      Y14, Y7, Y7
-	VSQRTPD Y7, Y8
-	VDIVPD  Y8, Y15, Y8
-	VCMPPD  $4, zero4<>(SB), Y7, Y7
-	VANDPD  Y7, Y8, Y8
-	VMULPD  (R11)(DX*8), Y8, Y7
-	VSUBPD  Y7, Y3, Y3
-	VMULPD  Y8, Y8, Y8
-	VMULPD  Y7, Y8, Y8
-	VFMADD231PD Y4, Y8, Y0
-	VFMADD231PD Y5, Y8, Y1
-	VFMADD231PD Y6, Y8, Y2
-
-	ADDQ $4, DX
-	JMP  pp_tail4
-
-ppn_pair:                             // Newton loop, same 2×4 shape
-	CMPQ DX, BX
-	JGE  ppn_tail4
-	PPN_BLOCK(0, Y4, Y5, Y6, Y7, Y8, X8, Y14)
-	PPN_BLOCK(32, Y9, Y10, Y11, Y12, Y13, X13, Y15)
-	ADDQ $8, DX
-	JMP  ppn_pair
-
-ppn_tail4:
-	CMPQ DX, CX
-	JGE  pp_reduce
-	PPN_BLOCK(0, Y4, Y5, Y6, Y7, Y8, X8, Y14)
-	ADDQ $4, DX
-
-pp_reduce:                            // horizontal sums into the accumulators
-	MOVQ ax+80(FP), AX
-	HSUM_ADD(Y0, X0, DI)
-	MOVQ ay+88(FP), AX
-	HSUM_ADD(Y1, X1, DI)
-	MOVQ az+96(FP), AX
-	HSUM_ADD(Y2, X2, DI)
-	MOVQ apot+104(FP), AX
-	HSUM_ADD(Y3, X3, DI)
-
+pp_reduce:
+	REDUCE
 	INCQ DI
 	JMP  pp_target
 
 pp_done:
+	FTZ_OFF
 	VZEROUPPER
 	RET
 
-// func pcAVX2(tx, ty, tz *float64, nt int,
-//             cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz *float64, ns int,
-//             eps2 float64, ax, ay, az, apot *float64)
+// func pcAVX2(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int,
+//             ax, ay, az, apot *float64)
 //
-// Particle-cell kernel with quadrupole corrections (paper eqs. 1-2), same
-// term grouping as the scalar loop up to FMA contraction:
+// Particle-cell kernel with quadrupole corrections (paper eqs. 1-2). src
+// holds the planes x, y, z, m', then Q' = Q/16 as xx, yy, zz, xy, xz, yz.
+// With z = 2/√r² the scalar loop's terms become
 //
-//	pot += -m·rinv + (trQ/2)·rinv³ - (1.5·rqr)·rinv⁵
-//	s    = m·rinv³ - 3(trQ/2)·rinv⁵ + 5(1.5·rqr)·rinv⁷
-//	a   += dr·s - 3·rinv⁵·(Q·dr)
-TEXT ·pcAVX2(SB), NOSPLIT, $128-160
-	MOVQ cx+32(FP), R8
-	MOVQ cy+40(FP), R9
-	MOVQ cz+48(FP), R10
-	MOVQ cm+56(FP), R11
-	MOVQ qxx+64(FP), R12
-	MOVQ qyy+72(FP), R13
-	MOVQ qzz+80(FP), R14
-	MOVQ qxy+88(FP), R15
-	MOVQ qxz+96(FP), SI
-	MOVQ qyz+104(FP), DI
-	MOVQ ns+112(FP), CX           // vector lane count (multiple of 4)
-	VBROADCASTSD eps2+120(FP), Y4
-	VMOVUPD Y4, eps-32(SP)
-	VBROADCASTSD one8<>(SB), Y15
-	XORQ BX, BX                   // target index i
+//	p1 = trQ'·z³   p2 = ¾·(dr·Q'·dr)·z⁵
+//	pot += −m'·z + p1 − p2
+//	s    = m'·z³ − z²·(3·p1 − 5·p2)
+//	a   += dr·s − 6·z⁵·(Q'·dr)          (¼ of it folded into the frame)
+//
+// in which no power above z⁵ stands alone.
+TEXT ·pcAVX2(SB), NOSPLIT, $200-88
+	FTZ_ON
+	MOVQ f+32(FP), SI
+	MOVQ src+40(FP), R8
+	MOVQ ns+48(FP), CX
+	VBROADCASTSS kconst<>+0(SB), Y15 // 3
+	VBROADCASTSS kconst<>+4(SB), Y0
+	VMOVUPS Y0, c075-136(SP)
+	VBROADCASTSS kconst<>+8(SB), Y0
+	VMOVUPS Y0, five-168(SP)
+	VBROADCASTSS kconst<>+12(SB), Y0
+	VMOVUPS Y0, negsix-200(SP)
+	XORQ DI, DI                   // target index
 
 pc_target:
-	CMPQ BX, nt+24(FP)
+	CMPQ DI, nt+24(FP)
 	JGE  pc_done
-
-	MOVQ tx+0(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y0
-	VMOVUPD Y0, xi-128(SP)
-	MOVQ ty+8(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y0
-	VMOVUPD Y0, yi-96(SP)
-	MOVQ tz+16(FP), AX
-	VBROADCASTSD (AX)(BX*8), Y0
-	VMOVUPD Y0, zi-64(SP)
-
-	VXORPD Y0, Y0, Y0             // Σ ax
-	VXORPD Y1, Y1, Y1             // Σ ay
-	VXORPD Y2, Y2, Y2             // Σ az
-	VXORPD Y3, Y3, Y3             // Σ pot
-	XORQ DX, DX                   // source index k
+	TARGET(tx+0(FP), 0, xi-104(SP))
+	TARGET(ty+8(FP), 8, yi-72(SP))
+	TARGET(tz+16(FP), 16, zi-40(SP))
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ DX, DX                   // source lane
 
 pc_src:
+	VMOVUPS (R8)(DX*4), Y4
+	VSUBPS  xi-104(SP), Y4, Y4     // dx
+	VMOVUPS PLANE(R8)(DX*4), Y5
+	VSUBPS  yi-72(SP), Y5, Y5     // dy
+	VMOVUPS 2*PLANE(R8)(DX*4), Y6
+	VSUBPS  zi-40(SP), Y6, Y6     // dz
+	VBROADCASTSS F_EPS2(SI), Y7
+	VFMADD231PS Y4, Y4, Y7
+	VFMADD231PS Y5, Y5, Y7
+	VFMADD231PS Y6, Y6, Y7        // r²
+	RSQRT2(Y7, Y8, Y15)           // z
+
+	VFNMADD231PS 3*PLANE(R8)(DX*4), Y8, Y3 // pot −= m'·z
+	VMULPS Y8, Y8, Y7             // z²
+	VMULPS Y7, Y8, Y9             // z³
+	VMULPS Y7, Y9, Y10            // z⁵
+
+	VMULPS      4*PLANE(R8)(DX*4), Y4, Y11 // qxx·dx
+	VFMADD231PS 7*PLANE(R8)(DX*4), Y5, Y11 // + qxy·dy
+	VFMADD231PS 8*PLANE(R8)(DX*4), Y6, Y11 // + qxz·dz  → qrx
+	VMULPS      7*PLANE(R8)(DX*4), Y4, Y12 // qxy·dx
+	VFMADD231PS 5*PLANE(R8)(DX*4), Y5, Y12 // + qyy·dy
+	VFMADD231PS 9*PLANE(R8)(DX*4), Y6, Y12 // + qyz·dz  → qry
+	VMULPS      8*PLANE(R8)(DX*4), Y4, Y13 // qxz·dx
+	VFMADD231PS 9*PLANE(R8)(DX*4), Y5, Y13 // + qyz·dy
+	VFMADD231PS 6*PLANE(R8)(DX*4), Y6, Y13 // + qzz·dz  → qrz
+
+	VMULPS      Y11, Y4, Y14
+	VFMADD231PS Y12, Y5, Y14
+	VFMADD231PS Y13, Y6, Y14      // dr·Q'·dr
+
+	VMOVUPS 4*PLANE(R8)(DX*4), Y8
+	VADDPS  5*PLANE(R8)(DX*4), Y8, Y8
+	VADDPS  6*PLANE(R8)(DX*4), Y8, Y8 // trQ'
+	VMULPS  Y9, Y8, Y8            // p1
+	VMULPS  c075-136(SP), Y14, Y14
+	VMULPS  Y10, Y14, Y14         // p2
+	VADDPS  Y8, Y3, Y3            // pot += p1
+	VSUBPS  Y14, Y3, Y3           // pot −= p2
+
+	VMULPS       five-168(SP), Y14, Y14
+	VFNMADD231PS Y15, Y8, Y14     // 5·p2 − 3·p1
+	VMULPS       3*PLANE(R8)(DX*4), Y9, Y9
+	VFMADD231PS  Y7, Y14, Y9      // s
+	VMULPS       negsix-200(SP), Y10, Y10 // q5 = −6·z⁵
+
+	VFMADD231PS Y9, Y4, Y0        // ax += dx·s
+	VFMADD231PS Y10, Y11, Y0      // ax += qrx·q5
+	VFMADD231PS Y9, Y5, Y1
+	VFMADD231PS Y10, Y12, Y1
+	VFMADD231PS Y9, Y6, Y2
+	VFMADD231PS Y10, Y13, Y2
+
+	ADDQ $8, DX
 	CMPQ DX, CX
-	JGE  pc_reduce
+	JLT  pc_src
 
-	VMOVUPD (R8)(DX*8), Y4
-	VSUBPD  xi-128(SP), Y4, Y4    // dx
-	VMOVUPD (R9)(DX*8), Y5
-	VSUBPD  yi-96(SP), Y5, Y5     // dy
-	VMOVUPD (R10)(DX*8), Y6
-	VSUBPD  zi-64(SP), Y6, Y6     // dz
-
-	VMULPD      Y4, Y4, Y7
-	VFMADD231PD Y5, Y5, Y7
-	VFMADD231PD Y6, Y6, Y7
-	VADDPD      eps-32(SP), Y7, Y7 // r2
-	VSQRTPD Y7, Y8
-	VDIVPD  Y8, Y15, Y8           // rinv = 1/sqrt(r2)
-	VCMPPD  $4, zero4<>(SB), Y7, Y7
-	VANDPD  Y7, Y8, Y8            // guarded rinv
-
-	VMULPD (R11)(DX*8), Y8, Y7    // m·rinv
-	VSUBPD Y7, Y3, Y3             // pot -= m·rinv
-	VMULPD Y8, Y8, Y7             // rinv²
-	VMULPD Y7, Y8, Y9             // rinv³
-	VMULPD Y7, Y9, Y10            // rinv⁵
-	VMULPD Y7, Y10, Y8            // rinv⁷
-
-	VMULPD      (R12)(DX*8), Y4, Y11 // qxx·dx
-	VFMADD231PD (R15)(DX*8), Y5, Y11 // + qxy·dy
-	VFMADD231PD (SI)(DX*8), Y6, Y11  // + qxz·dz  → qrx
-	VMULPD      (R15)(DX*8), Y4, Y12 // qxy·dx
-	VFMADD231PD (R13)(DX*8), Y5, Y12 // + qyy·dy
-	VFMADD231PD (DI)(DX*8), Y6, Y12  // + qyz·dz  → qry
-	VMULPD      (SI)(DX*8), Y4, Y13  // qxz·dx
-	VFMADD231PD (DI)(DX*8), Y5, Y13  // + qyz·dy
-	VFMADD231PD (R14)(DX*8), Y6, Y13 // + qzz·dz  → qrz
-
-	VMULPD      Y11, Y4, Y14
-	VFMADD231PD Y12, Y5, Y14
-	VFMADD231PD Y13, Y6, Y14      // rqr = dr·(Q·dr)
-
-	VMOVUPD (R12)(DX*8), Y7
-	VADDPD  (R13)(DX*8), Y7, Y7
-	VADDPD  (R14)(DX*8), Y7, Y7   // trQ
-	VMULPD  half4<>(SB), Y7, Y7   // T = trQ/2
-
-	VFMADD231PD  Y9, Y7, Y3       // pot += T·rinv³
-	VMULPD       threehalf4<>(SB), Y14, Y14 // R = 1.5·rqr
-	VFNMADD231PD Y10, Y14, Y3     // pot -= R·rinv⁵
-
-	VMULPD       (R11)(DX*8), Y9, Y9 // s = m·rinv³
-	VMULPD       three4<>(SB), Y7, Y7
-	VFNMADD231PD Y10, Y7, Y9      // s -= 3T·rinv⁵
-	VMULPD       five4<>(SB), Y14, Y14
-	VFMADD231PD  Y8, Y14, Y9      // s += 5R·rinv⁷
-
-	VMULPD negthree4<>(SB), Y10, Y10 // q5 = -3·rinv⁵
-
-	VFMADD231PD Y9, Y4, Y0        // ax += dx·s
-	VFMADD231PD Y10, Y11, Y0      // ax += qrx·q5
-	VFMADD231PD Y9, Y5, Y1
-	VFMADD231PD Y10, Y12, Y1
-	VFMADD231PD Y9, Y6, Y2
-	VFMADD231PD Y10, Y13, Y2
-
-	ADDQ $4, DX
-	JMP  pc_src
-
-pc_reduce:
-	MOVQ ax+128(FP), AX
-	HSUM_ADD(Y0, X0, BX)
-	MOVQ ay+136(FP), AX
-	HSUM_ADD(Y1, X1, BX)
-	MOVQ az+144(FP), AX
-	HSUM_ADD(Y2, X2, BX)
-	MOVQ apot+152(FP), AX
-	HSUM_ADD(Y3, X3, BX)
-
-	INCQ BX
+	REDUCE
+	INCQ DI
 	JMP  pc_target
 
 pc_done:
+	FTZ_OFF
 	VZEROUPPER
 	RET
 
-// func maxAbs3AVX2(x, y, z *float64, n int) float64
+// func narrowAVX2(dst *float32, src *float64, n int, origin, scale float64)
 //
-// Largest |v| over the first n (a positive multiple of 4) elements of three
-// arrays. The running maximum is VMAXPD's second source, which the
-// instruction returns whenever either operand is NaN: a NaN element is
-// skipped and can never replace an Inf already seen.
-TEXT ·maxAbs3AVX2(SB), NOSPLIT, $0-40
-	MOVQ x+0(FP), R8
-	MOVQ y+8(FP), R9
-	MOVQ z+16(FP), R10
-	MOVQ n+24(FP), CX
+// dst[i] = float32((src[i] − origin)·scale) for i < n.
+TEXT ·narrowAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD origin+24(FP), Y1
+	VBROADCASTSD scale+32(FP), Y2
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	XORQ DX, DX
+narrow_loop:
+	CMPQ DX, BX
+	JGE  narrow_tail
+	VMOVUPD (SI)(DX*8), Y0
+	VSUBPD  Y1, Y0, Y0
+	VMULPD  Y2, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS X0, (DI)(DX*4)
+	ADDQ $4, DX
+	JMP  narrow_loop
+narrow_tail:
+	CMPQ DX, CX
+	JGE  narrow_done
+	VMOVSD (SI)(DX*8), X0
+	VSUBSD X1, X0, X0
+	VMULSD X2, X0, X0
+	VCVTSD2SS X0, X0, X0
+	VMOVSS X0, (DI)(DX*4)
+	INCQ DX
+	JMP  narrow_tail
+narrow_done:
+	VZEROUPPER
+	RET
+
+// func maxAbsAVX2(x *float64, n int, origin float64) float64
+//
+// The largest |x[i] − origin| over i < n with its low 32 mantissa bits
+// cleared — the exponent and range are what the wrapper needs — or an Inf or
+// NaN when any of them is one. For non-negative doubles the order of the high
+// words as unsigned integers is the order of the values, with every Inf and
+// NaN above every finite one, so the running maximum is one VPMAXUD with a
+// one-cycle dependency and needs no separate NaN bookkeeping.
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD origin+16(FP), Y3
 	VPCMPEQD Y1, Y1, Y1
 	VPSRLQ   $1, Y1, Y1           // 0x7FFF…: sign-clearing mask
-	VXORPD Y0, Y0, Y0
+	VPXOR Y0, Y0, Y0              // running maximum, per 32-bit word
+	MOVQ CX, BX
+	ANDQ $-4, BX
 	XORQ DX, DX
 maxabs_loop:
-	VANDPD (R8)(DX*8), Y1, Y2
-	VMAXPD Y0, Y2, Y0
-	VANDPD (R9)(DX*8), Y1, Y2
-	VMAXPD Y0, Y2, Y0
-	VANDPD (R10)(DX*8), Y1, Y2
-	VMAXPD Y0, Y2, Y0
+	CMPQ DX, BX
+	JGE  maxabs_tail
+	VMOVUPD (SI)(DX*8), Y2
+	VSUBPD  Y3, Y2, Y2
+	VPAND   Y1, Y2, Y2
+	VPMAXUD Y2, Y0, Y0
 	ADDQ $4, DX
+	JMP  maxabs_loop
+maxabs_tail:
 	CMPQ DX, CX
-	JLT  maxabs_loop
-	VEXTRACTF128 $1, Y0, X1
-	VMAXPD  X1, X0, X0
-	VSHUFPD $1, X0, X0, X1
-	VMAXSD  X1, X0, X0
-	VMOVSD  X0, ret+32(FP)
+	JGE  maxabs_done
+	VMOVSD (SI)(DX*8), X2
+	VSUBSD X3, X2, X2
+	VPAND  X1, X2, X2
+	VPMAXUD Y2, Y0, Y0            // upper lanes of Y2 are zero
+	INCQ DX
+	JMP  maxabs_tail
+maxabs_done:
+	VPSRLQ $32, Y0, Y0            // keep the high words
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD X1, X0, X0
+	VPSHUFD $0x4E, X0, X1
+	VPMAXUD X1, X0, X0
+	VPSLLQ $32, X0, X0
+	VMOVQ  X0, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -312,6 +312,7 @@ func (r *rank) subsetForces(eval int) {
 		pot:    r.apot,
 		ext:    r.aext,
 		box:    box,
+		index:  r.active,
 	}
 	r.gravity(eval%2, &t)
 	r.finishForces(&t)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bonsai/internal/body"
+	"bonsai/internal/grav"
 	"bonsai/internal/mpi"
 	"bonsai/internal/snapshot"
 )
@@ -148,9 +149,10 @@ func rmsPosDiff(t *testing.T, a, b []body.Particle) float64 {
 
 func TestNodeSocketMatchesInProcess(t *testing.T) {
 	// Acceptance: an 8-rank run over the unix-socket transport reproduces the
-	// in-process Simulation to rms < 1e-12. The runs are not bitwise
-	// identical — LET arrival order differs between transports and float
-	// summation is order-sensitive — but the jitter stays at rounding level.
+	// in-process Simulation to rms < grav.KernelTol (1e-12 on the float64
+	// tier). The runs are not bitwise identical — LET arrival order differs
+	// between transports, and it decides the order of the sums and which
+	// trees share a kernel call — but the jitter stays at rounding level.
 	const (
 		ranks = 8
 		nPart = 1600
@@ -170,12 +172,13 @@ func TestNodeSocketMatchesInProcess(t *testing.T) {
 	nodes := runNodes(t, cfg, w, parts, steps)
 	got := nodes.Particles()
 
-	if rms := rmsPosDiff(t, want, got); rms >= 1e-12 {
-		t.Errorf("rms position difference chan vs unix socket = %g, want < 1e-12", rms)
+	tol := grav.KernelTol()
+	if rms := rmsPosDiff(t, want, got); rms >= tol {
+		t.Errorf("rms position difference chan vs unix socket = %g, want < %g", rms, tol)
 	}
 	for i := range want {
 		d := want[i].Vel.Sub(got[i].Vel)
-		if d.Norm() >= 1e-10 {
+		if d.Norm() >= 100*tol {
 			t.Errorf("particle id %d velocity differs by %g", want[i].ID, d.Norm())
 			break
 		}

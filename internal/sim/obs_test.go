@@ -283,7 +283,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		sum2 += d * d
 		ref2 += aOff[i] * aOff[i]
 	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-9 {
+	if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
 		t.Errorf("8-rank traced run diverged from untraced: rms %v", rms)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/vec"
 )
@@ -33,7 +34,7 @@ func TestOverlapPipelineMatchesSerial(t *testing.T) {
 		sum2 += piped[i].Sub(serial[i]).Norm2()
 		ref2 += serial[i].Norm2()
 	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
+	if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
 		t.Errorf("pipelined forces diverge from serial baseline: rms %v", rms)
 	}
 }
@@ -126,11 +127,11 @@ func TestExternalPotentialReported(t *testing.T) {
 	for i := range ps {
 		ea, ep := ext(ps[i].Pos)
 		wantAcc := baseAcc[i].Add(ea)
-		if acc[i].Sub(wantAcc).Norm() > 1e-9*(1+wantAcc.Norm()) {
+		if acc[i].Sub(wantAcc).Norm() > grav.KernelTol()*(1+wantAcc.Norm()) {
 			t.Fatalf("particle %d: acc %v, want self+ext %v", i, acc[i], wantAcc)
 		}
 		wantPot := basePot[i] + ep
-		if math.Abs(pot[i]-wantPot) > 1e-9*(1+math.Abs(wantPot)) {
+		if math.Abs(pot[i]-wantPot) > grav.KernelTol()*(1+math.Abs(wantPot)) {
 			t.Fatalf("particle %d: pot %v, want self+ext %v (self %v, ext %v)",
 				i, pot[i], wantPot, basePot[i], ep)
 		}
@@ -143,7 +144,7 @@ func TestExternalPotentialReported(t *testing.T) {
 		_, ep := ext(ps[i].Pos)
 		want += 0.5*ps[i].Mass*basePot[i] + ps[i].Mass*ep
 	}
-	if math.Abs(potE-want) > 1e-9*(1+math.Abs(want)) {
+	if math.Abs(potE-want) > grav.KernelTol()*(1+math.Abs(want)) {
 		t.Errorf("potential energy %v, want %v", potE, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bonsai/internal/body"
+	"bonsai/internal/grav"
 	"bonsai/internal/vec"
 )
 
@@ -128,7 +129,7 @@ func TestGlobalTreePruneOverlapRMS(t *testing.T) {
 			sum2 += got[i].Sub(want[i]).Norm2()
 			ref2 += want[i].Norm2()
 		}
-		if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
+		if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
 			t.Errorf("pipelined overlap with pruning diverged: rms %v", rms)
 		}
 	})

@@ -119,6 +119,22 @@ type walkTargets struct {
 	pot    []float64
 	ext    []float64
 	box    vec.Box
+	index  []int32 // each target's index into the rank's particles; nil when target i is particle i
+}
+
+// NonFiniteForceError is the value a rank panics with when a force phase
+// leaves a NaN or an Inf in the acceleration or potential of a particle it
+// just evaluated: no such value reaches the integrator, the energy sums or a
+// checkpoint.
+type NonFiniteForceError struct {
+	Rank int
+	ID   int64 // the particle's ID
+	Acc  vec.V3
+	Pot  float64
+}
+
+func (e *NonFiniteForceError) Error() string {
+	return fmt.Sprintf("sim: rank %d: force phase left acc %v, pot %v on particle id %d", e.Rank, e.Acc, e.Pot, e.ID)
 }
 
 const (
@@ -809,7 +825,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 // finishForces applies the target-local post-processing of a gravity phase:
 // the softened self-interaction fix, the G scaling, and the static external
-// field. It operates purely on t's arrays, so it serves both the full
+// field, and then panics with a *NonFiniteForceError if any target's result
+// is not finite. It operates purely on t's arrays, so it serves both the full
 // pipeline (t aliases the rank's tree-ordered slices) and active-subset
 // evaluations (t aliases the compact gather buffers). The caller stores
 // t.ext back into the matching rank slice — finishForces may reallocate it.
@@ -844,6 +861,17 @@ func (r *rank) finishForces(t *walkTargets) {
 		}
 	} else {
 		t.ext = t.ext[:0]
+	}
+
+	// Always-on invariant: nothing non-finite leaves a force phase.
+	for i, a := range t.acc {
+		if p := t.pot[i]; !a.IsFinite() || math.IsNaN(p) || math.IsInf(p, 0) {
+			j := i
+			if t.index != nil {
+				j = int(t.index[i])
+			}
+			panic(&NonFiniteForceError{Rank: r.comm.Rank(), ID: r.parts[j].ID, Acc: a, Pot: t.pot[i]})
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bonsai/internal/body"
+	"bonsai/internal/grav"
 	"bonsai/internal/lettree"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
@@ -140,7 +141,7 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 				sum2 += r.acc[i].Sub(ref.acc[i]).Norm2()
 				ref2 += ref.acc[i].Norm2()
 			}
-			if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
+			if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
 				t.Fatalf("scripted pipelined forces diverge from the SerialLET evaluation: rms %v", rms)
 			}
 		})

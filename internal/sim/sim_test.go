@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"bonsai/internal/body"
 	"bonsai/internal/direct"
 	"bonsai/internal/ic"
+	"bonsai/internal/mpi"
 	"bonsai/internal/vec"
 )
 
@@ -374,11 +376,11 @@ func TestCommunicationMostlyHidden(t *testing.T) {
 	// exchange, which the overlapped mode pipelines instead of running as a
 	// blocking allgather. The non-hidden communication time must stay a
 	// small fraction of the gravity-walk time. The particle count is sized
-	// so the walk dominates the in-process schedule even with the SIMD
-	// force kernels (the paper likewise sizes problems to saturate the
-	// device); far below this, single-core goroutine scheduling noise —
-	// not communication — sets the wait times.
-	parts := plummer(24_000, 41)
+	// so each rank's walk (~50 ms with the float32 kernels) is several
+	// scheduler timeslices long: the test's four ranks share two cores, and
+	// with shorter walks what a rank waits for is a peer that has not had a
+	// core yet, not a message (at 24k particles that is 10–55% of gravity).
+	parts := plummer(48_000, 41)
 	s, _ := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, parts)
 	s.ComputeForces()
 	st := s.ComputeForces() // steady state
@@ -424,5 +426,37 @@ func TestSnapLevelKeepsPhysicsAndAlignment(t *testing.T) {
 		if !n.r.dec.AlignedToLevel(9) {
 			t.Error("decomposition not aligned after snapping")
 		}
+	}
+}
+
+func TestNonFiniteForceFailsTheStep(t *testing.T) {
+	// An Inf coordinate makes every separation from that particle Inf or NaN
+	// (on either kernel tier: the float32 path hands such calls to the scalar
+	// loops). The force phase must stop the step with the rank and the
+	// particle named rather than integrate the NaN. One rank, driven on the
+	// test's goroutine, so the panic can be recovered here.
+	for _, cfg := range []Config{
+		{Ranks: 1, Eps: 0.05, DT: 1e-3},
+		{Ranks: 1, Eps: 0.05, DT: 1e-3, BlockSteps: true, MaxRungs: 3},
+	} {
+		n, err := NewNode(cfg, mpi.NewWorld(1), 0, plummer(600, 77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Step()
+		n.Particles()[123].Pos.Y = math.Inf(1)
+		id := n.Particles()[123].ID
+		func() {
+			defer func() {
+				var nf *NonFiniteForceError
+				if err, _ := recover().(error); !errors.As(err, &nf) {
+					t.Fatalf("BlockSteps=%v: step ended with %v, want a *NonFiniteForceError", cfg.BlockSteps, err)
+				}
+				if nf.Rank != 0 || nf.ID < 0 || nf.ID >= 600 {
+					t.Fatalf("BlockSteps=%v: error names rank %d, particle id %d (the Inf is on id %d)", cfg.BlockSteps, nf.Rank, nf.ID, id)
+				}
+			}()
+			n.Step()
+		}()
 	}
 }
