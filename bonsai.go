@@ -63,7 +63,8 @@ type Config struct {
 	DT float64
 	// NLeaf caps particles per octree leaf. Default 16 (paper §I).
 	NLeaf int
-	// NGroup is the tree-walk target group size. Default 64.
+	// NGroup is the tree-walk target group size, an upper bound that the
+	// tree cut fills by packing sibling cells. Default 64.
 	NGroup int
 	// BoundaryDepth is the depth of the allgathered boundary trees.
 	// Default 4.

@@ -225,9 +225,10 @@ func TestExecuteTreeWalkMatchesPlainWalk(t *testing.T) {
 }
 
 func TestRaggedGroupsWasteLanes(t *testing.T) {
-	// Tree-cut groups have ragged sizes; the emulator must charge full warp
-	// cycles for idle lanes, lowering the achieved rate versus padded
-	// fixed-size groups — the reason the GPU kernel pads to NCRIT.
+	// Tree-cut groups have ragged sizes (sibling cells packed up to NCRIT
+	// fill ~40 of 64 lanes); the emulator must charge full warp cycles for
+	// idle lanes, lowering the achieved rate versus padded fixed-size groups
+	// — the reason the GPU kernel pads to NCRIT.
 	parts := ic.Plummer(4000, 1, 1, 1, 8)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
@@ -252,6 +253,7 @@ func TestRaggedGroupsWasteLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("model GFlops: padded %.0f, tree groups %.0f", padded.ModelGflops, ragged.ModelGflops)
 	if ragged.ModelGflops >= padded.ModelGflops {
 		t.Errorf("ragged groups (%v GFlops) should be slower than padded (%v)",
 			ragged.ModelGflops, padded.ModelGflops)

@@ -293,12 +293,18 @@ type Group struct {
 }
 
 // MakeGroups partitions the tree's particles into groups of at most ngroup
-// particles by cutting the tree at cells with N <= ngroup. The groups cover
-// every particle exactly once and inherit tight bounding boxes from the
-// particles they contain. ngroup <= 0 selects DefaultNGroup.
+// particles. Under a cell that holds more, sibling cells are packed: a group
+// is the largest aligned span of the cell's eight child slots — a half, a
+// quarter, a pair or one child, the binary hierarchy of the Morton digit —
+// whose particles total at most ngroup, so it is one box inside one parent
+// cell and one contiguous range of the particle arrays. Only a single leaf
+// (NLeaf > ngroup, or a max-depth leaf) can exceed ngroup. The groups cover
+// every particle exactly once, in ascending order, and carry the tight
+// bounding box of the particles they contain. ngroup <= 0 selects
+// DefaultNGroup.
 //
 // MakeGroups is the convenience form of MakeGroupsScratch: one worker, a
-// fresh result slice (preallocated from the expected N/ngroup count).
+// fresh result slice.
 func (t *Tree) MakeGroups(ngroup int) []Group {
 	return t.MakeGroupsScratch(ngroup, 1, nil)
 }

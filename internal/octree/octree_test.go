@@ -476,6 +476,7 @@ func BenchmarkWalk100k(b *testing.B) {
 		tr.Walk(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, &st)
 	}
 	b.ReportMetric(st.Flops()/float64(b.N)/1e9, "Gflop/op")
+	b.ReportMetric(float64(n)/float64(len(groups)), "targets/group")
 }
 
 func TestThetaCostLaw(t *testing.T) {

@@ -319,6 +319,12 @@ func (t *Tree) ComputePropertiesParallel(workers int) {
 	}
 }
 
+// minGroupOccupancy is the mean N/ngroup the tree cut fills its groups to on
+// clustered particle sets; TestGroupOccupancy holds the cut to it (0.62
+// measured on the 16k Milky Way model) and MakeGroupsScratch sizes its
+// result from it.
+const minGroupOccupancy = 0.5
+
 // MakeGroupsScratch is MakeGroups with worker parallelism and result-slice
 // reuse: the tree cut (a cheap serial DFS over ~N/ngroup cells) enumerates
 // the group ranges in depth-first order, then the per-group bounding boxes
@@ -333,7 +339,10 @@ func (t *Tree) MakeGroupsScratch(ngroup, workers int, dst []Group) []Group {
 	if len(t.Cells) == 0 {
 		return groups
 	}
-	if hint := len(t.Pos)/ngroup + 8; cap(groups) < hint {
+	// Groups are at least minGroupOccupancy full on average, and never
+	// outnumber the particles.
+	hint := min(int(float64(len(t.Pos))/(minGroupOccupancy*float64(ngroup)))+8, len(t.Pos))
+	if cap(groups) < hint {
 		groups = make([]Group, 0, hint)
 	}
 	groups = t.groupCuts(0, ngroup, groups)
@@ -354,16 +363,38 @@ func (t *Tree) MakeGroupsScratch(ngroup, workers int, dst []Group) []Group {
 	return groups
 }
 
-// groupCuts appends the (Start, N) of every group-cut cell — the first cell
-// on each root-to-leaf path with N <= ngroup — in depth-first order.
+// groupCuts appends, in depth-first order, the (Start, N) of the groups under
+// cell idx (see MakeGroups): the cell itself when it is a leaf or holds at
+// most ngroup particles, otherwise its child slots packed into the largest
+// aligned spans that do. Aligned, because every aligned span of the Morton
+// digit is one box (a half-, quarter- or eighth-cell), which a run of
+// consecutive slots is not: slots 1-2, 3-4 and 5-6 are diagonal neighbours,
+// and the loose bounding box of such a run costs p-p work (10% more at
+// ngroup 64, 60% at 256, on the Milky Way model) for 8% fewer groups.
+// Children are contiguous in particle order, so a span is one
+// [Start, Start+N) range.
 func (t *Tree) groupCuts(idx int32, ngroup int, groups []Group) []Group {
 	c := &t.Cells[idx]
 	if c.Leaf || int(c.N) <= ngroup {
 		return append(groups, Group{Start: c.Start, N: c.N})
 	}
-	for _, ch := range c.Children {
+	var end [9]int32 // end[o]: first particle index past child slots [0, o)
+	end[0] = c.Start
+	for o, ch := range c.Children {
+		end[o+1] = end[o]
 		if ch != NilCell {
-			groups = t.groupCuts(ch, ngroup, groups)
+			end[o+1] += t.Cells[ch].N
+		}
+	}
+	for lo, w := 0, 0; lo < 8; lo += w {
+		for w = 1; w < 4 && lo%(2*w) == 0 && int(end[lo+2*w]-end[lo]) <= ngroup; w *= 2 {
+		}
+		switch n := end[lo+w] - end[lo]; {
+		case n == 0:
+		case int(n) > ngroup: // w == 1: one child, cut in turn
+			groups = t.groupCuts(c.Children[lo], ngroup, groups)
+		default:
+			groups = append(groups, Group{Start: end[lo], N: n})
 		}
 	}
 	return groups

@@ -66,6 +66,7 @@ func BenchmarkTreePipeline(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					groups = tr.MakeGroupsScratch(64, workers, groups)
 				}
+				b.ReportMetric(float64(len(in.pos))/float64(len(groups)), "targets/group")
 			})
 			b.Run("full/"+tag, func(b *testing.B) {
 				var sc BuildScratch

@@ -20,6 +20,7 @@ func BenchmarkWalkGather(b *testing.B) {
 	tr, _ := BuildFrom(pos, mass, 16, 0)
 	groups := tr.MakeGroups(64)
 	n := tr.NumParticles()
+	targetsPerGroup := float64(n) / float64(len(groups))
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
 
@@ -34,6 +35,7 @@ func BenchmarkWalkGather(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(inter)/float64(len(groups)), "list-len/group")
+		b.ReportMetric(targetsPerGroup, "targets/group")
 	})
 
 	b.Run("TraverseGather", func(b *testing.B) {
@@ -47,6 +49,7 @@ func BenchmarkWalkGather(b *testing.B) {
 				w.tg.Scatter(acc[lo:hi], pot[lo:hi])
 			}
 		}
+		b.ReportMetric(targetsPerGroup, "targets/group")
 	})
 
 	b.Run("Full", func(b *testing.B) {
@@ -59,5 +62,6 @@ func BenchmarkWalkGather(b *testing.B) {
 			tr.Walk(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, &st)
 		}
 		b.ReportMetric(st.Flops()/float64(b.N)/1e9, "Gflop/op")
+		b.ReportMetric(targetsPerGroup, "targets/group")
 	})
 }

@@ -280,9 +280,16 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 }
 
 // subsetForces walks gravity for the active block only: gather the active
-// particles (Morton order preserved, so groups stay spatially compact) into
-// the compact a* buffers, walk with the subset as targets, and scatter the
-// results back. The advertised box bounds only the active targets, so the
+// particles, in Morton order, into the compact a* buffers, walk with the
+// subset as targets, and scatter the results back. The targets are cut into
+// fixed runs of NGroup (GroupsOfScratch), not along the tree. A run of
+// Morton-consecutive particles crosses cell boundaries, so its box is looser
+// than a tree group's and it does more p-p work (+60% with every particle of
+// an 8192-particle Plummer model active), but a run is always full, whereas
+// a sparse active set cut along the tree falls into many small groups that
+// each pay a whole traversal; the tree-aligned subset cut did not resolve
+// on plummer_block_p2 (EXPERIMENTS.md, "Full target groups").
+// The advertised box bounds only the active targets, so the
 // boundary/LET exchange ships exactly the data the active walks need — a
 // rank whose peers' active boxes are distant sends smaller LETs, and a rank
 // with no active particles advertises an empty box, which every peer's
