@@ -12,7 +12,9 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # socket transports (the ./internal/mpi conformance matrix runs every
 # transport test over unix and tcp at 8 ranks), and the parallel sort, plus short fuzzes of the fused
 # sort+build against the separate reference, of the SIMD force kernels
-# against the scalar reference, and of the LET frame decoder.
+# against the scalar reference, of the MaxRungs=0 block integrator against
+# the global-dt leapfrog, and of the two decoders of bytes a peer sends: the
+# mpi payload codec and the LET frame decoder.
 tier1: vet build test race fuzz-smoke
 
 # A 10-second fuzz of the fused MSD sort + tree construction (random clouds,
@@ -25,10 +27,11 @@ tier1: vet build test race fuzz-smoke
 # internal/grav/testdata/fuzz is replayed first),
 # a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
-# Plummer models and step counts), a 10-second fuzz of the coarse
-# global-tree exchange pruning against the unpruned all-pairs exchange
-# (bitwise-identical accelerations over random clouds, rank counts, and
-# coarse depths), and a 10-second fuzz of lettree.Unmarshal (truncated,
+# Plummer models and step counts), a 10-second fuzz of mpi.decodePayload
+# (any kind tag with any bytes returns a value or an error: no panic, no
+# allocation beyond a small multiple of the payload; the committed
+# reproducer under internal/mpi/testdata/fuzz is replayed first), and a
+# 10-second fuzz of lettree.Unmarshal (truncated,
 # bit-flipped and cyclic frames must be rejected or decode to a tree every
 # walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
 # minimisation of each multi-kB finding from eating the whole budget).
@@ -36,7 +39,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSortBuildEquivalence -fuzztime 10s ./internal/octree
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
-	$(GO) test -run XXX -fuzz FuzzPruneEquivalence -fuzztime 10s ./internal/sim
+	$(GO) test -run XXX -fuzz FuzzDecodePayload -fuzztime 10s ./internal/mpi
 	$(GO) test -run XXX -fuzz FuzzLETUnmarshal -fuzztime 10s -fuzzminimizetime 1s ./internal/lettree
 
 vet:
@@ -137,24 +140,15 @@ telemetry-smoke:
 	grep -q 'format ok' "$$tmp/report.txt" && \
 	echo "telemetry-smoke: OK"
 
-# End-to-end smoke test of the hierarchical LET exchange at scale: 256
-# in-process ranks, one step, with the shared coarse global octree pruning
-# the boundary exchange. Asserts that strictly fewer than p·(p−1) full
-# boundary trees moved, that a non-zero fraction of pair slots was served
-# entirely from the allgathered coarse tree, and that the tracestats
-# straggler report surfaces the pruning counters.
+# End-to-end smoke test of the LET exchange at scale: 256 in-process ranks,
+# one step — p·(p−1) boundary-tree pushes through one process's mailboxes —
+# must complete, and tracestats must parse the metrics stream it wrote.
 scale-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model milkyway -n 30000 -ranks 256 -steps 1 -q \
-	  -global-tree 3 -metrics "$$tmp/metrics.jsonl" | tee "$$tmp/run.txt" && \
-	awk '/^exchange:/ { for(i=1;i<=NF;i++){ if($$i ~ /^boundary-trees=/) bt=substr($$i,16)+0; \
-	        if($$i ~ /^pair-slots=/) ps=substr($$i,12)+0; \
-	        if($$i ~ /^global-served-frac=/) f=substr($$i,20)+0 } found=1 } \
-	  END { if (!found) { print "scale-smoke: no exchange summary"; exit 1 } \
-	        printf "scale-smoke: %d boundary trees over %d pair slots, served frac %.3f\n", bt, ps, f; \
-	        exit (bt < ps && f > 0 ? 0 : 1) }' "$$tmp/run.txt" && \
+	  -metrics "$$tmp/metrics.jsonl" && \
 	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" | tee "$$tmp/report.txt" && \
-	grep -q 'exchange pruning:' "$$tmp/report.txt" && \
+	grep -q '256 ranks' "$$tmp/report.txt" && \
 	echo "scale-smoke: OK"
 
 # End-to-end smoke test of the block-timestep path: a 4-rank multi-process

@@ -528,16 +528,13 @@ func BenchmarkBlockSteps_Global(b *testing.B) { benchBlockSteps(b, false) }
 func BenchmarkBlockSteps_Rungs(b *testing.B)  { benchBlockSteps(b, true) }
 
 // ---------------------------------------------------------------------------
-// Exchange scaling past 64 ranks (DESIGN.md §15): the hierarchical boundary
-// exchange built on the shared coarse global octree, against the all-pairs
-// allgather baseline. Clustered ICs (well-separated blobs, one per rank) are
-// the geometry the prune targets: most rank pairs satisfy the MAC from the
-// K-level coarse prefix, so full boundary trees move only within physical
-// neighborhoods. boundary/step counts full boundary-tree sends per step
-// (p·(p−1) for the baseline), served_% the pair slots answered entirely from
-// the allgathered coarse tree, and exchBytes/step the step's total exchange
-// traffic — the quantity that must grow sublinearly in p for the protocol to
-// scale.
+// Exchange scaling past 64 ranks: one force evaluation of the SerialLET
+// schedule on clustered ICs (well-separated blobs, one per rank), where most
+// rank pairs are served by boundary trees alone. boundary/step counts
+// boundary-tree pushes (p·(p−1)) and exchBytes/step the evaluation's total
+// exchange traffic. The rows keep the _AllPairs names they carried beside the
+// deleted coarse-global-tree rows (EXPERIMENTS.md, "Verdict: coarse global
+// tree deleted") so the series continues.
 
 // exchangeBlobs builds one Gaussian blob per rank on a widely spaced grid.
 func exchangeBlobs(ranks, perBlob int, seed int64) []Particle {
@@ -566,12 +563,12 @@ func exchangeBlobs(ranks, perBlob int, seed int64) []Particle {
 	return parts
 }
 
-func benchExchangeScale(b *testing.B, ranks, globalTree int) {
+func benchExchangeScale(b *testing.B, ranks int) {
 	const perRank = 500
 	parts := exchangeBlobs(ranks, perRank, 6)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05,
-		SerialLET: true, GlobalTree: globalTree,
+		SerialLET: true,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)
@@ -583,12 +580,8 @@ func benchExchangeScale(b *testing.B, ranks, globalTree int) {
 		st = s.ComputeForces()
 	}
 	b.ReportMetric(float64(st.BoundarySent), "boundary/step")
-	b.ReportMetric(st.GlobalServedFrac*100, "served_%")
 	b.ReportMetric(float64(st.BytesSent), "exchBytes/step")
-	b.ReportMetric(float64(st.GlobBytes), "coarseBytes/step")
 }
 
-func BenchmarkExchangeScale_P64(b *testing.B)           { benchExchangeScale(b, 64, 3) }
-func BenchmarkExchangeScale_P256(b *testing.B)          { benchExchangeScale(b, 256, 3) }
-func BenchmarkExchangeScale_P64_AllPairs(b *testing.B)  { benchExchangeScale(b, 64, 0) }
-func BenchmarkExchangeScale_P256_AllPairs(b *testing.B) { benchExchangeScale(b, 256, 0) }
+func BenchmarkExchangeScale_P64_AllPairs(b *testing.B)  { benchExchangeScale(b, 64) }
+func BenchmarkExchangeScale_P256_AllPairs(b *testing.B) { benchExchangeScale(b, 256) }

@@ -66,22 +66,13 @@ type Config struct {
 	// NGroup is the tree-walk target group size, an upper bound that the
 	// tree cut fills by packing sibling cells. Default 64.
 	NGroup int
-	// BoundaryDepth is the depth of the allgathered boundary trees.
+	// BoundaryDepth is the depth of the boundary tree every rank pushes to
+	// every peer.
 	// Default 4.
 	BoundaryDepth int
 	// DomainFreq is the number of steps between domain re-decompositions.
 	// Default 4.
 	DomainFreq int
-	// GlobalTree enables the shared coarse global octree that prunes the
-	// boundary exchange at scale: each gravity evaluation allgathers only the
-	// top GlobalTree levels of every rank's octree, merges them into one
-	// coarse tree replicated everywhere, and serves distant rank pairs from
-	// its cells so they never exchange boundary trees. The value is the
-	// coarse depth K (clamped to BoundaryDepth); 0 (the default) keeps the
-	// all-to-all boundary exchange. Accelerations are unchanged: the coarse
-	// tree is a bit-exact prefix of the boundary tree, so pruned walks are
-	// identical to unpruned ones.
-	GlobalTree int
 
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates on its own rung dt = DT/2^k (k ≤ MaxRungs) chosen
@@ -104,11 +95,6 @@ type Config struct {
 	// self-gravity — the paper's §I "type 1" setup (analytic dark halo +
 	// live disk). See GalaxyModel.StaticHalo. Must be thread-safe.
 	External ExternalField
-
-	// LETWorkers sizes each rank's LET-builder pool (the communication
-	// thread group of the paper's §III.B.3 pipeline). 0 selects
-	// max(2, WorkersPerRank), capped at the destination count.
-	LETWorkers int
 
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: LETs are built and pushed on the compute thread before the
@@ -174,22 +160,13 @@ type StepStats struct {
 	Flops         float64
 
 	// LETsSent counts full LET pushes; BoundaryUsed counts rank pairs
-	// served by boundary trees alone; BytesSent is the step's total
+	// served by boundary trees alone; BoundarySent counts boundary-tree
+	// pushes (p·(p−1) per evaluation); BytesSent is the step's total
 	// metered traffic.
 	LETsSent     int
 	BoundaryUsed int
+	BoundarySent int
 	BytesSent    int64
-
-	// Exchange-pruning summary (Config.GlobalTree > 0): BoundarySent counts
-	// boundary trees actually pushed (p·(p−1) per evaluation without
-	// pruning), GlobalServed the directed rank pairs served entirely from
-	// the shared coarse global tree, GlobalServedFrac their fraction of all
-	// pair-slots, and GlobBytes the coarse-contribution traffic paid for
-	// the pruning.
-	BoundarySent     int
-	GlobalServed     int
-	GlobalServedFrac float64
-	GlobBytes        int64
 
 	// Overlap efficiency of the gravity phase: LETsOverlapped of the
 	// LETsRecv received full LETs were walked while the local tree-walk
@@ -235,13 +212,11 @@ func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
 		NGroup:         cfg.NGroup,
 		BoundaryDepth:  cfg.BoundaryDepth,
 		DomainFreq:     cfg.DomainFreq,
-		GlobalTree:     cfg.GlobalTree,
 		BlockSteps:     cfg.BlockSteps,
 		MaxRungs:       cfg.MaxRungs,
 		EtaDT:          cfg.EtaDT,
 		G:              cfg.GravConst,
 		External:       wrapExternal(cfg.External),
-		LETWorkers:     cfg.LETWorkers,
 		SerialLET:      cfg.SerialLET,
 		Obs:            rec,
 	}
@@ -619,32 +594,29 @@ func fromPhase(p sim.PhaseTimes) PhaseTimes {
 
 func fromStats(st sim.StepStats) StepStats {
 	return StepStats{
-		Step:             st.Step,
-		Ranks:            st.Ranks,
-		N:                st.N,
-		Times:            fromPhase(st.Times),
-		MaxTimes:         fromPhase(st.MaxTimes),
-		PP:               st.Grav.PP,
-		PC:               st.Grav.PC,
-		PPPerParticle:    st.PPPerParticle,
-		PCPerParticle:    st.PCPerParticle,
-		Flops:            st.Grav.Flops(),
-		LETsSent:         st.LETsSent,
-		BoundaryUsed:     st.BoundaryUsed,
-		BytesSent:        st.BytesSent,
-		BoundarySent:     st.BoundarySent,
-		GlobalServed:     st.GlobalServed,
-		GlobalServedFrac: st.GlobalServedFrac,
-		GlobBytes:        st.GlobBytes,
-		LETsRecv:         st.LETsRecv,
-		LETsOverlapped:   st.LETsOverlapped,
-		OverlapFrac:      st.OverlapFrac,
-		RecvIdle:         st.RecvIdle,
-		WalkGflops:       st.WalkGflops,
-		AppGflops:        st.AppGflops,
-		KernelISA:        st.KernelISA,
-		Substeps:         st.Substeps,
-		Rebuilds:         st.Rebuilds,
-		ActiveFrac:       st.ActiveFrac,
+		Step:           st.Step,
+		Ranks:          st.Ranks,
+		N:              st.N,
+		Times:          fromPhase(st.Times),
+		MaxTimes:       fromPhase(st.MaxTimes),
+		PP:             st.Grav.PP,
+		PC:             st.Grav.PC,
+		PPPerParticle:  st.PPPerParticle,
+		PCPerParticle:  st.PCPerParticle,
+		Flops:          st.Grav.Flops(),
+		LETsSent:       st.LETsSent,
+		BoundaryUsed:   st.BoundaryUsed,
+		BytesSent:      st.BytesSent,
+		BoundarySent:   st.BoundarySent,
+		LETsRecv:       st.LETsRecv,
+		LETsOverlapped: st.LETsOverlapped,
+		OverlapFrac:    st.OverlapFrac,
+		RecvIdle:       st.RecvIdle,
+		WalkGflops:     st.WalkGflops,
+		AppGflops:      st.AppGflops,
+		KernelISA:      st.KernelISA,
+		Substeps:       st.Substeps,
+		Rebuilds:       st.Rebuilds,
+		ActiveFrac:     st.ActiveFrac,
 	}
 }

@@ -111,6 +111,6 @@ func printAblations(n int) {
 		fmt.Printf("%8d %14d %12d %12.2f\n",
 			depth, st.BoundaryUsed, st.LETsSent, float64(st.BytesSent)/1e6)
 	}
-	fmt.Println("(deeper boundary trees cost more in the allgather but let distant rank")
+	fmt.Println("(deeper boundary trees cost more in the all-pairs push but let distant rank")
 	fmt.Println(" pairs skip full LETs entirely — the paper's two-purpose reuse, §III.B.2)")
 }

@@ -45,7 +45,6 @@ func main() {
 		blockSteps = flag.Bool("block-steps", false, "hierarchical block timesteps: per-particle dt = dt/2^k from the acceleration criterion")
 		maxRungs   = flag.Int("max-rungs", 4, "block timesteps: maximum hierarchy depth (dt/2^max-rungs is the finest step)")
 		etaDT      = flag.Float64("eta-dt", 0.1, "block timesteps: accuracy parameter of dt_i = eta*sqrt(eps/|a_i|)")
-		globalTree = flag.Int("global-tree", 0, "shared coarse global octree depth K: prune the boundary exchange by serving distant rank pairs from an allgathered K-level tree (0 = off)")
 		serialLET  = flag.Bool("serial-let", false, "disable communication/compute overlap in the gravity phase (deterministic baseline)")
 		steps      = flag.Int("steps", 64, "number of leapfrog steps")
 		snapEvery  = flag.Int("snap-every", 0, "snapshot interval in steps (0 = none)")
@@ -75,8 +74,8 @@ func main() {
 		model: *model, n: *n, seed: *seed, restore: *restore,
 		ranks: *ranks, workers: *workers, theta: *theta, eps: *eps, dt: *dt,
 		blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
-		globalTree: *globalTree, serialLET: *serialLET,
-		steps: *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
+		serialLET: *serialLET,
+		steps:     *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
 	}
 	switch *transport {
 	case "chan":
@@ -131,7 +130,7 @@ func runInProcess(f simFlags, tracePath, metricsOut, expvarAddr string) {
 	}
 	r.printHeader("in-process")
 
-	exch := r.loop(s, true, r.restore != "", s.Particles, nil)
+	r.loop(s, true, r.restore != "", s.Particles, nil)
 
 	if tracePath != "" {
 		if err := writeFileWith(tracePath, s.WriteChromeTrace); err != nil {
@@ -144,13 +143,6 @@ func runInProcess(f simFlags, tracePath, metricsOut, expvarAddr string) {
 			log.Fatal(err)
 		}
 		fmt.Printf("metrics -> %s (summarize with tracestats -metrics)\n", metricsOut)
-	}
-
-	// One machine-readable exchange summary for the run (make scale-smoke
-	// asserts on these key=value tokens).
-	if slots := exch.BoundarySent + exch.GlobalServed; slots > 0 {
-		fmt.Printf("exchange: boundary-trees=%d pair-slots=%d global-served-frac=%.3f coarse-bytes=%d\n",
-			exch.BoundarySent, slots, float64(exch.GlobalServed)/float64(slots), exch.GlobBytes)
 	}
 
 	k, p := s.Energy()

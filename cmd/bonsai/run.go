@@ -24,7 +24,6 @@ type simFlags struct {
 	blockSteps bool
 	maxRungs   int
 	etaDT      float64
-	globalTree int
 	serialLET  bool
 	steps      int
 	snapEvery  int
@@ -91,7 +90,6 @@ func newRun(f simFlags, tracing bool) *run {
 		Theta:          r.theta,
 		Softening:      r.eps,
 		DT:             r.dt,
-		GlobalTree:     r.globalTree,
 		BlockSteps:     r.blockSteps,
 		MaxRungs:       r.maxRungs,
 		EtaDT:          r.etaDT,
@@ -128,9 +126,8 @@ type stepper interface {
 // top-of-step barriers, so a block-timestep run restores at barrier 0 to keep
 // the rung hierarchy it was saved with instead of re-assigning it. gather
 // returns the global particle set for a snapshot (nil off the root rank), and
-// afterStep, if non-nil, runs at the end of every step. Returns the sum of
-// the per-step exchange counters.
-func (r *run) loop(d stepper, narrate, restored bool, gather func() []bonsai.Particle, afterStep func()) (sum bonsai.StepStats) {
+// afterStep, if non-nil, runs at the end of every step.
+func (r *run) loop(d stepper, narrate, restored bool, gather func() []bonsai.Particle, afterStep func()) {
 	if r.blockSteps && restored {
 		if err := d.RestoreSubstep(0); err != nil {
 			log.Fatal(err)
@@ -138,9 +135,6 @@ func (r *run) loop(d stepper, narrate, restored bool, gather func() []bonsai.Par
 	}
 	for d.StepCount() < r.steps {
 		st := d.Step()
-		sum.BoundarySent += st.BoundarySent
-		sum.GlobalServed += st.GlobalServed
-		sum.GlobBytes += st.GlobBytes
 		step := r.startStep + d.StepCount()
 		if !r.quiet {
 			k, p := d.Energy()
@@ -164,19 +158,15 @@ func (r *run) loop(d stepper, narrate, restored bool, gather func() []bonsai.Par
 			afterStep()
 		}
 	}
-	return sum
 }
 
 // printStep prints one step line: the paper's Table II phases, interaction
-// counts, and the block-timestep and exchange-pruning summaries when on.
+// counts, and the block-timestep summary when on.
 func (r *run) printStep(step int, t, energy float64, st bonsai.StepStats) {
 	ms := func(d interface{ Seconds() float64 }) float64 { return d.Seconds() * 1e3 }
 	suffix := ""
 	if st.Substeps > 0 {
 		suffix = fmt.Sprintf("  sub %d/%d reb, active %3.0f%%", st.Substeps, st.Rebuilds, st.ActiveFrac*100)
-	}
-	if slots := st.BoundarySent + st.GlobalServed; slots > 0 {
-		suffix += fmt.Sprintf("  exch %d/%d global %2.0f%%", st.BoundarySent, slots, st.GlobalServedFrac*100)
 	}
 	fmt.Printf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]  pp/pc %.0f/%.0f  %5.2f Gflop/s%s\n",
 		step, bonsai.Gyr(r.startTime+t)*1e3, energy, ms(st.MaxTimes.Total),

@@ -120,20 +120,6 @@ func (k Key) Octant(level int) int {
 	return int((uint64(k) >> shift) & 7)
 }
 
-// PrefixPath returns the key's top `level` octant digits packed as one
-// integer: the dense octant-lattice path of the level-`level` tree cell that
-// contains the key (the root is level 0, path 0). The coarse global octree
-// indexes its per-level cell arrays with this path.
-func (k Key) PrefixPath(level int) uint64 {
-	if level <= 0 {
-		return 0
-	}
-	if level > Bits {
-		level = Bits
-	}
-	return uint64(k) >> uint(3*(Bits-level))
-}
-
 // spread inserts two zero bits between each of the low 21 bits of v.
 func spread(v uint64) uint64 {
 	v &= 0x1fffff

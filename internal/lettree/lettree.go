@@ -2,7 +2,7 @@
 // paper's multi-GPU parallelization (§III.B.2):
 //
 //   - Boundary trees: a shallow multipole-only truncation of the local
-//     octree that every rank allgathers. The paper reuses this structure for
+//     octree that every rank pushes to every peer. The paper reuses this structure for
 //     two purposes: as the remote-domain geometry description needed to
 //     build LETs, and — for sufficiently distant rank pairs — directly as
 //     the LET itself, avoiding any further communication.
@@ -10,7 +10,7 @@
 //   - The sufficiency predicate: a receiver-reproducible MAC check deciding
 //     whether a boundary tree alone can serve a target domain. Both the
 //     sender and the receiver evaluate the same predicate on the same
-//     allgathered inputs ("double the compute work", as the paper puts it),
+//     two boundary trees ("double the compute work", as the paper puts it),
 //     so no request/acknowledge round-trip is ever needed: the exchange is
 //     push-only.
 //
@@ -141,25 +141,6 @@ func extract(t *octree.Tree, localBox vec.Box, cellCap int, expand func(c *octre
 	}
 	rec(t.Root(), 0, 0)
 	return out
-}
-
-// VisitCells calls fn for every cell reachable from the root, with the cell's
-// index, its level, and its dense octant path (path = parent path*8 + octant;
-// the root is level 0, path 0). Parents are visited before children, octants
-// ascending. The coarse global octree uses the path to place a boundary
-// tree's cells on the shared octant lattice.
-func (l *LET) VisitCells(fn func(idx int32, level int, path uint64)) {
-	if l.Empty() {
-		return
-	}
-	var rec func(idx int32, level int, path uint64)
-	rec = func(idx int32, level int, path uint64) {
-		fn(idx, level, path)
-		for ch := idx + 1; ch < l.Cells[idx].Skip; ch = l.Cells[ch].Skip {
-			rec(ch, level+1, path*8+uint64(l.Cells[ch].Oct))
-		}
-	}
-	rec(0, 0, 0)
 }
 
 // ---------------------------------------------------------------------------

@@ -203,7 +203,6 @@ func FuzzLETUnmarshal(f *testing.F) {
 		pot := make([]float64, len(tpos))
 		Walk(l, groups, tpos, 0.5, 1e-4, acc, pot, 1, nil)
 		Sufficient(l, near, 0.5)
-		l.VisitCells(func(int32, int, uint64) {})
 		if again, err := Unmarshal(l.Marshal()); err != nil || len(again.Cells) != len(l.Cells) {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

@@ -2,11 +2,11 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"bonsai/internal/body"
-	"bonsai/internal/globtree"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
 	"bonsai/internal/vec"
@@ -27,7 +27,8 @@ import (
 // PairBytes-vs-declared-bytes consistency check in internal/sim leans on.
 
 // Payload kinds. The numeric values are part of the wire format; append
-// only.
+// only. A kind whose payload type is gone keeps its number reserved
+// (decodePayload rejects it as unknown).
 const (
 	kNil uint16 = iota
 	kBool
@@ -47,13 +48,10 @@ const (
 	kParticle
 	kParticles
 	kLET
-	kLETs
+	_ // reserved: was []*lettree.LET, the allgathered boundary trees
 	kByteSlices
-	kGlobContrib
+	_ // reserved: was the coarse global tree's per-rank contribution
 )
-
-// nilLETLen marks a nil *lettree.LET inside a kLETs sequence.
-const nilLETLen = 0xffffffff
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
@@ -147,21 +145,6 @@ func encodePayload(data any) (uint16, []byte, error) {
 		return kByteSlices, b, nil
 	case *lettree.LET:
 		return kLET, v.Marshal(), nil
-	case *globtree.Contribution:
-		return kGlobContrib, v.Marshal(), nil
-	case []*lettree.LET:
-		var b []byte
-		b = appendU32(b, uint32(len(v)))
-		for _, l := range v {
-			if l == nil {
-				b = appendU32(b, nilLETLen)
-				continue
-			}
-			enc := l.Marshal()
-			b = appendU32(b, uint32(len(enc)))
-			b = append(b, enc...)
-		}
-		return kLETs, b, nil
 	default:
 		return 0, nil, fmt.Errorf("mpi: no wire codec for payload type %T", data)
 	}
@@ -202,6 +185,21 @@ func getParticle(b []byte, off *int) body.Particle {
 	p.Rung = b[*off]
 	*off++
 	return p
+}
+
+// ErrSliceCount is returned (wrapped) for a slice-of-slices payload whose
+// leading element count cannot fit in the bytes that follow it.
+var ErrSliceCount = errors.New("mpi: slice count exceeds payload")
+
+// sliceCount reads the element count that leads a [][]T payload and bounds it
+// by the bytes that remain: every element carries at least its own 4-byte
+// length, so a larger count is a lie, and the caller sizes a block from it.
+func sliceCount(b []byte, off *int) (int, error) {
+	n := getU32(b, off)
+	if uint64(n) > uint64(len(b)-*off)/4 {
+		return 0, fmt.Errorf("%w: %d elements in %d bytes", ErrSliceCount, n, len(b)-*off)
+	}
+	return int(n), nil
 }
 
 // decodePayload reconstructs the value encoded by encodePayload. The
@@ -286,7 +284,10 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("mpi: short [][]key payload")
 		}
-		n := int(getU32(b, &off))
+		n, err := sliceCount(b, &off)
+		if err != nil {
+			return nil, err
+		}
 		out := make([][]keys.Key, n)
 		for i := range out {
 			if len(b)-off < 4 {
@@ -336,7 +337,10 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("mpi: short [][]byte payload")
 		}
-		n := int(getU32(b, &off))
+		n, err := sliceCount(b, &off)
+		if err != nil {
+			return nil, err
+		}
 		out := make([][]byte, n)
 		for i := range out {
 			if len(b)-off < 4 {
@@ -352,34 +356,6 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		return out, nil
 	case kLET:
 		return lettree.Unmarshal(b)
-	case kGlobContrib:
-		return globtree.Unmarshal(b)
-	case kLETs:
-		off := 0
-		if len(b) < 4 {
-			return nil, fmt.Errorf("mpi: short []LET payload")
-		}
-		n := int(getU32(b, &off))
-		out := make([]*lettree.LET, n)
-		for i := range out {
-			if len(b)-off < 4 {
-				return nil, fmt.Errorf("mpi: truncated []LET payload")
-			}
-			m := getU32(b, &off)
-			if m == nilLETLen {
-				continue
-			}
-			if len(b)-off < int(m) {
-				return nil, fmt.Errorf("mpi: truncated []LET payload")
-			}
-			l, err := lettree.Unmarshal(b[off : off+int(m)])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = l
-			off += int(m)
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("mpi: unknown payload kind %d", kind)
 	}

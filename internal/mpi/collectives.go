@@ -38,37 +38,9 @@ func Gather[T any](c *Comm, root int, v T, nbytes int) []T {
 }
 
 // Allgather collects one value per rank at every rank, indexed by rank.
-// This is the collective behind the paper's boundary-tree exchange
-// (MPI_Allgatherv of the local boundary structures).
 func Allgather[T any](c *Comm, v T, nbytes int) []T {
 	all := Gather(c, 0, v, nbytes)
 	return Bcast(c, 0, all, nbytes*c.Size())
-}
-
-// AllgatherRing is Allgather over a ring schedule: in p−1 rounds every rank
-// forwards the block it received in the previous round to its right
-// neighbour. The gather+bcast Allgather funnels 2(p−1) messages through rank
-// 0's mailbox; the ring spreads the same volume evenly — every rank sends and
-// receives exactly p−1 messages — which is what keeps the coarse global-tree
-// exchange from developing a rank-0 hotspot at hundreds of ranks. nbytes
-// meters each forwarded block (sizes differ per originating rank).
-func AllgatherRing[T any](c *Comm, v T, nbytes func(T) int) []T {
-	p := c.Size()
-	out := make([]T, p)
-	out[c.rank] = v
-	if p == 1 {
-		return out
-	}
-	tag := c.nextCollTag()
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	cur := v
-	for k := 1; k < p; k++ {
-		c.send(right, tag, cur, nbytes(cur))
-		cur = c.Recv(left, tag).(T)
-		out[(c.rank-k+p)%p] = cur
-	}
-	return out
 }
 
 // Allreduce combines one value per rank with op (assumed associative and

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"bonsai/internal/body"
-	"bonsai/internal/globtree"
 	"bonsai/internal/grav"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
@@ -87,7 +86,6 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("Barrier", func(t *testing.T) { testBarrier(t, sp) })
 			t.Run("Bcast", func(t *testing.T) { testBcast(t, sp) })
 			t.Run("Allgather", func(t *testing.T) { testAllgather(t, sp) })
-			t.Run("AllgatherRing", func(t *testing.T) { testAllgatherRing(t, sp) })
 			t.Run("Allreduce", func(t *testing.T) { testAllreduce(t, sp) })
 			t.Run("Alltoallv", func(t *testing.T) { testAlltoallv(t, sp) })
 			t.Run("AlltoallvNoAliasing", func(t *testing.T) { testAlltoallvNoAliasing(t, sp) })
@@ -169,8 +167,6 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 		body.Particle{Pos: vec.V3{X: 1}, Vel: vec.V3{Y: 2}, Mass: 3, Weight: 4, ID: 5, Rung: 6},
 		[]body.Particle{{Mass: 1, ID: 1, Rung: 3}, {Mass: 2, ID: 2}},
 		let,
-		[]*lettree.LET{nil, let},
-		&globtree.Contribution{Tree: let, Counts: []int64{0, 3, 0, 0, 7, 0, 0, 0, 1}},
 	}
 	sp := sockSpawn("tcp")
 	sp(2, func(c *Comm) {
@@ -353,16 +349,14 @@ func BenchmarkAllgather8(b *testing.B) {
 	})
 }
 
-// BenchmarkAllgather64 prices the collective behind the coarse global-tree
-// exchange at the rank counts the hierarchical LET protocol targets: the
-// gather+bcast Allgather funnels 2(p-1) messages through rank 0, while the
-// ring schedule spreads the same volume evenly. In-process only — 64 socket
-// ranks would measure file-descriptor pressure, not schedule shape.
+// BenchmarkAllgather64 prices the gather+bcast Allgather (2(p-1) messages
+// through rank 0) at the rank count of the widest end-to-end workload, where
+// the domain decomposition calls it. In-process only — 64 socket ranks would
+// measure file-descriptor pressure, not the schedule.
 func BenchmarkAllgather64(b *testing.B) {
 	const size = 64
 	payload := make([]byte, 4096)
-	nbytes := func(p []byte) int { return len(p) }
-	run := func(b *testing.B, gather func(c *Comm)) {
+	b.Run("gatherBcast", func(b *testing.B) {
 		w := NewWorld(size)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -371,16 +365,10 @@ func BenchmarkAllgather64(b *testing.B) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					gather(w.Comm(r))
+					Allgather(w.Comm(r), payload, len(payload))
 				}(r)
 			}
 			wg.Wait()
 		}
-	}
-	b.Run("gatherBcast", func(b *testing.B) {
-		run(b, func(c *Comm) { Allgather(c, payload, len(payload)) })
-	})
-	b.Run("ring", func(b *testing.B) {
-		run(b, func(c *Comm) { AllgatherRing(c, payload, nbytes) })
 	})
 }

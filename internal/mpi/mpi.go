@@ -226,19 +226,6 @@ func (w *World) PairBytesFrom(from int) int64 {
 	return t
 }
 
-// PairBytesTotal returns the cumulative exchange bytes summed over every
-// (from, to) rank pair — the aggregate the scaling benches track per step
-// next to the full matrix. Zero unless EnableObs was called; under a
-// multi-process transport each process sums only rows of locally hosted
-// ranks.
-func (w *World) PairBytesTotal() int64 {
-	var t int64
-	for i := range w.pairBytes {
-		t += w.pairBytes[i].Load()
-	}
-	return t
-}
-
 // ResetCounters zeroes the traffic meters, including the per-pair byte
 // matrix when observability is enabled — a reset must not leak pre-reset
 // pair traffic into post-reset measurements.

@@ -151,30 +151,6 @@ func testAllgather(t *testing.T, sp spawner) {
 	})
 }
 
-func testAllgatherRing(t *testing.T, sp spawner) {
-	// Variable-size per-rank payloads: the ring forwards each block p-1 hops,
-	// and every rank must end up with the same rank-indexed slice Allgather
-	// would produce.
-	sp(6, func(c *Comm) {
-		mine := make([]byte, c.Rank()+1)
-		for i := range mine {
-			mine[i] = byte(c.Rank()*10 + i)
-		}
-		got := AllgatherRing(c, mine, func(b []byte) int { return len(b) })
-		for r, blk := range got {
-			if len(blk) != r+1 {
-				t.Errorf("rank %d: block %d has %d bytes, want %d", c.Rank(), r, len(blk), r+1)
-				continue
-			}
-			for i, v := range blk {
-				if v != byte(r*10+i) {
-					t.Errorf("rank %d: block %d byte %d = %d", c.Rank(), r, i, v)
-				}
-			}
-		}
-	})
-}
-
 func testAllreduce(t *testing.T, sp spawner) {
 	const size = 7
 	sp(size, func(c *Comm) {
@@ -370,7 +346,6 @@ func TestRecvAnyAndTryRecvAny(t *testing.T) { testRecvAnyAndTryRecvAny(t, spawn)
 func TestBarrier(t *testing.T)              { testBarrier(t, spawn) }
 func TestBcast(t *testing.T)                { testBcast(t, spawn) }
 func TestAllgather(t *testing.T)            { testAllgather(t, spawn) }
-func TestAllgatherRing(t *testing.T)        { testAllgatherRing(t, spawn) }
 func TestAllreduce(t *testing.T)            { testAllreduce(t, spawn) }
 func TestAlltoallv(t *testing.T)            { testAlltoallv(t, spawn) }
 func TestAlltoallvNoAliasing(t *testing.T)  { testAlltoallvNoAliasing(t, spawn) }

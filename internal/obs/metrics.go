@@ -148,17 +148,9 @@ type StepMetrics struct {
 	GravLETMS   float64 `json:"grav_let_ms,omitempty"`
 	OtherMS     float64 `json:"other_ms,omitempty"`
 
-	// Exchange-pruning fields (Config.GlobalTree runs only): boundary trees
-	// this evaluation actually pushed (p−1 per rank without pruning), directed
-	// rank pairs served entirely from the shared coarse global tree, the
-	// fraction served = GlobalServed/(GlobalServed+BoundarySent), and the
-	// coarse-contribution traffic paid for the pruning. At high rank counts a
-	// skewed per-rank boundary_sent is the signature of clustered geometry
-	// meeting the MAC — pruning at work, not a straggling rank.
-	BoundarySent     int     `json:"boundary_sent,omitempty"`
-	GlobalServed     int     `json:"global_served,omitempty"`
-	GlobalServedFrac float64 `json:"global_served_frac,omitempty"`
-	GlobBytes        int64   `json:"glob_bytes,omitempty"`
+	// BoundarySent counts the boundary-tree pushes of the evaluation: p−1 per
+	// rank, p·(p−1) in an aggregated record.
+	BoundarySent int `json:"boundary_sent,omitempty"`
 
 	// Block-timestep fields (Config.BlockSteps runs only): the substep
 	// boundary the evaluation ran at (1..2^MaxRungs; 0 = a priming
@@ -266,8 +258,6 @@ func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
 			agg.LETsRecv += m.LETsRecv
 			agg.LETsOverlapped += m.LETsOverlapped
 			agg.BoundarySent += m.BoundarySent
-			agg.GlobalServed += m.GlobalServed
-			agg.GlobBytes += m.GlobBytes
 			if m.ArrivalsSeen > 0 {
 				if agg.ArrivalsSeen == 0 || m.WorstArrivalMS > worstArr {
 					worstArr = m.WorstArrivalMS
@@ -297,9 +287,6 @@ func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
 		}
 		if agg.LETsRecv > 0 {
 			agg.OverlapFrac = float64(agg.LETsOverlapped) / float64(agg.LETsRecv)
-		}
-		if slots := agg.GlobalServed + agg.BoundarySent; slots > 0 {
-			agg.GlobalServedFrac = float64(agg.GlobalServed) / float64(slots)
 		}
 		// Aggregate throughput: ranks walk concurrently, so the combined walk
 		// rate is the sum of per-rank rates; the application rate re-derives

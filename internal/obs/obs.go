@@ -34,7 +34,7 @@ const (
 	PhaseDomain                 // sampling decomposition + particle exchange
 	PhaseTreeBuild              // octree construction
 	PhaseTreeProps              // multipole computation + group making
-	PhaseBoundary               // boundary-tree allgather (blocking collective)
+	PhaseBoundary               // boundary-tree cut + push to every peer; each blocking wait for a peer's tree (arg = source rank)
 	PhaseWalkLocal              // one local-tree walk chunk
 	PhaseWalkLET                // one batched pass over banked remote trees, a full LET among them (arg = trees in the pass)
 	PhaseWalkBound              // one batched pass over boundary trees only (arg = trees in the pass)

@@ -243,17 +243,12 @@ func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	var overlapSum, worstArr float64
 	worstStep := -1
 	stragglerHits := map[int]int{}
-	boundarySent, globalServed := 0, 0
-	var globBytes int64
 	for _, m := range steps {
 		fmt.Fprintf(w, "%5d %10.2f %10.2f %6.1f%% %10d %7.0f%% %7d %14.3f %10.3f\n",
 			m.Step, m.MeanStepMS, m.MaxStepMS, m.ImbalancePct, m.Straggler,
 			100*m.OverlapFrac, m.LETsRecv, m.WorstArrivalMS, m.NonHiddenCommMS)
 		overlapSum += m.OverlapFrac
 		stragglerHits[m.Straggler]++
-		boundarySent += m.BoundarySent
-		globalServed += m.GlobalServed
-		globBytes += m.GlobBytes
 		if m.ArrivalsSeen > 0 && (worstStep < 0 || m.WorstArrivalMS > worstArr) {
 			worstArr, worstStep = m.WorstArrivalMS, m.Step
 		}
@@ -270,14 +265,4 @@ func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 		fmt.Fprintf(w, "; worst LET arrival %+.3f ms after walk end (eval %d)", worstArr, worstStep)
 	}
 	fmt.Fprintln(w)
-	// Exchange-pruning summary (global-tree runs only). Printed alongside the
-	// straggler table on purpose: at high rank counts a rank whose pair-slots
-	// are mostly served from the shared coarse tree does far less exchange
-	// work than its peers, and its timing skew would otherwise read as
-	// straggling. The served fraction names the real cause.
-	if slots := boundarySent + globalServed; slots > 0 {
-		fmt.Fprintf(w, "exchange pruning: %d boundary trees sent, %d pair-slots served from the shared global tree (%.0f%%), coarse-tree traffic %.1f KB\n",
-			boundarySent, globalServed,
-			100*float64(globalServed)/float64(slots), float64(globBytes)/1e3)
-	}
 }

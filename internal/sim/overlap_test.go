@@ -82,7 +82,7 @@ func TestOverlapCountersConsistent(t *testing.T) {
 func TestOverlapPipelineStress(t *testing.T) {
 	parts := plummer(2500, 63)
 	s, err := New(Config{
-		Ranks: 8, WorkersPerRank: 4, LETWorkers: 3,
+		Ranks: 8, WorkersPerRank: 4,
 		Theta: 0.4, Eps: 0.05, DT: 1e-3, DomainFreq: 1,
 	}, parts)
 	if err != nil {

@@ -3,15 +3,11 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
-	"bonsai/internal/globtree"
 	"bonsai/internal/keys"
-	"bonsai/internal/lettree"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/octree"
@@ -22,8 +18,8 @@ import (
 
 // rank is one simulated MPI process with one simulated GPU. Its step
 // pipeline reproduces the paper's: SFC sort → domain update → tree build →
-// tree properties → boundary allgather → local gravity overlapped with the
-// LET exchange → integration.
+// tree properties → local gravity overlapped with the boundary-tree and LET
+// exchange → integration.
 type rank struct {
 	cfg  *Config
 	comm *mpi.Comm
@@ -58,21 +54,15 @@ type rank struct {
 	ts      octree.BuildScratch
 
 	// Observability (all nil when tracing is disabled): the rank's span
-	// buffer, the shared histogram set, the current evaluation sequence
-	// number, and the evaluation-scoped LET arrival timestamps (obs-epoch
-	// ns; written by the receiver goroutine, read by the compute thread
-	// after the arrival channel drains).
-	obs       *obs.RankRec
-	met       *obs.Metrics
-	eval      int
-	arrivalNS []int64
+	// buffer, the shared histogram set, and the current evaluation sequence
+	// number.
+	obs  *obs.RankRec
+	met  *obs.Metrics
+	eval int
 
-	// Gravity-phase scratch reused across evaluations: per-peer remote trees,
-	// push decisions and LET byte counts, and the ready set of banked trees.
-	boundaries   []*lettree.LET
-	sendBoundary []bool
-	sentBytes    []int64
-	ready        []octree.Source
+	// The current gravity phase's LET exchange; its per-peer tables are
+	// reused across evaluations.
+	exch exchange
 
 	// step-scoped
 	stats RankStats
@@ -136,11 +126,6 @@ type NonFiniteForceError struct {
 func (e *NonFiniteForceError) Error() string {
 	return fmt.Sprintf("sim: rank %d: force phase left acc %v, pot %v on particle id %d", e.Rank, e.Acc, e.Pot, e.ID)
 }
-
-const (
-	tagLETBase      = 1 << 20        // user-tag space for LET pushes, offset by step parity
-	tagBoundaryBase = tagLETBase + 2 // boundary-tree pushes (overlapped mode), offset by step parity
-)
 
 // stepForces runs the full force pipeline for one step and leaves
 // accelerations/potentials in r.acc/r.pot (aligned with r.parts).
@@ -323,19 +308,17 @@ func (r *rank) sortBuild() {
 	r.parts, r.spare = r.spare, r.parts
 }
 
-// gravity performs the overlapped local + LET force computation, the paper's
-// three-role pipeline (§III.B.3): a receiver goroutine drains incoming full
-// LETs into a channel as they arrive, a pool of builder goroutines constructs
-// and pushes outgoing LETs, and the compute side walks the local tree in
-// chunks, polling between them. Remote trees are never walked one by one: a
-// boundary tree judged sufficient, or an arrived full LET, is banked in the
-// ready set, and a batched pass (flush) walks everything banked so far as ONE
-// merged interaction list per target group (octree.WalkSources): a few long
-// kernel lists instead of p−1 short ones. The flush policy is fixed: never
-// while local groups are pending; once after the local walk; then once per
-// wake-up of the straggler wait. Config.SerialLET removes all overlap —
-// builds before the walk, receives strictly after, one flush in
-// ascending-peer order — as the deterministic baseline.
+// gravity computes the targets' accelerations from the local tree and from
+// every remote tree of the phase's exchange (exchange.go). The compute thread
+// walks the local tree in chunks with a non-blocking poll of the exchange
+// between them; nothing remote is walked while local groups are pending. Then
+// come the batched passes: one over everything banked by the time the local
+// walk and the last boundary tree are in, and one more per wake-up of the
+// straggler wait. Config.SerialLET drives the same exchange with no overlap —
+// every boundary tree received and every owed LET built before the walk, the
+// walk in one piece, every owed LET received after it, one pass — which fixes
+// each group's merged list and so the accelerations bitwise: the reference
+// the equivalence suites compare against.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
 // comes from t: the full pipeline passes every local particle, block-timestep
@@ -343,484 +326,51 @@ func (r *rank) sortBuild() {
 // separates consecutive gravity phases' traffic (step parity for global-dt
 // runs, evaluation parity for block runs, where one step holds many phases).
 func (r *rank) gravity(tagPar int, t *walkTargets) {
-	p, me := r.comm.Size(), r.comm.Rank()
 	theta, eps2 := r.cfg.Theta, r.cfg.Eps*r.cfg.Eps
-	tag := tagLETBase + tagPar
+	x := r.startExchange(tagPar, t)
 
-	// --- Boundary tree exchange. The SerialLET baseline keeps the blocking
-	// allgather, fully exposing the exchange cost. The overlapped mode
-	// pipelines the exchange itself: the local boundary tree is pushed
-	// point-to-point and arrivals are processed between local-walk chunks,
-	// so the exchange hides behind the walk just like the LET traffic it
-	// gates. With Config.GlobalTree > 0 the exchange is also hierarchical:
-	// a shared coarse global octree decides, per pair, whether any boundary
-	// tree needs to move at all.
-	tB := time.Now()
-	myBoundary := lettree.BoundaryTree(r.tree, r.cfg.BoundaryDepth, t.box)
-	boundaries := resize(r.boundaries, p) // all nil: cleared when the phase ends
-	r.boundaries = boundaries
-	boundaries[me] = myBoundary
-
-	// Coarse global octree (Config.GlobalTree levels K > 0): one ring
-	// allgather of tiny depth-K boundary-tree prefixes plus octant occupancy
-	// histograms replaces the all-to-all boundary exchange for distant
-	// pairs. Every rank merges the same contributions into the same coarse
-	// tree and evaluates the same MAC predicates, so the pruning decisions
-	// are symmetric and handshake-free like the rest of the push protocol.
-	// A coarse contribution is a bit-exact prefix of the full boundary tree
-	// (K ≤ BoundaryDepth is enforced by the config): when it is sufficient
-	// for our targets, walking it yields bitwise the accelerations the full
-	// boundary tree would have, and the pair exchanges nothing at all.
-	var glob *globtree.Global
-	var sendBoundary []bool // j's coarse view of us is insufficient: push our boundary
-	nearRecv := 0           // full boundary trees en route to us
-	if K := r.cfg.GlobalTree; K > 0 && p > 1 {
-		contrib := globtree.Extract(r.tree, K, t.box)
-		all := mpi.AllgatherRing(r.comm, contrib, (*globtree.Contribution).WireBytes)
-		glob = globtree.Merge(all, K)
-		sendBoundary = resize(r.sendBoundary, p)
-		r.sendBoundary = sendBoundary
-		clear(sendBoundary)
-		// With K == BoundaryDepth the coarse contribution IS the boundary
-		// tree (identical construction), so the allgather already delivered
-		// every boundary and no pair needs a separate push at all.
-		dedup := K >= r.cfg.BoundaryDepth
-		for j := 0; j < p; j++ {
-			if j == me {
-				continue
-			}
-			if dedup {
-				boundaries[j] = glob.Coarse(j)
-				if glob.Sufficient(j, t.box, theta) {
-					r.stats.GlobalServed++
-				}
-				continue
-			}
-			if !glob.Sufficient(me, glob.Box(j), theta) {
-				sendBoundary[j] = true
-				r.stats.BoundarySent++
-			}
-			if glob.Sufficient(j, t.box, theta) {
-				// Distant pair: j's coarse tree serves every target we have.
-				boundaries[j] = glob.Coarse(j)
-				r.stats.GlobalServed++
-			} else {
-				nearRecv++
-			}
-		}
-		r.stats.GlobBytes += int64(glob.WireBytes())
-	}
-
+	// Chunks give the pipeline regular poll points while staying wide enough
+	// to feed the walk's worker pool.
+	chunk := max((len(t.groups)+15)/16, r.cfg.WorkersPerRank)
 	if r.cfg.SerialLET {
-		if glob == nil {
-			boundaries = mpi.Allgather(r.comm, myBoundary, myBoundary.WireBytes())
-			r.stats.BoundarySent += p - 1
-			r.stats.LETBytesSent += int64(myBoundary.WireBytes()) * int64(p-1)
-		} else {
-			// Hierarchical exchange: full boundary trees move only within
-			// the MAC-determined neighborhood, received in deterministic
-			// (ascending peer) order. Sends are eager, so every rank posts
-			// its pushes before blocking on receives — no deadlock.
-			btag := tagBoundaryBase + tagPar
-			for j := 0; j < p; j++ {
-				if sendBoundary[j] {
-					r.comm.Send(j, btag, myBoundary, myBoundary.WireBytes())
-					r.stats.LETBytesSent += int64(myBoundary.WireBytes())
-				}
-			}
-			for j := 0; j < p; j++ {
-				if j != me && boundaries[j] == nil {
-					boundaries[j] = r.comm.Recv(j, btag).(*lettree.LET)
-				}
-			}
-		}
+		x.awaitBoundariesInOrder()
+		x.buildAhead()
+		chunk = len(t.groups)
 	} else {
-		btag := tagBoundaryBase + tagPar
-		for j := 0; j < p; j++ {
-			if j == me || (glob != nil && !sendBoundary[j]) {
-				continue
-			}
-			r.comm.Send(j, btag, myBoundary, myBoundary.WireBytes())
-			r.stats.LETBytesSent += int64(myBoundary.WireBytes())
-		}
-		if glob == nil {
-			r.stats.BoundarySent += p - 1
-		}
-	}
-	boundaryTime := time.Since(tB)
-	r.obs.Span(r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, tB, tB.Add(boundaryTime), 0)
-
-	var localWalk, letWalk, waitTime time.Duration
-	var recvIdle atomic.Int64 // nanoseconds the receiver spent blocked
-
-	// --- LET construction: build and push a full LET to destination j.
-	// BuildFor only reads the local tree and j's (already stored) boundary
-	// box, so builds are safe alongside each other and alongside the
-	// compute walks. In the SerialLET baseline there is no communication
-	// thread at all: LETs are built and pushed on the compute thread ahead
-	// of the local walk, and that time is exactly the communication cost
-	// the pipeline would hide.
-	sentBytes := resize(r.sentBytes, p)
-	r.sentBytes = sentBytes
-	clear(sentBytes)
-	buildLET := func(j, worker int) {
-		var tb time.Time
-		if r.obs != nil {
-			tb = time.Now()
-		}
-		let := lettree.BuildFor(r.tree, boundaries[j].Box, theta, t.box)
-		r.comm.Send(j, tag, let, let.WireBytes())
-		sentBytes[j] = int64(let.WireBytes())
-		if r.obs != nil {
-			lane := obs.LaneBuilder
-			if r.cfg.SerialLET {
-				lane = obs.LaneCompute
-			}
-			r.obs.Span(r.eval, obs.PhaseLETBuild, lane, worker, tb, time.Now(), int64(j))
-		}
-	}
-	done := make(chan struct{})
-
-	// The ready set and its batched pass. bank adds one remote tree — a
-	// boundary (or coarse) tree judged sufficient, or a received full LET —
-	// and flush walks everything banked in one call: a walk:let span if a
-	// full LET is among them, else walk:boundary, carrying the tree count.
-	ready, readyLETs := r.ready[:0], 0
-	bank := func(l *lettree.LET, full bool) {
-		ready = append(ready, l)
-		if full {
-			readyLETs++
-			r.stats.LETsRecv++
-		} else {
-			r.stats.BoundaryUsed++
-		}
-	}
-	flush := func() {
-		if len(ready) == 0 {
-			return
-		}
-		ph := obs.PhaseWalkBound
-		if readyLETs > 0 {
-			ph = obs.PhaseWalkLET
-		}
-		tW := time.Now()
-		forced := octree.WalkSources(ready, t.groups, t.pos, theta, eps2,
-			t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
-		d := time.Since(tW)
-		letWalk += d
-		r.obs.Span(r.eval, ph, obs.LaneCompute, 0, tW, tW.Add(d), int64(len(ready)))
-		r.met.LETWalkHist().ObserveDuration(d)
-		if forced != 0 {
-			panic(fmt.Sprintf("sim: rank %d: %d remote trees (%d received LETs, the rest boundary trees judged sufficient) forced %d accepts",
-				me, len(ready), readyLETs, forced))
-		}
-		clear(ready)
-		ready, readyLETs = ready[:0], 0
+		x.overlap()
 	}
 
-	// recordArrival notes a full LET's arrival for the hidden-vs-straggler
-	// analysis: a trace instant plus the epoch timestamp the offsets are
-	// computed from once the local walk's completion time is known. Called
-	// by whichever goroutine performed the receive, always before the LET
-	// is handed to the compute side.
-	recordArrival := func(at time.Time, from int, lane obs.Lane) {
-		r.obs.Mark(r.eval, obs.PhaseArrive, lane, at, int64(from))
-		r.arrivalNS = append(r.arrivalNS, r.obs.Since(at))
-	}
-
-	// walkEndNS is the obs-epoch timestamp of local-walk completion; LET
-	// arrival offsets (the Fig. 5 hidden-vs-straggler signal) are measured
-	// against it at the end of the phase.
-	var walkEndNS int64
-	markWalkDone := func() {
-		if r.obs == nil {
-			return
+	var localWalk time.Duration
+	for pending := t.groups; len(pending) > 0; {
+		if x.pollBoundary() {
+			continue
 		}
-		now := time.Now()
-		r.obs.Mark(r.eval, obs.PhaseWalkDone, obs.LaneCompute, now, 0)
-		walkEndNS = r.obs.Since(now)
-	}
-
-	if r.cfg.SerialLET {
-		// Builds on the compute thread, ahead of the walk: the no-overlap
-		// baseline. Both sides of each pair evaluate the same predicate on
-		// the same allgathered data, so no handshake is needed (the paper's
-		// symmetric double-check). boundaries[j] is j's boundary tree or,
-		// for distant pairs under the global tree, its coarse tree: a
-		// bit-exact, pre-vetted prefix, so the predicates read identically.
-		tS := time.Now()
-		for j := 0; j < p; j++ {
-			if j != me && !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
-				buildLET(j, 0)
-				r.stats.LETsSent++
-			}
-		}
-		waitTime += time.Since(tS)
-		close(done)
-
-		// Baseline ordering: full local walk, then every remote tree in
-		// ascending peer order — its boundary tree where that suffices, else
-		// a blocking receive of its full LET — and one flush. The fixed order
-		// fixes each group's merged list and so the accelerations bitwise,
-		// which is what lets the pruned exchange be fuzzed for exact
-		// equivalence. Sends are eager, so the receives cannot deadlock.
+		r.stats.LETsOverlapped += x.drain()
+		n := min(chunk, len(pending))
 		tL := time.Now()
-		r.tree.WalkObs(t.groups, t.pos, theta, eps2, t.acc, t.pot,
+		r.tree.WalkObs(pending[:n], t.pos, theta, eps2, t.acc, t.pot,
 			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
-		localWalk = time.Since(tL)
-		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(localWalk), int64(len(t.groups)))
-		markWalkDone()
-		for j := 0; j < p; j++ {
-			switch {
-			case j == me:
-			case lettree.Sufficient(boundaries[j], myBoundary.Box, theta):
-				bank(boundaries[j], false)
-			default:
-				tR := time.Now()
-				msg := r.comm.Recv(j, tag)
-				d := time.Since(tR)
-				waitTime += d
-				if r.obs != nil {
-					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(j))
-					recordArrival(tR.Add(d), j, obs.LaneCompute)
-				}
-				bank(msg.(*lettree.LET), true)
-			}
-		}
-		flush()
-	} else {
-		// --- Overlapped mode. Boundaries are processed the moment they
-		// arrive (between local-walk chunks): each one immediately yields
-		// the pairwise sufficiency decisions — feeding the LET-builder pool
-		// without waiting for the slowest peer — and sufficient boundary
-		// trees are banked as guaranteed work for the first batched pass.
-		btag := tagBoundaryBase + tagPar
-		bLeft := p - 1 // boundaries still in flight
-		if glob != nil {
-			bLeft = nearRecv // distant peers were pruned: nothing in flight from them
-		}
-		expectFrom := 0 // full LETs that will arrive for us (grows as boundaries land)
-		letsSent := 0
-		jobs := make(chan int, p)     // full-LET destinations, fed per arrival
-		letCount := make(chan int, 1) // final expectFrom for the receiver goroutine
-		// settle runs j's two pairwise predicates once its boundary (or
-		// coarse) tree is known: a full LET is owed whenever our boundary
-		// tree alone cannot serve j's targets, and j's tree either banks or
-		// announces a full LET en route. The boundaries[j] store
-		// happens-before the jobs send, so builders read the box safely.
-		settle := func(j int) {
-			if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
-				letsSent++
-				jobs <- j // never blocks: cap p, at most p-1 jobs
-			}
-			if lettree.Sufficient(boundaries[j], myBoundary.Box, theta) {
-				bank(boundaries[j], false)
-			} else {
-				expectFrom++
-			}
-		}
-		// Pairs prefilled from the allgathered coarse data settle at once.
-		// With K < BoundaryDepth only mutually-distant peers are prefilled
-		// and both predicates settle the cheap way (monotonicity of the MAC
-		// over depth-truncation); with K == BoundaryDepth every peer is
-		// prefilled and near pairs exchange full LETs directly.
-		for j := range boundaries {
-			if j != me && boundaries[j] != nil {
-				settle(j)
-			}
-		}
-		processBoundary := func(from int, bt *lettree.LET) {
-			boundaries[from] = bt
-			settle(from)
-			if bLeft--; bLeft == 0 {
-				close(jobs)
-				letCount <- expectFrom
-			}
-		}
-		if bLeft == 0 { // single rank or fully prefilled: no boundaries in flight
-			close(jobs)
-			letCount <- expectFrom
-		}
-
-		// Builder pool: consumes destinations as boundaries arrive, so
-		// construction starts while most peers are still walking. steal is
-		// the compute thread's private view of the queue: it is nilled out
-		// once drained (a nil channel never matches in a select), while the
-		// builders keep ranging over jobs itself.
-		steal := jobs
-		var bwg sync.WaitGroup
-		for w := 0; w < r.cfg.letBuilders(p-1); w++ {
-			bwg.Add(1)
-			go func(w int) {
-				defer bwg.Done()
-				for j := range jobs {
-					buildLET(j, w)
-				}
-			}(w)
-		}
-		go func() { bwg.Wait(); close(done) }()
-
-		// Receiver goroutine: drains the mailbox as messages arrive so a LET
-		// is ready for the compute side the moment the sender pushes it. It
-		// learns how many LETs to expect once the compute side has processed
-		// every boundary.
-		arrivals := make(chan *lettree.LET, p) // never blocks the receiver: at most p-1 LETs arrive
-		go func() {
-			defer close(arrivals)
-			for k := <-letCount; k > 0; k-- {
-				tR := time.Now()
-				from, msg := r.comm.RecvAny(tag)
-				recvIdle.Add(int64(time.Since(tR)))
-				if r.obs != nil {
-					now := time.Now()
-					r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
-					// The append happens-before the channel send below,
-					// and the compute thread reads arrivalNS only after
-					// draining the closed channel: no race.
-					recordArrival(now, from, obs.LaneReceiver)
-				}
-				arrivals <- msg.(*lettree.LET)
-			}
-		}()
-
-		// drain banks, without blocking, every LET already handed over.
-		drain := func() (n int) {
-			for arrivals != nil {
-				select {
-				case l, ok := <-arrivals:
-					if !ok {
-						arrivals = nil
-						break
-					}
-					bank(l, true)
-					n++
-				default:
-					return n
-				}
-			}
-			return n
-		}
-
-		// Compute: interleave local-tree chunks with boundary processing and
-		// the banking of arrived LETs; nothing remote is walked while local
-		// groups are pending. Chunks are sized to give the pipeline regular
-		// poll points while keeping each chunk wide enough to feed the walk
-		// worker pool.
-		chunk := (len(t.groups) + 15) / 16
-		if chunk < r.cfg.WorkersPerRank {
-			chunk = r.cfg.WorkersPerRank
-		}
-		pending := t.groups
-		for len(pending) > 0 {
-			if bLeft > 0 {
-				if from, msg, ok := r.comm.TryRecvAny(btag); ok {
-					processBoundary(from, msg.(*lettree.LET))
-					continue
-				}
-			}
-			r.stats.LETsOverlapped += drain()
-			n := min(chunk, len(pending))
-			tL := time.Now()
-			r.tree.WalkObs(pending[:n], t.pos, theta, eps2, t.acc, t.pot,
-				r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
-			d := time.Since(tL)
-			localWalk += d
-			r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(d), int64(n))
-			pending = pending[n:]
-		}
-		markWalkDone()
-
-		// Boundaries that still haven't arrived gate the rest of the phase
-		// (until they land we don't know which peers owe us a LET); the
-		// blocked time is exposed boundary-exchange cost.
-		for bLeft > 0 {
-			tR := time.Now()
-			from, msg := r.comm.RecvAny(btag)
-			d := time.Since(tR)
-			boundaryTime += d
-			r.obs.Span(r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
-			processBoundary(from, msg.(*lettree.LET))
-		}
-
-		// Batched passes. The first walks the banked boundary trees plus
-		// every LET that has already arrived; after it, each wake-up of the
-		// straggler wait drains whatever else arrived meanwhile and flushes
-		// again. While blocked the compute thread steals queued LET-build
-		// jobs from its own pool — finishing sends sooner helps the peers
-		// this rank is waiting on.
-		for {
-			drain()
-			flush()
-			if arrivals == nil {
-				break
-			}
-			tR := time.Now()
-			select {
-			case l, ok := <-arrivals:
-				if !ok {
-					arrivals = nil
-					break
-				}
-				d := time.Since(tR)
-				waitTime += d
-				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), 0)
-				bank(l, true)
-			case j, ok := <-steal:
-				if !ok {
-					steal = nil // nil channel: case blocks from now on
-				} else {
-					buildLET(j, 0)
-				}
-			}
-		}
-
-		// Builds still queued have no receiver left to overlap with: run them
-		// here instead of idling in <-done (jobs is closed, the range ends).
-		if steal != nil {
-			for j := range steal {
-				buildLET(j, 0)
-			}
-		}
-		r.stats.LETsSent += letsSent
+		d := time.Since(tL)
+		localWalk += d
+		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(d), int64(n))
+		pending = pending[n:]
 	}
-
-	// Wait for our own sends to finish building (they overlap the walks).
-	tWd := time.Now()
-	<-done
-	dWd := time.Since(tWd)
-	waitTime += dWd
-	r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tWd, tWd.Add(dWd), -1)
-	for _, b := range sentBytes {
-		r.stats.LETBytesSent += b
-	}
-
-	// Fold the evaluation's LET arrivals into the arrival-offset histogram:
-	// arrival time minus local-walk completion, negative when communication
-	// was fully hidden behind the walk, positive when the compute side had to
-	// wait (a straggler sender). All receiver-goroutine appends to arrivalNS
-	// happened-before the channel receives the loops above completed.
-	if r.obs != nil {
-		worst := int64(math.MinInt64)
-		for _, a := range r.arrivalNS {
-			off := a - walkEndNS
-			r.met.LETArrivalHist().Observe(off)
-			if off > worst {
-				worst = off
-			}
-		}
-		if n := len(r.arrivalNS); n > 0 {
-			r.stats.WorstArrival = time.Duration(worst)
-			r.stats.ArrivalsSeen = n
-		}
-		r.arrivalNS = r.arrivalNS[:0]
-	}
-
-	clear(r.boundaries) // the scratch must not keep the peers' trees alive between phases
-	r.ready = ready
+	x.markWalkDone()
 	r.stats.Times.GravLocal = localWalk
-	r.stats.Times.GravLET = letWalk
-	r.stats.Times.NonHiddenComm = boundaryTime + waitTime
-	r.stats.RecvIdle = time.Duration(recvIdle.Load())
+
+	if r.cfg.SerialLET {
+		x.recvLETsInOrder()
+	} else {
+		x.awaitBoundaries()
+	}
+	for {
+		x.drain()
+		x.flush()
+		if !x.wait() {
+			break
+		}
+	}
+	x.finish()
 }
 
 // finishForces applies the target-local post-processing of a gravity phase:

@@ -34,15 +34,17 @@ func peerTrees(s *Simulation, me int) (bts, lets []*lettree.LET) {
 	return bts, lets
 }
 
-// TestSchedulerScriptedArrivals runs one rank's pipelined gravity phase
-// against scripted peers: the test plays the other p−1 ranks over a fresh chan
-// world, delivering their boundary trees and the full LETs they owe in a
+// TestSchedulerScriptedArrivals runs one rank's gravity phase against scripted
+// peers, once per schedule: the test plays the other p−1 ranks over a fresh
+// chan world, delivering their boundary trees and the full LETs they owe in a
 // scripted order — a prefix sitting in the mailbox before the phase starts,
 // the rest pushed while it runs, LETs free to overtake other peers' boundary
-// trees. Whatever the order, every remote tree must be walked exactly once:
-// LETsRecv + BoundaryUsed equals the p−1 pair slots, the passes' tree counts
-// sum to p−1, the interaction counts are those of the SerialLET evaluation of
-// the same state, and the forces agree with it to reassociation error.
+// trees. Whatever the order, the SerialLET schedule must reproduce the
+// reference evaluation's accelerations bitwise, and on the pipelined schedule
+// every remote tree must be walked exactly once: LETsRecv + BoundaryUsed
+// equals the p−1 pair slots, the passes' tree counts sum to p−1, the
+// interaction counts are those of the SerialLET evaluation of the same state,
+// and the forces agree with it to reassociation error.
 func TestSchedulerScriptedArrivals(t *testing.T) {
 	const p, me = 7, 3
 	// Three well-separated clumps over seven ranks: ranks sharing a clump owe
@@ -86,40 +88,57 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 		t.Fatalf("%d of %d peers owe a full LET: the test wants both kinds of remote tree", owed, p-1)
 	}
 
-	for seed := int64(0); seed < 12; seed++ {
-		t.Run(fmt.Sprint("script", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			order := append([]push(nil), script...)
-			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-			early := int(seed) % (len(order) + 1) // seed 0: everything arrives while the phase runs
+	// phase runs rank me's gravity phase on the given schedule against the
+	// script shuffled by seed, the first seed%(len+1) pushes delivered early.
+	phase := func(seed int64, serial bool) (*rank, *obs.Recorder) {
+		rng := rand.New(rand.NewSource(seed))
+		order := append([]push(nil), script...)
+		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		early := int(seed) % (len(order) + 1) // seed 0: everything arrives while the phase runs
 
-			w := mpi.NewWorld(p)
-			send := func(m push) { w.Comm(m.from).Send(me, m.tag, m.let, m.let.WireBytes()) }
-			for _, m := range order[:early] {
+		w := mpi.NewWorld(p)
+		send := func(m push) { w.Comm(m.from).Send(me, m.tag, m.let, m.let.WireBytes()) }
+		for _, m := range order[:early] {
+			send(m)
+		}
+		rec := obs.New(p, 0)
+		cfg := *ref.cfg
+		cfg.SerialLET = serial
+		r := &rank{
+			cfg: &cfg, comm: w.Comm(me), obs: rec.Rank(me), met: rec.Metrics(),
+			parts: ref.parts, pos: ref.pos, mass: ref.mass, tree: ref.tree, groups: ref.groups,
+			acc: make([]vec.V3, len(ref.acc)), pot: make([]float64, len(ref.pot)),
+		}
+
+		late := make(chan struct{})
+		go func() {
+			defer close(late)
+			w.Comm(order[0].from).Recv(me, tagBoundaryBase) // the phase has started
+			for _, m := range order[early:] {
 				send(m)
 			}
-			rec := obs.New(p, 0)
-			cfg := *ref.cfg
-			cfg.SerialLET = false
-			r := &rank{
-				cfg: &cfg, comm: w.Comm(me), obs: rec.Rank(me), met: rec.Metrics(),
-				parts: ref.parts, pos: ref.pos, mass: ref.mass, tree: ref.tree, groups: ref.groups,
-				acc: make([]vec.V3, len(ref.acc)), pot: make([]float64, len(ref.pot)),
+		}()
+		tg := r.fullTargets()
+		r.gravity(0, &tg)
+		r.finishForces(&tg)
+		<-late
+		return r, rec
+	}
+
+	for seed := int64(0); seed < 12; seed++ {
+		t.Run(fmt.Sprint("script", seed), func(t *testing.T) {
+			r, _ := phase(seed, true)
+			for i := range r.acc {
+				if r.acc[i] != ref.acc[i] || r.pot[i] != ref.pot[i] {
+					t.Fatalf("SerialLET phase: particle %d acc %v pot %v, reference evaluation %v %v (must be bitwise)",
+						i, r.acc[i], r.pot[i], ref.acc[i], ref.pot[i])
+				}
+			}
+			if r.stats.Grav != ref.stats.Grav || r.stats.LETsRecv != owed || r.stats.BoundaryUsed != p-1-owed {
+				t.Fatalf("SerialLET phase: stats %+v, reference %+v", r.stats, ref.stats)
 			}
 
-			late := make(chan struct{})
-			go func() {
-				defer close(late)
-				w.Comm(order[0].from).Recv(me, tagBoundaryBase) // the phase has started
-				for _, m := range order[early:] {
-					send(m)
-				}
-			}()
-			tg := r.fullTargets()
-			r.gravity(0, &tg)
-			r.finishForces(&tg)
-			<-late
-
+			r, rec := phase(seed, false)
 			st := r.stats
 			if st.LETsRecv != owed || st.LETsRecv+st.BoundaryUsed != p-1 {
 				t.Fatalf("%d LETs + %d boundary trees walked, want %d + %d", st.LETsRecv, st.BoundaryUsed, owed, p-1-owed)

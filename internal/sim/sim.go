@@ -11,10 +11,11 @@
 //  3. Morton sort of local particles ("Sorting SFC")
 //  4. octree construction ("Tree-construction")
 //  5. multipole computation ("Tree-properties")
-//  6. gravity: boundary-tree allgather, then the local tree-walk overlapped
-//     with building/pushing/receiving full LETs; remote forces are computed
-//     from each LET as it arrives ("Compute gravity Local-tree" /
-//     "Compute gravity LETs" / "Non-hidden LET comm")
+//  6. gravity: boundary trees pushed to every peer, then the local tree-walk
+//     overlapped with building/pushing/receiving full LETs; remote forces
+//     are computed in batched passes over the trees that have arrived
+//     ("Compute gravity Local-tree" / "Compute gravity LETs" / "Non-hidden
+//     LET comm")
 //  7. second-order leapfrog (KDK) integration
 //
 // Forces are independent of the rank count up to multipole acceptance error,
@@ -44,18 +45,8 @@ type Config struct {
 	NGroup         int     // target group size (default 64)
 	BoundaryDepth  int     // boundary-tree depth (default 4)
 	DomainFreq     int     // steps between domain updates (default 4)
-	// GlobalTree enables the shared coarse global octree: every gravity
-	// evaluation ring-allgathers the top GlobalTree levels of each rank's
-	// octree (a boundary-tree prefix plus occupancy histograms), merges them
-	// into one coarse tree replicated on every rank, and uses it to prune
-	// the boundary exchange — distant rank pairs are served entirely from
-	// the coarse cells and never exchange boundary trees. The value is the
-	// coarse depth K, clamped to BoundaryDepth (the coarse tree must stay a
-	// bit-exact prefix of the boundary tree for the pruned walks to be
-	// exact). 0 (the default) keeps the all-to-all boundary exchange.
-	GlobalTree int
-	PX         int // decomposition DD-process count (0 = auto)
-	SnapLevel  int // snap domain bounds to level-k octree cells (0 = off)
+	PX             int     // decomposition DD-process count (0 = auto)
+	SnapLevel      int     // snap domain bounds to level-k octree cells (0 = off)
 
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates at DT/2^rung with the rung chosen from the
@@ -90,11 +81,6 @@ type Config struct {
 	// The returned values are NOT scaled by G (supply physical values).
 	External func(pos vec.V3) (acc vec.V3, pot float64)
 
-	// LETWorkers sizes each rank's LET-builder pool (the paper's
-	// communication-thread group). 0 selects max(2, WorkersPerRank),
-	// capped at the number of destination ranks.
-	LETWorkers int
-
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: outgoing LETs are built and pushed on the compute thread
 	// before the local tree-walk, and incoming ones are walked only after
@@ -115,22 +101,11 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// letBuilders returns the LET-builder pool size for dests destination ranks.
+// letBuilders returns the LET-builder pool size (the paper's communication
+// thread group) for dests destination ranks: max(2, WorkersPerRank), capped at
+// dests.
 func (c *Config) letBuilders(dests int) int {
-	if dests == 0 {
-		return 0
-	}
-	w := c.LETWorkers
-	if w <= 0 {
-		w = c.WorkersPerRank
-		if w < 2 {
-			w = 2
-		}
-	}
-	if w > dests {
-		w = dests
-	}
-	return w
+	return min(max(2, c.WorkersPerRank), dests)
 }
 
 func (c Config) withDefaults() Config {
@@ -160,11 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DomainFreq <= 0 {
 		c.DomainFreq = 4
-	}
-	if c.GlobalTree > c.BoundaryDepth {
-		// Deeper coarse structure than the boundary tree would break the
-		// prefix property the pruned walks' exactness rests on.
-		c.GlobalTree = c.BoundaryDepth
 	}
 	if c.G == 0 {
 		c.G = 1
@@ -199,9 +169,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRungs < 0 || c.MaxRungs > 16 {
 		return fmt.Errorf("sim: config MaxRungs = %d outside [0, 16]", c.MaxRungs)
-	}
-	if c.GlobalTree < 0 || c.GlobalTree > 8 {
-		return fmt.Errorf("sim: config GlobalTree = %d outside [0, 8]", c.GlobalTree)
 	}
 	return nil
 }

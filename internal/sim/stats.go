@@ -76,16 +76,8 @@ type RankStats struct {
 	LETsSent     int        // full LETs pushed to other ranks
 	LETsRecv     int        // full LETs received
 	BoundaryUsed int        // remote ranks served by their boundary tree alone
+	BoundarySent int        // boundary trees pushed to peers (p−1 per evaluation)
 	LETBytesSent int64      // serialized LET + boundary traffic
-
-	// Global-tree exchange-pruning counters (Config.GlobalTree > 0):
-	// boundary trees actually pushed to peers (p−1 per evaluation without
-	// pruning), peers served entirely from the shared coarse tree (no
-	// boundary exchanged with them at all), and the serialized size of the
-	// allgathered coarse contributions.
-	BoundarySent int
-	GlobalServed int
-	GlobBytes    int64
 
 	// Overlap-efficiency counters for the pipelined gravity phase.
 	LETsOverlapped int           // LETs walked before the local walk finished
@@ -109,8 +101,6 @@ func (a *RankStats) add(b RankStats) {
 	a.BoundaryUsed += b.BoundaryUsed
 	a.LETBytesSent += b.LETBytesSent
 	a.BoundarySent += b.BoundarySent
-	a.GlobalServed += b.GlobalServed
-	a.GlobBytes += b.GlobBytes
 	a.LETsOverlapped += b.LETsOverlapped
 	a.RecvIdle += b.RecvIdle
 	if b.ArrivalsSeen > 0 && (a.ArrivalsSeen == 0 || b.WorstArrival > a.WorstArrival) {
@@ -149,8 +139,6 @@ func (r RankStats) stepMetrics(eval, rank, ranks int, be *blockEval) obs.StepMet
 		LETsRecv:        r.LETsRecv,
 		LETsOverlapped:  r.LETsOverlapped,
 		BoundarySent:    r.BoundarySent,
-		GlobalServed:    r.GlobalServed,
-		GlobBytes:       r.GlobBytes,
 		ArrivalsSeen:    r.ArrivalsSeen,
 		WalkGflops:      r.WalkGflops(),
 		AppGflops:       finiteRate(r.Grav.Gflops(t.Total)),
@@ -164,9 +152,6 @@ func (r RankStats) stepMetrics(eval, rank, ranks int, be *blockEval) obs.StepMet
 	}
 	if r.LETsRecv > 0 {
 		m.OverlapFrac = float64(r.LETsOverlapped) / float64(r.LETsRecv)
-	}
-	if slots := r.GlobalServed + r.BoundarySent; slots > 0 {
-		m.GlobalServedFrac = float64(r.GlobalServed) / float64(slots)
 	}
 	if r.ArrivalsSeen > 0 {
 		m.WorstArrivalMS = float64(r.WorstArrival) / 1e6
@@ -202,19 +187,8 @@ type StepStats struct {
 
 	LETsSent     int
 	BoundaryUsed int
+	BoundarySent int   // boundary-tree pushes: p·(p−1) per evaluation
 	BytesSent    int64 // all rank-to-rank traffic this step (metered)
-
-	// Exchange-pruning summary (Config.GlobalTree > 0). Every directed rank
-	// pair is either served from the shared coarse global tree or receives a
-	// full boundary tree, so GlobalServedFrac = GlobalServed /
-	// (GlobalServed + BoundarySent) is the fraction of pair-slots that
-	// skipped the boundary exchange — independent of how many evaluations
-	// the step ran. GlobBytes is the coarse-contribution traffic paid to
-	// earn the pruning.
-	BoundarySent     int
-	GlobalServed     int
-	GlobalServedFrac float64
-	GlobBytes        int64
 
 	// Overlap efficiency of the gravity phase: how many of the received
 	// full LETs were walked while the local tree-walk was still running
@@ -270,8 +244,6 @@ func aggregate(step int, rs []RankStats) StepStats {
 		out.LETsOverlapped += rs[i].LETsOverlapped
 		out.RecvIdle += rs[i].RecvIdle
 		out.BoundarySent += rs[i].BoundarySent
-		out.GlobalServed += rs[i].GlobalServed
-		out.GlobBytes += rs[i].GlobBytes
 		maxDur(&out.MaxTimes.SortBuild, rs[i].Times.SortBuild)
 		maxDur(&out.MaxTimes.Domain, rs[i].Times.Domain)
 		maxDur(&out.MaxTimes.TreeProps, rs[i].Times.TreeProps)
@@ -287,9 +259,6 @@ func aggregate(step int, rs []RankStats) StepStats {
 	}
 	if out.LETsRecv > 0 {
 		out.OverlapFrac = float64(out.LETsOverlapped) / float64(out.LETsRecv)
-	}
-	if slots := out.GlobalServed + out.BoundarySent; slots > 0 {
-		out.GlobalServedFrac = float64(out.GlobalServed) / float64(slots)
 	}
 	if out.N > 0 {
 		out.PPPerParticle = float64(out.Grav.PP) / float64(out.N)
