@@ -10,16 +10,18 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # goroutines at once, eight batched passes over overlapping sets of shared
 # boundary trees, scripted LET arrival orders), the MPI mailbox plus the
 # socket transports (the ./internal/mpi conformance matrix runs every
-# transport test over unix and tcp at 8 ranks), and the parallel sort, plus short fuzzes of the fused
-# sort+build against the separate reference, of the SIMD force kernels
-# against the scalar reference, of the MaxRungs=0 block integrator against
-# the global-dt leapfrog, and of the two decoders of bytes a peer sends: the
-# mpi payload codec and the LET frame decoder.
+# transport test over unix and tcp at 8 ranks), and the parallel sort, plus
+# short fuzzes of the SIMD force kernels against the scalar reference, of the
+# MaxRungs=0 block integrator against the global-dt leapfrog, and of the three
+# decoders of bytes this process did not write: the snapshot reader, the mpi
+# payload codec and the LET frame decoder.
 tier1: vet build test race fuzz-smoke
 
-# A 10-second fuzz of the fused MSD sort + tree construction (random clouds,
-# sizes, and worker counts must produce cells bitwise identical to the
-# separate sort-then-build path), a 10-second fuzz of the dispatched
+# A 10-second fuzz of snapshot.Read (any bytes return a value or an error:
+# no panic, no allocation beyond a small multiple of the input; the committed
+# reproducer under internal/snapshot/testdata/fuzz, a 40-byte header declaring
+# 1<<62 particles, is replayed first; -fuzzminimizetime as for the LET fuzz
+# below), a 10-second fuzz of the dispatched
 # float32 AVX2 force kernels against the always-compiled scalar float64
 # reference (agreement to grav.KernelTol against the weighted contribution
 # norm, bitwise equality for every call outside the float32 range, exact
@@ -36,7 +38,7 @@ tier1: vet build test race fuzz-smoke
 # walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
 # minimisation of each multi-kB finding from eating the whole budget).
 fuzz-smoke:
-	$(GO) test -run XXX -fuzz FuzzSortBuildEquivalence -fuzztime 10s ./internal/octree
+	$(GO) test -run XXX -fuzz FuzzSnapshotRead -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run XXX -fuzz FuzzDecodePayload -fuzztime 10s ./internal/mpi
@@ -69,8 +71,7 @@ race:
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
 # split, one rank's batched pass over its 63 remote trees at p=64 against the
 # same work walked tree by tree, the tree-pipeline phases (build / properties
-# / groups, serial vs 8 workers), the fused MSD sort+build against the separate sort-then-build
-# path, the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
+# / groups, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
 # equivalent (wall-clock per simulated time + energy drift in ppm), recorded as a
 # JSON baseline so the perf trajectory of successive PRs is measurable
@@ -83,7 +84,6 @@ bench:
 	   $(GO) test -run XXX -bench 'BenchmarkWalkGather' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkRemote' -benchtime 200x -count=3 ./internal/sim ; \
 	   $(GO) test -run XXX -bench 'BenchmarkTreePipeline' -benchtime 2x -count=3 ./internal/octree ; \
-	   $(GO) test -run XXX -bench 'BenchmarkSortBuildFused' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkPingPong|BenchmarkAllgather' -benchtime 200x -count=3 ./internal/mpi ; \
 	   $(GO) test -run XXX -bench 'BenchmarkExchangeScale' -benchtime 1x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkBlockSteps' -benchtime 1x -count=3 . ; } \

@@ -128,8 +128,8 @@ func FromGyr(gyr float64) float64 { return units.FromGyr(gyr) }
 
 // PhaseTimes is a per-step wall-clock breakdown matching the rows of the
 // paper's Table II. The paper's "Sorting SFC" and "Tree-construction" rows
-// are one fused SortBuild phase here: the MSD octant sort emits the tree
-// top as a byproduct of partitioning.
+// are timed as one SortBuild phase here: Morton keys, the key sort, the
+// particle reorder and the octree construction.
 type PhaseTimes struct {
 	SortBuild     time.Duration
 	Domain        time.Duration

@@ -3,6 +3,7 @@ package bonsai
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -175,6 +176,17 @@ func TestSnapshotPublicAPI(t *testing.T) {
 		if got[i] != parts[i] {
 			t.Fatalf("particle %d differs", i)
 		}
+	}
+
+	// A header declaring 1<<62 particles over no records fails by name; the
+	// count is not trusted to size anything.
+	hostile := append([]byte("BONSAI2\n"), make([]byte, 32)...)
+	hostile[39] = 0x40
+	if err := os.WriteFile(path, hostile, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadSnapshot(path); err == nil {
+		t.Fatal("a 40-byte file declaring 1<<62 particles loaded")
 	}
 }
 

@@ -334,46 +334,3 @@ func Exchange(c *mpi.Comm, dec Decomposition, parts []body.Particle, g keys.Grid
 	}
 	return mine
 }
-
-// SnapToLevel rounds every interior boundary of the decomposition down to
-// the nearest level-k cell boundary of the hypothetical global octree
-// (a Hilbert key prefix of 3k bits). After snapping, every domain is a
-// union of complete level-k octree cells — the paper's guarantee that
-// "sub-domain boundaries are branches of a hypothetical global octree",
-// which is what makes local trees non-overlapping branches and keeps the
-// decomposition binary-consistent regardless of the process count.
-//
-// Snapping trades a little balance for alignment; callers pick k deep
-// enough (e.g. 7-10) that a level-k cell holds far fewer particles than a
-// domain. Duplicate boundaries after rounding (an empty domain) are legal
-// and handled by Owner's convention.
-func (d Decomposition) SnapToLevel(k int) Decomposition {
-	if k < 1 {
-		k = 1
-	}
-	if k > keys.Bits {
-		k = keys.Bits
-	}
-	shift := uint(3 * (keys.Bits - k))
-	out := Decomposition{Bounds: append([]keys.Key(nil), d.Bounds...)}
-	for i := 1; i < len(out.Bounds)-1; i++ {
-		out.Bounds[i] = out.Bounds[i] >> shift << shift
-		if out.Bounds[i] < out.Bounds[i-1] {
-			out.Bounds[i] = out.Bounds[i-1]
-		}
-	}
-	return out
-}
-
-// AlignedToLevel reports whether every interior boundary lies on a level-k
-// octree cell boundary.
-func (d Decomposition) AlignedToLevel(k int) bool {
-	shift := uint(3 * (keys.Bits - k))
-	mask := (keys.Key(1) << shift) - 1
-	for i := 1; i < len(d.Bounds)-1; i++ {
-		if d.Bounds[i]&mask != 0 {
-			return false
-		}
-	}
-	return true
-}

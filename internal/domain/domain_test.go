@@ -362,84 +362,3 @@ func benchSampling(b *testing.B, px int) {
 
 func BenchmarkSamplingSerial(b *testing.B)   { benchSampling(b, 1) }
 func BenchmarkSamplingParallel(b *testing.B) { benchSampling(b, 4) }
-
-func TestSnapToLevelAlignsAndPreservesCover(t *testing.T) {
-	const p, n = 8, 6000
-	spawn(p, func(c *mpi.Comm) {
-		hk := makeRankKeys(c.Rank(), p, n, 61)
-		dec := SampleDecompose(c, hk, nil, Options{})
-		for _, k := range []int{4, 7, 10} {
-			snapped := dec.SnapToLevel(k)
-			if !snapped.AlignedToLevel(k) {
-				t.Errorf("k=%d: not aligned", k)
-			}
-			// Deeper levels include shallower alignment only if boundaries
-			// happen to coincide; but cover and monotonicity always hold.
-			if snapped.Bounds[0] != 0 || snapped.Bounds[p] != keys.MaxKey {
-				t.Errorf("k=%d: cover broken", k)
-			}
-			for i := 1; i <= p; i++ {
-				if snapped.Bounds[i] < snapped.Bounds[i-1] {
-					t.Errorf("k=%d: bounds not monotone", k)
-				}
-			}
-			// Every key still has exactly one owner in range.
-			for _, key := range hk[:100] {
-				o := snapped.Owner(key)
-				if o < 0 || o >= p {
-					t.Fatalf("owner %d out of range", o)
-				}
-			}
-		}
-	})
-}
-
-func TestSnapToLevelBalancePenaltyIsSmallAtDepth(t *testing.T) {
-	// At a deep snap level the cells are tiny relative to domains, so the
-	// balance penalty is negligible; at a very coarse level it is not.
-	// Keys concentrated in 1/64 of key space: coarse cells are larger than
-	// the occupied region, so snapping at level 1 collapses the balance,
-	// while a deep snap (cells tiny vs domains) barely perturbs it.
-	const p, n = 4, 20000
-	var mu sync.Mutex
-	fine := make([]int, p)
-	coarse := make([]int, p)
-	spawn(p, func(c *mpi.Comm) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 71))
-		hk := make([]keys.Key, n)
-		for i := range hk {
-			hk[i] = keys.Key(rng.Uint64() % (uint64(keys.MaxKey) / 64))
-		}
-		dec := SampleDecompose(c, hk, nil, Options{})
-		deep := dec.SnapToLevel(10)
-		shallow := dec.SnapToLevel(1)
-		lf := make([]int, p)
-		lc := make([]int, p)
-		for _, k := range hk {
-			lf[deep.Owner(k)]++
-			lc[shallow.Owner(k)]++
-		}
-		mu.Lock()
-		for r := 0; r < p; r++ {
-			fine[r] += lf[r]
-			coarse[r] += lc[r]
-		}
-		mu.Unlock()
-	})
-	maxOf := func(xs []int) float64 {
-		m := 0
-		for _, x := range xs {
-			if x > m {
-				m = x
-			}
-		}
-		return float64(m)
-	}
-	avg := float64(p*n) / p
-	if maxOf(fine) > 1.35*avg {
-		t.Errorf("deep snap ruined balance: %v", fine)
-	}
-	if maxOf(coarse) <= maxOf(fine) {
-		t.Errorf("coarse snap should be worse than deep snap: %v vs %v", coarse, fine)
-	}
-}

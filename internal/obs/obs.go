@@ -44,7 +44,7 @@ const (
 	PhaseIntegrate              // leapfrog kick/drift
 	PhaseArrive                 // instant: a full LET arrived (arg = source rank)
 	PhaseWalkDone               // instant: local-tree walk completed
-	PhaseSortBuild              // fused SFC sort + octree construction (one pass)
+	PhaseSortBuild              // SFC sort + particle reorder + octree construction
 	PhaseSubstep                // one block-timestep substep: kicks+drift+forces (arg = boundary index)
 	numPhase
 )

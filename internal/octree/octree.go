@@ -55,12 +55,12 @@ type Tree struct {
 	Grid  keys.Grid
 	NLeaf int
 
-	// Partition of Cells recorded by the parallel constructor (nil after a
-	// serial build): the final indices of the serially built top cells in
-	// depth-first order, and the contiguous spans of the concurrently built
-	// subtrees. ComputePropertiesParallel sweeps the spans concurrently and
-	// finishes the top cells serially; every child of a top cell is either a
-	// later top cell or a subtree root, so the order is always safe.
+	// Partition of Cells recorded by BuildStructureScratch for workers > 1
+	// (nil otherwise): the top cells in depth-first order, and the contiguous
+	// spans of the whole subtrees below them. ComputePropertiesParallel
+	// sweeps the spans concurrently and finishes the top cells serially;
+	// every child of a top cell is either a later top cell or a span root, so
+	// the order is always safe.
 	topCells []int32
 	subSpans []cellSpan
 
@@ -86,29 +86,14 @@ func Build(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid, nleaf in
 // moments (and the MAC offset δ that depends on them) are left zero until
 // ComputeProperties runs.
 func BuildStructure(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid, nleaf int) *Tree {
-	if nleaf <= 0 {
-		nleaf = DefaultNLeaf
-	}
-	t := &Tree{
-		Keys:  ks,
-		Pos:   pos,
-		Mass:  mass,
-		Grid:  grid,
-		NLeaf: nleaf,
-	}
-	if len(pos) == 0 {
-		return t
-	}
-	t.Cells = make([]Cell, 0, 2*len(pos)/nleaf+8)
-	t.build(0, 0, int32(len(pos)))
-	return t
+	return BuildStructureScratch(new(BuildScratch), ks, pos, mass, grid, nleaf, 1)
 }
 
 // ComputeProperties fills in multipole moments bottom-up. Children are
 // always appended after their parent during the depth-first build, so a
 // reverse index sweep visits every child before its parent.
-// ComputePropertiesParallel is the multicore variant for trees built by the
-// parallel constructor; both produce bitwise-identical moments.
+// ComputePropertiesParallel is the multicore variant; both produce
+// bitwise-identical moments.
 func (t *Tree) ComputeProperties() {
 	t.view.invalidate()
 	for i := len(t.Cells) - 1; i >= 0; i-- {
@@ -160,30 +145,22 @@ func (t *Tree) momentsAt(i int32) {
 	c.Delta = c.MP.COM.Sub(c.Box.Center()).Norm()
 }
 
-// build creates the cell covering sorted range [start, end) at the given
-// level and returns its index.
+// build appends the cell covering sorted range [start, end) at the given
+// level, then its subtree depth first, and returns the cell's index. Cells
+// therefore sit in preorder: a subtree is the contiguous index range from
+// its root up to its next sibling.
 func (t *Tree) build(level, start, end int32) int32 {
-	return t.buildInto(&t.Cells, level, start, end)
-}
-
-// buildInto is build targeting an arbitrary cell arena: the serial build
-// passes &t.Cells, the parallel build passes per-worker arenas whose cells
-// are later stitched into the final depth-first layout. Child indices are
-// relative to the arena (the stitch applies the offset fixup). Because both
-// paths run this exact code, a cell's payload is bitwise identical however
-// the tree was built.
-func (t *Tree) buildInto(cells *[]Cell, level, start, end int32) int32 {
-	idx := int32(len(*cells))
-	*cells = append(*cells, Cell{
+	idx := int32(len(t.Cells))
+	t.Cells = append(t.Cells, Cell{
 		Level:    level,
 		Start:    start,
 		N:        end - start,
 		Children: [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell},
 	})
-	t.cellGeometry(&(*cells)[idx])
+	t.cellGeometry(&t.Cells[idx])
 
 	if end-start <= int32(t.NLeaf) || level >= keys.Bits {
-		(*cells)[idx].Leaf = true
+		t.Cells[idx].Leaf = true
 		return idx
 	}
 
@@ -198,8 +175,8 @@ func (t *Tree) buildInto(cells *[]Cell, level, start, end int32) int32 {
 		if lo == hi {
 			continue
 		}
-		child := t.buildInto(cells, level+1, lo, hi)
-		(*cells)[idx].Children[oct] = child
+		child := t.build(level+1, lo, hi)
+		t.Cells[idx].Children[oct] = child
 	}
 	return idx
 }

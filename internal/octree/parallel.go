@@ -1,305 +1,114 @@
 package octree
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bonsai/internal/keys"
 	"bonsai/internal/par"
 	"bonsai/internal/vec"
 )
 
-// The parallel tree constructor follows the construction strategy of the
-// Bonsai method paper (Bédorf, Gaburov & Portegies Zwart 2012): over
-// SFC-sorted particles every subtree covers a contiguous key range, so the
-// build decomposes perfectly — expand the top of the tree serially (each
-// split is eight binary searches) until enough independent subtree roots
-// exist to feed the worker pool, build each subtree concurrently, and stitch
-// the pieces back together. The stitch replays the serial depth-first order
-// and fixes up child indices by each subtree's placement offset, so the
-// final Cells slice is *bitwise identical* to the serial build's — walks,
-// LET construction, and the determinism tests see no difference.
+// The tree is built serially: over SFC-sorted particles the depth-first
+// build is eight binary searches per cell and a few percent of a step, and
+// every parallel constructor tried here lost to it (EXPERIMENTS.md, "Verdict:
+// fused sort+build and arena/stitch builder deleted"). What does scale with
+// workers is the O(N) work over the finished tree — multipole moments and
+// group bounding boxes — and the moments sweep needs the cells partitioned
+// into independent subtrees. Because the build lays cells out in depth-first
+// preorder, a subtree is the contiguous index range from its root up to its
+// next sibling, so that partition is read off the finished tree.
 
-// parallelBuildMin is the particle count below which the parallel
-// constructor falls back to the serial build: fan-out overhead dominates
+// parallelBuildMin is the particle count below which no partition is
+// derived and the properties sweep stays serial: fan-out overhead dominates
 // under ~16k particles.
 const parallelBuildMin = 1 << 14
 
-// subtreeFanout scales how many independent subtree roots the serial top
-// expansion aims for per worker; 4× gives the dynamic scheduler enough
-// pieces to balance uneven subtree sizes.
+// subtreeFanout scales how many independent subtrees the partition aims for
+// per worker; 4× gives the dynamic scheduler enough pieces to balance uneven
+// subtree sizes.
 const subtreeFanout = 4
 
-// cellSpan is a contiguous range of the final Cells slice holding one
-// concurrently built subtree.
+// cellSpan is a contiguous range of Cells holding one whole subtree.
 type cellSpan struct{ base, n int32 }
 
-// skelCell is one serially built top cell awaiting placement. Child slots
-// hold either a skeleton index (>= 0), NilCell, or an encoded frontier-task
-// reference (<= -2).
-type skelCell struct {
-	cell     Cell
-	children [8]int32
-}
-
-func frontierRef(task int) int32 { return -2 - int32(task) }
-func frontierTask(ref int32) int { return int(-2 - ref) }
-
-// subtreeTask is one delegated subtree: its particle range, the worker
-// arena it was built into, and its placement in the final layout. The fused
-// sort+build path additionally records the key-buffer parity of the range
-// (inBuf) so the finishing sort knows where the partition left its data.
-type subtreeTask struct {
-	level    int32
-	start, n int32
-	arena    int32 // worker index
-	off      int32 // offset of the subtree root within the arena
-	len      int32 // cells in the subtree
-	base     int32 // final index of the subtree root after placement
-	inBuf    bool  // fused path: range currently lives in the sorter's buffer
-}
-
-// BuildScratch owns every buffer of the tree pipeline — the final cell
-// slice, the skeleton and task lists, and the per-worker cell arenas — so a
-// rank rebuilding its tree every step performs zero steady-state
-// allocations. The zero value is ready to use; buffers grow on first use
-// and survive across builds. A BuildScratch must not be shared by
-// concurrent builds (each rank owns one).
+// BuildScratch owns the buffers of the tree build — the tree header, the cell
+// slice and the properties partition — so a rank rebuilding its tree every
+// step performs zero steady-state allocations. The zero value is ready to
+// use; buffers grow on first use and survive across builds. A BuildScratch
+// must not be shared by concurrent builds (each rank owns one).
 type BuildScratch struct {
-	tree   Tree
-	cells  []Cell
-	skel   []skelCell
-	tasks  []subtreeTask
-	arenas [][]Cell
-	top    []int32
-	subs   []cellSpan
-
-	// Fused sort+build state (SortBuildScratch): per-expansion-depth MSD
-	// bucket bounds, and the sorter/key view the recursive partition reads.
-	msdBounds [][]int
-	fz        fusedState
+	tree  Tree
+	cells []Cell
+	top   []int32
+	subs  []cellSpan
 }
 
-// BuildStructureScratch is BuildStructure with worker parallelism and
-// scratch reuse: the returned *Tree (owned by sc, valid until the next
-// build) has exactly the serial depth-first cell layout, bitwise identical
-// to BuildStructure's, for any worker count. workers <= 1 — or inputs too
-// small to be worth fanning out — runs the serial builder into the reused
-// buffer.
+// BuildStructureScratch is BuildStructure into reused buffers: the returned
+// *Tree is owned by sc and valid until the next build. With workers > 1 and
+// at least parallelBuildMin particles it also records the partition
+// ComputePropertiesParallel sweeps concurrently; the cells are the same for
+// any worker count.
 func BuildStructureScratch(sc *BuildScratch, ks []keys.Key, pos []vec.V3, mass []float64,
 	grid keys.Grid, nleaf, workers int) *Tree {
 
 	if nleaf <= 0 {
 		nleaf = DefaultNLeaf
 	}
-	t := sc.resetTree(ks, pos, mass, grid, nleaf)
-	if len(pos) == 0 {
-		return t
-	}
-	if workers <= 1 || len(pos) < parallelBuildMin {
-		if sc.cells == nil {
-			sc.cells = make([]Cell, 0, 2*len(pos)/nleaf+8)
-		}
-		t.Cells = sc.cells[:0]
-		t.build(0, 0, int32(len(pos)))
-		sc.cells = t.Cells // keep the grown buffer
-		return t
-	}
-	buildParallel(t, sc, workers)
-	return t
-}
-
-// resetTree points the scratch-owned tree at new particle arrays, keeping
-// only the walk view's storage from the previous build.
-func (sc *BuildScratch) resetTree(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid, nleaf int) *Tree {
 	t := &sc.tree
 	*t = Tree{Keys: ks, Pos: pos, Mass: mass, Grid: grid, NLeaf: nleaf,
-		view: View{cells: t.view.cells[:0]}}
+		view: View{cells: t.view.cells[:0]}} // keep only the walk view's storage
+	n := int32(len(pos))
+	if n == 0 {
+		return t
+	}
+	if sc.cells == nil {
+		sc.cells = make([]Cell, 0, 2*len(pos)/nleaf+8)
+	}
+	t.Cells = sc.cells[:0]
+	t.build(0, 0, n)
+	sc.cells = t.Cells // keep the grown buffer
+
+	if workers > 1 && n >= parallelBuildMin {
+		cutoff := max(n/int32(subtreeFanout*workers), int32(nleaf))
+		sc.top, sc.subs = sc.top[:0], sc.subs[:0]
+		sc.cut(t, 0, int32(len(t.Cells)), cutoff)
+		t.topCells, t.subSpans = sc.top, sc.subs
+	}
 	return t
 }
 
-// buildParallel is the three-stage concurrent constructor: serial skeleton
-// expansion to ~subtreeFanout×workers frontier tasks, concurrent subtree
-// builds into per-worker arenas, and the placement/stitch pass that
-// reproduces the serial depth-first layout.
-func buildParallel(t *Tree, sc *BuildScratch, workers int) {
-	n := int32(len(t.Pos))
-	cutoff := n / int32(subtreeFanout*workers)
-	if cutoff < int32(t.NLeaf) {
-		cutoff = int32(t.NLeaf)
-	}
-
-	// --- Stage 1: serial skeleton. Cells with more than cutoff particles
-	// are expanded on the calling goroutine (eight binary searches each);
-	// smaller octants become frontier tasks.
-	sc.skel = sc.skel[:0]
-	sc.tasks = sc.tasks[:0]
-	sc.buildSkeleton(t, 0, 0, n, cutoff)
-
-	// --- Stage 2: build every frontier subtree concurrently. Workers claim
-	// tasks off a shared counter and append into their own arena with
-	// arena-relative child indices; task order inside an arena is whatever
-	// the claiming produced, which the placement stage makes irrelevant.
-	if cap(sc.arenas) < workers {
-		arenas := make([][]Cell, workers)
-		copy(arenas, sc.arenas)
-		sc.arenas = arenas
-	}
-	arenas := sc.arenas[:workers]
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			arena := arenas[w][:0]
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(sc.tasks) {
-					break
-				}
-				tk := &sc.tasks[k]
-				tk.arena = int32(w)
-				tk.off = int32(len(arena))
-				t.buildInto(&arena, tk.level, tk.start, tk.start+tk.n)
-				tk.len = int32(len(arena)) - tk.off
-			}
-			arenas[w] = arena
-		}(w)
-	}
-	wg.Wait()
-
-	placeAndStitch(t, sc, workers)
-}
-
-// placeAndStitch is the shared final stage of both parallel constructors
-// (binary-search skeleton and fused MSD partition): replay the serial
-// depth-first order over the skeleton to assign every top cell its final
-// index and every subtree its contiguous span, then copy the arena-built
-// subtrees into place.
-func placeAndStitch(t *Tree, sc *BuildScratch, workers int) {
-	// --- Placement. This serial pass only touches the (few) top cells.
-	total := len(sc.skel)
-	for i := range sc.tasks {
-		total += int(sc.tasks[i].len)
-	}
-	sc.cells = resizeCells(sc.cells, total)
-	sc.top = sc.top[:0]
-	sc.subs = sc.subs[:0]
-	sc.place(0, 0)
-
-	// --- Stitch. Copy every arena-built subtree into its final span,
-	// shifting child indices by (final base − arena offset). Subtrees are
-	// disjoint spans, so the copies run concurrently. The closure literal
-	// stays inside the workers > 1 branch to keep the serial path
-	// allocation free.
-	if workers > 1 {
-		par.Dyn(len(sc.tasks), workers, func(k int) { stitchTask(sc, k) })
-	} else {
-		for k := range sc.tasks {
-			stitchTask(sc, k)
-		}
-	}
-
-	t.Cells = sc.cells
-	t.topCells = sc.top
-	t.subSpans = sc.subs
-}
-
-// place copies skeleton cell si to the final index `cursor` and returns the
-// cursor advanced past the whole subtree rooted there. A method (not a
-// closure) so the serial fused path stays allocation free.
-func (sc *BuildScratch) place(si, cursor int32) int32 {
-	final := cursor
-	cursor++
-	sc.cells[final] = sc.skel[si].cell
-	sc.top = append(sc.top, final)
-	for oct, ref := range sc.skel[si].children {
-		switch {
-		case ref == NilCell:
-			// already NilCell in the copied cell
-		case ref >= 0:
-			sc.cells[final].Children[oct] = cursor
-			cursor = sc.place(ref, cursor)
-		default:
-			tk := &sc.tasks[frontierTask(ref)]
-			tk.base = cursor
-			cursor += tk.len
-			sc.cells[final].Children[oct] = tk.base
-			sc.subs = append(sc.subs, cellSpan{tk.base, tk.len})
-		}
-	}
-	return cursor
-}
-
-// stitchTask copies one subtree from its worker arena into its final span.
-func stitchTask(sc *BuildScratch, k int) {
-	tk := &sc.tasks[k]
-	src := sc.arenas[tk.arena][tk.off : tk.off+tk.len]
-	dst := sc.cells[tk.base : tk.base+tk.len]
-	shift := tk.base - tk.off
-	for i := range src {
-		c := src[i]
-		for o := 0; o < 8; o++ {
-			if c.Children[o] != NilCell {
-				c.Children[o] += shift
-			}
-		}
-		dst[i] = c
-	}
-}
-
-// buildSkeleton expands the cell covering [start, end) serially, delegating
-// octants at or below the cutoff as frontier tasks, and returns its skeleton
-// index. The octant partition is the same binary search the serial build
-// performs, so the topology (and every cell payload) matches exactly.
-func (sc *BuildScratch) buildSkeleton(t *Tree, level, start, end, cutoff int32) int32 {
-	idx := int32(len(sc.skel))
-	cell := Cell{
-		Level:    level,
-		Start:    start,
-		N:        end - start,
-		Children: [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell},
-	}
-	t.cellGeometry(&cell)
-	sc.skel = append(sc.skel, skelCell{
-		cell:     cell,
-		children: [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell},
-	})
-
-	if end-start <= int32(t.NLeaf) || level >= keys.Bits {
-		sc.skel[idx].cell.Leaf = true
-		return idx
-	}
-
-	var bounds [9]int32
-	bounds[0] = start
-	for oct := 0; oct < 8; oct++ {
-		bounds[oct+1] = t.upperBound(bounds[oct], end, level, oct)
-	}
-	for oct := 0; oct < 8; oct++ {
-		lo, hi := bounds[oct], bounds[oct+1]
-		if lo == hi {
+// cut partitions the subtree [i, end) of t.Cells: cell i, which holds more
+// than cutoff particles, becomes a top cell; each child subtree — the index
+// range up to the next sibling — becomes one span if it holds at most cutoff
+// particles and is cut in turn otherwise.
+func (sc *BuildScratch) cut(t *Tree, i, end, cutoff int32) {
+	sc.top = append(sc.top, i)
+	children := t.Cells[i].Children
+	for o, ch := range children {
+		if ch == NilCell {
 			continue
 		}
-		if hi-lo <= cutoff {
-			sc.tasks = append(sc.tasks, subtreeTask{level: level + 1, start: lo, n: hi - lo})
-			sc.skel[idx].children[oct] = frontierRef(len(sc.tasks) - 1)
+		chEnd := end
+		for _, next := range children[o+1:] {
+			if next != NilCell {
+				chEnd = next
+				break
+			}
+		}
+		if t.Cells[ch].N <= cutoff {
+			sc.subs = append(sc.subs, cellSpan{ch, chEnd - ch})
 		} else {
-			sc.skel[idx].children[oct] = sc.buildSkeleton(t, level+1, lo, hi, cutoff)
+			sc.cut(t, ch, chEnd, cutoff)
 		}
 	}
-	return idx
 }
 
 // ComputePropertiesParallel is ComputeProperties with worker parallelism:
-// the reverse sweep runs per concurrently built subtree (children of any
-// cell in a span live inside that span), and the shared top cells finish
-// serially in reverse placement order — each of their children is either a
-// later-placed top cell or the root of an already-finished subtree. Trees
-// without partition info (serial builds), or workers <= 1, take the serial
-// sweep. Moments are bitwise identical either way: momentsAt is the shared
-// unit of work and no evaluation order crosses a cell boundary.
+// the reverse sweep runs concurrently per span of the partition
+// BuildStructureScratch recorded (children of any cell in a span live inside
+// that span), and the top cells finish serially in reverse order — each of
+// their children is either a later top cell or the root of an
+// already-finished span. Trees without a partition, or workers <= 1, take the
+// serial sweep. Moments are bitwise identical either way: momentsAt is the
+// shared unit of work and no evaluation order crosses a cell boundary.
 func (t *Tree) ComputePropertiesParallel(workers int) {
 	if workers <= 1 || len(t.subSpans) == 0 {
 		t.ComputeProperties()
@@ -431,11 +240,4 @@ func GroupsOfScratch(pos []vec.V3, ngroup, workers int, dst []Group) []Group {
 		}
 	}
 	return groups
-}
-
-func resizeCells(s []Cell, n int) []Cell {
-	if cap(s) < n {
-		return make([]Cell, n)
-	}
-	return s[:n]
 }

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"fmt"
 	"testing"
 
 	"bonsai/internal/keys"
@@ -53,10 +54,10 @@ func requireSameCells(t *testing.T, want, got []Cell, label string) {
 	}
 }
 
-// TestParallelBuildBitwiseIdentical is the core tentpole guarantee: for any
-// worker count the parallel pipeline (build, properties, groups) produces a
-// byte-for-byte copy of the serial result — same cell layout, same child
-// indices, bitwise-equal multipoles and Deltas, identical groups.
+// TestParallelBuildBitwiseIdentical: for any worker count the scratch
+// pipeline (build, properties, groups) produces a byte-for-byte copy of the
+// serial result — same cell layout, same child indices, bitwise-equal
+// multipoles and Deltas, identical groups.
 func TestParallelBuildBitwiseIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -65,7 +66,7 @@ func TestParallelBuildBitwiseIdentical(t *testing.T) {
 	}{
 		{"random50k", 50_000, false},
 		{"clustered50k", 50_000, true},
-		{"belowCutoff", 5_000, false}, // falls back to the serial builder
+		{"belowCutoff", 5_000, false}, // below parallelBuildMin: no partition, serial sweep
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +98,7 @@ func TestParallelBuildBitwiseIdentical(t *testing.T) {
 
 // TestBuildScratchReuseAcrossInputs rebuilds through one BuildScratch with
 // inputs of different sizes and shapes; every build must match a fresh serial
-// build (stale spans, arenas or skeleton state would corrupt the layout).
+// build (stale cells or spans would corrupt the layout or the moments).
 func TestBuildScratchReuseAcrossInputs(t *testing.T) {
 	var sc BuildScratch
 	for i, tc := range []struct {
@@ -113,6 +114,107 @@ func TestBuildScratchReuseAcrossInputs(t *testing.T) {
 		tr := BuildStructureScratch(&sc, ks, pos, mass, grid, 16, 4)
 		tr.ComputePropertiesParallel(4)
 		requireSameCells(t, ref.Cells, tr.Cells, "reuse")
+	}
+}
+
+// TestPropertiesPartition checks the partition BuildStructureScratch derives
+// from the finished tree, which is all that makes the parallel moments sweep
+// safe: spans are disjoint whole subtrees, spans and top cells together cover
+// Cells exactly once, every child of a top cell is a later top cell or a span
+// root, and the sweep over it is bitwise the serial one.
+func TestPropertiesPartition(t *testing.T) {
+	check := func(t *testing.T, ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid) {
+		for _, nleaf := range []int{2, 16, 100} {
+			ref := BuildStructure(ks, pos, mass, grid, nleaf)
+			ref.ComputeProperties()
+			var sc BuildScratch
+			for _, workers := range []int{1, 2, 8} {
+				tr := BuildStructureScratch(&sc, ks, pos, mass, grid, nleaf, workers)
+				if want := workers > 1 && len(pos) >= parallelBuildMin; (len(tr.topCells) > 0) != want {
+					t.Fatalf("nleaf=%d w=%d: %d top cells, partition wanted: %v", nleaf, workers, len(tr.topCells), want)
+				}
+				if len(tr.topCells) > 0 {
+					requirePartition(t, tr)
+				}
+				tr.ComputePropertiesParallel(workers)
+				requireSameCells(t, ref.Cells, tr.Cells, "partition")
+			}
+		}
+	}
+	for _, n := range []int{1, 17, 5_000, 40_000, 200_000} {
+		if raceEnabled && n > 40_000 {
+			continue // 40k already sweeps spans concurrently; 200k costs 15 s under -race
+		}
+		for _, clustered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n%d/clustered=%v", n, clustered), func(t *testing.T) {
+				ks, pos, mass, grid := sortedCloud(n, int64(n), clustered)
+				check(t, ks, pos, mass, grid)
+			})
+		}
+	}
+	t.Run("allKeysEqual", func(t *testing.T) {
+		// One key repeated: a single-child chain of top cells ending in one
+		// depth-limit leaf far above the cutoff, and no span at all.
+		const n = 20_000
+		ks, pos, mass := make([]keys.Key, n), make([]vec.V3, n), make([]float64, n)
+		grid := keys.NewGrid(vec.Box{Max: vec.V3{X: 1, Y: 1, Z: 1}})
+		for i := range pos {
+			pos[i] = vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
+			ks[i] = grid.MortonOf(pos[i])
+			mass[i] = 1.0 / n
+		}
+		check(t, ks, pos, mass, grid)
+	})
+}
+
+// requirePartition holds tr's topCells/subSpans to the invariants
+// ComputePropertiesParallel relies on.
+func requirePartition(t *testing.T, tr *Tree) {
+	t.Helper()
+	const top, none = -1, -2
+	owner := make([]int, len(tr.Cells)) // span index, top or none
+	for i := range owner {
+		owner[i] = none
+	}
+	for k, s := range tr.subSpans {
+		for i := s.base; i < s.base+s.n; i++ {
+			if owner[i] != none {
+				t.Fatalf("cell %d is in span %d and in %d", i, k, owner[i])
+			}
+			owner[i] = k
+		}
+	}
+	for k, i := range tr.topCells {
+		if owner[i] != none {
+			t.Fatalf("top cell %d is also owned by %d", i, owner[i])
+		}
+		if k > 0 && i <= tr.topCells[k-1] {
+			t.Fatalf("top cells out of order at %d", k)
+		}
+		owner[i] = top
+	}
+	for i, o := range owner {
+		switch c := &tr.Cells[i]; {
+		case o == none:
+			t.Fatalf("cell %d is in no span and is not a top cell", i)
+		case o == top:
+			for _, ch := range c.Children {
+				if ch == NilCell {
+					continue
+				}
+				later := owner[ch] == top && ch > int32(i)
+				spanRoot := owner[ch] >= 0 && tr.subSpans[owner[ch]].base == ch
+				if !later && !spanRoot {
+					t.Fatalf("child %d of top cell %d is neither a later top cell nor a span root", ch, i)
+				}
+			}
+		default:
+			for _, ch := range c.Children {
+				if ch != NilCell && owner[ch] != o {
+					t.Fatalf("child %d of cell %d leaves span %d", ch, i, o)
+				}
+			}
+		}
 	}
 }
 
@@ -157,7 +259,7 @@ func TestTreePipelineAllocFree(t *testing.T) {
 	if raceEnabled {
 		return // race-detector bookkeeping inflates per-goroutine allocs
 	}
-	run(8) // warm the parallel-only buffers (skeleton, arenas, spans)
+	run(8) // warm the parallel-only buffers (top cells, spans)
 	if a := testing.AllocsPerRun(5, func() { run(8) }); a > 64 {
 		t.Errorf("parallel pipeline allocated %v per step, want small constant", a)
 	}

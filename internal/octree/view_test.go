@@ -159,8 +159,8 @@ func TestViewWalkMatchesStackCollect(t *testing.T) {
 }
 
 // TestViewFollowsEveryPropertiesPath walks trees whose properties came from
-// each producer — serial and parallel sweeps, the scratch and fused builders
-// reusing one view buffer across inputs, BuildStructure + ComputeProperties —
+// each producer — serial and parallel sweeps, the scratch builder reusing one
+// view buffer across inputs, BuildStructure + ComputeProperties —
 // and a second θ on a tree already viewed for a first.
 func TestViewFollowsEveryPropertiesPath(t *testing.T) {
 	var sc BuildScratch
@@ -172,13 +172,8 @@ func TestViewFollowsEveryPropertiesPath(t *testing.T) {
 		tr.ComputeProperties()
 		requireViewMatchesStack(t, tr, 0.6, "scratch serial, second theta")
 	}
-	h := newFusedHarness(30000, 4, true)
-	tr := h.run(4)
-	tr.ComputePropertiesParallel(4)
-	requireViewMatchesStack(t, tr, 0.4, "fused")
-
 	ks, pos, mass, grid := sortedCloud(5000, 5, false)
-	tr = BuildStructure(ks, pos, mass, grid, 16)
+	tr := BuildStructure(ks, pos, mass, grid, 16)
 	tr.ComputeProperties()
 	requireViewMatchesStack(t, tr, 0.4, "BuildStructure+ComputeProperties")
 }

@@ -8,8 +8,8 @@
 //     worker. Right for uniform-cost loops (key computation, SoA fills,
 //     group bounding boxes) where chunking keeps per-index overhead at zero.
 //   - Dyn: dynamic claiming of items off a shared atomic counter. Right for
-//     item lists with very uneven costs (delegated subtrees of the parallel
-//     tree build), where a static split would leave workers idle.
+//     item lists with very uneven costs (subtree spans of the multipole
+//     sweep), where a static split would leave workers idle.
 //
 // Both run inline — no goroutines, no allocation — when workers <= 1 or the
 // input is a single chunk, so serial configurations pay nothing and the

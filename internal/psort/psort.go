@@ -29,17 +29,6 @@ func Sort(kv []KV, workers int) {
 	s.Sort(kv, workers)
 }
 
-// SortScratch is Sort with a caller-owned ping-pong buffer. The buffer is
-// grown as needed and survives the call, so a caller sorting every step pays
-// the allocation once instead of per sort. Callers that sort every step (the
-// sim layer keeps one per rank) should hold a Sorter instead, which also
-// reuses the per-chunk histogram scratch.
-func SortScratch(kv []KV, scratch *[]KV, workers int) {
-	s := Sorter{buf: *scratch}
-	s.Sort(kv, workers)
-	*scratch = s.buf
-}
-
 // Sorter owns every piece of sort scratch — the ping-pong buffer, the
 // per-chunk digit histograms and offsets, and the chunk bounds — so a caller
 // sorting every step allocates nothing in steady state. The zero value is
@@ -188,221 +177,6 @@ func (s *Sorter) Sort(kv []KV, workers int) {
 				}(c, src, dst)
 			}
 			wg.Wait()
-		}
-		src, dst = dst, src
-	}
-}
-
-// msdChunkMin is the range size below which a PartitionDigits pass runs
-// inline on the calling goroutine: chunked fan-out over a range that fits in
-// cache costs more than it saves.
-const msdChunkMin = 1 << 15
-
-// PartitionDigits runs one MSD counting-sort pass over the bits-wide key
-// digit at shift of kv[lo:hi] — or of the same range of the Sorter's
-// ping-pong buffer when inBuf is true — scattering the elements stably into
-// the other buffer. bounds must have length (1<<bits)+1 and receives the
-// absolute bucket boundaries: bucket d is [bounds[d], bounds[d+1]), with
-// bounds[0] == lo and bounds[1<<bits] == hi. Those boundaries are exactly the
-// octree child ranges when the digit is a span of 3-bit octant levels, which
-// is how the fused tree builder derives its skeleton from the sort.
-//
-// bits must be in [1, 8] (the radix the Sorter's histogram scratch is sized
-// for). The pass is chunked over workers goroutines for large ranges and runs
-// inline otherwise; the ping-pong buffer is grown to len(kv) on first use.
-func (s *Sorter) PartitionDigits(kv []KV, lo, hi int, inBuf bool, shift uint, bits int, bounds []int, workers int) {
-	if bits <= 0 || bits > radixBits {
-		panic("psort: PartitionDigits bits out of range")
-	}
-	if cap(s.buf) < len(kv) {
-		grown := make([]KV, len(kv))
-		copy(grown, s.buf) // earlier partitions may have live data here
-		s.buf = grown
-	}
-	r := 1 << bits
-	mask := uint64(r - 1)
-	n := hi - lo
-	if n == 0 {
-		for d := 0; d <= r; d++ {
-			bounds[d] = lo
-		}
-		return
-	}
-	src := kv[lo:hi]
-	dst := s.buf[lo:hi]
-	if inBuf {
-		src, dst = dst, src
-	}
-
-	chunks := workers
-	if chunks < 1 || n < msdChunkMin {
-		chunks = 1
-	}
-	if cap(s.hist) < chunks {
-		s.hist = make([][radix]int, chunks)
-		s.off = make([][radix]int, chunks)
-	}
-	hist, off := s.hist[:chunks], s.off[:chunks]
-
-	if chunks == 1 {
-		h := &hist[0]
-		for d := 0; d < r; d++ {
-			h[d] = 0
-		}
-		for _, e := range src {
-			h[(e.Key>>shift)&mask]++
-		}
-		total := 0
-		o := &off[0]
-		for d := 0; d < r; d++ {
-			bounds[d] = lo + total
-			o[d] = total
-			total += h[d]
-		}
-		bounds[r] = hi
-		for _, e := range src {
-			d := (e.Key >> shift) & mask
-			dst[o[d]] = e
-			o[d]++
-		}
-		return
-	}
-
-	// src/dst are passed as goroutine arguments, not captured: the inBuf
-	// swap above would otherwise heap-box them at function entry, costing
-	// the inline single-chunk path two allocations.
-	cb := s.chunkBounds(n, chunks)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		wg.Add(1)
-		go func(c int, src []KV) {
-			defer wg.Done()
-			h := &hist[c]
-			for d := 0; d < r; d++ {
-				h[d] = 0
-			}
-			for _, e := range src[cb[c]:cb[c+1]] {
-				h[(e.Key>>shift)&mask]++
-			}
-		}(c, src)
-	}
-	wg.Wait()
-	total := 0
-	for d := 0; d < r; d++ {
-		bounds[d] = lo + total
-		for c := 0; c < chunks; c++ {
-			off[c][d] = total
-			total += hist[c][d]
-		}
-	}
-	bounds[r] = hi
-	for c := 0; c < chunks; c++ {
-		wg.Add(1)
-		go func(c int, src, dst []KV) {
-			defer wg.Done()
-			o := &off[c]
-			for _, e := range src[cb[c]:cb[c+1]] {
-				d := (e.Key >> shift) & mask
-				dst[o[d]] = e
-				o[d]++
-			}
-		}(c, src, dst)
-	}
-	wg.Wait()
-}
-
-// FinishRange completes the sort of kv[lo:hi] by the key bits MSD partition
-// passes have not ordered yet. inBuf says whether the range's current
-// contents live in the Sorter's ping-pong buffer (after an odd number of
-// PartitionDigits passes); the sorted result always lands in kv[lo:hi],
-// with the parity-correcting copy fused into the first pass's histogram
-// scan when the data starts in the wrong buffer. Only bytes that vary
-// within the range are sorted, so the high digits a partition already fixed
-// are skipped automatically.
-//
-// FinishRange uses stack scratch plus the [lo:hi) range of the shared
-// ping-pong buffer, so concurrent calls on disjoint ranges of one Sorter are
-// safe. The buffer must already span len(kv); any preceding PartitionDigits
-// call guarantees that.
-func (s *Sorter) FinishRange(kv []KV, lo, hi int, inBuf bool) {
-	n := hi - lo
-	if n == 0 {
-		return
-	}
-	a := kv[lo:hi]
-	b := s.buf[lo:hi]
-	cur := a
-	if inBuf {
-		cur = b
-	}
-	if n == 1 {
-		a[0] = cur[0]
-		return
-	}
-	// The comparison-sort fallback threshold is far lower than Sort's 4096:
-	// a frontier range shares its high digits (the partitions fixed them),
-	// so the or/and scan below skips those bytes and the LSD tail is 5-6
-	// cheap cache-resident passes — faster than a merge sort well below the
-	// full sort's crossover.
-	if n < 128 {
-		if inBuf {
-			copy(a, b)
-		}
-		mergeSort(a, b)
-		return
-	}
-	var orAll, andAll uint64 = 0, ^uint64(0)
-	for _, e := range cur {
-		orAll |= e.Key
-		andAll &= e.Key
-	}
-	varying := orAll ^ andAll
-	passes := 0
-	for pass := 0; pass < 8; pass++ {
-		if (varying>>(uint(pass)*radixBits))&0xff != 0 {
-			passes++
-		}
-	}
-	if passes == 0 {
-		if inBuf {
-			copy(a, b)
-		}
-		return
-	}
-	src, dst := a, b
-	if passes%2 == 1 {
-		src, dst = b, a
-	}
-	needCopy := &src[0] != &cur[0]
-	var hist [radix]int
-	for pass := 0; pass < 8; pass++ {
-		shift := uint(pass * radixBits)
-		if (varying>>shift)&0xff == 0 {
-			continue
-		}
-		hist = [radix]int{}
-		if needCopy {
-			for i, e := range cur {
-				src[i] = e
-				hist[(e.Key>>shift)&0xff]++
-			}
-			needCopy = false
-		} else {
-			for _, e := range src {
-				hist[(e.Key>>shift)&0xff]++
-			}
-		}
-		// In-place exclusive prefix sum turns counts into scatter offsets.
-		total := 0
-		for d := 0; d < radix; d++ {
-			c := hist[d]
-			hist[d] = total
-			total += c
-		}
-		for _, e := range src {
-			d := (e.Key >> shift) & 0xff
-			dst[hist[d]] = e
-			hist[d]++
 		}
 		src, dst = dst, src
 	}

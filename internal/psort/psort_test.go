@@ -149,36 +149,68 @@ func TestSortStabilitySmallPath(t *testing.T) {
 	}
 }
 
-func TestSortScratchMatchesSort(t *testing.T) {
-	for _, n := range []int{0, 1, 500, 4096, 50000} {
-		want := randomKV(n, int64(n)+1, ^uint64(0)>>3)
-		got := make([]KV, n)
-		copy(got, want)
-		Sort(want, 4)
+// refStable is the reference result: a stable stdlib sort by Key.
+func refStable(kv []KV) []KV {
+	want := append([]KV(nil), kv...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+	return want
+}
 
-		var scratch []KV
-		SortScratch(got, &scratch, 4)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: SortScratch differs from Sort at %d: %+v vs %+v",
-					n, i, got[i], want[i])
+func TestSorterReuse(t *testing.T) {
+	// One Sorter reused across calls of varying size must keep sorting
+	// stably and must not shrink or reallocate its buffer once large enough.
+	var s Sorter
+	for i, n := range []int{60000, 333, 4096, 59999, 7, 0} {
+		kv := randomKV(n, int64(100+i), 0xffff)
+		want := refStable(kv)
+		s.Sort(kv, 3)
+		for j := range kv {
+			if kv[j] != want[j] {
+				t.Fatalf("call %d (n=%d): mismatch at %d", i, n, j)
+			}
+		}
+		if cap(s.buf) < 60000 {
+			t.Fatalf("call %d: buffer shrank to cap %d", i, cap(s.buf))
+		}
+	}
+}
+
+// TestSortNoCopyBackParity covers both pass-count parities explicitly: a key
+// mask with an odd number of varying bytes and one with an even number must
+// both land the sorted result in the caller slice.
+func TestSortNoCopyBackParity(t *testing.T) {
+	for _, mask := range []uint64{0xff_ffff, 0xffff_ffff, 0xff, ^uint64(0) >> 1} {
+		for _, workers := range []int{1, 4} {
+			var s Sorter
+			kv := randomKV(20_000, int64(mask), mask)
+			want := refStable(kv)
+			s.Sort(kv, workers)
+			for i := range kv {
+				if kv[i] != want[i] {
+					t.Fatalf("mask=%x w=%d: mismatch at %d", mask, workers, i)
+				}
 			}
 		}
 	}
 }
 
-func TestSortScratchReuse(t *testing.T) {
-	// One scratch buffer reused across calls of varying size must keep
-	// sorting correctly and must not shrink or reallocate once large enough.
-	var scratch []KV
-	for i, n := range []int{60000, 333, 4096, 59999, 7} {
-		kv := randomKV(n, int64(100+i), 0xffff)
-		SortScratch(kv, &scratch, 3)
-		if !isSorted(kv) {
-			t.Fatalf("call %d (n=%d): not sorted", i, n)
-		}
-		if cap(scratch) < 60000 {
-			t.Fatalf("call %d: scratch shrank to cap %d", i, cap(scratch))
+// TestSorterAllocFree: a warm Sorter sorts without allocating, whatever the
+// pass-count parity.
+func TestSorterAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	for _, mask := range []uint64{0xff_ffff, 0xffff_ffff} { // odd and even pass counts
+		var s Sorter
+		kv := randomKV(50_000, 4, mask)
+		s.Sort(kv, 1)
+		if a := testing.AllocsPerRun(5, func() {
+			for i := range kv {
+				kv[i].Key = kv[len(kv)-1-i].Key
+			}
+			s.Sort(kv, 1)
+		}); a != 0 {
+			t.Errorf("mask=%x: warm Sort allocated %v, want 0", mask, a)
 		}
 	}
 }

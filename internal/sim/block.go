@@ -229,6 +229,7 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		// recomputed on the drifted positions (r.pos tracks every drift).
 		tP := time.Now()
 		r.tree.RefreshProperties(r.cfg.WorkersPerRank)
+		r.checkTreeMass()
 		r.stats.Times.TreeProps = time.Since(tP)
 		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 1)
 	}

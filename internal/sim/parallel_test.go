@@ -40,8 +40,8 @@ func TestWorkerCountBitwiseInvariance(t *testing.T) {
 
 // TestSteadyStateTreePhasesAllocFree: once a rank's scratch is warm, the
 // sort, tree-build, property, and group phases of a step allocate nothing at
-// workers=1 — the per-step buffers (keys, sorter, reorder target, cell
-// arenas, groups) are all owned by the rank and reused.
+// workers=1 — the per-step buffers (keys, sorter, reorder target, cells,
+// groups) are all owned by the rank and reused.
 func TestSteadyStateTreePhasesAllocFree(t *testing.T) {
 	parts := plummer(20_000, 7)
 	s, err := New(Config{Ranks: 1, Theta: 0.5, Eps: 0.05, WorkersPerRank: 1}, parts)

@@ -41,14 +41,12 @@ type rank struct {
 
 	// Scratch reused across steps (per-rank, single-writer): the sort's key
 	// slice and Sorter (ping-pong buffer + radix histograms), the particle
-	// reorder target and the persistent fill callback of the fused
-	// sort+build, the domain phase's Hilbert keys and work weights, and the
-	// tree pipeline's cell arenas. Together these make the steady-state
+	// reorder target, the domain phase's Hilbert keys and work weights, and
+	// the tree build's cell slice. Together these make the steady-state
 	// sort+build/domain-keys/groups phases allocation-free.
 	kv      []psort.KV
 	sorter  psort.Sorter
 	spare   []body.Particle
-	fill    func(lo, hi int)
 	hk      []keys.Key
 	weights []float64
 	ts      octree.BuildScratch
@@ -127,6 +125,29 @@ func (e *NonFiniteForceError) Error() string {
 	return fmt.Sprintf("sim: rank %d: force phase left acc %v, pot %v on particle id %d", e.Rank, e.Acc, e.Pot, e.ID)
 }
 
+// TreeMassError is the value a rank panics with when a properties sweep
+// leaves the root multipole's mass different from the sum of the particle
+// masses the tree was built over: some cell's moments were not computed, and
+// no walk sees that tree.
+type TreeMassError struct {
+	Rank     int
+	RootMass float64
+	SumMass  float64
+}
+
+func (e *TreeMassError) Error() string {
+	return fmt.Sprintf("sim: rank %d: root multipole mass %g after the properties sweep, particle masses sum to %g", e.Rank, e.RootMass, e.SumMass)
+}
+
+// checkTreeMass is the always-on invariant after every properties sweep: root
+// multipole mass equals the particles' total mass to 1e-9 relative.
+func (r *rank) checkTreeMass() {
+	sum := body.TotalMass(r.parts)
+	if root := r.tree.TotalMass(); !(math.Abs(root-sum) <= 1e-9*sum) {
+		panic(&TreeMassError{Rank: r.comm.Rank(), RootMass: root, SumMass: sum})
+	}
+}
+
 // stepForces runs the full force pipeline for one step and leaves
 // accelerations/potentials in r.acc/r.pot (aligned with r.parts).
 // domainUpdate selects whether this evaluation re-decomposes and exchanges
@@ -180,8 +201,8 @@ func (r *rank) fullTargets() walkTargets {
 }
 
 // buildPipeline runs the tree side of a force evaluation: global bounding
-// box and key grid, the (optional) domain update, the fused Morton sort +
-// octree construction, and multipoles + target groups.
+// box and key grid, the (optional) domain update, the Morton sort + octree
+// construction, and multipoles + target groups.
 func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 	// --- Global bounding box and key grid.
 	gbox := domain.GlobalBox(r.comm, body.Bounds(r.parts))
@@ -227,22 +248,13 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 				}
 			}
 		}
-		r.dec = domain.SampleDecompose(r.comm, hk, weights, domain.Options{PX: r.cfg.PX})
-		if r.cfg.SnapLevel > 0 {
-			// Align domain boundaries with the global octree lattice
-			// (§III.B.1: domains as branches of a hypothetical global
-			// octree, binary-consistent across process counts).
-			r.dec = r.dec.SnapToLevel(r.cfg.SnapLevel)
-		}
+		r.dec = domain.SampleDecompose(r.comm, hk, weights, domain.Options{})
 		r.parts = domain.Exchange(r.comm, r.dec, r.parts, r.grid)
 	}
 	r.stats.Times.Domain = time.Since(tD)
 	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times.Domain), 0)
 
-	// --- Fused Morton sort + tree construction: the MSD octant partition
-	// emits the tree top while sorting, and frontier ranges finish (sort
-	// tail, payload permute, subtree build) concurrently in the rank's
-	// reusable arenas, stitched back to the exact serial layout.
+	// --- Morton sort, particle reorder and tree construction.
 	tS := time.Now()
 	r.sortBuild()
 	r.stats.Times.SortBuild = time.Since(tS)
@@ -251,18 +263,17 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 	// --- Tree properties (multipoles) and target groups, both multicore.
 	tP := time.Now()
 	r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)
+	r.checkTreeMass()
 	r.groups = r.tree.MakeGroupsScratch(r.cfg.NGroup, r.cfg.WorkersPerRank, r.groups)
 	r.stats.Times.TreeProps = time.Since(tP)
 	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 0)
 }
 
-// sortBuild computes Morton keys and runs the fused MSD sort + octree
-// construction: one octree.SortBuildScratch call sorts the keys, reorders
-// r.parts (and the SoA views) into key order, and builds the tree, all
-// through the rank's scratch buffers. The payload permute runs inside the
-// builder's fill callback, once per finished key range — from concurrent
-// workers when WorkersPerRank > 1 — with every call writing disjoint
-// indices, so the result is independent of the worker count.
+// sortBuild computes Morton keys, sorts them, reorders r.parts (and the SoA
+// views) into key order and builds the tree structure over them, all through
+// the rank's scratch buffers. The sort and the reorder use the rank's
+// workers; the build is serial. Every parallel loop writes disjoint indices,
+// so the result is independent of the worker count.
 func (r *rank) sortBuild() {
 	n := len(r.parts)
 	workers := r.cfg.WorkersPerRank
@@ -279,6 +290,7 @@ func (r *rank) sortBuild() {
 			kv[i] = psort.KV{Key: uint64(r.grid.MortonOf(parts[i].Pos)), Idx: int32(i)}
 		}
 	}
+	r.sorter.Sort(kv, workers)
 
 	r.spare = resize(r.spare, n)
 	r.mk = resize(r.mk, n)
@@ -286,26 +298,29 @@ func (r *rank) sortBuild() {
 	r.mass = resize(r.mass, n)
 	r.acc = resize(r.acc, n)
 	r.pot = resize(r.pot, n)
-	if r.fill == nil {
-		// The persistent closure keeps the steady-state path allocation
-		// free. It reads the rank's buffers at call time: during the build
-		// r.parts is still the unsorted array and r.spare the reorder
-		// target (the swap below happens after the build returns).
-		r.fill = func(lo, hi int) {
-			kv, parts, spare := r.kv, r.parts, r.spare
-			psort.Permute(kv[lo:hi], parts, spare[lo:hi])
-			for i := lo; i < hi; i++ {
-				r.mk[i] = keys.Key(kv[i].Key)
-				r.pos[i] = spare[i].Pos
-				r.mass[i] = spare[i].Mass
-				r.acc[i] = vec.V3{}
-				r.pot[i] = 0
-			}
-		}
+	if workers > 1 {
+		par.For(n, workers, r.fill)
+	} else {
+		r.fill(0, n)
 	}
-	r.tree = octree.SortBuildScratch(&r.ts, &r.sorter, kv, r.mk, r.pos, r.mass,
-		r.grid, r.cfg.NLeaf, workers, r.fill)
 	r.parts, r.spare = r.spare, r.parts
+
+	r.tree = octree.BuildStructureScratch(&r.ts, r.mk, r.pos, r.mass, r.grid, r.cfg.NLeaf, workers)
+}
+
+// fill permutes the payload of the sorted key range [lo, hi): particles from
+// r.parts (still the unsorted array) into r.spare, and the SoA views from
+// there. Calls on disjoint ranges may run concurrently.
+func (r *rank) fill(lo, hi int) {
+	kv, spare := r.kv, r.spare
+	psort.Permute(kv[lo:hi], r.parts, spare[lo:hi])
+	for i := lo; i < hi; i++ {
+		r.mk[i] = keys.Key(kv[i].Key)
+		r.pos[i] = spare[i].Pos
+		r.mass[i] = spare[i].Mass
+		r.acc[i] = vec.V3{}
+		r.pot[i] = 0
+	}
 }
 
 // gravity computes the targets' accelerations from the local tree and from

@@ -45,8 +45,6 @@ type Config struct {
 	NGroup         int     // target group size (default 64)
 	BoundaryDepth  int     // boundary-tree depth (default 4)
 	DomainFreq     int     // steps between domain updates (default 4)
-	PX             int     // decomposition DD-process count (0 = auto)
-	SnapLevel      int     // snap domain bounds to level-k octree cells (0 = off)
 
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates at DT/2^rung with the rung chosen from the

@@ -7,8 +7,10 @@ import (
 
 	"bonsai/internal/body"
 	"bonsai/internal/direct"
+	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/mpi"
+	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
@@ -412,23 +414,6 @@ func TestStepProfileShape(t *testing.T) {
 	}
 }
 
-func TestSnapLevelKeepsPhysicsAndAlignment(t *testing.T) {
-	parts := plummer(3000, 51)
-	s, _ := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1, SnapLevel: 9}, parts)
-	s.ComputeForces()
-	if rms := rmsAccError(t, s, 0.05); rms > 2e-3 {
-		t.Errorf("snapped decomposition broke forces: rms %v", rms)
-	}
-	if len(s.Particles()) != 3000 {
-		t.Error("particles lost under snapping")
-	}
-	for _, n := range s.nodes {
-		if !n.r.dec.AlignedToLevel(9) {
-			t.Error("decomposition not aligned after snapping")
-		}
-	}
-}
-
 func TestNonFiniteForceFailsTheStep(t *testing.T) {
 	// An Inf coordinate makes every separation from that particle Inf or NaN
 	// (on either kernel tier: the float32 path hands such calls to the scalar
@@ -459,4 +444,41 @@ func TestNonFiniteForceFailsTheStep(t *testing.T) {
 			n.Step()
 		}()
 	}
+}
+
+func TestTreeMassInvariantFailsByName(t *testing.T) {
+	// A subtree whose moments were never computed — a span the properties
+	// partition missed — leaves the root short of its mass. Construct that
+	// tree by hand and hold the post-sweep check to its named error.
+	n, err := NewNode(Config{Ranks: 1, Eps: 0.05, DT: 1e-3}, mpi.NewWorld(1), 0, plummer(600, 78))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Step()
+	r := n.r
+	r.checkTreeMass() // the tree the step left behind is whole
+
+	cells := r.tree.Cells
+	var sub int32 = octree.NilCell
+	for _, ch := range cells[0].Children {
+		if ch != octree.NilCell && cells[ch].MP.M > 0 {
+			sub = ch
+		}
+	}
+	lost := cells[sub].MP.M
+	for i := int(sub); i < len(cells) && (i == int(sub) || cells[i].Level > cells[sub].Level); i++ {
+		cells[i].MP = grav.Multipole{}
+	}
+	cells[0].MP.M -= lost
+
+	defer func() {
+		var tm *TreeMassError
+		if err, _ := recover().(error); !errors.As(err, &tm) {
+			t.Fatalf("check ended with %v, want a *TreeMassError", err)
+		}
+		if tm.Rank != 0 || tm.RootMass >= tm.SumMass || math.Abs(tm.SumMass-tm.RootMass-lost) > 1e-12 {
+			t.Fatalf("error reports rank %d, root mass %g, particle mass %g (zeroed %g)", tm.Rank, tm.RootMass, tm.SumMass, lost)
+		}
+	}()
+	r.checkTreeMass()
 }

@@ -9,12 +9,11 @@ import (
 )
 
 // PhaseTimes is the per-step wall-clock breakdown of one rank, mirroring the
-// rows of the paper's Table II. The paper's separate "Sorting SFC" and
-// "Tree-construction" rows are fused into one SortBuild phase: the MSD
-// octant sort emits the tree top as a byproduct of partitioning, so the two
-// are no longer separable.
+// rows of the paper's Table II. The paper's "Sorting SFC" and
+// "Tree-construction" rows are timed as one SortBuild phase: Morton keys,
+// the key sort, the particle reorder and the octree construction.
 type PhaseTimes struct {
-	SortBuild     time.Duration // fused SFC sort + octree construction
+	SortBuild     time.Duration // SFC sort + particle reorder + octree construction
 	Domain        time.Duration // sampling decomposition + particle exchange
 	TreeProps     time.Duration // multipole computation
 	GravLocal     time.Duration // tree-walk over the local tree

@@ -23,12 +23,15 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"bonsai/internal/body"
+	"bonsai/internal/vec"
 )
 
 var (
@@ -88,59 +91,70 @@ func Write(w io.Writer, h Header, parts []body.Particle) error {
 	return bw.Flush()
 }
 
+// ErrTruncated reports a snapshot that ends before its header, or before the
+// particle count its header declares.
+var ErrTruncated = errors.New("snapshot: truncated")
+
+// truncated names an end-of-input error; any other read error passes as is.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTruncated
+	}
+	return err
+}
+
 // Read deserializes a snapshot from r, accepting both the v1 and v2 formats.
+// The particle count in the header is not trusted to size anything: the
+// result grows as records arrive, so Read never holds more than a small
+// multiple of the bytes it has read, and a stream shorter than its header
+// claims fails with ErrTruncated.
 func Read(r io.Reader) (Header, []body.Particle, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("snapshot: reading magic: %w", err)
+	le := binary.LittleEndian
+	var hdr [8 + 4*8]byte // magic, time, step, [substep,] n
+	if _, err := io.ReadFull(br, hdr[:8]); err != nil {
+		return Header{}, nil, fmt.Errorf("snapshot: reading magic: %w", truncated(err))
 	}
-	v2 := got == magicV2
-	if !v2 && got != magicV1 {
-		return Header{}, nil, fmt.Errorf("snapshot: bad magic %q", got)
+	magic := [8]byte(hdr[:8])
+	v2 := magic == magicV2
+	if !v2 && magic != magicV1 {
+		return Header{}, nil, fmt.Errorf("snapshot: bad magic %q", magic)
 	}
-	var h Header
-	if err := binary.Read(br, binary.LittleEndian, &h.Time); err != nil {
-		return Header{}, nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &h.Step); err != nil {
-		return Header{}, nil, err
-	}
+	fields, size := hdr[8:8+3*8], recV1
 	if v2 {
-		if err := binary.Read(br, binary.LittleEndian, &h.Substep); err != nil {
-			return Header{}, nil, err
-		}
+		fields, size = hdr[8:], recV2
 	}
-	var n int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return Header{}, nil, err
+	if _, err := io.ReadFull(br, fields); err != nil {
+		return Header{}, nil, fmt.Errorf("snapshot: reading header: %w", truncated(err))
 	}
+	h := Header{Time: bitsf(le.Uint64(fields)), Step: int64(le.Uint64(fields[8:]))}
+	if v2 {
+		h.Substep = int64(le.Uint64(fields[16:]))
+	}
+	n := int64(le.Uint64(fields[len(fields)-8:]))
 	if n < 0 {
 		return Header{}, nil, fmt.Errorf("snapshot: negative particle count %d", n)
 	}
-	size := recV1
-	if v2 {
-		size = recV2
-	}
-	parts := make([]body.Particle, n)
+	var parts []body.Particle
 	rec := make([]byte, size)
-	for i := range parts {
+	for i := int64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
-			return Header{}, nil, fmt.Errorf("snapshot: particle %d: %w", i, err)
+			return Header{}, nil, fmt.Errorf("snapshot: particle %d of %d: %w", i, n, truncated(err))
 		}
-		le := binary.LittleEndian
-		p := &parts[i]
-		p.ID = int64(le.Uint64(rec[0:]))
-		p.Mass = bitsf(le.Uint64(rec[8:]))
-		p.Pos.X = bitsf(le.Uint64(rec[16:]))
-		p.Pos.Y = bitsf(le.Uint64(rec[24:]))
-		p.Pos.Z = bitsf(le.Uint64(rec[32:]))
-		p.Vel.X = bitsf(le.Uint64(rec[40:]))
-		p.Vel.Y = bitsf(le.Uint64(rec[48:]))
-		p.Vel.Z = bitsf(le.Uint64(rec[56:]))
+		if len(parts) == cap(parts) {
+			// Double, but never past the declared count.
+			parts = slices.Grow(parts, int(min(max(i, 64), n-i)))
+		}
+		p := body.Particle{
+			ID:   int64(le.Uint64(rec[0:])),
+			Mass: bitsf(le.Uint64(rec[8:])),
+			Pos:  vec.V3{X: bitsf(le.Uint64(rec[16:])), Y: bitsf(le.Uint64(rec[24:])), Z: bitsf(le.Uint64(rec[32:]))},
+			Vel:  vec.V3{X: bitsf(le.Uint64(rec[40:])), Y: bitsf(le.Uint64(rec[48:])), Z: bitsf(le.Uint64(rec[56:]))},
+		}
 		if v2 {
 			p.Rung = rec[64]
 		}
+		parts = append(parts, p)
 	}
 	return h, parts, nil
 }

@@ -3,11 +3,13 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bonsai/internal/body"
 	"bonsai/internal/ic"
@@ -68,9 +70,9 @@ func TestRoundTripRungsAndSubstep(t *testing.T) {
 	}
 }
 
-func TestReadV1Compat(t *testing.T) {
-	// A v1 stream (no substep field, 64-byte records without the rung byte)
-	// must still load: substep 0, every particle on rung 0.
+// v1Stream is a v1 file (no substep field, 64-byte records without the rung
+// byte) holding two particles at time 2.5, step 9.
+func v1Stream() *bytes.Buffer {
 	var buf bytes.Buffer
 	buf.WriteString("BONSAI1\n")
 	le := binary.LittleEndian
@@ -88,7 +90,12 @@ func TestReadV1Compat(t *testing.T) {
 		le.PutUint64(rec[16:], math.Float64bits(float64(id)+0.25))
 		buf.Write(rec)
 	}
-	h, parts, err := Read(&buf)
+	return &buf
+}
+
+func TestReadV1Compat(t *testing.T) {
+	// A v1 stream must still load: substep 0, every particle on rung 0.
+	h, parts, err := Read(v1Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +162,40 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{4, 20, 30, len(full) - 5} {
-		if _, _, err := Read(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("expected error for stream cut at %d", cut)
+	for _, cut := range []int{0, 4, 20, 30, 40, len(full) - 5} {
+		if _, _, err := Read(bytes.NewReader(full[:cut])); !errors.Is(err, ErrTruncated) {
+			t.Errorf("stream cut at %d: got %v, want ErrTruncated", cut, err)
 		}
 	}
+}
+
+// FuzzSnapshotRead feeds Read arbitrary bytes, the way a damaged checkpoint
+// can: it must return a value or an error — never panic — and the particles
+// it returns must not hold more than a small multiple of the input, whatever
+// count the header claims. The committed reproducer under testdata/fuzz is a
+// 40-byte v2 header declaring 1<<62 particles.
+func FuzzSnapshotRead(f *testing.F) {
+	f.Add(v1Stream().Bytes())
+	var v2 bytes.Buffer
+	if err := Write(&v2, Header{Time: 1.5, Step: 3, Substep: 2}, ic.Plummer(5, 1, 1, 1, 9)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, parts, err := Read(bytes.NewReader(b))
+		if err != nil {
+			if parts != nil {
+				t.Fatalf("error %v came with %d particles", err, len(parts))
+			}
+			return
+		}
+		// A record is 64 bytes on the wire and 80 in memory, in a slice that
+		// at most doubles: 2.5x, plus the first block of 64.
+		const partSize = int(unsafe.Sizeof(body.Particle{}))
+		if got, limit := cap(parts)*partSize, 3*len(b)+64*partSize; got > limit {
+			t.Fatalf("%d input bytes decoded to particles holding %d", len(b), got)
+		}
+	})
 }
 
 func TestEmptySnapshot(t *testing.T) {
