@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: tier1 vet build test race fuzz-smoke bench bench-compare bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
+.PHONY: tier1 vet build test race fuzz-smoke bench bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
 # tier1 is the pre-merge gate: static checks, full build and test suite
 # (including the noasm scalar-only configuration of the force kernels),
@@ -73,11 +73,9 @@ race:
 # same work walked tree by tree, the tree-pipeline phases (build / properties
 # / groups, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
-# equivalent (wall-clock per simulated time + energy drift in ppm), recorded as a
-# JSON baseline so the perf trajectory of successive PRs is measurable
-# (BENCH_<date>.json).
-# -count=3 gives benchjson three samples per benchmark; compares reduce them
-# to medians so one noisy sample cannot fake (or mask) a regression.
+# equivalent (wall-clock per simulated time + energy drift in ppm), three
+# samples each, recorded as BENCH_<date>.json for local use (git-ignored: the
+# rows compare only on one host; the gate is `go run ./benchmark compare`).
 bench:
 	@{ $(GO) test -run XXX -bench 'BenchmarkKernels' -benchtime 300x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalk100k' -benchtime 2x -count=3 ./internal/octree ; \
@@ -88,16 +86,6 @@ bench:
 	   $(GO) test -run XXX -bench 'BenchmarkExchangeScale' -benchtime 1x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkBlockSteps' -benchtime 1x -count=3 . ; } \
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-
-# bench-compare guards against perf regressions: rerun the benchmarks into a
-# scratch baseline and diff it against the most recent committed
-# BENCH_<date>.json (>25% ns/op regressions fail). git ls-files keeps a
-# freshly written same-day baseline from being compared against itself.
-bench-compare:
-	@old=$$(git ls-files 'BENCH_*.json' | sort | tail -1) && \
-	test -n "$$old" || { echo "bench-compare: no committed BENCH_*.json baseline"; exit 1; } && \
-	$(MAKE) bench BENCH_JSON=bench-new.json && \
-	$(GO) run ./cmd/benchjson -compare "$$old" bench-new.json
 
 # Serial vs pipelined gravity phase; nonhidden_ms should drop and
 # overlap_% rise in the Pipelined rows.

@@ -1,24 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// baseline file, so `make bench` can record the perf trajectory as
-// BENCH_<date>.json entries that successive PRs compare against.
+// file, so `make bench` leaves the microbenchmark rows of one host in one
+// place for local use (the gate is `go run ./benchmark compare`).
 //
 //	go test -run XXX -bench . | go run ./cmd/benchjson -out BENCH_2026-08-05.json
 //
 // The raw benchmark lines are echoed to stdout unchanged; the JSON document
 // carries one entry per benchmark with every reported metric (ns/op plus any
 // b.ReportMetric extras such as ns/inter or modelGflops).
-//
-// Compare mode checks a fresh baseline against a committed one:
-//
-//	go run ./cmd/benchjson -compare BENCH_old.json bench-new.json
-//
-// It prints the ns/op delta for every benchmark present in both files and
-// exits non-zero if any regressed by more than -threshold percent (default
-// 25). Repeated samples of one benchmark (from `go test -count=N`) are
-// reduced to their median before the delta is computed, so a single noisy
-// run cannot trip the threshold. Benchmarks that exist in only one file are
-// listed but never fail the run (they are additions or removals, not
-// regressions).
 package main
 
 import (
@@ -29,7 +17,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -54,19 +41,8 @@ type Baseline struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "", "output JSON path (required unless -compare)")
-	compare := flag.Bool("compare", false, "compare two baseline files: benchjson -compare old.json new.json")
-	threshold := flag.Float64("threshold", 25, "with -compare, fail on ns/op regressions above this percent")
+	out := flag.String("out", "", "output JSON path (required)")
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("-compare needs exactly two arguments: old.json new.json")
-		}
-		if err := compareBaselines(flag.Arg(0), flag.Arg(1), *threshold); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *out == "" {
 		log.Fatal("-out is required")
 	}
@@ -101,104 +77,6 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %d benchmarks to %s", len(doc.Benchmarks), *out)
-}
-
-// compareBaselines reports per-benchmark ns/op deltas between two baseline
-// files and returns an error when any shared benchmark regressed by more than
-// threshold percent. A file produced from a -count=N run carries N samples
-// per benchmark; each side is reduced to its per-benchmark median first, so
-// one outlier sample (GC pause, scheduler hiccup) cannot fake a regression.
-func compareBaselines(oldPath, newPath string, threshold float64) error {
-	oldDoc, err := readBaseline(oldPath)
-	if err != nil {
-		return err
-	}
-	newDoc, err := readBaseline(newPath)
-	if err != nil {
-		return err
-	}
-	oldNs := medianNs(oldDoc)
-	newNs := medianNs(newDoc)
-	names := make([]string, 0, len(newNs))
-	for _, r := range newDoc.Benchmarks { // preserve file order, one row per name
-		if _, ok := newNs[r.Name]; ok && !contains(names, r.Name) {
-			names = append(names, r.Name)
-		}
-	}
-	fmt.Printf("comparing %s (old) vs %s (new), threshold %.0f%% on median ns/op\n", oldPath, newPath, threshold)
-	var regressions []string
-	for _, name := range names {
-		nv := newNs[name]
-		ov, shared := oldNs[name]
-		if !shared {
-			fmt.Printf("  %-60s %12.0f ns/op  (new benchmark)\n", name, nv)
-			continue
-		}
-		pct := 100 * (nv - ov) / ov
-		mark := ""
-		if pct > threshold {
-			mark = "  REGRESSION"
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)", name, ov, nv, pct))
-		}
-		fmt.Printf("  %-60s %12.0f -> %12.0f ns/op  %+7.1f%%%s\n", name, ov, nv, pct, mark)
-	}
-	for _, r := range oldDoc.Benchmarks {
-		if _, ok := newNs[r.Name]; !ok {
-			if ov, had := oldNs[r.Name]; had {
-				fmt.Printf("  %-60s (removed; was %.0f ns/op)\n", r.Name, ov)
-				delete(oldNs, r.Name) // print each removal once
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%:\n  %s",
-			len(regressions), threshold, strings.Join(regressions, "\n  "))
-	}
-	fmt.Println("no regressions beyond threshold")
-	return nil
-}
-
-// medianNs collapses a baseline to one ns/op value per benchmark name: the
-// median of however many samples the file carries.
-func medianNs(doc *Baseline) map[string]float64 {
-	samples := map[string][]float64{}
-	for _, r := range doc.Benchmarks {
-		if v, ok := r.Metrics["ns/op"]; ok {
-			samples[r.Name] = append(samples[r.Name], v)
-		}
-	}
-	out := make(map[string]float64, len(samples))
-	for name, vs := range samples {
-		sort.Float64s(vs)
-		n := len(vs)
-		if n%2 == 1 {
-			out[name] = vs[n/2]
-		} else {
-			out[name] = (vs[n/2-1] + vs[n/2]) / 2
-		}
-	}
-	return out
-}
-
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func readBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc Baseline
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &doc, nil
 }
 
 // parseBenchLine parses "BenchmarkName-8  100  123 ns/op  4.5 ns/inter ...".

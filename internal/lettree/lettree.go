@@ -34,21 +34,19 @@ import (
 // retains below its root.
 const DefaultBoundaryDepth = 4
 
-// Cell is one LET node. Cells are stored in depth-first preorder: a
-// non-leaf cell's first child is the next cell, and its subtree is the index
-// range up to Skip. A cell with Openable == false carries only its
-// multipole: the structure below it was pruned because (by the MAC) no
-// target in the destination domain can ever need to open it.
+// Cell is one LET node. Cells are stored in depth-first preorder: an inner
+// cell's first child is the next cell, and its subtree is the index range up
+// to Skip. Kind is the walk view's own: octree.ViewInner, octree.ViewLeaf
+// (carries the particles [Start, Start+N) of LET.Pos / LET.Mass), or
+// octree.ViewPruned — only the multipole, the structure below was cut because
+// (by the MAC) no target in the destination domain can ever need to open it.
 type Cell struct {
 	MP       grav.Multipole
 	Side     float64
 	Delta    float64
 	Skip     int32 // index of the first cell after this cell's subtree
-	PStart   int32 // leaf particle range in LET.Pos / LET.Mass
-	PN       int32
-	Oct      uint8 // octant within the parent cell (0 for the root)
-	Leaf     bool
-	Openable bool
+	Start, N int32 // leaf particle range
+	Kind     int32
 }
 
 // LET is a standalone essential tree: the root is Cells[0].
@@ -75,16 +73,16 @@ func (l *LET) Empty() bool { return l == nil || len(l.Cells) == 0 }
 // Construction
 
 // BoundaryTree extracts the top `depth` levels of the local octree. Cells at
-// the cut that still have substructure are marked non-openable and carry
-// only multipoles; true leaves within the retained depth keep their
+// the cut that still have substructure are pruned and carry only
+// multipoles; true leaves within the retained depth keep their
 // particles, so the boundary tree is exact for any viewer it is sufficient
 // for.
 func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 	if depth <= 0 {
 		depth = DefaultBoundaryDepth
 	}
-	return extract(t, localBox, 0, func(c *octree.Cell, lvl int) bool {
-		return c.Leaf || lvl < depth
+	return extract(t, localBox, 0, func(c *octree.Cell) bool {
+		return c.Leaf || int(c.Level) < depth
 	})
 }
 
@@ -100,46 +98,43 @@ func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 // stay tiny, and a quarter-size initial capacity avoids the repeated append
 // regrowth that dominated construction for near neighbours.
 func BuildFor(t *octree.Tree, remoteBox vec.Box, theta float64, localBox vec.Box) *LET {
-	return extract(t, localBox, len(t.Cells)/4+8, func(c *octree.Cell, _ int) bool {
+	return extract(t, localBox, len(t.Cells)/4+8, func(c *octree.Cell) bool {
 		return octree.MACOpen(remoteBox, c, theta)
 	})
 }
 
 // extract copies the part of the octree that expand selects into a LET, in
-// the octree's own depth-first order: a cell expand rejects is emitted as a
-// closed multipole, an expanded leaf carries its particles, an expanded
-// inner cell is followed by its children.
-func extract(t *octree.Tree, localBox vec.Box, cellCap int, expand func(c *octree.Cell, lvl int) bool) *LET {
+// the octree's own depth-first order: a cell expand rejects is emitted
+// pruned, an expanded leaf carries its particles, an expanded inner cell is
+// followed by its children.
+func extract(t *octree.Tree, localBox vec.Box, cellCap int, expand func(c *octree.Cell) bool) *LET {
 	out := &LET{Box: localBox}
-	if t.Root() == octree.NilCell {
+	if len(t.Cells) == 0 {
 		return out
 	}
 	out.Cells = make([]Cell, 0, cellCap)
-	var rec func(src int32, lvl int, oct uint8)
-	rec = func(src int32, lvl int, oct uint8) {
+	var rec func(src int32)
+	rec = func(src int32) {
 		sc := &t.Cells[src]
 		idx := len(out.Cells)
-		c := Cell{MP: sc.MP, Side: sc.Side, Delta: sc.Delta, Oct: oct, Leaf: true}
-		if expand(sc, lvl) {
-			c.Openable = true
-			c.Leaf = sc.Leaf
+		c := Cell{MP: sc.MP, Side: sc.Side, Delta: sc.Delta, Kind: octree.ViewPruned}
+		if expand(sc) {
+			c.Kind = octree.ViewInner
 			if sc.Leaf {
-				c.PStart, c.PN = int32(len(out.Pos)), sc.N
+				c.Kind, c.Start, c.N = octree.ViewLeaf, int32(len(out.Pos)), sc.N
 				out.Pos = append(out.Pos, t.Pos[sc.Start:sc.Start+sc.N]...)
 				out.Mass = append(out.Mass, t.Mass[sc.Start:sc.Start+sc.N]...)
 			}
 		}
 		out.Cells = append(out.Cells, c)
-		if !c.Leaf {
-			for o, ch := range sc.Children {
-				if ch != octree.NilCell {
-					rec(ch, lvl+1, uint8(o))
-				}
+		if c.Kind == octree.ViewInner {
+			for ch := src + 1; ch < sc.Skip; ch = t.Cells[ch].Skip {
+				rec(ch)
 			}
 		}
 		out.Cells[idx].Skip = int32(len(out.Cells))
 	}
-	rec(t.Root(), 0, 0)
+	rec(0)
 	return out
 }
 
@@ -164,13 +159,8 @@ func (l *LET) Particles() ([]vec.V3, []float64) { return l.Pos, l.Mass }
 func (l *LET) fillView(cells []octree.ViewCell, theta float64) {
 	for i := range cells {
 		c := &l.Cells[i]
-		v := octree.ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z, Skip: c.Skip}
-		switch {
-		case !c.Openable:
-			v.Kind = octree.ViewPruned
-		case c.Leaf:
-			v.Kind, v.Start, v.N = octree.ViewLeaf, c.PStart, c.PN
-		}
+		v := octree.ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z,
+			Skip: c.Skip, Start: c.Start, N: c.N, Kind: c.Kind}
 		v.SetMAC(c.Side, c.Delta, c.MP.M, theta)
 		cells[i] = v
 	}

@@ -29,11 +29,11 @@ func stackWalk(l *LET, groupBox vec.Box, theta float64) (cells, parts []int32, f
 		switch {
 		case !(groupBox.Dist2(c.MP.COM) < open*open):
 			cells = append(cells, idx)
-		case !c.Openable:
+		case c.Kind == octree.ViewPruned:
 			cells = append(cells, idx)
 			forced++
-		case c.Leaf:
-			for i := c.PStart; i < c.PStart+c.PN; i++ {
+		case c.Kind == octree.ViewLeaf:
+			for i := c.Start; i < c.Start+c.N; i++ {
 				parts = append(parts, i)
 			}
 		default:
@@ -107,31 +107,48 @@ func requireViewMatchesStack(t *testing.T, l *LET, tpos []vec.V3, theta float64,
 	return forced
 }
 
+// octreeChildren lists cell i's children without reading Skip: the cells one
+// level down among the run of later cells nested in it by (Level, Start, N) —
+// package octree's childTable, which a test here cannot import.
+func octreeChildren(tr *octree.Tree, i int32) (kids []int32) {
+	p := &tr.Cells[i]
+	for j := i + 1; int(j) < len(tr.Cells); j++ {
+		c := &tr.Cells[j]
+		if c.Level <= p.Level || c.Start < p.Start || c.Start+c.N > p.Start+p.N {
+			break
+		}
+		if c.Level == p.Level+1 {
+			kids = append(kids, j)
+		}
+	}
+	return kids
+}
+
 // requireMirrorsOctree checks the preorder form itself against the source
 // tree: descending both in step, every LET cell carries its octree cell's
-// moments and octant, its children are the Skip chain, and a cell's subtree
-// ends exactly at its Skip.
+// moments, its children are the Skip chain, and a cell's subtree ends exactly
+// at its Skip.
 func requireMirrorsOctree(t *testing.T, l *LET, tr *octree.Tree, label string) {
 	t.Helper()
 	next := int32(0)
-	var rec func(src int32, oct int)
-	rec = func(src int32, oct int) {
+	var rec func(src int32)
+	rec = func(src int32) {
 		i := next
 		next++
 		c, sc := &l.Cells[i], &tr.Cells[src]
-		if c.MP != sc.MP || c.Side != sc.Side || c.Delta != sc.Delta || int(c.Oct) != oct {
+		if c.MP != sc.MP || c.Side != sc.Side || c.Delta != sc.Delta {
 			t.Fatalf("%s: LET cell %d does not mirror octree cell %d", label, i, src)
 		}
-		if !c.Leaf {
+		if c.Kind != octree.ViewPruned && (c.Kind == octree.ViewLeaf) != sc.Leaf {
+			t.Fatalf("%s: LET cell %d has kind %d over octree cell %d (leaf: %v)", label, i, c.Kind, src, sc.Leaf)
+		}
+		if c.Kind == octree.ViewInner {
 			ch := i + 1
-			for o, sch := range sc.Children {
-				if sch == octree.NilCell {
-					continue
-				}
+			for _, sch := range octreeChildren(tr, src) {
 				if ch != next {
 					t.Fatalf("%s: cell %d: child chain at %d, preorder at %d", label, i, ch, next)
 				}
-				rec(sch, o)
+				rec(sch)
 				ch = l.Cells[ch].Skip
 			}
 		}
@@ -139,7 +156,7 @@ func requireMirrorsOctree(t *testing.T, l *LET, tr *octree.Tree, label string) {
 			t.Fatalf("%s: cell %d: Skip %d, subtree ends at %d", label, i, c.Skip, next)
 		}
 	}
-	rec(tr.Root(), 0)
+	rec(0)
 	if int(next) != len(l.Cells) {
 		t.Fatalf("%s: %d of %d cells reachable", label, next, len(l.Cells))
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
@@ -17,33 +18,30 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic   uint32 "LET1"
+//	magic   uint32 "LET2"
 //	nCells  uint32
 //	nParts  uint32
 //	box     6 × float64
 //	cells   nCells × { com[3], mass, side, delta, quad[6] (f64),
-//	                   children[8] (i32), flags (u8), reserved (u8) }
+//	                   skip, start, n (u32), kind (u8) }
 //	parts   nParts × { pos[3], mass } (f64)
 //
-// Leaf cells have no children, so their particle range [PStart, PN) is
-// carried in the first two child slots. Cells are in depth-first preorder, so
-// the child slots are redundant with the cell order: Marshal derives them from
-// it, and Unmarshal accepts a frame only if they agree with it.
+// The wire cell is the in-memory Cell field for field: the cells are in
+// depth-first preorder and skip is the whole topology, on the wire as in
+// memory.
 
-// ErrNotPreorder is returned (wrapped) by Unmarshal for a frame whose child
-// links are not exactly those of a depth-first preorder cell sequence: a link
-// to the cell itself, to an ancestor, to an already linked cell or past the
-// end, or a cell no link reaches. The walks scan cells by position and would
-// not terminate, or would skip mass, on such a tree.
-var ErrNotPreorder = errors.New("lettree: child links are not in depth-first preorder")
+// ErrNotPreorder is returned (wrapped) by Unmarshal for a frame whose skips
+// do not nest as the subtrees of one depth-first preorder tree: a skip at or
+// before its own cell or past the end of the enclosing subtree, a leaf or
+// pruned cell with a subtree, an inner cell without one, or a cell after the
+// root's subtree. The walks scan cells by position and would not terminate,
+// or would skip mass, on such a tree.
+var ErrNotPreorder = errors.New("lettree: cell skips are not those of a depth-first preorder")
 
-// NilCell marks an absent child slot on the wire, as in package octree.
-const NilCell = int32(-1)
-
-const wireMagic = 0x4c455431 // "LET1"
+const wireMagic = 0x4c455432 // "LET2"
 
 const (
-	cellWireBytes   = 12*8 + 8*4 + 2
+	cellWireBytes   = 12*8 + 3*4 + 1
 	partWireBytes   = 4 * 8
 	headerWireBytes = 4 + 4 + 4 + 6*8
 )
@@ -86,28 +84,11 @@ func (l *LET) Marshal() []byte {
 		putF(c.MP.Quad.XY)
 		putF(c.MP.Quad.XZ)
 		putF(c.MP.Quad.YZ)
-		for k := 0; k < 8; k += 2 {
-			le.PutUint64(buf[off+4*k:], math.MaxUint64) // two NilCell (int32(-1)) slots
-		}
-		if c.Leaf {
-			le.PutUint32(buf[off:], uint32(c.PStart))
-			le.PutUint32(buf[off+4:], uint32(c.PN))
-		} else {
-			for ch := int32(i) + 1; ch < c.Skip; ch = l.Cells[ch].Skip {
-				le.PutUint32(buf[off+4*int(l.Cells[ch].Oct):], uint32(ch))
-			}
-		}
-		off += 8 * 4
-		flags := byte(0)
-		if c.Leaf {
-			flags |= 1
-		}
-		if c.Openable {
-			flags |= 2
-		}
-		buf[off] = flags
-		buf[off+1] = 0 // reserved
-		off += 2
+		le.PutUint32(buf[off:], uint32(c.Skip))
+		le.PutUint32(buf[off+4:], uint32(c.Start))
+		le.PutUint32(buf[off+8:], uint32(c.N))
+		buf[off+12] = byte(c.Kind)
+		off += 3*4 + 1
 	}
 	for i, p := range l.Pos {
 		putF(p.X)
@@ -120,8 +101,8 @@ func (l *LET) Marshal() []byte {
 
 // Unmarshal decodes a LET produced by Marshal. Frames from a peer are
 // untrusted: sizes are checked against the buffer before anything is
-// allocated, and the child links must be exactly preorder (ErrNotPreorder),
-// which is also what yields each cell's Skip and Oct.
+// allocated, and every skip must nest inside the subtree that encloses it
+// (ErrNotPreorder), so every forward scan of the decoded cells terminates.
 func Unmarshal(buf []byte) (*LET, error) {
 	le := binary.LittleEndian
 	if len(buf) < headerWireBytes {
@@ -154,50 +135,11 @@ func Unmarshal(buf []byte) (*LET, error) {
 	l.Box.Max.Y = getF()
 	l.Box.Max.Z = getF()
 
-	// open holds the non-leaf cells whose subtrees are still being decoded,
-	// each with the next child slot to match; slot k of cell i is read back
-	// from the frame.
-	type pending struct {
-		cell int32
-		slot int
-	}
-	child := func(p pending) int32 {
-		return int32(le.Uint32(buf[headerWireBytes+int(p.cell)*cellWireBytes+12*8+4*p.slot:]))
-	}
-	open := make([]pending, 0, 32)
-	// link matches cell i against the next child slot still pending, closing
-	// every subtree that has none left; i == nCells closes them all.
-	link := func(i int) error {
-		for len(open) > 0 {
-			p := &open[len(open)-1]
-			for p.slot < 8 && child(*p) == NilCell {
-				p.slot++
-			}
-			if p.slot == 8 {
-				l.Cells[p.cell].Skip = int32(i)
-				open = open[:len(open)-1]
-				continue
-			}
-			if i == nCells || child(*p) != int32(i) {
-				return fmt.Errorf("%w: cell %d child %d, next cell is %d", ErrNotPreorder, p.cell, child(*p), i)
-			}
-			l.Cells[i].Oct = uint8(p.slot)
-			p.slot++
-			return nil
-		}
-		if i != nCells {
-			return fmt.Errorf("%w: no link reaches cell %d", ErrNotPreorder, i)
-		}
-		return nil
-	}
-
+	// open holds the Skip of every inner cell whose subtree cell i lies in,
+	// innermost last.
+	open := make([]int, 0, 32)
 	for i := range l.Cells {
 		c := &l.Cells[i]
-		if i > 0 {
-			if err := link(i); err != nil {
-				return nil, err
-			}
-		}
 		c.MP.COM.X = getF()
 		c.MP.COM.Y = getF()
 		c.MP.COM.Z = getF()
@@ -210,26 +152,33 @@ func Unmarshal(buf []byte) (*LET, error) {
 		c.MP.Quad.XY = getF()
 		c.MP.Quad.XZ = getF()
 		c.MP.Quad.YZ = getF()
-		childBase := off
-		off += 8 * 4
-		flags := buf[off]
-		off += 2
-		c.Leaf = flags&1 != 0
-		c.Openable = flags&2 != 0
-		if c.Leaf {
-			ps := int32(le.Uint32(buf[childBase:]))
-			pn := int32(le.Uint32(buf[childBase+4:]))
-			if pn < 0 || ps < 0 || int(ps)+int(pn) > nParts {
-				return nil, fmt.Errorf("lettree: cell %d particle range [%d,%d) out of bounds", i, ps, ps+pn)
-			}
-			c.PStart, c.PN = ps, pn
-			c.Skip = int32(i) + 1
-		} else {
-			open = append(open, pending{cell: int32(i)})
+		skip, start, n := int(le.Uint32(buf[off:])), int(le.Uint32(buf[off+4:])), int(le.Uint32(buf[off+8:]))
+		kind := int32(buf[off+12])
+		off += 3*4 + 1
+
+		for len(open) > 0 && open[len(open)-1] == i {
+			open = open[:len(open)-1]
 		}
-	}
-	if err := link(nCells); err != nil {
-		return nil, err
+		end := nCells
+		if len(open) > 0 {
+			end = open[len(open)-1]
+		} else if i > 0 {
+			return nil, fmt.Errorf("%w: cell %d follows the root's subtree", ErrNotPreorder, i)
+		}
+		if kind > octree.ViewPruned {
+			return nil, fmt.Errorf("lettree: cell %d has unknown kind %d", i, kind)
+		}
+		if hasSubtree := skip > i+1; skip <= i || skip > end || hasSubtree != (kind == octree.ViewInner) {
+			return nil, fmt.Errorf("%w: cell %d (kind %d) skips to %d inside a subtree ending at %d",
+				ErrNotPreorder, i, kind, skip, end)
+		}
+		if start+n > nParts {
+			return nil, fmt.Errorf("lettree: cell %d particle range [%d,%d) out of bounds", i, start, start+n)
+		}
+		if kind == octree.ViewInner {
+			open = append(open, skip)
+		}
+		c.Skip, c.Start, c.N, c.Kind = int32(skip), int32(start), int32(n), kind
 	}
 	for i := range l.Pos {
 		l.Pos[i] = vec.V3{X: getF(), Y: getF(), Z: getF()}

@@ -3,8 +3,12 @@ package lettree
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"bonsai/internal/grav"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
@@ -88,16 +92,10 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	if _, err := Unmarshal(buf[:len(buf)-10]); err == nil {
 		t.Error("truncated buffer accepted")
 	}
-	// Corrupt a child index to an out-of-range value on an internal cell.
-	if len(l.Cells) > 1 && !l.Cells[0].Leaf {
-		bad2 := append([]byte(nil), buf...)
-		childOff := headerWireBytes + 12*8 // first cell's child slots
-		bad2[childOff] = 0xff
-		bad2[childOff+1] = 0xff
-		bad2[childOff+2] = 0xff
-		bad2[childOff+3] = 0x7f // huge positive
-		if _, err := Unmarshal(bad2); err == nil {
-			t.Error("out-of-range child accepted")
+	// Corrupt the root's skip to an out-of-range value.
+	if len(l.Cells) > 1 {
+		if _, err := Unmarshal(reskip(buf, 0, 0x7fffffff)); err == nil {
+			t.Error("out-of-range skip accepted")
 		}
 	}
 }
@@ -113,54 +111,108 @@ func TestWireEmptyLET(t *testing.T) {
 	}
 }
 
-// childSlotOff is the frame offset of child slot k of cell i.
-func childSlotOff(i, k int) int { return headerWireBytes + i*cellWireBytes + 12*8 + 4*k }
+// topoOff is the frame offset of cell i's skip; start, n and kind follow it.
+func topoOff(i int) int { return headerWireBytes + i*cellWireBytes + 12*8 }
 
-// relink returns a copy of frame with child slot k of cell i set to v.
-func relink(frame []byte, i, k int, v int32) []byte {
+// reskip returns a copy of frame with cell i's skip set to v.
+func reskip(frame []byte, i int, v uint32) []byte {
 	bad := append([]byte(nil), frame...)
-	binary.LittleEndian.PutUint32(bad[childSlotOff(i, k):], uint32(v))
+	binary.LittleEndian.PutUint32(bad[topoOff(i):], v)
 	return bad
 }
 
+// rekind returns a copy of frame with cell i's kind byte set to k.
+func rekind(frame []byte, i int, k byte) []byte {
+	bad := append([]byte(nil), frame...)
+	bad[topoOff(i)+12] = k
+	return bad
+}
+
+// badFrame is one corruption of a valid frame; notPreorder says Unmarshal must
+// name it ErrNotPreorder rather than give it an error of its own.
+type badFrame struct {
+	name        string
+	frame       []byte
+	notPreorder bool
+}
+
+// badFrames returns one corruption per way a LET2 frame can stop being a
+// preorder tree over its particles. The LET's root must have two children, the
+// first of them inner with at least two cells below it, the first a leaf or
+// pruned. The committed corpus under testdata/fuzz/FuzzLETUnmarshal is this
+// list over fourCellLET.
+func badFrames(t testing.TB, l *LET) []badFrame {
+	if len(l.Cells) < 5 || l.Cells[1].Kind != octree.ViewInner || l.Cells[1].Skip == l.Cells[0].Skip ||
+		l.Cells[1].Skip < 4 || l.Cells[2].Kind == octree.ViewInner {
+		t.Fatal("test tree too small: need a root with two children and two childless grandchildren")
+	}
+	frame := l.Marshal()
+	nCells, second := uint32(len(l.Cells)), uint32(l.Cells[1].Skip)
+	parts := append([]byte(nil), frame...)
+	binary.LittleEndian.PutUint32(parts[topoOff(2)+4:], uint32(len(l.Pos))) // start
+	binary.LittleEndian.PutUint32(parts[topoOff(2)+8:], 1)                  // n
+	return []badFrame{
+		{"skip-to-self", reskip(frame, 1, 1), true},
+		{"skip-to-ancestor", reskip(frame, 1, 0), true},
+		{"skip-past-parents-end", reskip(frame, 2, second+1), true},
+		{"skip-past-ncells", reskip(frame, 0, nCells+1), true},
+		{"root-stops-short", reskip(frame, 0, second), true},
+		{"leaf-with-subtree", reskip(frame, 2, second), true},
+		{"inner-without-subtree", reskip(frame, 1, 2), true},
+		{"kind-3", rekind(frame, 2, 3), false},
+		{"particle-range-out-of-bounds", parts, false},
+	}
+}
+
+// fourCellLET is the smallest tree badFrames accepts: a root over an inner
+// cell with a leaf and a pruned cell below it, and a second leaf.
+func fourCellLET() *LET {
+	mp := func(m float64) grav.Multipole { return grav.Multipole{M: m, COM: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}} }
+	return &LET{
+		Cells: []Cell{
+			{MP: mp(4), Side: 1, Skip: 5, Kind: octree.ViewInner},
+			{MP: mp(3), Side: 0.5, Skip: 4, Kind: octree.ViewInner},
+			{MP: mp(1), Side: 0.25, Skip: 3, Kind: octree.ViewLeaf, N: 1},
+			{MP: mp(2), Side: 0.25, Skip: 4, Kind: octree.ViewPruned},
+			{MP: mp(1), Side: 0.5, Skip: 5, Kind: octree.ViewLeaf, Start: 1, N: 1},
+		},
+		Pos:  []vec.V3{{X: 0.1, Y: 0.1, Z: 0.1}, {X: 0.9, Y: 0.9, Z: 0.9}},
+		Mass: []float64{1, 1},
+		Box:  vec.Box{Max: vec.V3{X: 1, Y: 1, Z: 1}},
+	}
+}
+
 func TestUnmarshalRejectsNonPreorderLinks(t *testing.T) {
-	// Before the preorder check, any in-range child index was accepted, and a
-	// cell linking to itself or to an ancestor made Walk and Sufficient spin
-	// forever on the decoded tree.
+	// Walk and Sufficient scan the decoded cells forward by Skip: a skip that
+	// points back makes them spin forever, one that leaves its subtree makes
+	// them skip mass.
 	pos, mass := blob(2000, vec.V3{}, 1, 25)
 	tr, _ := octree.BuildFrom(pos, mass, 16, 2)
-	l := BoundaryTree(tr, 3, boxOf(pos))
-	frame := l.Marshal()
-
-	// The root's first two present children, and the first grandchild.
-	var slots []int
-	for k := 0; k < 8 && len(slots) < 2; k++ {
-		if int32(binary.LittleEndian.Uint32(frame[childSlotOff(0, k):])) != NilCell {
-			slots = append(slots, k)
+	for _, l := range []*LET{BoundaryTree(tr, 3, boxOf(pos)), fourCellLET()} {
+		if _, err := Unmarshal(l.Marshal()); err != nil {
+			t.Fatalf("uncorrupted frame: %v", err)
 		}
-	}
-	if len(slots) < 2 || l.Cells[1].Leaf {
-		t.Fatal("test tree too small: need a root with two children and a grandchild")
-	}
-	second := l.Cells[1].Skip // the root's second child
-	grandSlot := int(l.Cells[2].Oct)
-
-	for name, bad := range map[string][]byte{
-		"self link":        relink(frame, 0, slots[0], 0),
-		"ancestor link":    relink(frame, 1, grandSlot, 0),
-		"link skips ahead": relink(frame, 0, slots[0], second),
-		"link points back": relink(frame, 0, slots[1], 1),
-		"unreachable cell": relink(frame, 0, slots[1], NilCell),
-		"link past end":    relink(frame, 0, slots[1], int32(len(l.Cells))),
-		"negative link":    relink(frame, 0, slots[0], -7),
-	} {
-		if _, err := Unmarshal(bad); !errors.Is(err, ErrNotPreorder) {
-			t.Errorf("%s: got %v, want ErrNotPreorder", name, err)
+		for _, bad := range badFrames(t, l) {
+			if _, err := Unmarshal(bad.frame); err == nil || errors.Is(err, ErrNotPreorder) != bad.notPreorder {
+				t.Errorf("%s: got %v, want ErrNotPreorder: %v", bad.name, err, bad.notPreorder)
+			}
 		}
 	}
 }
 
-// FuzzLETUnmarshal feeds Unmarshal truncated, bit-flipped and relinked
+// TestFuzzCorpusIsCurrent keeps the committed reproducers in step with the
+// frame format: each file must be badFrames' frame of the same name.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	for _, bad := range badFrames(t, fourCellLET()) {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bad.frame)
+		got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLETUnmarshal", bad.name))
+		if err != nil || string(got) != want {
+			t.Errorf("%s: stale or missing (%v); rewrite it with:\n%s", bad.name, err, want)
+		}
+	}
+}
+
+// FuzzLETUnmarshal feeds Unmarshal truncated, bit-flipped and re-skipped
 // frames: it must return an error or a tree every walk terminates on, and
 // never panic, hang, or allocate more than the frame's own size accounts for.
 func FuzzLETUnmarshal(f *testing.F) {
@@ -173,11 +225,9 @@ func FuzzLETUnmarshal(f *testing.F) {
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 		if len(l.Cells) > 2 {
-			f.Add(relink(frame, 0, int(l.Cells[1].Oct), 0)) // cycle through the root
-			f.Add(relink(frame, 1, 0, 1))
-			flipped := append([]byte(nil), frame...)
-			flipped[headerWireBytes+cellWireBytes-2] ^= 3 // the root's leaf/openable flags
-			f.Add(flipped)
+			f.Add(reskip(frame, 0, 0)) // the root skips to itself
+			f.Add(reskip(frame, 1, 0)) // a cycle through the root
+			f.Add(rekind(frame, 0, byte(octree.ViewLeaf)))
 			huge := append([]byte(nil), frame...)
 			binary.LittleEndian.PutUint32(huge[4:], 1<<31) // claims 2³¹ cells
 			f.Add(huge)

@@ -8,6 +8,7 @@ import (
 	"bonsai/internal/body"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
+	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
@@ -59,7 +60,7 @@ func heapBytes(v reflect.Value) uintptr {
 // is TestDecodeRejectsOversizedSliceCount's: the error comes before the make.)
 func FuzzDecodePayload(f *testing.F) {
 	let := &lettree.LET{
-		Cells: []lettree.Cell{{Side: 0.5, Skip: 1, Leaf: true, Openable: true, PN: 2}},
+		Cells: []lettree.Cell{{Side: 0.5, Skip: 1, Kind: octree.ViewLeaf, N: 2}},
 		Pos:   []vec.V3{{X: 1}, {Y: 3}},
 		Mass:  []float64{2, 4},
 	}

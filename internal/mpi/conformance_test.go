@@ -13,6 +13,7 @@ import (
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
 	"bonsai/internal/obs"
+	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
@@ -134,14 +135,12 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 	// and content that went in.
 	let := &lettree.LET{
 		Cells: []lettree.Cell{{
-			MP:       grav.Multipole{COM: vec.V3{X: 1, Y: 2, Z: 3}, M: 4.5, Quad: vec.Sym3{XX: 1, XY: 2, XZ: 3, YY: 4, YZ: 5, ZZ: 6}},
-			Side:     0.5,
-			Delta:    0.25,
-			Skip:     1,
-			Leaf:     true,
-			Openable: true,
-			PStart:   0,
-			PN:       2,
+			MP:    grav.Multipole{COM: vec.V3{X: 1, Y: 2, Z: 3}, M: 4.5, Quad: vec.Sym3{XX: 1, XY: 2, XZ: 3, YY: 4, YZ: 5, ZZ: 6}},
+			Side:  0.5,
+			Delta: 0.25,
+			Skip:  1,
+			Kind:  octree.ViewLeaf,
+			N:     2,
 		}},
 		Pos:  []vec.V3{{X: 1}, {Y: 3}},
 		Mass: []float64{2, 4},
@@ -262,14 +261,14 @@ func TestWireLETFramePayloadMatchesWireBytes(t *testing.T) {
 	// must equal LET.WireBytes() exactly — the invariant behind comparing
 	// PairBytes against sender-declared sizes in the sim.
 	let := &lettree.LET{
-		Cells: make([]lettree.Cell, 5), // a root and four closed children
+		Cells: make([]lettree.Cell, 5), // a root and four pruned children
 		Pos:   make([]vec.V3, 17),
 		Mass:  make([]float64, 17),
 		Box:   vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
 	}
-	let.Cells[0] = lettree.Cell{Skip: 5, Openable: true}
+	let.Cells[0] = lettree.Cell{Skip: 5}
 	for i := 1; i < 5; i++ {
-		let.Cells[i] = lettree.Cell{Skip: int32(i) + 1, Oct: uint8(i), Leaf: true}
+		let.Cells[i] = lettree.Cell{Skip: int32(i) + 1, Kind: octree.ViewPruned}
 	}
 	w, cleanup := newSockWorld("unix", 2)
 	defer cleanup()
@@ -291,7 +290,7 @@ func TestWireLETFramePayloadMatchesWireBytes(t *testing.T) {
 }
 
 // Benchmarks: the same two communication patterns over every transport, so
-// BENCH_<date>.json records the relative cost of in-process reference
+// `make bench` records the relative cost of in-process reference
 // passing, unix-socket frames, and tcp frames.
 
 func benchWorlds(b *testing.B, bench func(b *testing.B, w *World)) {

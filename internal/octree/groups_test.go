@@ -12,19 +12,20 @@ import (
 // groupSpan locates a group in the tree: the cell `parent` and the aligned
 // child-slot span [lo, lo+w) whose children hold exactly the group's
 // particles. A group that is one whole cell is the w = 1 span of that cell's
-// parent; the root emitted as a group has parent NilCell.
-func groupSpan(t *testing.T, tr *Tree, g Group) (parent int32, lo, w int) {
+// parent; the root emitted as a group has parent noCell. kids is the tree's
+// childTable.
+func groupSpan(t *testing.T, tr *Tree, kids [][8]int32, g Group) (parent int32, lo, w int) {
 	t.Helper()
 	s, e := g.Start, g.Start+g.N
-	parent = NilCell
+	parent = noCell
 	c := int32(0)
 	for {
 		cell := &tr.Cells[c]
 		if cell.Start == s && cell.Start+cell.N == e {
-			if parent == NilCell {
-				return NilCell, 0, 8
+			if parent == noCell {
+				return noCell, 0, 8
 			}
-			for o, ch := range tr.Cells[parent].Children {
+			for o, ch := range kids[parent] {
 				if ch == c {
 					return parent, o, 1
 				}
@@ -34,8 +35,8 @@ func groupSpan(t *testing.T, tr *Tree, g Group) (parent int32, lo, w int) {
 			t.Fatalf("group [%d,%d) is a strict part of leaf %d", s, e, c)
 		}
 		first, last, sum := -1, -1, int32(0)
-		for o, ch := range cell.Children {
-			if ch == NilCell {
+		for o, ch := range kids[c] {
+			if ch == noCell {
 				continue
 			}
 			cs, ce := tr.Cells[ch].Start, tr.Cells[ch].Start+tr.Cells[ch].N
@@ -51,7 +52,7 @@ func groupSpan(t *testing.T, tr *Tree, g Group) (parent int32, lo, w int) {
 			}
 		}
 		if first == last && sum != g.N { // strictly inside one child: descend
-			parent, c = c, cell.Children[first]
+			parent, c = c, kids[c][first]
 			continue
 		}
 		if sum != g.N {
@@ -68,11 +69,11 @@ func groupSpan(t *testing.T, tr *Tree, g Group) (parent int32, lo, w int) {
 
 // slotsTotal sums the particles under child slots [lo, lo+w) of cell c and
 // returns the bounding box of those children's cell boxes.
-func slotsTotal(tr *Tree, c int32, lo, w int) (int32, vec.Box) {
+func slotsTotal(tr *Tree, kids [][8]int32, c int32, lo, w int) (int32, vec.Box) {
 	var n int32
 	box := vec.EmptyBox()
-	for _, ch := range tr.Cells[c].Children[lo : lo+w] {
-		if ch != NilCell {
+	for _, ch := range kids[c][lo : lo+w] {
+		if ch != noCell {
 			n += tr.Cells[ch].N
 			box = box.Union(tr.Cells[ch].Box)
 		}
@@ -92,6 +93,7 @@ func boxInside(in, out vec.Box, tol float64) bool {
 // checkGroups asserts every property the cut promises for one (tree, ngroup).
 func checkGroups(t *testing.T, tr *Tree, ngroup int, groups []Group) {
 	t.Helper()
+	kids := childTable(tr)
 	next := int32(0)
 	for gi, g := range groups {
 		if g.Start != next || g.N <= 0 {
@@ -102,21 +104,21 @@ func checkGroups(t *testing.T, tr *Tree, ngroup int, groups []Group) {
 			t.Fatalf("group %d: box is not the tight box of its particles", gi)
 		}
 
-		parent, lo, w := groupSpan(t, tr, g)
-		if parent == NilCell { // the root is the one group
+		parent, lo, w := groupSpan(t, tr, kids, g)
+		if parent == noCell { // the root is the one group
 			if len(groups) != 1 || (!tr.Cells[0].Leaf && int(g.N) > ngroup) {
 				t.Fatalf("root emitted as group %d of %d with N=%d, ngroup %d", gi, len(groups), g.N, ngroup)
 			}
 			continue
 		}
-		if int(g.N) > ngroup && !(w == 1 && tr.Cells[tr.Cells[parent].Children[lo]].Leaf) {
+		if int(g.N) > ngroup && !(w == 1 && tr.Cells[kids[parent][lo]].Leaf) {
 			t.Fatalf("group %d: N=%d > ngroup %d and not a single leaf", gi, g.N, ngroup)
 		}
 
 		// Aligned slots are one box: the group's box lies in the bounding box
 		// of the span's child cells, which is no larger than w child cells.
 		p := &tr.Cells[parent]
-		n, box := slotsTotal(tr, parent, lo, w)
+		n, box := slotsTotal(tr, kids, parent, lo, w)
 		if n != g.N {
 			t.Fatalf("group %d: span [%d,+%d) of cell %d holds %d, group %d", gi, lo, w, parent, n, g.N)
 		}
@@ -131,7 +133,7 @@ func checkGroups(t *testing.T, tr *Tree, ngroup int, groups []Group) {
 		// Largest: every wider aligned span around it either adds nothing
 		// (empty siblings) or exceeds ngroup.
 		for ww := 2 * w; ww <= 8; ww *= 2 {
-			if wn, _ := slotsTotal(tr, parent, lo&^(ww-1), ww); wn != g.N && int(wn) <= ngroup {
+			if wn, _ := slotsTotal(tr, kids, parent, lo&^(ww-1), ww); wn != g.N && int(wn) <= ngroup {
 				t.Fatalf("group %d: N=%d but the aligned %d-span around it holds %d <= ngroup %d", gi, g.N, ww, wn, ngroup)
 			}
 		}

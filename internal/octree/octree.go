@@ -28,15 +28,15 @@ const DefaultNLeaf = 16
 // GPU's warp-multiple thread groups.
 const DefaultNGroup = 64
 
-// NilCell marks an absent child.
-const NilCell = int32(-1)
-
 // Cell is one octree node. Particles of the cell occupy the contiguous range
-// [Start, Start+N) of the tree's particle arrays.
+// [Start, Start+N) of the tree's particle arrays. Cells sit in depth-first
+// preorder, and that order is the only record of the topology: the subtree of
+// cell i is the index range [i+1, Skip), its children are i+1, Cells[i+1].Skip,
+// and so on up to Skip, in ascending octant order.
 type Cell struct {
 	Level    int32 // depth; 0 is the root
 	Start, N int32
-	Children [8]int32 // child cell indices or NilCell
+	Skip     int32 // index of the first cell after this cell's subtree
 	Leaf     bool
 
 	Box   vec.Box        // geometric (cubic) cell box
@@ -89,9 +89,9 @@ func BuildStructure(ks []keys.Key, pos []vec.V3, mass []float64, grid keys.Grid,
 	return BuildStructureScratch(new(BuildScratch), ks, pos, mass, grid, nleaf, 1)
 }
 
-// ComputeProperties fills in multipole moments bottom-up. Children are
-// always appended after their parent during the depth-first build, so a
-// reverse index sweep visits every child before its parent.
+// ComputeProperties fills in multipole moments bottom-up. Children follow
+// their parent in the preorder, so a reverse index sweep visits every child
+// before its parent.
 // ComputePropertiesParallel is the multicore variant; both produce
 // bitwise-identical moments.
 func (t *Tree) ComputeProperties() {
@@ -146,22 +146,15 @@ func (t *Tree) momentsAt(i int32) {
 }
 
 // build appends the cell covering sorted range [start, end) at the given
-// level, then its subtree depth first, and returns the cell's index. Cells
-// therefore sit in preorder: a subtree is the contiguous index range from
-// its root up to its next sibling.
-func (t *Tree) build(level, start, end int32) int32 {
+// level, then its subtree depth first, and closes the cell's Skip over it.
+func (t *Tree) build(level, start, end int32) {
 	idx := int32(len(t.Cells))
-	t.Cells = append(t.Cells, Cell{
-		Level:    level,
-		Start:    start,
-		N:        end - start,
-		Children: [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell},
-	})
+	t.Cells = append(t.Cells, Cell{Level: level, Start: start, N: end - start, Skip: idx + 1})
 	t.cellGeometry(&t.Cells[idx])
 
 	if end-start <= int32(t.NLeaf) || level >= keys.Bits {
 		t.Cells[idx].Leaf = true
-		return idx
+		return
 	}
 
 	// Partition [start, end) into octants by the 3-bit digit at this level.
@@ -171,14 +164,11 @@ func (t *Tree) build(level, start, end int32) int32 {
 		bounds[oct+1] = t.upperBound(bounds[oct], end, level, oct)
 	}
 	for oct := 0; oct < 8; oct++ {
-		lo, hi := bounds[oct], bounds[oct+1]
-		if lo == hi {
-			continue
+		if lo, hi := bounds[oct], bounds[oct+1]; lo < hi {
+			t.build(level+1, lo, hi)
 		}
-		child := t.build(level+1, lo, hi)
-		t.Cells[idx].Children[oct] = child
 	}
-	return idx
+	t.Cells[idx].Skip = int32(len(t.Cells))
 }
 
 // upperBound returns the first index in [lo, end) whose key's octant digit at
@@ -218,10 +208,7 @@ func (t *Tree) innerMoments(idx int32) {
 	c := &t.Cells[idx]
 	var m float64
 	var com vec.V3
-	for _, ch := range c.Children {
-		if ch == NilCell {
-			continue
-		}
+	for ch := idx + 1; ch < c.Skip; ch = t.Cells[ch].Skip {
 		mp := t.Cells[ch].MP
 		m += mp.M
 		com = com.Add(mp.COM.Scale(mp.M))
@@ -230,10 +217,7 @@ func (t *Tree) innerMoments(idx int32) {
 		com = com.Scale(1 / m)
 	}
 	var q vec.Sym3
-	for _, ch := range c.Children {
-		if ch == NilCell {
-			continue
-		}
+	for ch := idx + 1; ch < c.Skip; ch = t.Cells[ch].Skip {
 		mp := t.Cells[ch].MP
 		d := mp.COM.Sub(com)
 		// Parallel-axis combination of raw second moments.
@@ -246,14 +230,6 @@ func (t *Tree) cellGeometry(c *Cell) {
 	x, y, z := t.Grid.Coords(t.Pos[c.Start])
 	c.Box = t.Grid.CellBox(x, y, z, int(c.Level))
 	c.Side = c.Box.Size().X
-}
-
-// Root returns the index of the root cell, or NilCell for an empty tree.
-func (t *Tree) Root() int32 {
-	if len(t.Cells) == 0 {
-		return NilCell
-	}
-	return 0
 }
 
 // NumParticles returns the number of particles the tree was built over.

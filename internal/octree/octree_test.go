@@ -70,6 +70,7 @@ func TestBuildLeafInvariants(t *testing.T) {
 func TestBuildChildRangesPartitionParent(t *testing.T) {
 	pos, mass := clusteredCloud(3000, 2)
 	tr, _ := BuildFrom(pos, mass, 16, 2)
+	kids := childTable(tr)
 	for i := range tr.Cells {
 		c := &tr.Cells[i]
 		if c.Leaf {
@@ -77,8 +78,8 @@ func TestBuildChildRangesPartitionParent(t *testing.T) {
 		}
 		sum := int32(0)
 		prevEnd := c.Start
-		for _, ch := range c.Children {
-			if ch == NilCell {
+		for _, ch := range kids[i] {
+			if ch == noCell {
 				continue
 			}
 			cc := &tr.Cells[ch]
@@ -411,7 +412,7 @@ func TestWalkParallelDeterminism(t *testing.T) {
 
 func TestEmptyAndTinyTrees(t *testing.T) {
 	tr, _ := BuildFrom(nil, nil, 16, 2)
-	if tr.Root() != NilCell || tr.NumParticles() != 0 {
+	if len(tr.Cells) != 0 || tr.NumParticles() != 0 {
 		t.Fatal("empty tree malformed")
 	}
 	tr.Walk(nil, nil, 0.5, 1e-4, nil, nil, 2, nil) // must not panic

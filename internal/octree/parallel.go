@@ -13,8 +13,8 @@ import (
 // workers is the O(N) work over the finished tree — multipole moments and
 // group bounding boxes — and the moments sweep needs the cells partitioned
 // into independent subtrees. Because the build lays cells out in depth-first
-// preorder, a subtree is the contiguous index range from its root up to its
-// next sibling, so that partition is read off the finished tree.
+// preorder, a subtree is the contiguous index range [i, Skip), so that
+// partition is read off the finished tree.
 
 // parallelBuildMin is the particle count below which no partition is
 // derived and the properties sweep stays serial: fan-out overhead dominates
@@ -69,34 +69,22 @@ func BuildStructureScratch(sc *BuildScratch, ks []keys.Key, pos []vec.V3, mass [
 	if workers > 1 && n >= parallelBuildMin {
 		cutoff := max(n/int32(subtreeFanout*workers), int32(nleaf))
 		sc.top, sc.subs = sc.top[:0], sc.subs[:0]
-		sc.cut(t, 0, int32(len(t.Cells)), cutoff)
+		sc.cut(t, 0, cutoff)
 		t.topCells, t.subSpans = sc.top, sc.subs
 	}
 	return t
 }
 
-// cut partitions the subtree [i, end) of t.Cells: cell i, which holds more
-// than cutoff particles, becomes a top cell; each child subtree — the index
-// range up to the next sibling — becomes one span if it holds at most cutoff
-// particles and is cut in turn otherwise.
-func (sc *BuildScratch) cut(t *Tree, i, end, cutoff int32) {
+// cut partitions the subtree of cell i, which holds more than cutoff
+// particles: i becomes a top cell; each child subtree becomes one span if it
+// holds at most cutoff particles and is cut in turn otherwise.
+func (sc *BuildScratch) cut(t *Tree, i, cutoff int32) {
 	sc.top = append(sc.top, i)
-	children := t.Cells[i].Children
-	for o, ch := range children {
-		if ch == NilCell {
-			continue
-		}
-		chEnd := end
-		for _, next := range children[o+1:] {
-			if next != NilCell {
-				chEnd = next
-				break
-			}
-		}
+	for ch := i + 1; ch < t.Cells[i].Skip; ch = t.Cells[ch].Skip {
 		if t.Cells[ch].N <= cutoff {
-			sc.subs = append(sc.subs, cellSpan{ch, chEnd - ch})
+			sc.subs = append(sc.subs, cellSpan{ch, t.Cells[ch].Skip - ch})
 		} else {
-			sc.cut(t, ch, chEnd, cutoff)
+			sc.cut(t, ch, cutoff)
 		}
 	}
 }
@@ -187,13 +175,15 @@ func (t *Tree) groupCuts(idx int32, ngroup int, groups []Group) []Group {
 	if c.Leaf || int(c.N) <= ngroup {
 		return append(groups, Group{Start: c.Start, N: c.N})
 	}
-	var end [9]int32 // end[o]: first particle index past child slots [0, o)
+	var child [8]int32 // cell in each child slot: the child's octant digit at this level
+	var end [9]int32   // end[o]: first particle index past child slots [0, o)
+	for ch := idx + 1; ch < c.Skip; ch = t.Cells[ch].Skip {
+		o := t.Keys[t.Cells[ch].Start].Octant(int(c.Level))
+		child[o], end[o+1] = ch, t.Cells[ch].N
+	}
 	end[0] = c.Start
-	for o, ch := range c.Children {
-		end[o+1] = end[o]
-		if ch != NilCell {
-			end[o+1] += t.Cells[ch].N
-		}
+	for o := range child {
+		end[o+1] += end[o]
 	}
 	for lo, w := 0, 0; lo < 8; lo += w {
 		for w = 1; w < 4 && lo%(2*w) == 0 && int(end[lo+2*w]-end[lo]) <= ngroup; w *= 2 {
@@ -201,7 +191,7 @@ func (t *Tree) groupCuts(idx int32, ngroup int, groups []Group) []Group {
 		switch n := end[lo+w] - end[lo]; {
 		case n == 0:
 		case int(n) > ngroup: // w == 1: one child, cut in turn
-			groups = t.groupCuts(c.Children[lo], ngroup, groups)
+			groups = t.groupCuts(child[lo], ngroup, groups)
 		default:
 			groups = append(groups, Group{Start: end[lo], N: n})
 		}

@@ -155,16 +155,21 @@ func TestPropertiesPartition(t *testing.T) {
 	t.Run("allKeysEqual", func(t *testing.T) {
 		// One key repeated: a single-child chain of top cells ending in one
 		// depth-limit leaf far above the cutoff, and no span at all.
-		const n = 20_000
-		ks, pos, mass := make([]keys.Key, n), make([]vec.V3, n), make([]float64, n)
-		grid := keys.NewGrid(vec.Box{Max: vec.V3{X: 1, Y: 1, Z: 1}})
-		for i := range pos {
-			pos[i] = vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
-			ks[i] = grid.MortonOf(pos[i])
-			mass[i] = 1.0 / n
-		}
+		ks, pos, mass, grid := equalKeysCloud(20_000)
 		check(t, ks, pos, mass, grid)
 	})
+}
+
+// equalKeysCloud is n particles at one point: every key equal.
+func equalKeysCloud(n int) ([]keys.Key, []vec.V3, []float64, keys.Grid) {
+	ks, pos, mass := make([]keys.Key, n), make([]vec.V3, n), make([]float64, n)
+	grid := keys.NewGrid(vec.Box{Max: vec.V3{X: 1, Y: 1, Z: 1}})
+	for i := range pos {
+		pos[i] = vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
+		ks[i] = grid.MortonOf(pos[i])
+		mass[i] = 1 / float64(n)
+	}
+	return ks, pos, mass, grid
 }
 
 // requirePartition holds tr's topCells/subSpans to the invariants
@@ -172,6 +177,7 @@ func TestPropertiesPartition(t *testing.T) {
 func requirePartition(t *testing.T, tr *Tree) {
 	t.Helper()
 	const top, none = -1, -2
+	kids := childTable(tr)
 	owner := make([]int, len(tr.Cells)) // span index, top or none
 	for i := range owner {
 		owner[i] = none
@@ -194,12 +200,12 @@ func requirePartition(t *testing.T, tr *Tree) {
 		owner[i] = top
 	}
 	for i, o := range owner {
-		switch c := &tr.Cells[i]; {
+		switch {
 		case o == none:
 			t.Fatalf("cell %d is in no span and is not a top cell", i)
 		case o == top:
-			for _, ch := range c.Children {
-				if ch == NilCell {
+			for _, ch := range kids[i] {
+				if ch == noCell {
 					continue
 				}
 				later := owner[ch] == top && ch > int32(i)
@@ -209,8 +215,8 @@ func requirePartition(t *testing.T, tr *Tree) {
 				}
 			}
 		default:
-			for _, ch := range c.Children {
-				if ch != NilCell && owner[ch] != o {
+			for _, ch := range kids[i] {
+				if ch != noCell && owner[ch] != o {
 					t.Fatalf("child %d of cell %d leaves span %d", ch, i, o)
 				}
 			}

@@ -106,22 +106,13 @@ func (t *Tree) Multipole(i int32) *grav.Multipole { return &t.Cells[i].MP }
 // Particles returns the source particles leaf runs index into.
 func (t *Tree) Particles() ([]vec.V3, []float64) { return t.Pos, t.Mass }
 
-// fillView derives the records from Cells. Children follow their parent, so
-// the reverse sweep has every child's Skip before its parent needs it: a
-// cell's subtree ends where its last child's does.
+// fillView copies the records out of Cells.
 func (t *Tree) fillView(cells []ViewCell, theta float64) {
-	for i := len(cells) - 1; i >= 0; i-- {
+	for i := range cells {
 		c := &t.Cells[i]
-		v := ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z, Skip: int32(i) + 1}
+		v := ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z, Skip: c.Skip}
 		if c.Leaf {
 			v.Kind, v.Start, v.N = ViewLeaf, c.Start, c.N
-		} else {
-			for o := 7; o >= 0; o-- {
-				if ch := c.Children[o]; ch != NilCell {
-					v.Skip = cells[ch].Skip
-					break
-				}
-			}
 		}
 		v.SetMAC(c.Side, c.Delta, c.MP.M, theta)
 		cells[i] = v

@@ -12,9 +12,10 @@ import (
 )
 
 // stackCollect is the traversal the walks ran before the preorder view: an
-// explicit stack over Cells, the per-visit MACOpen test, children pushed in
-// octant order. It is kept as the oracle the view walk is compared against.
-func stackCollect(t *Tree, groupBox vec.Box, theta float64) (cells, parts []int32) {
+// explicit stack over Cells, the per-visit MACOpen test, children (kids is the
+// tree's childTable) pushed in octant order. It is kept as the oracle the view
+// walk is compared against.
+func stackCollect(t *Tree, kids [][8]int32, groupBox vec.Box, theta float64) (cells, parts []int32) {
 	if len(t.Cells) == 0 {
 		return nil, nil
 	}
@@ -36,8 +37,8 @@ func stackCollect(t *Tree, groupBox vec.Box, theta float64) (cells, parts []int3
 			}
 			continue
 		}
-		for _, ch := range c.Children {
-			if ch != NilCell {
+		for _, ch := range kids[idx] {
+			if ch != noCell {
 				stack = append(stack, ch)
 			}
 		}
@@ -51,10 +52,11 @@ func stackCollect(t *Tree, groupBox vec.Box, theta float64) (cells, parts []int3
 func requireViewMatchesStack(t *testing.T, tr *Tree, theta float64, label string) {
 	t.Helper()
 	groups := tr.MakeGroups(32)
+	kids := childTable(tr)
 	var lists WalkLists
 	var want grav.Stats
 	for gi, g := range groups {
-		wc, wp := stackCollect(tr, g.Box, theta)
+		wc, wp := stackCollect(tr, kids, g.Box, theta)
 		tr.Collect(g.Box, theta, &lists)
 		if !slices.IsSorted(lists.CellIdx) || !slices.IsSorted(lists.PartIdx) {
 			t.Fatalf("%s: group %d: lists not in preorder", label, gi)

@@ -136,13 +136,7 @@ func (r *rank) reduceRungPop() {
 	for i := range r.parts {
 		r.popScratch[r.parts[i].Rung]++
 	}
-	r.rungPop = mpi.Allreduce(r.comm, r.popScratch, func(a, b []float64) []float64 {
-		out := make([]float64, len(a))
-		for i := range a {
-			out[i] = a[i] + b[i]
-		}
-		return out
-	}, n*8)
+	r.rungPop = mpi.Allreduce(r.comm, r.popScratch, sumFloats, n*8)
 }
 
 // nextBoundary returns the next occupied barrier after the current substep:
@@ -198,9 +192,7 @@ func (r *rank) rebuildVote() bool {
 	} else if bound := driftFrac * r.minLeaf; r.maxDrift2 > bound*bound {
 		local = 1
 	}
-	sum := mpi.Allreduce(r.comm, []float64{local}, func(a, b []float64) []float64 {
-		return []float64{a[0] + b[0]}
-	}, 8)
+	sum := mpi.Allreduce(r.comm, []float64{local}, sumFloats, 8)
 	return sum[0] > 0
 }
 

@@ -216,9 +216,7 @@ func (n *Node) ComputeForces() RankStats {
 // (collective: every rank must call it at the same point).
 func (n *Node) Energy() (kin, pot float64) {
 	kin, pot = n.r.energy(0, 0)
-	sum := mpi.Allreduce(n.comm, []float64{kin, pot}, func(a, b []float64) []float64 {
-		return []float64{a[0] + b[0], a[1] + b[1]}
-	}, 16)
+	sum := mpi.Allreduce(n.comm, []float64{kin, pot}, sumFloats, 16)
 	return sum[0], sum[1]
 }
 

@@ -148,6 +148,51 @@ func (r *rank) checkTreeMass() {
 	}
 }
 
+// ExchangeConservationError is the value a rank panics with when a domain
+// exchange changes the global particle count or total mass: a particle was
+// dropped, duplicated or altered between ranks, and no tree is built over
+// that set.
+type ExchangeConservationError struct {
+	Rank                    int
+	CountBefore, CountAfter int64
+	MassBefore, MassAfter   float64
+}
+
+func (e *ExchangeConservationError) Error() string {
+	return fmt.Sprintf("sim: rank %d: domain exchange turned %d particles of mass %g into %d of mass %g",
+		e.Rank, e.CountBefore, e.MassBefore, e.CountAfter, e.MassAfter)
+}
+
+// tally is the rank's local particle count and total mass, the quantities a
+// domain exchange must conserve globally.
+func (r *rank) tally() (count, mass float64) {
+	return float64(len(r.parts)), body.TotalMass(r.parts)
+}
+
+// checkExchange is the always-on invariant across domain.Exchange, given the
+// rank's tally from before it: summed over all ranks in one Allreduce, the
+// particle count is unchanged (exact in float64 below 2^53) and the mass
+// agrees to 1e-9 relative. Collective.
+func (r *rank) checkExchange(countBefore, massBefore float64) {
+	countAfter, massAfter := r.tally()
+	g := mpi.Allreduce(r.comm, []float64{countBefore, massBefore, countAfter, massAfter}, sumFloats, 4*8)
+	if g[0] != g[2] || !(math.Abs(g[3]-g[1]) <= 1e-9*g[1]) {
+		panic(&ExchangeConservationError{Rank: r.comm.Rank(),
+			CountBefore: int64(g[0]), CountAfter: int64(g[2]), MassBefore: g[1], MassAfter: g[3]})
+	}
+}
+
+// sumFloats is the element-wise sum, the reduction of every float64 Allreduce
+// here. It returns a fresh slice: in-process ranks receive operands by
+// reference.
+func sumFloats(a, b []float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] + b[i]
+	}
+	return out
+}
+
 // stepForces runs the full force pipeline for one step and leaves
 // accelerations/potentials in r.acc/r.pot (aligned with r.parts).
 // domainUpdate selects whether this evaluation re-decomposes and exchanges
@@ -249,7 +294,9 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 			}
 		}
 		r.dec = domain.SampleDecompose(r.comm, hk, weights, domain.Options{})
+		count, mass := r.tally()
 		r.parts = domain.Exchange(r.comm, r.dec, r.parts, r.grid)
+		r.checkExchange(count, mass)
 	}
 	r.stats.Times.Domain = time.Since(tD)
 	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times.Domain), 0)

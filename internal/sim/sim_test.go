@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"bonsai/internal/body"
@@ -10,7 +12,6 @@ import (
 	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/mpi"
-	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
 
@@ -382,17 +383,26 @@ func TestCommunicationMostlyHidden(t *testing.T) {
 	// scheduler timeslices long: the test's four ranks share two cores, and
 	// with shorter walks what a rank waits for is a peer that has not had a
 	// core yet, not a message (at 24k particles that is 10–55% of gravity).
+	//
+	// One evaluation's fraction still reads the host: on two cores it is over
+	// the bound in 14–20% of runs while the median sits at 8–11%. So the
+	// verdict is the median of five steady-state evaluations against the same
+	// 25%.
 	parts := plummer(48_000, 41)
 	s, _ := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, parts)
 	s.ComputeForces()
-	st := s.ComputeForces() // steady state
-	grav := st.Times.GravLocal + st.Times.GravLET
-	if grav == 0 {
-		t.Fatal("no gravity time recorded")
+	var fracs []float64
+	for len(fracs) < 5 {
+		st := s.ComputeForces() // steady state
+		grav := st.Times.GravLocal + st.Times.GravLET
+		if grav == 0 {
+			t.Fatal("no gravity time recorded")
+		}
+		fracs = append(fracs, st.Times.NonHiddenComm.Seconds()/grav.Seconds())
 	}
-	frac := st.Times.NonHiddenComm.Seconds() / grav.Seconds()
-	if frac > 0.25 {
-		t.Errorf("non-hidden comm is %.0f%% of gravity time; the paper hides nearly all of it", frac*100)
+	slices.Sort(fracs)
+	if median := fracs[len(fracs)/2]; median > 0.25 {
+		t.Errorf("non-hidden comm is %.0f%% of gravity time at the median of %.2f; the paper hides nearly all of it", median*100, fracs)
 	}
 }
 
@@ -446,6 +456,45 @@ func TestNonFiniteForceFailsTheStep(t *testing.T) {
 	}
 }
 
+func TestExchangeConservationFailsByName(t *testing.T) {
+	// Two ranks take their tallies, "exchange" — rank 1 loses a particle, as
+	// a frame dropped in flight would — and run the collective check: both
+	// must panic with the named error carrying the global before and after.
+	const n = 600
+	parts := plummer(n, 79)
+	w := mpi.NewWorld(2)
+	nodes := make([]*Node, 2)
+	for k := range nodes {
+		var err error
+		if nodes[k], err = NewNode(Config{Ranks: 2, Eps: 0.05, DT: 1e-3}, w, k, parts[k*n/2:(k+1)*n/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for k, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				var ce *ExchangeConservationError
+				if err, _ := recover().(error); !errors.As(err, &ce) {
+					t.Errorf("rank %d: check ended with %v, want an *ExchangeConservationError", k, err)
+				} else if ce.Rank != k || ce.CountBefore != n || ce.CountAfter != n-1 || !(ce.MassAfter < ce.MassBefore) {
+					t.Errorf("rank %d: error reports %+v", k, *ce)
+				}
+			}()
+			nd.Step() // a real exchange passes the check
+			r := nd.r
+			count, mass := r.tally()
+			if k == 1 {
+				r.parts = r.parts[1:]
+			}
+			r.checkExchange(count, mass)
+		}()
+	}
+	wg.Wait()
+}
+
 func TestTreeMassInvariantFailsByName(t *testing.T) {
 	// A subtree whose moments were never computed — a span the properties
 	// partition missed — leaves the root short of its mass. Construct that
@@ -459,14 +508,14 @@ func TestTreeMassInvariantFailsByName(t *testing.T) {
 	r.checkTreeMass() // the tree the step left behind is whole
 
 	cells := r.tree.Cells
-	var sub int32 = octree.NilCell
-	for _, ch := range cells[0].Children {
-		if ch != octree.NilCell && cells[ch].MP.M > 0 {
-			sub = ch
+	sub := 0 // the root's last child: the last cell one level down
+	for i := range cells {
+		if cells[i].Level == 1 && cells[i].MP.M > 0 {
+			sub = i
 		}
 	}
 	lost := cells[sub].MP.M
-	for i := int(sub); i < len(cells) && (i == int(sub) || cells[i].Level > cells[sub].Level); i++ {
+	for i := sub; i < len(cells) && (i == sub || cells[i].Level > cells[sub].Level); i++ {
 		cells[i].MP = grav.Multipole{}
 	}
 	cells[0].MP.M -= lost
