@@ -21,8 +21,8 @@ tier1: vet build test race fuzz-smoke
 # no panic, no allocation beyond a small multiple of the input; the committed
 # reproducer under internal/snapshot/testdata/fuzz, a 40-byte header declaring
 # 1<<62 particles, is replayed first; -fuzzminimizetime as for the LET fuzz
-# below), a 10-second fuzz of the dispatched
-# float32 AVX2 force kernels against the always-compiled scalar float64
+# below), a 10-second fuzz of the float32 force
+# kernels, every tier the host supports, against the always-compiled scalar float64
 # reference (agreement to grav.KernelTol against the weighted contribution
 # norm, bitwise equality for every call outside the float32 range, exact
 # scaling under a change of units; the committed corpus under
@@ -67,7 +67,8 @@ race:
 	$(GO) test -race -tags noasm -count=1 $(NOASM_PKGS)
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched
-# SIMD, ns/inter and Gflop/s under the §VI.A conventions),
+# SIMD, ns/inter and Gflop/s under the §VI.A conventions, and every float32
+# kernel tier the host supports side by side: the Fig. 1 table),
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
 # split, one rank's batched pass over its 63 remote trees at p=64 against the
 # same work walked tree by tree, the tree-pipeline phases (build / properties
@@ -78,6 +79,7 @@ race:
 # rows compare only on one host; the gate is `go run ./benchmark compare`).
 bench:
 	@{ $(GO) test -run XXX -bench 'BenchmarkKernels' -benchtime 300x -count=3 . ; \
+	   $(GO) test -run XXX -bench 'BenchmarkKernelTiers' -benchtime 2000x -count=3 ./internal/grav ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalk100k' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkGather' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkRemote' -benchtime 200x -count=3 ./internal/sim ; \

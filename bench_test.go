@@ -304,8 +304,9 @@ func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
 //
 // _Batch_ pins the always-compiled scalar batch reference (PPBatchScalar/
 // PCBatchScalar) to keep the historical series comparable across machines;
-// _SIMD_ goes through the dispatched entry points (AVX2+FMA where the CPU
-// supports it, otherwise the same scalar code — check the kernel_isa note)
+// _SIMD_ goes through the dispatched entry points (AVX-512F or AVX2+FMA where
+// the CPU supports it, otherwise the same scalar code — check the kernel_isa
+// note; internal/grav's BenchmarkKernelTiers runs every supported tier)
 // and, since the float32 kernels, includes narrowing the list once per call.
 
 const kernelBenchTargets = 64

@@ -184,8 +184,8 @@ type StepStats struct {
 	AppGflops  float64
 
 	// KernelISA names the force-kernel instruction set the walks ran on
-	// ("avx2+fma" when the runtime dispatch selected the SIMD kernels,
-	// "scalar" otherwise).
+	// ("avx512f" or "avx2+fma" when the runtime dispatch selected the
+	// sixteen- or eight-lane SIMD kernels, "scalar" otherwise).
 	KernelISA string
 
 	// Block-timestep accounting (zero unless Config.BlockSteps with

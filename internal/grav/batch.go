@@ -9,9 +9,9 @@
 // sources linearly through the cache exactly once per group.
 //
 // PPBatch and PCBatch dispatch to the fastest kernel the host supports: on
-// amd64 with AVX2+FMA an assembly kernel evaluates eight float32 source lanes
-// per instruction (DESIGN.md §12); everywhere else — and always under the
-// `noasm` build tag — the scalar float64 Go loops below run. The scalar loops
+// amd64 an assembly kernel evaluates sixteen (AVX-512F) or eight (AVX2+FMA)
+// float32 source lanes per instruction (DESIGN.md §12); everywhere else — and
+// always under the `noasm` build tag — the scalar float64 Go loops below run. The scalar loops
 // are the reference semantics: the SIMD path agrees with them to KernelTol
 // (FuzzKernelEquivalence), and hands them every call outside its range.
 package grav
@@ -146,8 +146,9 @@ func growTo(s []float64, n int) []float64 {
 }
 
 // The dispatched batch kernels. Scalar by default; on amd64 hosts with
-// AVX2+FMA (and without the noasm build tag) init in dispatch_amd64.go
-// repoints them at the wrappers of the assembly kernels.
+// AVX-512F or AVX2+FMA (and without the noasm build tag) init in
+// dispatch_amd64.go repoints them at the wrappers of the widest assembly
+// kernels the host runs.
 var (
 	ppKernel  = PPBatchScalar
 	pcKernel  = PCBatchScalar
@@ -156,8 +157,9 @@ var (
 )
 
 // KernelISA reports the instruction set the dispatched batch kernels run on:
-// "avx2+fma" when the assembly path is active, "scalar" for the portable Go
-// loops (non-amd64 hosts, hosts without AVX2/FMA, or the noasm build tag).
+// "avx512f" for the sixteen-lane assembly, "avx2+fma" for the eight-lane
+// assembly, "scalar" for the portable Go loops (non-amd64 hosts, hosts
+// without AVX2/FMA, or the noasm build tag).
 func KernelISA() string { return kernelISA }
 
 // KernelTol is the bound PPBatch and PCBatch guarantee against the scalar

@@ -1,21 +1,29 @@
 //go:build amd64 && !noasm
 
-// SIMD kernel dispatch (DESIGN.md §12): when the host CPU reports AVX2, FMA3,
-// and OS-enabled YMM state, the batched force kernels are repointed at the
-// single-precision assembly in kernels_avx2_amd64.s. Building with
-// `-tags noasm` removes this file (and the .s files) entirely, leaving the
-// scalar float64 reference as the only path.
+// SIMD kernel dispatch (DESIGN.md §12): the batched force kernels are
+// repointed at the widest tier of the single-precision assembly in
+// kernels_avx2_amd64.s that the host CPU and OS support — sixteen lanes on
+// AVX-512F, eight on AVX2+FMA. Building with `-tags noasm` removes this file
+// (and the .s files) entirely, leaving the scalar float64 reference as the
+// only path.
 package grav
 
 import "math"
 
-// Implemented in kernels_avx2_amd64.s.
+// Implemented in kernels_avx2_amd64.s. The kernels of both widths share one
+// signature and one frame; ns is a multiple of the width.
 //
 //go:noescape
 func ppAVX2(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int, ax, ay, az, apot *float64)
 
 //go:noescape
 func pcAVX2(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int, ax, ay, az, apot *float64)
+
+//go:noescape
+func ppAVX512(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int, ax, ay, az, apot *float64)
+
+//go:noescape
+func pcAVX512(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int, ax, ay, az, apot *float64)
 
 //go:noescape
 func narrowAVX2(dst *float32, src *float64, n int, origin, scale float64)
@@ -27,48 +35,97 @@ func maxAbsAVX2(x *float64, n int, origin float64) float64
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
+// A tier is one width of the float32 kernels: the name KernelISA reports,
+// whether a host with the given CPUID and XCR0 bits can run it, and the batch
+// wrappers the dispatch points at.
+type tier struct {
+	isa       string
+	supported func(ecx1, ebx7, xcr0 uint32) bool
+	pp        func(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64)
+	pc        func(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64)
+}
+
+// tiers lists the float32 tiers widest first.
+var tiers = []tier{
+	{"avx512f", hasAVX512F, ppBatchAVX512, pcBatchAVX512},
+	{"avx2+fma", hasAVX2FMA, ppBatchAVX2, pcBatchAVX2},
+}
+
 func init() {
-	if cpuSupportsAVX2FMA() {
-		ppKernel = ppBatchAVX2
-		pcKernel = pcBatchAVX2
-		kernelISA = "avx2+fma"
-		kernelTol = tolFloat32
+	if t := pickTier(hostBits()); t != nil {
+		t.use()
 	}
 }
 
-// cpuSupportsAVX2FMA reports whether the AVX2 kernels can run: the CPU must
-// have AVX, AVX2, and FMA3, and the OS must have enabled XMM+YMM state saving
-// (OSXSAVE + XCR0 bits 1-2), the standard Intel-documented dance.
-func cpuSupportsAVX2FMA() bool {
+// use points the dispatched kernels at t.
+func (t *tier) use() {
+	ppKernel, pcKernel, kernelISA, kernelTol = t.pp, t.pc, t.isa, tolFloat32
+}
+
+// pickTier returns the first tier the bits allow, or nil when the host has
+// to run the scalar loops.
+func pickTier(ecx1, ebx7, xcr0 uint32) *tier {
+	for i := range tiers {
+		if tiers[i].supported(ecx1, ebx7, xcr0) {
+			return &tiers[i]
+		}
+	}
+	return nil
+}
+
+// Feature bits of CPUID leaf 1 ECX, leaf 7 EBX and XCR0.
+const (
+	cpuidFMA     = 1 << 12
+	cpuidOSXSAVE = 1 << 27
+	cpuidAVX     = 1 << 28
+	cpuidAVX2    = 1 << 5
+	cpuidAVX512F = 1 << 16
+	xcr0YMM      = 0x06 // XMM and YMM state
+	xcr0ZMM      = 0xE6 // and opmask, ZMM0–15 upper halves, ZMM16–31
+)
+
+// hostBits reads what pickTier decides on: CPUID leaf 1 ECX, leaf 7 EBX (0
+// on a CPU without leaf 7) and the low word of XCR0 (0 unless OSXSAVE says
+// XGETBV may be executed).
+func hostBits() (ecx1, ebx7, xcr0 uint32) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+	_, _, ecx1, _ = cpuid(1, 0)
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	_, _, c1, _ := cpuid(1, 0)
-	const (
-		fma     = 1 << 12
-		osxsave = 1 << 27
-		avx     = 1 << 28
-	)
-	if c1&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	xlo, _ := xgetbv0()
-	if xlo&0x6 != 0x6 { // XCR0: XMM and YMM state enabled by the OS
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	return b7&(1<<5) != 0 // AVX2
+	return ecx1, ebx7, xcr0
+}
+
+// hasAVX2FMA reports whether the eight-lane kernels can run: the CPU must have
+// AVX, AVX2 and FMA3, and the OS must have enabled XMM+YMM state saving
+// (OSXSAVE + XCR0 bits 1–2), the standard Intel-documented dance.
+func hasAVX2FMA(ecx1, ebx7, xcr0 uint32) bool {
+	const c1 = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+	return ecx1&c1 == c1 && xcr0&xcr0YMM == xcr0YMM && ebx7&cpuidAVX2 != 0
+}
+
+// hasAVX512F reports whether the sixteen-lane kernels can run: everything the
+// eight-lane ones need (the reduce, the narrowing and the extent pass are
+// shared), AVX-512F, and the OS saving the opmask and all 32 ZMM registers
+// (XCR0 bits 5–7). The kernels use no instruction outside AVX-512F.
+func hasAVX512F(ecx1, ebx7, xcr0 uint32) bool {
+	return hasAVX2FMA(ecx1, ebx7, xcr0) && ebx7&cpuidAVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
 }
 
 // tolFloat32 is KernelTol of the float32 kernels: 160u with u = 2⁻²⁴, the
 // largest of the worst-case bounds of the four sums (DESIGN.md §12 has the
-// count). Every sum collects 66u from the 64 float32 additions a lane makes
-// per tile and the two of the reduce. Per pair, each factor 1/R carries
-// 10u + 2u·span/R (r² 4u and the coordinates' share, the one-step rsqrt 3.4u,
-// its roundings 2.5u); that makes 12u on a particle's potential term, 36u on
-// its acceleration and 93u on the R⁻⁷ term of a cell's acceleration, each
-// times 1 + span/R. Random lists of 1–2600 sources measure 4e-7.
+// count). Every sum collects 66u from the 64 float32 additions an eight-lane
+// kernel's lane makes per tile and the two of the reduce. Per pair, each
+// factor 1/R carries 10u + 2u·span/R (r² 4u and the coordinates' share, the
+// one-step rsqrt 3.4u, its roundings 2.5u); that makes 12u on a particle's
+// potential term, 36u on its acceleration and 93u on the R⁻⁷ term of a
+// cell's acceleration, each times 1 + span/R. The sixteen-lane kernels make
+// 32 additions per lane and tile plus one more in the fold, and their
+// rsqrt carries 0.1u, so the same count bounds them. Random lists of 1–2600
+// sources measure 4e-7.
 const tolFloat32 = 160 * 0x1p-24
 
 // planeLanes is the tile length: the float32 scratch of a source list holds
@@ -148,17 +205,29 @@ func maxAbs(x []float64, origin float64) float64 {
 }
 
 // narrowTile fills plane k of scratch with float32((src[i] − origin)·scale)
-// and pads it with zeros to the next multiple of 8 lanes: a zero-mass,
-// zero-moment source at the origin, which contributes exactly nothing.
-func narrowTile(scratch []float32, k int, src []float64, origin, scale float64) {
+// and pads it with zeros to the next multiple of lanes: a zero-mass,
+// zero-moment source at the origin, which contributes exactly nothing. It
+// returns the padded length.
+func narrowTile(scratch []float32, k int, src []float64, origin, scale float64, lanes int) int {
 	p := scratch[k*planeLanes : (k+1)*planeLanes]
 	narrowAVX2(&p[0], &src[0], len(src), origin, scale)
-	clear(p[len(src) : (len(src)+7)&^7])
+	n := (len(src) + lanes - 1) &^ (lanes - 1)
+	clear(p[len(src):n])
+	return n
 }
 
-// ppBatchAVX2 evaluates the list in float32, a tile of planeLanes sources at
-// a time, or hands the call to the scalar loops when newFrame rejects it.
 func ppBatchAVX2(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64) {
+	ppBatchF32(8, tx, ty, tz, src, eps2, ax, ay, az, apot)
+}
+
+func ppBatchAVX512(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64) {
+	ppBatchF32(16, tx, ty, tz, src, eps2, ax, ay, az, apot)
+}
+
+// ppBatchF32 evaluates the list in float32 on the kernel of the given width
+// (8 or 16 lanes), a tile of planeLanes sources at a time, or hands the call
+// to the scalar loops when newFrame rejects it.
+func ppBatchF32(lanes int, tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apot []float64) {
 	nt, ns := len(tx), src.Len()
 	if nt == 0 || ns == 0 {
 		return
@@ -173,12 +242,15 @@ func ppBatchAVX2(tx, ty, tz []float64, src *PPSoA, eps2 float64, ax, ay, az, apo
 	}
 	for lo := 0; lo < ns; lo += planeLanes {
 		hi := min(lo+planeLanes, ns)
-		narrowTile(src.f32, 0, src.X[lo:hi], f.ox, f.lscale)
-		narrowTile(src.f32, 1, src.Y[lo:hi], f.oy, f.lscale)
-		narrowTile(src.f32, 2, src.Z[lo:hi], f.oz, f.lscale)
-		narrowTile(src.f32, 3, src.M[lo:hi], 0, mscale)
-		ppAVX2(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], (hi-lo+7)&^7,
-			&ax[0], &ay[0], &az[0], &apot[0])
+		narrowTile(src.f32, 0, src.X[lo:hi], f.ox, f.lscale, lanes)
+		narrowTile(src.f32, 1, src.Y[lo:hi], f.oy, f.lscale, lanes)
+		narrowTile(src.f32, 2, src.Z[lo:hi], f.oz, f.lscale, lanes)
+		n := narrowTile(src.f32, 3, src.M[lo:hi], 0, mscale, lanes)
+		if lanes == 16 {
+			ppAVX512(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], n, &ax[0], &ay[0], &az[0], &apot[0])
+		} else {
+			ppAVX2(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], n, &ax[0], &ay[0], &az[0], &apot[0])
+		}
 	}
 }
 
@@ -187,8 +259,16 @@ func (s *PCSoA) moments() [6][]float64 {
 	return [6][]float64{s.XX, s.YY, s.ZZ, s.XY, s.XZ, s.YZ}
 }
 
-// pcBatchAVX2 is ppBatchAVX2 for the cell list.
 func pcBatchAVX2(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
+	pcBatchF32(8, tx, ty, tz, src, eps2, ax, ay, az, apot)
+}
+
+func pcBatchAVX512(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
+	pcBatchF32(16, tx, ty, tz, src, eps2, ax, ay, az, apot)
+}
+
+// pcBatchF32 is ppBatchF32 for the cell list.
+func pcBatchF32(lanes int, tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apot []float64) {
 	nt, ns := len(tx), src.Len()
 	if nt == 0 || ns == 0 {
 		return
@@ -204,14 +284,17 @@ func pcBatchAVX2(tx, ty, tz []float64, src *PCSoA, eps2 float64, ax, ay, az, apo
 	}
 	for lo := 0; lo < ns; lo += planeLanes {
 		hi := min(lo+planeLanes, ns)
-		narrowTile(src.f32, 0, src.X[lo:hi], f.ox, f.lscale)
-		narrowTile(src.f32, 1, src.Y[lo:hi], f.oy, f.lscale)
-		narrowTile(src.f32, 2, src.Z[lo:hi], f.oz, f.lscale)
-		narrowTile(src.f32, 3, src.M[lo:hi], 0, mscale)
+		narrowTile(src.f32, 0, src.X[lo:hi], f.ox, f.lscale, lanes)
+		narrowTile(src.f32, 1, src.Y[lo:hi], f.oy, f.lscale, lanes)
+		narrowTile(src.f32, 2, src.Z[lo:hi], f.oz, f.lscale, lanes)
+		n := narrowTile(src.f32, 3, src.M[lo:hi], 0, mscale, lanes)
 		for k, q := range quads {
-			narrowTile(src.f32, 4+k, q[lo:hi], 0, qscale)
+			narrowTile(src.f32, 4+k, q[lo:hi], 0, qscale, lanes)
 		}
-		pcAVX2(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], (hi-lo+7)&^7,
-			&ax[0], &ay[0], &az[0], &apot[0])
+		if lanes == 16 {
+			pcAVX512(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], n, &ax[0], &ay[0], &az[0], &apot[0])
+		} else {
+			pcAVX2(&tx[0], &ty[0], &tz[0], nt, &f, &src.f32[0], n, &ax[0], &ay[0], &az[0], &apot[0])
+		}
 	}
 }

@@ -10,10 +10,69 @@ import (
 	"bonsai/internal/vec"
 )
 
+// forEachTier runs f once with the dispatched kernels pointed at each float32
+// tier the host supports, widest first — once on the scalar loops on a host
+// without any — and then restores the tier init chose.
+func forEachTier(f func()) {
+	pp, pc, isa, tol := ppKernel, pcKernel, kernelISA, kernelTol
+	defer func() { ppKernel, pcKernel, kernelISA, kernelTol = pp, pc, isa, tol }()
+	ecx1, ebx7, xcr0 := hostBits()
+	ran := false
+	for i := range tiers {
+		if tiers[i].supported(ecx1, ebx7, xcr0) {
+			tiers[i].use()
+			f()
+			ran = true
+		}
+	}
+	if !ran {
+		f()
+	}
+}
+
+// TestPickTier pins how CPUID leaf 1 ECX, leaf 7 EBX and XCR0 decode to a
+// tier. The trap is a CPU that reports AVX-512F while its OS does not save
+// the opmask and ZMM state (XCR0 bits 5–7): there the sixteen-lane kernels
+// must not run. AVX512DQ is not needed (the fold is VEXTRACTF64X4, an
+// AVX512F instruction).
+func TestPickTier(t *testing.T) {
+	const (
+		c1     = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+		b7     = cpuidAVX2
+		dq     = 1 << 17
+		bw, vl = 1 << 30, 1 << 31
+		b7zmm  = b7 | cpuidAVX512F | dq | bw | vl
+	)
+	for _, c := range []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		want             string
+	}{
+		{"avx512 f/dq/bw/vl", c1, b7zmm, 0xE7, "avx512f"},
+		{"avx512f without dq", c1, b7 | cpuidAVX512F, 0xE7, "avx512f"},
+		{"avx512f, OS saves no opmask/ZMM state", c1, b7zmm, 0x07, "avx2+fma"},
+		{"avx512f, OS saves opmask only", c1, b7zmm, 0x27, "avx2+fma"},
+		{"avx512f, OS saves ZMM16-31 but not the upper halves", c1, b7zmm, 0xA7, "avx2+fma"},
+		{"avx2+fma", c1, b7, 0x07, "avx2+fma"},
+		{"avx2 without fma", c1 &^ cpuidFMA, b7zmm, 0xE7, "scalar"},
+		{"avx without avx2", c1, 0, 0x07, "scalar"},
+		{"osxsave clear", c1 &^ cpuidOSXSAVE, b7zmm, 0, "scalar"},
+		{"OS saves no YMM state", c1, b7zmm, 0x03, "scalar"},
+	} {
+		got := "scalar"
+		if tr := pickTier(c.ecx1, c.ebx7, c.xcr0); tr != nil {
+			got = tr.isa
+		}
+		if got != c.want {
+			t.Errorf("%s: pickTier(%#x, %#x, %#x) = %s, want %s", c.name, c.ecx1, c.ebx7, c.xcr0, got, c.want)
+		}
+	}
+}
+
 // takesFloat32 reports which of c's two evaluations the float32 kernels
-// take: those newFrame accepts, on a host that dispatches to them.
+// take: those newFrame accepts, on a tier that dispatches to them.
 func takesFloat32(c *kernelCase) (pp, pc bool) {
-	if KernelISA() != "avx2+fma" || len(c.tx) == 0 {
+	if KernelISA() == "scalar" || len(c.tx) == 0 {
 		return false, false
 	}
 	if c.pp.Len() > 0 {
@@ -26,16 +85,17 @@ func takesFloat32(c *kernelCase) (pp, pc bool) {
 	return pp, pc
 }
 
-// TestPPNewtonPathSelection pins which calls the float32 kernels (VRSQRTPS
-// and one Newton step; the name dates from when only the p-p kernel had such
-// a path) take, on both sides of every bound of newFrame, and that either way
-// the result keeps the contract FuzzKernelEquivalence states. Coordinates are
+// TestPPNewtonPathSelection pins which calls the float32 kernels (an rsqrt
+// seed and one Newton step; the name dates from when only the p-p kernel had
+// such a path) take, on both sides of every bound of newFrame, and that
+// either way the result keeps the contract FuzzKernelEquivalence states, on
+// every tier the host supports. Coordinates are
 // uniform in [-extent, extent]³ with two opposite corners among the sources,
 // so the extent of a call — the largest distance per axis from the first
 // target — is in [extent, 2·extent).
 func TestPPNewtonPathSelection(t *testing.T) {
-	if KernelISA() != "avx2+fma" {
-		t.Skip("host cannot run the AVX2 kernels")
+	if KernelISA() == "scalar" {
+		t.Skip("host cannot run the float32 kernels")
 	}
 	inf, nan := math.Inf(1), math.NaN()
 	cases := []struct {
@@ -135,34 +195,46 @@ func TestPPNewtonPathSelection(t *testing.T) {
 			if tc.poison != nil {
 				tc.poison(c)
 			}
-			if pp, pc := takesFloat32(c); pp != tc.pp || pc != tc.pc {
-				t.Fatalf("float32 path taken: pp %v pc %v, want pp %v pc %v", pp, pc, tc.pp, tc.pc)
-			}
-			checkAgainstScalar(t, c, make([]float64, tc.nt), math.Abs(math.Log2(tc.extent)) <= 140)
+			forEachTier(func() {
+				if pp, pc := takesFloat32(c); pp != tc.pp || pc != tc.pc {
+					t.Fatalf("%s: float32 path taken: pp %v pc %v, want pp %v pc %v", KernelISA(), pp, pc, tc.pp, tc.pc)
+				}
+				checkAgainstScalar(t, c, make([]float64, tc.nt), math.Abs(math.Log2(tc.extent)) <= 140)
+			})
 		})
 	}
 }
 
-// TestPPRinvAccuracy makes the bound on the kernels' reciprocal square root a
+// TestPPRinvAccuracy makes the bound on each tier's reciprocal square root a
 // checked number. 4·10⁴ separations on a 2⁻¹² grid, uniform in [0, 2), are
 // read back as the potential of one unit-mass source at the origin (the other
 // lanes carry zero mass). On that grid the narrowing, dx and the products of
 // the potential are exact, so what is measured is the one FMA rounding of
-// r² = ε² + dx² (½u on 1/r, u = 2⁻²⁴), VRSQRTPS's 1.5·2⁻¹² taken through
-// one Newton step (1.5·(1.5·2⁻¹²)² = 3.4u) and the step's own three
-// roundings (2.5u): 6.4u in all. The step errs short from either side, so
-// the mean error is negative; the measured worst case must also be above
-// 1u, or this is not the one-step kernel any more and the bound is stale.
+// r² = ε² + dx² (½u on 1/r, u = 2⁻²⁴), the seed's relative error e taken
+// through one Newton step (1.5·e²) and the step's own three roundings (2.5u).
+// VRSQRTPS has e = 1.5·2⁻¹², so 3.4u from the step and 6.4u in all; the step
+// errs short from either side, so the mean error is negative. VRSQRT14PS has
+// e = 2⁻¹⁴, 0.1u from the step and 3.1u in all, which the 3.38u the 12-bit
+// seed measures would break: where both tiers run, the sixteen-lane tier must
+// also measure below the eight-lane one, or it is not running its own seed.
+// Every measured worst case must be above 1u, or this is not the one-step
+// kernel any more and the bounds are stale.
 func TestPPRinvAccuracy(t *testing.T) {
-	if KernelISA() != "avx2+fma" {
-		t.Skip("host cannot run the AVX2 kernels")
+	if KernelISA() == "scalar" {
+		t.Skip("host cannot run the float32 kernels")
 	}
 	const (
-		n     = 40_000
-		eps2  = 0x1p-8
-		u     = 0x1p-24
-		bound = 6.4 * u
+		n    = 40_000
+		eps2 = 0x1p-8
+		u    = 0x1p-24
 	)
+	bounds := map[string]struct {
+		worst float64
+		short bool // the mean error is negative
+	}{
+		"avx2+fma": {6.4 * u, true},
+		"avx512f":  {3.1 * u, false},
+	}
 	rng := rand.New(rand.NewSource(43))
 	tx := make([]float64, n)
 	for i := range tx {
@@ -170,31 +242,43 @@ func TestPPRinvAccuracy(t *testing.T) {
 	}
 	tx[0] = 1 // the origin: on the grid
 	zero := make([]float64, n)
-	worst, sum := 0.0, 0.0
-	for _, live := range []int{0, 9, 23} { // first block, second block, tail block
-		var src PPSoA
-		for k := 0; k < 24; k++ {
-			m := 0.0
-			if k == live {
-				m = 1
+	worst := map[string]float64{}
+	forEachTier(func() {
+		isa, b := KernelISA(), bounds[KernelISA()]
+		w, sum := 0.0, 0.0
+		// First block, second block and tail block of either width's loop.
+		for _, live := range []int{0, 25, 39} {
+			var src PPSoA
+			for k := 0; k < 40; k++ {
+				m := 0.0
+				if k == live {
+					m = 1
+				}
+				src.Append(vec.V3{}, m)
 			}
-			src.Append(vec.V3{}, m)
+			if pp, _ := takesFloat32(&kernelCase{tx: tx, ty: zero, tz: zero, pp: src, eps2: eps2}); !pp {
+				t.Fatalf("%s: call not taken by the float32 path", isa)
+			}
+			got := make([]float64, n)
+			ax, ay, az := make([]float64, n), make([]float64, n), make([]float64, n) // ignored
+			PPBatch(tx, zero, zero, &src, eps2, ax, ay, az, got)
+			for i := range tx {
+				rel := -got[i]*math.Sqrt(tx[i]*tx[i]+eps2) - 1
+				sum += rel
+				w = math.Max(w, math.Abs(rel))
+			}
 		}
-		if pp, _ := takesFloat32(&kernelCase{tx: tx, ty: zero, tz: zero, pp: src, eps2: eps2}); !pp {
-			t.Fatal("call not taken by the float32 path")
+		worst[isa] = w
+		t.Logf("%s: worst |Δrinv/rinv| = %.2e (%.2fu), mean = %+.2e, bound %.2e", isa, w, w/u, sum/(3*n), b.worst)
+		if !(w <= b.worst) || !(w > u) {
+			t.Errorf("%s: worst |Δrinv/rinv| = %.2fu, want it in (1u, %.1fu]", isa, w/u, b.worst/u)
 		}
-		got := make([]float64, n)
-		ax, ay, az := make([]float64, n), make([]float64, n), make([]float64, n) // ignored
-		PPBatch(tx, zero, zero, &src, eps2, ax, ay, az, got)
-		for i := range tx {
-			rel := -got[i]*math.Sqrt(tx[i]*tx[i]+eps2) - 1
-			sum += rel
-			worst = math.Max(worst, math.Abs(rel))
+		if b.short && !(sum < 0) {
+			t.Errorf("%s: mean Δrinv/rinv = %+.2e, want the negative mean of a step that errs short", isa, sum/(3*n))
 		}
-	}
-	t.Logf("worst |Δrinv/rinv| = %.2e (%.2fu), mean = %+.2e, bound %.2e", worst, worst/u, sum/(3*n), bound)
-	if !(worst <= bound) || !(worst > u) || !(sum < 0) {
-		t.Fatalf("worst |Δrinv/rinv| = %v, mean %v: want worst in (%v, %v] and a negative mean", worst, sum/(3*n), float64(u), float64(bound))
+	})
+	if w16, ok := worst["avx512f"]; ok && !(w16 < worst["avx2+fma"]) {
+		t.Errorf("avx512f worst %.2fu is not below avx2+fma's %.2fu: the 14-bit seed is not the one running", w16/u, worst["avx2+fma"]/u)
 	}
 }
 
@@ -203,8 +287,8 @@ func TestPPRinvAccuracy(t *testing.T) {
 // origin subtracted, signs dropped, the exponent of the maximum kept, and any
 // Inf or NaN returned as one whatever follows it.
 func TestMaxAbs3(t *testing.T) {
-	if KernelISA() != "avx2+fma" {
-		t.Skip("host cannot run the AVX2 kernels")
+	if KernelISA() == "scalar" {
+		t.Skip("host cannot run the float32 kernels")
 	}
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {

@@ -84,25 +84,26 @@ func checkLane(t *testing.T, what string, i int, got, want, norm float64, f32, c
 	t.Helper()
 	if !f32 {
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s target %d: call outside the float32 range: dispatched=%v scalar=%v, want bitwise equal", what, i, got, want)
+			t.Fatalf("%s %s target %d: call outside the float32 range: dispatched=%v scalar=%v, want bitwise equal", KernelISA(), what, i, got, want)
 		}
 		return
 	}
 	if math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Fatalf("%s target %d: float32 path returned %v (scalar %v)", what, i, got, want)
+		t.Fatalf("%s %s target %d: float32 path returned %v (scalar %v)", KernelISA(), what, i, got, want)
 	}
 	if !compare || !(norm < math.Inf(1)) {
 		return
 	}
 	if d := math.Abs(got - want); d > KernelTol()*norm+1e-15*(1+math.Abs(want)) {
-		t.Fatalf("%s target %d: dispatched=%v scalar=%v: |Δ|=%.3g is %.3g of the weighted norm %.3g, KernelTol %.3g",
-			what, i, got, want, d, d/norm, norm, KernelTol())
+		t.Fatalf("%s %s target %d: dispatched=%v scalar=%v: |Δ|=%.3g is %.3g of the weighted norm %.3g, KernelTol %.3g",
+			KernelISA(), what, i, got, want, d, d/norm, norm, KernelTol())
 	}
 }
 
-// FuzzKernelEquivalence drives the dispatched batch kernels (the float32
-// AVX2+FMA assembly on capable hosts, the scalar loops elsewhere) against
-// the always-compiled scalar float64 reference: random target/source clouds
+// FuzzKernelEquivalence drives the dispatched batch kernels, on every tier
+// the host supports (the float32 assembly at sixteen and at eight lanes, the
+// scalar loops on hosts with neither), against the always-compiled scalar
+// float64 reference: random target/source clouds
 // covering every lane-remainder length and the tile boundary, eps2 = 0 and
 // eps2 on both sides of the float32 path's ε bound, deliberately coincident
 // sources, an Inf followed by a NaN, and coordinate scales from 2^-512 (every
@@ -198,36 +199,38 @@ func FuzzKernelEquivalence(f *testing.F) {
 		for i := range seedAcc {
 			seedAcc[i] = rng.NormFloat64()
 		}
-		checkAgainstScalar(t, c, seedAcc, math.Abs(4*float64(scaleExp)) <= 140)
+		forEachTier(func() {
+			checkAgainstScalar(t, c, seedAcc, math.Abs(4*float64(scaleExp)) <= 140)
 
-		// Property 3, where both calls are well inside the 2^±300 window.
-		k, j := int(kRaw)%201, int(jRaw)%201
-		if e := 4 * int(scaleExp); e < -280 || e > 280 || e+k < -280 || e+k > 280 {
-			return
-		}
-		ppF32, pcF32 := takesFloat32(c)
-		sc := c.scaled(k, j)
-		if sp, sq := takesFloat32(sc); ppF32 && !sp || pcF32 && !sq {
-			t.Fatalf("float32 path taken (pp %v, pc %v) but (pp %v, pc %v) after scaling lengths by 2^%d and masses by 2^%d",
-				ppF32, pcF32, sp, sq, k, j)
-		}
-		zero := make([]float64, nt)
-		bpp, bpc := c.eval(zero, PPBatch, PCBatch)
-		spp, spc := sc.eval(zero, PPBatch, PCBatch)
-		for s, name := range sumNames {
-			e := j - 2*k // accelerations: mass / length²
-			if s == 3 {
-				e = j - k // potential: mass / length
+			// Property 3, where both calls are well inside the 2^±300 window.
+			k, j := int(kRaw)%201, int(jRaw)%201
+			if e := 4 * int(scaleExp); e < -280 || e > 280 || e+k < -280 || e+k > 280 {
+				return
 			}
-			for i := 0; i < nt; i++ {
-				if want := math.Ldexp(bpp[s][i], e); ppF32 && spp[s][i] != want {
-					t.Fatalf("PP.%s target %d: %v after scaling by (2^%d, 2^%d), want exactly %v", name, i, spp[s][i], k, j, want)
+			ppF32, pcF32 := takesFloat32(c)
+			sc := c.scaled(k, j)
+			if sp, sq := takesFloat32(sc); ppF32 && !sp || pcF32 && !sq {
+				t.Fatalf("%s: float32 path taken (pp %v, pc %v) but (pp %v, pc %v) after scaling lengths by 2^%d and masses by 2^%d",
+					KernelISA(), ppF32, pcF32, sp, sq, k, j)
+			}
+			zero := make([]float64, nt)
+			bpp, bpc := c.eval(zero, PPBatch, PCBatch)
+			spp, spc := sc.eval(zero, PPBatch, PCBatch)
+			for s, name := range sumNames {
+				e := j - 2*k // accelerations: mass / length²
+				if s == 3 {
+					e = j - k // potential: mass / length
 				}
-				if want := math.Ldexp(bpc[s][i], e); pcF32 && spc[s][i] != want {
-					t.Fatalf("PC.%s target %d: %v after scaling by (2^%d, 2^%d), want exactly %v", name, i, spc[s][i], k, j, want)
+				for i := 0; i < nt; i++ {
+					if want := math.Ldexp(bpp[s][i], e); ppF32 && spp[s][i] != want {
+						t.Fatalf("%s PP.%s target %d: %v after scaling by (2^%d, 2^%d), want exactly %v", KernelISA(), name, i, spp[s][i], k, j, want)
+					}
+					if want := math.Ldexp(bpc[s][i], e); pcF32 && spc[s][i] != want {
+						t.Fatalf("%s PC.%s target %d: %v after scaling by (2^%d, 2^%d), want exactly %v", KernelISA(), name, i, spc[s][i], k, j, want)
+					}
 				}
 			}
-		}
+		})
 	})
 }
 

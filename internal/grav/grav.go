@@ -20,7 +20,7 @@ import (
 // (Walk/App Gflops), the JSONL/expvar exporters, BenchmarkKernels — is
 // interactions × convention / wall-clock. The counts are per
 // (target, source) interaction and deliberately independent of how the
-// kernel executes (scalar loop, AVX2+FMA lanes, or the device model): an
+// kernel executes (scalar loop, AVX-512F or AVX2+FMA lanes, or the device model): an
 // FMA counts as 2, a reciprocal square root as 4, regardless of the
 // instruction that produced it. That is what makes our numbers directly
 // comparable to the paper's Table 2 / Fig. 4 and to the prior-work

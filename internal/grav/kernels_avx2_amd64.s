@@ -1,18 +1,21 @@
-// AVX2+FMA batch force kernels (DESIGN.md §12): single precision, eight
-// source lanes per YMM register. The Go wrapper (dispatch_amd64.go) narrows
-// one tile of sources to float32 — coordinates relative to the call's origin,
-// everything normalised by exact powers of two — into planes of planeLanes
-// lanes, padded with zero-mass lanes to a multiple of 8, so the kernels have
-// no remainder path. Each kernel narrows its targets the same way, keeps
-// eight float32 partial sums per accumulator, and at the end of the tile
-// finishes the sums in float64, undoes the normalisation and adds the result
-// into the caller's float64 arrays.
+// Float32 batch force kernels (DESIGN.md §12) in two widths: eight source
+// lanes per YMM register on AVX2+FMA, sixteen per ZMM register on AVX-512F.
+// The Go wrapper (dispatch_amd64.go) narrows one tile of sources to float32 —
+// coordinates relative to the call's origin, everything normalised by exact
+// powers of two — into planes of planeLanes lanes, padded with zero-mass
+// lanes to a multiple of the width, so the kernels have no remainder path.
+// Each kernel narrows its targets the same way, keeps one float32 partial sum
+// per lane and accumulator, and at the end of the tile finishes the sums in
+// float64, undoes the normalisation and adds the result into the caller's
+// float64 arrays. The loop bodies are one macro per kernel, instantiated once
+// per width over its registers and its reciprocal square root.
 //
-// 1/√r² is VRSQRTPS plus one Newton step that leaves out the factor ½:
-// z = y·(3 − r²·y²) = 2/√r². The wrapper halves the masses (and divides the
-// quadrupoles by 16) and folds the remaining powers of two into the scale of
-// the sums. ε² starts the r² chain and the wrapper guarantees ε² ≥ 2⁻³² in
-// normalised units, so r² is never zero and no power of z overflows.
+// 1/√r² is VRSQRTPS (12-bit seed) or VRSQRT14PS (14-bit) plus one Newton step
+// that leaves out the factor ½: z = y·(3 − r²·y²) = 2/√r². The wrapper halves
+// the masses (and divides the quadrupoles by 16) and folds the remaining
+// powers of two into the scale of the sums. ε² starts the r² chain and the
+// wrapper guarantees ε² ≥ 2⁻³² in normalised units, so r² is never zero and
+// no power of z overflows.
 
 //go:build !noasm
 
@@ -47,15 +50,32 @@ GLOBL kconst<>(SB), RODATA|NOPTR, $16
 
 // TARGET narrows coordinate DI of the array at ptr exactly as the wrapper
 // narrows sources — float32((t − origin)·lscale), origin at byte offset o of
-// the frame in SI — and broadcasts it to a stack slot.
-#define TARGET(ptr, o, slot) \
+// the frame in SI — and broadcasts it to every lane of v.
+#define TARGET(ptr, o, v) \
 	MOVQ ptr, AX; \
 	VMOVSD (AX)(DI*8), X0; \
 	VSUBSD o(SI), X0, X0; \
 	VMULSD F_LSCALE(SI), X0, X0; \
 	VCVTSD2SS X0, X0, X0; \
-	VBROADCASTSS X0, Y0; \
+	VBROADCASTSS X0, v
+
+// TARGET8 is TARGET for the eight-lane kernels, which have no register left
+// for the target and keep it in a stack slot.
+#define TARGET8(ptr, o, slot) \
+	TARGET(ptr, o, Y0); \
 	VMOVUPS Y0, slot
+
+// FOLD16 adds the upper eight lanes of each of Z0..Z3 onto the lower eight,
+// so that REDUCE finishes sixteen-lane sums as it does eight-lane ones.
+#define FOLD16 \
+	VEXTRACTF64X4 $1, Z0, Y4; \
+	VADDPS Y4, Y0, Y0; \
+	VEXTRACTF64X4 $1, Z1, Y4; \
+	VADDPS Y4, Y1, Y1; \
+	VEXTRACTF64X4 $1, Z2, Y4; \
+	VADDPS Y4, Y2, Y2; \
+	VEXTRACTF64X4 $1, Z3, Y4; \
+	VADDPS Y4, Y3, Y3
 
 // REDUCE folds the eight float32 partial sums of each of Y0..Y3 to two, widens
 // them, finishes the sums in float64, multiplies by the frame's four scales
@@ -85,37 +105,93 @@ GLOBL kconst<>(SB), RODATA|NOPTR, $16
 	VADDSD (AX)(DI*8), X1, X2; \
 	VMOVSD X2, (AX)(DI*8)
 
-// RSQRT2 turns r² in r into z = 2/√r² in z (relative error ≤ 2.1e-7, always
-// short): y = VRSQRTPS(r²), z = y·(3 − r²·y·y). three is 3.0 in all lanes.
-#define RSQRT2(r, z, three) \
-	VRSQRTPS r, z; \
+// RSQRT2 turns r² in r into z = 2/√r² in z with the seed instruction rsqrt
+// and one Newton step: y = rsqrt(r²), z = y·(3 − r²·y·y). three is 3.0 in
+// all lanes. From a seed of relative error e the step errs short by 1.5·e²:
+// 3.4u from VRSQRTPS (e ≤ 1.5·2⁻¹²), 0.1u from VRSQRT14PS (e < 2⁻¹⁴), u =
+// 2⁻²⁴; its three roundings add at most 2.5u either way.
+#define RSQRT2(rsqrt, r, z, three) \
+	rsqrt   r, z; \
 	VMULPS  z, r, r; \
 	VFNMADD213PS three, z, r; \
 	VMULPS  r, z, z
 
-// PP_BLOCK is one 8-lane block of the p-p loop at byte offset o from lane DX:
+// PP_BLOCK is one block of the p-p loop at byte offset o from lane DX, with
+// the target's coordinates in xi, yi, zi, ε² and 3 in all lanes of eps2 and
+// three, temporaries a, b, c, r, z and accumulators ax, ay, az, pot:
 //
 //	dr = s − t               r² = ε² + dx² + dy² + dz²   z = 2/√r²
 //	mz = m'·z   pot −= mz    a += dr·(mz·z²)
-#define PP_BLOCK(o, a, b, c, r, z) \
+#define PP_BLOCK(rsqrt, o, a, b, c, r, z, xi, yi, zi, eps2, three, ax, ay, az, pot) \
 	VMOVUPS o(R8)(DX*4), a; \
-	VSUBPS  xi-104(SP), a, a; \
+	VSUBPS  xi, a, a; \
 	VMOVUPS PLANE+o(R8)(DX*4), b; \
-	VSUBPS  yi-72(SP), b, b; \
+	VSUBPS  yi, b, b; \
 	VMOVUPS 2*PLANE+o(R8)(DX*4), c; \
-	VSUBPS  zi-40(SP), c, c; \
-	VMOVAPS Y15, r; \
+	VSUBPS  zi, c, c; \
+	VMOVAPS eps2, r; \
 	VFMADD231PS a, a, r; \
 	VFMADD231PS b, b, r; \
 	VFMADD231PS c, c, r; \
-	RSQRT2(r, z, Y14); \
+	RSQRT2(rsqrt, r, z, three); \
 	VMULPS  3*PLANE+o(R8)(DX*4), z, r; \
-	VSUBPS  r, Y3, Y3; \
+	VSUBPS  r, pot, pot; \
 	VMULPS  z, z, z; \
 	VMULPS  r, z, z; \
-	VFMADD231PS a, z, Y0; \
-	VFMADD231PS b, z, Y1; \
-	VFMADD231PS c, z, Y2
+	VFMADD231PS a, z, ax; \
+	VFMADD231PS b, z, ay; \
+	VFMADD231PS c, z, az
+
+// PC_BLOCK is one block of the p-c loop at lane DX (see pcAVX2), with the
+// target in xi, yi, zi, the constants ¾, 5, −6 and 3 in c075, five, negsix
+// and three, accumulators ax, ay, az, pot and temporaries dx … t.
+#define PC_BLOCK(rsqrt, xi, yi, zi, c075, five, negsix, three, ax, ay, az, pot, dx, dy, dz, r, z, z3, z5, qx, qy, qz, t) \
+	VMOVUPS (R8)(DX*4), dx; \
+	VSUBPS  xi, dx, dx; \
+	VMOVUPS PLANE(R8)(DX*4), dy; \
+	VSUBPS  yi, dy, dy; \
+	VMOVUPS 2*PLANE(R8)(DX*4), dz; \
+	VSUBPS  zi, dz, dz; \
+	VBROADCASTSS F_EPS2(SI), r; \
+	VFMADD231PS dx, dx, r; \
+	VFMADD231PS dy, dy, r; \
+	VFMADD231PS dz, dz, r; \
+	RSQRT2(rsqrt, r, z, three); \
+	VFNMADD231PS 3*PLANE(R8)(DX*4), z, pot; \
+	VMULPS z, z, r; \
+	VMULPS r, z, z3; \
+	VMULPS r, z3, z5; \
+	VMULPS      4*PLANE(R8)(DX*4), dx, qx; \
+	VFMADD231PS 7*PLANE(R8)(DX*4), dy, qx; \
+	VFMADD231PS 8*PLANE(R8)(DX*4), dz, qx; \
+	VMULPS      7*PLANE(R8)(DX*4), dx, qy; \
+	VFMADD231PS 5*PLANE(R8)(DX*4), dy, qy; \
+	VFMADD231PS 9*PLANE(R8)(DX*4), dz, qy; \
+	VMULPS      8*PLANE(R8)(DX*4), dx, qz; \
+	VFMADD231PS 9*PLANE(R8)(DX*4), dy, qz; \
+	VFMADD231PS 6*PLANE(R8)(DX*4), dz, qz; \
+	VMULPS      qx, dx, t; \
+	VFMADD231PS qy, dy, t; \
+	VFMADD231PS qz, dz, t; \
+	VMOVUPS 4*PLANE(R8)(DX*4), z; \
+	VADDPS  5*PLANE(R8)(DX*4), z, z; \
+	VADDPS  6*PLANE(R8)(DX*4), z, z; \
+	VMULPS  z3, z, z; \
+	VMULPS  c075, t, t; \
+	VMULPS  z5, t, t; \
+	VADDPS  z, pot, pot; \
+	VSUBPS  t, pot, pot; \
+	VMULPS       five, t, t; \
+	VFNMADD231PS three, z, t; \
+	VMULPS       3*PLANE(R8)(DX*4), z3, z3; \
+	VFMADD231PS  r, t, z3; \
+	VMULPS       negsix, z5, z5; \
+	VFMADD231PS z3, dx, ax; \
+	VFMADD231PS z5, qx, ax; \
+	VFMADD231PS z3, dy, ay; \
+	VFMADD231PS z5, qy, ay; \
+	VFMADD231PS z3, dz, az; \
+	VFMADD231PS z5, qz, az
 
 // func ppAVX2(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int,
 //             ax, ay, az, apot *float64)
@@ -135,9 +211,9 @@ TEXT ·ppAVX2(SB), NOSPLIT, $104-88
 pp_target:
 	CMPQ DI, nt+24(FP)
 	JGE  pp_done
-	TARGET(tx+0(FP), 0, xi-104(SP))
-	TARGET(ty+8(FP), 8, yi-72(SP))
-	TARGET(tz+16(FP), 16, zi-40(SP))
+	TARGET8(tx+0(FP), 0, xi-104(SP))
+	TARGET8(ty+8(FP), 8, yi-72(SP))
+	TARGET8(tz+16(FP), 16, zi-40(SP))
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -147,15 +223,15 @@ pp_target:
 pp_pair:                              // two independent rsqrt chains in flight
 	CMPQ DX, BX
 	JGE  pp_tail
-	PP_BLOCK(0, Y4, Y5, Y6, Y7, Y8)
-	PP_BLOCK(32, Y9, Y10, Y11, Y12, Y13)
+	PP_BLOCK(VRSQRTPS, 0, Y4, Y5, Y6, Y7, Y8, xi-104(SP), yi-72(SP), zi-40(SP), Y15, Y14, Y0, Y1, Y2, Y3)
+	PP_BLOCK(VRSQRTPS, 32, Y9, Y10, Y11, Y12, Y13, xi-104(SP), yi-72(SP), zi-40(SP), Y15, Y14, Y0, Y1, Y2, Y3)
 	ADDQ $16, DX
 	JMP  pp_pair
 
 pp_tail:
 	CMPQ DX, CX
 	JGE  pp_reduce
-	PP_BLOCK(0, Y4, Y5, Y6, Y7, Y8)
+	PP_BLOCK(VRSQRTPS, 0, Y4, Y5, Y6, Y7, Y8, xi-104(SP), yi-72(SP), zi-40(SP), Y15, Y14, Y0, Y1, Y2, Y3)
 
 pp_reduce:
 	REDUCE
@@ -164,6 +240,62 @@ pp_reduce:
 
 pp_done:
 	FTZ_OFF
+	VZEROUPPER
+	RET
+
+// func ppAVX512(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int,
+//               ax, ay, az, apot *float64)
+//
+// ppAVX2 sixteen lanes wide; ns is a positive multiple of 16. The target is
+// broadcast into Z16..Z18, which are cleared before returning: VZEROUPPER
+// does not reach ZMM16–31.
+TEXT ·ppAVX512(SB), NOSPLIT, $8-88
+	FTZ_ON
+	MOVQ f+32(FP), SI
+	MOVQ src+40(FP), R8
+	MOVQ ns+48(FP), CX
+	MOVQ CX, BX
+	ANDQ $-32, BX                 // limit of the 2×-unrolled loop
+	VBROADCASTSS kconst<>+0(SB), Z14
+	VBROADCASTSS F_EPS2(SI), Z15
+	XORQ DI, DI                   // target index
+
+pp_target:
+	CMPQ DI, nt+24(FP)
+	JGE  pp_done
+	TARGET(tx+0(FP), 0, Z16)
+	TARGET(ty+8(FP), 8, Z17)
+	TARGET(tz+16(FP), 16, Z18)
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	XORQ DX, DX                   // source lane
+
+pp_pair:
+	CMPQ DX, BX
+	JGE  pp_tail
+	PP_BLOCK(VRSQRT14PS, 0, Z4, Z5, Z6, Z7, Z8, Z16, Z17, Z18, Z15, Z14, Z0, Z1, Z2, Z3)
+	PP_BLOCK(VRSQRT14PS, 64, Z9, Z10, Z11, Z12, Z13, Z16, Z17, Z18, Z15, Z14, Z0, Z1, Z2, Z3)
+	ADDQ $32, DX
+	JMP  pp_pair
+
+pp_tail:
+	CMPQ DX, CX
+	JGE  pp_reduce
+	PP_BLOCK(VRSQRT14PS, 0, Z4, Z5, Z6, Z7, Z8, Z16, Z17, Z18, Z15, Z14, Z0, Z1, Z2, Z3)
+
+pp_reduce:
+	FOLD16
+	REDUCE
+	INCQ DI
+	JMP  pp_target
+
+pp_done:
+	FTZ_OFF
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
 	VZEROUPPER
 	RET
 
@@ -197,9 +329,9 @@ TEXT ·pcAVX2(SB), NOSPLIT, $200-88
 pc_target:
 	CMPQ DI, nt+24(FP)
 	JGE  pc_done
-	TARGET(tx+0(FP), 0, xi-104(SP))
-	TARGET(ty+8(FP), 8, yi-72(SP))
-	TARGET(tz+16(FP), 16, zi-40(SP))
+	TARGET8(tx+0(FP), 0, xi-104(SP))
+	TARGET8(ty+8(FP), 8, yi-72(SP))
+	TARGET8(tz+16(FP), 16, zi-40(SP))
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -207,59 +339,7 @@ pc_target:
 	XORQ DX, DX                   // source lane
 
 pc_src:
-	VMOVUPS (R8)(DX*4), Y4
-	VSUBPS  xi-104(SP), Y4, Y4     // dx
-	VMOVUPS PLANE(R8)(DX*4), Y5
-	VSUBPS  yi-72(SP), Y5, Y5     // dy
-	VMOVUPS 2*PLANE(R8)(DX*4), Y6
-	VSUBPS  zi-40(SP), Y6, Y6     // dz
-	VBROADCASTSS F_EPS2(SI), Y7
-	VFMADD231PS Y4, Y4, Y7
-	VFMADD231PS Y5, Y5, Y7
-	VFMADD231PS Y6, Y6, Y7        // r²
-	RSQRT2(Y7, Y8, Y15)           // z
-
-	VFNMADD231PS 3*PLANE(R8)(DX*4), Y8, Y3 // pot −= m'·z
-	VMULPS Y8, Y8, Y7             // z²
-	VMULPS Y7, Y8, Y9             // z³
-	VMULPS Y7, Y9, Y10            // z⁵
-
-	VMULPS      4*PLANE(R8)(DX*4), Y4, Y11 // qxx·dx
-	VFMADD231PS 7*PLANE(R8)(DX*4), Y5, Y11 // + qxy·dy
-	VFMADD231PS 8*PLANE(R8)(DX*4), Y6, Y11 // + qxz·dz  → qrx
-	VMULPS      7*PLANE(R8)(DX*4), Y4, Y12 // qxy·dx
-	VFMADD231PS 5*PLANE(R8)(DX*4), Y5, Y12 // + qyy·dy
-	VFMADD231PS 9*PLANE(R8)(DX*4), Y6, Y12 // + qyz·dz  → qry
-	VMULPS      8*PLANE(R8)(DX*4), Y4, Y13 // qxz·dx
-	VFMADD231PS 9*PLANE(R8)(DX*4), Y5, Y13 // + qyz·dy
-	VFMADD231PS 6*PLANE(R8)(DX*4), Y6, Y13 // + qzz·dz  → qrz
-
-	VMULPS      Y11, Y4, Y14
-	VFMADD231PS Y12, Y5, Y14
-	VFMADD231PS Y13, Y6, Y14      // dr·Q'·dr
-
-	VMOVUPS 4*PLANE(R8)(DX*4), Y8
-	VADDPS  5*PLANE(R8)(DX*4), Y8, Y8
-	VADDPS  6*PLANE(R8)(DX*4), Y8, Y8 // trQ'
-	VMULPS  Y9, Y8, Y8            // p1
-	VMULPS  c075-136(SP), Y14, Y14
-	VMULPS  Y10, Y14, Y14         // p2
-	VADDPS  Y8, Y3, Y3            // pot += p1
-	VSUBPS  Y14, Y3, Y3           // pot −= p2
-
-	VMULPS       five-168(SP), Y14, Y14
-	VFNMADD231PS Y15, Y8, Y14     // 5·p2 − 3·p1
-	VMULPS       3*PLANE(R8)(DX*4), Y9, Y9
-	VFMADD231PS  Y7, Y14, Y9      // s
-	VMULPS       negsix-200(SP), Y10, Y10 // q5 = −6·z⁵
-
-	VFMADD231PS Y9, Y4, Y0        // ax += dx·s
-	VFMADD231PS Y10, Y11, Y0      // ax += qrx·q5
-	VFMADD231PS Y9, Y5, Y1
-	VFMADD231PS Y10, Y12, Y1
-	VFMADD231PS Y9, Y6, Y2
-	VFMADD231PS Y10, Y13, Y2
-
+	PC_BLOCK(VRSQRTPS, xi-104(SP), yi-72(SP), zi-40(SP), c075-136(SP), five-168(SP), negsix-200(SP), Y15, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14)
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JLT  pc_src
@@ -270,6 +350,56 @@ pc_src:
 
 pc_done:
 	FTZ_OFF
+	VZEROUPPER
+	RET
+
+// func pcAVX512(tx, ty, tz *float64, nt int, f *frame, src *float32, ns int,
+//               ax, ay, az, apot *float64)
+//
+// pcAVX2 sixteen lanes wide; ns is a positive multiple of 16. The target and
+// the constants live in Z16..Z21, cleared before returning.
+TEXT ·pcAVX512(SB), NOSPLIT, $8-88
+	FTZ_ON
+	MOVQ f+32(FP), SI
+	MOVQ src+40(FP), R8
+	MOVQ ns+48(FP), CX
+	VBROADCASTSS kconst<>+0(SB), Z15 // 3
+	VBROADCASTSS kconst<>+4(SB), Z19 // ¾
+	VBROADCASTSS kconst<>+8(SB), Z20 // 5
+	VBROADCASTSS kconst<>+12(SB), Z21 // −6
+	XORQ DI, DI                   // target index
+
+pc_target:
+	CMPQ DI, nt+24(FP)
+	JGE  pc_done
+	TARGET(tx+0(FP), 0, Z16)
+	TARGET(ty+8(FP), 8, Z17)
+	TARGET(tz+16(FP), 16, Z18)
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	XORQ DX, DX                   // source lane
+
+pc_src:
+	PC_BLOCK(VRSQRT14PS, Z16, Z17, Z18, Z19, Z20, Z21, Z15, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+	ADDQ $16, DX
+	CMPQ DX, CX
+	JLT  pc_src
+
+	FOLD16
+	REDUCE
+	INCQ DI
+	JMP  pc_target
+
+pc_done:
+	FTZ_OFF
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
 	VZEROUPPER
 	RET
 

@@ -12,20 +12,49 @@ import (
 // TestFloat32ErrorBudget pins what the dispatched float32 kernels cost a whole
 // walk, not one call: grav.KernelTol bounds a single PPBatch/PCBatch against a
 // weighted contribution norm, and nothing else bounds a group's ~3000-entry
-// list accumulated in float32 tiles. Every group of a 16k Milky Way walk is
+// list accumulated in float32 tiles. Every group of a Milky Way walk is
 // gathered once and evaluated through the dispatched pair and through the
 // scalar float64 pair; the statistic is the per-particle relative difference
-// of the resulting acceleration. Measured on avx2+fma: p50 8.2e-8, p99
-// 5.3e-7, max 4.7e-6 — two to three orders below the walk's own
-// approximation error at θ = 0.4 (8e-5 at p90, TestWalkAgainstPointerBarnesHut).
-// The bounds are ~2× the measurement (VRSQRTPS seeds differ between CPU
-// vendors): the line the next kernel tier has to hold.
+// of the resulting acceleration. Measured (p50, p99, max):
+//
+//	         avx2+fma                  avx512f
+//	16k      8.2e-8, 5.3e-7, 4.7e-6    4.0e-8, 5.1e-7, 4.6e-6
+//	100k     7.5e-8, 2.3e-7, 1.1e-5    3.7e-8, 1.9e-7, 1.2e-5
+//
+// — two to three orders below the walk's own approximation error at θ = 0.4
+// (8e-5 at p90, TestWalkAgainstPointerBarnesHut). The bounds are ~2× the
+// eight-lane measurement (VRSQRTPS seeds differ between CPU vendors): the
+// line every kernel tier has to hold. The maximum grows with the model on
+// both tiers, so it has its own bound at 100k; that case is left out of
+// -short and -race runs.
 func TestFloat32ErrorBudget(t *testing.T) {
 	if grav.KernelISA() == "scalar" {
 		t.Skip("dispatched kernels are the scalar reference")
 	}
+	for _, c := range []struct {
+		n              int
+		p50, p99, pmax float64
+	}{
+		{16384, 2e-7, 1.2e-6, 1e-5},
+		{100_000, 2e-7, 1.2e-6, 2.5e-5},
+	} {
+		if c.n > 16384 && (testing.Short() || raceEnabled) {
+			continue
+		}
+		p50, p99, pmax := float32Budget(c.n)
+		t.Logf("%s vs scalar over %d particles: p50 %.2e, p99 %.2e, max %.2e", grav.KernelISA(), c.n, p50, p99, pmax)
+		if p50 > c.p50 || p99 > c.p99 || pmax > c.pmax {
+			t.Errorf("n=%d: float32 tier is p50 %.2e, p99 %.2e, max %.2e from the scalar walk; budget %.2g, %.2g, %.2g",
+				c.n, p50, p99, pmax, c.p50, c.p99, c.pmax)
+		}
+	}
+}
+
+// float32Budget returns the p50, p99 and max of TestFloat32ErrorBudget's
+// statistic over an n-particle Milky Way.
+func float32Budget(n int) (p50, p99, pmax float64) {
 	const theta, eps2 = 0.4, 0.1 * 0.1
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 16384, 1, 1)
+	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 1)
 	pos, mass := make([]vec.V3, len(parts)), make([]float64, len(parts))
 	for i, p := range parts {
 		pos[i], mass[i] = p.Pos, p.Mass
@@ -52,9 +81,5 @@ func TestFloat32ErrorBudget(t *testing.T) {
 		}
 	}
 	slices.Sort(rel)
-	p50, p99, max := rel[len(rel)/2], rel[len(rel)*99/100], rel[len(rel)-1]
-	t.Logf("%s vs scalar over %d particles: p50 %.2e, p99 %.2e, max %.2e", grav.KernelISA(), len(rel), p50, p99, max)
-	if p50 > 2e-7 || p99 > 1.2e-6 || max > 1e-5 {
-		t.Errorf("float32 tier is p50 %.2e, p99 %.2e, max %.2e from the scalar walk; budget 2e-7, 1.2e-6, 1e-5", p50, p99, max)
-	}
+	return rel[len(rel)/2], rel[len(rel)*99/100], rel[len(rel)-1]
 }

@@ -210,8 +210,9 @@ type StepStats struct {
 	AppGflops  float64
 
 	// KernelISA names the force-kernel instruction set the walks ran on
-	// ("avx2+fma" when the runtime dispatch selected the SIMD kernels,
-	// "scalar" otherwise) so recorded rates can be attributed to a kernel.
+	// ("avx512f" or "avx2+fma" when the runtime dispatch selected the
+	// sixteen- or eight-lane SIMD kernels, "scalar" otherwise) so recorded
+	// rates can be attributed to a kernel.
 	KernelISA string
 
 	// Block-timestep summary, populated only on Config.BlockSteps steps:
