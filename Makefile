@@ -12,9 +12,9 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # socket transports (the ./internal/mpi conformance matrix runs every
 # transport test over unix and tcp at 8 ranks), and the parallel sort, plus
 # short fuzzes of the SIMD force kernels against the scalar reference, of the
-# MaxRungs=0 block integrator against the global-dt leapfrog, and of the three
+# MaxRungs=0 block integrator against the global-dt leapfrog, and of the four
 # decoders of bytes this process did not write: the snapshot reader, the mpi
-# payload codec and the LET frame decoder.
+# payload codec, the LET frame decoder and the metrics JSONL reader.
 tier1: vet build test race fuzz-smoke
 
 # A 10-second fuzz of snapshot.Read (any bytes return a value or an error:
@@ -36,13 +36,18 @@ tier1: vet build test race fuzz-smoke
 # 10-second fuzz of lettree.Unmarshal (truncated,
 # bit-flipped and cyclic frames must be rejected or decode to a tree every
 # walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
-# minimisation of each multi-kB finding from eating the whole budget).
+# minimisation of each multi-kB finding from eating the whole budget), and a
+# 10-second fuzz of obs.ReadMetricsJSONL, the reader the telemetry collector
+# runs on worker streams (no panic; every record it returns re-encodes and
+# decodes to itself; a stream cut inside its final line returns the complete
+# prefix).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSnapshotRead -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run XXX -fuzz FuzzDecodePayload -fuzztime 10s ./internal/mpi
 	$(GO) test -run XXX -fuzz FuzzLETUnmarshal -fuzztime 10s -fuzzminimizetime 1s ./internal/lettree
+	$(GO) test -run XXX -fuzz FuzzReadMetricsJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 
 vet:
 	$(GO) vet ./...
@@ -117,7 +122,8 @@ trace-smoke:
 # multi-process unix-socket run with the launcher's collector must produce one
 # clock-aligned merged trace (all 4 rank tracks on a common timebase), a
 # combined per-rank metrics stream, and a Prometheus snapshot that parses as
-# text exposition format.
+# text exposition format and carries the span-drop gauge and the last rank's
+# per-phase samples.
 telemetry-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 2 -q \
@@ -128,6 +134,8 @@ telemetry-smoke:
 	grep -q 'trace: 4 ranks' "$$tmp/report.txt" && \
 	grep -q 'cross-rank start skew' "$$tmp/report.txt" && \
 	grep -q 'format ok' "$$tmp/report.txt" && \
+	grep -q '^bonsai_spans_dropped{' "$$tmp/metrics.prom" && \
+	grep -q '^bonsai_phase_seconds{rank="3",phase="grav_let"} ' "$$tmp/metrics.prom" && \
 	echo "telemetry-smoke: OK"
 
 # End-to-end smoke test of the LET exchange at scale: 256 in-process ranks,

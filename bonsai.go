@@ -293,7 +293,7 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
 // the force-computation statistics.
-func (s *Simulation) Step() StepStats { return fromStats(s.inner.Step()) }
+func (s *Simulation) Step() StepStats { return fromStats(s.inner.Step(), s.inner.StepCount()) }
 
 // Run advances n steps, returning per-step statistics.
 func (s *Simulation) Run(n int) []StepStats {
@@ -306,7 +306,9 @@ func (s *Simulation) Run(n int) []StepStats {
 
 // ComputeForces runs the distributed force pipeline once without advancing
 // time; scaling studies use it to time pure force iterations.
-func (s *Simulation) ComputeForces() StepStats { return fromStats(s.inner.ComputeForces()) }
+func (s *Simulation) ComputeForces() StepStats {
+	return fromStats(s.inner.ComputeForces(), s.inner.StepCount())
+}
 
 // Time returns the current simulation time (internal units; see Gyr).
 func (s *Simulation) Time() float64 { return s.inner.Time() }
@@ -463,10 +465,12 @@ func (n *NodeSimulation) RestoreSubstep(sub int) error { return n.inner.RestoreS
 // Step advances this rank by one leapfrog step, in lockstep with every other
 // rank, and returns this rank's view of the step statistics.
 func (n *NodeSimulation) Step() StepStats {
-	rs := n.inner.Step()
-	st := sim.Aggregate(n.inner.StepCount(), []sim.RankStats{rs})
-	st.Substeps, st.Rebuilds, st.ActiveFrac = n.inner.BlockSummary()
-	return fromStats(st)
+	var m obs.StepMetrics
+	obs.FoldRanks(&m, []obs.StepMetrics{n.inner.Step()})
+	for _, e := range n.inner.Records() {
+		n.rec.AddStep(e)
+	}
+	return fromStats(m, n.inner.StepCount())
 }
 
 // Energy returns the total kinetic and potential energy across all ranks
@@ -583,40 +587,44 @@ func fromBody(parts []body.Particle) []Particle {
 	return out
 }
 
-func fromPhase(p sim.PhaseTimes) PhaseTimes {
+func fromPhase(p *obs.PhaseTimes) PhaseTimes {
 	return PhaseTimes{
-		SortBuild: p.SortBuild, Domain: p.Domain,
-		TreeProps: p.TreeProps,
-		GravLocal: p.GravLocal, GravLET: p.GravLET,
-		NonHiddenComm: p.NonHiddenComm, Other: p.Other, Total: p.Total,
+		SortBuild: p[obs.SortBuild], Domain: p[obs.Domain],
+		TreeProps: p[obs.TreeProps],
+		GravLocal: p[obs.GravLocal], GravLET: p[obs.GravLET],
+		NonHiddenComm: p[obs.NonHiddenComm], Other: p[obs.Other], Total: p[obs.Total],
 	}
 }
 
-func fromStats(st sim.StepStats) StepStats {
+// fromStats is the one mapping from the engine's cross-rank record to the
+// public summary of step number step. Callers pass the record first: Go
+// evaluates call arguments left to right, so the step count is read after
+// the step ran.
+func fromStats(m obs.StepMetrics, step int) StepStats {
 	return StepStats{
-		Step:           st.Step,
-		Ranks:          st.Ranks,
-		N:              st.N,
-		Times:          fromPhase(st.Times),
-		MaxTimes:       fromPhase(st.MaxTimes),
-		PP:             st.Grav.PP,
-		PC:             st.Grav.PC,
-		PPPerParticle:  st.PPPerParticle,
-		PCPerParticle:  st.PCPerParticle,
-		Flops:          st.Grav.Flops(),
-		LETsSent:       st.LETsSent,
-		BoundaryUsed:   st.BoundaryUsed,
-		BytesSent:      st.BytesSent,
-		BoundarySent:   st.BoundarySent,
-		LETsRecv:       st.LETsRecv,
-		LETsOverlapped: st.LETsOverlapped,
-		OverlapFrac:    st.OverlapFrac,
-		RecvIdle:       st.RecvIdle,
-		WalkGflops:     st.WalkGflops,
-		AppGflops:      st.AppGflops,
-		KernelISA:      st.KernelISA,
-		Substeps:       st.Substeps,
-		Rebuilds:       st.Rebuilds,
-		ActiveFrac:     st.ActiveFrac,
+		Step:           step,
+		Ranks:          m.Ranks,
+		N:              m.N,
+		Times:          fromPhase(&m.Times),
+		MaxTimes:       fromPhase(&m.MaxTimes),
+		PP:             m.Grav.PP,
+		PC:             m.Grav.PC,
+		PPPerParticle:  m.PPPerParticle,
+		PCPerParticle:  m.PCPerParticle,
+		Flops:          m.Grav.Flops(),
+		LETsSent:       m.LETsSent,
+		BoundaryUsed:   m.BoundaryUsed,
+		BytesSent:      m.BytesSent,
+		BoundarySent:   m.BoundarySent,
+		LETsRecv:       m.LETsRecv,
+		LETsOverlapped: m.LETsOverlapped,
+		OverlapFrac:    m.OverlapFrac,
+		RecvIdle:       m.RecvIdle,
+		WalkGflops:     m.WalkGflops,
+		AppGflops:      m.AppGflops,
+		KernelISA:      m.KernelISA,
+		Substeps:       m.Substeps,
+		Rebuilds:       m.Rebuilds,
+		ActiveFrac:     m.ActiveFrac,
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bonsai/internal/mpi"
+	"bonsai/internal/obs"
 	"bonsai/internal/sim"
 )
 
@@ -397,5 +399,49 @@ func TestSimulationAndNodeShareEngineConfig(t *testing.T) {
 				t.Error("setting the field left the engine config at its defaults")
 			}
 		})
+	}
+}
+
+// The public StepStats and the JSONL stream are two views of one record: for
+// a traced 4-rank run, the merged JSONL record of the second step's
+// evaluation equals that step's StepStats — counts exactly, times and rates
+// to 1e-12.
+func TestStepStatsIsTheStreamedRecord(t *testing.T) {
+	s, err := New(Config{Ranks: 4, Softening: 0.05, DT: 1e-3, Tracing: true}, NewPlummer(4000, 1, 1, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step() // evaluations 0 (t=0 priming) and 1
+	st := s.Step()
+	var buf bytes.Buffer
+	if err := s.WriteMetricsJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadMetricsJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[2].Step != 2 {
+		t.Fatalf("stream holds %d records, want evaluations 0..2", len(recs))
+	}
+	compareStats(t, "", reflect.ValueOf(fromStats(recs[2], st.Step)), reflect.ValueOf(st))
+}
+
+// compareStats compares two StepStats field by field: durations and floats
+// to 1e-12 relative, everything else exactly.
+func compareStats(t *testing.T, path string, got, want reflect.Value) {
+	t.Helper()
+	switch {
+	case want.Kind() == reflect.Struct:
+		for i := 0; i < want.NumField(); i++ {
+			compareStats(t, path+"."+want.Type().Field(i).Name, got.Field(i), want.Field(i))
+		}
+	case want.Kind() == reflect.Float64 || want.Type() == reflect.TypeOf(time.Duration(0)):
+		g, w := got.Convert(reflect.TypeOf(0.0)).Float(), want.Convert(reflect.TypeOf(0.0)).Float()
+		if math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+			t.Errorf("StepStats%s: stream %v, step %v", path, got, want)
+		}
+	case !got.Equal(want):
+		t.Errorf("StepStats%s: stream %v, step %v", path, got, want)
 	}
 }

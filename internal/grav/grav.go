@@ -16,7 +16,7 @@ import (
 )
 
 // Flop-count conventions (§VI.A). These are *accounting* constants, not
-// measurements: every reported flop rate in the repo — sim.StepStats
+// measurements: every reported flop rate in the repo — obs.StepMetrics
 // (Walk/App Gflops), the JSONL/expvar exporters, BenchmarkKernels — is
 // interactions × convention / wall-clock. The counts are per
 // (target, source) interaction and deliberately independent of how the

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bonsai/internal/grav"
 )
 
 func TestPhaseNamesRoundTrip(t *testing.T) {
@@ -289,13 +291,21 @@ func TestAnalyzeTraceStraggler(t *testing.T) {
 
 func TestMetricsJSONLRoundTrip(t *testing.T) {
 	r := New(1, 8)
+	ms := time.Millisecond
 	want := []StepMetrics{
-		{Step: 0, Ranks: 4, N: 1000, MeanStepMS: 1.5, MaxStepMS: 2.0, Straggler: 3,
-			OverlapFrac: 0.75, LETsRecv: 8, LETsOverlapped: 6, ArrivalsSeen: 8,
-			WorstArrivalMS: -0.25, WalkGflops: 1.25, AppGflops: 0.5},
-		{Step: 1, Ranks: 4, N: 1000, MeanStepMS: 1.4, MaxStepMS: 1.9, Straggler: 2,
-			Substep: 3, ActiveN: 250, ActiveFrac: 0.25, TreeRebuilt: true,
+		{Step: 0, Ranks: 4, N: 1000, Straggler: 3, KernelISA: "x",
+			Times:    PhaseTimes{GravLocal: ms, Other: ms / 2, Total: 1500 * time.Microsecond},
+			MaxTimes: PhaseTimes{GravLocal: 2 * ms, Total: 2 * ms},
+			Grav:     grav.Stats{PP: 1e5, PC: 2e4}, LETsRecv: 8, LETsOverlapped: 6, ArrivalsSeen: 8,
+			WorstArrival: -250 * time.Microsecond, SpansDropped: 3},
+		{Step: 1, Ranks: 4, N: 1000, Straggler: 2,
+			Times:    PhaseTimes{Total: 1400 * time.Microsecond},
+			MaxTimes: PhaseTimes{Total: 1900 * time.Microsecond},
+			Substep:  3, Substeps: 1, Rebuilds: 1, ActiveN: 250, TotalN: 1000,
 			RungPop: []int{700, 200, 100}},
+	}
+	for i := range want {
+		want[i].Derive()
 	}
 	for _, m := range want {
 		r.AddStep(m)

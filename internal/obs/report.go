@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"time"
 )
 
 // RankStepReport is the per-rank, per-evaluation view the straggler analysis
@@ -228,9 +229,10 @@ func (rep TraceReport) Format(w io.Writer) {
 }
 
 // FormatMetricsSummary prints the per-step JSONL metrics stream as the same
-// overlap/straggler table: one line per force evaluation plus run totals.
-// Per-rank streams (a merged multi-process run's JSONL, several records per
-// step) are folded into one aggregated record per evaluation first.
+// overlap/straggler table: one line per force evaluation plus run totals, and
+// a warning when trace spans were dropped. Per-rank streams (a merged
+// multi-process run's JSONL, several records per step) are folded into one
+// record per evaluation first.
 func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	if len(steps) == 0 {
 		fmt.Fprintln(w, "metrics: no step records")
@@ -240,18 +242,21 @@ func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	fmt.Fprintf(w, "metrics: %d evaluations, %d ranks\n", len(steps), steps[0].Ranks)
 	fmt.Fprintf(w, "%5s %10s %10s %7s %10s %8s %7s %14s %10s\n",
 		"step", "mean ms", "max ms", "imb%", "straggler", "overlap", "LETs", "worst arr ms", "nonhid ms")
-	var overlapSum, worstArr float64
+	var overlapSum float64
+	var worstArr time.Duration
+	var dropped int64
 	worstStep := -1
 	stragglerHits := map[int]int{}
 	for _, m := range steps {
 		fmt.Fprintf(w, "%5d %10.2f %10.2f %6.1f%% %10d %7.0f%% %7d %14.3f %10.3f\n",
-			m.Step, m.MeanStepMS, m.MaxStepMS, m.ImbalancePct, m.Straggler,
-			100*m.OverlapFrac, m.LETsRecv, m.WorstArrivalMS, m.NonHiddenCommMS)
+			m.Step, Millis(m.Times[Total]), Millis(m.MaxTimes[Total]), m.ImbalancePct, m.Straggler,
+			100*m.OverlapFrac, m.LETsRecv, Millis(m.WorstArrival), Millis(m.Times[NonHiddenComm]))
 		overlapSum += m.OverlapFrac
 		stragglerHits[m.Straggler]++
-		if m.ArrivalsSeen > 0 && (worstStep < 0 || m.WorstArrivalMS > worstArr) {
-			worstArr, worstStep = m.WorstArrivalMS, m.Step
+		if m.ArrivalsSeen > 0 && (worstStep < 0 || m.WorstArrival > worstArr) {
+			worstArr, worstStep = m.WorstArrival, m.Step
 		}
+		dropped = max(dropped, m.SpansDropped)
 	}
 	worst, hits := -1, 0
 	for r, n := range stragglerHits {
@@ -262,7 +267,10 @@ func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	fmt.Fprintf(w, "overall: mean overlap %.0f%%; most frequent straggler rank %d (%d/%d evaluations)",
 		100*overlapSum/float64(len(steps)), worst, hits, len(steps))
 	if worstStep >= 0 {
-		fmt.Fprintf(w, "; worst LET arrival %+.3f ms after walk end (eval %d)", worstArr, worstStep)
+		fmt.Fprintf(w, "; worst LET arrival %+.3f ms after walk end (eval %d)", Millis(worstArr), worstStep)
 	}
 	fmt.Fprintln(w)
+	if dropped > 0 {
+		fmt.Fprintf(w, "WARNING: %d spans dropped (full span buffers; the trace is incomplete)\n", dropped)
+	}
 }

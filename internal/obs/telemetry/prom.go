@@ -89,43 +89,16 @@ func rankLabel(rank int) []label {
 	return []label{{"rank", strconv.Itoa(rank)}}
 }
 
-// writeStepProm writes the per-rank gauges derived from one step record: the
-// latest step number, step time, per-phase seconds, throughput, overlap, and
-// the kernel-ISA info metric.
-func writeStepProm(p *promWriter, m obs.StepMetrics, rank int, isa string) {
-	rl := rankLabel(rank)
-	p.gauge("bonsai_step", "latest completed force evaluation", rl, float64(m.Step))
-	p.gauge("bonsai_step_seconds", "wall-clock time of the latest force evaluation", rl, m.MaxStepMS/1e3)
-	phases := []struct {
-		name string
-		ms   float64
-	}{
-		{"sort_build", m.SortBuildMS}, {"domain", m.DomainMS}, {"tree_props", m.TreePropsMS},
-		{"grav_local", m.GravLocalMS}, {"grav_let", m.GravLETMS}, {"other", m.OtherMS},
-	}
-	for _, ph := range phases {
-		p.gauge("bonsai_phase_seconds", "per-phase time of the latest force evaluation",
-			append(rankLabel(rank), label{"phase", ph.name}), ph.ms/1e3)
-	}
-	p.gauge("bonsai_walk_gflops", "tree-walk throughput of the latest force evaluation", rl, m.WalkGflops)
-	p.gauge("bonsai_app_gflops", "application throughput of the latest force evaluation", rl, m.AppGflops)
-	p.gauge("bonsai_overlap_frac", "fraction of LETs fully hidden behind the local walk", rl, m.OverlapFrac)
-	p.gauge("bonsai_lets_recv", "full LETs received in the latest force evaluation", rl, float64(m.LETsRecv))
-	if m.ActiveN > 0 {
-		p.gauge("bonsai_active_frac", "fraction of particles force-evaluated in the latest block substep",
-			rl, m.ActiveFrac)
-	}
-	for k, n := range m.RungPop {
-		p.gauge("bonsai_rung_population", "global particle count per block-timestep rung",
-			append(rankLabel(rank), label{"rung", strconv.Itoa(k)}), float64(n))
-	}
-	if isa == "" {
-		isa = m.KernelISA
-	}
-	if isa != "" {
-		p.gauge("bonsai_kernel_isa", "force-kernel ISA in use (value is always 1)",
-			append(rankLabel(rank), label{"isa", isa}), 1)
-	}
+// writeStepProm writes the per-rank gauges of one step record: one sample
+// per gauge row of obs.Schema, labelled by rank.
+func writeStepProm(p *promWriter, m *obs.StepMetrics, rank int) {
+	m.EachGauge(func(family, help, name, value string, v float64) {
+		labels := rankLabel(rank)
+		if name != "" {
+			labels = append(labels, label{name, value})
+		}
+		p.gauge(family, help, labels, v)
+	})
 }
 
 // writeHistProm writes the histogram-derived gauges (currently the mailbox
@@ -162,7 +135,7 @@ func (c *Collector) WriteProm(w io.Writer) error {
 	p.gauge("bonsai_ranks", "worker ranks under collection", nil, float64(len(c.clients)))
 	for rank, m := range latest {
 		if m != nil {
-			writeStepProm(p, *m, rank, m.KernelISA)
+			writeStepProm(p, m, rank)
 		}
 	}
 	if synced {

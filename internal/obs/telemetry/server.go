@@ -189,7 +189,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.gauge("bonsai_up", "1 while the worker telemetry endpoint is live", nil, 1)
 	steps := s.cfg.Rec.Steps()
 	if len(steps) > 0 {
-		writeStepProm(pw, steps[len(steps)-1], s.cfg.Rank, s.cfg.KernelISA)
+		writeStepProm(pw, &steps[len(steps)-1], s.cfg.Rank)
 	}
 	writeHistProm(pw, s.cfg.Rank, s.cfg.Rec.Metrics().Snapshot())
 	pw.flush() //nolint:errcheck // best-effort reply

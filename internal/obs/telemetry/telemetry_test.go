@@ -37,12 +37,10 @@ func startFakeWorker(t *testing.T, dir string, rank, ranks int, rec *obs.Recorde
 
 // stepRecord builds one per-rank step record the way sim.Node emits them.
 func stepRecord(step, rank, ranks int, stepMS float64) obs.StepMetrics {
-	return obs.StepMetrics{
-		Step: step, Rank: rank, Ranks: ranks, N: 1000,
-		MeanStepMS: stepMS, MaxStepMS: stepMS, Straggler: rank,
-		WalkGflops: 1, AppGflops: 1, KernelISA: "test-isa",
-		GravLocalMS: stepMS * 0.8, OtherMS: stepMS * 0.2,
-	}
+	m := obs.StepMetrics{Step: step, Rank: rank, Ranks: ranks, N: 1000, KernelISA: "test-isa"}
+	m.Times[obs.GravLocal] = time.Duration(stepMS * 0.8 * 1e6)
+	m.EndEval(time.Duration(stepMS * 1e6))
+	return m
 }
 
 // TestCollectorAlignsStaggeredClocks is the tentpole's core property: two
@@ -284,5 +282,83 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 	}
 	if len(samples) != 2 || samples["plain"] != 1 {
 		t.Errorf("samples = %v", samples)
+	}
+}
+
+// Every gauge row of obs.Schema reaches both expositions, a worker's /metrics
+// and the collector's, under the family and labels the exposition has always
+// used, and both parse.
+func TestEveryGaugeRowExported(t *testing.T) {
+	dir := t.TempDir()
+	m := stepRecord(3, 0, 1, 5)
+	m.LETsRecv, m.LETsOverlapped, m.SpansDropped = 4, 3, 7
+	m.ActiveN, m.TotalN, m.RungPop = 250, 1000, []int{700, 200, 100}
+	m.Derive()
+	rec := obs.New(1, 0)
+	rec.AddStep(m)
+	w := startFakeWorker(t, dir, 0, 1, rec)
+
+	resp, err := NewClient("unix", filepath.Join(dir, "tele0.sock")).hc.Get("http://worker/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := ParseProm(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("worker exposition does not parse: %v", err)
+	}
+
+	w.srv.MarkDone()
+	col := NewCollector(CollectorConfig{Network: "unix", Addrs: []string{filepath.Join(dir, "tele0.sock")},
+		PollEvery: 20 * time.Millisecond, Logf: t.Logf})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := col.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := col.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	collector, err := ParseProm(&buf)
+	if err != nil {
+		t.Fatalf("collector exposition does not parse: %v", err)
+	}
+
+	want := map[string]float64{
+		`bonsai_step{rank="0"}`:                                  3,
+		`bonsai_step_seconds{rank="0"}`:                          0.005,
+		`bonsai_phase_seconds{rank="0",phase="sort_build"}`:      0,
+		`bonsai_phase_seconds{rank="0",phase="domain"}`:          0,
+		`bonsai_phase_seconds{rank="0",phase="tree_props"}`:      0,
+		`bonsai_phase_seconds{rank="0",phase="grav_local"}`:      0.004,
+		`bonsai_phase_seconds{rank="0",phase="grav_let"}`:        0,
+		`bonsai_phase_seconds{rank="0",phase="other"}`:           0.001,
+		`bonsai_walk_gflops{rank="0"}`:                           0,
+		`bonsai_app_gflops{rank="0"}`:                            0,
+		`bonsai_overlap_frac{rank="0"}`:                          0.75,
+		`bonsai_lets_recv{rank="0"}`:                             4,
+		`bonsai_active_frac{rank="0"}`:                           0.25,
+		`bonsai_rung_population{rank="0",rung="0"}`:              700,
+		`bonsai_rung_population{rank="0",rung="2"}`:              100,
+		`bonsai_kernel_isa{rank="0",isa="test-isa"}`:             1,
+		`bonsai_spans_dropped{rank="0"}`:                         7,
+		`bonsai_phase_seconds{rank="0",phase="non_hidden_comm"}`: 0,
+	}
+	families := map[string]bool{}
+	m.EachGauge(func(family, _, _, _ string, _ float64) { families[family] = true })
+	for i := range obs.Schema {
+		if g := obs.Schema[i].Gauge; g != "" && !families[g] {
+			t.Errorf("gauge row %s (%s) exports no sample", obs.Schema[i].Key, g)
+		}
+	}
+	for name, samples := range map[string]map[string]float64{"worker": worker, "collector": collector} {
+		for key, v := range want {
+			if got, ok := samples[key]; !ok {
+				t.Errorf("%s exposition is missing %s\nhave: %v", name, key, PromKeys(samples))
+			} else if math.Abs(got-v) > 1e-12 {
+				t.Errorf("%s: %s = %v, want %v", name, key, got, v)
+			}
+		}
 	}
 }

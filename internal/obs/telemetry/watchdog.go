@@ -65,7 +65,7 @@ func (wd *Watchdog) Record(m obs.StepMetrics) {
 		cell = map[int]float64{}
 		wd.pending[m.Step] = cell
 	}
-	cell[m.Rank] = m.MaxStepMS
+	cell[m.Rank] = obs.Millis(m.MaxTimes[obs.Total])
 	if len(cell) < wd.ranks {
 		return
 	}

@@ -3,9 +3,13 @@ package obs
 import (
 	"bytes"
 	"expvar"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"bonsai/internal/grav"
 )
 
 // Satellite regression: a second simulation in the same process must replace
@@ -36,9 +40,12 @@ func TestPublishExpvarSwapsRecorder(t *testing.T) {
 func TestReadMetricsJSONLTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	full := []StepMetrics{
-		{Step: 0, Ranks: 2, MeanStepMS: 1},
-		{Step: 1, Ranks: 2, MeanStepMS: 2},
-		{Step: 2, Ranks: 2, MeanStepMS: 3},
+		{Step: 0, Ranks: 2, Times: PhaseTimes{Total: 1 * time.Millisecond}},
+		{Step: 1, Ranks: 2, Times: PhaseTimes{Total: 2 * time.Millisecond}},
+		{Step: 2, Ranks: 2, Times: PhaseTimes{Total: 3 * time.Millisecond}},
+	}
+	for i := range full {
+		full[i].Derive()
 	}
 	if err := WriteStepMetricsJSONL(&buf, full); err != nil {
 		t.Fatal(err)
@@ -124,15 +131,24 @@ func TestParseChromeTraceTruncated(t *testing.T) {
 	}
 }
 
+// rankRecord builds the per-rank record of one evaluation the way a rank
+// closes it: step time total, of which walk in the local walk, and pc
+// particle-cell interactions.
+func rankRecord(step, rank, ranks int, total, walk time.Duration, pc uint64) StepMetrics {
+	m := StepMetrics{Step: step, Rank: rank, Ranks: ranks, N: 500, KernelISA: "x", Grav: grav.Stats{PC: pc}}
+	m.Times[GravLocal] = walk
+	m.EndEval(total)
+	return m
+}
+
 func TestMergeStepMetrics(t *testing.T) {
+	ms := time.Millisecond
 	perRank := []StepMetrics{
-		{Step: 0, Rank: 0, Ranks: 2, N: 500, MeanStepMS: 10, MaxStepMS: 10, Straggler: 0,
-			LETsRecv: 1, LETsOverlapped: 1, OverlapFrac: 1, ArrivalsSeen: 1, WorstArrivalMS: -2,
-			WalkGflops: 4, AppGflops: 2, KernelISA: "x", GravLocalMS: 8},
-		{Step: 0, Rank: 1, Ranks: 2, N: 500, MeanStepMS: 30, MaxStepMS: 30, Straggler: 1,
-			LETsRecv: 1, LETsOverlapped: 0, ArrivalsSeen: 1, WorstArrivalMS: 5,
-			WalkGflops: 2, AppGflops: 1, KernelISA: "x", GravLocalMS: 24},
+		rankRecord(0, 0, 2, 10*ms, 8*ms, 1e6),
+		rankRecord(0, 1, 2, 30*ms, 24*ms, 1e6),
 	}
+	perRank[0].LETsRecv, perRank[0].LETsOverlapped, perRank[0].ArrivalsSeen, perRank[0].WorstArrival = 1, 1, 1, -2*ms
+	perRank[1].LETsRecv, perRank[1].ArrivalsSeen, perRank[1].WorstArrival = 1, 1, 5*ms
 	merged := MergeStepMetrics(perRank)
 	if len(merged) != 1 {
 		t.Fatalf("got %d merged records, want 1", len(merged))
@@ -141,8 +157,8 @@ func TestMergeStepMetrics(t *testing.T) {
 	if m.Ranks != 2 || m.N != 1000 {
 		t.Errorf("ranks/N = %d/%d, want 2/1000", m.Ranks, m.N)
 	}
-	if m.MeanStepMS != 20 || m.MaxStepMS != 30 || m.Straggler != 1 {
-		t.Errorf("mean/max/straggler = %v/%v/%d, want 20/30/1", m.MeanStepMS, m.MaxStepMS, m.Straggler)
+	if m.Times[Total] != 20*ms || m.MaxTimes[Total] != 30*ms || m.Straggler != 1 {
+		t.Errorf("mean/max/straggler = %v/%v/%d, want 20ms/30ms/1", m.Times[Total], m.MaxTimes[Total], m.Straggler)
 	}
 	if m.ImbalancePct != 50 {
 		t.Errorf("imbalance = %v%%, want 50", m.ImbalancePct)
@@ -150,19 +166,50 @@ func TestMergeStepMetrics(t *testing.T) {
 	if m.LETsRecv != 2 || m.LETsOverlapped != 1 || m.OverlapFrac != 0.5 {
 		t.Errorf("LET counters = %d/%d/%v, want 2/1/0.5", m.LETsRecv, m.LETsOverlapped, m.OverlapFrac)
 	}
-	if m.WorstArrivalMS != 5 || m.ArrivalsSeen != 2 {
-		t.Errorf("arrivals = %v/%d, want 5/2", m.WorstArrivalMS, m.ArrivalsSeen)
+	if m.WorstArrival != 5*ms || m.ArrivalsSeen != 2 {
+		t.Errorf("arrivals = %v/%d, want 5ms/2", m.WorstArrival, m.ArrivalsSeen)
 	}
-	if m.WalkGflops != 6 {
-		t.Errorf("walk rate = %v, want the 6 Gflop/s sum", m.WalkGflops)
+	// The walk rate is the total flop count over the mean per-rank walk time
+	// (2·65e6 flop / 16 ms), the definition bonsai.StepStats has always
+	// used; it is not the sum of the per-rank rates (65e6/8ms + 65e6/24ms).
+	if want := 2 * 65e6 / 16e-3 / 1e9; math.Abs(m.WalkGflops-want) > 1e-12 {
+		t.Errorf("walk rate = %v, want %v Gflop/s", m.WalkGflops, want)
 	}
-	if m.GravLocalMS != 16 {
-		t.Errorf("grav_local = %v ms, want the 16 ms mean", m.GravLocalMS)
+	if m.Times[GravLocal] != 16*ms {
+		t.Errorf("grav_local = %v, want the 16 ms mean", m.Times[GravLocal])
 	}
 
-	// Already-aggregated records (one per step) pass through untouched.
-	agg := []StepMetrics{{Step: 0, Ranks: 4, MeanStepMS: 7, MaxStepMS: 9, Straggler: 2}}
+	// Already-folded records (one per step) pass through untouched.
+	agg := []StepMetrics{{Step: 0, Ranks: 4, Straggler: 2,
+		Times: PhaseTimes{Total: 7 * ms}, MaxTimes: PhaseTimes{Total: 9 * ms}}}
 	if got := MergeStepMetrics(agg); len(got) != 1 || !reflect.DeepEqual(got[0], agg[0]) {
-		t.Errorf("aggregated record did not pass through: %+v", got)
+		t.Errorf("folded record did not pass through: %+v", got)
+	}
+
+	// One imbalanced evaluation — ranks with (4 Gflop, 1 s) and (2 Gflop, 2 s)
+	// of walk — read through the JSONL stream and merged gives the same rate as
+	// the in-process fold the public StepStats reads: 6 Gflop over the 1.5 s
+	// mean walk, 4 Gflop/s, not the 5 Gflop/s sum of the per-rank rates.
+	const pc = 30769231 // ≈ 2e9 / grav.FlopsPC: the interactions of 2 Gflop
+	recs := []StepMetrics{
+		rankRecord(0, 0, 2, 2*time.Second, time.Second, 2*pc),
+		rankRecord(0, 1, 2, 2*time.Second, 2*time.Second, pc),
+	}
+	var buf bytes.Buffer
+	if err := WriteStepMetricsJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ReadMetricsJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSONL := MergeStepMetrics(decoded)[0]
+	var inProcess StepMetrics
+	FoldRanks(&inProcess, recs)
+	if viaJSONL.WalkGflops != inProcess.WalkGflops {
+		t.Errorf("JSONL merge reads %v Gflop/s, the in-process fold %v", viaJSONL.WalkGflops, inProcess.WalkGflops)
+	}
+	if want := 3 * float64(pc) * grav.FlopsPC / 1.5 / 1e9; math.Abs(inProcess.WalkGflops-want) > 1e-12 {
+		t.Errorf("walk rate = %v Gflop/s, want %v", inProcess.WalkGflops, want)
 	}
 }

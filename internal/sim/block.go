@@ -53,18 +53,6 @@ import (
 // typical substeps reuse the tree.
 const driftFrac = 0.25
 
-// blockEval is one rank's record of one substep force evaluation, kept so
-// the driver can fold the per-evaluation stats and block diagnostics into
-// the metrics stream after the lockstep advance returns.
-type blockEval struct {
-	stats    RankStats
-	boundary int   // substep barrier the evaluation ran at (1..S; 0 = priming)
-	activeN  int   // global active-particle count (0 when MaxRungs == 0)
-	totalN   int   // global particle count (0 when MaxRungs == 0)
-	rungPop  []int // global rung population after the barrier's rung update
-	rebuilt  bool  // full tree rebuild (vs multipole refresh on the reused tree)
-}
-
 // activeAt reports whether a particle on the given rung has a kick barrier
 // at substep s of an S-substep grid: rung k kicks every S>>k substeps.
 func activeAt(rung uint8, s, S int) bool { return s%(S>>rung) == 0 }
@@ -199,19 +187,19 @@ func (r *rank) rebuildVote() bool {
 // blockForces runs one substep force evaluation at the given barrier:
 // rebuild or refresh the tree, determine the active block, and walk gravity
 // for the active targets only (the full tree-ordered arrays when everyone is
-// active). Returns whether the tree was rebuilt and the global active/total
-// counts. On return r.acc/r.pot are fresh for every active particle;
-// inactive entries are unspecified (their stored accelerations are never
-// used for kicks — each kick reads an acceleration computed at that same
-// barrier).
-func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boundary int) (rebuilt bool, activeN, totalN int) {
-	r.stats = RankStats{}
+// active). The record notes the barrier, whether the tree was rebuilt and
+// the global active/total counts. On return r.acc/r.pot are fresh for every
+// active particle; inactive entries are unspecified (their stored
+// accelerations are never used for kicks — each kick reads an acceleration
+// computed at that same barrier).
+func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boundary int) {
+	r.stats = obs.StepMetrics{Substep: boundary, Substeps: 1}
 	r.eval = eval
 	t0 := time.Now()
 	S := 1 << r.cfg.MaxRungs
 
-	rebuilt = forceRebuild || domainUpdate || r.cfg.MaxRungs == 0 || r.rebuildVote()
-	if rebuilt {
+	if forceRebuild || domainUpdate || r.cfg.MaxRungs == 0 || r.rebuildVote() {
+		r.stats.Rebuilds = 1
 		r.buildPipeline(step, eval, domainUpdate)
 		if r.cfg.MaxRungs > 0 {
 			r.trackBuild()
@@ -222,8 +210,8 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		tP := time.Now()
 		r.tree.RefreshProperties(r.cfg.WorkersPerRank)
 		r.checkTreeMass()
-		r.stats.Times.TreeProps = time.Since(tP)
-		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 1)
+		r.stats.Times[obs.TreeProps] = time.Since(tP)
+		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 1)
 	}
 
 	// The active block at this barrier, in tree order — recomputed after any
@@ -237,7 +225,8 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 
 	// Path choice from the shared rung population: every rank agrees, so the
 	// collective structure of the gravity phase stays symmetric.
-	activeN, totalN = r.globalActive(boundary, S)
+	activeN, totalN := r.globalActive(boundary, S)
+	r.stats.ActiveN, r.stats.TotalN = activeN, totalN
 	if full := totalN == 0 || activeN == totalN; full {
 		t := r.fullTargets()
 		r.gravity(eval%2, &t)
@@ -266,10 +255,7 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		r.subsetForces(eval)
 	}
 
-	r.stats.Times.Total = time.Since(t0)
-	r.stats.Times.DeriveOther()
-	r.stats.NLocal = len(r.parts)
-	return rebuilt, activeN, totalN
+	r.endEval(time.Since(t0))
 }
 
 // subsetForces walks gravity for the active block only: gather the active
@@ -334,24 +320,17 @@ func (r *rank) subsetForces(eval int) {
 	}
 }
 
-// recordBlockEval appends the evaluation just run to the step's record and
-// folds its stats into the step accumulators.
-func (r *rank) recordBlockEval(boundary int, rebuilt bool, activeN, totalN int) {
-	be := blockEval{stats: r.stats, boundary: boundary, activeN: activeN, totalN: totalN, rebuilt: rebuilt}
+// recordBlockEval closes the evaluation just run: its record takes the rung
+// population after the barrier's update and joins the step's fold.
+func (r *rank) recordBlockEval() {
 	if r.cfg.MaxRungs > 0 && r.rungPop != nil {
-		be.rungPop = make([]int, len(r.rungPop))
+		r.stats.RungPop = make([]int, len(r.rungPop))
 		for k, n := range r.rungPop {
-			be.rungPop[k] = int(n)
+			r.stats.RungPop[k] = int(n)
 		}
 	}
-	r.blockEvals = append(r.blockEvals, be)
-	r.stepAccum.add(r.stats)
-	r.stepSub++
-	if rebuilt {
-		r.stepReb++
-	}
-	r.stepActive += float64(activeN)
-	r.stepTotal += float64(totalN)
+	r.stepSum.AddEval(&r.stats)
+	r.keep()
 }
 
 // blockAdvance advances this rank through substeps in lockstep with every
@@ -359,12 +338,11 @@ func (r *rank) recordBlockEval(boundary int, rebuilt bool, activeN, totalN int) 
 // top-level step otherwise. first runs the priming evaluation at the current
 // barrier before the first advance (fresh starts then assign initial rungs
 // from the primed accelerations; restored runs keep the snapshot's rungs).
-// Returns true when the top-of-step barrier was crossed, leaving sub == 0.
-func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
+// Returns the next evaluation's sequence number, and true when the
+// top-of-step barrier was crossed, leaving sub == 0.
+func (r *rank) blockAdvance(step, eval int, first bool, maxB int) (int, bool) {
 	S := 1 << r.cfg.MaxRungs
 	h := r.cfg.DT / float64(S)
-	eval := evalBase
-	r.blockEvals = r.blockEvals[:0]
 
 	if first {
 		// Prime accelerations at the current barrier. Domain update only at
@@ -373,7 +351,7 @@ func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
 		if r.restored {
 			r.reduceRungPop() // snapshot rungs drive the priming active set
 		}
-		rebuilt, activeN, totalN := r.blockForces(step, eval, domain, true, r.sub)
+		r.blockForces(step, eval, domain, true, r.sub)
 		if !r.restored && r.cfg.MaxRungs > 0 {
 			r.assignRungs()
 		}
@@ -382,7 +360,7 @@ func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
 		if r.cfg.MaxRungs > 0 {
 			r.reduceRungPop()
 		}
-		r.recordBlockEval(r.sub, rebuilt, activeN, totalN)
+		r.recordBlockEval()
 		eval++
 	}
 
@@ -426,7 +404,7 @@ func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
 		// evaluation already decomposed this step" rule, which the bitwise
 		// equivalence at MaxRungs == 0 depends on.
 		domain := next == S && step%r.cfg.DomainFreq == 0 && !r.primedStep
-		rebuilt, activeN, totalN := r.blockForces(step, eval, domain, next == S, next)
+		r.blockForces(step, eval, domain, next == S, next)
 
 		// Closing half-kicks for the block active at next (recomputed inside
 		// blockForces, after any rebuild or exchange).
@@ -446,17 +424,17 @@ func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
 			r.reduceRungPop()
 		}
 		r.obs.Span(eval, obs.PhaseSubstep, obs.LaneCompute, 0, tSub, time.Now(), int64(next))
-		r.recordBlockEval(next, rebuilt, activeN, totalN)
+		r.recordBlockEval()
 		eval++
 
 		if next == S {
 			r.sub = 0
 			r.primedStep = false
-			return true
+			return eval, true
 		}
 		r.sub = next
 	}
-	return false
+	return eval, false
 }
 
 // clampRungs bounds restored rung bytes to the configured hierarchy (a
@@ -470,43 +448,25 @@ func (r *rank) clampRungs() {
 	}
 }
 
-// resetBlockStep clears the per-step block accumulators.
-func (r *rank) resetBlockStep() {
-	r.stepAccum = RankStats{}
-	r.stepSub, r.stepReb = 0, 0
-	r.stepActive, r.stepTotal = 0, 0
-}
-
 // --- Node driver -----------------------------------------------------------
 
 // advanceBlock runs up to maxB substep advances (the rest of the top-level
 // step when maxB <= 0) in lockstep with every other rank — the collectives
-// inside keep the world aligned — and records their evaluations. When the
-// advance crosses the top-of-step barrier it completes the step: done is
-// true, the clock advances, and the returned stats sum every substep
-// evaluation of the step.
-func (n *Node) advanceBlock(maxB int) (rs RankStats, done bool) {
+// inside keep the world aligned. When the advance crosses the top-of-step
+// barrier it completes the step: done is true, the clock advances, and m is
+// the step's record, the AddEval fold of every substep evaluation.
+func (n *Node) advanceBlock(maxB int) (m obs.StepMetrics, done bool) {
 	first := n.first
 	n.first = false
 	r := n.r
-	done = r.blockAdvance(n.step, n.evals, first, maxB)
-	for e := range r.blockEvals {
-		n.record(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
+	r.recs = r.recs[:0]
+	if n.evals, done = r.blockAdvance(n.step, n.evals, first, maxB); !done {
+		return m, false
 	}
-	n.evals += len(r.blockEvals)
-	if !done {
-		return RankStats{}, false
-	}
-	rs = r.stepAccum
-	n.lastSub, n.lastReb = r.stepSub, r.stepReb
-	n.lastActiveFrac = 0
-	if r.stepTotal > 0 {
-		n.lastActiveFrac = r.stepActive / r.stepTotal
-	}
-	r.resetBlockStep()
+	m, r.stepSum = r.stepSum, obs.StepMetrics{}
 	n.step++
 	n.time += n.cfg.DT
-	return rs, true
+	return m, true
 }
 
 // Substep returns the current substep barrier (0 at top of step). Only

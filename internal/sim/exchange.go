@@ -108,7 +108,7 @@ func (r *rank) startExchange(tagPar int, t *walkTargets) *exchange {
 		if j != me {
 			r.comm.Send(j, x.btag, x.mine, nb)
 			r.stats.BoundarySent++
-			r.stats.LETBytesSent += int64(nb)
+			r.stats.BytesSent += int64(nb)
 		}
 	}
 	if x.bLeft == 0 {
@@ -414,7 +414,7 @@ func (x *exchange) finish() {
 	x.waitTime += d
 	r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tW, tW.Add(d), -1)
 	for _, b := range x.sentBytes {
-		r.stats.LETBytesSent += b
+		r.stats.BytesSent += b
 	}
 
 	// Arrival offsets: arrival time minus local-walk completion, negative
@@ -432,7 +432,7 @@ func (x *exchange) finish() {
 	}
 
 	clear(x.peers) // as above: nothing of the peers' outlives the phase
-	r.stats.Times.GravLET = x.letWalk
-	r.stats.Times.NonHiddenComm = x.boundaryTime + x.waitTime
+	r.stats.Times[obs.GravLET] = x.letWalk
+	r.stats.Times[obs.NonHiddenComm] = x.boundaryTime + x.waitTime
 	r.stats.RecvIdle = x.recvIdle
 }

@@ -29,24 +29,6 @@ type Node struct {
 	evals int // completed force evaluations (tracing sequence number)
 	time  float64
 	first bool
-
-	// Block-timestep summary of the last completed step (see BlockSummary).
-	lastSub, lastReb int
-	lastActiveFrac   float64
-
-	// hold diverts this rank's per-evaluation metrics records from the
-	// recorder's stream into held, for the owning Simulation to merge across
-	// its ranks. A standalone Node streams them; the telemetry collector
-	// merges across processes.
-	hold bool
-	held []obs.StepMetrics
-}
-
-// BlockSummary reports the block-timestep accounting of the most recent Step:
-// substep force evaluations, full tree rebuilds among them, and the mean
-// active fraction per evaluation. All zero on global-dt runs.
-func (n *Node) BlockSummary() (substeps, rebuilds int, activeFrac float64) {
-	return n.lastSub, n.lastReb, n.lastActiveFrac
 }
 
 // NewNode creates the driver for one rank. parts is this rank's initial
@@ -126,6 +108,12 @@ func (n *Node) SetClock(step int, time float64) {
 	n.time = time
 }
 
+// Records returns the per-rank records of the force evaluations the latest
+// Step, ComputeForces or SubstepN ran, while tracing (nil otherwise); valid
+// until the next one. The driver streams them: a Simulation as their
+// cross-rank fold, a standalone node as they are.
+func (n *Node) Records() []obs.StepMetrics { return n.r.recs }
+
 // Particles returns the rank's current local particles (live slice; do not
 // mutate).
 func (n *Node) Particles() []body.Particle { return n.r.parts }
@@ -135,39 +123,23 @@ func (n *Node) domainDue() bool { return n.step%n.cfg.DomainFreq == 0 }
 // forces runs one full-pipeline force evaluation. domainUpdate selects
 // whether it re-decomposes and exchanges particles; all ranks must pass the
 // same value (the decomposition is collective).
-func (n *Node) forces(domainUpdate bool) RankStats {
-	eval := n.evals
+func (n *Node) forces(domainUpdate bool) obs.StepMetrics {
+	n.r.stepForces(n.step, n.evals, domainUpdate)
 	n.evals++
-	n.r.stepForces(n.step, eval, domainUpdate)
-	n.record(eval, n.r.stats, nil)
+	n.r.keep()
 	return n.r.stats
 }
 
-// record emits this rank's metrics record of one force evaluation. be carries
-// the block-timestep diagnostics of a substep evaluation (nil on the
-// global-dt path). No-op when tracing is disabled.
-func (n *Node) record(eval int, rs RankStats, be *blockEval) {
-	if n.cfg.Obs == nil {
-		return
-	}
-	m := rs.stepMetrics(eval, n.comm.Rank(), n.comm.Size(), be)
-	if n.hold {
-		n.held = append(n.held, m)
-	} else {
-		n.cfg.Obs.AddStep(m)
-	}
-}
-
 // Step advances this rank by one leapfrog step (kick-drift-kick), in lockstep
-// with every other rank of the world, and returns the rank's force-phase
-// statistics. With Config.BlockSteps the step runs as a sequence of
-// block-timestep substeps (see block.go) and the stats sum every substep
-// evaluation.
-func (n *Node) Step() RankStats {
+// with every other rank of the world, and returns the rank's record of the
+// step's force computation: the evaluation at t+dt, or with
+// Config.BlockSteps (see block.go) the fold of every substep evaluation.
+func (n *Node) Step() obs.StepMetrics {
 	if n.cfg.BlockSteps {
-		rs, _ := n.advanceBlock(0)
-		return rs
+		m, _ := n.advanceBlock(0)
+		return m
 	}
+	n.r.recs = n.r.recs[:0]
 	primed := false
 	if n.first {
 		// Prime accelerations at t=0.
@@ -188,7 +160,7 @@ func (n *Node) Step() RankStats {
 	// New forces at t+dt. If the t=0 priming evaluation just ran the domain
 	// update, positions have only drifted within the same step, so the
 	// decomposition is still fresh: skip the second update.
-	rs := n.forces(n.domainDue() && !primed)
+	m := n.forces(n.domainDue() && !primed)
 	// Kick half. The span is tagged with the evaluation whose accelerations
 	// it applies (the one that just ran), so traces never mint an evaluation
 	// ID that has no force phase.
@@ -199,17 +171,17 @@ func (n *Node) Step() RankStats {
 	r.obs.Span(n.evals-1, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 1)
 	n.step++
 	n.time += dt
-	return rs
+	return m
 }
 
 // ComputeForces runs the force pipeline once without advancing time
 // (collective). Scaling measurements use it to time pure force iterations:
 // every call runs the full pipeline, including the domain update when the
 // current step is an update epoch.
-func (n *Node) ComputeForces() RankStats {
-	rs := n.forces(n.domainDue())
+func (n *Node) ComputeForces() obs.StepMetrics {
+	n.r.recs = n.r.recs[:0]
 	n.first = false
-	return rs
+	return n.forces(n.domainDue())
 }
 
 // Energy returns the total kinetic and potential energy across all ranks

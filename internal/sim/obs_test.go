@@ -2,54 +2,53 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
+	"net"
+	"net/http"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"bonsai/internal/grav"
 	"bonsai/internal/obs"
+	"bonsai/internal/obs/telemetry"
 )
 
 // TestWalkGflopsZeroTime is the divide-by-zero regression: a rank that did
 // work but whose walk time rounds to zero must report a finite (zero) rate,
-// and can never poison the step aggregate.
+// and can never poison the step's cross-rank record.
 func TestWalkGflopsZeroTime(t *testing.T) {
-	rs := RankStats{Grav: grav.Stats{PP: 1000, PC: 1000}}
-	if g := rs.WalkGflops(); g != 0 {
-		t.Errorf("WalkGflops with zero walk time = %v, want 0", g)
+	rs := obs.StepMetrics{Grav: grav.Stats{PP: 1000, PC: 1000}}
+	rs.Derive()
+	if rs.WalkGflops != 0 {
+		t.Errorf("WalkGflops with zero walk time = %v, want 0", rs.WalkGflops)
 	}
-	agg := aggregate(0, []RankStats{rs, {}})
+	var agg obs.StepMetrics
+	obs.FoldRanks(&agg, []obs.StepMetrics{rs, {}})
 	if math.IsNaN(agg.WalkGflops) || math.IsInf(agg.WalkGflops, 0) {
-		t.Errorf("aggregate WalkGflops not finite: %v", agg.WalkGflops)
+		t.Errorf("folded WalkGflops not finite: %v", agg.WalkGflops)
 	}
 	if math.IsNaN(agg.AppGflops) || math.IsInf(agg.AppGflops, 0) {
-		t.Errorf("aggregate AppGflops not finite: %v", agg.AppGflops)
-	}
-	if math.IsNaN(finiteRate(math.NaN())) || finiteRate(math.Inf(1)) != 0 || finiteRate(math.Inf(-1)) != 0 {
-		t.Error("finiteRate must clamp NaN/±Inf to 0")
-	}
-	if finiteRate(1.5) != 1.5 {
-		t.Error("finiteRate must pass finite values through")
+		t.Errorf("folded AppGflops not finite: %v", agg.AppGflops)
 	}
 }
 
 func TestDeriveOther(t *testing.T) {
-	p := PhaseTimes{
-		SortBuild: 4 * time.Millisecond, Domain: 2 * time.Millisecond,
-		TreeProps: 4 * time.Millisecond,
-		GravLocal: 5 * time.Millisecond, GravLET: 6 * time.Millisecond,
-		NonHiddenComm: 7 * time.Millisecond,
-		Total:         30 * time.Millisecond,
-	}
+	ms := time.Millisecond
+	p := obs.PhaseTimes{obs.SortBuild: 4 * ms, obs.Domain: 2 * ms, obs.TreeProps: 4 * ms,
+		obs.GravLocal: 5 * ms, obs.GravLET: 6 * ms, obs.NonHiddenComm: 7 * ms, obs.Total: 30 * ms}
 	p.DeriveOther()
-	if want := 2 * time.Millisecond; p.Other != want {
-		t.Errorf("Other = %v, want %v", p.Other, want)
+	if want := 2 * ms; p[obs.Other] != want {
+		t.Errorf("Other = %v, want %v", p[obs.Other], want)
 	}
 	// Clamp: accounted phases exceeding Total (clock skew) must not go negative.
-	p.Total = 10 * time.Millisecond
+	p[obs.Total] = 10 * ms
 	p.DeriveOther()
-	if p.Other != 0 {
-		t.Errorf("Other = %v, want clamped 0", p.Other)
+	if p[obs.Other] != 0 {
+		t.Errorf("Other = %v, want clamped 0", p[obs.Other])
 	}
 }
 
@@ -64,13 +63,13 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 	s.Step()
 	for i, n := range s.nodes {
 		p := n.r.stats.Times
-		sum := p.Accounted() + p.Other
-		if p.Other < 0 {
-			t.Errorf("rank %d: negative Other %v", i, p.Other)
+		sum := p.Accounted() + p[obs.Other]
+		if p[obs.Other] < 0 {
+			t.Errorf("rank %d: negative Other %v", i, p[obs.Other])
 		}
 		// Exact unless the clamp fired (sum > Total means skew ate Other).
-		if diff := p.Total - sum; diff > 0 {
-			t.Errorf("rank %d: rows sum to %v but Total is %v (missing %v)", i, sum, p.Total, diff)
+		if diff := p[obs.Total] - sum; diff > 0 {
+			t.Errorf("rank %d: rows sum to %v but Total is %v (missing %v)", i, sum, p[obs.Total], diff)
 		}
 	}
 }
@@ -212,13 +211,13 @@ func TestTracingIntegration(t *testing.T) {
 			t.Errorf("record %d: step %d, %d ranks, n %d; want step %d, %d ranks, n 4000",
 				e, m.Step, m.Ranks, m.N, e, ranks)
 		}
-		if m.MeanStepMS > m.MaxStepMS || m.MeanStepMS <= 0 {
-			t.Errorf("record %d: mean step %v ms, max %v ms", e, m.MeanStepMS, m.MaxStepMS)
+		if m.Times[obs.Total] > m.MaxTimes[obs.Total] || m.Times[obs.Total] <= 0 {
+			t.Errorf("record %d: mean step %v, max %v", e, m.Times[obs.Total], m.MaxTimes[obs.Total])
 		}
 	}
 	slowest := 0
 	for i, n := range s.nodes {
-		if n.r.stats.Times.Total > s.nodes[slowest].r.stats.Times.Total {
+		if n.r.stats.Times[obs.Total] > s.nodes[slowest].r.stats.Times[obs.Total] {
 			slowest = i
 		}
 	}
@@ -285,5 +284,60 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 	if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
 		t.Errorf("8-rank traced run diverged from untraced: rms %v", rms)
+	}
+}
+
+// Span buffers of 8 overflow within the first evaluation of a traced 2-rank
+// run: the metrics stream, the Prometheus exposition and the metrics summary
+// all report the drops.
+func TestSpansDroppedReported(t *testing.T) {
+	rec := obs.New(2, 8)
+	s, err := New(Config{Ranks: 2, Theta: 0.5, Eps: 0.05, WorkersPerRank: 2, Obs: rec}, plummer(2000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	steps := rec.Steps()
+	last := steps[len(steps)-1]
+	total := rec.Rank(0).Dropped() + rec.Rank(1).Dropped()
+	if last.SpansDropped <= 0 || last.SpansDropped > total {
+		t.Fatalf("spans_dropped = %d, want in (0, %d]: the ranks' drops at the evaluation's end", last.SpansDropped, total)
+	}
+
+	var buf bytes.Buffer
+	if err := rec.WriteMetricsJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"spans_dropped":%d`, last.SpansDropped); !strings.Contains(buf.String(), want) {
+		t.Errorf("JSONL lacks %s:\n%s", want, buf.String())
+	}
+
+	sock := filepath.Join(t.TempDir(), "tele.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := telemetry.Serve(ln, telemetry.ServerConfig{Rec: rec, Rank: 0, Ranks: 1})
+	defer srv.Close()
+	hc := http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, "unix", sock)
+	}}}
+	resp, err := hc.Get("http://worker/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseProm(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples[`bonsai_spans_dropped{rank="0"}`]; got != float64(last.SpansDropped) {
+		t.Errorf("bonsai_spans_dropped = %v, want %d", got, last.SpansDropped)
+	}
+
+	var sum bytes.Buffer
+	obs.FormatMetricsSummary(&sum, steps)
+	if want := fmt.Sprintf("WARNING: %d spans dropped", last.SpansDropped); !strings.Contains(sum.String(), want) {
+		t.Errorf("summary lacks %q:\n%s", want, sum.String())
 	}
 }

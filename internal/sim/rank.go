@@ -7,6 +7,7 @@ import (
 
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
+	"bonsai/internal/grav"
 	"bonsai/internal/keys"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
@@ -62,8 +63,13 @@ type rank struct {
 	// reused across evaluations.
 	exch exchange
 
-	// step-scoped
-	stats RankStats
+	// The running evaluation's record (written in place by every phase);
+	// while tracing, every closed record of the driver's current advance,
+	// for its stream; and a block-timestep step's evaluations so far,
+	// folded by AddEval.
+	stats   obs.StepMetrics
+	recs    []obs.StepMetrics
+	stepSum obs.StepMetrics
 
 	// Block-timestep state (Config.BlockSteps; see block.go). sub is the
 	// current substep barrier, rungPop the allreduced global rung
@@ -78,12 +84,6 @@ type rank struct {
 	treeOK     bool
 	restored   bool // rungs/substep restored from a snapshot: skip the priming rung assignment
 	primedStep bool // the current top-level step ran a priming evaluation
-	blockEvals []blockEval
-	stepAccum  RankStats
-	stepSub    int // substep evaluations accumulated into stepAccum
-	stepReb    int // tree rebuilds accumulated into stepAccum
-	stepActive float64
-	stepTotal  float64
 	active     []int32
 	apos       []vec.V3
 	amass      []float64
@@ -202,7 +202,7 @@ func sumFloats(a, b []float64) []float64 {
 // evaluation sequence number, used only to tag trace spans (a step can run
 // two evaluations when it primes t=0 accelerations).
 func (r *rank) stepForces(step, eval int, domainUpdate bool) {
-	r.stats = RankStats{}
+	r.stats = obs.StepMetrics{}
 	r.eval = eval
 	t0 := time.Now()
 
@@ -214,10 +214,7 @@ func (r *rank) stepForces(step, eval int, domainUpdate bool) {
 	r.gravity(step%2, &t)
 	r.finishForces(&t)
 	r.extPot = t.ext
-
-	r.stats.Times.Total = time.Since(t0)
-	r.stats.Times.DeriveOther()
-	r.stats.NLocal = len(r.parts)
+	r.endEval(time.Since(t0))
 
 	// Per-particle work weights for the next decomposition: rank-level flop
 	// balancing as in the paper (§III.B.1).
@@ -226,6 +223,24 @@ func (r *rank) stepForces(step, eval int, domainUpdate bool) {
 		for i := range r.parts {
 			r.parts[i].Weight = w
 		}
+	}
+}
+
+// endEval closes the running evaluation's record, which took total: its
+// identity, particle count and span-drop count, and what EndEval derives.
+func (r *rank) endEval(total time.Duration) {
+	s := &r.stats
+	s.Step, s.Rank, s.Ranks = r.eval, r.comm.Rank(), r.comm.Size()
+	s.KernelISA = grav.KernelISA()
+	s.N = len(r.parts)
+	s.SpansDropped = r.obs.Dropped()
+	s.EndEval(total)
+}
+
+// keep appends the closed record to the advance's records when tracing.
+func (r *rank) keep() {
+	if r.obs != nil {
+		r.recs = append(r.recs, r.stats)
 	}
 }
 
@@ -298,22 +313,22 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 		r.parts = domain.Exchange(r.comm, r.dec, r.parts, r.grid)
 		r.checkExchange(count, mass)
 	}
-	r.stats.Times.Domain = time.Since(tD)
-	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times.Domain), 0)
+	r.stats.Times[obs.Domain] = time.Since(tD)
+	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times[obs.Domain]), 0)
 
 	// --- Morton sort, particle reorder and tree construction.
 	tS := time.Now()
 	r.sortBuild()
-	r.stats.Times.SortBuild = time.Since(tS)
-	r.obs.Span(eval, obs.PhaseSortBuild, obs.LaneCompute, 0, tS, tS.Add(r.stats.Times.SortBuild), 0)
+	r.stats.Times[obs.SortBuild] = time.Since(tS)
+	r.obs.Span(eval, obs.PhaseSortBuild, obs.LaneCompute, 0, tS, tS.Add(r.stats.Times[obs.SortBuild]), 0)
 
 	// --- Tree properties (multipoles) and target groups, both multicore.
 	tP := time.Now()
 	r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)
 	r.checkTreeMass()
 	r.groups = r.tree.MakeGroupsScratch(r.cfg.NGroup, r.cfg.WorkersPerRank, r.groups)
-	r.stats.Times.TreeProps = time.Since(tP)
-	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 0)
+	r.stats.Times[obs.TreeProps] = time.Since(tP)
+	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 0)
 }
 
 // sortBuild computes Morton keys, sorts them, reorders r.parts (and the SoA
@@ -418,7 +433,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		pending = pending[n:]
 	}
 	x.markWalkDone()
-	r.stats.Times.GravLocal = localWalk
+	r.stats.Times[obs.GravLocal] = localWalk
 
 	if r.cfg.SerialLET {
 		x.recvLETsInOrder()

@@ -180,6 +180,7 @@ func (c Config) Validate() error {
 type Simulation struct {
 	world *mpi.World
 	nodes []*Node
+	recs  []obs.StepMetrics // the nodes' step records, FoldRanks' input
 }
 
 // New distributes the particles over cfg.Ranks simulated processes. The
@@ -196,7 +197,7 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 	if cfg.Ranks > len(parts) {
 		return nil, fmt.Errorf("sim: %d ranks for %d particles", cfg.Ranks, len(parts))
 	}
-	s := &Simulation{world: mpi.NewWorld(cfg.Ranks)}
+	s := &Simulation{world: mpi.NewWorld(cfg.Ranks), recs: make([]obs.StepMetrics, cfg.Ranks)}
 	if cfg.Obs != nil {
 		s.world.EnableObs(cfg.Obs.Metrics().QueueDepthHist())
 		s.world.ObserveFrameBytes(cfg.Obs.Metrics().FrameBytesHist())
@@ -206,7 +207,6 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.hold = true // merged across ranks by mergeMetrics, not streamed per rank
 		s.nodes = append(s.nodes, n)
 	}
 	return s, nil
@@ -228,8 +228,8 @@ func (s *Simulation) StepCount() int { return s.nodes[0].StepCount() }
 // meaningful with Config.BlockSteps.
 func (s *Simulation) Substep() int { return s.nodes[0].Substep() }
 
-// advance runs fn on every node concurrently, waits, and folds the per-rank
-// metrics records the nodes held back into the recorder's stream.
+// advance runs fn on every node concurrently, waits, and streams the fold of
+// the nodes' evaluation records.
 func (s *Simulation) advance(fn func(i int, n *Node)) {
 	var wg sync.WaitGroup
 	for i, n := range s.nodes {
@@ -240,44 +240,42 @@ func (s *Simulation) advance(fn func(i int, n *Node)) {
 		}(i, n)
 	}
 	wg.Wait()
-	s.mergeMetrics()
+	s.stream()
 }
 
-// mergeMetrics appends one cross-rank record per evaluation of the advance
-// just run — the obs.MergeStepMetrics fold of the nodes' per-rank records,
-// the same one the telemetry collector applies to a multi-process stream —
-// and feeds the imbalance histogram. No-op when tracing is disabled.
-func (s *Simulation) mergeMetrics() {
+// stream appends one cross-rank record per evaluation of the advance just
+// run, the FoldRanks of the nodes' records (the fold the telemetry collector
+// applies to a multi-process stream), and feeds the imbalance histogram.
+// No-op when tracing is disabled.
+func (s *Simulation) stream() {
 	rec := s.nodes[0].cfg.Obs
 	if rec == nil {
 		return
 	}
-	var per []obs.StepMetrics
-	for _, n := range s.nodes {
-		per = append(per, n.held...)
-		n.held = n.held[:0]
-	}
-	for _, m := range obs.MergeStepMetrics(per) {
-		rec.Metrics().ImbalanceHist().Observe(int64((m.MaxStepMS - m.MeanStepMS) * 1e6))
+	per := make([]obs.StepMetrics, len(s.nodes))
+	for e := range s.nodes[0].Records() {
+		for i, n := range s.nodes {
+			per[i] = n.Records()[e]
+		}
+		var m obs.StepMetrics
+		obs.FoldRanks(&m, per)
+		rec.Metrics().ImbalanceHist().Observe(int64(m.MaxTimes[obs.Total] - m.Times[obs.Total]))
 		rec.AddStep(m)
 	}
 }
 
 // Step advances the system by one leapfrog step (kick-drift-kick) and
-// returns the aggregated statistics of the force computation. With
-// Config.BlockSteps the step runs as a sequence of block-timestep substeps
-// (see block.go); the returned stats then sum every substep evaluation.
-func (s *Simulation) Step() StepStats {
-	rs := make([]RankStats, len(s.nodes))
-	s.advance(func(i int, n *Node) { rs[i] = n.Step() })
-	out := aggregate(s.StepCount(), rs)
-	out.Substeps, out.Rebuilds, out.ActiveFrac = s.nodes[0].BlockSummary()
-	return out
+// returns the cross-rank record of the step's force computation (see
+// Node.Step).
+func (s *Simulation) Step() (m obs.StepMetrics) {
+	s.advance(func(i int, n *Node) { s.recs[i] = n.Step() })
+	obs.FoldRanks(&m, s.recs)
+	return m
 }
 
-// Run advances n steps and returns the per-step statistics.
-func (s *Simulation) Run(n int) []StepStats {
-	out := make([]StepStats, 0, n)
+// Run advances n steps and returns the per-step records.
+func (s *Simulation) Run(n int) []obs.StepMetrics {
+	out := make([]obs.StepMetrics, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, s.Step())
 	}
@@ -288,10 +286,10 @@ func (s *Simulation) Run(n int) []StepStats {
 // for scaling measurements (the paper's benchmarks time force iterations):
 // every call runs the full pipeline, including the domain update when the
 // current step is an update epoch.
-func (s *Simulation) ComputeForces() StepStats {
-	rs := make([]RankStats, len(s.nodes))
-	s.advance(func(i int, n *Node) { rs[i] = n.ComputeForces() })
-	return aggregate(s.StepCount(), rs)
+func (s *Simulation) ComputeForces() (m obs.StepMetrics) {
+	s.advance(func(i int, n *Node) { s.recs[i] = n.ComputeForces() })
+	obs.FoldRanks(&m, s.recs)
+	return m
 }
 
 // SubstepN advances n occupied substep barriers (block-timestep runs only)
