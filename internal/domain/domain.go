@@ -18,7 +18,7 @@
 package domain
 
 import (
-	"sort"
+	"slices"
 
 	"bonsai/internal/body"
 	"bonsai/internal/keys"
@@ -185,12 +185,7 @@ func sampleOnce(c *mpi.Comm, hk []keys.Key, weights []float64, opt Options) Deco
 	// DD-processes cut their super-domain into py pieces.
 	var myCuts []keys.Key
 	if c.Rank() < px {
-		var ks []keys.Key
-		for _, r := range received {
-			ks = append(ks, r...)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		myCuts = interiorCuts(ks, py)
+		myCuts = interiorCuts(mergeSamples(received), py)
 	}
 	cutsByDD := mpi.Allgather(c, myCuts, len(myCuts)*8)
 
@@ -249,12 +244,10 @@ func systematicSample(hk []keys.Key, weights []float64, rate int) []keys.Key {
 	return out
 }
 
+// mergeSamples concatenates the ranks' samples in key order.
 func mergeSamples(all [][]keys.Key) []keys.Key {
-	var ks []keys.Key
-	for _, s := range all {
-		ks = append(ks, s...)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	ks := slices.Concat(all...)
+	slices.Sort(ks)
 	return ks
 }
 
@@ -319,18 +312,46 @@ func sumInts(a, b []int) []int {
 }
 
 // Exchange routes every particle to the rank owning its Hilbert key under
-// dec and returns the calling rank's new particle set. Collective.
+// dec and returns the calling rank's new particle set, ordered by source
+// rank and then by position at the source. Each particle is copied once:
+// leavers into bins cut from one buffer, stayers straight from parts (which
+// is only read) into their slot in the result. Collective.
 func Exchange(c *mpi.Comm, dec Decomposition, parts []body.Particle, g keys.Grid) []body.Particle {
-	p := c.Size()
-	outgoing := make([][]body.Particle, p)
+	p, me := c.Size(), c.Rank()
+	owner := make([]int32, len(parts))
+	count := make([]int, p)
 	for i := range parts {
-		owner := dec.Owner(g.HilbertOf(parts[i].Pos))
-		outgoing[owner] = append(outgoing[owner], parts[i])
+		owner[i] = int32(dec.Owner(g.HilbertOf(parts[i].Pos)))
+		count[owner[i]]++
+	}
+	buf := make([]body.Particle, len(parts)-count[me])
+	outgoing := make([][]body.Particle, p) // the self bin stays nil
+	for r, n := range count {
+		if r != me && n > 0 {
+			outgoing[r], buf = buf[:0:n], buf[n:]
+		}
+	}
+	for i, o := range owner {
+		if int(o) != me {
+			outgoing[o] = append(outgoing[o], parts[i])
+		}
 	}
 	recv := mpi.Alltoallv(c, outgoing, body.WireBytes)
-	var mine []body.Particle
+	n := count[me]
 	for _, r := range recv {
-		mine = append(mine, r...)
+		n += len(r)
+	}
+	mine := make([]body.Particle, 0, n)
+	for r, in := range recv {
+		if r != me {
+			mine = append(mine, in...)
+			continue
+		}
+		for i, o := range owner {
+			if int(o) == me {
+				mine = append(mine, parts[i])
+			}
+		}
 	}
 	return mine
 }

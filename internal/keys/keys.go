@@ -143,110 +143,87 @@ func compact(v uint64) uint32 {
 }
 
 // ---------------------------------------------------------------------------
-// Peano–Hilbert keys (Skilling's transpose algorithm, 3 dimensions)
+// Peano–Hilbert keys (Skilling's transpose algorithm as a state machine)
 
-// Hilbert maps lattice coordinates to their Peano–Hilbert curve index.
+// hilbertState is what Skilling's transform ("Programming the Hilbert curve",
+// 2004) carries from a level to the next, top bit first. A level's bits choose
+// invert/exchange operations on every lower bit, so a level sees the input
+// through a signed axis permutation: its bit j is input bit perm[j],
+// complemented when flip[j] is 1. The level is then Gray-coded and XORed with
+// par, the parity of the Gray-coded z bits above it.
+type hilbertState struct {
+	perm, flip [3]uint8
+	par        uint8
+}
+
+// step consumes one level's Morton digit m (x in bit 2) and returns the
+// Hilbert digit emitted and the state entering the level below.
+func (s hilbertState) step(m uint16) (digit uint16, next hilbertState) {
+	var y [3]uint8
+	for j := range y {
+		y[j] = uint8(m>>(2-s.perm[j]))&1 ^ s.flip[j]
+	}
+	g0, g1, g2 := y[0], y[0]^y[1], y[0]^y[1]^y[2] // Gray code
+	digit = uint16(g0^s.par)<<2 | uint16(g1^s.par)<<1 | uint16(g2^s.par)
+	next = s
+	next.par ^= g2
+	for i := range y {
+		if y[i] == 1 { // invert axis 0
+			next.flip[0] ^= 1
+		} else { // exchange axes 0 and i
+			next.perm[0], next.perm[i] = next.perm[i], next.perm[0]
+			next.flip[0], next.flip[i] = next.flip[i], next.flip[0]
+		}
+	}
+	return digit, next
+}
+
+// hilbertTop holds the top level's transitions from the identity state, and
+// hilbertTable two levels' transitions from each state reachable from it (48),
+// derived at init. An entry next<<6 | digits is also, masked by ^63, the base
+// index of the next state's row.
+var hilbertTop [8]uint16
+var hilbertTable []uint16
+
+func init() {
+	start := hilbertState{perm: [3]uint8{0, 1, 2}}
+	index := map[hilbertState]uint16{start: 0}
+	states := []hilbertState{start}
+	id := func(s hilbertState) uint16 {
+		if _, ok := index[s]; !ok {
+			index[s] = uint16(len(states))
+			states = append(states, s)
+		}
+		return index[s]
+	}
+	for m := uint16(0); m < 8; m++ {
+		d, s := start.step(m)
+		hilbertTop[m] = id(s)<<6 | d
+	}
+	for i := 0; i < len(states); i++ { // states grows as new ones are reached
+		for mm := uint16(0); mm < 64; mm++ {
+			d1, s1 := states[i].step(mm >> 3)
+			d2, s2 := s1.step(mm & 7)
+			hilbertTable = append(hilbertTable, id(s2)<<6|d1<<3|d2)
+		}
+	}
+}
+
+// Hilbert maps lattice coordinates to their Peano–Hilbert curve index: the
+// Morton digits of (x, y, z), read through the state machine.
 func Hilbert(x, y, z uint32) Key {
-	ax := [3]uint32{x, y, z}
-	axesToTranspose(&ax)
-	return interleaveTranspose(ax)
+	m := uint64(Morton(x, y, z))
+	e := hilbertTop[m>>60]
+	h := uint64(e & 7)
+	for s := 54; s >= 0; s -= 6 {
+		e = hilbertTable[e&^63|uint16(m>>s)&63]
+		h = h<<6 | uint64(e&63)
+	}
+	return Key(h)
 }
 
 // HilbertOf maps a position through the grid to its Peano–Hilbert key.
 func (g Grid) HilbertOf(p vec.V3) Key {
 	x, y, z := g.Coords(p)
 	return Hilbert(x, y, z)
-}
-
-// HilbertDecode recovers lattice coordinates from a Peano–Hilbert key.
-func HilbertDecode(k Key) (x, y, z uint32) {
-	ax := deinterleaveTranspose(k)
-	transposeToAxes(&ax)
-	return ax[0], ax[1], ax[2]
-}
-
-// axesToTranspose converts coordinates in place into Skilling's "transpose"
-// representation of the Hilbert index.
-func axesToTranspose(x *[3]uint32) {
-	const n = 3
-	m := uint32(1) << (Bits - 1)
-	// Inverse undo.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p // invert
-			} else {
-				t := (x[0] ^ x[i]) & p // exchange
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-	// Gray encode.
-	for i := 1; i < n; i++ {
-		x[i] ^= x[i-1]
-	}
-	t := uint32(0)
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		x[i] ^= t
-	}
-}
-
-// transposeToAxes is the inverse of axesToTranspose.
-func transposeToAxes(x *[3]uint32) {
-	const n = 3
-	bound := uint32(2) << (Bits - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != bound; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-}
-
-// interleaveTranspose packs the transpose representation into a single key:
-// bit (Bits-1-b) of x[i] becomes bit 3*(Bits-1-b)+(2-i) of the key, i.e. the
-// key reads x[0] x[1] x[2] from the most significant position down.
-func interleaveTranspose(x [3]uint32) Key {
-	var k uint64
-	for b := Bits - 1; b >= 0; b-- {
-		k = k<<1 | uint64(x[0]>>uint(b))&1
-		k = k<<1 | uint64(x[1]>>uint(b))&1
-		k = k<<1 | uint64(x[2]>>uint(b))&1
-	}
-	return Key(k)
-}
-
-// deinterleaveTranspose is the inverse of interleaveTranspose.
-func deinterleaveTranspose(k Key) [3]uint32 {
-	var x [3]uint32
-	v := uint64(k)
-	for b := 0; b < Bits; b++ {
-		x[2] |= uint32(v&1) << uint(b)
-		v >>= 1
-		x[1] |= uint32(v&1) << uint(b)
-		v >>= 1
-		x[0] |= uint32(v&1) << uint(b)
-		v >>= 1
-	}
-	return x
 }

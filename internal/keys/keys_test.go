@@ -246,3 +246,18 @@ func BenchmarkHilbertEncode(b *testing.B) {
 	}
 	_ = sink
 }
+
+func BenchmarkHilbertSkilling(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]uint32, 1024)
+	for i := range xs {
+		xs[i] = rng.Uint32() & MaxCoord
+	}
+	b.ResetTimer()
+	var sink Key
+	for i := 0; i < b.N; i++ {
+		v := xs[i&1023]
+		sink ^= skillingHilbert(v, v^0x5555, v^0xaaaa)
+	}
+	_ = sink
+}

@@ -273,9 +273,8 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 	if domainUpdate {
 		// Hilbert keys and work weights go into rank scratch (not fresh
 		// slices): the decomposition only reads them during the collective
-		// call, so reuse across domain epochs is safe. The key loop is the
-		// expensive part (Skilling transpose per particle) and is chunked
-		// over the rank's workers.
+		// call, so reuse across domain epochs is safe. The key loop is
+		// chunked over the rank's workers.
 		// Closure literals live inside the workers > 1 branches only: they
 		// escape through par.For's goroutines, and hoisting them would cost the
 		// serial path a heap allocation per call.
