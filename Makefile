@@ -14,9 +14,9 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # domain exchange (p goroutine ranks carving their send bins from one buffer,
 # checked element for element against the append-grown reference), plus
 # short fuzzes of the SIMD force kernels against the scalar reference, of the
-# MaxRungs=0 block integrator against the global-dt leapfrog, and of the four
-# decoders of bytes this process did not write: the snapshot reader, the mpi
-# payload codec, the LET frame decoder and the metrics JSONL reader.
+# MaxRungs=0 integrator against the written-out shared-step leapfrog, and of
+# the four decoders of bytes this process did not write: the snapshot reader,
+# the mpi payload codec, the LET frame decoder and the metrics JSONL reader.
 tier1: vet build test race fuzz-smoke
 
 # A 10-second fuzz of snapshot.Read (any bytes return a value or an error:
@@ -29,8 +29,8 @@ tier1: vet build test race fuzz-smoke
 # norm, bitwise equality for every call outside the float32 range, exact
 # scaling under a change of units; the committed corpus under
 # internal/grav/testdata/fuzz is replayed first),
-# a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
-# the global-dt leapfrog (bitwise-identical trajectories over random
+# a 10-second fuzz of the integrator at MaxRungs=0 against a written-out
+# shared-step leapfrog (bitwise-identical trajectories over random
 # Plummer models and step counts), a 10-second fuzz of mpi.decodePayload
 # (any kind tag with any bytes returns a value or an error: no panic, no
 # allocation beyond a small multiple of the payload; the committed
@@ -151,22 +151,34 @@ scale-smoke:
 	grep -q '256 ranks' "$$tmp/report.txt" && \
 	echo "scale-smoke: OK"
 
+# ENERGY_DRIFT is an awk program over a cmd/bonsai step log: it fails unless
+# the first-vs-last relative energy drift of the E= samples is under 0.5%.
+ENERGY_DRIFT = {for(i=1;i<=NF;i++) if($$i ~ /^E=/) E[++n]=substr($$i,3)} \
+  END { if (n < 2) { print leg ": no energy samples"; exit 1 } \
+        d=(E[n]-E[1])/E[1]; if (d<0) d=-d; \
+        printf "%s: energy drift %.2e over %d samples\n", leg, d, n; \
+        exit (d < 5e-3 ? 0 : 1) }
+
 # End-to-end smoke test of the block-timestep path: a 4-rank multi-process
 # unix-socket run with -block-steps must emit substep spans into the merged
 # trace and active-fraction metrics into the merged JSONL, and its energy must
-# stay conserved (first-vs-last step drift under 0.5%).
+# stay conserved (first-vs-last step drift under 0.5%); -eta-dt 0.005 spreads
+# the rungs over ~4 substeps per step. Its step-2 snapshot then restarts a
+# second 4-process run with -block-steps, where each worker sees only its own
+# slice of the restored rungs plus the rung-population allreduce: that run
+# must keep the hierarchy and finish inside the same drift bound.
 block-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 4 \
-	  -block-steps -max-rungs 3 -transport unix \
+	  -block-steps -max-rungs 3 -eta-dt 0.005 -transport unix \
+	  -snap-every 2 -snap-prefix "$$tmp/blk" \
 	  -trace "$$tmp/merged.json" -metrics "$$tmp/merged.jsonl" \
 	  | tee "$$tmp/run.txt" && \
 	grep -q '"substep"' "$$tmp/merged.json" && \
 	grep -q 'active_frac' "$$tmp/merged.jsonl" && \
 	grep -q 'rung_pop' "$$tmp/merged.jsonl" && \
-	awk '{for(i=1;i<=NF;i++) if($$i ~ /^E=/) E[++n]=substr($$i,3)} \
-	  END { if (n < 2) { print "block-smoke: no energy samples"; exit 1 } \
-	        d=(E[n]-E[1])/E[1]; if (d<0) d=-d; \
-	        printf "block-smoke: energy drift %.2e over %d samples\n", d, n; \
-	        exit (d < 5e-3 ? 0 : 1) }' "$$tmp/run.txt" && \
+	awk -v leg=block-smoke '$(ENERGY_DRIFT)' "$$tmp/run.txt" && \
+	$(GO) run ./cmd/bonsai -model plummer -restore "$$tmp/blk_00002.snap" -ranks 4 -steps 2 \
+	  -block-steps -max-rungs 3 -eta-dt 0.005 -transport unix | tee "$$tmp/restore.txt" && \
+	awk -v leg=block-smoke/restore '$(ENERGY_DRIFT)' "$$tmp/restore.txt" && \
 	echo "block-smoke: OK"

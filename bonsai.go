@@ -34,8 +34,9 @@ type Vec3 struct {
 // Particle is one N-body particle: position (kpc), velocity (km/s), mass
 // (1e10 M⊙) and a stable identity. Rung is the particle's timestep level
 // under Config.BlockSteps (dt = DT/2^Rung); it is carried through snapshots
-// and checkpoints so block-timestep runs restart with their hierarchy intact,
-// and ignored otherwise.
+// and checkpoints, and a block-timestep run keeps the rungs its particles
+// arrive with when any is above 0 (a restart) and assigns them from the first
+// accelerations otherwise. Without BlockSteps every particle is on rung 0.
 type Particle struct {
 	Pos  Vec3
 	Vel  Vec3
@@ -45,7 +46,8 @@ type Particle struct {
 }
 
 // Config configures a simulation. Zero values select the paper's defaults
-// where one exists (Theta 0.4, NLeaf 16) and sensible values elsewhere.
+// where one exists (Theta 0.4) and sensible values elsewhere. The octree's
+// leaf and target-group sizes are the paper's constants (16 and 64).
 type Config struct {
 	// Ranks is the number of simulated MPI processes (one modeled GPU
 	// each). Default 1.
@@ -61,11 +63,6 @@ type Config struct {
 	Softening float64
 	// DT is the leapfrog time step in simulation units. Default 1e-3.
 	DT float64
-	// NLeaf caps particles per octree leaf. Default 16 (paper §I).
-	NLeaf int
-	// NGroup is the tree-walk target group size, an upper bound that the
-	// tree cut fills by packing sibling cells. Default 64.
-	NGroup int
 	// BoundaryDepth is the depth of the boundary tree every rank pushes to
 	// every peer.
 	// Default 4.
@@ -77,10 +74,11 @@ type Config struct {
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates on its own rung dt = DT/2^k (k ≤ MaxRungs) chosen
 	// from its acceleration, and only the active rung-block receives forces
-	// at each substep while the rest drift. With MaxRungs 0 the block
-	// integrator reduces bitwise to the global-dt leapfrog.
+	// at each substep while the rest drift. It is the switch for MaxRungs:
+	// without it, or with MaxRungs 0, every particle shares the one step DT.
 	BlockSteps bool
-	// MaxRungs caps the timestep hierarchy depth (0–16). Default 0.
+	// MaxRungs caps the timestep hierarchy depth (0–16) under BlockSteps.
+	// Default 0.
 	MaxRungs int
 	// EtaDT is the accuracy parameter of the timestep criterion
 	// dt_i = EtaDT·sqrt(Softening/|a_i|). Default 0.1.
@@ -202,17 +200,17 @@ type StepStats struct {
 // simConfig is the one translation from the public configuration to the
 // engine's; rec is the run's tracing recorder (nil without Config.Tracing).
 func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
+	if !cfg.BlockSteps {
+		cfg.MaxRungs = 0
+	}
 	return sim.Config{
 		Ranks:          cfg.Ranks,
 		WorkersPerRank: cfg.WorkersPerRank,
 		Theta:          cfg.Theta,
 		Eps:            cfg.Softening,
 		DT:             cfg.DT,
-		NLeaf:          cfg.NLeaf,
-		NGroup:         cfg.NGroup,
 		BoundaryDepth:  cfg.BoundaryDepth,
 		DomainFreq:     cfg.DomainFreq,
-		BlockSteps:     cfg.BlockSteps,
 		MaxRungs:       cfg.MaxRungs,
 		EtaDT:          cfg.EtaDT,
 		G:              cfg.GravConst,
@@ -292,7 +290,8 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
-// the force-computation statistics.
+// the force-computation statistics (the first step's include the evaluation
+// that primes the accelerations).
 func (s *Simulation) Step() StepStats { return fromStats(s.inner.Step(), s.inner.StepCount()) }
 
 // Run advances n steps, returning per-step statistics.
@@ -349,18 +348,6 @@ func (s *Simulation) Owners() []int { return s.inner.Owners() }
 
 // CommBytes returns the cumulative metered communication volume.
 func (s *Simulation) CommBytes() int64 { return s.inner.World().TotalBytes() }
-
-// Substep returns the position inside the current block-timestep hierarchy:
-// 0 at a top-of-step barrier, otherwise the index (in units of the finest
-// substep) of the last completed mid-step barrier. Always 0 without
-// Config.BlockSteps.
-func (s *Simulation) Substep() int { return s.inner.Substep() }
-
-// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
-// mid-step barrier: the particles' saved rungs are kept (instead of being
-// re-assigned from fresh accelerations) and the next Step call first finishes
-// the interrupted step from the given barrier. Requires Config.BlockSteps.
-func (s *Simulation) RestoreSubstep(sub int) error { return s.inner.RestoreSubstep(sub) }
 
 // SetClock fast-forwards the step counter and simulation time when resuming
 // from a snapshot, so the domain-update schedule continues where it stopped.
@@ -451,16 +438,6 @@ func (n *NodeSimulation) StepCount() int { return n.inner.StepCount() }
 // from a checkpoint, so the domain-update schedule continues where it
 // stopped instead of restarting at step 0.
 func (n *NodeSimulation) SetClock(step int, t float64) { n.inner.SetClock(step, t) }
-
-// Substep reports the node's position inside the current block-timestep
-// hierarchy (0 at a top-of-step barrier). Always 0 without Config.BlockSteps.
-func (n *NodeSimulation) Substep() int { return n.inner.Substep() }
-
-// RestoreSubstep resumes a block-timestep run from checkpointed state: the
-// particles' saved rungs are kept instead of being re-assigned (collective —
-// every rank must restore the same barrier). Checkpoints are taken at
-// top-of-step barriers, so restarts pass 0 to preserve rung continuity.
-func (n *NodeSimulation) RestoreSubstep(sub int) error { return n.inner.RestoreSubstep(sub) }
 
 // Step advances this rank by one leapfrog step, in lockstep with every other
 // rank, and returns this rank's view of the step statistics.

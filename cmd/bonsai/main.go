@@ -33,7 +33,7 @@ func main() {
 	log.SetPrefix("bonsai: ")
 
 	var (
-		model      = flag.String("model", "milkyway", "initial model: milkyway or plummer (ignored with -restore)")
+		model      = flag.String("model", "milkyway", "initial model: milkyway or plummer (with -restore: the snapshot's units, plummer for model units)")
 		n          = flag.Int("n", 50_000, "number of particles")
 		seed       = flag.Int64("seed", 42, "random seed")
 		restore    = flag.String("restore", "", "restart from this snapshot instead of generating ICs")
@@ -130,7 +130,7 @@ func runInProcess(f simFlags, tracePath, metricsOut, expvarAddr string) {
 	}
 	r.printHeader("in-process")
 
-	r.loop(s, true, r.restore != "", s.Particles, nil)
+	r.loop(s, true, s.Particles, nil)
 
 	if tracePath != "" {
 		if err := writeFileWith(tracePath, s.WriteChromeTrace); err != nil {

@@ -62,9 +62,10 @@ func newRun(f simFlags, tracing bool) *run {
 		log.Fatalf("unknown model %q", f.model)
 	}
 
-	// A generated Plummer sphere is in model units (G = M = a = 1); Milky Way
-	// models and snapshots are in galactic units.
-	modelUnits := f.model == "plummer" && f.restore == ""
+	// A Plummer sphere is in model units (G = M = a = 1), generated or
+	// restored with -model plummer; Milky Way models and other snapshots are
+	// in galactic units.
+	modelUnits := f.model == "plummer"
 	gconst := bonsai.G
 	if modelUnits {
 		gconst = 1
@@ -117,22 +118,15 @@ type stepper interface {
 	Energy() (kin, pot float64)
 	StepCount() int
 	Time() float64
-	RestoreSubstep(sub int) error
 }
 
 // loop advances d to the run's final step. narrate selects whether this
-// caller prints and saves (every rank gathers; one writes). restored says the
-// particle state came from a snapshot or checkpoint: both are taken at
-// top-of-step barriers, so a block-timestep run restores at barrier 0 to keep
-// the rung hierarchy it was saved with instead of re-assigning it. gather
-// returns the global particle set for a snapshot (nil off the root rank), and
-// afterStep, if non-nil, runs at the end of every step.
-func (r *run) loop(d stepper, narrate, restored bool, gather func() []bonsai.Particle, afterStep func()) {
-	if r.blockSteps && restored {
-		if err := d.RestoreSubstep(0); err != nil {
-			log.Fatal(err)
-		}
-	}
+// caller prints and saves (every rank gathers; one writes). gather returns the
+// global particle set for a snapshot (nil off the root rank), and afterStep,
+// if non-nil, runs at the end of every step. A restored block-timestep run
+// keeps the rungs its snapshot or checkpoint carries: the engine decides that
+// from the particles.
+func (r *run) loop(d stepper, narrate bool, gather func() []bonsai.Particle, afterStep func()) {
 	for d.StepCount() < r.steps {
 		st := d.Step()
 		step := r.startStep + d.StepCount()

@@ -70,7 +70,7 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	}
 
 	gather := func() []bonsai.Particle { return n.GatherParticles(0) }
-	r.loop(n, rank == 0, r.restore != "" || ckptStep > 0, gather, func() {
+	r.loop(n, rank == 0, gather, func() {
 		if lc.ckptEvery > 0 && n.StepCount()%lc.ckptEvery == 0 && n.StepCount() < r.steps {
 			if err := n.Checkpoint(lc.ckptDir); err != nil {
 				log.Fatal(err)

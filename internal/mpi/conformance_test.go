@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -253,6 +256,48 @@ func TestWireFrameBytesExact(t *testing.T) {
 	// BytesSent keeps declared sizes even over the wire.
 	if got := w.BytesSent(0); got != 8+5+16 {
 		t.Errorf("BytesSent(0) = %d, want %d", got, 8+5+16)
+	}
+}
+
+// TestFrameLengthIsNotTrusted: a frame's 4-byte length arrives before its
+// body, so it must not size an allocation. A peer that sends a valid
+// preamble, a length just under 4 GiB and 8 body bytes, then closes, costs
+// the receiving connection a small multiple of what it sent.
+func TestFrameLengthIsNotTrusted(t *testing.T) {
+	w, cleanup := newSockWorld("unix", 2)
+	defer cleanup()
+	st := w.tr.(*sockTransport)
+
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "raw.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		msg := binary.LittleEndian.AppendUint32(nil, sockMagic)
+		msg = binary.LittleEndian.AppendUint32(msg, 1) // from
+		msg = binary.LittleEndian.AppendUint32(msg, 0) // to
+		msg = binary.LittleEndian.AppendUint32(msg, 0xfffffff0)
+		c.Write(append(msg, make([]byte, 8)...))
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st.readers.Add(1)  // serveConn's own accounting
+	st.serveConn(conn) // returns when the body ends short
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 8<<20 {
+		t.Errorf("a frame declaring %d bytes with 8 sent allocated %d bytes", 0xfffffff0, grown)
 	}
 }
 

@@ -213,19 +213,6 @@ func (w *World) PairBytes(from, to int) int64 {
 	return w.pairBytes[from*w.size+to].Load()
 }
 
-// PairBytesFrom returns the cumulative bytes one rank sent to all peers: the
-// row sum of the pair matrix. Zero unless EnableObs was called.
-func (w *World) PairBytesFrom(from int) int64 {
-	if w.pairBytes == nil {
-		return 0
-	}
-	var t int64
-	for to := 0; to < w.size; to++ {
-		t += w.pairBytes[from*w.size+to].Load()
-	}
-	return t
-}
-
 // ResetCounters zeroes the traffic meters, including the per-pair byte
 // matrix when observability is enabled — a reset must not leak pre-reset
 // pair traffic into post-reset measurements.

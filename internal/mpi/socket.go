@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,8 +328,8 @@ func (st *sockTransport) serveConn(conn net.Conn) {
 		if n < frameOverhead-4 {
 			panic(fmt.Sprintf("mpi: frame of %d bytes from rank %d", n, from))
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		body, err := readBody(conn, int(n))
+		if err != nil {
 			return
 		}
 		tag := int64(binary.LittleEndian.Uint64(body[0:]))
@@ -339,6 +340,29 @@ func (st *sockTransport) serveConn(conn net.Conn) {
 		}
 		st.w.deliver(to, from, int(tag), data)
 	}
+}
+
+// bodyChunk is the largest frame body allocated before any of its bytes
+// arrive.
+const bodyChunk = 1 << 20
+
+// readBody reads an n-byte frame body. The length came off the wire, so it
+// does not size the buffer up front: the buffer starts at min(n, bodyChunk)
+// and doubles as bytes arrive, so a corrupt or hostile length costs at most
+// about twice the bytes actually received, and a frame under bodyChunk still
+// takes one allocation.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	for have := len(body); have < n; have = len(body) {
+		body = slices.Grow(body, min(have, n-have))[:min(2*have, n)]
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // Close flushes every link's queued frames, closes connections and

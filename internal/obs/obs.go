@@ -30,9 +30,7 @@ import (
 type Phase uint8
 
 const (
-	PhaseSort      Phase = iota // SFC key computation + radix sort + reorder
-	PhaseDomain                 // sampling decomposition + particle exchange
-	PhaseTreeBuild              // octree construction
+	PhaseDomain    Phase = iota // sampling decomposition + particle exchange
 	PhaseTreeProps              // multipole computation + group making
 	PhaseBoundary               // boundary-tree cut + push to every peer; each blocking wait for a peer's tree (arg = source rank)
 	PhaseWalkLocal              // one local-tree walk chunk
@@ -50,7 +48,7 @@ const (
 )
 
 var phaseNames = [numPhase]string{
-	"sort", "domain", "tree-build", "tree-props", "boundary-allgather",
+	"domain", "tree-props", "boundary",
 	"walk:local", "walk:let", "walk:boundary", "let:build", "recv:wait",
 	"wait:let", "integrate", "let:arrive", "walk:done", "sort+build",
 	"substep",

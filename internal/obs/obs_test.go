@@ -40,7 +40,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	var rr *RankRec
 	now := time.Now()
-	rr.Span(0, PhaseSort, LaneCompute, 0, now, now, 0)
+	rr.Span(0, PhaseSortBuild, LaneCompute, 0, now, now, 0)
 	rr.Mark(0, PhaseArrive, LaneReceiver, now, 0)
 	if rr.Spans() != nil || rr.Dropped() != 0 || rr.Since(now) != 0 {
 		t.Error("nil RankRec must record nothing")
@@ -152,7 +152,7 @@ func TestRecorderOverflowDropsAndCounts(t *testing.T) {
 	rr := r.Rank(0)
 	now := time.Now()
 	for i := 0; i < 20; i++ {
-		rr.Span(0, PhaseSort, LaneCompute, 0, now, now, int64(i))
+		rr.Span(0, PhaseSortBuild, LaneCompute, 0, now, now, int64(i))
 	}
 	if got := len(rr.Spans()); got != 8 {
 		t.Errorf("kept %d spans, want capacity 8", got)

@@ -95,7 +95,7 @@ type StepMetrics struct {
 	ArrivalsSeen int
 	SpansDropped int64 // trace spans the rank's full buffer discarded so far
 
-	// Block-timestep fields (Config.BlockSteps only): the substep barrier
+	// Block-timestep fields (MaxRungs > 0 only): the substep barrier
 	// the evaluation ran at (0 = a priming evaluation), 1 per block
 	// evaluation (summed: the step's substeps), 1 when it rebuilt the tree
 	// rather than refreshing multipoles (summed: the step's rebuilds), the

@@ -463,12 +463,3 @@ func (c *Collector) Steps() []obs.StepMetrics {
 	defer c.mu.Unlock()
 	return append([]obs.StepMetrics(nil), c.steps...)
 }
-
-// PromHandler serves the collector's live fleet view in Prometheus text
-// exposition format.
-func (c *Collector) PromHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		c.WriteProm(w) //nolint:errcheck // best-effort reply
-	})
-}

@@ -1,10 +1,11 @@
 package sim
 
-// Hierarchical power-of-two block timesteps (Config.BlockSteps), the
+// The integrator: hierarchical power-of-two block timesteps, the
 // individual-timestep scheme of GADGET-style tree-codes adapted to the
-// paper's distributed pipeline. A top-level step of length DT is cut into a
-// grid of S = 2^MaxRungs substeps of length h = DT/S; particle i integrates
-// at dt_i = DT/2^rung_i with the rung chosen from the acceleration criterion
+// paper's distributed pipeline, whose one-rung case is the paper's
+// shared-step leapfrog. A top-level step of length DT is cut into a grid of
+// S = 2^MaxRungs substeps of length h = DT/S; particle i integrates at
+// dt_i = DT/2^rung_i with the rung chosen from the acceleration criterion
 // dt_i ≈ EtaDT·sqrt(Eps/|a_i|), snapped down to the nearest power-of-two
 // fraction of DT. A substep advances the system between consecutive OCCUPIED
 // barriers: only the particles whose rung has a kick barrier there receive
@@ -12,7 +13,9 @@ package sim
 // particle's drift velocity is constant between its own kicks, drifting ALL
 // particles synchronously at every substep is exact — it keeps the whole
 // system at one shared time, which the force evaluation needs anyway (the
-// active block feels forces from every particle, at the current time).
+// active block feels forces from every particle, at the current time). Every
+// advance runs to the top-of-step barrier, where all particles are
+// synchronized again.
 //
 // Distributed determinism: each rank holds an allreduced copy of the global
 // rung population (rungPop), so every rank computes the same next occupied
@@ -32,11 +35,9 @@ package sim
 //
 // With MaxRungs == 0 the grid has a single substep, every particle is active
 // at every barrier, every evaluation takes the full rebuild+walk path, and
-// the kick/drift arithmetic reduces to the global-dt expressions exactly —
-// the block path is then bitwise-identical to the plain leapfrog.
+// the kick/drift arithmetic is the shared-step kick-drift-kick's exactly.
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -54,8 +55,9 @@ import (
 const driftFrac = 0.25
 
 // activeAt reports whether a particle on the given rung has a kick barrier
-// at substep s of an S-substep grid: rung k kicks every S>>k substeps.
-func activeAt(rung uint8, s, S int) bool { return s%(S>>rung) == 0 }
+// at substep s of an S-substep grid: rung k kicks every S>>k substeps, a
+// power of two, so the test is a mask.
+func activeAt(rung uint8, s, S int) bool { return s&(S>>rung-1) == 0 }
 
 // rungFor snaps the acceleration timestep criterion to a rung:
 // the largest k ≤ MaxRungs with DT/2^k ≤ EtaDT·sqrt(Eps/|a|), found by
@@ -91,8 +93,7 @@ func (r *rank) assignRungs() {
 // from its freshly computed acceleration. Refining (larger rung, smaller dt)
 // is always allowed at a particle's own barrier; coarsening moves one level
 // at a time and only while the coarser rung also has a barrier at s, so a
-// particle never skips a kick it already owes. The rule is idempotent at a
-// fixed barrier, which lets a restart re-run it harmlessly.
+// particle never skips a kick it already owes.
 func (r *rank) updateRungs(s, S int) {
 	for i := range r.parts {
 		cur := r.parts[i].Rung
@@ -105,7 +106,7 @@ func (r *rank) updateRungs(s, S int) {
 			continue
 		}
 		k := cur
-		for k > want && s%(S>>(k-1)) == 0 {
+		for k > want && activeAt(k-1, s, S) {
 			k--
 		}
 		r.parts[i].Rung = k
@@ -127,18 +128,29 @@ func (r *rank) reduceRungPop() {
 	r.rungPop = mpi.Allreduce(r.comm, r.popScratch, sumFloats, n*8)
 }
 
-// nextBoundary returns the next occupied barrier after the current substep:
-// the smallest multiple of any populated rung's kick period that lies ahead.
+// spread reports whether the global rung population holds any particle above
+// rung 0. It reads the allreduced population, so every rank agrees.
+func (r *rank) spread() bool {
+	for _, n := range r.rungPop[1:] {
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// nextBoundary returns the next occupied barrier after substep s: the
+// smallest multiple of any populated rung's kick period that lies ahead.
 // Unpopulated rungs contribute no barriers, so a step with every particle on
 // rung 0 runs exactly one substep regardless of MaxRungs.
-func (r *rank) nextBoundary(S int) int {
+func (r *rank) nextBoundary(s, S int) int {
 	next := S
 	for k, n := range r.rungPop {
 		if n <= 0 {
 			continue
 		}
 		p := S >> k
-		if b := (r.sub/p + 1) * p; b < next {
+		if b := (s/p + 1) * p; b < next {
 			next = b
 		}
 	}
@@ -152,7 +164,7 @@ func (r *rank) nextBoundary(S int) int {
 func (r *rank) globalActive(s, S int) (active, total int) {
 	for k, n := range r.rungPop {
 		total += int(n)
-		if s%(S>>k) == 0 {
+		if activeAt(uint8(k), s, S) {
 			active += int(n)
 		}
 	}
@@ -166,42 +178,45 @@ func (r *rank) trackBuild() {
 	r.buildPos = append(r.buildPos[:0], r.pos...)
 	r.minLeaf = r.tree.MinLeafSide()
 	r.maxDrift2 = 0
-	r.treeOK = true
 }
 
 // rebuildVote is the collective tree-reuse decision: each rank votes 1 when
-// its accumulated drift exceeds the bound (or it has no valid reuse state),
-// and any vote forces a rebuild everywhere — the build is collective, so all
-// ranks must take the same branch.
+// its accumulated drift exceeds the bound, and any vote forces a rebuild
+// everywhere — the build is collective, so all ranks must take the same
+// branch. It runs only at mid-step barriers, after the top-of-step rebuild
+// set the reference state.
 func (r *rank) rebuildVote() bool {
 	local := 0.0
-	if !r.treeOK {
-		local = 1
-	} else if bound := driftFrac * r.minLeaf; r.maxDrift2 > bound*bound {
+	if bound := driftFrac * r.minLeaf; r.maxDrift2 > bound*bound {
 		local = 1
 	}
 	sum := mpi.Allreduce(r.comm, []float64{local}, sumFloats, 8)
 	return sum[0] > 0
 }
 
-// blockForces runs one substep force evaluation at the given barrier:
-// rebuild or refresh the tree, determine the active block, and walk gravity
-// for the active targets only (the full tree-ordered arrays when everyone is
-// active). The record notes the barrier, whether the tree was rebuilt and
-// the global active/total counts. On return r.acc/r.pot are fresh for every
-// active particle; inactive entries are unspecified (their stored
-// accelerations are never used for kicks — each kick reads an acceleration
-// computed at that same barrier).
+// blockForces runs one force evaluation at the given barrier: rebuild or
+// refresh the tree, determine the active block, and walk gravity for the
+// active targets only (the full tree-ordered arrays when everyone is
+// active). With MaxRungs > 0 the record notes the barrier, whether the tree
+// was rebuilt and the global active/total counts; a shared-step run leaves
+// those fields zero. On return r.acc/r.pot are fresh for every active
+// particle; inactive entries are unspecified (their stored accelerations are
+// never used for kicks — each kick reads an acceleration computed at that
+// same barrier).
 func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boundary int) {
-	r.stats = obs.StepMetrics{Substep: boundary, Substeps: 1}
+	r.stats = obs.StepMetrics{}
 	r.eval = eval
 	t0 := time.Now()
 	S := 1 << r.cfg.MaxRungs
+	hier := r.cfg.MaxRungs > 0
+	if hier {
+		r.stats.Substep, r.stats.Substeps = boundary, 1
+	}
 
-	if forceRebuild || domainUpdate || r.cfg.MaxRungs == 0 || r.rebuildVote() {
-		r.stats.Rebuilds = 1
+	if forceRebuild || domainUpdate || r.rebuildVote() {
 		r.buildPipeline(step, eval, domainUpdate)
-		if r.cfg.MaxRungs > 0 {
+		if hier {
+			r.stats.Rebuilds = 1
 			r.trackBuild()
 		}
 	} else {
@@ -212,15 +227,6 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		r.checkTreeMass()
 		r.stats.Times[obs.TreeProps] = time.Since(tP)
 		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 1)
-	}
-
-	// The active block at this barrier, in tree order — recomputed after any
-	// rebuild or exchange, so the indices are current.
-	r.active = r.active[:0]
-	for i := range r.parts {
-		if activeAt(r.parts[i].Rung, boundary, S) {
-			r.active = append(r.active, int32(i))
-		}
 	}
 
 	// Path choice from the shared rung population: every rank agrees, so the
@@ -238,9 +244,9 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		// particle on rung k (dt = DT/2^k in this repo's convention) is
 		// force-evaluated 2^k times per step, so it carries 2^k shares of the
 		// rank's measured flops — the per-rung weighting that keeps the
-		// sampling decomposition balancing evaluations, not particle counts.
-		// With MaxRungs == 0 every share is 1 and this reduces bitwise to the
-		// uniform weight flops/n.
+		// sampling decomposition balancing evaluations, not particle counts
+		// (the paper's flop balancing, §III.B.1). With MaxRungs == 0 every
+		// share is 1 and this is the uniform weight flops/n bitwise.
 		if n := len(r.parts); n > 0 {
 			tot := 0.0
 			for i := range r.parts {
@@ -252,28 +258,37 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 			}
 		}
 	} else {
-		r.subsetForces(eval)
+		r.subsetForces(eval, boundary, S)
 	}
 
 	r.endEval(time.Since(t0))
 }
 
-// subsetForces walks gravity for the active block only: gather the active
-// particles, in Morton order, into the compact a* buffers, walk with the
-// subset as targets, and scatter the results back. The targets are cut into
-// fixed runs of NGroup (GroupsOfScratch), not along the tree. A run of
-// Morton-consecutive particles crosses cell boundaries, so its box is looser
-// than a tree group's and it does more p-p work (+60% with every particle of
-// an 8192-particle Plummer model active), but a run is always full, whereas
-// a sparse active set cut along the tree falls into many small groups that
-// each pay a whole traversal; the tree-aligned subset cut did not resolve
-// on plummer_block_p2 (EXPERIMENTS.md, "Full target groups").
+// subsetForces walks gravity for the block active at barrier s only: gather
+// the active particles, in Morton order, into the compact a* buffers, walk
+// with the subset as targets, and scatter the results back. The targets are
+// cut into fixed runs of the group size (GroupsOfScratch), not along the
+// tree. A run of Morton-consecutive particles crosses cell boundaries, so its
+// box is looser than a tree group's and it does more p-p work (+60% with
+// every particle of an 8192-particle Plummer model active), but a run is
+// always full, whereas a sparse active set cut along the tree falls into
+// many small groups that each pay a whole traversal; the tree-aligned subset
+// cut did not resolve on plummer_block_p2 (EXPERIMENTS.md, "Full target
+// groups").
 // The advertised box bounds only the active targets, so the
 // boundary/LET exchange ships exactly the data the active walks need — a
 // rank whose peers' active boxes are distant sends smaller LETs, and a rank
 // with no active particles advertises an empty box, which every peer's
 // sufficiency check accepts symmetrically without building anything.
-func (r *rank) subsetForces(eval int) {
+func (r *rank) subsetForces(eval, s, S int) {
+	// The active block in tree order, recomputed after any rebuild or
+	// exchange, so the indices are current.
+	r.active = r.active[:0]
+	for i := range r.parts {
+		if activeAt(r.parts[i].Rung, s, S) {
+			r.active = append(r.active, int32(i))
+		}
+	}
 	na := len(r.active)
 	r.apos = resize(r.apos, na)
 	r.amass = resize(r.amass, na)
@@ -288,7 +303,7 @@ func (r *rank) subsetForces(eval int) {
 		r.apot[j] = 0
 		box = box.Extend(p)
 	}
-	r.agroups = octree.GroupsOfScratch(r.apos, r.cfg.NGroup, r.cfg.WorkersPerRank, r.agroups)
+	r.agroups = octree.GroupsOfScratch(r.apos, octree.DefaultNGroup, r.cfg.WorkersPerRank, r.agroups)
 
 	t := walkTargets{
 		groups: r.agroups,
@@ -323,7 +338,7 @@ func (r *rank) subsetForces(eval int) {
 // recordBlockEval closes the evaluation just run: its record takes the rung
 // population after the barrier's update and joins the step's fold.
 func (r *rank) recordBlockEval() {
-	if r.cfg.MaxRungs > 0 && r.rungPop != nil {
+	if r.rungPop != nil {
 		r.stats.RungPop = make([]int, len(r.rungPop))
 		for k, n := range r.rungPop {
 			r.stats.RungPop[k] = int(n)
@@ -333,59 +348,58 @@ func (r *rank) recordBlockEval() {
 	r.keep()
 }
 
-// blockAdvance advances this rank through substeps in lockstep with every
-// other rank: up to maxB occupied barriers when maxB > 0, the rest of the
-// top-level step otherwise. first runs the priming evaluation at the current
-// barrier before the first advance (fresh starts then assign initial rungs
-// from the primed accelerations; restored runs keep the snapshot's rungs).
-// Returns the next evaluation's sequence number, and true when the
-// top-of-step barrier was crossed, leaving sub == 0.
-func (r *rank) blockAdvance(step, eval int, first bool, maxB int) (int, bool) {
+// kick applies the half-kick of every particle with a barrier at s, with the
+// acceleration the evaluation at s produced for exactly that block.
+func (r *rank) kick(s, S int, h float64) {
+	for i := range r.parts {
+		if rung := r.parts[i].Rung; activeAt(rung, s, S) {
+			dti := float64(S>>rung) * h / 2
+			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
+		}
+	}
+}
+
+// blockAdvance advances this rank through one top-level step, from its
+// top-of-step barrier to the next, substep by substep in lockstep with every
+// other rank. first runs the priming evaluation before the first advance.
+// Returns the next evaluation's sequence number.
+func (r *rank) blockAdvance(step, eval int, first bool) int {
 	S := 1 << r.cfg.MaxRungs
 	h := r.cfg.DT / float64(S)
+	hier := r.cfg.MaxRungs > 0
 
 	if first {
-		// Prime accelerations at the current barrier. Domain update only at
-		// top of a domain-epoch step — mirroring the global path's schedule.
-		domain := r.sub == 0 && step%r.cfg.DomainFreq == 0
-		if r.restored {
-			r.reduceRungPop() // snapshot rungs drive the priming active set
-		}
-		r.blockForces(step, eval, domain, true, r.sub)
-		if !r.restored && r.cfg.MaxRungs > 0 {
-			r.assignRungs()
-		}
-		r.restored = false
-		r.primedStep = true // suppress this step's own domain epoch (already paid)
-		if r.cfg.MaxRungs > 0 {
+		// Prime accelerations at the top-of-step barrier, with the domain
+		// update when this step is an epoch.
+		r.blockForces(step, eval, step%r.cfg.DomainFreq == 0, true, 0)
+		if hier {
+			// Particles that arrive with rungs above 0 on any rank (a restart)
+			// keep them; otherwise the primed accelerations assign them. The
+			// population is allreduced, so every rank takes the same branch.
 			r.reduceRungPop()
+			if !r.spread() {
+				r.assignRungs()
+				r.reduceRungPop()
+			}
 		}
 		r.recordBlockEval()
 		eval++
 	}
 
-	for b := 0; maxB <= 0 || b < maxB; b++ {
-		s := r.sub
+	for s := 0; s < S; {
 		tSub := time.Now()
 
-		// Opening half-kicks for the block active at s, with the
-		// accelerations the evaluation at s produced for exactly that block.
+		// Opening half-kicks for the block active at s, then the synchronized
+		// drift of EVERY particle to the next occupied barrier (exact: drift
+		// velocity is constant between a particle's kicks).
 		tI := time.Now()
-		for i := range r.parts {
-			if activeAt(r.parts[i].Rung, s, S) {
-				dti := float64(S>>r.parts[i].Rung) * h / 2
-				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
-			}
-		}
-
-		// Synchronized drift of EVERY particle to the next occupied barrier
-		// (exact: drift velocity is constant between a particle's kicks).
-		next := r.nextBoundary(S)
+		r.kick(s, S, h)
+		next := r.nextBoundary(s, S)
 		dtd := float64(next-s) * h
 		for i := range r.parts {
 			r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dtd))
 		}
-		if r.cfg.MaxRungs > 0 {
+		if hier {
 			// Keep the tree's position view current and account the drift
 			// against the reuse bound.
 			for i := range r.parts {
@@ -398,110 +412,29 @@ func (r *rank) blockAdvance(step, eval int, first bool, maxB int) (int, bool) {
 		}
 		r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tI, time.Now(), 0)
 
-		// Forces at the new barrier. Top-of-step barriers force a rebuild and
-		// carry the step's domain epoch — the block analog of the global
-		// path's post-drift evaluation, including its "skip when the priming
-		// evaluation already decomposed this step" rule, which the bitwise
-		// equivalence at MaxRungs == 0 depends on.
-		domain := next == S && step%r.cfg.DomainFreq == 0 && !r.primedStep
+		// Forces at the new barrier. The top-of-step barrier forces a rebuild
+		// and carries the step's domain epoch, unless the priming evaluation
+		// already decomposed this step: positions have only drifted within
+		// it, so the decomposition is still fresh.
+		domain := next == S && step%r.cfg.DomainFreq == 0 && !first
 		r.blockForces(step, eval, domain, next == S, next)
 
 		// Closing half-kicks for the block active at next (recomputed inside
 		// blockForces, after any rebuild or exchange).
 		tC := time.Now()
-		for i := range r.parts {
-			if activeAt(r.parts[i].Rung, next, S) {
-				dti := float64(S>>r.parts[i].Rung) * h / 2
-				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
-			}
-		}
+		r.kick(next, S, h)
 		r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tC, time.Now(), 1)
 
 		// Rung updates happen at a particle's own barriers only, then the
 		// population is re-reduced so every rank agrees on the next barrier.
-		if r.cfg.MaxRungs > 0 {
+		if hier {
 			r.updateRungs(next, S)
 			r.reduceRungPop()
+			r.obs.Span(eval, obs.PhaseSubstep, obs.LaneCompute, 0, tSub, time.Now(), int64(next))
 		}
-		r.obs.Span(eval, obs.PhaseSubstep, obs.LaneCompute, 0, tSub, time.Now(), int64(next))
 		r.recordBlockEval()
 		eval++
-
-		if next == S {
-			r.sub = 0
-			r.primedStep = false
-			return eval, true
-		}
-		r.sub = next
+		s = next
 	}
-	return eval, false
-}
-
-// clampRungs bounds restored rung bytes to the configured hierarchy (a
-// snapshot written with a deeper MaxRungs restarts on the coarser grid).
-func (r *rank) clampRungs() {
-	max := uint8(r.cfg.MaxRungs)
-	for i := range r.parts {
-		if r.parts[i].Rung > max {
-			r.parts[i].Rung = max
-		}
-	}
-}
-
-// --- Node driver -----------------------------------------------------------
-
-// advanceBlock runs up to maxB substep advances (the rest of the top-level
-// step when maxB <= 0) in lockstep with every other rank — the collectives
-// inside keep the world aligned. When the advance crosses the top-of-step
-// barrier it completes the step: done is true, the clock advances, and m is
-// the step's record, the AddEval fold of every substep evaluation.
-func (n *Node) advanceBlock(maxB int) (m obs.StepMetrics, done bool) {
-	first := n.first
-	n.first = false
-	r := n.r
-	r.recs = r.recs[:0]
-	if n.evals, done = r.blockAdvance(n.step, n.evals, first, maxB); !done {
-		return m, false
-	}
-	m, r.stepSum = r.stepSum, obs.StepMetrics{}
-	n.step++
-	n.time += n.cfg.DT
-	return m, true
-}
-
-// Substep returns the current substep barrier (0 at top of step). Only
-// meaningful with Config.BlockSteps.
-func (n *Node) Substep() int { return n.r.sub }
-
-// SubstepN advances k occupied substep barriers (block-timestep runs only;
-// collective) and returns true when the advance crossed the top-of-step
-// barrier, which also completes the step and advances the clock. Exposed for
-// restart tests and substep-resolution drivers; Step remains the normal entry
-// point.
-func (n *Node) SubstepN(k int) (bool, error) {
-	if !n.cfg.BlockSteps {
-		return false, fmt.Errorf("sim: SubstepN requires Config.BlockSteps")
-	}
-	_, done := n.advanceBlock(k)
-	return done, nil
-}
-
-// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
-// substep barrier: sub is the barrier index (0 ≤ sub < 2^MaxRungs), and the
-// particles' snapshot rungs are kept (clamped to MaxRungs) instead of being
-// re-assigned by the priming evaluation. Every rank of the world must restore
-// the same barrier. Call before the first Step or SubstepN, together with
-// SetClock for the step/time counters.
-func (n *Node) RestoreSubstep(sub int) error {
-	if !n.cfg.BlockSteps {
-		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")
-	}
-	if S := 1 << n.cfg.MaxRungs; sub < 0 || sub >= S {
-		return fmt.Errorf("sim: substep %d outside [0, %d)", sub, S)
-	}
-	n.r.sub = sub
-	n.r.restored = true
-	n.r.treeOK = false
-	n.r.clampRungs()
-	return nil
+	return eval
 }

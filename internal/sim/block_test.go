@@ -2,10 +2,15 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"bonsai/internal/body"
 	"bonsai/internal/ic"
+	"bonsai/internal/mpi"
+	"bonsai/internal/obs"
+	"bonsai/internal/snapshot"
 )
 
 // concentrated builds a centrally concentrated Plummer model (small scale
@@ -32,13 +37,42 @@ func exactlyEqual(t *testing.T, got, want []body.Particle, label string) {
 	}
 }
 
+// kdk is the oracle the one advance is held to at MaxRungs 0: the
+// shared-step leapfrog written out — a priming evaluation, then per step a
+// half-kick and a full drift, an evaluation, and a half-kick — over the same
+// force evaluation and domain schedule (the step's epoch is skipped when the
+// priming evaluation already decomposed it).
+func kdk(t *testing.T, cfg Config, parts []body.Particle, steps int) []body.Particle {
+	t.Helper()
+	s, err := New(cfg, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.advance(func(_ int, n *Node) {
+		r, dt := n.r, n.cfg.DT
+		r.blockForces(0, 0, true, true, 0)
+		for step := 0; step < steps; step++ {
+			for i := range r.parts {
+				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
+				r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
+			}
+			r.blockForces(step, step+1, step > 0 && step%n.cfg.DomainFreq == 0, true, 0)
+			for i := range r.parts {
+				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
+			}
+		}
+	})
+	return s.Particles()
+}
+
 // TestBlockMaxRungs0Bitwise is the equivalence acceptance gate: with
-// MaxRungs == 0 the block path must reproduce the global-dt leapfrog
-// bit-for-bit. Single-rank runs are deterministic under any worker count
-// (group walks write disjoint targets). Multi-rank runs pin SerialLET and a
-// boundary depth deeper than any local tree, so every pair is served by its
-// (exact) boundary tree in rank order and no arrival-order float jitter
-// exists to hide behind.
+// MaxRungs == 0 the one advance must reproduce the shared-step leapfrog
+// (kdk) bit for bit and leave the block fields of its records zero.
+// Single-rank runs are deterministic under any worker count (group walks
+// write disjoint targets). Multi-rank runs pin SerialLET and a boundary depth
+// deeper than any local tree, so every pair is served by its (exact)
+// boundary tree in rank order and no arrival-order float jitter exists to
+// hide behind.
 func TestBlockMaxRungs0Bitwise(t *testing.T) {
 	type tc struct {
 		name   string
@@ -56,42 +90,28 @@ func TestBlockMaxRungs0Bitwise(t *testing.T) {
 	parts := plummer(400, 61)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Ranks: c.ranks, WorkersPerRank: c.work, Theta: 0.5, Eps: 0.05,
 				DT: 1e-3, DomainFreq: 2, SerialLET: c.serial, BoundaryDepth: c.bdepth,
 			}
-			g, err := New(base, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blk := base
-			blk.BlockSteps = true
-			b, err := New(blk, parts)
+			s, err := New(cfg, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 6; i++ {
-				g.Step()
-				st := b.Step()
-				if st.Substeps != 1+boolInt(i == 0) {
-					t.Fatalf("step %d ran %d substeps, want the global-equivalent single evaluation", i, st.Substeps)
+				st := s.Step()
+				if st.Substep != 0 || st.Substeps != 0 || st.Rebuilds != 0 || st.TotalN != 0 || st.RungPop != nil {
+					t.Fatalf("step %d: block fields set on a shared-step run: %+v", i, st)
 				}
-				exactlyEqual(t, b.Particles(), g.Particles(), c.name)
 			}
+			exactlyEqual(t, s.Particles(), kdk(t, cfg, parts, 6), c.name)
 		})
 	}
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // FuzzBlockEquivalence is the fuzz smoke over the same bitwise property:
 // random single-rank clouds, sizes, and step counts must keep the
-// MaxRungs == 0 block path identical to the global-dt path.
+// MaxRungs == 0 advance identical to the kdk oracle.
 func FuzzBlockEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(3))
 	f.Add(int64(7), uint8(200), uint8(5))
@@ -99,19 +119,13 @@ func FuzzBlockEquivalence(f *testing.F) {
 		np := 20 + int(n)
 		ns := 1 + int(steps)%6
 		parts := plummer(np, seed)
-		base := Config{Theta: 0.5, Eps: 0.05, DT: 1e-3, DomainFreq: 2}
-		g, err := New(base, parts)
+		cfg := Config{Theta: 0.5, Eps: 0.05, DT: 1e-3, DomainFreq: 2}
+		s, err := New(cfg, parts)
 		if err != nil {
 			t.Skip()
 		}
-		blk := base
-		blk.BlockSteps = true
-		b, _ := New(blk, parts)
-		for i := 0; i < ns; i++ {
-			g.Step()
-			b.Step()
-		}
-		exactlyEqual(t, b.Particles(), g.Particles(), "fuzz")
+		s.Run(ns)
+		exactlyEqual(t, s.Particles(), kdk(t, cfg, parts, ns), "fuzz")
 	})
 }
 
@@ -124,7 +138,7 @@ func TestBlockRungsSpreadAndTreeReuse(t *testing.T) {
 	parts := concentrated(2000, 62)
 	cfg := Config{
 		Ranks: 2, WorkersPerRank: 2, Theta: 0.4, Eps: 0.01,
-		DT: 4e-3, BlockSteps: true, MaxRungs: 4, EtaDT: 0.1,
+		DT: 4e-3, MaxRungs: 4, EtaDT: 0.1,
 	}
 	s, err := New(cfg, parts)
 	if err != nil {
@@ -176,7 +190,6 @@ func TestBlockEnergyConservation(t *testing.T) {
 	base := Config{Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3}
 	dGlobal := drift(base)
 	blk := base
-	blk.BlockSteps = true
 	blk.MaxRungs = 4
 	blk.EtaDT = 0.1
 	dBlock := drift(blk)
@@ -188,101 +201,108 @@ func TestBlockEnergyConservation(t *testing.T) {
 	}
 }
 
-// substepper is what the mid-step restart contract is stated over: the
+// restartable is what the top-of-step restart contract is stated over: the
 // in-process Simulation and a fleet of Nodes over any world both provide it.
-// SubstepN(0) finishes the current top-level step, as Step does.
-type substepper interface {
-	SubstepN(n int) (bool, error)
-	Substep() int
-	RestoreSubstep(sub int) error
+type restartable interface {
+	Step() obs.StepMetrics
 	SetClock(step int, time float64)
 	StepCount() int
 	Time() float64
 	Particles() []body.Particle
 }
 
-// TestBlockSubstepRestart checks the mid-step restart contract: stopping at
-// a substep barrier, rebuilding a simulation from the particle state (rungs
-// travel with the particles), and resuming via RestoreSubstep must continue
-// the trajectory. The restart rebuilds its tree where the original reused
-// one, so forces differ within multipole acceptance error — same tolerance
-// as the top-level snapshot-restart test. The socket case holds one-rank-per-
-// connection Nodes to the same contract.
+// nodesOf returns the Nodes behind a restartable.
+func nodesOf(x restartable) fleet {
+	if s, ok := x.(*Simulation); ok {
+		return s.nodes
+	}
+	return x.(fleet)
+}
+
+// TestBlockSubstepRestart checks the restart contract of a block-timestep
+// run: a checkpoint taken at a top-of-step barrier, restored into fresh
+// ranks with nothing but New and SetClock, continues the trajectory — the
+// rungs travel with the particles and the restored run keeps them. The
+// restart re-primes its accelerations (and the Simulation re-splits the
+// particles over its ranks), so forces differ within multipole acceptance
+// error — the same tolerance as the top-level snapshot-restart test. The
+// socket case holds one-rank-per-connection Nodes, each restored from its
+// own checkpoint slice, to the same contract.
 func TestBlockSubstepRestart(t *testing.T) {
 	cfg := Config{
 		Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3,
-		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
+		MaxRungs: 3, EtaDT: 0.1,
 	}
 	for _, c := range []struct {
 		name string
-		mk   func(t *testing.T, parts []body.Particle) substepper
+		mk   func(t *testing.T, split [][]body.Particle) restartable
 	}{
-		{"simulation", func(t *testing.T, parts []body.Particle) substepper {
-			s, err := New(cfg, parts)
+		{"simulation", func(t *testing.T, split [][]body.Particle) restartable {
+			s, err := New(cfg, slices.Concat(split...))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}},
-		{"socket-nodes", func(t *testing.T, parts []body.Particle) substepper {
-			return newFleet(t, cfg, newTestSockWorld(t, "unix", cfg.Ranks), parts)
+		{"socket-nodes", func(t *testing.T, split [][]body.Particle) restartable {
+			w := newTestSockWorld(t, "unix", cfg.Ranks)
+			f := make(fleet, cfg.Ranks)
+			for r := range f {
+				n, err := NewNode(cfg, w, r, split[r])
+				if err != nil {
+					t.Fatal(err)
+				}
+				f[r] = n
+			}
+			return f
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			parts := concentrated(800, 64)
-			step := func(s substepper) {
-				if done, err := s.SubstepN(0); err != nil || !done {
-					t.Fatalf("SubstepN(0) = (%v, %v), want a completed step", done, err)
-				}
+			fresh := make([][]body.Particle, cfg.Ranks)
+			for r := range fresh {
+				fresh[r] = SliceForRank(parts, r, cfg.Ranks)
 			}
 
 			// Continuous run: 3 top-level steps.
-			s1 := c.mk(t, parts)
+			s1 := c.mk(t, fresh)
 			for i := 0; i < 3; i++ {
-				step(s1)
+				s1.Step()
 			}
 			want := s1.Particles()
 
-			// Interrupted run: one step, then substep-at-a-time into step 1
-			// until a mid-step barrier is reached (a model with spread rungs
-			// reaches one).
-			s2 := c.mk(t, parts)
-			step(s2)
-			mid := 0
-			for i := 0; i < 64; i++ {
-				done, err := s2.SubstepN(1)
-				if err != nil {
+			// Interrupted run: one step, a checkpoint at its top-of-step
+			// barrier, then fresh ranks from the checkpoint's slices.
+			s2 := c.mk(t, fresh)
+			s2.Step()
+			dir := t.TempDir()
+			nodesOf(s2).each(func(n *Node) {
+				if err := n.Checkpoint(dir); err != nil {
+					t.Error(err)
+				}
+			})
+			step, _, ok := snapshot.LatestCkpt(dir)
+			if !ok {
+				t.Fatal("no committed checkpoint")
+			}
+			restored := make([][]body.Particle, cfg.Ranks)
+			var h snapshot.Header
+			spread := false
+			for r := range restored {
+				var err error
+				if h, restored[r], err = snapshot.LoadRankCkpt(dir, step, r); err != nil {
 					t.Fatal(err)
 				}
-				if !done && s2.Substep() > 0 {
-					mid = s2.Substep()
-					break
-				}
-				if done {
-					t.Fatal("step 1 completed without ever pausing at a mid-step barrier; rungs never spread")
-				}
+				spread = spread || slices.ContainsFunc(restored[r], func(p body.Particle) bool { return p.Rung > 0 })
 			}
-			if mid == 0 {
-				t.Fatal("never reached a mid-step barrier")
+			if !spread {
+				t.Fatal("checkpoint carries no rungs above 0; rungs never spread")
 			}
-
-			// Restart from the barrier: particle state (positions, velocities,
-			// rungs) plus the substep index and clock.
-			s3 := c.mk(t, s2.Particles())
-			if err := s3.RestoreSubstep(mid); err != nil {
-				t.Fatal(err)
+			s3 := c.mk(t, restored)
+			s3.SetClock(int(h.Step), h.Time)
+			for i := 0; i < 2; i++ {
+				s3.Step()
 			}
-			s3.SetClock(s2.StepCount(), s2.Time())
-			for { // finish step 1
-				done, err := s3.SubstepN(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if done {
-					break
-				}
-			}
-			step(s3) // step 2
 			got := s3.Particles()
 
 			var sum2, ref2 float64
@@ -291,9 +311,49 @@ func TestBlockSubstepRestart(t *testing.T) {
 				ref2 += want[i].Pos.Norm2()
 			}
 			if rms := math.Sqrt(sum2 / ref2); rms > 1e-4 {
-				t.Errorf("substep restart diverged: rms position difference %v", rms)
+				t.Errorf("checkpoint restart diverged: rms position difference %v", rms)
 			}
 		})
+	}
+}
+
+// TestBlockRestoreDecidesRungsCollectively: whether a run keeps the rungs
+// its particles arrive with is decided from the global rung population.
+// Rank 0's slice is all on rung 0 and rank 1's is not, and the restart
+// resumes at a step that is no domain epoch, so the slices stay where they
+// are: a per-rank test would send rank 0 alone through the rung assignment
+// and its extra Allreduce. The step must complete on both ranks and run on
+// rank 1's rungs: under a time step so short that the criterion would put
+// every particle on rung 0, kept rungs show as more than one substep.
+func TestBlockRestoreDecidesRungsCollectively(t *testing.T) {
+	const maxRungs = 2
+	cfg := Config{Ranks: 2, Eps: 0.05, DT: 1e-9, MaxRungs: maxRungs}
+	parts := concentrated(400, 68)
+	for i := range parts {
+		parts[i].Rung = 0
+	}
+	high := SliceForRank(parts, 1, cfg.Ranks)
+	for i := range high {
+		high[i].Rung = maxRungs
+	}
+	f := newFleet(t, cfg, mpi.NewWorld(cfg.Ranks), parts)
+	f.SetClock(1, 0) // step 1 % DomainFreq != 0: no exchange before the decision
+	done := make(chan []obs.StepMetrics, 1)
+	go func() {
+		recs := make([]obs.StepMetrics, cfg.Ranks)
+		f.each(func(n *Node) { recs[n.Rank()] = n.Step() })
+		done <- recs
+	}()
+	select {
+	case recs := <-done:
+		for r, m := range recs {
+			// Priming, then barriers 1, 2 (rung 2 coarsens to 1) and 4.
+			if m.Substeps != 4 {
+				t.Errorf("rank %d ran %d evaluations, want 4: the restored rungs were not kept", r, m.Substeps)
+			}
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the first step never completed: the ranks disagreed on keeping the rungs")
 	}
 }
 
@@ -307,7 +367,7 @@ func TestNodeBlockMatchesSimulation(t *testing.T) {
 	parts := concentrated(1200, 67)
 	cfg := Config{
 		Ranks: ranks, Theta: 0.4, Eps: 0.01, DT: 4e-3, DomainFreq: 1,
-		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
+		MaxRungs: 3, EtaDT: 0.1,
 	}
 	w := newTestSockWorld(t, "unix", ranks)
 	nodes := runNodes(t, cfg, w, parts, 3)
@@ -325,30 +385,6 @@ func TestNodeBlockMatchesSimulation(t *testing.T) {
 	}
 	if rms := rmsPosDiff(t, got, s.Particles()); rms > 1e-10 {
 		t.Errorf("socket block run diverged from in-process: rms %v", rms)
-	}
-	if nodes[0].Substep() != 0 {
-		t.Errorf("node not at a top-of-step barrier after Step: substep %d", nodes[0].Substep())
-	}
-}
-
-// TestBlockRestoreSubstepValidation pins the error paths of the restart API.
-func TestBlockRestoreSubstepValidation(t *testing.T) {
-	s, _ := New(Config{DT: 1e-3}, plummer(50, 65))
-	if err := s.RestoreSubstep(0); err == nil {
-		t.Error("RestoreSubstep accepted a non-block simulation")
-	}
-	if _, err := s.SubstepN(1); err == nil {
-		t.Error("SubstepN accepted a non-block simulation")
-	}
-	b, _ := New(Config{DT: 1e-3, BlockSteps: true, MaxRungs: 2}, plummer(50, 65))
-	if err := b.RestoreSubstep(4); err == nil {
-		t.Error("RestoreSubstep accepted substep == 2^MaxRungs")
-	}
-	if err := b.RestoreSubstep(-1); err == nil {
-		t.Error("RestoreSubstep accepted a negative substep")
-	}
-	if err := b.RestoreSubstep(3); err != nil {
-		t.Errorf("RestoreSubstep rejected a legal barrier: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
@@ -52,8 +51,14 @@ func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node
 			return nil, fmt.Errorf("sim: particle %d (id %d) has non-finite or negative state", i, parts[i].ID)
 		}
 	}
+	// Rungs above the configured hierarchy (a snapshot of a deeper run)
+	// restart on the coarser grid; a shared-step run puts every particle on
+	// rung 0.
 	local := make([]body.Particle, len(parts))
-	copy(local, parts)
+	for i, p := range parts {
+		p.Rung = min(p.Rung, uint8(cfg.MaxRungs))
+		local[i] = p
+	}
 	n := &Node{
 		cfg:   cfg,
 		comm:  w.Comm(rankID),
@@ -109,7 +114,7 @@ func (n *Node) SetClock(step int, time float64) {
 }
 
 // Records returns the per-rank records of the force evaluations the latest
-// Step, ComputeForces or SubstepN ran, while tracing (nil otherwise); valid
+// Step or ComputeForces ran, while tracing (nil otherwise); valid
 // until the next one. The driver streams them: a Simulation as their
 // cross-rank fold, a standalone node as they are.
 func (n *Node) Records() []obs.StepMetrics { return n.r.recs }
@@ -118,70 +123,35 @@ func (n *Node) Records() []obs.StepMetrics { return n.r.recs }
 // mutate).
 func (n *Node) Particles() []body.Particle { return n.r.parts }
 
-func (n *Node) domainDue() bool { return n.step%n.cfg.DomainFreq == 0 }
-
-// forces runs one full-pipeline force evaluation. domainUpdate selects
-// whether it re-decomposes and exchanges particles; all ranks must pass the
-// same value (the decomposition is collective).
-func (n *Node) forces(domainUpdate bool) obs.StepMetrics {
-	n.r.stepForces(n.step, n.evals, domainUpdate)
-	n.evals++
-	n.r.keep()
-	return n.r.stats
-}
-
-// Step advances this rank by one leapfrog step (kick-drift-kick), in lockstep
-// with every other rank of the world, and returns the rank's record of the
-// step's force computation: the evaluation at t+dt, or with
-// Config.BlockSteps (see block.go) the fold of every substep evaluation.
+// Step advances this rank by one top-level step in lockstep with every other
+// rank of the world — the kick-drift-kick leapfrog, on its rungs' substeps
+// when MaxRungs > 0 (see block.go) — and returns the rank's record of the
+// step: the AddEval fold of its force evaluations, the first step's priming
+// evaluation included.
 func (n *Node) Step() obs.StepMetrics {
-	if n.cfg.BlockSteps {
-		m, _ := n.advanceBlock(0)
-		return m
-	}
-	n.r.recs = n.r.recs[:0]
-	primed := false
-	if n.first {
-		// Prime accelerations at t=0.
-		n.forces(n.domainDue())
-		n.first = false
-		primed = true
-	}
-	dt := n.cfg.DT
 	r := n.r
-	// Kick half + drift full (uses accelerations from the previous force
-	// evaluation, which are aligned with the rank's current particle order).
-	t0 := time.Now()
-	for i := range r.parts {
-		r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-		r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
-	}
-	r.obs.Span(n.evals, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 0)
-	// New forces at t+dt. If the t=0 priming evaluation just ran the domain
-	// update, positions have only drifted within the same step, so the
-	// decomposition is still fresh: skip the second update.
-	m := n.forces(n.domainDue() && !primed)
-	// Kick half. The span is tagged with the evaluation whose accelerations
-	// it applies (the one that just ran), so traces never mint an evaluation
-	// ID that has no force phase.
-	t0 = time.Now()
-	for i := range r.parts {
-		r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-	}
-	r.obs.Span(n.evals-1, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 1)
+	r.recs = r.recs[:0]
+	n.evals = r.blockAdvance(n.step, n.evals, n.first)
+	n.first = false
+	m := r.stepSum
+	r.stepSum = obs.StepMetrics{}
 	n.step++
-	n.time += dt
+	n.time += n.cfg.DT
 	return m
 }
 
-// ComputeForces runs the force pipeline once without advancing time
+// ComputeForces runs one full force evaluation without advancing time
 // (collective). Scaling measurements use it to time pure force iterations:
-// every call runs the full pipeline, including the domain update when the
-// current step is an update epoch.
+// every call rebuilds the tree and walks every particle, including the domain
+// update when the current step is an update epoch.
 func (n *Node) ComputeForces() obs.StepMetrics {
-	n.r.recs = n.r.recs[:0]
+	r := n.r
+	r.recs = r.recs[:0]
 	n.first = false
-	return n.forces(n.domainDue())
+	r.blockForces(n.step, n.evals, n.step%n.cfg.DomainFreq == 0, true, 0)
+	n.evals++
+	r.keep()
+	return r.stats
 }
 
 // Energy returns the total kinetic and potential energy across all ranks

@@ -11,6 +11,7 @@ import (
 	"bonsai/internal/body"
 	"bonsai/internal/grav"
 	"bonsai/internal/mpi"
+	"bonsai/internal/obs"
 	"bonsai/internal/snapshot"
 )
 
@@ -77,22 +78,13 @@ func (f fleet) each(fn func(n *Node)) {
 	wg.Wait()
 }
 
-func (f fleet) SubstepN(k int) (done bool, err error) {
-	f.each(func(n *Node) {
-		if d, e := n.SubstepN(k); n.Rank() == 0 {
-			done, err = d, e
-		}
-	})
-	return done, err
-}
-
-func (f fleet) RestoreSubstep(sub int) (err error) {
-	for _, n := range f {
-		if e := n.RestoreSubstep(sub); e != nil {
-			err = e
-		}
-	}
-	return err
+// Step runs one collective Step on every node and returns the cross-rank
+// fold of their step records.
+func (f fleet) Step() (m obs.StepMetrics) {
+	recs := make([]obs.StepMetrics, len(f))
+	f.each(func(n *Node) { recs[n.Rank()] = n.Step() })
+	obs.FoldRanks(&m, recs)
+	return m
 }
 
 func (f fleet) SetClock(step int, time float64) {
@@ -101,7 +93,6 @@ func (f fleet) SetClock(step int, time float64) {
 	}
 }
 
-func (f fleet) Substep() int   { return f[0].Substep() }
 func (f fleet) StepCount() int { return f[0].StepCount() }
 func (f fleet) Time() float64  { return f[0].Time() }
 

@@ -133,8 +133,10 @@ func TestTracingIntegration(t *testing.T) {
 	if passes == 0 || m.LETWalkHist().Count() != passes {
 		t.Errorf("%d batched passes traced, walk-latency histogram holds %d samples", passes, m.LETWalkHist().Count())
 	}
-	if slots := ranks * (ranks - 1); passTrees != int64(3*slots) || stats.LETsRecv+stats.BoundaryUsed != slots {
-		t.Errorf("pass spans count %d trees over 3 evaluations, the first step's last evaluation served %d; want %d pair slots each",
+	// The first step's record folds its priming evaluation and the one at
+	// t+dt.
+	if slots := ranks * (ranks - 1); passTrees != int64(3*slots) || stats.LETsRecv+stats.BoundaryUsed != 2*slots {
+		t.Errorf("pass spans count %d trees over 3 evaluations, the first step's 2 evaluations served %d; want %d pair slots each",
 			passTrees, stats.LETsRecv+stats.BoundaryUsed, slots)
 	}
 	if m.ListLenHist().Count() == 0 {

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"bonsai/internal/octree"
+)
 
 // TestWorkerCountBitwiseInvariance is the end-to-end determinism guarantee
 // for the multicore tree pipeline: a single-rank simulation stepped with 8
@@ -54,7 +58,7 @@ func TestSteadyStateTreePhasesAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(5, func() {
 		r.sortBuild()
 		r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)
-		r.groups = r.tree.MakeGroupsScratch(r.cfg.NGroup, r.cfg.WorkersPerRank, r.groups)
+		r.groups = r.tree.MakeGroupsScratch(octree.DefaultNGroup, r.cfg.WorkersPerRank, r.groups)
 	}); a != 0 {
 		t.Errorf("steady-state sort/tree/groups phases allocated %v per step, want 0", a)
 	}

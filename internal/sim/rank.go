@@ -65,25 +65,21 @@ type rank struct {
 
 	// The running evaluation's record (written in place by every phase);
 	// while tracing, every closed record of the driver's current advance,
-	// for its stream; and a block-timestep step's evaluations so far,
-	// folded by AddEval.
+	// for its stream; and the current step's evaluations so far, folded by
+	// AddEval.
 	stats   obs.StepMetrics
 	recs    []obs.StepMetrics
 	stepSum obs.StepMetrics
 
-	// Block-timestep state (Config.BlockSteps; see block.go). sub is the
-	// current substep barrier, rungPop the allreduced global rung
-	// population, buildPos/minLeaf/maxDrift2 the tree-reuse drift bound,
-	// and the a* slices the compact gather buffers for active-subset walks.
-	sub        int
+	// Rung hierarchy state (MaxRungs > 0; see block.go): rungPop the
+	// allreduced global rung population, buildPos/minLeaf/maxDrift2 the
+	// tree-reuse drift bound, and the a* slices the compact gather buffers
+	// for active-subset walks.
 	rungPop    []float64
 	popScratch []float64
 	buildPos   []vec.V3
 	minLeaf    float64
 	maxDrift2  float64
-	treeOK     bool
-	restored   bool // rungs/substep restored from a snapshot: skip the priming rung assignment
-	primedStep bool // the current top-level step ran a priming evaluation
 	active     []int32
 	apos       []vec.V3
 	amass      []float64
@@ -193,39 +189,6 @@ func sumFloats(a, b []float64) []float64 {
 	return out
 }
 
-// stepForces runs the full force pipeline for one step and leaves
-// accelerations/potentials in r.acc/r.pot (aligned with r.parts).
-// domainUpdate selects whether this evaluation re-decomposes and exchanges
-// particles; the caller (the Node) owns the domain-epoch schedule so
-// that the t=0 priming evaluation and the first post-drift evaluation do not
-// both pay for a decomposition in the same step. eval is the global force-
-// evaluation sequence number, used only to tag trace spans (a step can run
-// two evaluations when it primes t=0 accelerations).
-func (r *rank) stepForces(step, eval int, domainUpdate bool) {
-	r.stats = obs.StepMetrics{}
-	r.eval = eval
-	t0 := time.Now()
-
-	r.buildPipeline(step, eval, domainUpdate)
-
-	// --- Gravity: local tree walk overlapped with the LET exchange, then
-	// the eps/G/external post-processing, all over the full particle set.
-	t := r.fullTargets()
-	r.gravity(step%2, &t)
-	r.finishForces(&t)
-	r.extPot = t.ext
-	r.endEval(time.Since(t0))
-
-	// Per-particle work weights for the next decomposition: rank-level flop
-	// balancing as in the paper (§III.B.1).
-	if n := len(r.parts); n > 0 {
-		w := r.stats.Grav.Flops() / float64(n)
-		for i := range r.parts {
-			r.parts[i].Weight = w
-		}
-	}
-}
-
 // endEval closes the running evaluation's record, which took total: its
 // identity, particle count and span-drop count, and what EndEval derives.
 func (r *rank) endEval(total time.Duration) {
@@ -325,7 +288,7 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 	tP := time.Now()
 	r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)
 	r.checkTreeMass()
-	r.groups = r.tree.MakeGroupsScratch(r.cfg.NGroup, r.cfg.WorkersPerRank, r.groups)
+	r.groups = r.tree.MakeGroupsScratch(octree.DefaultNGroup, r.cfg.WorkersPerRank, r.groups)
 	r.stats.Times[obs.TreeProps] = time.Since(tP)
 	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 0)
 }
@@ -366,7 +329,7 @@ func (r *rank) sortBuild() {
 	}
 	r.parts, r.spare = r.spare, r.parts
 
-	r.tree = octree.BuildStructureScratch(&r.ts, r.mk, r.pos, r.mass, r.grid, r.cfg.NLeaf, workers)
+	r.tree = octree.BuildStructureScratch(&r.ts, r.mk, r.pos, r.mass, r.grid, octree.DefaultNLeaf, workers)
 }
 
 // fill permutes the payload of the sorted key range [lo, hi): particles from
@@ -397,10 +360,9 @@ func (r *rank) fill(lo, hi int) {
 // the equivalence suites compare against.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
-// comes from t: the full pipeline passes every local particle, block-timestep
-// substeps pass only the active subset. tagPar is the message-tag parity that
-// separates consecutive gravity phases' traffic (step parity for global-dt
-// runs, evaluation parity for block runs, where one step holds many phases).
+// comes from t: a full evaluation passes every local particle, a mid-step
+// substep only the active subset. tagPar is the message-tag parity that
+// separates consecutive gravity phases' traffic: the evaluation's parity.
 func (r *rank) gravity(tagPar int, t *walkTargets) {
 	theta, eps2 := r.cfg.Theta, r.cfg.Eps*r.cfg.Eps
 	x := r.startExchange(tagPar, t)

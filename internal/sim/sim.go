@@ -16,7 +16,8 @@
 //     are computed in batched passes over the trees that have arrived
 //     ("Compute gravity Local-tree" / "Compute gravity LETs" / "Non-hidden
 //     LET comm")
-//  7. second-order leapfrog (KDK) integration
+//  7. second-order leapfrog (KDK) integration, one shared step or
+//     power-of-two block rungs (block.go)
 //
 // Forces are independent of the rank count up to multipole acceptance error,
 // which the test suite verifies against direct summation.
@@ -41,29 +42,23 @@ type Config struct {
 	Theta          float64 // opening angle (default 0.4, the paper's choice)
 	Eps            float64 // Plummer softening length (default 0.01)
 	DT             float64 // leapfrog time step (default 1e-3)
-	NLeaf          int     // max particles per leaf (default 16)
-	NGroup         int     // target group size (default 64)
 	BoundaryDepth  int     // boundary-tree depth (default 4)
 	DomainFreq     int     // steps between domain updates (default 4)
 
-	// BlockSteps enables hierarchical power-of-two block timesteps: each
-	// particle integrates at DT/2^rung with the rung chosen from the
-	// acceleration criterion dt_i = EtaDT*sqrt(Eps/|a_i|), and a top-level
-	// step becomes a sequence of substeps in which only the active rung
-	// block gets forces while every other particle drifts. Across substeps
-	// the octree is reused: multipoles are refreshed on the drifted
-	// positions and the tree is rebuilt only at top-of-step boundaries or
-	// when drift exceeds a fraction of the smallest leaf cell. Off (the
-	// default) keeps the global-dt leapfrog bit-for-bit.
-	BlockSteps bool
-	// MaxRungs caps the rung hierarchy: the finest per-particle step is
-	// DT/2^MaxRungs and a top-level step runs at most 2^MaxRungs substeps.
-	// 0 (one shared block) makes the block path bitwise-identical to the
-	// global-dt leapfrog. Only meaningful with BlockSteps.
+	// MaxRungs is the depth of the hierarchical power-of-two block
+	// timesteps (block.go): each particle integrates at DT/2^rung, rung ≤
+	// MaxRungs, chosen from the acceleration criterion
+	// dt_i = EtaDT*sqrt(Eps/|a_i|), and a top-level step becomes a sequence
+	// of at most 2^MaxRungs substeps in which only the active rung block
+	// gets forces while every other particle drifts. Across substeps the
+	// octree is reused: multipoles are refreshed on the drifted positions
+	// and the tree is rebuilt only at top-of-step barriers or when drift
+	// exceeds a fraction of the smallest leaf cell. 0 (the default) is the
+	// paper's shared-step leapfrog, the hierarchy's one-rung case.
 	MaxRungs int
 	// EtaDT is the accuracy parameter of the timestep criterion
 	// dt_i = EtaDT*sqrt(Eps/|a_i|) (default 0.1). Only meaningful with
-	// BlockSteps and MaxRungs > 0.
+	// MaxRungs > 0.
 	EtaDT float64
 
 	// G is the gravitational constant of the unit system (default 1).
@@ -121,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DT == 0 {
 		c.DT = 1e-3
-	}
-	if c.NLeaf <= 0 {
-		c.NLeaf = 16
-	}
-	if c.NGroup <= 0 {
-		c.NGroup = 64
 	}
 	if c.BoundaryDepth <= 0 {
 		c.BoundaryDepth = 4
@@ -224,10 +213,6 @@ func (s *Simulation) Time() float64 { return s.nodes[0].Time() }
 // StepCount returns the number of completed steps.
 func (s *Simulation) StepCount() int { return s.nodes[0].StepCount() }
 
-// Substep returns the current substep barrier (0 at top of step). Only
-// meaningful with Config.BlockSteps.
-func (s *Simulation) Substep() int { return s.nodes[0].Substep() }
-
 // advance runs fn on every node concurrently, waits, and streams the fold of
 // the nodes' evaluation records.
 func (s *Simulation) advance(fn func(i int, n *Node)) {
@@ -264,9 +249,8 @@ func (s *Simulation) stream() {
 	}
 }
 
-// Step advances the system by one leapfrog step (kick-drift-kick) and
-// returns the cross-rank record of the step's force computation (see
-// Node.Step).
+// Step advances the system by one top-level leapfrog step and returns the
+// cross-rank record of the step's force computation (see Node.Step).
 func (s *Simulation) Step() (m obs.StepMetrics) {
 	s.advance(func(i int, n *Node) { s.recs[i] = n.Step() })
 	obs.FoldRanks(&m, s.recs)
@@ -282,38 +266,13 @@ func (s *Simulation) Run(n int) []obs.StepMetrics {
 	return out
 }
 
-// ComputeForces runs the force pipeline once without advancing time. Useful
-// for scaling measurements (the paper's benchmarks time force iterations):
-// every call runs the full pipeline, including the domain update when the
-// current step is an update epoch.
+// ComputeForces runs one full force evaluation without advancing time (see
+// Node.ComputeForces). Useful for scaling measurements: the paper's
+// benchmarks time force iterations.
 func (s *Simulation) ComputeForces() (m obs.StepMetrics) {
 	s.advance(func(i int, n *Node) { s.recs[i] = n.ComputeForces() })
 	obs.FoldRanks(&m, s.recs)
 	return m
-}
-
-// SubstepN advances n occupied substep barriers (block-timestep runs only)
-// and returns true when the advance crossed the top-of-step barrier, which
-// also completes the step and advances the clock. Exposed for restart tests
-// and substep-resolution drivers; Step() remains the normal entry point.
-func (s *Simulation) SubstepN(n int) (done bool, err error) {
-	s.advance(func(i int, nd *Node) {
-		if d, e := nd.SubstepN(n); i == 0 {
-			done, err = d, e
-		}
-	})
-	return done, err
-}
-
-// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
-// substep barrier on every rank; see Node.RestoreSubstep.
-func (s *Simulation) RestoreSubstep(sub int) error {
-	for _, n := range s.nodes {
-		if err := n.RestoreSubstep(sub); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetClock fast-forwards every rank's step counter and simulation time; see

@@ -283,7 +283,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
-	if cfg.Theta != 0.4 || cfg.NLeaf != 16 || cfg.Ranks != 1 {
+	if cfg.Theta != 0.4 || cfg.DomainFreq != 4 || cfg.Ranks != 1 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
@@ -433,7 +433,7 @@ func TestNonFiniteForceFailsTheStep(t *testing.T) {
 	// test's goroutine, so the panic can be recovered here.
 	for _, cfg := range []Config{
 		{Ranks: 1, Eps: 0.05, DT: 1e-3},
-		{Ranks: 1, Eps: 0.05, DT: 1e-3, BlockSteps: true, MaxRungs: 3},
+		{Ranks: 1, Eps: 0.05, DT: 1e-3, MaxRungs: 3},
 	} {
 		n, err := NewNode(cfg, mpi.NewWorld(1), 0, plummer(600, 77))
 		if err != nil {
@@ -446,10 +446,10 @@ func TestNonFiniteForceFailsTheStep(t *testing.T) {
 			defer func() {
 				var nf *NonFiniteForceError
 				if err, _ := recover().(error); !errors.As(err, &nf) {
-					t.Fatalf("BlockSteps=%v: step ended with %v, want a *NonFiniteForceError", cfg.BlockSteps, err)
+					t.Fatalf("MaxRungs=%d: step ended with %v, want a *NonFiniteForceError", cfg.MaxRungs, err)
 				}
 				if nf.Rank != 0 || nf.ID < 0 || nf.ID >= 600 {
-					t.Fatalf("BlockSteps=%v: error names rank %d, particle id %d (the Inf is on id %d)", cfg.BlockSteps, nf.Rank, nf.ID, id)
+					t.Fatalf("MaxRungs=%d: error names rank %d, particle id %d (the Inf is on id %d)", cfg.MaxRungs, nf.Rank, nf.ID, id)
 				}
 			}()
 			n.Step()

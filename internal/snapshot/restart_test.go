@@ -1,7 +1,7 @@
-// Restarting a block-timestep run from a snapshot file taken at a substep
-// barrier — the end-to-end flow the v2 format's substep header and rung
-// bytes exist for. Lives in an external test package: sim imports snapshot
-// for checkpoints, so the in-package test would be an import cycle.
+// Restarting a block-timestep run from a snapshot file taken at a
+// top-of-step barrier — the end-to-end flow the v2 format's rung bytes exist
+// for. Lives in an external test package: sim imports snapshot for
+// checkpoints, so the in-package test would be an import cycle.
 package snapshot_test
 
 import (
@@ -18,7 +18,7 @@ func TestSubstepBarrierRestartThroughFile(t *testing.T) {
 	parts := ic.Plummer(800, 1, 0.1, 1, 71)
 	cfg := sim.Config{
 		Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3,
-		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
+		MaxRungs: 3, EtaDT: 0.1,
 	}
 
 	// Continuous reference: 3 top-level steps.
@@ -26,59 +26,39 @@ func TestSubstepBarrierRestartThroughFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		s1.Step()
-	}
+	s1.Run(3)
 	want := s1.Particles()
 
-	// Interrupted run: one full step, then substep until a mid-step barrier,
-	// snapshot to disk there.
-	s2, _ := sim.New(cfg, parts)
+	// Interrupted run: one step, snapshot to disk at its top-of-step barrier.
+	s2, err := sim.New(cfg, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2.Step()
-	for s2.Substep() == 0 {
-		if done, err := s2.SubstepN(1); err != nil {
-			t.Fatal(err)
-		} else if done {
-			t.Fatal("step finished without pausing at a mid-step barrier; rungs never spread")
-		}
-	}
-	path := filepath.Join(t.TempDir(), "substep.bin")
-	h := snapshot.Header{
-		Time:    s2.Time(),
-		Step:    int64(s2.StepCount()),
-		Substep: int64(s2.Substep()),
-	}
-	if err := snapshot.Save(path, h, s2.Particles()); err != nil {
+	path := filepath.Join(t.TempDir(), "step1.bin")
+	if err := snapshot.Save(path, snapshot.Header{Time: s2.Time(), Step: int64(s2.StepCount())}, s2.Particles()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restore: the header carries step/time/substep, the records carry the
-	// rungs; RestoreSubstep keeps them instead of re-assigning.
+	// Restore: the header carries step and time, the records carry the rungs,
+	// which the restored run keeps because some are above 0.
 	gh, gparts, err := snapshot.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gh.Substep == 0 {
-		t.Fatal("snapshot lost the substep barrier")
+	spread := false
+	for _, p := range gparts {
+		spread = spread || p.Rung > 0
+	}
+	if !spread {
+		t.Fatal("snapshot carries no rungs above 0; rungs never spread")
 	}
 	s3, err := sim.New(cfg, gparts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s3.RestoreSubstep(int(gh.Substep)); err != nil {
-		t.Fatal(err)
-	}
 	s3.SetClock(int(gh.Step), gh.Time)
-	for { // finish the interrupted step
-		done, err := s3.SubstepN(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	s3.Step()
+	s3.Run(2)
 	got := s3.Particles()
 
 	var sum2, ref2 float64
@@ -87,6 +67,6 @@ func TestSubstepBarrierRestartThroughFile(t *testing.T) {
 		ref2 += want[i].Pos.Norm2()
 	}
 	if rms := math.Sqrt(sum2 / ref2); rms > 1e-4 {
-		t.Errorf("file restart from a substep barrier diverged: rms %v", rms)
+		t.Errorf("file restart from a top-of-step barrier diverged: rms %v", rms)
 	}
 }

@@ -8,16 +8,15 @@
 //	magic   [8]byte  "BONSAI2\n"
 //	time    float64
 //	step    int64
-//	substep int64
+//	substep int64    always 0
 //	n       int64
 //	n × { id int64, mass float64, pos [3]float64, vel [3]float64, rung byte }
 //
-// Substep and rung carry the block-timestep state: a snapshot taken at a
-// substep barrier (substep > 0) restores mid-top-level-step, with every
-// particle's power-of-two rung preserved so its half-finished leapfrog step
-// can be closed with the right dt. Read also accepts the v1 format
-// ("BONSAI1\n", no substep, no rungs), which restores with substep 0 and all
-// particles on rung 0.
+// The rung byte carries each particle's block-timestep level, so a restarted
+// run keeps its hierarchy. Snapshots are taken at top-of-step barriers only:
+// the substep field is written as 0 and Read rejects any other value with
+// ErrMidStep. Read also accepts the v1 format ("BONSAI1\n", no substep, no
+// rungs), which restores all particles on rung 0.
 package snapshot
 
 import (
@@ -40,12 +39,9 @@ var (
 )
 
 // Header carries the simulation metadata stored alongside the particles.
-// Substep is the block-timestep barrier index inside the top-level step
-// (0 = top-of-step boundary, the only value global-dt runs produce).
 type Header struct {
-	Time    float64
-	Step    int64
-	Substep int64
+	Time float64
+	Step int64
 }
 
 const (
@@ -65,7 +61,7 @@ func Write(w io.Writer, h Header, parts []body.Particle) error {
 	if err := binary.Write(bw, binary.LittleEndian, h.Step); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, h.Substep); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, int64(0)); err != nil { // substep
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, int64(len(parts))); err != nil {
@@ -94,6 +90,10 @@ func Write(w io.Writer, h Header, parts []body.Particle) error {
 // ErrTruncated reports a snapshot that ends before its header, or before the
 // particle count its header declares.
 var ErrTruncated = errors.New("snapshot: truncated")
+
+// ErrMidStep reports a v2 snapshot whose substep field is not 0: state taken
+// between the barriers of a block-timestep step, which no run resumes.
+var ErrMidStep = errors.New("snapshot: taken mid-step (non-zero substep)")
 
 // truncated names an end-of-input error; any other read error passes as is.
 func truncated(err error) error {
@@ -129,7 +129,9 @@ func Read(r io.Reader) (Header, []body.Particle, error) {
 	}
 	h := Header{Time: bitsf(le.Uint64(fields)), Step: int64(le.Uint64(fields[8:]))}
 	if v2 {
-		h.Substep = int64(le.Uint64(fields[16:]))
+		if sub := int64(le.Uint64(fields[16:])); sub != 0 {
+			return Header{}, nil, fmt.Errorf("%w: substep %d", ErrMidStep, sub)
+		}
 	}
 	n := int64(le.Uint64(fields[len(fields)-8:]))
 	if n < 0 {

@@ -43,30 +43,39 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripRungsAndSubstep(t *testing.T) {
-	// Block-timestep state: per-particle rungs and the substep barrier index
-	// must survive the v2 format exactly — a snapshot at a mid-step barrier
-	// is only restartable if every particle's half-finished leapfrog step can
-	// be closed with the right dt.
+	// Block-timestep state: per-particle rungs must survive the v2 format
+	// exactly — a restarted run keeps the hierarchy its particles carry. The
+	// substep field is written as 0, and a stream with any other value (state
+	// between a step's barriers) is rejected by name.
 	parts := ic.Plummer(300, 1, 1, 1, 43)
 	for i := range parts {
 		parts[i].Rung = uint8(i % 7)
 	}
-	h := Header{Time: 1.5, Step: 12, Substep: 5}
+	h := Header{Time: 1.5, Step: 12}
 	var buf bytes.Buffer
 	if err := Write(&buf, h, parts); err != nil {
 		t.Fatal(err)
+	}
+	b := bytes.Clone(buf.Bytes())
+	if sub := binary.LittleEndian.Uint64(b[8+2*8:]); sub != 0 {
+		t.Fatalf("substep field written as %d, want 0", sub)
 	}
 	gh, got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gh != h {
-		t.Fatalf("header %+v != %+v (substep lost?)", gh, h)
+		t.Fatalf("header %+v != %+v", gh, h)
 	}
 	for i := range parts {
 		if got[i].Rung != parts[i].Rung {
 			t.Fatalf("particle %d: rung %d != %d", i, got[i].Rung, parts[i].Rung)
 		}
+	}
+
+	binary.LittleEndian.PutUint64(b[8+2*8:], 5)
+	if _, got, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrMidStep) || got != nil {
+		t.Fatalf("substep 5: got %d particles and %v, want ErrMidStep", len(got), err)
 	}
 }
 
@@ -94,12 +103,12 @@ func v1Stream() *bytes.Buffer {
 }
 
 func TestReadV1Compat(t *testing.T) {
-	// A v1 stream must still load: substep 0, every particle on rung 0.
+	// A v1 stream must still load, every particle on rung 0.
 	h, parts, err := Read(v1Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Time != 2.5 || h.Step != 9 || h.Substep != 0 {
+	if h.Time != 2.5 || h.Step != 9 {
 		t.Fatalf("v1 header mishandled: %+v", h)
 	}
 	if len(parts) != 2 || parts[0].Rung != 0 || parts[1].Rung != 0 {
@@ -177,7 +186,7 @@ func TestTruncatedStream(t *testing.T) {
 func FuzzSnapshotRead(f *testing.F) {
 	f.Add(v1Stream().Bytes())
 	var v2 bytes.Buffer
-	if err := Write(&v2, Header{Time: 1.5, Step: 3, Substep: 2}, ic.Plummer(5, 1, 1, 1, 9)); err != nil {
+	if err := Write(&v2, Header{Time: 1.5, Step: 3}, ic.Plummer(5, 1, 1, 1, 9)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())

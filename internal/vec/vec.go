@@ -56,9 +56,6 @@ func (a V3) Max(b V3) V3 {
 	return V3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
 }
 
-// MaxComponent returns the largest of the three components.
-func (a V3) MaxComponent() float64 { return math.Max(a.X, math.Max(a.Y, a.Z)) }
-
 // IsFinite reports whether all components are finite numbers.
 func (a V3) IsFinite() bool {
 	return !math.IsNaN(a.X) && !math.IsInf(a.X, 0) &&
@@ -206,7 +203,8 @@ func gapDist(alo, ahi, blo, bhi float64) float64 {
 // are built over this cube so that all cells are cubic.
 func (b Box) Cubify() Box {
 	c := b.Center()
-	h := 0.5 * b.Size().MaxComponent()
+	s := b.Size()
+	h := 0.5 * math.Max(s.X, math.Max(s.Y, s.Z))
 	h *= 1.0 + 1e-12
 	if h == 0 {
 		h = 1e-12
