@@ -20,16 +20,24 @@ import (
 	"bonsai/internal/vec"
 )
 
-// mwSample builds a Morton-ordered octree over an n-particle Milky Way
-// sample, shared across kernel benchmarks.
-func mwSample(n int) (*octree.Tree, []octree.Group) {
+// mwPoints returns the positions and masses of an n-particle Milky Way
+// sample.
+func mwPoints(n int) (pos []vec.V3, mass []float64) {
 	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 0)
-	pos := make([]vec.V3, n)
-	mass := make([]float64, n)
+	pos = make([]vec.V3, n)
+	mass = make([]float64, n)
 	for i, p := range parts {
 		pos[i] = p.Pos
 		mass[i] = p.Mass
 	}
+	return pos, mass
+}
+
+// mwSample builds a Morton-ordered octree over an n-particle Milky Way
+// sample with the paper's leaf and group sizes (16 and 64), shared across the
+// Fig. 1 kernel benchmarks, which model the paper's GPUs.
+func mwSample(n int) (*octree.Tree, []octree.Group) {
+	pos, mass := mwPoints(n)
 	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
 	return tr, octree.GroupsOf(tr.Pos, 64)
 }
@@ -184,19 +192,14 @@ func BenchmarkAblation_Theta040(b *testing.B) { benchTheta(b, 0.4) }
 func BenchmarkAblation_Theta055(b *testing.B) { benchTheta(b, 0.55) }
 func BenchmarkAblation_Theta070(b *testing.B) { benchTheta(b, 0.7) }
 
-// #2: NLEAF — leaf size trades build cost against walk cost.
+// #2: NLEAF — leaf size trades build cost against walk cost, at the default
+// group size.
 func benchNLeaf(b *testing.B, nleaf int) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 60_000, 1, 0)
-	pos := make([]vec.V3, len(parts))
-	mass := make([]float64, len(parts))
-	for i, p := range parts {
-		pos[i] = p.Pos
-		mass[i] = p.Mass
-	}
+	pos, mass := mwPoints(60_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, _ := octree.BuildFrom(pos, mass, nleaf, 0)
-		groups := tr.MakeGroups(64)
+		groups := tr.MakeGroups(octree.DefaultNGroup)
 		acc := make([]vec.V3, len(pos))
 		pot := make([]float64, len(pos))
 		tr.Walk(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, nil)
@@ -208,9 +211,11 @@ func BenchmarkAblation_NLeaf16(b *testing.B) { benchNLeaf(b, 16) }
 func BenchmarkAblation_NLeaf32(b *testing.B) { benchNLeaf(b, 32) }
 func BenchmarkAblation_NLeaf64(b *testing.B) { benchNLeaf(b, 64) }
 
-// #3: group size NCRIT — interaction-list sharing vs extra p-p work.
+// #3: group size NCRIT — interaction-list sharing vs extra p-p work, at the
+// default leaf size.
 func benchNGroup(b *testing.B, ngroup int) {
-	tr, _ := mwSample(60_000)
+	pos, mass := mwPoints(60_000)
+	tr, _ := octree.BuildFrom(pos, mass, octree.DefaultNLeaf, 0)
 	groups := tr.MakeGroups(ngroup)
 	n := tr.NumParticles()
 	acc := make([]vec.V3, n)
@@ -226,6 +231,7 @@ func benchNGroup(b *testing.B, ngroup int) {
 
 func BenchmarkAblation_NGroup16(b *testing.B)  { benchNGroup(b, 16) }
 func BenchmarkAblation_NGroup64(b *testing.B)  { benchNGroup(b, 64) }
+func BenchmarkAblation_NGroup128(b *testing.B) { benchNGroup(b, 128) }
 func BenchmarkAblation_NGroup256(b *testing.B) { benchNGroup(b, 256) }
 
 // #4: boundary-tree depth — LET traffic vs boundary-only coverage.

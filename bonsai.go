@@ -47,7 +47,8 @@ type Particle struct {
 
 // Config configures a simulation. Zero values select the paper's defaults
 // where one exists (Theta 0.4) and sensible values elsewhere. The octree's
-// leaf and target-group sizes are the paper's constants (16 and 64).
+// leaf and target-group sizes are the measured constants
+// octree.DefaultNLeaf and octree.DefaultNGroup (32 and 128), not options.
 type Config struct {
 	// Ranks is the number of simulated MPI processes (one modeled GPU
 	// each). Default 1.

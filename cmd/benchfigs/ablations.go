@@ -29,8 +29,8 @@ func printAblations(n int) {
 	// --- #1 opening angle.
 	fmt.Println("\n#1 opening angle θ (paper §IV: cost grows toward θ⁻³; θ=0.4 chosen for disks)")
 	fmt.Printf("%8s %14s %14s %12s\n", "θ", "pp/particle", "pc/particle", "Gflop/step")
-	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
-	groups := tr.MakeGroups(64)
+	tr, _ := octree.BuildFrom(pos, mass, octree.DefaultNLeaf, 0)
+	groups := tr.MakeGroups(octree.DefaultNGroup)
 	acc := make([]vec.V3, len(pos))
 	pot := make([]float64, len(pos))
 	for _, theta := range []float64{0.2, 0.3, 0.4, 0.55, 0.7} {
@@ -44,13 +44,13 @@ func printAblations(n int) {
 	}
 
 	// --- #2 NLEAF.
-	fmt.Println("\n#2 NLEAF (paper uses 16): build cost vs walk cost")
+	fmt.Printf("\n#2 NLEAF (paper uses 16, default %d): build cost vs walk cost, NCRIT %d\n", octree.DefaultNLeaf, octree.DefaultNGroup)
 	fmt.Printf("%8s %10s %12s %12s %12s\n", "NLEAF", "cells", "build [ms]", "walk [ms]", "Gflop/step")
 	for _, nleaf := range []int{8, 16, 32, 64} {
 		t0 := time.Now()
 		tl, _ := octree.BuildFrom(pos, mass, nleaf, 0)
 		build := time.Since(t0)
-		gl := tl.MakeGroups(64)
+		gl := tl.MakeGroups(octree.DefaultNGroup)
 		for i := range acc {
 			acc[i], pot[i] = vec.V3{}, 0
 		}
@@ -63,9 +63,9 @@ func printAblations(n int) {
 	}
 
 	// --- #3 group size NCRIT.
-	fmt.Println("\n#3 group size NCRIT (warp-multiple target groups share one interaction list)")
+	fmt.Printf("\n#3 group size NCRIT (paper uses 64, default %d; target groups share one interaction list), NLEAF %d\n", octree.DefaultNGroup, octree.DefaultNLeaf)
 	fmt.Printf("%8s %10s %14s %14s %14s %12s\n", "NCRIT", "groups", "targets/group", "pp/particle", "pc/particle", "walk [ms]")
-	for _, ng := range []int{16, 64, 256} {
+	for _, ng := range []int{16, 64, 128, 256} {
 		gl := tr.MakeGroups(ng)
 		for i := range acc {
 			acc[i], pot[i] = vec.V3{}, 0

@@ -170,13 +170,13 @@ func KernelISA() string { return kernelISA }
 // where |c_k| is the magnitude of source k's contribution (m/R² and m/R for a
 // particle; for a cell each multipole term at its largest, |Q| the Frobenius
 // norm), R_k the softened distance and span how far the call's targets reach
-// from the first of them (the norm of the per-axis maxima). The scalar tier
-// differs from the reference in summation order only: 1e-12. The float32 tier
-// stores coordinates relative to the first target, so a source's position is
-// known to 2⁻²⁴ of its distance plus 2⁻²⁴ of the span, which is what the
-// weight says; for the tree walk's compact groups it is near 1 on all but the
-// nearest sources. Tests that compare whole force fields computed through
-// different call sequences use KernelTol() as the relative rms bound.
+// from the centre of their bounding box (the norm of the box's half-widths).
+// The scalar tier differs from the reference in summation order only: 1e-12.
+// The float32 tier stores coordinates relative to that centre, so a source's
+// position is known to 2⁻²⁴ of its distance plus 2⁻²⁴ of the span, which is
+// what the weight says; for the tree walk's compact groups it is near 1 on all
+// but the nearest sources. Tests that compare whole force fields computed
+// through different call sequences use KernelTol() as the relative rms bound.
 func KernelTol() float64 { return kernelTol }
 
 // PPBatch evaluates every target against every gathered source particle,

@@ -31,6 +31,9 @@ func narrowAVX2(dst *float32, src *float64, n int, origin, scale float64)
 //go:noescape
 func maxAbsAVX2(x *float64, n int, origin float64) float64
 
+//go:noescape
+func boxAVX2(tx, ty, tz *float64, n int, box *[6]float64)
+
 // Implemented in cpuid_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -139,7 +142,7 @@ const planeLanes = 512
 // frame is one call's coordinate frame and normalisation, read by the
 // assembly at fixed offsets (F_* in kernels_avx2_amd64.s).
 type frame struct {
-	ox, oy, oz float64    // origin: the call's first target
+	ox, oy, oz float64    // origin: the centre of the targets' bounding box
 	lscale     float64    // 2^-eL, lengths
 	scale      [4]float64 // undo the normalisation on the sums: ax, ay, az, pot
 	eps2       float32    // (ε·lscale)²
@@ -157,24 +160,26 @@ const (
 	maxQuad  = 0x1p10  // largest normalised |Q'| (physical lists stay below ¼)
 )
 
-// newFrame sets the origin at the call's first target — the tree walk's
-// targets are one compact group, so the relative coordinates of everything
-// near them are small — and chooses the power-of-two normalisation: lengths by the exponent eL of max(extent, ε), where the extent is the
+// newFrame sets the origin at the centre of the targets' bounding box — the
+// tree walk's targets are one compact group, so the relative coordinates of
+// everything near them are small, and no target is farther from the origin
+// than half the box's diagonal — and chooses the power-of-two normalisation:
+// lengths by the exponent eL of max(extent, ε), where the extent is the
 // largest |coordinate − origin| over targets and sources, masses by the
 // exponent eM of the largest |mass|, moments (quads, nil for a particle list)
 // by both. mscale and qscale are what the sources' masses and moments are
 // multiplied by on narrowing. It reports ok = false when the call must take
-// the scalar loops instead: a NaN or Inf among the inputs (maxAbs returns
-// them), ε = 0 or below minEps of the extent, an extent or mass outside
-// 2^±300, a moment above maxQuad. Scaling every length by 2^k and every mass
-// by 2^j shifts eL and eM and changes nothing else, so the decision and the
-// normalised float32 values do not depend on the unit system.
+// the scalar loops instead: a NaN or Inf among the inputs (centre and maxAbs
+// return them), ε = 0 or below minEps of the extent, an extent or mass
+// outside 2^±300, a moment above maxQuad. Scaling every length by 2^k and
+// every mass by 2^j shifts eL and eM and changes nothing else, so the
+// decision and the normalised float32 values do not depend on the unit
+// system.
 func newFrame(tx, ty, tz, sx, sy, sz, sm []float64, quads *[6][]float64, eps2 float64) (f frame, mscale, qscale float64, ok bool) {
-	f.ox, f.oy, f.oz = tx[0], ty[0], tz[0]
+	var reach float64
+	f.ox, f.oy, f.oz, reach = centre(tx, ty, tz)
 	eps := math.Sqrt(eps2)
-	ext := max(eps,
-		maxAbs(tx, f.ox), maxAbs(ty, f.oy), maxAbs(tz, f.oz),
-		maxAbs(sx, f.ox), maxAbs(sy, f.oy), maxAbs(sz, f.oz))
+	ext := max(eps, reach, maxAbs(sx, f.ox), maxAbs(sy, f.oy), maxAbs(sz, f.oz))
 	mmax := maxAbs(sm, 0)
 	if !(ext >= 1/maxInput && ext <= maxInput && mmax >= 1/maxInput && mmax <= maxInput) {
 		return f, 0, 0, false
@@ -202,6 +207,22 @@ func pow2(e int) float64     { return math.Float64frombits(uint64(1023+e) << 52)
 
 func maxAbs(x []float64, origin float64) float64 {
 	return maxAbsAVX2(&x[0], len(x), origin)
+}
+
+// centre returns the centre of the bounding box of the points (tx[i], ty[i],
+// tz[i]) and their reach from it, the largest |coordinate − centre| over the
+// three axes, or a NaN reach when any coordinate is an Inf or a NaN. The
+// reach is taken from the box's faces, so it is exactly the largest of the
+// rounded differences the narrowing forms.
+func centre(tx, ty, tz []float64) (ox, oy, oz, reach float64) {
+	var b [6]float64
+	boxAVX2(&tx[0], &ty[0], &tz[0], len(tx), &b)
+	var o [3]float64
+	for k := range o {
+		o[k] = 0.5 * (b[k] + b[k+3])
+		reach = max(reach, b[k+3]-o[k], o[k]-b[k])
+	}
+	return o[0], o[1], o[2], reach
 }
 
 // narrowTile fills plane k of scratch with float32((src[i] − origin)·scale)

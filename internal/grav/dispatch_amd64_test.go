@@ -91,8 +91,8 @@ func takesFloat32(c *kernelCase) (pp, pc bool) {
 // either way the result keeps the contract FuzzKernelEquivalence states, on
 // every tier the host supports. Coordinates are
 // uniform in [-extent, extent]³ with two opposite corners among the sources,
-// so the extent of a call — the largest distance per axis from the first
-// target — is in [extent, 2·extent).
+// so the extent of a call — the largest distance per axis from the centre of
+// the targets' box — is in [extent, 2·extent).
 func TestPPNewtonPathSelection(t *testing.T) {
 	if KernelISA() == "scalar" {
 		t.Skip("host cannot run the float32 kernels")
@@ -207,9 +207,13 @@ func TestPPNewtonPathSelection(t *testing.T) {
 
 // TestPPRinvAccuracy makes the bound on each tier's reciprocal square root a
 // checked number. 4·10⁴ separations on a 2⁻¹² grid, uniform in [0, 2), are
-// read back as the potential of one unit-mass source at the origin (the other
-// lanes carry zero mass). On that grid the narrowing, dx and the products of
-// the potential are exact, so what is measured is the one FMA rounding of
+// read back as the potential of one unit-mass source at x = 0 (the other
+// lanes carry zero mass). The frame's origin, the centre of the targets' box,
+// is the midpoint of two grid values and so lies on the 2⁻¹³ grid, as does
+// every coordinate's difference from it. The power-of-two normalisation keeps
+// a grid, and normalised coordinates and every dx are below 2 in magnitude,
+// at most 15 significant bits: the narrowing, dx and the products of the
+// potential are exact, and what is measured is the one FMA rounding of
 // r² = ε² + dx² (½u on 1/r, u = 2⁻²⁴), the seed's relative error e taken
 // through one Newton step (1.5·e²) and the step's own three roundings (2.5u).
 // VRSQRTPS has e = 1.5·2⁻¹², so 3.4u from the step and 6.4u in all; the step
@@ -240,7 +244,6 @@ func TestPPRinvAccuracy(t *testing.T) {
 	for i := range tx {
 		tx[i] = float64(rng.Intn(1<<13)) * 0x1p-12
 	}
-	tx[0] = 1 // the origin: on the grid
 	zero := make([]float64, n)
 	worst := map[string]float64{}
 	forEachTier(func() {
@@ -313,6 +316,44 @@ func TestMaxAbs3(t *testing.T) {
 		got := maxAbs(c.x, c.origin)
 		if finite := !math.IsNaN(got) && !math.IsInf(got, 0); math.IsNaN(c.want) == finite || (finite && got != c.want) {
 			t.Errorf("maxAbs(%v, %v) = %v, want %v", c.x, c.origin, got, c.want)
+		}
+	}
+}
+
+// TestCentre checks the targets' box pass on its vector body and broadcast
+// tail, for each axis: the centre of the least and greatest coordinate, the
+// reach from it over all three axes, and a NaN reach for any Inf or NaN
+// whatever its place (the pass's minimum and maximum drop a NaN).
+func TestCentre(t *testing.T) {
+	if KernelISA() == "scalar" {
+		t.Skip("host cannot run the float32 kernels")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		x, y, z []float64
+		o       [3]float64
+		reach   float64 // NaN: any coordinate is not finite
+	}{
+		{[]float64{3}, []float64{-1}, []float64{0}, [3]float64{3, -1, 0}, 0},
+		{[]float64{1, -2}, []float64{0, 0}, []float64{5, 5}, [3]float64{-0.5, 0, 5}, 1.5},
+		{[]float64{0, 1, 2, 3}, []float64{0, 0, 0, 8}, []float64{1, 1, 1, 1}, [3]float64{1.5, 4, 1}, 4},
+		{[]float64{1, 2, 3, 4, -9}, []float64{0, 0, 0, 0, 0}, []float64{0, 0, 0, 0, 0}, [3]float64{-2.5, 0, 0}, 6.5},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, []float64{0, 0, 0, 0, 0, 0, 0, 0, -70}, []float64{0, 0, 0, 0, 0, 0, 0, 0, 0}, [3]float64{5, -35, 0}, 35},
+		{[]float64{nan, 2, 3, 4, 1}, []float64{0, 0, 0, 0, 0}, []float64{0, 0, 0, 0, 0}, [3]float64{}, nan},
+		{[]float64{1, 2, 3, 4, 1}, []float64{0, 0, nan, 0, 0}, []float64{0, 0, 0, 0, 0}, [3]float64{}, nan},
+		{[]float64{1, 2, 3, 4, 1}, []float64{0, 0, 0, 0, 0}, []float64{0, 0, 0, 0, nan}, [3]float64{}, nan},
+		{[]float64{1, 2, 3, 4, 1, 2, 3, 4}, []float64{0, 0, 0, 0, 0, 0, 0, -inf}, []float64{0, 0, 0, 0, 0, 0, 0, 0}, [3]float64{}, nan},
+		{[]float64{inf, inf}, []float64{0, 0}, []float64{0, 0}, [3]float64{}, nan},
+	} {
+		ox, oy, oz, reach := centre(c.x, c.y, c.z)
+		if math.IsNaN(c.reach) {
+			if !math.IsNaN(reach) {
+				t.Errorf("centre(%v, %v, %v): reach %v, want NaN", c.x, c.y, c.z, reach)
+			}
+			continue
+		}
+		if [3]float64{ox, oy, oz} != c.o || reach != c.reach {
+			t.Errorf("centre(%v, %v, %v) = %v, %v, %v, %v, want %v, %v", c.x, c.y, c.z, ox, oy, oz, reach, c.o, c.reach)
 		}
 	}
 }

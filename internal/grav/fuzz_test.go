@@ -3,6 +3,7 @@ package grav
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bonsai/internal/vec"
@@ -235,13 +236,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 }
 
 // kernelSpan returns the span of KernelTol's weight: the norm of the per-axis
-// largest distances of a target from the first.
+// largest distances of a target from the frame origin, the centre of the
+// targets' bounding box — the norm of the box's half-widths.
 func kernelSpan(tx, ty, tz []float64) float64 {
-	reach := func(t []float64) (d float64) {
-		for _, v := range t {
-			d = max(d, math.Abs(v-t[0]))
+	reach := func(t []float64) float64 {
+		if len(t) == 0 {
+			return 0
 		}
-		return d
+		return (slices.Max(t) - slices.Min(t)) / 2
 	}
 	hx, hy, hz := reach(tx), reach(ty), reach(tz)
 	return math.Sqrt(hx*hx + hy*hy + hz*hz)

@@ -439,6 +439,91 @@ narrow_done:
 	VZEROUPPER
 	RET
 
+// BOXSTEP takes one vector of x, y and z (Y9, Y10, Y11) into boxAVX2's
+// running least (Y0–Y2), greatest (Y3–Y5) and x·0 sums (Y6–Y8).
+#define BOXSTEP \
+	VMINPD Y9, Y0, Y0; \
+	VMINPD Y10, Y1, Y1; \
+	VMINPD Y11, Y2, Y2; \
+	VMAXPD Y9, Y3, Y3; \
+	VMAXPD Y10, Y4, Y4; \
+	VMAXPD Y11, Y5, Y5; \
+	VFMADD231PD Y15, Y9, Y6; \
+	VFMADD231PD Y15, Y10, Y7; \
+	VFMADD231PD Y15, Y11, Y8
+
+// BOXFOLD finishes one axis of boxAVX2: the least of the four lanes of lo
+// to olo, the greatest of hi plus the sum of the lanes of sum to ohi.
+#define BOXFOLD(lo, xlo, hi, xhi, sum, xsum, olo, ohi) \
+	VEXTRACTF128 $1, lo, X9; \
+	VMINPD X9, xlo, xlo; \
+	VPERMILPD $1, xlo, X9; \
+	VMINSD X9, xlo, xlo; \
+	VMOVSD xlo, olo; \
+	VEXTRACTF128 $1, hi, X9; \
+	VMAXPD X9, xhi, xhi; \
+	VPERMILPD $1, xhi, X9; \
+	VMAXSD X9, xhi, xhi; \
+	VEXTRACTF128 $1, sum, X9; \
+	VADDPD X9, xsum, xsum; \
+	VPERMILPD $1, xsum, X9; \
+	VADDSD X9, xsum, xsum; \
+	VADDSD xsum, xhi, xhi; \
+	VMOVSD xhi, ohi
+
+// func boxAVX2(tx, ty, tz *float64, n int, box *[6]float64)
+//
+// The bounding box of the n ≥ 1 points (tx[i], ty[i], tz[i]): the least
+// coordinate per axis in box[0:3] and the greatest in box[3:6], with a NaN as
+// the greatest of every axis that holds an Inf or a NaN. VMINPD and VMAXPD do
+// not propagate a NaN (each returns its second source when either is one), so
+// each axis also sums x·0, which is 0 for finite x and a NaN otherwise, and
+// adds the sum to its greatest. The tail loads each remaining point broadcast
+// to every lane, where the minimum and maximum are idempotent.
+TEXT ·boxAVX2(SB), NOSPLIT, $0-40
+	MOVQ tx+0(FP), AX
+	MOVQ ty+8(FP), BX
+	MOVQ tz+16(FP), SI
+	MOVQ n+24(FP), CX
+	VBROADCASTSD (AX), Y0         // least x, y, z
+	VBROADCASTSD (BX), Y1
+	VBROADCASTSD (SI), Y2
+	VMOVAPD Y0, Y3                // greatest x, y, z
+	VMOVAPD Y1, Y4
+	VMOVAPD Y2, Y5
+	VXORPD Y6, Y6, Y6             // Σ x·0, Σ y·0, Σ z·0
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y15, Y15, Y15          // 0
+	MOVQ CX, R8
+	ANDQ $-4, R8
+	XORQ DX, DX
+box_loop:
+	CMPQ DX, R8
+	JGE  box_tail
+	VMOVUPD (AX)(DX*8), Y9
+	VMOVUPD (BX)(DX*8), Y10
+	VMOVUPD (SI)(DX*8), Y11
+	BOXSTEP
+	ADDQ $4, DX
+	JMP  box_loop
+box_tail:
+	CMPQ DX, CX
+	JGE  box_done
+	VBROADCASTSD (AX)(DX*8), Y9
+	VBROADCASTSD (BX)(DX*8), Y10
+	VBROADCASTSD (SI)(DX*8), Y11
+	BOXSTEP
+	INCQ DX
+	JMP  box_tail
+box_done:
+	MOVQ box+32(FP), DI
+	BOXFOLD(Y0, X0, Y3, X3, Y6, X6, 0(DI), 24(DI))
+	BOXFOLD(Y1, X1, Y4, X4, Y7, X7, 8(DI), 32(DI))
+	BOXFOLD(Y2, X2, Y5, X5, Y8, X8, 16(DI), 40(DI))
+	VZEROUPPER
+	RET
+
 // func maxAbsAVX2(x *float64, n int, origin float64) float64
 //
 // The largest |x[i] − origin| over i < n with its low 32 mantissa bits

@@ -171,9 +171,10 @@ func TestGroupCutProperties(t *testing.T) {
 }
 
 // TestGroupOccupancy is the floor under the cut's reason to exist: a cut that
-// emits the first cell with N <= ngroup on every path fills 28% of NGroup on
-// the Milky Way model (an octree cell just above 64 splits eight ways), and
-// every group pays one traversal and one gather whatever it holds.
+// emits the first cell with N <= ngroup on every path fills 27% of NGroup on
+// the Milky Way model (an octree cell just above 128 splits eight ways; the
+// aligned-span cut fills 57%), and every group pays one traversal and one
+// gather whatever it holds.
 // MakeGroupsScratch sizes its result from this floor.
 func TestGroupOccupancy(t *testing.T) {
 	mw := ic.MilkyWay(ic.DefaultMilkyWay(), 16384, 1, 1)

@@ -20,13 +20,18 @@ import (
 	"bonsai/internal/vec"
 )
 
-// DefaultNLeaf is the maximum number of particles in a leaf cell; the paper
-// uses 16 (§I, citing the Bonsai method paper).
-const DefaultNLeaf = 16
+// DefaultNLeaf is the maximum number of particles in a leaf cell. It is a
+// measured value, not the paper's 16 (a GPU warp's half): with DefaultNGroup
+// it is the pair that won or tied step time on every benchmark workload
+// (EXPERIMENTS.md "Twice the targets per walk").
+const DefaultNLeaf = 32
 
-// DefaultNGroup is the target-group size for the tree-walk, matching the
-// GPU's warp-multiple thread groups.
-const DefaultNGroup = 64
+// DefaultNGroup is the most targets a tree-walk group holds. It is a measured
+// value, not the paper's 64 (a warp multiple): every group pays one
+// traversal, one gather and one narrowing pass whatever it holds, and 128 is
+// the largest size the float32 kernels' error budget allows
+// (TestFloat32ErrorBudget in internal/grav fails its maximum at 256).
+const DefaultNGroup = 128
 
 // Cell is one octree node. Particles of the cell occupy the contiguous range
 // [Start, Start+N) of the tree's particle arrays. Cells sit in depth-first

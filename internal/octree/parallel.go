@@ -117,9 +117,9 @@ func (t *Tree) ComputePropertiesParallel(workers int) {
 }
 
 // minGroupOccupancy is the mean N/ngroup the tree cut fills its groups to on
-// clustered particle sets; TestGroupOccupancy holds the cut to it (0.62
-// measured on the 16k Milky Way model) and MakeGroupsScratch sizes its
-// result from it.
+// clustered particle sets; TestGroupOccupancy holds the cut to it (0.57
+// measured on the 16k Milky Way model at DefaultNGroup) and MakeGroupsScratch
+// sizes its result from it.
 const minGroupOccupancy = 0.5
 
 // MakeGroupsScratch is MakeGroups with worker parallelism and result-slice
