@@ -39,10 +39,10 @@ tier1: vet build test race fuzz-smoke
 # bit-flipped and cyclic frames must be rejected or decode to a tree every
 # walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
 # minimisation of each multi-kB finding from eating the whole budget), and a
-# 10-second fuzz of obs.ReadMetricsJSONL, the reader the telemetry collector
-# runs on worker streams (no panic; every record it returns re-encodes and
-# decodes to itself; a stream cut inside its final line returns the complete
-# prefix).
+# 10-second fuzz of obs.ReadMetricsJSONL, the reader rank 0 runs on the step
+# records every other process gathers to it (no panic; every record it
+# returns re-encodes and decodes to itself; a stream cut inside its final line
+# returns the complete prefix).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSnapshotRead -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
@@ -107,25 +107,27 @@ bench-overlap:
 e2e-bench:
 	$(GO) run ./benchmark run -out benchmark/out/e2e.json
 
-# End-to-end smoke test of the observability layer: a traced 4-rank run must
-# produce a Perfetto-loadable Chrome trace and a parseable metrics stream,
-# and tracestats must turn both into the overlap/straggler report, with the
-# remote walk's passes per evaluation and trees per pass.
+# End-to-end smoke test of the observability layer: a traced 4-rank
+# in-process run must produce a Perfetto-loadable Chrome trace, a parseable
+# metrics stream and a Prometheus snapshot of its fleet view, and tracestats
+# must turn them into the overlap/straggler report, with the remote walk's
+# passes per evaluation and trees per pass, and validate the snapshot.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 2 -q \
-	  -trace "$$tmp/trace.json" -metrics "$$tmp/metrics.jsonl" && \
-	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" "$$tmp/trace.json" | tee "$$tmp/report.txt" && \
+	  -trace "$$tmp/trace.json" -metrics "$$tmp/metrics.jsonl" -prom-snapshot "$$tmp/metrics.prom" && \
+	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" -prom "$$tmp/metrics.prom" "$$tmp/trace.json" | tee "$$tmp/report.txt" && \
 	grep -q 'batched passes per rank per evaluation' "$$tmp/report.txt" && \
+	grep -q 'format ok' "$$tmp/report.txt" && \
 	$(GO) run ./cmd/snapinfo -metrics "$$tmp/metrics.jsonl" >/dev/null && \
 	echo "trace-smoke: OK"
 
 # End-to-end smoke test of the distributed telemetry plane: a 4-rank
-# multi-process unix-socket run with the launcher's collector must produce one
-# clock-aligned merged trace (all 4 rank tracks on a common timebase), a
-# combined per-rank metrics stream, and a Prometheus snapshot that parses as
-# text exposition format and carries the span-drop gauge and the last rank's
-# per-phase samples.
+# multi-process unix-socket run, whose telemetry travels to rank 0 over the
+# socket world itself, must produce one clock-aligned merged trace (all 4 rank
+# tracks on rank 0's clock), the folded metrics stream, and a Prometheus
+# snapshot that parses as text exposition format and carries the span-drop
+# gauge and the last rank's per-phase samples.
 telemetry-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 2 -q \

@@ -3,11 +3,9 @@ package bonsai
 import (
 	"errors"
 	"io"
-	"net"
 	"time"
 
 	"bonsai/internal/body"
-	"bonsai/internal/grav"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/obs/telemetry"
@@ -104,9 +102,9 @@ type Config struct {
 
 	// Tracing enables the event-level observability layer: per-rank span
 	// timelines (exported with WriteChromeTrace), LET-arrival and walk
-	// histograms, and per-evaluation metrics (WriteMetricsJSONL). Disabled
-	// (the default) it costs one nil check per record point and does not
-	// change results.
+	// histograms, and per-evaluation metrics folded over ranks
+	// (WriteMetricsJSONL, WriteProm). Disabled (the default) it costs one nil
+	// check per record point, sends no message, and does not change results.
 	Tracing bool
 }
 
@@ -222,44 +220,77 @@ func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
 }
 
 // traced is the trace-export surface Simulation and NodeSimulation share: a
-// view of the run's recorder, nil without Config.Tracing.
+// view of the run's recorder and fleet view, nil without Config.Tracing. Only
+// the process holding rank 0 has the fleet view of a multi-process run.
 type traced struct {
-	rec *obs.Recorder
-}
-
-// newTraced creates the recorder of a ranks-rank run when cfg asks for one.
-func newTraced(cfg Config, ranks int) traced {
-	if !cfg.Tracing {
-		return traced{}
-	}
-	return traced{rec: obs.New(ranks, 0)}
+	rec   *obs.Recorder
+	fleet *telemetry.Fleet
 }
 
 // ErrTracingDisabled is returned by the trace exporters when the simulation
 // was created without Config.Tracing.
 var ErrTracingDisabled = errors.New("bonsai: tracing not enabled (set Config.Tracing)")
 
+// errNotRoot is returned by the fleet exporters of a rank other than 0.
+var errNotRoot = errors.New("bonsai: the fleet view of a multi-process run is on rank 0")
+
 // WriteChromeTrace exports the recorded span timeline in Chrome trace-event
 // JSON (load in Perfetto / chrome://tracing: one process per rank, one lane
-// per pipeline role). A NodeSimulation exports its own rank; for the all-rank
-// view of a multi-process run use the launcher's telemetry collector.
-// Requires Config.Tracing.
+// per pipeline role). Rank 0 of a multi-process run writes every rank's
+// spans on its own clock once GatherTelemetry has run; before that, and on
+// any other rank, a NodeSimulation writes its own rank's. Requires
+// Config.Tracing.
 func (t traced) WriteChromeTrace(w io.Writer) error {
 	if t.rec == nil {
 		return ErrTracingDisabled
 	}
+	if end := t.fleet.End(); end != nil {
+		return end.WriteTrace(w)
+	}
 	return t.rec.WriteChromeTrace(w)
 }
 
-// WriteMetricsJSONL exports one JSON object per force evaluation (overlap
-// fraction, straggler rank, imbalance, Gflop/s, worst LET arrival): folded
-// over all ranks by a Simulation, this rank's view from a NodeSimulation.
-// Requires Config.Tracing.
+// WriteMetricsJSONL exports one JSON object per force evaluation, folded over
+// all ranks (overlap fraction, straggler rank, imbalance, Gflop/s, worst LET
+// arrival). A multi-process run's stream is on rank 0. Requires
+// Config.Tracing.
 func (t traced) WriteMetricsJSONL(w io.Writer) error {
 	if t.rec == nil {
 		return ErrTracingDisabled
 	}
+	if t.fleet == nil {
+		return errNotRoot
+	}
 	return t.rec.WriteMetricsJSONL(w)
+}
+
+// WriteProm writes the fleet view in Prometheus text format: every rank's
+// gauges of its latest evaluation and the straggler alert count, plus, after
+// a multi-process run's GatherTelemetry, the clock offsets, pair bytes and
+// mailbox depths. Safe to call while the run steps (a live /metrics
+// endpoint). Requires Config.Tracing, and rank 0 of a multi-process run.
+func (t traced) WriteProm(w io.Writer) error {
+	if t.rec == nil {
+		return ErrTracingDisabled
+	}
+	if t.fleet == nil {
+		return errNotRoot
+	}
+	return t.fleet.WriteProm(w)
+}
+
+// WatchStragglers sets the fleet view's straggler watchdog: an evaluation in
+// which a rank's step time exceeds mult times the cross-rank median (mult ≤ 1
+// selects 2) logs one line through logf. Requires Config.Tracing; a no-op off
+// rank 0 of a multi-process run.
+func (t traced) WatchStragglers(mult float64, logf func(format string, args ...any)) error {
+	if t.rec == nil {
+		return ErrTracingDisabled
+	}
+	if t.fleet != nil {
+		t.fleet.Watch(mult, logf)
+	}
+	return nil
 }
 
 // PublishExpvar exposes the live metric histograms through the expvar
@@ -282,12 +313,15 @@ type Simulation struct {
 
 // New creates a simulation from the given particles.
 func New(cfg Config, parts []Particle) (*Simulation, error) {
-	tr := newTraced(cfg, max(cfg.Ranks, 1)) // sim.New defaults Ranks to 1
-	inner, err := sim.New(simConfig(cfg, tr.rec), toBody(parts))
+	var rec *obs.Recorder
+	if cfg.Tracing {
+		rec = obs.New(max(cfg.Ranks, 1), 0) // sim.New defaults Ranks to 1
+	}
+	inner, err := sim.New(simConfig(cfg, rec), toBody(parts))
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{inner: inner, traced: tr}, nil
+	return &Simulation{inner: inner, traced: traced{rec: rec, fleet: inner.Fleet()}}, nil
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
@@ -396,20 +430,27 @@ func (w *World) CommBytes() int64 { return w.inner.TotalBytes() }
 type NodeSimulation struct {
 	inner *sim.Node
 	traced
+	gatherErr error // the first failure of a per-step telemetry gather (rank 0)
 }
 
 // NewNodeSimulation creates the driver for one rank of a multi-process run.
 // parts is this rank's slice of the global particle set; use SliceForRank on
 // an identically generated (or restored) global set in every process.
 //
-// With Config.Tracing set, the node records its own rank's spans, per-step
-// metrics, and communication histograms — the state ServeTelemetry exposes
-// for the launcher's collector to merge across processes.
+// With Config.Tracing set, the node records its own rank's spans and
+// communication histograms, and every Step ends with a gather of the step's
+// evaluation records to rank 0, whose fleet view folds them: rank 0 writes
+// the run's metrics stream and Prometheus view, and after GatherTelemetry its
+// merged trace.
 func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeSimulation, error) {
-	tr := newTraced(cfg, w.inner.Size())
-	if tr.rec != nil {
+	var tr traced
+	if cfg.Tracing {
+		tr.rec = obs.New(w.inner.Size(), 0)
 		w.inner.EnableObs(tr.rec.Metrics().QueueDepthHist())
 		w.inner.ObserveFrameBytes(tr.rec.Metrics().FrameBytesHist())
+		if rank == 0 {
+			tr.fleet = telemetry.NewFleet(tr.rec, w.inner.Size())
+		}
 	}
 	inner, err := sim.NewNode(simConfig(cfg, tr.rec), w.inner, rank, toBody(parts))
 	if err != nil {
@@ -445,10 +486,30 @@ func (n *NodeSimulation) SetClock(step int, t float64) { n.inner.SetClock(step, 
 func (n *NodeSimulation) Step() StepStats {
 	var m obs.StepMetrics
 	obs.FoldRanks(&m, []obs.StepMetrics{n.inner.Step()})
-	for _, e := range n.inner.Records() {
-		n.rec.AddStep(e)
+	if n.rec != nil {
+		if err := telemetry.GatherStep(n.inner.Comm(), n.fleet, n.inner.Records()); err != nil && n.gatherErr == nil {
+			n.gatherErr = err
+		}
 	}
 	return fromStats(m, n.inner.StepCount())
+}
+
+// GatherTelemetry ends a traced run's telemetry (collective; call after the
+// last step): rank 0 aligns every rank's recorder clock on its own by
+// round-trip probes over the world, and every rank sends it its span track,
+// histograms and per-peer byte counts. Rank 0 returns the bound on the
+// residual cross-rank clock skew of the merged trace, and the first failure
+// of this or any per-step gather. Requires Config.Tracing.
+func (n *NodeSimulation) GatherTelemetry() (skew time.Duration, err error) {
+	if n.rec == nil {
+		return 0, ErrTracingDisabled
+	}
+	end, err := telemetry.GatherEnd(n.inner.Comm(), n.rec)
+	if end != nil {
+		n.fleet.SetEnd(end)
+		skew = end.MaxUncertainty()
+	}
+	return skew, errors.Join(n.gatherErr, err)
 }
 
 // Energy returns the total kinetic and potential energy across all ranks
@@ -467,44 +528,6 @@ func (n *NodeSimulation) GatherParticles(root int) []Particle {
 // writes landed. A run killed at any point restarts from the newest committed
 // checkpoint via LatestCheckpoint/LoadRankCheckpoint.
 func (n *NodeSimulation) Checkpoint(dir string) error { return n.inner.Checkpoint(dir) }
-
-// NodeTelemetry is a worker's live telemetry endpoint: spans, step metrics,
-// histograms, Prometheus gauges, expvar, and pprof served over HTTP, plus
-// the end-of-run gate the launcher's collector releases after its final
-// scrape.
-type NodeTelemetry struct {
-	inner *telemetry.Server
-}
-
-// ServeTelemetry starts serving this rank's telemetry on the listener (owned
-// by the endpoint from here on). Requires Config.Tracing.
-func (n *NodeSimulation) ServeTelemetry(ln net.Listener) (*NodeTelemetry, error) {
-	if n.rec == nil {
-		return nil, ErrTracingDisabled
-	}
-	srv := telemetry.Serve(ln, telemetry.ServerConfig{
-		Rec:       n.rec,
-		Rank:      n.inner.Rank(),
-		Ranks:     n.inner.Ranks(),
-		KernelISA: grav.KernelISA(),
-		PairBytes: n.inner.PairBytes,
-	})
-	return &NodeTelemetry{inner: srv}, nil
-}
-
-// MarkDone flags the simulation as finished so the collector can take its
-// final scrape; call it after the last step (and any final collective).
-func (t *NodeTelemetry) MarkDone() { t.inner.MarkDone() }
-
-// WaitShutdown blocks until the collector has scraped the final state and
-// released this worker, or the timeout passes (so a dead collector cannot
-// wedge the worker). Reports whether the release arrived in time.
-func (t *NodeTelemetry) WaitShutdown(timeout time.Duration) bool {
-	return t.inner.WaitShutdown(timeout)
-}
-
-// Close stops the telemetry endpoint.
-func (t *NodeTelemetry) Close() error { return t.inner.Close() }
 
 // LatestCheckpoint returns the newest committed checkpoint in dir: its step,
 // the rank count it was written with, and whether one exists at all.

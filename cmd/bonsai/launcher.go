@@ -10,26 +10,19 @@ import (
 )
 
 // launchConfig is everything the launcher and its forked workers must agree
-// on besides the simulation itself (simFlags): the transport topology and the
-// checkpoint location. Workers re-derive the same rank addresses from the
-// same flags.
+// on besides the simulation itself (simFlags): the transport topology, the
+// checkpoint location and the observability outputs. Workers re-derive the
+// same rank and debug addresses from the same flags.
 type launchConfig struct {
-	transport   string // "unix" or "tcp"
-	ranks       int
-	ckptEvery   int
-	ckptDir     string
-	portBase    int
-	maxRestarts int
-	sockDir     string
-
-	// Telemetry plane: any of the output paths (or the live endpoint) turns
-	// on worker tracing plus the launcher-side collector that merges it.
-	tracePath     string
-	metricsOut    string
-	expvarAddr    string
-	promSnapshot  string
-	stragglerMult float64
-	telePortBase  int
+	transport    string // "unix" or "tcp"
+	ranks        int
+	ckptEvery    int
+	ckptDir      string
+	portBase     int
+	telePortBase int
+	maxRestarts  int
+	sockDir      string
+	obs          obsFlags
 }
 
 // rankAddrs returns the listen address of every rank: deterministic, so the
@@ -76,13 +69,6 @@ func runLauncher(lc launchConfig) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if lc.telemetryOn() && lc.expvarAddr != "" {
-		addr, err := serveLauncherHTTP(lc.expvarAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("live metrics: http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", addr)
-	}
 
 	for attempt := 0; ; attempt++ {
 		ok, failure := runTeam(self, lc)
@@ -99,14 +85,7 @@ func runLauncher(lc launchConfig) {
 
 // runTeam starts all workers once and waits. Returns ok when every worker
 // exits cleanly; otherwise kills the survivors and reports the first failure.
-// With telemetry on, a collector runs alongside the team: workers hold their
-// exit until it has scraped their final state, so a clean team exit implies
-// the collector finished too.
 func runTeam(self string, lc launchConfig) (ok bool, failure string) {
-	var col *collectorHandle
-	if lc.telemetryOn() {
-		col = startCollector(lc)
-	}
 	cmds := make([]*exec.Cmd, lc.ranks)
 	type exitMsg struct {
 		rank int
@@ -124,7 +103,7 @@ func runTeam(self string, lc launchConfig) (ok bool, failure string) {
 		cmd := exec.Command(self, args...)
 		cmd.Stderr = os.Stderr
 		if r == 0 {
-			cmd.Stdout = os.Stdout // rank 0 narrates the run
+			cmd.Stdout = os.Stdout // rank 0 narrates the run and writes its telemetry
 		}
 		if err := cmd.Start(); err != nil {
 			for _, c := range cmds[:r] {
@@ -156,17 +135,7 @@ func runTeam(self string, lc launchConfig) (ok bool, failure string) {
 		for drained := clean + 1; drained < lc.ranks; drained++ {
 			<-exits
 		}
-		if col != nil {
-			col.abort()
-		}
 		return false, fmt.Sprintf("rank %d: %v", m.rank, m.err)
-	}
-	if col != nil {
-		// The telemetry outputs were requested explicitly: failing to produce
-		// them is an error, not something to drop silently.
-		if err := col.finish(lc); err != nil {
-			log.Fatal(err)
-		}
 	}
 	return true, ""
 }

@@ -19,10 +19,8 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 
 	"bonsai"
@@ -52,11 +50,11 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-step output")
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON timeline here (open in Perfetto); with a socket transport this is the clock-aligned merge of all worker processes")
 		metricsOut = flag.String("metrics", "", "write per-step JSONL metrics here (analyze with tracestats -metrics)")
-		expvarAddr = flag.String("expvar", "", "serve live metrics on this address (e.g. :6060): /debug/vars, and with a socket transport also Prometheus /metrics and pprof")
+		expvarAddr = flag.String("expvar", "", "serve live metrics on this address (e.g. :6060) from the process holding rank 0, for every transport: Prometheus /metrics of the fleet view, expvar /debug/vars and pprof /debug/pprof")
 
-		promSnapshot  = flag.String("prom-snapshot", "", "socket transports: write a final Prometheus text-format snapshot here")
-		stragglerMult = flag.Float64("straggler-mult", 2.0, "socket transports: alert when a rank's step time exceeds this multiple of the cross-rank median")
-		telePortBase  = flag.Int("tele-port-base", 29600, "tcp transport: rank r serves telemetry on 127.0.0.1:(tele-port-base+r)")
+		promSnapshot  = flag.String("prom-snapshot", "", "write a final Prometheus text-format snapshot of the fleet view here")
+		stragglerMult = flag.Float64("straggler-mult", 2.0, "traced runs: alert when a rank's step time exceeds this multiple of the cross-rank median")
+		telePortBase  = flag.Int("tele-port-base", 29600, "traced tcp runs: rank r serves pprof and expvar on 127.0.0.1:(tele-port-base+r)")
 
 		transport   = flag.String("transport", "chan", "rank transport: chan (in-process goroutines), unix or tcp (one OS process per rank)")
 		ckptEvery   = flag.Int("ckpt-every", 16, "steps between distributed checkpoints (socket transports; 0 = none)")
@@ -77,28 +75,24 @@ func main() {
 		serialLET: *serialLET,
 		steps:     *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
 	}
+	o := obsFlags{
+		tracePath: *tracePath, metricsOut: *metricsOut, expvarAddr: *expvarAddr,
+		promSnapshot: *promSnapshot, stragglerMult: *stragglerMult,
+	}
 	switch *transport {
 	case "chan":
-		if *promSnapshot != "" {
-			log.Fatal("-prom-snapshot requires -transport unix or tcp (the launcher's collector writes it)")
-		}
-		runInProcess(f, *tracePath, *metricsOut, *expvarAddr)
+		runInProcess(f, o)
 	case "unix", "tcp":
 		lc := launchConfig{
-			transport:   *transport,
-			ranks:       *ranks,
-			ckptEvery:   *ckptEvery,
-			ckptDir:     *ckptDir,
-			portBase:    *portBase,
-			maxRestarts: *maxRestarts,
-			sockDir:     *sockDir,
-
-			tracePath:     *tracePath,
-			metricsOut:    *metricsOut,
-			expvarAddr:    *expvarAddr,
-			promSnapshot:  *promSnapshot,
-			stragglerMult: *stragglerMult,
-			telePortBase:  *telePortBase,
+			transport:    *transport,
+			ranks:        *ranks,
+			ckptEvery:    *ckptEvery,
+			ckptDir:      *ckptDir,
+			portBase:     *portBase,
+			telePortBase: *telePortBase,
+			maxRestarts:  *maxRestarts,
+			sockDir:      *sockDir,
+			obs:          o,
 		}
 		if *workerRank >= 0 {
 			runWorker(lc, *workerRank, f)
@@ -111,38 +105,21 @@ func main() {
 }
 
 // runInProcess hosts every rank in this process, one goroutine each.
-func runInProcess(f simFlags, tracePath, metricsOut, expvarAddr string) {
-	r := newRun(f, tracePath != "" || metricsOut != "" || expvarAddr != "")
+func runInProcess(f simFlags, o obsFlags) {
+	r := newRun(f, o.on())
 	s, err := bonsai.New(r.cfg, r.parts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if expvarAddr != "" {
-		if err := s.PublishExpvar(); err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			if err := http.ListenAndServe(expvarAddr, nil); err != nil {
-				log.Printf("expvar server: %v", err)
-			}
-		}()
-		fmt.Printf("live metrics: http://%s/debug/vars\n", expvarAddr)
+	if o.on() {
+		o.start(s)
 	}
 	r.printHeader("in-process")
 
 	r.loop(s, true, s.Particles, nil)
 
-	if tracePath != "" {
-		if err := writeFileWith(tracePath, s.WriteChromeTrace); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trace -> %s (open in https://ui.perfetto.dev)\n", tracePath)
-	}
-	if metricsOut != "" {
-		if err := writeFileWith(metricsOut, s.WriteMetricsJSONL); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics -> %s (summarize with tracestats -metrics)\n", metricsOut)
+	if o.on() {
+		o.write(s)
 	}
 
 	k, p := s.Energy()

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -96,5 +100,37 @@ func TestMultiProcessSnapshotsAndRestore(t *testing.T) {
 	}
 	if primed == 0 {
 		t.Fatal("metrics stream has no record of the priming evaluation")
+	}
+}
+
+// Every worker of a traced run serves the stdlib debug handlers on its debug
+// address, and the process holding rank 0 adds the fleet view's /metrics.
+func TestDebugHandlersServe(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "debug.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	serveHTTP(ln, func(w io.Writer) error {
+		_, err := io.WriteString(w, "bonsai_ranks 4\n")
+		return err
+	})
+	hc := http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, "unix", sock)
+	}}}
+	for _, path := range []string{"/debug/pprof/", "/debug/vars", "/metrics"} {
+		resp, err := hc.Get("http://rank0" + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", path, resp.StatusCode)
+		}
+		if path == "/metrics" && string(body) != "bonsai_ranks 4\n" {
+			t.Errorf("/metrics served %q", body)
+		}
 	}
 }

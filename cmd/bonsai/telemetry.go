@@ -1,30 +1,100 @@
 package main
 
 import (
-	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"path/filepath"
-	"sync/atomic"
-	"time"
-
-	"bonsai/internal/obs/telemetry"
 )
 
-// telemetryOn reports whether a socket-transport run collects telemetry: any
-// of the observability outputs implies the full collector (workers trace,
-// the launcher aligns clocks, scrapes, and merges).
-func (lc *launchConfig) telemetryOn() bool {
-	return lc.tracePath != "" || lc.metricsOut != "" || lc.expvarAddr != "" || lc.promSnapshot != ""
+// obsFlags are the observability outputs. Any of them traces the run; the
+// process holding rank 0 — the in-process run, or a multi-process run's
+// rank-0 worker — serves -expvar and writes the files.
+type obsFlags struct {
+	tracePath     string
+	metricsOut    string
+	expvarAddr    string
+	promSnapshot  string
+	stragglerMult float64
 }
 
-// teleAddrs returns every rank's telemetry listen address, deterministic from
-// the shared flags exactly like rankAddrs: the launcher's collector and each
-// worker compute the same table.
-func (lc *launchConfig) teleAddrs() []string {
+func (o obsFlags) on() bool {
+	return o.tracePath != "" || o.metricsOut != "" || o.expvarAddr != "" || o.promSnapshot != ""
+}
+
+// fleetView is what rank 0 exports: a bonsai.Simulation, or rank 0's
+// bonsai.NodeSimulation.
+type fleetView interface {
+	WriteChromeTrace(w io.Writer) error
+	WriteMetricsJSONL(w io.Writer) error
+	WriteProm(w io.Writer) error
+	WatchStragglers(mult float64, logf func(format string, args ...any)) error
+	PublishExpvar() error
+}
+
+// start publishes the fleet view's expvar, arms its straggler watchdog and,
+// with -expvar, serves the live Prometheus /metrics beside the stdlib debug
+// handlers.
+func (o obsFlags) start(v fleetView) {
+	if err := v.PublishExpvar(); err != nil {
+		log.Fatal(err)
+	}
+	if err := v.WatchStragglers(o.stragglerMult, log.Printf); err != nil {
+		log.Fatal(err)
+	}
+	if o.expvarAddr == "" {
+		return
+	}
+	ln, err := net.Listen("tcp", o.expvarAddr)
+	if err != nil {
+		log.Printf("live metrics: %v", err)
+		return
+	}
+	serveHTTP(ln, v.WriteProm)
+	fmt.Printf("live metrics: http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", ln.Addr())
+}
+
+// write writes the requested output files.
+func (o obsFlags) write(v fleetView) {
+	for _, out := range []struct {
+		path, what, hint string
+		write            func(io.Writer) error
+	}{
+		{o.tracePath, "trace", "open in https://ui.perfetto.dev", v.WriteChromeTrace},
+		{o.metricsOut, "metrics", "summarize with tracestats -metrics", v.WriteMetricsJSONL},
+		{o.promSnapshot, "prometheus snapshot", "check with tracestats -prom", v.WriteProm},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if err := writeFileWith(out.path, out.write); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s -> %s (%s)\n", out.what, out.path, out.hint)
+	}
+}
+
+// serveHTTP serves the stdlib debug handlers on ln — net/http/pprof's
+// /debug/pprof/ and expvar's /debug/vars — and, when metrics is non-nil, the
+// fleet view's Prometheus /metrics.
+func serveHTTP(ln net.Listener, metrics func(io.Writer) error) {
+	mux := http.NewServeMux()
+	mux.Handle("/", http.DefaultServeMux)
+	if metrics != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			metrics(w) //nolint:errcheck // best-effort reply
+		})
+	}
+	go http.Serve(ln, mux) //nolint:errcheck // serves until process exit
+}
+
+// debugAddrs returns every rank's debug listen address, deterministic from
+// the shared flags exactly like rankAddrs.
+func (lc *launchConfig) debugAddrs() []string {
 	addrs := make([]string, lc.ranks)
 	for r := range addrs {
 		switch lc.transport {
@@ -35,109 +105,4 @@ func (lc *launchConfig) teleAddrs() []string {
 		}
 	}
 	return addrs
-}
-
-// liveCollector is the collector of the current team attempt, read by the
-// launcher's long-lived /metrics handler (the collector restarts with the
-// team; the HTTP listener does not).
-var liveCollector atomic.Pointer[telemetry.Collector]
-
-// serveLauncherHTTP starts the launcher's observability listener: live
-// Prometheus /metrics from the current collector, expvar, and pprof. Returns
-// the bound address (supports ":0").
-func serveLauncherHTTP(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		col := liveCollector.Load()
-		if col == nil {
-			http.Error(w, "collector not running", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		col.WriteProm(w) //nolint:errcheck // best-effort reply
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		http.DefaultServeMux.ServeHTTP(w, r) // expvar registers itself there
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go http.Serve(ln, mux) //nolint:errcheck // serves until process exit
-	return ln.Addr().String(), nil
-}
-
-// collectorHandle is one team attempt's running collector.
-type collectorHandle struct {
-	col    *telemetry.Collector
-	cancel context.CancelFunc
-	done   chan error
-}
-
-// startCollector launches the telemetry collector for one worker-team
-// attempt: it waits for the workers' endpoints, syncs clocks, scrapes during
-// the run, and holds the workers' shutdown gates until its final scrape.
-func startCollector(lc launchConfig) *collectorHandle {
-	col := telemetry.NewCollector(telemetry.CollectorConfig{
-		Network:       lc.transport,
-		Addrs:         lc.teleAddrs(),
-		StragglerMult: lc.stragglerMult,
-		Logf:          log.Printf,
-	})
-	liveCollector.Store(col)
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &collectorHandle{col: col, cancel: cancel, done: make(chan error, 1)}
-	go func() { h.done <- col.Run(ctx) }()
-	return h
-}
-
-// abort tears the collector down after a failed team attempt (workers are
-// dead; there is nothing left to scrape or release).
-func (h *collectorHandle) abort() {
-	h.cancel()
-	<-h.done
-}
-
-// finish waits for the collector's final scrape (the workers block in their
-// shutdown gates until it completes) and writes the merged outputs.
-func (h *collectorHandle) finish(lc launchConfig) error {
-	var err error
-	select {
-	case err = <-h.done:
-	case <-time.After(2 * time.Minute):
-		h.cancel()
-		err = fmt.Errorf("telemetry: collector did not finish within 2m")
-		<-h.done
-	}
-	if err != nil {
-		return err
-	}
-	if lc.tracePath != "" {
-		if werr := writeFileWith(lc.tracePath, h.col.WriteMergedTrace); werr != nil {
-			return werr
-		}
-		fmt.Printf("merged trace -> %s (%d ranks on one timebase, residual skew bound %v; open in https://ui.perfetto.dev)\n",
-			lc.tracePath, lc.ranks, h.col.MaxUncertainty())
-	}
-	if lc.metricsOut != "" {
-		if werr := writeFileWith(lc.metricsOut, h.col.WriteMergedJSONL); werr != nil {
-			return werr
-		}
-		fmt.Printf("merged metrics -> %s (summarize with tracestats -metrics)\n", lc.metricsOut)
-	}
-	if lc.promSnapshot != "" {
-		if werr := writeFileWith(lc.promSnapshot, h.col.WriteProm); werr != nil {
-			return werr
-		}
-		fmt.Printf("prometheus snapshot -> %s\n", lc.promSnapshot)
-	}
-	if alerts := h.col.Watchdog().Alerts(); len(alerts) > 0 {
-		fmt.Printf("straggler watchdog: %d alert(s); see the launcher log\n", len(alerts))
-	}
-	return nil
 }

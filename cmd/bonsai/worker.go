@@ -5,7 +5,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"time"
 
 	"bonsai"
 )
@@ -20,7 +19,7 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := newRun(f, lc.telemetryOn())
+	r := newRun(f, lc.obs.on())
 
 	// State precedence: a committed checkpoint of this run beats everything
 	// (that is what a post-crash respawn resumes from); otherwise start from
@@ -42,11 +41,11 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// With telemetry on, serve this rank's recorder state for the launcher's
-	// collector: spans, step metrics, histograms, pair bytes, pprof.
-	var tele *bonsai.NodeTelemetry
-	if lc.telemetryOn() {
-		addr := lc.teleAddrs()[rank]
+	// A traced run's telemetry travels over w. Every worker serves the stdlib
+	// pprof and expvar handlers on its debug address, so any rank can be
+	// profiled mid-run; rank 0 holds the fleet view.
+	if lc.obs.on() {
+		addr := lc.debugAddrs()[rank]
 		if lc.transport == "unix" {
 			os.Remove(addr) // a restarted worker must replace its stale socket
 		}
@@ -54,10 +53,12 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if tele, err = n.ServeTelemetry(ln); err != nil {
-			log.Fatal(err)
+		serveHTTP(ln, nil)
+		if rank == 0 {
+			lc.obs.start(n)
+		} else {
+			n.PublishExpvar() //nolint:errcheck // tracing is on
 		}
-		n.PublishExpvar() //nolint:errcheck // tracing is on
 	}
 	if ckptStep > 0 {
 		n.SetClock(ckptStep, ckptTime)
@@ -85,15 +86,15 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	if rank == 0 {
 		r.printDone(n.Time(), k, p, "comm(rank0)", w.CommBytes())
 	}
-	if tele != nil {
-		// Hold the process (and its span buffers) until the collector has
-		// taken its final scrape; the timeout keeps a dead collector from
-		// wedging the worker forever.
-		tele.MarkDone()
-		if !tele.WaitShutdown(90 * time.Second) {
-			log.Print("telemetry: collector never released the shutdown gate; exiting anyway")
+	if lc.obs.on() {
+		skew, err := n.GatherTelemetry()
+		if err != nil {
+			log.Fatal(err)
 		}
-		tele.Close()
+		if rank == 0 {
+			fmt.Printf("telemetry: %d rank clocks aligned on rank 0's, residual skew bound %v\n", lc.ranks, skew)
+			lc.obs.write(n)
+		}
 	}
 	if err := w.Close(); err != nil {
 		log.Fatal(err)

@@ -23,8 +23,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"strings"
+	"time"
 
 	"bonsai/internal/obs"
 	"bonsai/internal/obs/telemetry"
@@ -85,13 +88,32 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", *promPath, err)
 		}
-		fmt.Printf("== %s ==\nprometheus exposition: %d samples, format ok\n", *promPath, len(samples))
+		fmt.Printf("== %s ==\n", *promPath)
+		promReport(os.Stdout, samples)
+	}
+}
+
+// maxClockResidual is the clock-sync uncertainty above which a merged trace's
+// cross-rank ordering is not to be trusted: typical LET arrival offsets are
+// of this order.
+const maxClockResidual = time.Millisecond
+
+// promReport summarizes a parsed Prometheus snapshot and warns, loudly, about
+// every rank whose clock-sync residual exceeds maxClockResidual.
+func promReport(w io.Writer, samples map[string]float64) {
+	fmt.Fprintf(w, "prometheus exposition: %d samples, format ok\n", len(samples))
+	for _, key := range telemetry.PromKeys(samples) {
+		if strings.HasPrefix(key, "bonsai_clock_uncertainty_seconds{") {
+			if d := time.Duration(samples[key] * 1e9); d > maxClockResidual {
+				fmt.Fprintf(w, "WARNING: clock-sync residual %s = %v exceeds 1 ms (the merged trace's cross-rank order is not reliable)\n", key, d)
+			}
+		}
 	}
 }
 
 // readTraces parses every trace file and concatenates their event lists into
 // one combined timeline: per-rank traces from a multi-process run analyze
-// exactly like the launcher's merged trace (each file's events keep their own
+// exactly like rank 0's merged trace (each file's events keep their own
 // pid = rank track).
 func readTraces(paths []string) ([]obs.TraceEvent, error) {
 	var events []obs.TraceEvent

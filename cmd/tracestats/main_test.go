@@ -69,3 +69,23 @@ func TestReadTracesMissingFile(t *testing.T) {
 		t.Fatal("want error for a missing trace file")
 	}
 }
+
+// A snapshot whose clock-sync residual exceeds 1 ms on one rank gets one
+// WARNING line naming that rank; residuals under the bound get none.
+func TestPromReportWarnsOnClockResidual(t *testing.T) {
+	var sb strings.Builder
+	promReport(&sb, map[string]float64{
+		`bonsai_clock_uncertainty_seconds{rank="0"}`: 0,
+		`bonsai_clock_uncertainty_seconds{rank="1"}`: 4e-5,
+		`bonsai_clock_uncertainty_seconds{rank="2"}`: 2.5e-3,
+		`bonsai_ranks`: 3,
+	})
+	out := sb.String()
+	if !strings.Contains(out, "4 samples, format ok") {
+		t.Errorf("report lacks the sample count:\n%s", out)
+	}
+	if n := strings.Count(out, "WARNING: clock-sync residual"); n != 1 ||
+		!strings.Contains(out, `rank="2"`) || !strings.Contains(out, "2.5ms exceeds 1 ms") {
+		t.Errorf("want one warning, for rank 2 at 2.5ms:\n%s", out)
+	}
+}

@@ -58,8 +58,8 @@ func tidName(t int) string {
 // RankTrack is one rank's span set for the trace writer: the spans, the drop
 // counter, and a time shift (nanoseconds) mapping the rank's recorder
 // timebase onto the trace's common timebase. A single-process export uses
-// shift 0 everywhere; the telemetry collector sets each worker's shift to its
-// estimated clock offset, aligning all ranks on the collector clock.
+// shift 0 everywhere; a multi-process run's fleet view sets each rank's shift
+// to its estimated clock offset, aligning all ranks on rank 0's clock.
 type RankTrack struct {
 	Rank    int    `json:"rank"`
 	ShiftNS int64  `json:"shift_ns"`

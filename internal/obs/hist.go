@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -161,10 +160,4 @@ func formatDur(ns float64) string {
 	default:
 		return fmt.Sprintf("%s%.0fns", neg, ns)
 	}
-}
-
-// sortBuckets orders a bucket list ascending by Lo (helper for report code
-// that merges externally-built bucket sets).
-func sortBuckets(bs []Bucket) {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Lo < bs[j].Lo })
 }

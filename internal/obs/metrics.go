@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,8 +116,8 @@ func (r *Recorder) WriteMetricsJSONL(w io.Writer) error {
 }
 
 // WriteStepMetricsJSONL writes any step-metrics list, one JSON object per
-// line — the same stream WriteMetricsJSONL produces, for callers (the
-// telemetry collector) that merge records from several recorders.
+// line — the same stream WriteMetricsJSONL produces, for records that are not
+// in a recorder (a rank's records of one step, on their way to rank 0).
 func WriteStepMetricsJSONL(w io.Writer, steps []StepMetrics) error {
 	bw := bufio.NewWriter(w)
 	var b []byte
@@ -159,27 +158,6 @@ func ReadMetricsJSONL(r io.Reader) ([]StepMetrics, error) {
 			return out, nil
 		}
 	}
-}
-
-// MergeStepMetrics folds per-rank step records (one per (evaluation, rank),
-// as a multi-process run's merged stream contains) into one FoldRanks record
-// per evaluation. Records already folded (a step appearing once) pass through
-// unchanged. Output is ordered by step.
-func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
-	byStep := map[int][]StepMetrics{}
-	for _, m := range steps {
-		byStep[m.Step] = append(byStep[m.Step], m)
-	}
-	out := make([]StepMetrics, 0, len(byStep))
-	for _, group := range byStep {
-		m := group[0]
-		if len(group) > 1 {
-			FoldRanks(&m, group)
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	return out
 }
 
 var (

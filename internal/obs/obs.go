@@ -150,9 +150,9 @@ func New(ranks, spanCap int) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Now returns nanoseconds elapsed since the recorder epoch (0 for nil) — the
-// recorder-local timebase every span timestamp lives on. Cross-process trace
-// merging estimates per-recorder clock offsets by round-trip pings against
-// this value (the telemetry collector's /clock probe).
+// recorder-local timebase every span timestamp lives on. A multi-process
+// run's merged trace aligns the ranks by round-trip probes of this value from
+// rank 0 (telemetry.GatherEnd).
 func (r *Recorder) Now() int64 {
 	if r == nil {
 		return 0

@@ -230,15 +230,13 @@ func (rep TraceReport) Format(w io.Writer) {
 
 // FormatMetricsSummary prints the per-step JSONL metrics stream as the same
 // overlap/straggler table: one line per force evaluation plus run totals, and
-// a warning when trace spans were dropped. Per-rank streams (a merged
-// multi-process run's JSONL, several records per step) are folded into one
-// record per evaluation first.
+// a warning when trace spans were dropped. Every stream holds one record per
+// evaluation, folded over ranks by the run's fleet view.
 func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	if len(steps) == 0 {
 		fmt.Fprintln(w, "metrics: no step records")
 		return
 	}
-	steps = MergeStepMetrics(steps)
 	fmt.Fprintf(w, "metrics: %d evaluations, %d ranks\n", len(steps), steps[0].Ranks)
 	fmt.Fprintf(w, "%5s %10s %10s %7s %10s %8s %7s %14s %10s\n",
 		"step", "mean ms", "max ms", "imb%", "straggler", "overlap", "LETs", "worst arr ms", "nonhid ms")

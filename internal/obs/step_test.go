@@ -144,8 +144,8 @@ func TestFoldsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzReadMetricsJSONL feeds the JSONL decoder — which the telemetry
-// collector runs on bytes from worker processes — arbitrary input. It must
+// FuzzReadMetricsJSONL feeds the JSONL decoder — which rank 0 runs on the
+// step records other processes send it — arbitrary input. It must
 // never panic; every record it returns re-encodes and decodes to itself; and
 // cutting the re-encoded stream inside its final line returns the complete
 // prefix.

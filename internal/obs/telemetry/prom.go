@@ -15,7 +15,7 @@ import (
 // repo is dependency-free, so no client library. Samples are buffered per
 // metric family and emitted grouped under one # HELP / # TYPE header at
 // flush, in first-appearance order, as the format requires — callers may
-// interleave families freely (the collector writes rank by rank).
+// interleave families freely (the fleet view writes rank by rank).
 type promWriter struct {
 	w     io.Writer
 	order []string
@@ -101,66 +101,50 @@ func writeStepProm(p *promWriter, m *obs.StepMetrics, rank int) {
 	})
 }
 
-// writeHistProm writes the histogram-derived gauges (currently the mailbox
-// depth, the ISSUE's fleet-health signal for receive-side backpressure).
-func writeHistProm(p *promWriter, rank int, hists []obs.HistSnapshot) {
-	for _, h := range hists {
-		if h.Name == "mailbox_queue_depth" && h.Count > 0 {
-			p.gauge("bonsai_mailbox_depth_mean", "mean receive-mailbox depth observed by sends",
-				rankLabel(rank), h.Mean)
-		}
-	}
-}
-
-// WriteProm writes the collector's fleet view in Prometheus text format:
-// per-rank step/phase/throughput gauges from the latest scraped step records,
-// clock alignment quality, pair-byte totals, and the watchdog alert counter.
-func (c *Collector) WriteProm(w io.Writer) error {
-	c.mu.Lock()
-	latest := make([]*obs.StepMetrics, len(c.latest))
-	copy(latest, c.latest)
-	offsets := append([]int64(nil), c.offsets...)
-	uncerts := append([]int64(nil), c.uncerts...)
-	synced := c.synced
-	pair := make([][]int64, len(c.pair))
-	for i, row := range c.pair {
-		pair[i] = append([]int64(nil), row...)
-	}
-	hists := make([][]obs.HistSnapshot, len(c.hists))
-	copy(hists, c.hists)
-	c.mu.Unlock()
+// WriteProm writes the fleet view in Prometheus text format: every rank's
+// gauges from its latest record and the watchdog's alert count, and once the
+// run-end state is in, each rank's clock offset and its uncertainty, the
+// pair-byte totals and the mean mailbox depth.
+func (f *Fleet) WriteProm(w io.Writer) error {
+	f.mu.Lock()
+	latest := append([]obs.StepMetrics(nil), f.latest...)
+	end, alerts := f.end, len(f.wd.Alerts())
+	f.mu.Unlock()
 
 	p := newPromWriter(w)
-	p.gauge("bonsai_up", "1 while the collector is scraping workers", nil, 1)
-	p.gauge("bonsai_ranks", "worker ranks under collection", nil, float64(len(c.clients)))
-	for rank, m := range latest {
-		if m != nil {
-			writeStepProm(p, m, rank)
+	p.gauge("bonsai_ranks", "ranks in the fleet view", nil, float64(len(latest)))
+	for rank := range latest {
+		if latest[rank].Ranks > 0 {
+			writeStepProm(p, &latest[rank], rank)
 		}
 	}
-	if synced {
-		for rank := range offsets {
-			p.gauge("bonsai_clock_offset_seconds",
-				"estimated worker recorder-clock offset vs the collector epoch",
-				rankLabel(rank), float64(offsets[rank])/1e9)
+	if end != nil {
+		for rank := range end.Offsets {
+			p.gauge("bonsai_clock_offset_seconds", "estimated recorder-clock offset vs rank 0",
+				rankLabel(rank), float64(end.Offsets[rank])/1e9)
 			p.gauge("bonsai_clock_uncertainty_seconds",
 				"half the best round-trip of the offset estimate (residual skew bound)",
-				rankLabel(rank), float64(uncerts[rank])/1e9)
+				rankLabel(rank), float64(end.Uncerts[rank])/1e9)
 		}
-	}
-	for from, row := range pair {
-		for to, b := range row {
-			if b > 0 {
-				p.counter("bonsai_pair_bytes", "cumulative wire bytes by (sender, receiver) rank pair",
-					[]label{{"from", strconv.Itoa(from)}, {"to", strconv.Itoa(to)}}, float64(b))
+		for from, row := range end.Pair {
+			for to, b := range row {
+				if b > 0 {
+					p.counter("bonsai_pair_bytes", "cumulative wire bytes by (sender, receiver) rank pair",
+						[]label{{"from", strconv.Itoa(from)}, {"to", strconv.Itoa(to)}}, float64(b))
+				}
+			}
+		}
+		for rank, hists := range end.Hists {
+			for _, h := range hists {
+				if h.Name == "mailbox_queue_depth" && h.Count > 0 {
+					p.gauge("bonsai_mailbox_depth_mean", "mean receive-mailbox depth observed by sends",
+						rankLabel(rank), h.Mean)
+				}
 			}
 		}
 	}
-	for rank, hs := range hists {
-		writeHistProm(p, rank, hs)
-	}
 	p.counter("bonsai_straggler_alerts_total", "watchdog alerts: rank step time over the median multiple",
-		nil, float64(len(c.watchdog.Alerts())))
+		nil, float64(alerts))
 	return p.flush()
 }
 
@@ -262,8 +246,7 @@ func checkPromLabels(s string) error {
 	return nil
 }
 
-// PromKeys returns the sorted sample keys — convenience for tests asserting
-// which metric families an exposition contains.
+// PromKeys returns the sorted sample keys of a parsed exposition.
 func PromKeys(samples map[string]float64) []string {
 	keys := make([]string, 0, len(samples))
 	for k := range samples {

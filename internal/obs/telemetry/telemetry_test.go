@@ -2,38 +2,17 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
-	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 )
-
-// fakeWorker is one in-test worker: a recorder with a distinct epoch and a
-// telemetry server on a unix socket.
-type fakeWorker struct {
-	rec *obs.Recorder
-	srv *Server
-}
-
-func startFakeWorker(t *testing.T, dir string, rank, ranks int, rec *obs.Recorder) *fakeWorker {
-	t.Helper()
-	ln, err := net.Listen("unix", filepath.Join(dir, fmt.Sprintf("tele%d.sock", rank)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, ServerConfig{
-		Rec: rec, Rank: rank, Ranks: ranks, KernelISA: "test-isa",
-		PairBytes: func(to int) int64 { return int64(100 * (rank + to)) },
-	})
-	t.Cleanup(func() { srv.Close() })
-	return &fakeWorker{rec: rec, srv: srv}
-}
 
 // stepRecord builds one per-rank step record the way sim.Node emits them.
 func stepRecord(step, rank, ranks int, stepMS float64) obs.StepMetrics {
@@ -43,142 +22,174 @@ func stepRecord(step, rank, ranks int, stepMS float64) obs.StepMetrics {
 	return m
 }
 
-// TestCollectorAlignsStaggeredClocks is the tentpole's core property: two
-// recorders whose epochs differ by ~60ms record a span at the SAME wall-clock
-// instant; the collector's offset estimation must land both spans within 1ms
-// of each other on the merged timeline (loopback probes resolve to tens of
-// µs).
-func TestCollectorAlignsStaggeredClocks(t *testing.T) {
+// sockWorld builds an all-local unix-socket world: every rank in this
+// process, every inter-rank byte through a real socket.
+func sockWorld(t *testing.T, size int) *mpi.World {
+	t.Helper()
 	dir := t.TempDir()
-	const ranks = 2
-	rec0 := obs.New(ranks, 0)
-	time.Sleep(60 * time.Millisecond) // stagger the epochs like forked workers
-	rec1 := obs.New(ranks, 0)
-	recs := []*obs.Recorder{rec0, rec1}
-
-	// One wall-clock instant, observed through both recorders' epochs.
-	start := time.Now()
-	end := start.Add(2 * time.Millisecond)
-	for rank, rec := range recs {
-		rec.Rank(rank).Span(0, obs.PhaseWalkLocal, obs.LaneCompute, 0, start, end, 0)
-		rec.AddStep(stepRecord(0, rank, ranks, 5))
-		rec.AddStep(stepRecord(1, rank, ranks, 5))
+	addrs, local := make([]string, size), make([]int, size)
+	for r := range addrs {
+		addrs[r], local[r] = filepath.Join(dir, fmt.Sprintf("r%d.sock", r)), r
 	}
-
-	var workers []*fakeWorker
-	for rank, rec := range recs {
-		w := startFakeWorker(t, dir, rank, ranks, rec)
-		w.srv.MarkDone()
-		workers = append(workers, w)
-	}
-
-	addrs := []string{filepath.Join(dir, "tele0.sock"), filepath.Join(dir, "tele1.sock")}
-	col := NewCollector(CollectorConfig{
-		Network: "unix", Addrs: addrs,
-		PollEvery: 20 * time.Millisecond, Logf: t.Logf,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := col.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// The offset estimates must recover the ~60ms epoch stagger.
-	offs := col.Offsets()
-	stagger := time.Duration(offs[1] - offs[0])
-	if stagger < 40*time.Millisecond || stagger > 100*time.Millisecond {
-		t.Errorf("offset difference = %v, want ~60ms epoch stagger", stagger)
-	}
-	if unc := col.MaxUncertainty(); unc > time.Millisecond {
-		t.Errorf("max clock uncertainty = %v, want < 1ms on loopback", unc)
-	}
-
-	// Merged trace: both ranks present, and the simultaneous spans aligned
-	// to within 1ms on the common timebase.
-	var buf bytes.Buffer
-	if err := col.WriteMergedTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ParseChromeTrace(bytes.NewReader(buf.Bytes()))
+	w, err := mpi.NewSocketWorld(size, mpi.SocketConfig{Network: "unix", Addrs: addrs, Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.AnalyzeTrace(events)
-	if rep.NumRanks != ranks {
-		t.Fatalf("merged trace has %d ranks, want %d", rep.NumRanks, ranks)
-	}
-	if rep.MaxStartSkewUS > 1000 {
-		t.Errorf("aligned start skew = %.1f µs, want < 1000", rep.MaxStartSkewUS)
-	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
 
-	// Merged JSONL: every (step, rank) record, ordered by step then rank.
-	buf.Reset()
-	if err := col.WriteMergedJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	steps, err := obs.ReadMetricsJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 4 {
-		t.Fatalf("merged stream has %d records, want 4", len(steps))
-	}
-	for i, want := range []struct{ step, rank int }{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
-		if steps[i].Step != want.step || steps[i].Rank != want.rank {
-			t.Errorf("record %d = (step %d, rank %d), want (%d, %d)",
-				i, steps[i].Step, steps[i].Rank, want.step, want.rank)
-		}
-	}
-
-	// Prometheus exposition parses and carries the fleet gauges.
-	buf.Reset()
-	if err := col.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ParseProm(&buf)
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
-	}
-	for _, key := range []string{
-		"bonsai_ranks",
-		`bonsai_step{rank="0"}`, `bonsai_step{rank="1"}`,
-		`bonsai_clock_offset_seconds{rank="0"}`,
-		`bonsai_kernel_isa{rank="1",isa="test-isa"}`,
-		`bonsai_pair_bytes{from="0",to="1"}`,
-		"bonsai_straggler_alerts_total",
+// The clock estimate over MPI: two recorders whose epochs are ~60ms apart,
+// like forked workers', record a span at the SAME wall-clock instant; after
+// one traced step and the run-end gather, both spans land within 1ms of each
+// other on rank 0's merged timeline, with a reported uncertainty under 1ms.
+// The step's records reach rank 0's fleet view folded, and its Prometheus
+// view carries every rank's gauges, the clock rows and the pair bytes.
+func TestClockSyncAlignsStaggeredClocks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		world func(t *testing.T) *mpi.World
+	}{
+		{"chan", func(*testing.T) *mpi.World { return mpi.NewWorld(2) }},
+		{"unix", func(t *testing.T) *mpi.World { return sockWorld(t, 2) }},
 	} {
-		if _, ok := samples[key]; !ok {
-			t.Errorf("exposition is missing %s\nhave: %v", key, PromKeys(samples))
-		}
-	}
-	if got := samples["bonsai_ranks"]; got != 2 {
-		t.Errorf("bonsai_ranks = %v, want 2", got)
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			const ranks = 2
+			w := tc.world(t)
+			w.EnableObs(nil)
+			rec0 := obs.New(ranks, 0)
+			time.Sleep(60 * time.Millisecond) // stagger the epochs like forked workers
+			recs := []*obs.Recorder{rec0, obs.New(ranks, 0)}
+			start := time.Now()
+			for rank, rec := range recs {
+				rec.Rank(rank).Span(0, obs.PhaseWalkLocal, obs.LaneCompute, 0, start, start.Add(2*time.Millisecond), 0)
+			}
 
-	// The collector released the shutdown gates on its way out.
-	for rank, w := range workers {
-		if !w.srv.WaitShutdown(time.Second) {
-			t.Errorf("rank %d was never released", rank)
-		}
+			fleet := NewFleet(rec0, ranks)
+			var end *End
+			var wg sync.WaitGroup
+			for rank := range recs {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					c := w.Comm(rank)
+					var f *Fleet
+					if rank == 0 {
+						f = fleet
+					}
+					step := []obs.StepMetrics{stepRecord(0, rank, ranks, 5), stepRecord(1, rank, ranks, 5)}
+					if err := GatherStep(c, f, step); err != nil {
+						t.Error(err)
+					}
+					e, err := GatherEnd(c, recs[rank])
+					if err != nil {
+						t.Error(err)
+					}
+					if rank == 0 {
+						end = e
+					} else if e != nil {
+						t.Error("GatherEnd returned the run-end state off rank 0")
+					}
+				}(rank)
+			}
+			wg.Wait()
+			if end == nil {
+				t.Fatal("rank 0 holds no run-end state")
+			}
+
+			if stagger := time.Duration(end.Offsets[1] - end.Offsets[0]); stagger < 40*time.Millisecond || stagger > 100*time.Millisecond {
+				t.Errorf("offset difference = %v, want ~60ms epoch stagger", stagger)
+			}
+			if unc := end.MaxUncertainty(); unc >= time.Millisecond {
+				t.Errorf("max clock uncertainty = %v, want < 1ms", unc)
+			}
+			var buf bytes.Buffer
+			if err := end.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			events, err := obs.ParseChromeTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := obs.AnalyzeTrace(events)
+			if rep.NumRanks != ranks {
+				t.Fatalf("merged trace has %d ranks, want %d", rep.NumRanks, ranks)
+			}
+			if rep.MaxStartSkewUS >= 1000 {
+				t.Errorf("aligned start skew = %.1f µs, want < 1000", rep.MaxStartSkewUS)
+			}
+
+			steps := rec0.Steps()
+			if len(steps) != 2 || steps[0].Step != 0 || steps[1].Step != 1 || steps[1].Ranks != ranks || steps[1].N != ranks*1000 {
+				t.Fatalf("fleet stream = %+v, want evaluations 0 and 1 folded over %d ranks", steps, ranks)
+			}
+
+			fleet.SetEnd(end)
+			buf.Reset()
+			if err := fleet.WriteProm(&buf); err != nil {
+				t.Fatal(err)
+			}
+			samples, err := ParseProm(&buf)
+			if err != nil {
+				t.Fatalf("exposition does not parse: %v", err)
+			}
+			for _, key := range []string{
+				`bonsai_step{rank="0"}`, `bonsai_step{rank="1"}`,
+				`bonsai_clock_offset_seconds{rank="1"}`, `bonsai_clock_uncertainty_seconds{rank="1"}`,
+				`bonsai_kernel_isa{rank="1",isa="test-isa"}`,
+				`bonsai_pair_bytes{from="1",to="0"}`,
+				"bonsai_straggler_alerts_total",
+			} {
+				if _, ok := samples[key]; !ok {
+					t.Errorf("exposition is missing %s\nhave: %v", key, PromKeys(samples))
+				}
+			}
+			if got := samples["bonsai_ranks"]; got != ranks {
+				t.Errorf("bonsai_ranks = %v, want %d", got, ranks)
+			}
+		})
+	}
+}
+
+// A rank that ran a different number of evaluations fails rank 0's gather by
+// name instead of folding records of different evaluations together.
+func TestGatherStepRejectsMismatchedEvaluations(t *testing.T) {
+	w := mpi.NewWorld(2)
+	fleet := NewFleet(obs.New(2, 0), 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for rank := range errs {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			step := []obs.StepMetrics{stepRecord(0, rank, 2, 5)}
+			var f *Fleet
+			if rank == 0 {
+				f = fleet
+			} else {
+				step = append(step, stepRecord(1, rank, 2, 5))
+			}
+			errs[rank] = GatherStep(w.Comm(rank), f, step)
+		}(rank)
+	}
+	wg.Wait()
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "rank 1 reports 2 evaluations") || errs[1] != nil {
+		t.Errorf("errors = %v, want rank 0 to name rank 1's extra evaluation", errs)
 	}
 }
 
 func TestWatchdogFlagsStraggler(t *testing.T) {
 	var lines []string
-	wd := NewWatchdog(3, 2.0, func(format string, args ...any) {
+	wd := NewWatchdog(2.0, func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	})
 	// Evaluation 0: balanced, no alert.
-	for rank := 0; rank < 3; rank++ {
-		wd.Record(stepRecord(0, rank, 3, 10))
-	}
+	wd.Judge([]obs.StepMetrics{stepRecord(0, 0, 3, 10), stepRecord(0, 1, 3, 10), stepRecord(0, 2, 3, 10)})
 	if n := len(wd.Alerts()); n != 0 {
 		t.Fatalf("balanced step fired %d alerts", n)
 	}
 	// Evaluation 1: rank 2 takes 5× the median.
-	wd.Record(stepRecord(1, 0, 3, 10))
-	wd.Record(stepRecord(1, 1, 3, 10))
-	wd.Record(stepRecord(1, 2, 3, 50))
+	wd.Judge([]obs.StepMetrics{stepRecord(1, 0, 3, 10), stepRecord(1, 1, 3, 10), stepRecord(1, 2, 3, 50)})
 	alerts := wd.Alerts()
 	if len(alerts) != 1 {
 		t.Fatalf("got %d alerts, want 1", len(alerts))
@@ -190,73 +201,22 @@ func TestWatchdogFlagsStraggler(t *testing.T) {
 	if len(lines) != 1 || !strings.Contains(lines[0], "straggler alert") {
 		t.Errorf("log lines = %q, want one straggler alert", lines)
 	}
-	// Re-delivery of an already-judged step must not re-alert.
-	wd.Record(stepRecord(1, 2, 3, 50))
-	if n := len(wd.Alerts()); n != 1 {
-		t.Errorf("re-delivery re-fired: %d alerts", n)
-	}
 }
 
 func TestWatchdogTwoRankRuleNeverSelfTrips(t *testing.T) {
 	// With 2 ranks the median is the mean, so a mult >= 2 can never fire:
 	// v > 2*(v+w)/2 requires v > v+w. Sanity-check no spurious alerts.
-	wd := NewWatchdog(2, 2.0, nil)
-	wd.Record(stepRecord(0, 0, 2, 1))
-	wd.Record(stepRecord(0, 1, 2, 100))
+	eval := []obs.StepMetrics{stepRecord(0, 0, 2, 1), stepRecord(0, 1, 2, 100)}
+	wd := NewWatchdog(2.0, nil)
+	wd.Judge(eval)
 	if n := len(wd.Alerts()); n != 0 {
 		t.Errorf("two-rank watchdog fired %d alerts at mult 2", n)
 	}
 	// A tighter multiple does fire.
-	wd = NewWatchdog(2, 1.5, nil)
-	wd.Record(stepRecord(0, 0, 2, 1))
-	wd.Record(stepRecord(0, 1, 2, 100))
+	wd = NewWatchdog(1.5, nil)
+	wd.Judge(eval)
 	if n := len(wd.Alerts()); n != 1 {
 		t.Errorf("two-rank watchdog at mult 1.5 fired %d alerts, want 1", n)
-	}
-}
-
-func TestServerIncrementalSteps(t *testing.T) {
-	dir := t.TempDir()
-	rec := obs.New(1, 0)
-	rec.AddStep(stepRecord(0, 0, 1, 5))
-	startFakeWorker(t, dir, 0, 1, rec)
-	cl := NewClient("unix", filepath.Join(dir, "tele0.sock"))
-
-	steps, err := cl.Steps(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 1 {
-		t.Fatalf("Steps(0) = %d records, want 1", len(steps))
-	}
-	rec.AddStep(stepRecord(1, 0, 1, 6))
-	steps, err = cl.Steps(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 1 || steps[0].Step != 1 {
-		t.Fatalf("Steps(1) = %+v, want just step 1", steps)
-	}
-	// Beyond-end from is an empty page, not an error.
-	if steps, err = cl.Steps(99); err != nil || len(steps) != 0 {
-		t.Fatalf("Steps(99) = %v, %v; want empty", steps, err)
-	}
-}
-
-func TestServerPprofAndExpvarServe(t *testing.T) {
-	dir := t.TempDir()
-	rec := obs.New(1, 0)
-	startFakeWorker(t, dir, 0, 1, rec)
-	cl := NewClient("unix", filepath.Join(dir, "tele0.sock"))
-	for _, path := range []string{"/debug/pprof/", "/debug/vars", "/metrics", "/info"} {
-		resp, err := cl.hc.Get("http://worker" + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if resp.StatusCode != 200 {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		resp.Body.Close()
 	}
 }
 
@@ -285,44 +245,22 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Every gauge row of obs.Schema reaches both expositions, a worker's /metrics
-// and the collector's, under the family and labels the exposition has always
-// used, and both parse.
+// Every gauge row of obs.Schema reaches the fleet view's exposition under the
+// family and labels the exposition has always used, and it parses.
 func TestEveryGaugeRowExported(t *testing.T) {
-	dir := t.TempDir()
 	m := stepRecord(3, 0, 1, 5)
 	m.LETsRecv, m.LETsOverlapped, m.SpansDropped = 4, 3, 7
 	m.ActiveN, m.TotalN, m.RungPop = 250, 1000, []int{700, 200, 100}
 	m.Derive()
-	rec := obs.New(1, 0)
-	rec.AddStep(m)
-	w := startFakeWorker(t, dir, 0, 1, rec)
-
-	resp, err := NewClient("unix", filepath.Join(dir, "tele0.sock")).hc.Get("http://worker/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker, err := ParseProm(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("worker exposition does not parse: %v", err)
-	}
-
-	w.srv.MarkDone()
-	col := NewCollector(CollectorConfig{Network: "unix", Addrs: []string{filepath.Join(dir, "tele0.sock")},
-		PollEvery: 20 * time.Millisecond, Logf: t.Logf})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := col.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
+	fleet := NewFleet(obs.New(1, 0), 1)
+	fleet.Observe([]obs.StepMetrics{m})
 	var buf bytes.Buffer
-	if err := col.WriteProm(&buf); err != nil {
+	if err := fleet.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	collector, err := ParseProm(&buf)
+	samples, err := ParseProm(&buf)
 	if err != nil {
-		t.Fatalf("collector exposition does not parse: %v", err)
+		t.Fatalf("exposition does not parse: %v", err)
 	}
 
 	want := map[string]float64{
@@ -352,13 +290,11 @@ func TestEveryGaugeRowExported(t *testing.T) {
 			t.Errorf("gauge row %s (%s) exports no sample", obs.Schema[i].Key, g)
 		}
 	}
-	for name, samples := range map[string]map[string]float64{"worker": worker, "collector": collector} {
-		for key, v := range want {
-			if got, ok := samples[key]; !ok {
-				t.Errorf("%s exposition is missing %s\nhave: %v", name, key, PromKeys(samples))
-			} else if math.Abs(got-v) > 1e-12 {
-				t.Errorf("%s: %s = %v, want %v", name, key, got, v)
-			}
+	for key, v := range want {
+		if got, ok := samples[key]; !ok {
+			t.Errorf("exposition is missing %s\nhave: %v", key, PromKeys(samples))
+		} else if math.Abs(got-v) > 1e-12 {
+			t.Errorf("%s = %v, want %v", key, got, v)
 		}
 	}
 }

@@ -16,65 +16,44 @@ type Alert struct {
 	MedianMS float64
 }
 
-// Watchdog runs tracestats-style straggler detection online: the collector
-// feeds it per-rank step records as they are scraped, and once every rank has
-// reported an evaluation it compares each rank's step time against the
-// cross-rank median, alerting on any rank above mult × median. Multiples at
-// or below 1 would flag roughly half the ranks every step, so NewWatchdog
-// replaces them with the default.
+// Watchdog runs tracestats-style straggler detection online: the fleet view
+// hands it every evaluation whole, and it compares each rank's step time
+// against the cross-rank median, alerting on any rank above mult × median.
+// Multiples at or below 1 would flag roughly half the ranks every step, so
+// NewWatchdog replaces them with the default. It keeps nothing per evaluation
+// but the alerts.
 type Watchdog struct {
-	ranks int
-	mult  float64
-	logf  func(format string, args ...any)
+	mult float64
+	logf func(format string, args ...any)
 
-	mu      sync.Mutex
-	pending map[int]map[int]float64 // step -> rank -> step ms
-	judged  map[int]bool
-	alerts  []Alert
+	mu     sync.Mutex
+	alerts []Alert
 }
 
 // DefaultStragglerMult is the alert threshold when none is configured: a rank
 // is a straggler when its step time exceeds twice the cross-rank median.
 const DefaultStragglerMult = 2.0
 
-// NewWatchdog creates a watchdog for the given world size. logf (nil allowed)
-// receives one formatted line per alert.
-func NewWatchdog(ranks int, mult float64, logf func(format string, args ...any)) *Watchdog {
+// NewWatchdog creates a watchdog. logf (nil allowed) receives one formatted
+// line per alert.
+func NewWatchdog(mult float64, logf func(format string, args ...any)) *Watchdog {
 	if mult <= 1 {
 		mult = DefaultStragglerMult
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Watchdog{
-		ranks: ranks, mult: mult, logf: logf,
-		pending: map[int]map[int]float64{}, judged: map[int]bool{},
-	}
+	return &Watchdog{mult: mult, logf: logf}
 }
 
-// Record feeds one per-rank step record. Re-reports of an already-judged
-// (step, rank) are ignored, so re-scraping is harmless.
-func (wd *Watchdog) Record(m obs.StepMetrics) {
-	wd.mu.Lock()
-	defer wd.mu.Unlock()
-	if wd.judged[m.Step] {
+// Judge takes one evaluation's records, one per rank.
+func (wd *Watchdog) Judge(per []obs.StepMetrics) {
+	if len(per) == 0 {
 		return
 	}
-	cell := wd.pending[m.Step]
-	if cell == nil {
-		cell = map[int]float64{}
-		wd.pending[m.Step] = cell
-	}
-	cell[m.Rank] = obs.Millis(m.MaxTimes[obs.Total])
-	if len(cell) < wd.ranks {
-		return
-	}
-	wd.judged[m.Step] = true
-	delete(wd.pending, m.Step)
-
-	times := make([]float64, 0, len(cell))
-	for _, v := range cell {
-		times = append(times, v)
+	times := make([]float64, len(per))
+	for i := range per {
+		times[i] = obs.Millis(per[i].MaxTimes[obs.Total])
 	}
 	sort.Float64s(times)
 	med := times[len(times)/2]
@@ -84,16 +63,14 @@ func (wd *Watchdog) Record(m obs.StepMetrics) {
 	if med <= 0 {
 		return
 	}
-	rankIDs := make([]int, 0, len(cell))
-	for r := range cell {
-		rankIDs = append(rankIDs, r)
-	}
-	sort.Ints(rankIDs)
-	for _, r := range rankIDs {
-		if v := cell[r]; v > wd.mult*med {
-			wd.alerts = append(wd.alerts, Alert{Step: m.Step, Rank: r, StepMS: v, MedianMS: med})
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	for i := range per {
+		if v := obs.Millis(per[i].MaxTimes[obs.Total]); v > wd.mult*med {
+			a := Alert{Step: per[i].Step, Rank: per[i].Rank, StepMS: v, MedianMS: med}
+			wd.alerts = append(wd.alerts, a)
 			wd.logf("telemetry: straggler alert: eval %d rank %d step %.2f ms > %.1f× median %.2f ms",
-				m.Step, r, v, wd.mult, med)
+				a.Step, a.Rank, v, wd.mult, med)
 		}
 	}
 }

@@ -141,7 +141,10 @@ func rankRecord(step, rank, ranks int, total, walk time.Duration, pc uint64) Ste
 	return m
 }
 
-func TestMergeStepMetrics(t *testing.T) {
+// FoldRanks over one evaluation's per-rank records: sums, means, the slowest
+// rank, and the ratios derived from the folded values — the fold a run's fleet
+// view applies, in-process and to records gathered over the wire alike.
+func TestFoldRanksAcrossRanks(t *testing.T) {
 	ms := time.Millisecond
 	perRank := []StepMetrics{
 		rankRecord(0, 0, 2, 10*ms, 8*ms, 1e6),
@@ -149,11 +152,8 @@ func TestMergeStepMetrics(t *testing.T) {
 	}
 	perRank[0].LETsRecv, perRank[0].LETsOverlapped, perRank[0].ArrivalsSeen, perRank[0].WorstArrival = 1, 1, 1, -2*ms
 	perRank[1].LETsRecv, perRank[1].ArrivalsSeen, perRank[1].WorstArrival = 1, 1, 5*ms
-	merged := MergeStepMetrics(perRank)
-	if len(merged) != 1 {
-		t.Fatalf("got %d merged records, want 1", len(merged))
-	}
-	m := merged[0]
+	var m StepMetrics
+	FoldRanks(&m, perRank)
 	if m.Ranks != 2 || m.N != 1000 {
 		t.Errorf("ranks/N = %d/%d, want 2/1000", m.Ranks, m.N)
 	}
@@ -179,17 +179,11 @@ func TestMergeStepMetrics(t *testing.T) {
 		t.Errorf("grav_local = %v, want the 16 ms mean", m.Times[GravLocal])
 	}
 
-	// Already-folded records (one per step) pass through untouched.
-	agg := []StepMetrics{{Step: 0, Ranks: 4, Straggler: 2,
-		Times: PhaseTimes{Total: 7 * ms}, MaxTimes: PhaseTimes{Total: 9 * ms}}}
-	if got := MergeStepMetrics(agg); len(got) != 1 || !reflect.DeepEqual(got[0], agg[0]) {
-		t.Errorf("folded record did not pass through: %+v", got)
-	}
-
 	// One imbalanced evaluation — ranks with (4 Gflop, 1 s) and (2 Gflop, 2 s)
-	// of walk — read through the JSONL stream and merged gives the same rate as
-	// the in-process fold the public StepStats reads: 6 Gflop over the 1.5 s
-	// mean walk, 4 Gflop/s, not the 5 Gflop/s sum of the per-rank rates.
+	// of walk — read through the JSONL stream, as rank 0 receives it, and
+	// folded gives the same rate as the in-process fold the public StepStats
+	// reads: 6 Gflop over the 1.5 s mean walk, 4 Gflop/s, not the 5 Gflop/s sum
+	// of the per-rank rates.
 	const pc = 30769231 // ≈ 2e9 / grav.FlopsPC: the interactions of 2 Gflop
 	recs := []StepMetrics{
 		rankRecord(0, 0, 2, 2*time.Second, time.Second, 2*pc),
@@ -203,11 +197,11 @@ func TestMergeStepMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaJSONL := MergeStepMetrics(decoded)[0]
-	var inProcess StepMetrics
+	var viaJSONL, inProcess StepMetrics
+	FoldRanks(&viaJSONL, decoded)
 	FoldRanks(&inProcess, recs)
 	if viaJSONL.WalkGflops != inProcess.WalkGflops {
-		t.Errorf("JSONL merge reads %v Gflop/s, the in-process fold %v", viaJSONL.WalkGflops, inProcess.WalkGflops)
+		t.Errorf("JSONL fold reads %v Gflop/s, the in-process fold %v", viaJSONL.WalkGflops, inProcess.WalkGflops)
 	}
 	if want := 3 * float64(pc) * grav.FlopsPC / 1.5 / 1e9; math.Abs(inProcess.WalkGflops-want) > 1e-12 {
 		t.Errorf("walk rate = %v Gflop/s, want %v", inProcess.WalkGflops, want)

@@ -93,11 +93,8 @@ func (n *Node) Ranks() int { return n.comm.Size() }
 // Config returns the effective (default-filled) configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// PairBytes returns the cumulative wire bytes this rank has sent to rank
-// `to` (0 when the transport does not track traffic).
-func (n *Node) PairBytes(to int) int64 {
-	return n.comm.World().PairBytes(n.comm.Rank(), to)
-}
+// Comm returns the rank's communicator, for collectives beside the step's.
+func (n *Node) Comm() *mpi.Comm { return n.comm }
 
 // Time returns the current simulation time.
 func (n *Node) Time() float64 { return n.time }
@@ -114,9 +111,9 @@ func (n *Node) SetClock(step int, time float64) {
 }
 
 // Records returns the per-rank records of the force evaluations the latest
-// Step or ComputeForces ran, while tracing (nil otherwise); valid
-// until the next one. The driver streams them: a Simulation as their
-// cross-rank fold, a standalone node as they are.
+// Step or ComputeForces ran, while tracing (nil otherwise); valid until the
+// next one. The driver hands them to the run's fleet view: a Simulation
+// directly, a standalone node through telemetry.GatherStep.
 func (n *Node) Records() []obs.StepMetrics { return n.r.recs }
 
 // Particles returns the rank's current local particles (live slice; do not

@@ -2,12 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -314,27 +310,16 @@ func TestSpansDroppedReported(t *testing.T) {
 		t.Errorf("JSONL lacks %s:\n%s", want, buf.String())
 	}
 
-	sock := filepath.Join(t.TempDir(), "tele.sock")
-	ln, err := net.Listen("unix", sock)
+	buf.Reset()
+	if err := s.Fleet().WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseProm(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := telemetry.Serve(ln, telemetry.ServerConfig{Rec: rec, Rank: 0, Ranks: 1})
-	defer srv.Close()
-	hc := http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
-		return (&net.Dialer{}).DialContext(ctx, "unix", sock)
-	}}}
-	resp, err := hc.Get("http://worker/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := telemetry.ParseProm(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := samples[`bonsai_spans_dropped{rank="0"}`]; got != float64(last.SpansDropped) {
-		t.Errorf("bonsai_spans_dropped = %v, want %d", got, last.SpansDropped)
+	if got := samples[`bonsai_spans_dropped{rank="0"}`] + samples[`bonsai_spans_dropped{rank="1"}`]; got != float64(last.SpansDropped) {
+		t.Errorf("bonsai_spans_dropped over the ranks = %v, want %d", got, last.SpansDropped)
 	}
 
 	var sum bytes.Buffer

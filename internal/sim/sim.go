@@ -32,6 +32,7 @@ import (
 	"bonsai/internal/body"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
+	"bonsai/internal/obs/telemetry"
 	"bonsai/internal/vec"
 )
 
@@ -170,6 +171,7 @@ type Simulation struct {
 	world *mpi.World
 	nodes []*Node
 	recs  []obs.StepMetrics // the nodes' step records, FoldRanks' input
+	fleet *telemetry.Fleet  // nil when tracing is disabled
 }
 
 // New distributes the particles over cfg.Ranks simulated processes. The
@@ -190,6 +192,7 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 	if cfg.Obs != nil {
 		s.world.EnableObs(cfg.Obs.Metrics().QueueDepthHist())
 		s.world.ObserveFrameBytes(cfg.Obs.Metrics().FrameBytesHist())
+		s.fleet = telemetry.NewFleet(cfg.Obs, cfg.Ranks)
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		n, err := NewNode(cfg, s.world, r, SliceForRank(parts, r, cfg.Ranks))
@@ -206,6 +209,9 @@ func (s *Simulation) Config() Config { return s.nodes[0].cfg }
 
 // World exposes the message-passing runtime, for traffic accounting.
 func (s *Simulation) World() *mpi.World { return s.world }
+
+// Fleet returns the run's fleet view, nil when tracing is disabled.
+func (s *Simulation) Fleet() *telemetry.Fleet { return s.fleet }
 
 // Time returns the current simulation time.
 func (s *Simulation) Time() float64 { return s.nodes[0].Time() }
@@ -228,13 +234,11 @@ func (s *Simulation) advance(fn func(i int, n *Node)) {
 	s.stream()
 }
 
-// stream appends one cross-rank record per evaluation of the advance just
-// run, the FoldRanks of the nodes' records (the fold the telemetry collector
-// applies to a multi-process stream), and feeds the imbalance histogram.
-// No-op when tracing is disabled.
+// stream hands the fleet view every evaluation of the advance just run, the
+// nodes' records of it side by side — what rank 0 of a multi-process run
+// receives from telemetry.GatherStep. No-op when tracing is disabled.
 func (s *Simulation) stream() {
-	rec := s.nodes[0].cfg.Obs
-	if rec == nil {
+	if s.fleet == nil {
 		return
 	}
 	per := make([]obs.StepMetrics, len(s.nodes))
@@ -242,10 +246,7 @@ func (s *Simulation) stream() {
 		for i, n := range s.nodes {
 			per[i] = n.Records()[e]
 		}
-		var m obs.StepMetrics
-		obs.FoldRanks(&m, per)
-		rec.Metrics().ImbalanceHist().Observe(int64(m.MaxTimes[obs.Total] - m.Times[obs.Total]))
-		rec.AddStep(m)
+		s.fleet.Observe(per)
 	}
 }
 
