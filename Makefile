@@ -78,7 +78,9 @@ race:
 # kernel tier the host supports side by side: the Fig. 1 table),
 # the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
 # split, one rank's batched pass over its 63 remote trees at p=64 against the
-# same work walked tree by tree, the tree-pipeline phases (build / properties
+# same work walked tree by tree, the remote-tree builds with their
+# allocations (a boundary tree, a near-domain LET, and one rank's 63 LETs in
+# the blobs_p64 shape), the tree-pipeline phases (build / properties
 # / groups, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
 # equivalent (wall-clock per simulated time + energy drift in ppm), three
@@ -90,6 +92,7 @@ bench:
 	   $(GO) test -run XXX -bench 'BenchmarkWalk100k' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkGather' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkWalkRemote' -benchtime 200x -count=3 ./internal/sim ; \
+	   $(GO) test -run XXX -bench 'BenchmarkBoundaryTree|BenchmarkBuildFor' -benchtime 200x -count=3 ./internal/lettree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkTreePipeline' -benchtime 2x -count=3 ./internal/octree ; \
 	   $(GO) test -run XXX -bench 'BenchmarkPingPong|BenchmarkAllgather' -benchtime 200x -count=3 ./internal/mpi ; \
 	   $(GO) test -run XXX -bench 'BenchmarkExchangeScale' -benchtime 1x -count=3 . ; \

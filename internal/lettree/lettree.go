@@ -25,6 +25,7 @@ package lettree
 
 import (
 	"bonsai/internal/grav"
+	"bonsai/internal/keys"
 	"bonsai/internal/obs"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
@@ -61,8 +62,10 @@ type LET struct {
 	Box vec.Box
 
 	// view caches the walk records (octree.View). A LET is immutable once
-	// built, so the view is never invalidated; a boundary tree handed by
-	// reference to every rank is viewed once, under the view's lock.
+	// built, so the view is never invalidated: BuildFor fills it for its θ
+	// as it builds the cells, and a boundary tree handed by reference to
+	// every rank, or a decoded LET, is viewed by its first walk, under the
+	// view's lock.
 	view octree.View
 }
 
@@ -76,7 +79,8 @@ func (l *LET) Empty() bool { return l == nil || len(l.Cells) == 0 }
 // the cut that still have substructure are pruned and carry only
 // multipoles; true leaves within the retained depth keep their
 // particles, so the boundary tree is exact for any viewer it is sufficient
-// for.
+// for. Its walk records are built by the first walk that asks (WalkView):
+// every peer views it at the same θ, once.
 func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 	if depth <= 0 {
 		depth = DefaultBoundaryDepth
@@ -89,16 +93,15 @@ func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 // BuildFor constructs the full LET of the local octree for a remote domain
 // whose particles lie inside remoteBox: every local cell that the MAC might
 // require the remote to open is expanded, every distant cell is emitted as a
-// closed multipole, and opened leaves contribute their particles.
+// closed multipole, and opened leaves contribute their particles. The LET
+// arrives with its walk records for θ already built, so a receiver holding
+// it by reference walks it without a view pass.
 //
 // BuildFor only reads the source tree's cells and particles, never its walk
 // view, which is why builder goroutines can run against the shared tree
-// concurrently with the walks. Cell storage is preallocated from the source
-// tree size: LETs for nearby domains approach the full tree, distant ones
-// stay tiny, and a quarter-size initial capacity avoids the repeated append
-// regrowth that dominated construction for near neighbours.
+// concurrently with the walks.
 func BuildFor(t *octree.Tree, remoteBox vec.Box, theta float64, localBox vec.Box) *LET {
-	return extract(t, localBox, len(t.Cells)/4+8, func(c *octree.Cell) bool {
+	return extract(t, localBox, theta, func(c *octree.Cell) bool {
 		return octree.MACOpen(remoteBox, c, theta)
 	})
 }
@@ -106,35 +109,79 @@ func BuildFor(t *octree.Tree, remoteBox vec.Box, theta float64, localBox vec.Box
 // extract copies the part of the octree that expand selects into a LET, in
 // the octree's own depth-first order: a cell expand rejects is emitted
 // pruned, an expanded leaf carries its particles, an expanded inner cell is
-// followed by its children.
-func extract(t *octree.Tree, localBox vec.Box, cellCap int, expand func(c *octree.Cell) bool) *LET {
+// followed by its children. It is the walk's forward scan (octree.traverse)
+// over the source's preorder cells: an expanded inner cell steps to the next
+// cell, anything else jumps to its Skip. A first scan only counts, so the
+// second writes into Cells, Pos and Mass at their final size; with
+// viewTheta > 0 it writes the walk records for that θ beside them.
+func extract(t *octree.Tree, localBox vec.Box, viewTheta float64, expand func(c *octree.Cell) bool) *LET {
 	out := &LET{Box: localBox}
 	if len(t.Cells) == 0 {
 		return out
 	}
-	out.Cells = make([]Cell, 0, cellCap)
-	var rec func(src int32)
-	rec = func(src int32) {
-		sc := &t.Cells[src]
-		idx := len(out.Cells)
-		c := Cell{MP: sc.MP, Side: sc.Side, Delta: sc.Delta, Kind: octree.ViewPruned}
-		if expand(sc) {
-			c.Kind = octree.ViewInner
-			if sc.Leaf {
-				c.Kind, c.Start, c.N = octree.ViewLeaf, int32(len(out.Pos)), sc.N
-				out.Pos = append(out.Pos, t.Pos[sc.Start:sc.Start+sc.N]...)
-				out.Mass = append(out.Mass, t.Mass[sc.Start:sc.Start+sc.N]...)
-			}
+	nc, np := 0, 0
+	for i := int32(0); int(i) < len(t.Cells); nc++ {
+		sc := &t.Cells[i]
+		switch {
+		case !expand(sc):
+			i = sc.Skip
+		case sc.Leaf:
+			np += int(sc.N)
+			i = sc.Skip
+		default:
+			i++
 		}
-		out.Cells = append(out.Cells, c)
-		if c.Kind == octree.ViewInner {
-			for ch := src + 1; ch < sc.Skip; ch = t.Cells[ch].Skip {
-				rec(ch)
-			}
-		}
-		out.Cells[idx].Skip = int32(len(out.Cells))
 	}
-	rec(0)
+	cells := make([]Cell, nc)
+	pos, mass := make([]vec.V3, np), make([]float64, np)
+	var rec []octree.ViewCell
+	if viewTheta > 0 {
+		rec = make([]octree.ViewCell, nc)
+	}
+
+	// open holds the expanded inner cells the scan is inside, innermost last:
+	// the source index their subtree ends at, and their own LET index, whose
+	// Skip is written when the scan gets there.
+	type span struct{ end, at int32 }
+	open := make([]span, 0, keys.Bits+1)
+	k, p := int32(0), int32(0) // cells and particles written
+	for i := int32(0); ; k++ {
+		for n := len(open); n > 0 && open[n-1].end == i; n-- {
+			at := open[n-1].at
+			cells[at].Skip = k
+			if rec != nil {
+				rec[at].Skip = k
+			}
+			open = open[:n-1]
+		}
+		if int(i) == len(t.Cells) {
+			break
+		}
+		sc := &t.Cells[i]
+		c := &cells[k] // fresh storage: Start and N are zero
+		c.MP, c.Side, c.Delta, c.Skip, c.Kind = sc.MP, sc.Side, sc.Delta, k+1, octree.ViewPruned
+		next := sc.Skip
+		if expand(sc) {
+			if sc.Leaf {
+				c.Kind, c.Start, c.N = octree.ViewLeaf, p, sc.N
+				copy(pos[p:], t.Pos[sc.Start:sc.Start+sc.N])
+				copy(mass[p:], t.Mass[sc.Start:sc.Start+sc.N])
+				p += sc.N
+			} else {
+				c.Kind = octree.ViewInner
+				open = append(open, span{sc.Skip, k})
+				next = i + 1
+			}
+		}
+		if rec != nil {
+			c.record(&rec[k], viewTheta)
+		}
+		i = next
+	}
+	out.Cells, out.Pos, out.Mass = cells, pos, mass
+	if rec != nil {
+		out.view.Set(viewTheta, rec)
+	}
 	return out
 }
 
@@ -158,12 +205,15 @@ func (l *LET) Particles() ([]vec.V3, []float64) { return l.Pos, l.Mass }
 
 func (l *LET) fillView(cells []octree.ViewCell, theta float64) {
 	for i := range cells {
-		c := &l.Cells[i]
-		v := octree.ViewCell{X: c.MP.COM.X, Y: c.MP.COM.Y, Z: c.MP.COM.Z,
-			Skip: c.Skip, Start: c.Start, N: c.N, Kind: c.Kind}
-		v.SetMAC(c.Side, c.Delta, c.MP.M, theta)
-		cells[i] = v
+		l.Cells[i].record(&cells[i], theta)
 	}
+}
+
+// record writes the cell's walk record for θ to v.
+func (c *Cell) record(v *octree.ViewCell, theta float64) {
+	v.X, v.Y, v.Z = c.MP.COM.X, c.MP.COM.Y, c.MP.COM.Z
+	v.Skip, v.Start, v.N, v.Kind = c.Skip, c.Start, c.N, c.Kind
+	v.SetMAC(c.Side, c.Delta, c.MP.M, theta)
 }
 
 // ---------------------------------------------------------------------------

@@ -281,6 +281,7 @@ func BenchmarkBoundaryTree(b *testing.B) {
 	pos, mass := blob(100_000, vec.V3{}, 1, 31)
 	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
 	lb := boxOf(pos)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BoundaryTree(tr, 4, lb)
@@ -292,9 +293,36 @@ func BenchmarkBuildForNearDomain(b *testing.B) {
 	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
 	lb := boxOf(pos)
 	remote := vec.Box{Min: vec.V3{X: 2, Y: -1, Z: -1}, Max: vec.V3{X: 4, Y: 1, Z: 1}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildFor(tr, remote, 0.4, lb)
+	}
+}
+
+// BenchmarkBuildForBlob is one rank's LET builds in the shape of the blobs
+// benchmark: a 500-particle Gaussian blob (σ = 1, NLeaf 32) at one node of
+// an 8×8 grid of spacing 40, building a LET for the box of each of the other
+// 63 nodes' blobs at θ = 0.4. One op is all 63 builds.
+func BenchmarkBuildForBlob(b *testing.B) {
+	const spacing = 40
+	pos, mass := blob(500, vec.V3{X: 3 * spacing, Y: 3 * spacing}, 1, 34)
+	tr, _ := octree.BuildFrom(pos, mass, 32, 0)
+	lb := boxOf(pos)
+	var remotes []vec.Box
+	for k := 0; k < 64; k++ {
+		if k == 3*8+3 {
+			continue
+		}
+		rp, _ := blob(500, vec.V3{X: float64(k%8) * spacing, Y: float64(k/8) * spacing}, 1, 35+int64(k))
+		remotes = append(remotes, boxOf(rp))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rb := range remotes {
+			BuildFor(tr, rb, 0.4, lb)
+		}
 	}
 }
 
@@ -304,6 +332,7 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 	lb := boxOf(pos)
 	let := BuildFor(tr, vec.Box{Min: vec.V3{X: 3, Y: -1, Z: -1}, Max: vec.V3{X: 5, Y: 1, Z: 1}}, 0.4, lb)
 	b.SetBytes(int64(let.WireBytes()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := let.Marshal()

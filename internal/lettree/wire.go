@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
@@ -53,8 +54,15 @@ func (l *LET) WireBytes() int {
 }
 
 // Marshal encodes the LET into a fresh byte slice of length WireBytes().
-func (l *LET) Marshal() []byte {
-	buf := make([]byte, l.WireBytes())
+func (l *LET) Marshal() []byte { return l.AppendWire(nil) }
+
+// AppendWire appends the LET's encoding, WireBytes() long, to b, growing b at
+// most once: a caller that sized b for it (the socket transport's frame)
+// gets the LET encoded in place.
+func (l *LET) AppendWire(b []byte) []byte {
+	n, size := len(b), l.WireBytes()
+	b = slices.Grow(b, size)[:n+size]
+	buf := b[n:]
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], wireMagic)
 	le.PutUint32(buf[4:], uint32(len(l.Cells)))
@@ -96,7 +104,7 @@ func (l *LET) Marshal() []byte {
 		putF(p.Z)
 		putF(l.Mass[i])
 	}
-	return buf[:off]
+	return b
 }
 
 // Unmarshal decodes a LET produced by Marshal. Frames from a peer are

@@ -19,10 +19,11 @@ import (
 // Decoding returns exactly the concrete Go type that was sent, so the
 // generic collectives' type assertions behave identically over the wire and
 // in-process. An unsupported payload type panics at Send with the offending
-// type name: extend the switch below (and mirror it in decodePayload) when
-// the simulation grows a new message.
+// type name: extend appendPayload (and mirror it in payloadBytes, which
+// sizes the frame, and in decodePayload) when the simulation grows a new
+// message; TestPayloadBytesExact holds the first two together.
 //
-// LETs reuse the byte-level format of lettree's Marshal/Unmarshal, so a LET
+// LETs reuse the byte-level format of lettree's AppendWire/Unmarshal, so a LET
 // frame's payload length equals LET.WireBytes() exactly — the property the
 // PairBytes-vs-declared-bytes consistency check in internal/sim leans on.
 
@@ -74,80 +75,124 @@ func appendParticle(b []byte, p *body.Particle) []byte {
 	return append(b, p.Rung)
 }
 
-// encodePayload serializes data and returns its kind tag and payload bytes.
-func encodePayload(data any) (uint16, []byte, error) {
+// appendPayload appends data's encoding to b and returns its kind tag. A b
+// with payloadBytes(data) bytes of spare capacity is not grown: the socket
+// transport encodes every payload straight after its frame header.
+func appendPayload(b []byte, data any) (uint16, []byte, error) {
 	switch v := data.(type) {
 	case nil:
-		return kNil, nil, nil
+		return kNil, b, nil
 	case bool:
-		b := []byte{0}
+		var x byte
 		if v {
-			b[0] = 1
+			x = 1
 		}
-		return kBool, b, nil
+		return kBool, append(b, x), nil
 	case int:
-		return kInt, appendU64(nil, uint64(v)), nil
+		return kInt, appendU64(b, uint64(v)), nil
 	case int64:
-		return kInt64, appendU64(nil, uint64(v)), nil
+		return kInt64, appendU64(b, uint64(v)), nil
 	case float64:
-		return kFloat64, appendF64(nil, v), nil
+		return kFloat64, appendF64(b, v), nil
 	case string:
-		return kString, []byte(v), nil
+		return kString, append(b, v...), nil
 	case []byte:
-		return kBytes, v, nil
+		return kBytes, append(b, v...), nil
 	case []int:
-		b := make([]byte, 0, 8*len(v))
 		for _, x := range v {
 			b = appendU64(b, uint64(x))
 		}
 		return kInts, b, nil
 	case []int64:
-		b := make([]byte, 0, 8*len(v))
 		for _, x := range v {
 			b = appendU64(b, uint64(x))
 		}
 		return kInt64s, b, nil
 	case []float64:
-		b := make([]byte, 0, 8*len(v))
 		for _, x := range v {
 			b = appendF64(b, x)
 		}
 		return kFloat64s, b, nil
 	case keys.Key:
-		return kKey, appendU64(nil, uint64(v)), nil
+		return kKey, appendU64(b, uint64(v)), nil
 	case []keys.Key:
-		return kKeys, appendKeys(nil, v), nil
+		return kKeys, appendKeys(b, v), nil
 	case [][]keys.Key:
-		b := appendU32(nil, uint32(len(v)))
+		b = appendU32(b, uint32(len(v)))
 		for _, ks := range v {
 			b = appendU32(b, uint32(len(ks)))
 			b = appendKeys(b, ks)
 		}
 		return kKeySlices, b, nil
 	case vec.V3:
-		return kV3, appendV3(nil, v), nil
+		return kV3, appendV3(b, v), nil
 	case vec.Box:
-		return kBox, appendV3(appendV3(nil, v.Min), v.Max), nil
+		return kBox, appendV3(appendV3(b, v.Min), v.Max), nil
 	case body.Particle:
-		return kParticle, appendParticle(nil, &v), nil
+		return kParticle, appendParticle(b, &v), nil
 	case []body.Particle:
-		b := make([]byte, 0, body.WireBytes*len(v))
 		for i := range v {
 			b = appendParticle(b, &v[i])
 		}
 		return kParticles, b, nil
 	case [][]byte:
-		b := appendU32(nil, uint32(len(v)))
+		b = appendU32(b, uint32(len(v)))
 		for _, s := range v {
 			b = appendU32(b, uint32(len(s)))
 			b = append(b, s...)
 		}
 		return kByteSlices, b, nil
 	case *lettree.LET:
-		return kLET, v.Marshal(), nil
+		return kLET, v.AppendWire(b), nil
 	default:
-		return 0, nil, fmt.Errorf("mpi: no wire codec for payload type %T", data)
+		return 0, b, fmt.Errorf("mpi: no wire codec for payload type %T", data)
 	}
+}
+
+// payloadBytes is the length appendPayload appends for data, exactly; 0 for
+// a type it rejects.
+func payloadBytes(data any) int {
+	switch v := data.(type) {
+	case bool:
+		return 1
+	case int, int64, float64, keys.Key:
+		return 8
+	case string:
+		return len(v)
+	case []byte:
+		return len(v)
+	case []int:
+		return 8 * len(v)
+	case []int64:
+		return 8 * len(v)
+	case []float64:
+		return 8 * len(v)
+	case []keys.Key:
+		return 8 * len(v)
+	case [][]keys.Key:
+		n := 4
+		for _, ks := range v {
+			n += 4 + 8*len(ks)
+		}
+		return n
+	case vec.V3:
+		return 3 * 8
+	case vec.Box:
+		return 6 * 8
+	case body.Particle:
+		return body.WireBytes
+	case []body.Particle:
+		return body.WireBytes * len(v)
+	case [][]byte:
+		n := 4
+		for _, s := range v {
+			n += 4 + len(s)
+		}
+		return n
+	case *lettree.LET:
+		return v.WireBytes()
+	}
+	return 0
 }
 
 func appendKeys(b []byte, ks []keys.Key) []byte {
@@ -202,7 +247,7 @@ func sliceCount(b []byte, off *int) (int, error) {
 	return int(n), nil
 }
 
-// decodePayload reconstructs the value encoded by encodePayload. The
+// decodePayload reconstructs the value encoded by appendPayload. The
 // returned value has exactly the concrete type that was passed to Send.
 func decodePayload(kind uint16, b []byte) (any, error) {
 	switch kind {

@@ -1,16 +1,76 @@
 package mpi
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
 	"bonsai/internal/body"
+	"bonsai/internal/grav"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
+
+// encodePayload is appendPayload into a fresh slice.
+func encodePayload(data any) (uint16, []byte, error) { return appendPayload(nil, data) }
+
+// codecValues holds one value of every payload type the codec carries.
+func codecValues() []any {
+	let := &lettree.LET{
+		Cells: []lettree.Cell{{Side: 0.5, Skip: 1, Kind: octree.ViewLeaf, N: 2}},
+		Pos:   []vec.V3{{X: 1}, {Y: 3}},
+		Mass:  []float64{2, 4},
+	}
+	return []any{
+		nil, true, int(-42), int64(1 << 40), 3.14159, "boundary", []byte{1, 2, 3},
+		[]int{5, -6, 7}, []int64{1 << 50}, []float64{0.5, -0.25},
+		keys.Key(1 << 62), []keys.Key{1, 2, 3}, [][]keys.Key{{1}, nil, {2, 3}},
+		vec.V3{X: 1, Y: 2, Z: 3}, vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
+		body.Particle{Mass: 3, ID: 5, Rung: 6}, []body.Particle{{Mass: 1, ID: 1}, {Mass: 2, ID: 2}},
+		let, [][]byte{{9}, nil, {8, 7}},
+	}
+}
+
+// TestPayloadBytesExact: payloadBytes sizes every frame, so it must be the
+// encoded length exactly — short and the frame regrows, long and it wastes.
+func TestPayloadBytesExact(t *testing.T) {
+	for _, v := range codecValues() {
+		_, b, err := encodePayload(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := payloadBytes(v); n != len(b) {
+			t.Errorf("%T: payloadBytes %d, encoded %d bytes", v, n, len(b))
+		}
+	}
+}
+
+// TestLETFrameEncodesOnce: a LET frame is encoded in one allocation, the
+// frame itself, and is byte for byte the header followed by LET.Marshal.
+func TestLETFrameEncodesOnce(t *testing.T) {
+	let := &lettree.LET{
+		Cells: make([]lettree.Cell, 3),
+		Pos:   []vec.V3{{X: 1}, {Y: 2}, {Z: 3}},
+		Mass:  []float64{1, 2, 3},
+	}
+	let.Cells[0] = lettree.Cell{Skip: 3, MP: grav.Multipole{M: 6}}
+	let.Cells[1] = lettree.Cell{Skip: 2, Kind: octree.ViewLeaf, N: 2}
+	let.Cells[2] = lettree.Cell{Skip: 3, Kind: octree.ViewLeaf, Start: 2, N: 1}
+	if n := testing.AllocsPerRun(50, func() { encodeFrame(7, let) }); n != 1 {
+		t.Errorf("a LET frame took %v allocations, want 1", n)
+	}
+	want := binary.LittleEndian.AppendUint32(nil, uint32(8+2+let.WireBytes()))
+	want = binary.LittleEndian.AppendUint64(want, 7)
+	want = binary.LittleEndian.AppendUint16(want, kLET)
+	want = append(want, let.Marshal()...)
+	if got, _ := encodeFrame(7, let); !bytes.Equal(got, want) {
+		t.Errorf("LET frame differs from header + Marshal (%d vs %d bytes)", len(got), len(want))
+	}
+}
 
 // TestDecodeRejectsOversizedSliceCount: the element count that leads a
 // [][]key or [][]byte payload is four untrusted bytes, and the decoder sizes a
@@ -59,19 +119,7 @@ func heapBytes(v reflect.Value) uintptr {
 // whatever counts the bytes claim. (A count that sizes a block and then fails
 // is TestDecodeRejectsOversizedSliceCount's: the error comes before the make.)
 func FuzzDecodePayload(f *testing.F) {
-	let := &lettree.LET{
-		Cells: []lettree.Cell{{Side: 0.5, Skip: 1, Kind: octree.ViewLeaf, N: 2}},
-		Pos:   []vec.V3{{X: 1}, {Y: 3}},
-		Mass:  []float64{2, 4},
-	}
-	for _, v := range []any{
-		nil, true, int(-42), int64(1 << 40), 3.14159, "boundary", []byte{1, 2, 3},
-		[]int{5, -6, 7}, []int64{1 << 50}, []float64{0.5, -0.25},
-		keys.Key(1 << 62), []keys.Key{1, 2, 3}, [][]keys.Key{{1}, nil, {2, 3}},
-		vec.V3{X: 1, Y: 2, Z: 3}, vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
-		body.Particle{Mass: 3, ID: 5, Rung: 6}, []body.Particle{{Mass: 1, ID: 1}, {Mass: 2, ID: 2}},
-		let, [][]byte{{9}, nil, {8, 7}},
-	} {
+	for _, v := range codecValues() {
 		kind, b, err := encodePayload(v)
 		if err != nil {
 			f.Fatal(err)

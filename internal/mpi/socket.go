@@ -165,20 +165,12 @@ type sockTransport struct {
 func (st *sockTransport) Wire() bool { return true }
 
 func (st *sockTransport) Send(from, to, tag int, data any) int {
-	kind, payload, err := encodePayload(data)
-	if err != nil {
-		panic(err)
-	}
-	frame := make([]byte, 0, frameOverhead+len(payload))
-	frame = appendU32(frame, uint32(8+2+len(payload)))
-	frame = appendU64(frame, uint64(int64(tag)))
-	frame = binary.LittleEndian.AppendUint16(frame, kind)
-	frame = append(frame, payload...)
+	frame, kind := encodeFrame(tag, data)
 	if from == to {
 		// Self-sends skip the socket but keep wire semantics: the payload
 		// round-trips through the codec, so the delivered value is a deep
 		// copy and the meters see the framed size.
-		v, err := decodePayload(kind, payload)
+		v, err := decodePayload(kind, frame[frameOverhead:])
 		if err != nil {
 			panic(err)
 		}
@@ -187,6 +179,22 @@ func (st *sockTransport) Send(from, to, tag int, data any) int {
 	}
 	st.link(from, to).enqueue(frame)
 	return len(frame)
+}
+
+// encodeFrame encodes one frame, header and payload, in a single allocation
+// of its exact size: the payload is encoded in place after the header. It
+// returns the frame and the payload's kind.
+func encodeFrame(tag int, data any) ([]byte, uint16) {
+	frame := make([]byte, frameOverhead, frameOverhead+payloadBytes(data))
+	kind, frame, err := appendPayload(frame, data)
+	if err != nil {
+		panic(err)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(frame, uint32(len(frame)-4))
+	le.PutUint64(frame[4:], uint64(int64(tag)))
+	le.PutUint16(frame[12:], kind)
+	return frame, kind
 }
 
 // link returns the (from, to) link, creating it and starting its write pump

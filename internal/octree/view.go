@@ -86,6 +86,15 @@ func (v *View) For(theta float64, n int, fill func(cells []ViewCell, theta float
 	return v.cells
 }
 
+// Set installs records already built for θ, as For would have filled them:
+// a tree whose builder knows the walk's θ hands its view the records with the
+// cells. A later For at another θ builds fresh storage, leaving these intact.
+func (v *View) Set(theta float64, cells []ViewCell) {
+	v.mu.Lock()
+	v.cells, v.theta, v.valid = cells, theta, true
+	v.mu.Unlock()
+}
+
 // Source is a tree the shared walk runs over: its preorder walk records, and
 // the storage the gather copies accepted multipoles and opened-leaf particle
 // runs from. *Tree and *lettree.LET implement it.

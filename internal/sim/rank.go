@@ -208,9 +208,11 @@ func (r *rank) keep() {
 }
 
 // fullTargets points a walkTargets at the rank's full tree-ordered arrays —
-// every local particle is a walk target. The advertised box is recomputed
-// from the particles: sufficiency checks and LET construction must see the
-// box that actually bounds the targets the groups were built from.
+// every local particle is a walk target. The advertised box is the union of
+// the groups' boxes: sufficiency checks and LET construction must see a box
+// that bounds every box the walk tests. The groups partition the particles
+// and min and max are exact, so after a build it is body.Bounds of the
+// particles bit for bit, at O(groups) cost.
 func (r *rank) fullTargets() walkTargets {
 	return walkTargets{
 		groups: r.groups,
@@ -219,8 +221,17 @@ func (r *rank) fullTargets() walkTargets {
 		acc:    r.acc,
 		pot:    r.pot,
 		ext:    r.extPot,
-		box:    body.Bounds(r.parts),
+		box:    groupsBox(r.groups),
 	}
+}
+
+// groupsBox is the union of the groups' boxes.
+func groupsBox(groups []octree.Group) vec.Box {
+	b := vec.EmptyBox()
+	for i := range groups {
+		b = b.Union(groups[i].Box)
+	}
+	return b
 }
 
 // buildPipeline runs the tree side of a force evaluation: global bounding
