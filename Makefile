@@ -34,22 +34,30 @@ tier1: vet build test race fuzz-smoke
 # Plummer models and step counts), a 10-second fuzz of mpi.decodePayload
 # (any kind tag with any bytes returns a value or an error: no panic, no
 # allocation beyond a small multiple of the payload; the committed
-# reproducer under internal/mpi/testdata/fuzz is replayed first), and a
-# 10-second fuzz of lettree.Unmarshal (truncated,
+# reproducer under internal/mpi/testdata/fuzz is replayed first), a 10-second
+# fuzz of the socket stream decoder, readPreamble then readFrame until the first
+# error as a connection is served (every call returns a value or a named error:
+# no panic, no allocation beyond readBody's doubling bound plus a small multiple
+# of the input; seeded with a valid frame of every payload kind), a 10-second
+# fuzz of lettree.Unmarshal (truncated,
 # bit-flipped and cyclic frames must be rejected or decode to a tree every
 # walk terminates on; -fuzzminimizetime keeps the engine's byte-by-byte
 # minimisation of each multi-kB finding from eating the whole budget), and a
 # 10-second fuzz of obs.ReadMetricsJSONL, the reader rank 0 runs on the step
 # records every other process gathers to it (no panic; every record it
 # returns re-encodes and decodes to itself; a stream cut inside its final line
-# returns the complete prefix).
+# returns the complete prefix), and a 10-second fuzz of the checkpoint MANIFEST
+# parser (any bytes are ErrManifest or a rank count ≥ 1 whose manifest, written
+# the way CommitCkpt writes it for the directory's step, is those bytes exactly).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSnapshotRead -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
 	$(GO) test -run XXX -fuzz FuzzDecodePayload -fuzztime 10s ./internal/mpi
+	$(GO) test -run XXX -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
 	$(GO) test -run XXX -fuzz FuzzLETUnmarshal -fuzztime 10s -fuzzminimizetime 1s ./internal/lettree
 	$(GO) test -run XXX -fuzz FuzzReadMetricsJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
+	$(GO) test -run XXX -fuzz FuzzManifest -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 
 vet:
 	$(GO) vet ./...

@@ -1,16 +1,13 @@
 package bonsai
 
 import (
-	"io"
-
 	"bonsai/internal/analysis"
-	"bonsai/internal/body"
 	"bonsai/internal/direct"
 	"bonsai/internal/vec"
 )
 
 // Filter selects particles for an analysis; nil selects all particles.
-type Filter func(Particle) bool
+type Filter = analysis.Filter
 
 // ComponentFilter builds a Filter selecting one Milky Way component of an
 // n-particle realization of the model.
@@ -18,77 +15,35 @@ func ComponentFilter(g GalaxyModel, n int, c GalaxyComponent) Filter {
 	return func(p Particle) bool { return g.ComponentOf(p.ID, n) == c }
 }
 
-func wrapFilter(f Filter) analysis.Filter {
-	if f == nil {
-		return nil
-	}
-	return func(p body.Particle) bool {
-		return f(Particle{
-			Pos:  Vec3{p.Pos.X, p.Pos.Y, p.Pos.Z},
-			Vel:  Vec3{p.Vel.X, p.Vel.Y, p.Vel.Z},
-			Mass: p.Mass,
-			ID:   p.ID,
-		})
-	}
-}
-
-// DensityMap is a face-on surface-density grid (see SurfaceDensity).
-type DensityMap struct {
-	inner analysis.DensityMap
-}
-
-// Bins returns the grid resolution per axis.
-func (m DensityMap) Bins() int { return m.inner.N }
-
-// At returns the surface density of pixel (ix, iy).
-func (m DensityMap) At(ix, iy int) float64 { return m.inner.At(ix, iy) }
-
-// Total integrates the map back to total mass.
-func (m DensityMap) Total() float64 { return m.inner.Total() }
-
-// RenderPGM writes the map as a log-scaled portable graymap image.
-func (m DensityMap) RenderPGM(w io.Writer) error { return m.inner.RenderPGM(w) }
+// DensityMap is a face-on surface-density grid of N×N pixels (see
+// SurfaceDensity), with At, Total and RenderPGM (a log-scaled portable
+// graymap image).
+type DensityMap = analysis.DensityMap
 
 // SurfaceDensity deposits selected particles onto an n×n face-on grid
 // covering [-extent, extent]² kpc — the reproduction of the paper's Fig. 3
 // density panels.
 func SurfaceDensity(parts []Particle, f Filter, extent float64, n int) DensityMap {
-	return DensityMap{analysis.SurfaceDensity(toBody(parts), wrapFilter(f), extent, n)}
+	return analysis.SurfaceDensity(parts, f, extent, n)
 }
 
 // VelocityHist is the 2-D (vR, vφ−⟨vφ⟩) histogram of solar-neighbourhood
-// stars (Fig. 3 bottom-left, the "moving groups" map).
-type VelocityHist struct {
-	inner analysis.VelocityHist
-}
-
-// Bins returns the histogram resolution per axis.
-func (h VelocityHist) Bins() int { return h.inner.N }
-
-// Count returns the number of stars in histogram cell (i, j).
-func (h VelocityHist) Count(i, j int) int { return h.inner.Counts[j*h.inner.N+i] }
-
-// Stars returns how many stars fell inside the selection sphere.
-func (h VelocityHist) Stars() int { return h.inner.Stars }
-
-// MeanRotation returns the mean vφ of the selected stars (subtracted from
-// the histogram's vφ axis).
-func (h VelocityHist) MeanRotation() float64 { return h.inner.MeanVP }
+// stars (see SolarNeighborhood): N bins per axis, Count(i, j) stars in cell
+// (i, j), Stars inside the selection sphere, and their MeanRotation.
+type VelocityHist = analysis.VelocityHist
 
 // SolarNeighborhood histograms the in-plane velocities of selected particles
 // within radius kpc of sunPos (paper: 500 pc around the solar position at
 // 8 kpc from the Galactic Centre).
 func SolarNeighborhood(parts []Particle, f Filter, sunPos Vec3, radius, vmax float64, bins int) VelocityHist {
-	return VelocityHist{analysis.SolarNeighborhood(
-		toBody(parts), wrapFilter(f),
-		vec.V3{X: sunPos.X, Y: sunPos.Y, Z: sunPos.Z}, radius, vmax, bins)}
+	return analysis.SolarNeighborhood(parts, f, sunPos, radius, vmax, bins)
 }
 
 // BarStrength returns the m=2 Fourier amplitude A2 and phase of the
 // selected particles within cylindrical radius rmax — the bar-formation
 // diagnostic for the Fig. 3 evolution.
 func BarStrength(parts []Particle, f Filter, rmax float64) (a2, phase float64) {
-	return analysis.BarStrength(toBody(parts), wrapFilter(f), rmax)
+	return analysis.BarStrength(parts, f, rmax)
 }
 
 // PatternSpeed converts two bar phases separated by dt into a pattern speed,
@@ -100,42 +55,37 @@ func PatternSpeed(phase0, phase1, dt float64) float64 {
 // RadialProfile returns the azimuthally averaged surface density in nbins
 // annuli out to rmax.
 func RadialProfile(parts []Particle, f Filter, rmax float64, nbins int) []float64 {
-	return analysis.RadialProfile(toBody(parts), wrapFilter(f), rmax, nbins)
+	return analysis.RadialProfile(parts, f, rmax, nbins)
 }
 
 // DiskThickness returns the rms height of the selected particles.
 func DiskThickness(parts []Particle, f Filter) float64 {
-	return analysis.DiskThickness(toBody(parts), wrapFilter(f))
+	return analysis.DiskThickness(parts, f)
 }
 
 // VelocityDispersion returns the radial velocity dispersion of selected
 // particles in the cylindrical annulus [r0, r1] — the numerical disk-heating
 // diagnostic of §II.
 func VelocityDispersion(parts []Particle, f Filter, r0, r1 float64) float64 {
-	return analysis.VelocityDispersion(toBody(parts), wrapFilter(f), r0, r1)
+	return analysis.VelocityDispersion(parts, f, r0, r1)
 }
 
 // DirectForces computes exact softened forces by O(N²) summation — the
 // accuracy referee and the Fig. 1 baseline. Returns accelerations and
 // specific potentials ordered like parts.
 func DirectForces(parts []Particle, eps float64) ([]Vec3, []float64) {
-	bp := toBody(parts)
-	pos := make([]vec.V3, len(bp))
-	mass := make([]float64, len(bp))
-	for i := range bp {
-		pos[i] = bp[i].Pos
-		mass[i] = bp[i].Mass
+	pos := make([]vec.V3, len(parts))
+	mass := make([]float64, len(parts))
+	for i := range parts {
+		pos[i] = parts[i].Pos
+		mass[i] = parts[i].Mass
 	}
 	acc, pot, _ := direct.Forces(pos, mass, eps*eps, 0)
-	out := make([]Vec3, len(acc))
-	for i, a := range acc {
-		out[i] = Vec3{a.X, a.Y, a.Z}
-	}
-	return out, pot
+	return acc, pot
 }
 
 // RotationCurve returns the mean tangential velocity of selected particles
 // in nbins annuli out to rmax kpc.
 func RotationCurve(parts []Particle, f Filter, rmax float64, nbins int) []float64 {
-	return analysis.RotationCurve(toBody(parts), wrapFilter(f), rmax, nbins)
+	return analysis.RotationCurve(parts, f, rmax, nbins)
 }

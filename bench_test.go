@@ -23,7 +23,7 @@ import (
 // mwPoints returns the positions and masses of an n-particle Milky Way
 // sample.
 func mwPoints(n int) (pos []vec.V3, mass []float64) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 0)
+	parts := ic.DefaultMilkyWay().Realize(n, 1, 0)
 	pos = make([]vec.V3, n)
 	mass = make([]float64, n)
 	for i, p := range parts {
@@ -77,7 +77,7 @@ func BenchmarkFig1_TreeKernel_K20X_Tuned(b *testing.B) {
 }
 
 func benchFig1Direct(b *testing.B, spec device.Spec, paperGflops float64) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 4096, 2, 0)
+	parts := ic.DefaultMilkyWay().Realize(4096, 2, 0)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
 	for i, p := range parts {
@@ -436,7 +436,7 @@ func BenchmarkKernels_PC_SIMD_L4096(b *testing.B)   { benchKernelPCBatch(b, 4096
 // tree-walk vs a periodic PM solve in a 2x-padded box.
 
 func BenchmarkBaselinePM_Mesh64(b *testing.B) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 60_000, 1, 0)
+	parts := ic.DefaultMilkyWay().Realize(60_000, 1, 0)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
 	for i, p := range parts {
@@ -479,7 +479,7 @@ func benchBlockSteps(b *testing.B, block bool) {
 		rungs   = 4
 		simTime = 8 * topDT
 	)
-	parts := fromBody(ic.Plummer(n, 1.0, 0.1, 1.0, 9))
+	parts := ic.Plummer(n, 1.0, 0.1, 1.0, 9)
 	cfg := Config{
 		Ranks: 2, WorkersPerRank: 2, Theta: 0.4, Softening: 0.01, GravConst: 1,
 	}

@@ -24,89 +24,27 @@ const (
 	TimeUnitGyr = units.KpcPerKmsToGyr
 )
 
-// Vec3 is a Cartesian 3-vector.
-type Vec3 struct {
-	X, Y, Z float64
-}
+// Vec3 is a Cartesian 3-vector, the engine's own vector type with its
+// arithmetic methods (Add, Sub, Scale, Dot, Norm, ...).
+type Vec3 = vec.V3
 
 // Particle is one N-body particle: position (kpc), velocity (km/s), mass
-// (1e10 M⊙) and a stable identity. Rung is the particle's timestep level
+// (1e10 M⊙) and a stable identity ID. Rung is the particle's timestep level
 // under Config.BlockSteps (dt = DT/2^Rung); it is carried through snapshots
 // and checkpoints, and a block-timestep run keeps the rungs its particles
 // arrive with when any is above 0 (a restart) and assigns them from the first
 // accelerations otherwise. Without BlockSteps every particle is on rung 0.
-type Particle struct {
-	Pos  Vec3
-	Vel  Vec3
-	Mass float64
-	ID   int64
-	Rung uint8
-}
+// Weight is the engine's load-balancing work estimate (the interactions the
+// particle cost in the previous step): it is ignored on input, not persisted
+// by snapshots, and meaningful only as the engine reports it.
+type Particle = body.Particle
 
-// Config configures a simulation. Zero values select the paper's defaults
-// where one exists (Theta 0.4) and sensible values elsewhere. The octree's
-// leaf and target-group sizes are the measured constants
-// octree.DefaultNLeaf and octree.DefaultNGroup (32 and 128), not options.
-type Config struct {
-	// Ranks is the number of simulated MPI processes (one modeled GPU
-	// each). Default 1.
-	Ranks int
-	// WorkersPerRank is the number of compute workers each rank uses for
-	// its tree-walks and sorts. Default 1.
-	WorkersPerRank int
-	// Theta is the multipole acceptance opening angle. Default 0.4, the
-	// paper's production value for disk galaxies.
-	Theta float64
-	// Softening is the Plummer softening length in kpc. Default 0.01.
-	// For Milky Way models use SofteningForN.
-	Softening float64
-	// DT is the leapfrog time step in simulation units. Default 1e-3.
-	DT float64
-	// BoundaryDepth is the depth of the boundary tree every rank pushes to
-	// every peer.
-	// Default 4.
-	BoundaryDepth int
-	// DomainFreq is the number of steps between domain re-decompositions.
-	// Default 4.
-	DomainFreq int
-
-	// BlockSteps enables hierarchical power-of-two block timesteps: each
-	// particle integrates on its own rung dt = DT/2^k (k ≤ MaxRungs) chosen
-	// from its acceleration, and only the active rung-block receives forces
-	// at each substep while the rest drift. It is the switch for MaxRungs:
-	// without it, or with MaxRungs 0, every particle shares the one step DT.
-	BlockSteps bool
-	// MaxRungs caps the timestep hierarchy depth (0–16) under BlockSteps.
-	// Default 0.
-	MaxRungs int
-	// EtaDT is the accuracy parameter of the timestep criterion
-	// dt_i = EtaDT·sqrt(Softening/|a_i|). Default 0.1.
-	EtaDT float64
-
-	// GravConst is the gravitational constant of the particle set's unit
-	// system. Default 1 (model units, as NewPlummer produces). Milky Way
-	// models are in galactic units and need GravConst: bonsai.G.
-	GravConst float64
-
-	// External, if non-nil, adds a static analytic field to the particle
-	// self-gravity — the paper's §I "type 1" setup (analytic dark halo +
-	// live disk). See GalaxyModel.StaticHalo. Must be thread-safe.
-	External ExternalField
-
-	// SerialLET disables all communication/compute overlap in the gravity
-	// phase: LETs are built and pushed on the compute thread before the
-	// local walk, and incoming ones are walked only after it, in rank order.
-	// Kept as the deterministic reference of the bitwise equivalence tests
-	// and the non-overlapped baseline of the overlap benchmarks.
-	SerialLET bool
-
-	// Tracing enables the event-level observability layer: per-rank span
-	// timelines (exported with WriteChromeTrace), LET-arrival and walk
-	// histograms, and per-evaluation metrics folded over ranks
-	// (WriteMetricsJSONL, WriteProm). Disabled (the default) it costs one nil
-	// check per record point, sends no message, and does not change results.
-	Tracing bool
-}
+// Config configures a simulation (both Simulation and NodeSimulation); zero
+// values select the paper's defaults where one exists (Theta 0.4) and
+// sensible values elsewhere. Milky Way models are in galactic units and need
+// GravConst: bonsai.G and Softening: SofteningForN(n). MaxRungs counts only
+// with BlockSteps set, and Tracing enables the exporters below.
+type Config = sim.Config
 
 // SofteningForN returns the softening (kpc) matching the paper's resolution
 // scaling: 1 pc at N = 51.2e9, growing as N^(-1/3) for smaller models.
@@ -194,29 +132,6 @@ type StepStats struct {
 	Substeps   int
 	Rebuilds   int
 	ActiveFrac float64
-}
-
-// simConfig is the one translation from the public configuration to the
-// engine's; rec is the run's tracing recorder (nil without Config.Tracing).
-func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
-	if !cfg.BlockSteps {
-		cfg.MaxRungs = 0
-	}
-	return sim.Config{
-		Ranks:          cfg.Ranks,
-		WorkersPerRank: cfg.WorkersPerRank,
-		Theta:          cfg.Theta,
-		Eps:            cfg.Softening,
-		DT:             cfg.DT,
-		BoundaryDepth:  cfg.BoundaryDepth,
-		DomainFreq:     cfg.DomainFreq,
-		MaxRungs:       cfg.MaxRungs,
-		EtaDT:          cfg.EtaDT,
-		G:              cfg.GravConst,
-		External:       wrapExternal(cfg.External),
-		SerialLET:      cfg.SerialLET,
-		Obs:            rec,
-	}
 }
 
 // traced is the trace-export surface Simulation and NodeSimulation share: a
@@ -311,17 +226,14 @@ type Simulation struct {
 	traced
 }
 
-// New creates a simulation from the given particles.
+// New creates a simulation from the given particles; parts is read, not
+// kept.
 func New(cfg Config, parts []Particle) (*Simulation, error) {
-	var rec *obs.Recorder
-	if cfg.Tracing {
-		rec = obs.New(max(cfg.Ranks, 1), 0) // sim.New defaults Ranks to 1
-	}
-	inner, err := sim.New(simConfig(cfg, rec), toBody(parts))
+	inner, err := sim.New(cfg, parts)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{inner: inner, traced: traced{rec: rec, fleet: inner.Fleet()}}, nil
+	return &Simulation{inner: inner, traced: traced{rec: inner.Recorder(), fleet: inner.Fleet()}}, nil
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
@@ -350,29 +262,20 @@ func (s *Simulation) Time() float64 { return s.inner.Time() }
 // StepCount returns the number of completed steps.
 func (s *Simulation) StepCount() int { return s.inner.StepCount() }
 
-// Particles gathers the current particle states from all ranks, sorted by ID.
-func (s *Simulation) Particles() []Particle { return fromBody(s.inner.Particles()) }
+// Particles gathers the current particle states from all ranks into a fresh
+// slice, sorted by ID.
+func (s *Simulation) Particles() []Particle { return s.inner.Particles() }
 
 // Accelerations returns the latest accelerations and specific potentials,
 // ordered by particle ID.
-func (s *Simulation) Accelerations() ([]Vec3, []float64) {
-	acc, pot := s.inner.Accelerations()
-	out := make([]Vec3, len(acc))
-	for i, a := range acc {
-		out[i] = Vec3{a.X, a.Y, a.Z}
-	}
-	return out, pot
-}
+func (s *Simulation) Accelerations() ([]Vec3, []float64) { return s.inner.Accelerations() }
 
 // Energy returns total kinetic and potential energy from the most recent
 // force evaluation.
 func (s *Simulation) Energy() (kin, pot float64) { return s.inner.Energy() }
 
 // Momentum returns the total linear momentum.
-func (s *Simulation) Momentum() Vec3 {
-	p := s.inner.Momentum()
-	return Vec3{p.X, p.Y, p.Z}
-}
+func (s *Simulation) Momentum() Vec3 { return s.inner.Momentum() }
 
 // RankCounts reports the current particle count per rank.
 func (s *Simulation) RankCounts() []int { return s.inner.RankCounts() }
@@ -443,20 +346,11 @@ type NodeSimulation struct {
 // the run's metrics stream and Prometheus view, and after GatherTelemetry its
 // merged trace.
 func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeSimulation, error) {
-	var tr traced
-	if cfg.Tracing {
-		tr.rec = obs.New(w.inner.Size(), 0)
-		w.inner.EnableObs(tr.rec.Metrics().QueueDepthHist())
-		w.inner.ObserveFrameBytes(tr.rec.Metrics().FrameBytesHist())
-		if rank == 0 {
-			tr.fleet = telemetry.NewFleet(tr.rec, w.inner.Size())
-		}
-	}
-	inner, err := sim.NewNode(simConfig(cfg, tr.rec), w.inner, rank, toBody(parts))
+	inner, err := sim.NewNode(cfg, w.inner, rank, parts)
 	if err != nil {
 		return nil, err
 	}
-	return &NodeSimulation{inner: inner, traced: tr}, nil
+	return &NodeSimulation{inner: inner, traced: traced{rec: inner.Recorder(), fleet: inner.Fleet()}}, nil
 }
 
 // SliceForRank cuts rank r's initial share out of a global particle set,
@@ -517,11 +411,9 @@ func (n *NodeSimulation) GatherTelemetry() (skew time.Duration, err error) {
 // sequence).
 func (n *NodeSimulation) Energy() (kin, pot float64) { return n.inner.Energy() }
 
-// GatherParticles collects the global particle set at the root rank, sorted
-// by ID (collective). Non-root ranks receive nil.
-func (n *NodeSimulation) GatherParticles(root int) []Particle {
-	return fromBody(n.inner.GatherParticles(root))
-}
+// GatherParticles collects the global particle set at the root rank into a
+// fresh slice, sorted by ID (collective). Non-root ranks receive nil.
+func (n *NodeSimulation) GatherParticles(root int) []Particle { return n.inner.GatherParticles(root) }
 
 // Checkpoint writes a distributed checkpoint into dir (collective): every
 // rank stores its slice, and rank 0 atomically commits the step once all
@@ -540,53 +432,15 @@ func LatestCheckpoint(dir string) (step int, ranks int, ok bool) {
 // checkpoint at the given step, returning the simulation time it was taken
 // at.
 func LoadRankCheckpoint(dir string, step, rank int) (t float64, parts []Particle, err error) {
-	h, bp, err := snapshot.LoadRankCkpt(dir, int64(step), rank)
+	h, parts, err := snapshot.LoadRankCkpt(dir, int64(step), rank)
 	if err != nil {
 		return 0, nil, err
 	}
-	return h.Time, fromBody(bp), nil
+	return h.Time, parts, nil
 }
 
 // ---------------------------------------------------------------------------
-// conversions
-
-func wrapExternal(f ExternalField) func(vec.V3) (vec.V3, float64) {
-	if f == nil {
-		return nil
-	}
-	return func(p vec.V3) (vec.V3, float64) {
-		a, pot := f(Vec3{p.X, p.Y, p.Z})
-		return vec.V3{X: a.X, Y: a.Y, Z: a.Z}, pot
-	}
-}
-
-func toBody(parts []Particle) []body.Particle {
-	out := make([]body.Particle, len(parts))
-	for i, p := range parts {
-		out[i] = body.Particle{
-			Pos:  vec.V3{X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z},
-			Vel:  vec.V3{X: p.Vel.X, Y: p.Vel.Y, Z: p.Vel.Z},
-			Mass: p.Mass,
-			ID:   p.ID,
-			Rung: p.Rung,
-		}
-	}
-	return out
-}
-
-func fromBody(parts []body.Particle) []Particle {
-	out := make([]Particle, len(parts))
-	for i, p := range parts {
-		out[i] = Particle{
-			Pos:  Vec3{p.Pos.X, p.Pos.Y, p.Pos.Z},
-			Vel:  Vec3{p.Vel.X, p.Vel.Y, p.Vel.Z},
-			Mass: p.Mass,
-			ID:   p.ID,
-			Rung: p.Rung,
-		}
-	}
-	return out
-}
+// the step summary
 
 func fromPhase(p *obs.PhaseTimes) PhaseTimes {
 	return PhaseTimes{

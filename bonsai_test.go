@@ -12,7 +12,6 @@ import (
 
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
-	"bonsai/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -112,7 +111,7 @@ func TestAnalysisPublicAPI(t *testing.T) {
 	diskF := ComponentFilter(model, n, Disk)
 
 	m := SurfaceDensity(parts, diskF, 15, 32)
-	if m.Bins() != 32 || m.Total() <= 0 {
+	if m.N != 32 || m.Total() <= 0 {
 		t.Fatal("density map empty")
 	}
 	var buf bytes.Buffer
@@ -129,13 +128,13 @@ func TestAnalysisPublicAPI(t *testing.T) {
 	}
 
 	h := SolarNeighborhood(parts, diskF, Vec3{X: 8}, 1.0, 150, 20)
-	if h.Stars() == 0 {
+	if h.Stars == 0 {
 		t.Fatal("no solar-neighbourhood stars")
 	}
-	if h.MeanRotation() < 100 {
-		t.Errorf("rotation %v too slow", h.MeanRotation())
+	if h.MeanRotation < 100 {
+		t.Errorf("rotation %v too slow", h.MeanRotation)
 	}
-	if h.Bins() != 20 {
+	if h.N != 20 {
 		t.Error("bins")
 	}
 	sum := 0
@@ -338,13 +337,14 @@ func TestBlockStepsPublicAPI(t *testing.T) {
 	}
 }
 
-// TestSimulationAndNodeShareEngineConfig sets every public Config field in
-// turn and checks that Simulation and NodeSimulation hand the engine the same
-// sim.Config for it, and that the field reaches the engine at all — so a field
-// wired into one driver and not the other, or into neither, fails here.
+// TestSimulationAndNodeShareEngineConfig sets every Config field in turn and
+// checks that Simulation and NodeSimulation run the engine on the same
+// effective Config for it, and that the field survives to the engine at all —
+// so a field the defaults drop, or that one driver fills differently from the
+// other, fails here.
 func TestSimulationAndNodeShareEngineConfig(t *testing.T) {
 	parts := NewPlummer(64, 1, 1, 1, 3)
-	build := func(cfg Config) (inProcess, node sim.Config) {
+	build := func(cfg Config) (inProcess, node Config) {
 		t.Helper()
 		s, err := New(cfg, parts)
 		if err != nil {
@@ -358,13 +358,13 @@ func TestSimulationAndNodeShareEngineConfig(t *testing.T) {
 		}
 		return s.inner.Config(), n.inner.Config()
 	}
-	// same compares two engine configs; the recorder and the field callback
-	// are per-instance, so those two compare by presence.
-	same := func(a, b sim.Config) bool {
-		if (a.Obs == nil) != (b.Obs == nil) || (a.External == nil) != (b.External == nil) {
+	// same compares two effective configs; functions compare only by
+	// presence.
+	same := func(a, b Config) bool {
+		if (a.External == nil) != (b.External == nil) {
 			return false
 		}
-		a.Obs, b.Obs, a.External, b.External = nil, nil, nil, nil
+		a.External, b.External = nil, nil
 		return reflect.DeepEqual(a, b)
 	}
 	defaults, _ := build(Config{})

@@ -18,7 +18,7 @@ import (
 func printAblations(n int) {
 	section(fmt.Sprintf("ABLATIONS (DESIGN.md §5) — measured on a %d-particle Milky Way sample", n))
 
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 0)
+	parts := ic.DefaultMilkyWay().Realize(n, 1, 0)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
 	for i, p := range parts {
@@ -84,18 +84,7 @@ func printAblations(n int) {
 	// --- #4 boundary-tree depth.
 	fmt.Println("\n#4 boundary-tree depth (LET-exchange traffic vs boundary-only coverage, 4 ranks)")
 	fmt.Printf("%8s %14s %12s %12s\n", "depth", "boundaryUsed", "LETs sent", "step MB")
-	sub := parts
-	if len(sub) > 24000 {
-		sub = sub[:24000]
-	}
-	bp := make([]bonsai.Particle, len(sub))
-	for i, p := range sub {
-		bp[i] = bonsai.Particle{
-			Pos:  bonsai.Vec3{X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z},
-			Vel:  bonsai.Vec3{X: p.Vel.X, Y: p.Vel.Y, Z: p.Vel.Z},
-			Mass: p.Mass, ID: p.ID,
-		}
-	}
+	bp := parts[:min(len(parts), 24000)]
 	for _, depth := range []int{2, 4, 6} {
 		s, err := bonsai.New(bonsai.Config{
 			Ranks: 4, Theta: 0.4,

@@ -27,7 +27,7 @@ func printFig2(outdir string) {
 	const p = 5
 	const n = 30_000
 	model := ic.DefaultMilkyWay()
-	parts := ic.MilkyWay(model, n, 7, 0)
+	parts := model.Realize(n, 7, 0)
 	// Flatten to the disk plane for the 2-D illustration.
 	for i := range parts {
 		parts[i].Pos.Z = 0

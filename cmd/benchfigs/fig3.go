@@ -84,12 +84,12 @@ func runFig3(outdir string, n, steps int) {
 	cur := s.Particles()
 	h := bonsai.SolarNeighborhood(cur, diskF, bonsai.Vec3{X: 8}, 2.0, 120, 24)
 	fmt.Printf("\nsolar neighbourhood (2 kpc around R=8 kpc): %d stars, mean rotation %.1f km/s\n",
-		h.Stars(), h.MeanRotation())
-	if h.Stars() > 0 {
+		h.Stars, h.MeanRotation)
+	if h.Stars > 0 {
 		fmt.Println("(vR, vphi−⟨vphi⟩) histogram, ±120 km/s:")
-		for j := h.Bins() - 1; j >= 0; j-- {
-			row := make([]byte, h.Bins())
-			for i := 0; i < h.Bins(); i++ {
+		for j := h.N - 1; j >= 0; j-- {
+			row := make([]byte, h.N)
+			for i := 0; i < h.N; i++ {
 				row[i] = density(h.Count(i, j))
 			}
 			fmt.Println(string(row))

@@ -47,7 +47,7 @@ func printFlops() {
 
 func printFig1() {
 	section("FIG. 1 — Force kernel performance (GFlops, modeled device vs paper)")
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 60_000, 1, 0)
+	parts := ic.DefaultMilkyWay().Realize(60_000, 1, 0)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
 	for i, p := range parts {

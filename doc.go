@@ -26,6 +26,16 @@
 //     integrated by a 4th-order Hermite direct code coupled to the tree
 //     AMUSE-style (NewHybrid).
 //
+// The public data types are the engine's own, re-exported as aliases:
+// Config is the simulation's configuration, Particle and Vec3 its particle
+// record and vector, GalaxyModel and GalaxyComponent the Milky Way model of
+// the IC generator, ExternalField its static-field function type, Filter,
+// DensityMap and VelocityHist the analysis types, and HybridConfig the
+// bridge's configuration. Particle sets therefore pass between the
+// generators, the simulation, the analyses and the snapshot files without a
+// copy. The package's own types are the run handles (Simulation,
+// NodeSimulation, World, Hybrid) and the StepStats/PhaseTimes step summary.
+//
 // Scale-dependent aspects of the paper (K20X GPUs, Cray interconnects,
 // 18600 nodes) are reproduced by substrates under internal/: a SIMT device
 // model (internal/device) and an analytic machine model

@@ -77,13 +77,13 @@ func main() {
 		bh := cur[0]
 		rmax := 0.0
 		for _, s := range cur[1:] {
-			d := dist(s.Pos, bh.Pos)
+			d := s.Pos.Sub(bh.Pos).Norm()
 			if d > rmax {
 				rmax = d
 			}
 		}
 		fmt.Printf("%8d %10.3f %14.6e %14.5f %12.5f\n",
-			i, h.Time(), k+p, rmax, norm(bh.Pos))
+			i, h.Time(), k+p, rmax, bh.Pos.Norm())
 	}
 	k1, p1 := h.Energy()
 	fmt.Printf("\nrelative energy drift of the coupled system: %.2e\n",
@@ -91,9 +91,3 @@ func main() {
 	fmt.Println("the cusp stays bound at radii the softened tree could never resolve —")
 	fmt.Println("the paper's CPU/GPU multi-physics split, in working form.")
 }
-
-func dist(a, b bonsai.Vec3) float64 {
-	return math.Sqrt((a.X-b.X)*(a.X-b.X) + (a.Y-b.Y)*(a.Y-b.Y) + (a.Z-b.Z)*(a.Z-b.Z))
-}
-
-func norm(v bonsai.Vec3) float64 { return math.Sqrt(v.X*v.X + v.Y*v.Y + v.Z*v.Z) }

@@ -90,9 +90,7 @@ func main() {
 	cnt := make([]int, *ranks)
 	for i, p := range cur {
 		o := owners[i]
-		sumX[o].X += p.Pos.X
-		sumX[o].Y += p.Pos.Y
-		sumX[o].Z += p.Pos.Z
+		sumX[o] = sumX[o].Add(p.Pos)
 		cnt[o]++
 	}
 	for i, p := range cur {

@@ -91,7 +91,7 @@ func main() {
 	// The paper's Fig. 3 bottom-left: (vR, vphi) structure near the Sun.
 	h := bonsai.SolarNeighborhood(s.Particles(), diskOnly, bonsai.Vec3{X: 8}, 2.0, 120, 20)
 	fmt.Printf("\nsolar neighbourhood (2 kpc around R=8): %d stars, mean rotation %.0f km/s\n",
-		h.Stars(), h.MeanRotation())
+		h.Stars, h.MeanRotation)
 
 	k, p := s.Energy()
 	fmt.Printf("energy E=%.4e (K=%.3e, W=%.3e), simulated %.1f Myr\n",

@@ -5,20 +5,11 @@ import (
 	"bonsai/internal/vec"
 )
 
-// HybridConfig configures a Hybrid system (see NewHybrid).
-type HybridConfig struct {
-	// Theta, Softening and DT govern the tree-integrated galaxy exactly as
-	// in Config; DT is also the bridge coupling step.
-	Theta     float64
-	Softening float64
-	DT        float64
-
-	// EtaHermite is the accuracy parameter of the subsystem's 4th-order
-	// Hermite integrator (default 0.014); DirectSoftening its softening
-	// (default 0: fully collisional).
-	EtaHermite      float64
-	DirectSoftening float64
-}
+// HybridConfig configures a Hybrid system (see NewHybrid): Theta, Softening
+// and DT govern the tree-integrated galaxy as in Config, DT is also the
+// bridge coupling step, and EtaHermite and DirectSoftening tune the
+// subsystem's 4th-order Hermite integrator.
+type HybridConfig = bridge.Config
 
 // Hybrid couples a tree-integrated galaxy with a small collisional
 // subsystem (massive black holes and their stellar cusps) integrated by a
@@ -38,17 +29,11 @@ func NewHybrid(galaxy, subsystem []Particle, cfg HybridConfig) (*Hybrid, error) 
 	subVel := make([]vec.V3, len(subsystem))
 	subMass := make([]float64, len(subsystem))
 	for i, p := range subsystem {
-		subPos[i] = vec.V3{X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z}
-		subVel[i] = vec.V3{X: p.Vel.X, Y: p.Vel.Y, Z: p.Vel.Z}
+		subPos[i] = p.Pos
+		subVel[i] = p.Vel
 		subMass[i] = p.Mass
 	}
-	inner, err := bridge.New(toBody(galaxy), subPos, subVel, subMass, bridge.Config{
-		Theta:      cfg.Theta,
-		Eps:        cfg.Softening,
-		DT:         cfg.DT,
-		EtaHermite: cfg.EtaHermite,
-		EpsDirect:  cfg.DirectSoftening,
-	})
+	inner, err := bridge.New(galaxy, subPos, subVel, subMass, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -65,10 +50,8 @@ func (h *Hybrid) Run(n int) { h.inner.Run(n) }
 // Time returns the current time.
 func (h *Hybrid) Time() float64 { return h.inner.Time() }
 
-// Galaxy returns the current tree-integrated particles.
-func (h *Hybrid) Galaxy() []Particle {
-	return fromBody(h.inner.Galaxy())
-}
+// Galaxy returns a copy of the current tree-integrated particles.
+func (h *Hybrid) Galaxy() []Particle { return append([]Particle(nil), h.inner.Galaxy()...) }
 
 // Subsystem returns the current state of the Hermite-integrated particles,
 // in their original order.
@@ -76,12 +59,7 @@ func (h *Hybrid) Subsystem() []Particle {
 	sub := h.inner.Sub
 	out := make([]Particle, sub.N())
 	for i := 0; i < sub.N(); i++ {
-		out[i] = Particle{
-			Pos:  Vec3{sub.Pos[i].X, sub.Pos[i].Y, sub.Pos[i].Z},
-			Vel:  Vec3{sub.Vel[i].X, sub.Vel[i].Y, sub.Vel[i].Z},
-			Mass: sub.Mass[i],
-			ID:   int64(i),
-		}
+		out[i] = Particle{Pos: sub.Pos[i], Vel: sub.Vel[i], Mass: sub.Mass[i], ID: int64(i)}
 	}
 	return out
 }

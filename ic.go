@@ -2,7 +2,6 @@ package bonsai
 
 import (
 	"bonsai/internal/ic"
-	"bonsai/internal/vec"
 )
 
 // NewPlummer samples an isotropic equilibrium Plummer sphere: n particles of
@@ -10,93 +9,33 @@ import (
 // radius a, gravitational constant g (use bonsai.G for galactic units, 1 for
 // model units). Deterministic in seed.
 func NewPlummer(n int, totalMass, a, g float64, seed int64) []Particle {
-	return fromBody(ic.Plummer(n, totalMass, a, g, seed))
+	return ic.Plummer(n, totalMass, a, g, seed)
 }
 
 // GalaxyComponent identifies which structural component of the Milky Way
-// model a particle belongs to.
-type GalaxyComponent int
+// model a particle belongs to (see GalaxyModel.ComponentOf); it prints as
+// "bulge", "disk" or "halo".
+type GalaxyComponent = ic.Component
 
 // The Milky Way model's components.
 const (
-	Bulge GalaxyComponent = iota
-	Disk
-	Halo
+	Bulge = ic.Bulge
+	Disk  = ic.Disk
+	Halo  = ic.Halo
 )
-
-func (c GalaxyComponent) String() string {
-	switch c {
-	case Bulge:
-		return "bulge"
-	case Disk:
-		return "disk"
-	case Halo:
-		return "halo"
-	}
-	return "unknown"
-}
 
 // GalaxyModel describes a Milky-Way-like galaxy: an NFW dark halo, an
 // exponential stellar disk and a Hernquist bulge realized with equal-mass
-// particles (paper §IV). All masses in 1e10 M⊙, lengths in kpc.
-type GalaxyModel struct {
-	HaloMass, DiskMass, BulgeMass float64
-
-	HaloScale, HaloCut             float64
-	DiskScale, DiskHeight, DiskCut float64
-	ToomreQ                        float64
-	BulgeScale, BulgeCut           float64
-}
+// particles (paper §IV). All masses in 1e10 M⊙, lengths in kpc. Its methods
+// realize it (Realize, RealizeDiskOnly), split a realization into components
+// (Counts, ComponentOf), and give the analytic field of its spheroids
+// (StaticHalo, the paper's §I "type 1" setup: pair it with RealizeDiskOnly
+// and Config{External: ..., GravConst: bonsai.G}).
+type GalaxyModel = ic.MilkyWayModel
 
 // MilkyWayModel returns the paper's Galaxy parameters: a 6.0e11 M⊙ NFW
 // halo, 5.0e10 M⊙ exponential disk and 4.6e9 M⊙ Hernquist bulge.
-func MilkyWayModel() GalaxyModel {
-	m := ic.DefaultMilkyWay()
-	return GalaxyModel{
-		HaloMass: m.HaloMass, DiskMass: m.DiskMass, BulgeMass: m.BulgeMass,
-		HaloScale: m.HaloScale, HaloCut: m.HaloCut,
-		DiskScale: m.DiskScale, DiskHeight: m.DiskHeight, DiskCut: m.DiskCut,
-		ToomreQ:    m.ToomreQ,
-		BulgeScale: m.BulgeScale, BulgeCut: m.BulgeCut,
-	}
-}
-
-func (g GalaxyModel) internal() ic.MilkyWayModel {
-	return ic.MilkyWayModel{
-		HaloMass: g.HaloMass, DiskMass: g.DiskMass, BulgeMass: g.BulgeMass,
-		HaloScale: g.HaloScale, HaloCut: g.HaloCut,
-		DiskScale: g.DiskScale, DiskHeight: g.DiskHeight, DiskCut: g.DiskCut,
-		ToomreQ:    g.ToomreQ,
-		BulgeScale: g.BulgeScale, BulgeCut: g.BulgeCut,
-	}
-}
-
-// Realize samples the model with n equal-mass particles, generated
-// deterministically and in parallel chunks exactly as the paper generates
-// its initial conditions on the fly. Component membership is recoverable
-// from particle IDs via ComponentOf.
-func (g GalaxyModel) Realize(n int, seed int64, workers int) []Particle {
-	return fromBody(ic.MilkyWay(g.internal(), n, seed, workers))
-}
-
-// ComponentOf returns the component of the particle with the given ID in an
-// n-particle realization.
-func (g GalaxyModel) ComponentOf(id int64, n int) GalaxyComponent {
-	switch g.internal().ComponentOf(id, n) {
-	case ic.CompBulge:
-		return Bulge
-	case ic.CompDisk:
-		return Disk
-	default:
-		return Halo
-	}
-}
-
-// Counts returns how many particles of an n-particle realization belong to
-// each component.
-func (g GalaxyModel) Counts(n int) (bulge, disk, halo int) {
-	return g.internal().Counts(n)
-}
+func MilkyWayModel() GalaxyModel { return ic.DefaultMilkyWay() }
 
 // NewMilkyWay realizes the paper's default Milky Way model with n particles.
 // The particles are in galactic units (kpc, km/s, 1e10 M⊙): simulations of
@@ -109,25 +48,4 @@ func NewMilkyWay(n int, seed int64) []Particle {
 // it returns the acceleration and specific potential. Used for the paper's
 // §I "type 1" simulations (analytic dark halo + live disk); see
 // Config.External and GalaxyModel.StaticHalo.
-type ExternalField func(pos Vec3) (acc Vec3, pot float64)
-
-// StaticHalo returns the analytic field of the model's spheroidal
-// components (NFW halo + Hernquist bulge) in galactic units — the "analytic,
-// static potential dark matter halo" of the paper's §I type-1 simulations.
-// Pair it with RealizeDiskOnly and Config{External: ..., GravConst: bonsai.G}.
-func (g GalaxyModel) StaticHalo() ExternalField {
-	f := g.internal().StaticHaloField(G)
-	return func(pos Vec3) (Vec3, float64) {
-		a, p := f(vec.V3{X: pos.X, Y: pos.Y, Z: pos.Z})
-		return Vec3{a.X, a.Y, a.Z}, p
-	}
-}
-
-// RealizeDiskOnly samples only the model's stellar disk with n equal-mass
-// particles; velocities are drawn against the full model's rotation curve so
-// the disk orbits correctly inside the matching StaticHalo field. For a
-// given disk resolution this costs ~13x fewer particles than the fully live
-// model.
-func (g GalaxyModel) RealizeDiskOnly(n int, seed int64, workers int) []Particle {
-	return fromBody(ic.MilkyWayDiskOnly(g.internal(), n, seed, workers))
-}
+type ExternalField = ic.StaticField

@@ -120,15 +120,20 @@ func (m DensityMap) RenderPGM(w io.Writer) error {
 
 // VelocityHist is a 2-D histogram of (vR, vφ−⟨vφ⟩) for stars within a
 // selection sphere, the simulated analogue of the RAVE moving-group map the
-// paper compares to. Velocities span [-VMax, VMax] with N bins per axis.
+// paper compares to (Fig. 3 bottom-left, the "moving groups" map).
+// Velocities span [-VMax, VMax] with N bins per axis; Counts is row-major
+// with the vφ bin as the row index.
 type VelocityHist struct {
-	N      int
-	VMax   float64
-	Counts []int
-	Stars  int     // stars that fell inside the selection sphere
-	MeanVR float64 // diagnostics
-	MeanVP float64 // mean vφ before subtraction (the local rotation speed)
+	N            int
+	VMax         float64
+	Counts       []int
+	Stars        int     // stars that fell inside the selection sphere
+	MeanVR       float64 // mean vR of the selected stars
+	MeanRotation float64 // mean vφ, subtracted from the histogram's vφ axis
 }
+
+// Count returns the number of stars in cell (i, j): vR bin i, vφ bin j.
+func (h VelocityHist) Count(i, j int) int { return h.Counts[j*h.N+i] }
 
 // SolarNeighborhood histograms the in-plane velocity components of selected
 // particles within `radius` of sunPos (paper: 500 pc around R☉ = 8 kpc).
@@ -161,11 +166,11 @@ func SolarNeighborhood(parts []body.Particle, f Filter, sunPos vec.V3, radius, v
 		return h
 	}
 	h.MeanVR = sumVR / float64(len(sel))
-	h.MeanVP = sumVP / float64(len(sel))
+	h.MeanRotation = sumVP / float64(len(sel))
 	scale := float64(bins) / (2 * vmax)
 	for _, s := range sel {
 		ix := int((s.vr + vmax) * scale)
-		iy := int((s.vp - h.MeanVP + vmax) * scale)
+		iy := int((s.vp - h.MeanRotation + vmax) * scale)
 		if ix < 0 || ix >= bins || iy < 0 || iy >= bins {
 			continue
 		}

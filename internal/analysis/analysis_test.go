@@ -140,8 +140,8 @@ func TestSolarNeighborhoodCapturesRotation(t *testing.T) {
 	if h.Stars < 50 {
 		t.Fatalf("too few stars selected: %d", h.Stars)
 	}
-	if math.Abs(h.MeanVP-200) > 10 {
-		t.Errorf("mean rotation %v, want ~200", h.MeanVP)
+	if math.Abs(h.MeanRotation-200) > 10 {
+		t.Errorf("mean rotation %v, want ~200", h.MeanRotation)
 	}
 	if math.Abs(h.MeanVR) > 10 {
 		t.Errorf("mean vR %v, want ~0", h.MeanVR)
@@ -156,7 +156,7 @@ func TestSolarNeighborhoodCapturesRotation(t *testing.T) {
 	}
 	// Central bin should be the densest region.
 	mid := h.N / 2
-	if h.Counts[mid*h.N+mid] == 0 {
+	if h.Count(mid, mid) == 0 {
 		t.Error("cold disk: expected stars at the histogram centre")
 	}
 }

@@ -35,33 +35,32 @@ import (
 
 // Config tunes the hybrid integrator.
 type Config struct {
-	Theta   float64 // tree opening angle (default 0.4)
-	Eps     float64 // tree softening (default 0.01)
-	DT      float64 // bridge (and tree leapfrog) step
-	NLeaf   int     // tree leaf size (default 16)
-	Workers int     // tree-walk workers (default GOMAXPROCS)
+	// Theta, Softening and DT govern the tree-integrated galaxy as in
+	// sim.Config (defaults 0.4, 0.01 and 1e-3); DT is also the bridge
+	// coupling step.
+	Theta     float64
+	Softening float64
+	DT        float64
 
-	// EtaHermite is the subsystem's Aarseth accuracy parameter
-	// (default 0.014); EpsDirect its softening (default 0: collisional).
-	EtaHermite float64
-	EpsDirect  float64
+	// EtaHermite is the accuracy parameter of the subsystem's 4th-order
+	// Hermite integrator (default 0.014); DirectSoftening its softening
+	// (default 0: fully collisional).
+	EtaHermite      float64
+	DirectSoftening float64
 }
+
+// nLeaf is the galaxy tree's leaf size; its walks use GOMAXPROCS workers.
+const nLeaf = 16
 
 func (c Config) withDefaults() Config {
 	if c.Theta <= 0 {
 		c.Theta = 0.4
 	}
-	if c.Eps <= 0 {
-		c.Eps = 0.01
+	if c.Softening <= 0 {
+		c.Softening = 0.01
 	}
 	if c.DT <= 0 {
 		c.DT = 1e-3
-	}
-	if c.NLeaf <= 0 {
-		c.NLeaf = 16
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.EtaHermite <= 0 {
 		c.EtaHermite = 0.014
@@ -100,7 +99,7 @@ func New(galaxy []body.Particle, subPos, subVel []vec.V3, subMass []float64, cfg
 		gal:    append([]body.Particle(nil), galaxy...),
 		galAcc: make([]vec.V3, len(galaxy)),
 		galPot: make([]float64, len(galaxy)),
-		Sub:    hermite.New(subPos, subVel, subMass, cfg.EpsDirect, cfg.EtaHermite),
+		Sub:    hermite.New(subPos, subVel, subMass, cfg.DirectSoftening, cfg.EtaHermite),
 	}
 	b.refreshGalaxyForces()
 	return b, nil
@@ -125,21 +124,21 @@ func (b *System) galaxyTree() (*octree.Tree, []int32) {
 		pos[i] = b.gal[i].Pos
 		mass[i] = b.gal[i].Mass
 	}
-	return octree.BuildFrom(pos, mass, b.cfg.NLeaf, b.cfg.Workers)
+	return octree.BuildFrom(pos, mass, nLeaf, runtime.GOMAXPROCS(0))
 }
 
 // refreshGalaxyForces computes galaxy self-gravity (tree) into galAcc.
 func (b *System) refreshGalaxyForces() {
 	tr, perm := b.galaxyTree()
 	groups := tr.MakeGroups(octree.DefaultNGroup)
-	eps2 := b.cfg.Eps * b.cfg.Eps
+	eps2 := b.cfg.Softening * b.cfg.Softening
 	acc := make([]vec.V3, len(b.gal))
 	pot := make([]float64, len(b.gal))
-	tr.Walk(groups, tr.Pos, b.cfg.Theta, eps2, acc, pot, b.cfg.Workers, &b.stats)
+	tr.Walk(groups, tr.Pos, b.cfg.Theta, eps2, acc, pot, runtime.GOMAXPROCS(0), &b.stats)
 	// Un-permute: tree index i corresponds to original particle perm[i].
 	for i, orig := range perm {
 		b.galAcc[orig] = acc[i]
-		b.galPot[orig] = pot[i] + b.gal[orig].Mass/b.cfg.Eps
+		b.galPot[orig] = pot[i] + b.gal[orig].Mass/b.cfg.Softening
 	}
 }
 
@@ -150,14 +149,14 @@ func (b *System) fieldAtSub() []vec.V3 {
 	groups := octree.GroupsOf(targets, octree.DefaultNGroup)
 	acc := make([]vec.V3, len(targets))
 	pot := make([]float64, len(targets))
-	tr.Walk(groups, targets, b.cfg.Theta, b.cfg.Eps*b.cfg.Eps, acc, pot, b.cfg.Workers, &b.stats)
+	tr.Walk(groups, targets, b.cfg.Theta, b.cfg.Softening*b.cfg.Softening, acc, pot, runtime.GOMAXPROCS(0), &b.stats)
 	return acc
 }
 
 // subFieldOnGalaxy direct-sums the subsystem's gravity onto every galaxy
 // particle (the subsystem is small, so this is N_gal × N_sub p-p work).
 func (b *System) subFieldOnGalaxy() []vec.V3 {
-	eps2 := b.cfg.Eps * b.cfg.Eps
+	eps2 := b.cfg.Softening * b.cfg.Softening
 	out := make([]vec.V3, len(b.gal))
 	for i := range b.gal {
 		var a vec.V3
@@ -227,7 +226,7 @@ func (b *System) Energy() (kin, pot float64) {
 	kin += skin
 	pot += spot
 	// Cross term: galaxy-subsystem interaction energy.
-	eps2 := b.cfg.Eps * b.cfg.Eps
+	eps2 := b.cfg.Softening * b.cfg.Softening
 	for i := range b.gal {
 		for k := range b.Sub.Pos {
 			r := math.Sqrt(b.gal[i].Pos.Sub(b.Sub.Pos[k]).Norm2() + eps2)

@@ -29,7 +29,7 @@ func galaxyAndBH(nGal int, seed int64) ([]body.Particle, []vec.V3, []vec.V3, []f
 
 func TestBridgeConservesTotalEnergy(t *testing.T) {
 	gal, sp, sv, sm := galaxyAndBH(1000, 1)
-	b, err := New(gal, sp, sv, sm, Config{Theta: 0.3, Eps: 0.05, DT: 2e-3})
+	b, err := New(gal, sp, sv, sm, Config{Theta: 0.3, Softening: 0.05, DT: 2e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCuspBinaryStaysBoundAndTight(t *testing.T) {
 	// separations far below the tree softening survives, because it is
 	// integrated by the Hermite code, not the softened tree.
 	gal, sp, sv, sm := galaxyAndBH(800, 2)
-	b, err := New(gal, sp, sv, sm, Config{Theta: 0.4, Eps: 0.05, DT: 1e-3})
+	b, err := New(gal, sp, sv, sm, Config{Theta: 0.4, Softening: 0.05, DT: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSubsystemFeelsGalaxy(t *testing.T) {
 	gal := ic.Plummer(2000, 1, 1, 1, 3)
 	subPos := []vec.V3{{X: 2}}
 	subVel := []vec.V3{{}}
-	b, err := New(gal, subPos, subVel, []float64{1e-5}, Config{Eps: 0.05, DT: 5e-3})
+	b, err := New(gal, subPos, subVel, []float64{1e-5}, Config{Softening: 0.05, DT: 5e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGalaxyFeelsSubsystem(t *testing.T) {
 	gal := ic.Plummer(500, 1e-3, 0.5, 1, 4)
 	subPos := []vec.V3{{X: 5}}
 	subVel := []vec.V3{{}}
-	b, err := New(gal, subPos, subVel, []float64{10}, Config{Eps: 0.05, DT: 2e-3})
+	b, err := New(gal, subPos, subVel, []float64{10}, Config{Softening: 0.05, DT: 2e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestGalaxyFeelsSubsystem(t *testing.T) {
 
 func TestHermiteSubStepsReported(t *testing.T) {
 	gal, sp, sv, sm := galaxyAndBH(300, 5)
-	b, err := New(gal, sp, sv, sm, Config{Eps: 0.05, DT: 2e-3})
+	b, err := New(gal, sp, sv, sm, Config{Softening: 0.05, DT: 2e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestPeakGflops(t *testing.T) {
 // fig1Workload builds the Milky Way sample the Fig. 1 kernels were
 // calibrated on: θ=0.4, warp-padded 64-particle groups.
 func fig1Workload(n int) (*octree.Tree, []octree.Group) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 0)
+	parts := ic.DefaultMilkyWay().Realize(n, 1, 0)
 	pos := make([]vec.V3, n)
 	mass := make([]float64, n)
 	for i, p := range parts {

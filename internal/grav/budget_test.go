@@ -62,7 +62,7 @@ func TestFloat32ErrorBudget(t *testing.T) {
 // milkyWayTree builds the tree and θ = 0.4 walk view of an n-particle Milky
 // Way, with the tree code's default leaf size.
 func milkyWayTree(n int) (*octree.Tree, []octree.ViewCell) {
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 1)
+	parts := ic.DefaultMilkyWay().Realize(n, 1, 1)
 	pos, mass := make([]vec.V3, len(parts)), make([]float64, len(parts))
 	for i, p := range parts {
 		pos[i], mass[i] = p.Pos, p.Mass

@@ -21,11 +21,11 @@ func TestMilkyWayDiskEquilibriumUnderGravity(t *testing.T) {
 	}
 	model := DefaultMilkyWay()
 	const n = 20000
-	parts := MilkyWay(model, n, 7, 2)
+	parts := model.Realize(n, 7, 2)
 	nb, nd, _ := model.Counts(n)
 	s, err := sim.New(sim.Config{
-		Ranks: 2, Theta: 0.4, G: units.G,
-		Eps: units.SofteningForN(n), DT: units.SuggestedDT(n),
+		Ranks: 2, Theta: 0.4, GravConst: units.G,
+		Softening: units.SofteningForN(n), DT: units.SuggestedDT(n),
 	}, parts)
 	if err != nil {
 		t.Fatal(err)

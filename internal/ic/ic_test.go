@@ -94,7 +94,7 @@ func TestPlummerDeterminism(t *testing.T) {
 func TestMilkyWayComposition(t *testing.T) {
 	model := DefaultMilkyWay()
 	const n = 30000
-	parts := MilkyWay(model, n, 1, 2)
+	parts := model.Realize(n, 1, 2)
 	if len(parts) != n {
 		t.Fatal("count")
 	}
@@ -126,7 +126,7 @@ func TestMilkyWayComposition(t *testing.T) {
 func TestMilkyWayDiskIsColdAndFlat(t *testing.T) {
 	model := DefaultMilkyWay()
 	const n = 30000
-	parts := MilkyWay(model, n, 2, 2)
+	parts := model.Realize(n, 2, 2)
 	nb, nd, _ := model.Counts(n)
 	disk := parts[nb : nb+nd]
 
@@ -149,7 +149,7 @@ func TestMilkyWayDiskIsColdAndFlat(t *testing.T) {
 func TestMilkyWayDiskRotates(t *testing.T) {
 	model := DefaultMilkyWay()
 	const n = 30000
-	parts := MilkyWay(model, n, 3, 2)
+	parts := model.Realize(n, 3, 2)
 	nb, nd, _ := model.Counts(n)
 	disk := parts[nb : nb+nd]
 
@@ -184,7 +184,7 @@ func TestMilkyWayDiskRotates(t *testing.T) {
 func TestMilkyWayHaloIsPressureSupported(t *testing.T) {
 	model := DefaultMilkyWay()
 	const n = 20000
-	parts := MilkyWay(model, n, 4, 2)
+	parts := model.Realize(n, 4, 2)
 	nb, nd, _ := model.Counts(n)
 	halo := parts[nb+nd:]
 	var vphiSum, sigSum float64
@@ -208,8 +208,8 @@ func TestMilkyWayHaloIsPressureSupported(t *testing.T) {
 
 func TestMilkyWayDeterministicAndChunkInvariant(t *testing.T) {
 	model := DefaultMilkyWay()
-	a := MilkyWay(model, 9000, 5, 1)
-	b := MilkyWay(model, 9000, 5, 4)
+	a := model.Realize(9000, 5, 1)
+	b := model.Realize(9000, 5, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("worker count changed particle %d", i)
@@ -221,16 +221,16 @@ func TestMilkyWayComponentOf(t *testing.T) {
 	model := DefaultMilkyWay()
 	const n = 10000
 	nb, nd, _ := model.Counts(n)
-	if model.ComponentOf(0, n) != CompBulge {
+	if model.ComponentOf(0, n) != Bulge {
 		t.Error("id 0 should be bulge")
 	}
-	if model.ComponentOf(int64(nb), n) != CompDisk {
+	if model.ComponentOf(int64(nb), n) != Disk {
 		t.Error("first disk id misclassified")
 	}
-	if model.ComponentOf(int64(nb+nd), n) != CompHalo {
+	if model.ComponentOf(int64(nb+nd), n) != Halo {
 		t.Error("first halo id misclassified")
 	}
-	if model.ComponentOf(n-1, n) != CompHalo {
+	if model.ComponentOf(n-1, n) != Halo {
 		t.Error("last id should be halo")
 	}
 }
@@ -252,7 +252,7 @@ func TestMilkyWayRotationCurveShape(t *testing.T) {
 
 func TestMilkyWayVelocitiesBounded(t *testing.T) {
 	model := DefaultMilkyWay()
-	parts := MilkyWay(model, 20000, 6, 2)
+	parts := model.Realize(20000, 6, 2)
 	prof := model.buildProfile()
 	for _, p := range parts {
 		r := p.Pos.Norm()
@@ -276,7 +276,7 @@ func BenchmarkMilkyWay100k(b *testing.B) {
 	model := DefaultMilkyWay()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MilkyWay(model, 100_000, int64(i), 0)
+		model.Realize(100_000, int64(i), 0)
 	}
 }
 

@@ -71,57 +71,85 @@ func (m MilkyWayModel) Counts(n int) (bulge, disk, halo int) {
 	return bulge, disk, halo
 }
 
-// Component tags particles in the returned set; IDs are assigned so that
-// bulge < disk < halo blocks are contiguous.
+// Component identifies which structural component of the model a particle
+// belongs to. A realization assigns IDs so that the bulge, disk and halo
+// blocks are contiguous, in that order.
+type Component int
+
+// The model's components.
 const (
-	CompBulge = 0
-	CompDisk  = 1
-	CompHalo  = 2
+	Bulge Component = iota
+	Disk
+	Halo
 )
 
-// ComponentOf returns the component of a particle generated by MilkyWay,
-// based on its ID and the total particle count it was generated with.
-func (m MilkyWayModel) ComponentOf(id int64, n int) int {
+func (c Component) String() string {
+	switch c {
+	case Bulge:
+		return "bulge"
+	case Disk:
+		return "disk"
+	case Halo:
+		return "halo"
+	}
+	return "unknown"
+}
+
+// ComponentOf returns the component of the particle with the given ID in an
+// n-particle realization (Realize).
+func (m MilkyWayModel) ComponentOf(id int64, n int) Component {
 	nb, nd, _ := m.Counts(n)
 	switch {
 	case id < int64(nb):
-		return CompBulge
+		return Bulge
 	case id < int64(nb+nd):
-		return CompDisk
+		return Disk
 	default:
-		return CompHalo
+		return Halo
 	}
 }
 
-// MilkyWay realizes the model with n equal-mass particles. Velocities are
-// assigned from the spherically averaged total potential: the spheroidal
-// components (halo, bulge) solve the isotropic Jeans equation; the disk uses
-// circular motion with epicyclic dispersions set by Toomre Q and vertical
-// equilibrium, plus the asymmetric-drift correction.
-//
-// Generation is deterministic and parallel over chunks (workers <= 0 selects
-// one chunk): chunk c of particles derives its RNG stream from (seed, c), so
-// any rank can generate any slice of the model "on the fly" as in the paper.
-func MilkyWay(model MilkyWayModel, n int, seed int64, workers int) []body.Particle {
-	nb, nd, _ := model.Counts(n)
-	mass := (model.HaloMass + model.DiskMass + model.BulgeMass) / float64(n)
+// Realize samples the model with n equal-mass particles, generated
+// deterministically and in parallel chunks exactly as the paper generates
+// its initial conditions on the fly; component membership is recoverable
+// from particle IDs via ComponentOf. Velocities are assigned from the
+// spherically averaged total potential: the spheroidal components (halo,
+// bulge) solve the isotropic Jeans equation; the disk uses circular motion
+// with epicyclic dispersions set by Toomre Q and vertical equilibrium, plus
+// the asymmetric-drift correction. The particles are in galactic units (kpc,
+// km/s, 1e10 M⊙), shifted to the centre-of-mass frame.
+func (m MilkyWayModel) Realize(n int, seed int64, workers int) []body.Particle {
+	nb, nd, _ := m.Counts(n)
+	// The spherically averaged cumulative mass profile M(<r) of the full
+	// model drives all velocity assignments.
+	prof := m.buildProfile()
+	mass := (m.HaloMass + m.DiskMass + m.BulgeMass) / float64(n)
+	parts := realize(n, seed, workers, mass, func(rng *rand.Rand, i int) body.Particle {
+		switch {
+		case i < nb:
+			return m.bulgeParticle(rng, prof)
+		case i < nb+nd:
+			return m.diskParticle(rng, prof)
+		default:
+			return m.haloParticle(rng, prof)
+		}
+	})
+	centerOfMassFrame(parts)
+	return parts
+}
 
-	// Tabulate the spherically averaged cumulative mass profile M(<r) of the
-	// full model on a log grid; it drives all velocity assignments.
-	prof := model.buildProfile()
-
+// realize draws n particles of the given mass with IDs 0..n-1, particle i
+// from sample. The indices are cut into 4096-particle chunks run at most
+// workers at a time (workers <= 0 selects one); chunk [lo, hi) draws from its
+// own RNG stream newChunkRNG(seed, lo), so the result is independent of the
+// worker count and any rank can generate any slice of a model.
+func realize(n int, seed int64, workers int, mass float64, sample func(rng *rand.Rand, i int) body.Particle) []body.Particle {
 	parts := make([]body.Particle, n)
-	if workers <= 0 {
-		workers = 1
-	}
 	const chunk = 4096
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, max(workers, 1))
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(lo, hi int) {
@@ -129,15 +157,7 @@ func MilkyWay(model MilkyWayModel, n int, seed int64, workers int) []body.Partic
 			defer func() { <-sem }()
 			rng := newChunkRNG(seed, lo)
 			for i := lo; i < hi; i++ {
-				var p body.Particle
-				switch {
-				case i < nb:
-					p = model.bulgeParticle(rng, prof)
-				case i < nb+nd:
-					p = model.diskParticle(rng, prof)
-				default:
-					p = model.haloParticle(rng, prof)
-				}
+				p := sample(rng, i)
 				p.Mass = mass
 				p.ID = int64(i)
 				parts[i] = p
@@ -145,7 +165,6 @@ func MilkyWay(model MilkyWayModel, n int, seed int64, workers int) []body.Partic
 		}(lo, hi)
 	}
 	wg.Wait()
-	centerOfMassFrame(parts)
 	return parts
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestStaticHaloFieldMatchesEnclosedMass(t *testing.T) {
 	m := DefaultMilkyWay()
-	field := m.StaticHaloField(units.G)
+	field := m.StaticHalo()
 	for _, r := range []float64{0.5, 2, 8, 50, 200} {
 		acc, _ := field(vec.V3{X: r})
 		want := -units.G * (m.haloMassWithin(r) + m.bulgeMassWithin(r)) / (r * r)
@@ -28,7 +28,7 @@ func TestStaticHaloFieldMatchesEnclosedMass(t *testing.T) {
 func TestStaticHaloFieldGradientConsistency(t *testing.T) {
 	// acc = -∇φ, checked by central differences of the tabulated potential.
 	m := DefaultMilkyWay()
-	field := m.StaticHaloField(units.G)
+	field := m.StaticHalo()
 	for _, r := range []float64{1, 5, 20, 100} {
 		// The difference step spans several table segments so the numeric
 		// gradient averages over the piecewise-linear interpolation.
@@ -45,7 +45,7 @@ func TestStaticHaloFieldGradientConsistency(t *testing.T) {
 
 func TestStaticHaloFieldKeplerianFarField(t *testing.T) {
 	m := DefaultMilkyWay()
-	field := m.StaticHaloField(units.G)
+	field := m.StaticHalo()
 	mtot := m.HaloMass + m.BulgeMass
 	r := m.HaloCut * 10
 	acc, pot := field(vec.V3{X: r})
@@ -65,7 +65,7 @@ func TestStaticHaloFieldKeplerianFarField(t *testing.T) {
 func TestDiskOnlyRealization(t *testing.T) {
 	m := DefaultMilkyWay()
 	const n = 8000
-	parts := MilkyWayDiskOnly(m, n, 3, 2)
+	parts := m.RealizeDiskOnly(n, 3, 2)
 	if len(parts) != n {
 		t.Fatal("count")
 	}
@@ -73,7 +73,7 @@ func TestDiskOnlyRealization(t *testing.T) {
 		t.Errorf("disk-only mass %v, want %v", got, m.DiskMass)
 	}
 	// Deterministic and chunk-invariant.
-	again := MilkyWayDiskOnly(m, n, 3, 5)
+	again := m.RealizeDiskOnly(n, 3, 5)
 	for i := range parts {
 		if parts[i] != again[i] {
 			t.Fatal("not chunk-invariant")
@@ -107,12 +107,12 @@ func TestLiveDiskInStaticHalo(t *testing.T) {
 	}
 	m := DefaultMilkyWay()
 	const n = 6000
-	parts := MilkyWayDiskOnly(m, n, 7, 2)
+	parts := m.RealizeDiskOnly(n, 7, 2)
 	s, err := sim.New(sim.Config{
-		Ranks: 2, Theta: 0.4, G: units.G,
-		Eps:      0.05,
-		DT:       units.SuggestedDT(20000 * 13), // matching softening scale
-		External: m.StaticHaloField(units.G),
+		Ranks: 2, Theta: 0.4, GravConst: units.G,
+		Softening: 0.05,
+		DT:        units.SuggestedDT(20000 * 13), // matching softening scale
+		External:  m.StaticHalo(),
 	}, parts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,11 @@ import (
 )
 
 // This file is the typed wire codec: the closed set of payload types the
-// tree-code actually sends — collective scalars and reductions, Hilbert-key
-// sample batches, particle exchanges, boundary trees and LET payloads — each
+// tree-code actually sends — nil (barriers), int64 (clock probes), []byte and
+// [][]byte (telemetry), []int and []float64 (reductions), vec.Box (the global
+// bounding box), []keys.Key and [][]keys.Key (Hilbert-key samples and cuts),
+// []body.Particle (particle exchanges and gathers) and *lettree.LET (boundary
+// trees and LETs) — each
 // with an explicit kind tag and a hand-rolled little-endian encoding.
 // Decoding returns exactly the concrete Go type that was sent, so the
 // generic collectives' type assertions behave identically over the wire and
@@ -32,21 +35,21 @@ import (
 // (decodePayload rejects it as unknown).
 const (
 	kNil uint16 = iota
-	kBool
-	kInt
+	_           // reserved: was bool
+	_           // reserved: was int
 	kInt64
-	kFloat64
-	kString
+	_ // reserved: was float64
+	_ // reserved: was string
 	kBytes
 	kInts
-	kInt64s
+	_ // reserved: was []int64
 	kFloat64s
-	kKey
+	_ // reserved: was a single keys.Key
 	kKeys
 	kKeySlices
-	kV3
+	_ // reserved: was vec.V3
 	kBox
-	kParticle
+	_ // reserved: was a single body.Particle
 	kParticles
 	kLET
 	_ // reserved: was []*lettree.LET, the allgathered boundary trees
@@ -82,20 +85,8 @@ func appendPayload(b []byte, data any) (uint16, []byte, error) {
 	switch v := data.(type) {
 	case nil:
 		return kNil, b, nil
-	case bool:
-		var x byte
-		if v {
-			x = 1
-		}
-		return kBool, append(b, x), nil
-	case int:
-		return kInt, appendU64(b, uint64(v)), nil
 	case int64:
 		return kInt64, appendU64(b, uint64(v)), nil
-	case float64:
-		return kFloat64, appendF64(b, v), nil
-	case string:
-		return kString, append(b, v...), nil
 	case []byte:
 		return kBytes, append(b, v...), nil
 	case []int:
@@ -103,18 +94,11 @@ func appendPayload(b []byte, data any) (uint16, []byte, error) {
 			b = appendU64(b, uint64(x))
 		}
 		return kInts, b, nil
-	case []int64:
-		for _, x := range v {
-			b = appendU64(b, uint64(x))
-		}
-		return kInt64s, b, nil
 	case []float64:
 		for _, x := range v {
 			b = appendF64(b, x)
 		}
 		return kFloat64s, b, nil
-	case keys.Key:
-		return kKey, appendU64(b, uint64(v)), nil
 	case []keys.Key:
 		return kKeys, appendKeys(b, v), nil
 	case [][]keys.Key:
@@ -124,12 +108,8 @@ func appendPayload(b []byte, data any) (uint16, []byte, error) {
 			b = appendKeys(b, ks)
 		}
 		return kKeySlices, b, nil
-	case vec.V3:
-		return kV3, appendV3(b, v), nil
 	case vec.Box:
 		return kBox, appendV3(appendV3(b, v.Min), v.Max), nil
-	case body.Particle:
-		return kParticle, appendParticle(b, &v), nil
 	case []body.Particle:
 		for i := range v {
 			b = appendParticle(b, &v[i])
@@ -153,17 +133,11 @@ func appendPayload(b []byte, data any) (uint16, []byte, error) {
 // a type it rejects.
 func payloadBytes(data any) int {
 	switch v := data.(type) {
-	case bool:
-		return 1
-	case int, int64, float64, keys.Key:
+	case int64:
 		return 8
-	case string:
-		return len(v)
 	case []byte:
 		return len(v)
 	case []int:
-		return 8 * len(v)
-	case []int64:
 		return 8 * len(v)
 	case []float64:
 		return 8 * len(v)
@@ -175,12 +149,8 @@ func payloadBytes(data any) int {
 			n += 4 + 8*len(ks)
 		}
 		return n
-	case vec.V3:
-		return 3 * 8
 	case vec.Box:
 		return 6 * 8
-	case body.Particle:
-		return body.WireBytes
 	case []body.Particle:
 		return body.WireBytes * len(v)
 	case [][]byte:
@@ -232,6 +202,10 @@ func getParticle(b []byte, off *int) body.Particle {
 	return p
 }
 
+// ErrUnknownKind is returned (wrapped) for a kind tag the codec does not
+// carry, reserved numbers of removed kinds included.
+var ErrUnknownKind = errors.New("mpi: unknown payload kind")
+
 // ErrSliceCount is returned (wrapped) for a slice-of-slices payload whose
 // leading element count cannot fit in the bytes that follow it.
 var ErrSliceCount = errors.New("mpi: slice count exceeds payload")
@@ -253,28 +227,11 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 	switch kind {
 	case kNil:
 		return nil, nil
-	case kBool:
-		if len(b) != 1 {
-			return nil, fmt.Errorf("mpi: bool payload of %d bytes", len(b))
-		}
-		return b[0] != 0, nil
-	case kInt:
-		if len(b) != 8 {
-			return nil, fmt.Errorf("mpi: int payload of %d bytes", len(b))
-		}
-		return int(int64(binary.LittleEndian.Uint64(b))), nil
 	case kInt64:
 		if len(b) != 8 {
 			return nil, fmt.Errorf("mpi: int64 payload of %d bytes", len(b))
 		}
 		return int64(binary.LittleEndian.Uint64(b)), nil
-	case kFloat64:
-		if len(b) != 8 {
-			return nil, fmt.Errorf("mpi: float64 payload of %d bytes", len(b))
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-	case kString:
-		return string(b), nil
 	case kBytes:
 		out := make([]byte, len(b))
 		copy(out, b)
@@ -289,16 +246,6 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 			out[i] = int(int64(getU64(b, &off)))
 		}
 		return out, nil
-	case kInt64s:
-		if len(b)%8 != 0 {
-			return nil, fmt.Errorf("mpi: []int64 payload of %d bytes", len(b))
-		}
-		out := make([]int64, len(b)/8)
-		off := 0
-		for i := range out {
-			out[i] = int64(getU64(b, &off))
-		}
-		return out, nil
 	case kFloat64s:
 		if len(b)%8 != 0 {
 			return nil, fmt.Errorf("mpi: []float64 payload of %d bytes", len(b))
@@ -309,11 +256,6 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 			out[i] = getF64(b, &off)
 		}
 		return out, nil
-	case kKey:
-		if len(b) != 8 {
-			return nil, fmt.Errorf("mpi: key payload of %d bytes", len(b))
-		}
-		return keys.Key(binary.LittleEndian.Uint64(b)), nil
 	case kKeys:
 		if len(b)%8 != 0 {
 			return nil, fmt.Errorf("mpi: []key payload of %d bytes", len(b))
@@ -349,24 +291,12 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 			out[i] = ks
 		}
 		return out, nil
-	case kV3:
-		if len(b) != 3*8 {
-			return nil, fmt.Errorf("mpi: V3 payload of %d bytes", len(b))
-		}
-		off := 0
-		return getV3(b, &off), nil
 	case kBox:
 		if len(b) != 6*8 {
 			return nil, fmt.Errorf("mpi: box payload of %d bytes", len(b))
 		}
 		off := 0
 		return vec.Box{Min: getV3(b, &off), Max: getV3(b, &off)}, nil
-	case kParticle:
-		if len(b) != body.WireBytes {
-			return nil, fmt.Errorf("mpi: particle payload of %d bytes", len(b))
-		}
-		off := 0
-		return getParticle(b, &off), nil
 	case kParticles:
 		if len(b)%body.WireBytes != 0 {
 			return nil, fmt.Errorf("mpi: []particle payload of %d bytes", len(b))
@@ -402,6 +332,6 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 	case kLET:
 		return lettree.Unmarshal(b)
 	default:
-		return nil, fmt.Errorf("mpi: unknown payload kind %d", kind)
+		return nil, fmt.Errorf("%w %d", ErrUnknownKind, kind)
 	}
 }

@@ -26,12 +26,49 @@ func codecValues() []any {
 		Mass:  []float64{2, 4},
 	}
 	return []any{
-		nil, true, int(-42), int64(1 << 40), 3.14159, "boundary", []byte{1, 2, 3},
-		[]int{5, -6, 7}, []int64{1 << 50}, []float64{0.5, -0.25},
-		keys.Key(1 << 62), []keys.Key{1, 2, 3}, [][]keys.Key{{1}, nil, {2, 3}},
-		vec.V3{X: 1, Y: 2, Z: 3}, vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
-		body.Particle{Mass: 3, ID: 5, Rung: 6}, []body.Particle{{Mass: 1, ID: 1}, {Mass: 2, ID: 2}},
-		let, [][]byte{{9}, nil, {8, 7}},
+		nil, int64(1 << 40), []byte{1, 2, 3}, [][]byte{{9}, nil, {8, 7}},
+		[]int{5, -6, 7}, []float64{0.5, -0.25},
+		[]keys.Key{1, 2, 3}, [][]keys.Key{{1}, nil, {2, 3}},
+		vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
+		[]body.Particle{{Pos: vec.V3{X: 1}, Vel: vec.V3{Y: 2}, Mass: 3, Weight: 4, ID: 5, Rung: 6}, {Mass: 2, ID: 2}},
+		let,
+	}
+}
+
+// removedKinds holds the reserved number of every payload kind the step no
+// longer sends, with a payload it once carried.
+func removedKinds() []struct {
+	kind uint16
+	b    []byte
+} {
+	return []struct {
+		kind uint16
+		b    []byte
+	}{
+		{1, []byte{1}},                     // bool
+		{2, make([]byte, 8)},               // int
+		{4, make([]byte, 8)},               // float64
+		{5, []byte("boundary")},            // string
+		{8, make([]byte, 16)},              // []int64
+		{10, make([]byte, 8)},              // keys.Key
+		{13, make([]byte, 24)},             // vec.V3
+		{15, make([]byte, body.WireBytes)}, // body.Particle
+	}
+}
+
+// TestRemovedKindsAreUnknown: a payload type the step does not send has no
+// codec, and the kind numbers of removed types stay reserved — a frame that
+// still carries one is ErrUnknownKind, never a value.
+func TestRemovedKindsAreUnknown(t *testing.T) {
+	for _, v := range []any{true, int(-42), 3.14159, "boundary", []int64{1}, keys.Key(1), vec.V3{X: 1}, body.Particle{}} {
+		if _, _, err := encodePayload(v); err == nil {
+			t.Errorf("%T encoded; it has no wire kind", v)
+		}
+	}
+	for _, r := range removedKinds() {
+		if _, err := decodePayload(r.kind, r.b); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("kind %d: err = %v, want ErrUnknownKind", r.kind, err)
+		}
 	}
 }
 
@@ -128,6 +165,9 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add(kKeySlices, []byte{0xff, 0xff, 0xff, 0x0f}) // asked for a 6.4 GB block
 	f.Add(kByteSlices, []byte{0xff, 0xff, 0xff, 0xff})
+	for _, r := range removedKinds() {
+		f.Add(r.kind, r.b)
+	}
 	f.Fuzz(func(t *testing.T, kind uint16, b []byte) {
 		v, err := decodePayload(kind, b)
 		if err != nil {

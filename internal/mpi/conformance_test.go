@@ -149,27 +149,7 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 		Mass: []float64{2, 4},
 		Box:  vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}},
 	}
-	payloads := []any{
-		nil,
-		true,
-		int(-42),
-		int64(1 << 40),
-		3.14159,
-		"boundary",
-		[]byte{1, 2, 3},
-		[]int{5, -6, 7},
-		[]int64{1 << 50},
-		[]float64{0.5, -0.25},
-		keys.Key(1 << 62),
-		[]keys.Key{1, 2, 3},
-		[][]keys.Key{{1}, nil, {2, 3}},
-		[][]byte{{9}, nil, {8, 7}},
-		vec.V3{X: 1, Y: 2, Z: 3},
-		vec.Box{Min: vec.V3{X: -1}, Max: vec.V3{X: 1}},
-		body.Particle{Pos: vec.V3{X: 1}, Vel: vec.V3{Y: 2}, Mass: 3, Weight: 4, ID: 5, Rung: 6},
-		[]body.Particle{{Mass: 1, ID: 1, Rung: 3}, {Mass: 2, ID: 2}},
-		let,
-	}
+	payloads := append(codecValues(), let)
 	sp := sockSpawn("tcp")
 	sp(2, func(c *Comm) {
 		if c.Rank() == 0 {
@@ -235,7 +215,7 @@ func TestWireFrameBytesExact(t *testing.T) {
 	runWorld(w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []byte("abcdefgh"), 8) // frame = 14 + 8
-			c.Send(1, 1, "hello", 5)            // frame = 14 + 5
+			c.Send(1, 1, []byte("hello"), 5)    // frame = 14 + 5
 			c.Send(0, 2, []keys.Key{1, 2}, 16)  // self-send, frame = 14 + 16
 			c.Recv(0, 2)
 		} else {

@@ -37,9 +37,9 @@ func spawn(size int, fn func(c *Comm)) *World {
 func testSendRecvBasic(t *testing.T, sp spawner) {
 	sp(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 7, "hello", 5)
+			c.Send(1, 7, []byte("hello"), 5)
 		} else {
-			if got := c.Recv(0, 7).(string); got != "hello" {
+			if got := string(c.Recv(0, 7).([]byte)); got != "hello" {
 				t.Errorf("got %q", got)
 			}
 		}
@@ -51,11 +51,11 @@ func testSendRecvFIFOPerPair(t *testing.T, sp spawner) {
 	sp(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 3, i, 8)
+				c.Send(1, 3, int64(i), 8)
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := c.Recv(0, 3).(int); got != i {
+				if got := c.Recv(0, 3).(int64); got != int64(i) {
 					t.Errorf("out of order: got %d want %d", got, i)
 					return
 				}
@@ -68,19 +68,19 @@ func testRecvMatchesTagAndSource(t *testing.T, sp spawner) {
 	sp(3, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(2, 1, "from0tag1", 9)
-			c.Send(2, 2, "from0tag2", 9)
+			c.Send(2, 1, []byte("from0tag1"), 9)
+			c.Send(2, 2, []byte("from0tag2"), 9)
 		case 1:
-			c.Send(2, 1, "from1tag1", 9)
+			c.Send(2, 1, []byte("from1tag1"), 9)
 		case 2:
 			// Receive in an order different from arrival order.
-			if got := c.Recv(1, 1).(string); got != "from1tag1" {
+			if got := string(c.Recv(1, 1).([]byte)); got != "from1tag1" {
 				t.Errorf("got %q", got)
 			}
-			if got := c.Recv(0, 2).(string); got != "from0tag2" {
+			if got := string(c.Recv(0, 2).([]byte)); got != "from0tag2" {
 				t.Errorf("got %q", got)
 			}
-			if got := c.Recv(0, 1).(string); got != "from0tag1" {
+			if got := string(c.Recv(0, 1).([]byte)); got != "from0tag1" {
 				t.Errorf("got %q", got)
 			}
 		}
@@ -93,7 +93,7 @@ func testRecvAnyAndTryRecvAny(t *testing.T, sp spawner) {
 			got := map[int]bool{}
 			for i := 0; i < 3; i++ {
 				from, data := c.RecvAny(9)
-				if data.(int) != from*10 {
+				if data.(int64) != int64(from*10) {
 					t.Errorf("from %d: data %v", from, data)
 				}
 				got[from] = true
@@ -105,7 +105,7 @@ func testRecvAnyAndTryRecvAny(t *testing.T, sp spawner) {
 				t.Error("TryRecvAny found unexpected message")
 			}
 		} else {
-			c.Send(0, 9, c.Rank()*10, 8)
+			c.Send(0, 9, int64(c.Rank()*10), 8)
 		}
 	})
 }
@@ -130,7 +130,7 @@ func testBarrier(t *testing.T, sp spawner) {
 
 func testBcast(t *testing.T, sp spawner) {
 	sp(5, func(c *Comm) {
-		v := -1
+		v := int64(-1)
 		if c.Rank() == 2 {
 			v = 42
 		}
@@ -142,10 +142,10 @@ func testBcast(t *testing.T, sp spawner) {
 
 func testAllgather(t *testing.T, sp spawner) {
 	sp(6, func(c *Comm) {
-		got := Allgather(c, c.Rank()*c.Rank(), 8)
+		got := Allgather(c, []byte{byte(c.Rank() * c.Rank())}, 1)
 		for r, v := range got {
-			if v != r*r {
-				t.Errorf("rank %d: got[%d] = %d", c.Rank(), r, v)
+			if len(v) != 1 || int(v[0]) != r*r {
+				t.Errorf("rank %d: got[%d] = %v", c.Rank(), r, v)
 			}
 		}
 	})
@@ -154,12 +154,12 @@ func testAllgather(t *testing.T, sp spawner) {
 func testAllreduce(t *testing.T, sp spawner) {
 	const size = 7
 	sp(size, func(c *Comm) {
-		sum := Allreduce(c, c.Rank()+1, func(a, b int) int { return a + b }, 8)
-		want := size * (size + 1) / 2
+		sum := Allreduce(c, int64(c.Rank()+1), func(a, b int64) int64 { return a + b }, 8)
+		want := int64(size * (size + 1) / 2)
 		if sum != want {
 			t.Errorf("rank %d: sum = %d, want %d", c.Rank(), sum, want)
 		}
-		max := Allreduce(c, c.Rank(), func(a, b int) int {
+		max := Allreduce(c, int64(c.Rank()), func(a, b int64) int64 {
 			if a > b {
 				return a
 			}
@@ -217,15 +217,15 @@ func testCollectivesInterleavedWithP2P(t *testing.T, sp spawner) {
 	// A collective must not swallow point-to-point messages with user tags.
 	sp(3, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 5, "payload", 7)
+			c.Send(1, 5, []byte("payload"), 7)
 		}
 		c.Barrier()
-		sum := Allreduce(c, 1, func(a, b int) int { return a + b }, 8)
+		sum := Allreduce(c, int64(1), func(a, b int64) int64 { return a + b }, 8)
 		if sum != 3 {
 			t.Errorf("sum = %d", sum)
 		}
 		if c.Rank() == 1 {
-			if got := c.Recv(0, 5).(string); got != "payload" {
+			if got := string(c.Recv(0, 5).([]byte)); got != "payload" {
 				t.Errorf("p2p message lost: %q", got)
 			}
 		}
@@ -266,20 +266,20 @@ func testManyRanksStress(t *testing.T, sp spawner, size int) {
 	sp(size, func(c *Comm) {
 		for r := 0; r < size; r++ {
 			if r != c.Rank() {
-				c.Send(r, 11, c.Rank(), 8)
+				c.Send(r, 11, int64(c.Rank()), 8)
 			}
 		}
-		sum := 0
+		sum := int64(0)
 		for r := 0; r < size; r++ {
 			if r != c.Rank() {
-				sum += c.Recv(r, 11).(int)
+				sum += c.Recv(r, 11).(int64)
 			}
 		}
-		want := size*(size-1)/2 - c.Rank()
+		want := int64(size*(size-1)/2 - c.Rank())
 		if sum != want {
 			t.Errorf("rank %d: sum %d want %d", c.Rank(), sum, want)
 		}
-		total := Allreduce(c, sum, func(a, b int) int { return a + b }, 8)
+		total := Allreduce(c, sum, func(a, b int64) int64 { return a + b }, 8)
 		if total <= 0 {
 			t.Errorf("total %d", total)
 		}
@@ -288,10 +288,10 @@ func testManyRanksStress(t *testing.T, sp spawner, size int) {
 
 func testGatherRootOnly(t *testing.T, sp spawner) {
 	sp(4, func(c *Comm) {
-		got := Gather(c, 1, c.Rank()+100, 8)
+		got := Gather(c, 1, int64(c.Rank()+100), 8)
 		if c.Rank() == 1 {
 			for r, v := range got {
-				if v != r+100 {
+				if v != int64(r+100) {
 					t.Errorf("got[%d] = %d", r, v)
 				}
 			}
@@ -314,7 +314,7 @@ func testConcurrentSendRecvAnyMix(t *testing.T, sp spawner) {
 			for i := 0; i < per; i++ {
 				for to := 0; to < size; to++ {
 					if to != c.Rank() {
-						c.Send(to, 9, c.Rank()*1000+i, 8)
+						c.Send(to, 9, int64(c.Rank()*1000+i), 8)
 					}
 				}
 			}

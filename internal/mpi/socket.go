@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -315,39 +316,86 @@ func (st *sockTransport) acceptLoop(ln net.Listener) {
 // peers look the same from here); protocol corruption panics.
 func (st *sockTransport) serveConn(conn net.Conn) {
 	defer st.readers.Done()
-	var pre [12]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
+	from, to, err := readPreamble(conn, st.w)
+	if err != nil {
+		if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrPreambleRanks) {
+			panic(err.Error())
+		}
 		return
 	}
-	if binary.LittleEndian.Uint32(pre[0:]) != sockMagic {
-		panic(fmt.Sprintf("mpi: bad connection magic %#x", binary.LittleEndian.Uint32(pre[0:])))
-	}
-	from := int(int32(binary.LittleEndian.Uint32(pre[4:])))
-	to := int(int32(binary.LittleEndian.Uint32(pre[8:])))
-	if from < 0 || from >= st.w.size || !st.w.Local(to) {
-		panic(fmt.Sprintf("mpi: connection preamble names ranks %d -> %d, not served here", from, to))
-	}
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // EOF on frame boundary: peer closed
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n < frameOverhead-4 {
-			panic(fmt.Sprintf("mpi: frame of %d bytes from rank %d", n, from))
-		}
-		body, err := readBody(conn, int(n))
+		tag, _, data, err := readFrame(conn)
 		if err != nil {
-			return
-		}
-		tag := int64(binary.LittleEndian.Uint64(body[0:]))
-		kind := binary.LittleEndian.Uint16(body[8:])
-		data, err := decodePayload(kind, body[10:])
-		if err != nil {
-			panic(fmt.Sprintf("mpi: decoding frame from rank %d: %v", from, err))
+			if errors.Is(err, ErrShortFrame) || errors.Is(err, ErrBadPayload) {
+				panic(fmt.Sprintf("mpi: frame from rank %d: %v", from, err))
+			}
+			return // EOF on a frame boundary (peer closed) or a cut frame
 		}
 		st.w.deliver(to, from, int(tag), data)
 	}
+}
+
+// The named errors of the socket decoder. An I/O error of the connection
+// (io.EOF on a frame boundary, io.ErrUnexpectedEOF inside one) is returned
+// as it is.
+var (
+	// ErrBadMagic: a connection's preamble does not start with "BMP1".
+	ErrBadMagic = errors.New("mpi: bad connection magic")
+	// ErrPreambleRanks: a preamble names a sender outside the world or a
+	// receiver this process does not host.
+	ErrPreambleRanks = errors.New("mpi: connection preamble names ranks not served here")
+	// ErrShortFrame: a frame's length is shorter than its tag and kind.
+	ErrShortFrame = errors.New("mpi: frame shorter than its header")
+	// ErrBadPayload wraps the codec's error for a payload that does not
+	// decode (ErrUnknownKind, ErrSliceCount, a truncated value, a LET that
+	// fails lettree.Unmarshal).
+	ErrBadPayload = errors.New("mpi: undecodable frame payload")
+)
+
+// readPreamble reads a connection's 12-byte preamble and returns the sending
+// and receiving ranks it names, which must be a rank of w and a rank w hosts.
+func readPreamble(r io.Reader, w *World) (from, to int, err error) {
+	var pre [12]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return 0, 0, err
+	}
+	le := binary.LittleEndian
+	if m := le.Uint32(pre[0:]); m != sockMagic {
+		return 0, 0, fmt.Errorf("%w %#x", ErrBadMagic, m)
+	}
+	from = int(int32(le.Uint32(pre[4:])))
+	to = int(int32(le.Uint32(pre[8:])))
+	if from < 0 || from >= w.size || !w.Local(to) {
+		return 0, 0, fmt.Errorf("%w: %d -> %d", ErrPreambleRanks, from, to)
+	}
+	return from, to, nil
+}
+
+// readFrame reads one frame and decodes its payload. The frame's length does
+// not size an allocation up front (readBody), and its payload decodes to the
+// value that was sent or to an ErrBadPayload.
+func readFrame(r io.Reader) (tag int64, kind uint16, data any, err error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n < frameOverhead-4 {
+		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrShortFrame, n)
+	}
+	body, err := readBody(r, int(n))
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		return 0, 0, nil, err
+	}
+	tag = int64(binary.LittleEndian.Uint64(body[0:]))
+	kind = binary.LittleEndian.Uint16(body[8:])
+	if data, err = decodePayload(kind, body[10:]); err != nil {
+		return 0, 0, nil, fmt.Errorf("%w: kind %d: %w", ErrBadPayload, kind, err)
+	}
+	return tag, kind, data, nil
 }
 
 // bodyChunk is the largest frame body allocated before any of its bytes

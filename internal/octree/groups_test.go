@@ -177,7 +177,7 @@ func TestGroupCutProperties(t *testing.T) {
 // gather whatever it holds.
 // MakeGroupsScratch sizes its result from this floor.
 func TestGroupOccupancy(t *testing.T) {
-	mw := ic.MilkyWay(ic.DefaultMilkyWay(), 16384, 1, 1)
+	mw := ic.DefaultMilkyWay().Realize(16384, 1, 1)
 	mwPos, mwMass := make([]vec.V3, len(mw)), make([]float64, len(mw))
 	for i, p := range mw {
 		mwPos[i], mwMass[i] = p.Pos, p.Mass

@@ -486,7 +486,7 @@ func TestThetaCostLaw(t *testing.T) {
 	// centrally-concentrated cloud: halving θ must multiply the cost by
 	// well over 2 (the asymptotic law says 8; finite N and the p-p floor
 	// soften it).
-	parts := ic.MilkyWay(ic.DefaultMilkyWay(), 20000, 40, 2)
+	parts := ic.DefaultMilkyWay().Realize(20000, 40, 2)
 	pos := make([]vec.V3, len(parts))
 	mass := make([]float64, len(parts))
 	for i, p := range parts {

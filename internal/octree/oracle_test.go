@@ -159,7 +159,7 @@ func TestWalkAgainstPointerBarnesHut(t *testing.T) {
 		}
 		return pos, mass
 	}
-	mwPos, mwMass := split(ic.MilkyWay(ic.DefaultMilkyWay(), n, 1, 1))
+	mwPos, mwMass := split(ic.DefaultMilkyWay().Realize(n, 1, 1))
 	plPos, plMass := split(ic.Plummer(n, 1, 1, 1, 1))
 	blPos, blMass := clusteredCloud(n, 1)
 	for _, tc := range []struct {

@@ -6,7 +6,7 @@ package sim
 // shared-step leapfrog. A top-level step of length DT is cut into a grid of
 // S = 2^MaxRungs substeps of length h = DT/S; particle i integrates at
 // dt_i = DT/2^rung_i with the rung chosen from the acceleration criterion
-// dt_i ≈ EtaDT·sqrt(Eps/|a_i|), snapped down to the nearest power-of-two
+// dt_i ≈ EtaDT·sqrt(Softening/|a_i|), snapped down to the nearest power-of-two
 // fraction of DT. A substep advances the system between consecutive OCCUPIED
 // barriers: only the particles whose rung has a kick barrier there receive
 // forces (the "active block"); everything else drifts. Because every
@@ -60,7 +60,7 @@ const driftFrac = 0.25
 func activeAt(rung uint8, s, S int) bool { return s&(S>>rung-1) == 0 }
 
 // rungFor snaps the acceleration timestep criterion to a rung:
-// the largest k ≤ MaxRungs with DT/2^k ≤ EtaDT·sqrt(Eps/|a|), found by
+// the largest k ≤ MaxRungs with DT/2^k ≤ EtaDT·sqrt(Softening/|a|), found by
 // halving (no logarithms: the loop is exact and deterministic across
 // platforms). Zero or non-finite accelerations park on rung 0.
 func (r *rank) rungFor(a vec.V3) uint8 {
@@ -72,7 +72,7 @@ func (r *rank) rungFor(a vec.V3) uint8 {
 	if an == 0 || math.IsNaN(an) || math.IsInf(an, 0) {
 		return 0
 	}
-	want := r.cfg.EtaDT * math.Sqrt(r.cfg.Eps/an)
+	want := r.cfg.EtaDT * math.Sqrt(r.cfg.Softening/an)
 	k, dt := 0, r.cfg.DT
 	for k < max && dt > want {
 		dt /= 2

@@ -91,7 +91,7 @@ func TestBlockMaxRungs0Bitwise(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
-				Ranks: c.ranks, WorkersPerRank: c.work, Theta: 0.5, Eps: 0.05,
+				Ranks: c.ranks, WorkersPerRank: c.work, Theta: 0.5, Softening: 0.05,
 				DT: 1e-3, DomainFreq: 2, SerialLET: c.serial, BoundaryDepth: c.bdepth,
 			}
 			s, err := New(cfg, parts)
@@ -119,7 +119,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 		np := 20 + int(n)
 		ns := 1 + int(steps)%6
 		parts := plummer(np, seed)
-		cfg := Config{Theta: 0.5, Eps: 0.05, DT: 1e-3, DomainFreq: 2}
+		cfg := Config{Theta: 0.5, Softening: 0.05, DT: 1e-3, DomainFreq: 2}
 		s, err := New(cfg, parts)
 		if err != nil {
 			t.Skip()
@@ -137,8 +137,8 @@ func FuzzBlockEquivalence(f *testing.F) {
 func TestBlockRungsSpreadAndTreeReuse(t *testing.T) {
 	parts := concentrated(2000, 62)
 	cfg := Config{
-		Ranks: 2, WorkersPerRank: 2, Theta: 0.4, Eps: 0.01,
-		DT: 4e-3, MaxRungs: 4, EtaDT: 0.1,
+		Ranks: 2, WorkersPerRank: 2, Theta: 0.4, Softening: 0.01,
+		DT: 4e-3, BlockSteps: true, MaxRungs: 4, EtaDT: 0.1,
 	}
 	s, err := New(cfg, parts)
 	if err != nil {
@@ -187,10 +187,10 @@ func TestBlockEnergyConservation(t *testing.T) {
 		k1, p1 := s.Energy()
 		return math.Abs((k1 + p1 - e0) / e0)
 	}
-	base := Config{Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3}
+	base := Config{Ranks: 2, Theta: 0.3, Softening: 0.01, DT: 4e-3}
 	dGlobal := drift(base)
 	blk := base
-	blk.MaxRungs = 4
+	blk.BlockSteps, blk.MaxRungs = true, 4
 	blk.EtaDT = 0.1
 	dBlock := drift(blk)
 	if dBlock > 2e-3 {
@@ -230,8 +230,8 @@ func nodesOf(x restartable) fleet {
 // own checkpoint slice, to the same contract.
 func TestBlockSubstepRestart(t *testing.T) {
 	cfg := Config{
-		Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3,
-		MaxRungs: 3, EtaDT: 0.1,
+		Ranks: 2, Theta: 0.3, Softening: 0.01, DT: 4e-3,
+		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
 	}
 	for _, c := range []struct {
 		name string
@@ -327,7 +327,7 @@ func TestBlockSubstepRestart(t *testing.T) {
 // every particle on rung 0, kept rungs show as more than one substep.
 func TestBlockRestoreDecidesRungsCollectively(t *testing.T) {
 	const maxRungs = 2
-	cfg := Config{Ranks: 2, Eps: 0.05, DT: 1e-9, MaxRungs: maxRungs}
+	cfg := Config{Ranks: 2, Softening: 0.05, DT: 1e-9, BlockSteps: true, MaxRungs: maxRungs}
 	parts := concentrated(400, 68)
 	for i := range parts {
 		parts[i].Rung = 0
@@ -366,8 +366,8 @@ func TestNodeBlockMatchesSimulation(t *testing.T) {
 	const ranks = 4
 	parts := concentrated(1200, 67)
 	cfg := Config{
-		Ranks: ranks, Theta: 0.4, Eps: 0.01, DT: 4e-3, DomainFreq: 1,
-		MaxRungs: 3, EtaDT: 0.1,
+		Ranks: ranks, Theta: 0.4, Softening: 0.01, DT: 4e-3, DomainFreq: 1,
+		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
 	}
 	w := newTestSockWorld(t, "unix", ranks)
 	nodes := runNodes(t, cfg, w, parts, 3)
@@ -397,15 +397,15 @@ func TestConfigValidateRejectsGarbage(t *testing.T) {
 		{DT: math.NaN()},
 		{DT: math.Inf(1)},
 		{DT: -1e-3},
-		{Eps: math.NaN()},
-		{Eps: -0.01},
+		{Softening: math.NaN()},
+		{Softening: -0.01},
 		{Theta: math.Inf(-1)},
 		{Theta: -0.4},
 		{EtaDT: math.NaN()},
 		{EtaDT: -0.1},
-		{G: math.NaN()},
-		{MaxRungs: -1},
-		{MaxRungs: 17},
+		{GravConst: math.NaN()},
+		{BlockSteps: true, MaxRungs: -1},
+		{BlockSteps: true, MaxRungs: 17},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, parts); err == nil {

@@ -367,7 +367,7 @@ func (x *exchange) flush() {
 		ph = obs.PhaseWalkLET
 	}
 	tW := time.Now()
-	forced := octree.WalkSources(pass, t.groups, t.pos, r.cfg.Theta, r.cfg.Eps*r.cfg.Eps,
+	forced := octree.WalkSources(pass, t.groups, t.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening,
 		t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 	d := time.Since(tW)
 	x.letWalk += d

@@ -9,6 +9,7 @@ import (
 	"bonsai/internal/domain"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
+	"bonsai/internal/obs/telemetry"
 	"bonsai/internal/snapshot"
 )
 
@@ -23,6 +24,8 @@ import (
 type Node struct {
 	cfg   Config
 	comm  *mpi.Comm
+	rec   *obs.Recorder    // nil without Config.Tracing
+	fleet *telemetry.Fleet // rank 0 of a standalone traced node only
 	r     *rank
 	step  int
 	evals int // completed force evaluations (tracing sequence number)
@@ -33,17 +36,37 @@ type Node struct {
 // NewNode creates the driver for one rank. parts is this rank's initial
 // slice of the global particle set; every rank of the world must receive the
 // same Config and a consistent split of the global set ordered by rank (e.g.
-// SliceForRank). cfg.Ranks must equal w.Size().
+// SliceForRank). cfg.Ranks must equal w.Size(). The particles' Weight is
+// dropped: the first decomposition weighs every particle alike, and later
+// ones use the work the step itself measured.
+//
+// With cfg.Tracing the node records its own rank's spans and histograms, the
+// world meters its mailboxes into them, and rank 0 holds the fleet view the
+// other ranks' step records are gathered to (telemetry.GatherStep).
 func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node, error) {
+	var rec *obs.Recorder
+	if cfg.Tracing {
+		rec = obs.New(w.Size(), 0)
+	}
+	n, err := newNode(cfg, w, rankID, parts, rec)
+	if err != nil || rec == nil {
+		return n, err
+	}
+	meterWorld(w, rec)
+	if rankID == 0 {
+		n.fleet = telemetry.NewFleet(rec, w.Size())
+	}
+	return n, nil
+}
+
+// newNode creates rank rankID's driver recording into rec (nil: untraced).
+func newNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle, rec *obs.Recorder) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Ranks != w.Size() {
 		return nil, fmt.Errorf("sim: config has %d ranks, world has %d", cfg.Ranks, w.Size())
-	}
-	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
-		return nil, fmt.Errorf("sim: recorder has %d rank buffers, world has %d", cfg.Obs.Ranks(), cfg.Ranks)
 	}
 	for i := range parts {
 		if !parts[i].Pos.IsFinite() || !parts[i].Vel.IsFinite() ||
@@ -57,11 +80,13 @@ func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node
 	local := make([]body.Particle, len(parts))
 	for i, p := range parts {
 		p.Rung = min(p.Rung, uint8(cfg.MaxRungs))
+		p.Weight = 0
 		local[i] = p
 	}
 	n := &Node{
 		cfg:   cfg,
 		comm:  w.Comm(rankID),
+		rec:   rec,
 		first: true,
 	}
 	n.r = &rank{
@@ -69,8 +94,8 @@ func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node
 		comm:  n.comm,
 		parts: local,
 		dec:   domain.Uniform(cfg.Ranks),
-		obs:   cfg.Obs.Rank(rankID),
-		met:   cfg.Obs.Metrics(),
+		obs:   rec.Rank(rankID),
+		met:   rec.Metrics(),
 	}
 	return n, nil
 }
@@ -92,6 +117,13 @@ func (n *Node) Ranks() int { return n.comm.Size() }
 
 // Config returns the effective (default-filled) configuration.
 func (n *Node) Config() Config { return n.cfg }
+
+// Recorder returns the rank's tracing recorder, nil without Config.Tracing.
+func (n *Node) Recorder() *obs.Recorder { return n.rec }
+
+// Fleet returns the run's fleet view: held by rank 0 of a traced standalone
+// node, nil elsewhere (an in-process Simulation holds its own).
+func (n *Node) Fleet() *telemetry.Fleet { return n.fleet }
 
 // Comm returns the rank's communicator, for collectives beside the step's.
 func (n *Node) Comm() *mpi.Comm { return n.comm }

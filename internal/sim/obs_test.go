@@ -52,7 +52,7 @@ func TestDeriveOther(t *testing.T) {
 // real step, every rank's phase rows (including the derived Other) sum to its
 // Total.
 func TestPhaseRowsSumToTotal(t *testing.T) {
-	s, err := New(Config{Ranks: 4, Theta: 0.5, Eps: 0.05, WorkersPerRank: 2}, plummer(2000, 3))
+	s, err := New(Config{Ranks: 4, Theta: 0.5, Softening: 0.05, WorkersPerRank: 2}, plummer(2000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 // builder, and compute goroutines at once.
 func TestTracingIntegration(t *testing.T) {
 	const ranks = 8
-	rec := obs.New(ranks, 0)
-	s, err := New(Config{Ranks: ranks, Theta: 0.5, Eps: 0.05, WorkersPerRank: 2, Obs: rec},
+	s, err := New(Config{Ranks: ranks, Theta: 0.5, Softening: 0.05, WorkersPerRank: 2, Tracing: true},
 		plummer(4000, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := s.Recorder()
 	stats := s.Step()
 	s.Step()
 
@@ -240,8 +240,8 @@ func TestTracingIntegration(t *testing.T) {
 // races) must be bitwise identical with tracing on and off, and a multi-rank
 // run must agree to the same tolerance the seed's determinism test uses.
 func TestTracingDoesNotChangeResults(t *testing.T) {
-	run := func(ranks int, rec *obs.Recorder) ([]float64, []float64) {
-		cfg := Config{Ranks: ranks, Theta: 0.5, Eps: 0.05, WorkersPerRank: 4, Obs: rec}
+	run := func(ranks int, tracing bool) ([]float64, []float64) {
+		cfg := Config{Ranks: ranks, Theta: 0.5, Softening: 0.05, WorkersPerRank: 4, Tracing: tracing}
 		s, err := New(cfg, plummer(2000, 5))
 		if err != nil {
 			t.Fatal(err)
@@ -257,8 +257,8 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 
 	// 1 rank: bitwise.
-	aOff, pOff := run(1, nil)
-	aOn, pOn := run(1, obs.New(1, 0))
+	aOff, pOff := run(1, false)
+	aOn, pOn := run(1, true)
 	for i := range aOff {
 		if aOff[i] != aOn[i] {
 			t.Fatalf("1-rank acc[%d] differs with tracing: %v vs %v", i, aOff[i], aOn[i])
@@ -272,8 +272,8 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 
 	// 8 ranks: LET arrival order varies between runs, so (like the seed's
 	// TestDeterministicAcrossRuns) compare to FP-summation-order tolerance.
-	aOff, _ = run(8, nil)
-	aOn, _ = run(8, obs.New(8, 0))
+	aOff, _ = run(8, false)
+	aOn, _ = run(8, true)
 	var sum2, ref2 float64
 	for i := range aOff {
 		d := aOff[i] - aOn[i]
@@ -289,11 +289,11 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // run: the metrics stream, the Prometheus exposition and the metrics summary
 // all report the drops.
 func TestSpansDroppedReported(t *testing.T) {
-	rec := obs.New(2, 8)
-	s, err := New(Config{Ranks: 2, Theta: 0.5, Eps: 0.05, WorkersPerRank: 2, Obs: rec}, plummer(2000, 9))
+	s, err := newSimulation(Config{Ranks: 2, Theta: 0.5, Softening: 0.05, WorkersPerRank: 2, Tracing: true}, plummer(2000, 9), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := s.Recorder()
 	s.Step()
 	steps := rec.Steps()
 	last := steps[len(steps)-1]

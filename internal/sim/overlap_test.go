@@ -17,7 +17,7 @@ func TestOverlapPipelineMatchesSerial(t *testing.T) {
 	parts := plummer(3000, 61)
 	accFor := func(serial bool) []vec.V3 {
 		s, err := New(Config{
-			Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Eps: 0.05,
+			Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05,
 			DomainFreq: 1, SerialLET: serial,
 		}, parts)
 		if err != nil {
@@ -43,7 +43,7 @@ func TestOverlapPipelineMatchesSerial(t *testing.T) {
 // populated and internally consistent at 8 ranks.
 func TestOverlapCountersConsistent(t *testing.T) {
 	parts := plummer(6000, 62)
-	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, parts)
+	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestOverlapCountersConsistent(t *testing.T) {
 	}
 
 	// Serial baseline: by construction nothing overlaps.
-	s2, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Eps: 0.05,
+	s2, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05,
 		DomainFreq: 1, SerialLET: true}, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestOverlapPipelineStress(t *testing.T) {
 	parts := plummer(2500, 63)
 	s, err := New(Config{
 		Ranks: 8, WorkersPerRank: 4,
-		Theta: 0.4, Eps: 0.05, DT: 1e-3, DomainFreq: 1,
+		Theta: 0.4, Softening: 0.05, DT: 1e-3, DomainFreq: 1,
 	}, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +109,14 @@ func TestExternalPotentialReported(t *testing.T) {
 		const k = 0.3
 		return pos.Scale(-k), 0.5 * k * pos.Norm2()
 	}
-	base, err := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, parts)
+	base, err := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.ComputeForces()
 	baseAcc, basePot := base.Accelerations()
 
-	s, err := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1, External: ext}, parts)
+	s, err := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1, External: ext}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFirstStepSingleDomainExchange(t *testing.T) {
 	mk := func() *Simulation {
 		// DT small enough that pos + v*DT rounds to pos exactly: every
 		// force evaluation sees bitwise-identical particles.
-		s, err := New(Config{Ranks: 6, Theta: 0.4, Eps: 0.05, DT: 1e-300, DomainFreq: 4},
+		s, err := New(Config{Ranks: 6, Theta: 0.4, Softening: 0.05, DT: 1e-300, DomainFreq: 4},
 			plummer(1800, 65))
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestFirstStepSingleDomainExchange(t *testing.T) {
 // the receiver/builder/compute pipeline.
 func TestZeroAndTinyRankOverlap(t *testing.T) {
 	parts := ic.Plummer(64, 1, 0.01, 1, 66)
-	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Eps: 0.01, DomainFreq: 1}, parts)
+	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Softening: 0.01, DomainFreq: 1}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

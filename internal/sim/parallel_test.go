@@ -17,7 +17,7 @@ func TestWorkerCountBitwiseInvariance(t *testing.T) {
 	parts := plummer(20_000, 5)
 
 	run := func(workers int) *Simulation {
-		s, err := New(Config{Ranks: 1, Theta: 0.5, Eps: 0.05, WorkersPerRank: workers}, parts)
+		s, err := New(Config{Ranks: 1, Theta: 0.5, Softening: 0.05, WorkersPerRank: workers}, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestWorkerCountBitwiseInvariance(t *testing.T) {
 // groups) are all owned by the rank and reused.
 func TestSteadyStateTreePhasesAllocFree(t *testing.T) {
 	parts := plummer(20_000, 7)
-	s, err := New(Config{Ranks: 1, Theta: 0.5, Eps: 0.05, WorkersPerRank: 1}, parts)
+	s, err := New(Config{Ranks: 1, Theta: 0.5, Softening: 0.05, WorkersPerRank: 1}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -375,7 +375,7 @@ func (r *rank) fill(lo, hi int) {
 // substep only the active subset. tagPar is the message-tag parity that
 // separates consecutive gravity phases' traffic: the evaluation's parity.
 func (r *rank) gravity(tagPar int, t *walkTargets) {
-	theta, eps2 := r.cfg.Theta, r.cfg.Eps*r.cfg.Eps
+	theta, eps2 := r.cfg.Theta, r.cfg.Softening*r.cfg.Softening
 	x := r.startExchange(tagPar, t)
 
 	// Chunks give the pipeline regular poll points while staying wide enough
@@ -432,15 +432,15 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 func (r *rank) finishForces(t *walkTargets) {
 	// Remove the softened self-interaction contributed by each particle's
 	// own leaf (acc contribution is exactly zero; potential is -m/ε).
-	if r.cfg.Eps > 0 {
+	if r.cfg.Softening > 0 {
 		for i := range t.pot {
-			t.pot[i] += t.mass[i] / r.cfg.Eps
+			t.pot[i] += t.mass[i] / r.cfg.Softening
 		}
 	}
 
 	// Scale by the unit system's gravitational constant (forces and
 	// potentials are linear in G; kernels compute the G=1 sums).
-	if g := r.cfg.G; g != 1 {
+	if g := r.cfg.GravConst; g != 1 {
 		for i := range t.acc {
 			t.acc[i] = t.acc[i].Scale(g)
 			t.pot[i] *= g

@@ -36,63 +36,80 @@ import (
 	"bonsai/internal/vec"
 )
 
-// Config are the tunables of a simulation. Zero values select defaults.
+// Config configures a simulation. Zero values select the paper's defaults
+// where one exists (Theta 0.4) and sensible values elsewhere. The octree's
+// leaf and target-group sizes are the measured constants
+// octree.DefaultNLeaf and octree.DefaultNGroup (32 and 128), not options.
 type Config struct {
-	Ranks          int     // simulated MPI processes (default 1)
-	WorkersPerRank int     // compute workers per rank (default 1)
-	Theta          float64 // opening angle (default 0.4, the paper's choice)
-	Eps            float64 // Plummer softening length (default 0.01)
-	DT             float64 // leapfrog time step (default 1e-3)
-	BoundaryDepth  int     // boundary-tree depth (default 4)
-	DomainFreq     int     // steps between domain updates (default 4)
+	// Ranks is the number of simulated MPI processes (one modeled GPU
+	// each). Default 1.
+	Ranks int
+	// WorkersPerRank is the number of compute workers each rank uses for
+	// its tree-walks and sorts. Default 1.
+	WorkersPerRank int
+	// Theta is the multipole acceptance opening angle. Default 0.4, the
+	// paper's production value for disk galaxies.
+	Theta float64
+	// Softening is the Plummer softening length in kpc. Default 0.01.
+	// For Milky Way models use units.SofteningForN.
+	Softening float64
+	// DT is the leapfrog time step in simulation units. Default 1e-3.
+	DT float64
+	// BoundaryDepth is the depth of the boundary tree every rank pushes to
+	// every peer. Default 4.
+	BoundaryDepth int
+	// DomainFreq is the number of steps between domain re-decompositions.
+	// Default 4.
+	DomainFreq int
 
-	// MaxRungs is the depth of the hierarchical power-of-two block
-	// timesteps (block.go): each particle integrates at DT/2^rung, rung ≤
-	// MaxRungs, chosen from the acceleration criterion
-	// dt_i = EtaDT*sqrt(Eps/|a_i|), and a top-level step becomes a sequence
-	// of at most 2^MaxRungs substeps in which only the active rung block
-	// gets forces while every other particle drifts. Across substeps the
-	// octree is reused: multipoles are refreshed on the drifted positions
-	// and the tree is rebuilt only at top-of-step barriers or when drift
-	// exceeds a fraction of the smallest leaf cell. 0 (the default) is the
-	// paper's shared-step leapfrog, the hierarchy's one-rung case.
+	// BlockSteps enables hierarchical power-of-two block timesteps
+	// (block.go): each particle integrates on its own rung dt = DT/2^k
+	// (k ≤ MaxRungs) chosen from its acceleration, a top-level step becomes
+	// a sequence of at most 2^MaxRungs substeps, and only the active rung
+	// block receives forces at each substep while every other particle
+	// drifts. Across substeps the octree is reused: multipoles are refreshed
+	// on the drifted positions and the tree is rebuilt only at top-of-step
+	// barriers or when drift exceeds a fraction of the smallest leaf cell.
+	// It is the switch for MaxRungs: without it, or with MaxRungs 0, every
+	// particle shares the one step DT (the paper's leapfrog, the
+	// hierarchy's one-rung case).
+	BlockSteps bool
+	// MaxRungs caps the timestep hierarchy depth (0–16) under BlockSteps.
+	// Default 0.
 	MaxRungs int
 	// EtaDT is the accuracy parameter of the timestep criterion
-	// dt_i = EtaDT*sqrt(Eps/|a_i|) (default 0.1). Only meaningful with
-	// MaxRungs > 0.
+	// dt_i = EtaDT·sqrt(Softening/|a_i|). Default 0.1.
 	EtaDT float64
 
-	// G is the gravitational constant of the unit system (default 1).
-	// Milky Way models in galactic units (kpc, km/s, 1e10 M⊙) need
-	// units.G = 43007.1. Forces are linear in G, so it scales the
-	// accelerations and potentials after each force evaluation.
-	G float64
+	// GravConst is the gravitational constant of the particle set's unit
+	// system. Default 1 (model units, as ic.Plummer with g = 1 produces).
+	// Milky Way models are in galactic units and need units.G. Forces are
+	// linear in it, so it scales the accelerations and potentials after
+	// each force evaluation.
+	GravConst float64
 
 	// External, if non-nil, adds a static analytic field to the particle
-	// self-gravity: the paper's §I "type 1" simulations (analytic dark
-	// halo + live disk). It must be thread-safe; it receives a position
-	// and returns the acceleration and specific potential of the field.
-	// The returned values are NOT scaled by G (supply physical values).
+	// self-gravity: the paper's §I "type 1" setup (analytic dark halo + live
+	// disk), see ic.MilkyWayModel.StaticHalo. It must be thread-safe; it
+	// receives a position and returns the acceleration and specific
+	// potential of the field, NOT scaled by GravConst.
 	External func(pos vec.V3) (acc vec.V3, pot float64)
 
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: outgoing LETs are built and pushed on the compute thread
 	// before the local tree-walk, and incoming ones are walked only after
 	// it completes, in ascending peer order. Kept as the deterministic
-	// reference the bitwise equivalence suites compare against and as the
-	// non-overlapped baseline of BenchmarkOverlap.
+	// reference of the bitwise equivalence tests and the non-overlapped
+	// baseline of the overlap benchmarks.
 	SerialLET bool
 
-	// Obs, if non-nil, enables event-level tracing and metrics: every rank
-	// records phase spans and gravity-pipeline events (LET build/send/
-	// recv/walk, arrivals vs local-walk completion) into the recorder's
-	// per-rank buffers, the MPI layer meters queue depth and
-	// per-pair bytes, and a per-evaluation metrics record is appended after
-	// every force computation. The recorder must have been created for
-	// exactly Ranks ranks. nil (the default) disables all of it at the
-	// cost of a single branch per record point; results are unaffected
-	// either way.
-	Obs *obs.Recorder
+	// Tracing enables the event-level observability layer: per-rank span
+	// timelines, LET-arrival and walk histograms, MPI queue-depth and
+	// frame-size metering, and a per-evaluation metrics record folded over
+	// ranks into the fleet view (held by rank 0). Disabled (the default) it
+	// costs one nil check per record point, sends no message, and does not
+	// change results.
+	Tracing bool
 }
 
 // letBuilders returns the LET-builder pool size (the paper's communication
@@ -112,8 +129,8 @@ func (c Config) withDefaults() Config {
 	if c.Theta <= 0 {
 		c.Theta = 0.4
 	}
-	if c.Eps <= 0 {
-		c.Eps = 0.01
+	if c.Softening <= 0 {
+		c.Softening = 0.01
 	}
 	if c.DT == 0 {
 		c.DT = 1e-3
@@ -124,19 +141,22 @@ func (c Config) withDefaults() Config {
 	if c.DomainFreq <= 0 {
 		c.DomainFreq = 4
 	}
-	if c.G == 0 {
-		c.G = 1
+	if c.GravConst == 0 {
+		c.GravConst = 1
 	}
 	if c.EtaDT <= 0 {
 		c.EtaDT = 0.1
+	}
+	if !c.BlockSteps {
+		c.MaxRungs = 0
 	}
 	return c
 }
 
 // Validate rejects configurations that would silently simulate garbage:
 // non-finite or negative values of the numeric tunables (zero means "use the
-// default" and stays legal), and out-of-range rung caps. New and NewNode call
-// it before filling defaults.
+// default" and stays legal), and out-of-range rung caps under BlockSteps. New
+// and NewNode call it before filling defaults.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -150,12 +170,12 @@ func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"DT", c.DT}, {"Eps", c.Eps}, {"Theta", c.Theta}, {"EtaDT", c.EtaDT}, {"G", c.G}} {
+	}{{"DT", c.DT}, {"Softening", c.Softening}, {"Theta", c.Theta}, {"EtaDT", c.EtaDT}, {"GravConst", c.GravConst}} {
 		if err := check(f.name, f.v); err != nil {
 			return err
 		}
 	}
-	if c.MaxRungs < 0 || c.MaxRungs > 16 {
+	if c.BlockSteps && (c.MaxRungs < 0 || c.MaxRungs > 16) {
 		return fmt.Errorf("sim: config MaxRungs = %d outside [0, 16]", c.MaxRungs)
 	}
 	return nil
@@ -171,13 +191,22 @@ type Simulation struct {
 	world *mpi.World
 	nodes []*Node
 	recs  []obs.StepMetrics // the nodes' step records, FoldRanks' input
-	fleet *telemetry.Fleet  // nil when tracing is disabled
+	rec   *obs.Recorder     // the ranks' one recorder; nil without Config.Tracing
+	fleet *telemetry.Fleet  // nil without Config.Tracing
 }
 
 // New distributes the particles over cfg.Ranks simulated processes. The
 // initial placement is an arbitrary even split; the first step's domain
-// update moves every particle to its Hilbert-order owner.
+// update moves every particle to its Hilbert-order owner. With cfg.Tracing
+// the ranks share one recorder, the world meters its mailboxes into it, and
+// the fleet view folds every evaluation.
 func New(cfg Config, parts []body.Particle) (*Simulation, error) {
+	return newSimulation(cfg, parts, 0)
+}
+
+// newSimulation is New with the tracing recorder's per-rank span capacity
+// (<= 0 selects obs.DefaultSpanCap).
+func newSimulation(cfg Config, parts []body.Particle, spanCap int) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -189,13 +218,13 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 		return nil, fmt.Errorf("sim: %d ranks for %d particles", cfg.Ranks, len(parts))
 	}
 	s := &Simulation{world: mpi.NewWorld(cfg.Ranks), recs: make([]obs.StepMetrics, cfg.Ranks)}
-	if cfg.Obs != nil {
-		s.world.EnableObs(cfg.Obs.Metrics().QueueDepthHist())
-		s.world.ObserveFrameBytes(cfg.Obs.Metrics().FrameBytesHist())
-		s.fleet = telemetry.NewFleet(cfg.Obs, cfg.Ranks)
+	if cfg.Tracing {
+		s.rec = obs.New(cfg.Ranks, spanCap)
+		meterWorld(s.world, s.rec)
+		s.fleet = telemetry.NewFleet(s.rec, cfg.Ranks)
 	}
 	for r := 0; r < cfg.Ranks; r++ {
-		n, err := NewNode(cfg, s.world, r, SliceForRank(parts, r, cfg.Ranks))
+		n, err := newNode(cfg, s.world, r, SliceForRank(parts, r, cfg.Ranks), s.rec)
 		if err != nil {
 			return nil, err
 		}
@@ -204,13 +233,23 @@ func New(cfg Config, parts []body.Particle) (*Simulation, error) {
 	return s, nil
 }
 
+// meterWorld points the world's mailbox queue-depth and frame-size meters at
+// the recorder's histograms.
+func meterWorld(w *mpi.World, rec *obs.Recorder) {
+	w.EnableObs(rec.Metrics().QueueDepthHist())
+	w.ObserveFrameBytes(rec.Metrics().FrameBytesHist())
+}
+
 // Config returns the effective (default-filled) configuration.
 func (s *Simulation) Config() Config { return s.nodes[0].cfg }
 
 // World exposes the message-passing runtime, for traffic accounting.
 func (s *Simulation) World() *mpi.World { return s.world }
 
-// Fleet returns the run's fleet view, nil when tracing is disabled.
+// Recorder returns the ranks' tracing recorder, nil without Config.Tracing.
+func (s *Simulation) Recorder() *obs.Recorder { return s.rec }
+
+// Fleet returns the run's fleet view, nil without Config.Tracing.
 func (s *Simulation) Fleet() *telemetry.Fleet { return s.fleet }
 
 // Time returns the current simulation time.

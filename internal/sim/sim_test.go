@@ -43,7 +43,7 @@ func rmsAccError(t *testing.T, s *Simulation, eps float64) float64 {
 func TestForcesMatchDirectAcrossRankCounts(t *testing.T) {
 	parts := plummer(3000, 1)
 	for _, ranks := range []int{1, 2, 4, 8} {
-		s, err := New(Config{Ranks: ranks, Theta: 0.4, Eps: 0.05, WorkersPerRank: 2}, parts)
+		s, err := New(Config{Ranks: ranks, Theta: 0.4, Softening: 0.05, WorkersPerRank: 2}, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +59,11 @@ func TestForcesRankInvariance(t *testing.T) {
 	// within multipole acceptance error (the domain split changes which
 	// cells the MAC accepts, not the physics).
 	parts := plummer(2000, 2)
-	s1, _ := New(Config{Ranks: 1, Theta: 0.4, Eps: 0.05}, parts)
+	s1, _ := New(Config{Ranks: 1, Theta: 0.4, Softening: 0.05}, parts)
 	s1.ComputeForces()
 	a1, _ := s1.Accelerations()
 
-	s8, _ := New(Config{Ranks: 8, Theta: 0.4, Eps: 0.05}, parts)
+	s8, _ := New(Config{Ranks: 8, Theta: 0.4, Softening: 0.05}, parts)
 	s8.ComputeForces()
 	a8, _ := s8.Accelerations()
 
@@ -79,7 +79,7 @@ func TestForcesRankInvariance(t *testing.T) {
 
 func TestParticleConservation(t *testing.T) {
 	parts := plummer(1500, 3)
-	s, _ := New(Config{Ranks: 5, Eps: 0.05, DT: 1e-3, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 5, Softening: 0.05, DT: 1e-3, DomainFreq: 1}, parts)
 	s.Run(5)
 	after := s.Particles()
 	if len(after) != len(parts) {
@@ -103,7 +103,7 @@ func TestEnergyConservation(t *testing.T) {
 	// A Plummer sphere in equilibrium integrated with KDK leapfrog: relative
 	// energy drift over 40 steps must be small.
 	parts := plummer(2000, 4)
-	s, _ := New(Config{Ranks: 4, Theta: 0.3, Eps: 0.05, DT: 2e-3, WorkersPerRank: 2}, parts)
+	s, _ := New(Config{Ranks: 4, Theta: 0.3, Softening: 0.05, DT: 2e-3, WorkersPerRank: 2}, parts)
 	s.Step()
 	k0, p0 := s.Energy()
 	e0 := k0 + p0
@@ -123,7 +123,7 @@ func TestEnergyConservation(t *testing.T) {
 
 func TestMomentumConservation(t *testing.T) {
 	parts := plummer(1200, 5)
-	s, _ := New(Config{Ranks: 3, Eps: 0.05, DT: 1e-3}, parts)
+	s, _ := New(Config{Ranks: 3, Softening: 0.05, DT: 1e-3}, parts)
 	s.Step()
 	p0 := s.Momentum()
 	s.Run(10)
@@ -141,7 +141,7 @@ func TestMomentumConservation(t *testing.T) {
 
 func TestLoadBalanceAfterDomainUpdate(t *testing.T) {
 	parts := plummer(4000, 6)
-	s, _ := New(Config{Ranks: 8, Eps: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 8, Softening: 0.05, DomainFreq: 1}, parts)
 	s.ComputeForces()
 	counts := s.RankCounts()
 	total := 0
@@ -160,7 +160,7 @@ func TestLoadBalanceAfterDomainUpdate(t *testing.T) {
 
 func TestStepStatsPopulated(t *testing.T) {
 	parts := plummer(3000, 7)
-	s, _ := New(Config{Ranks: 4, Eps: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Softening: 0.05, DomainFreq: 1}, parts)
 	st := s.ComputeForces()
 	if st.N != 3000 || st.Ranks != 4 {
 		t.Fatalf("stats header: %+v", st)
@@ -192,12 +192,12 @@ func TestInteractionCountsStableAcrossRanks(t *testing.T) {
 	parts := plummer(4000, 8)
 	var pc1, pp1 float64
 	{
-		s, _ := New(Config{Ranks: 1, Eps: 0.05}, parts)
+		s, _ := New(Config{Ranks: 1, Softening: 0.05}, parts)
 		st := s.ComputeForces()
 		pc1, pp1 = st.PCPerParticle, st.PPPerParticle
 	}
 	for _, ranks := range []int{2, 8} {
-		s, _ := New(Config{Ranks: ranks, Eps: 0.05}, parts)
+		s, _ := New(Config{Ranks: ranks, Softening: 0.05}, parts)
 		st := s.ComputeForces()
 		if r := st.PCPerParticle / pc1; r < 0.9 || r > 1.1 {
 			t.Errorf("ranks=%d: p-c per particle drifted: %v vs %v", ranks, st.PCPerParticle, pc1)
@@ -223,7 +223,7 @@ func TestBoundaryTreesServeDistantRanks(t *testing.T) {
 		b[i].ID += 1000
 		parts = append(parts, b[i])
 	}
-	s, _ := New(Config{Ranks: 4, Eps: 0.05, Theta: 0.5, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Softening: 0.05, Theta: 0.5, DomainFreq: 1}, parts)
 	st := s.ComputeForces()
 	if st.BoundaryUsed == 0 {
 		t.Error("no rank pair was served by boundary trees despite wide separation")
@@ -235,7 +235,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	// reproducible to floating tolerance (LET arrival order varies, so only
 	// near-bitwise agreement is demanded).
 	run := func() []body.Particle {
-		s, _ := New(Config{Ranks: 3, Eps: 0.05, DT: 1e-3}, plummer(900, 11))
+		s, _ := New(Config{Ranks: 3, Softening: 0.05, DT: 1e-3}, plummer(900, 11))
 		s.Run(3)
 		return s.Particles()
 	}
@@ -254,7 +254,7 @@ func TestCommSurfaceScaling(t *testing.T) {
 	// count. Double N and compare LET bytes: growth factor must be well
 	// below 2 (surface-like, ~2^(2/3) ≈ 1.6).
 	bytesFor := func(n int) float64 {
-		s, _ := New(Config{Ranks: 8, Eps: 0.05, DomainFreq: 1}, plummer(n, 12))
+		s, _ := New(Config{Ranks: 8, Softening: 0.05, DomainFreq: 1}, plummer(n, 12))
 		st := s.ComputeForces()
 		st2 := s.ComputeForces() // steady state, after balancing
 		_ = st
@@ -292,7 +292,7 @@ func TestZeroParticleRankSurvives(t *testing.T) {
 	// A tight cluster on 4 ranks: after the first decomposition some ranks
 	// may be nearly empty; the pipeline must not deadlock or crash.
 	parts := ic.Plummer(64, 1, 0.01, 1, 13)
-	s, _ := New(Config{Ranks: 4, Eps: 0.01, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Softening: 0.01, DomainFreq: 1}, parts)
 	s.Run(2)
 	if len(s.Particles()) != 64 {
 		t.Fatal("particles lost")
@@ -302,7 +302,7 @@ func TestZeroParticleRankSurvives(t *testing.T) {
 func TestGravitationalConstantScalesForces(t *testing.T) {
 	parts := plummer(500, 21)
 	a1 := func(g float64) []vec.V3 {
-		s, _ := New(Config{Ranks: 2, Eps: 0.05, G: g}, parts)
+		s, _ := New(Config{Ranks: 2, Softening: 0.05, GravConst: g}, parts)
 		s.ComputeForces()
 		acc, _ := s.Accelerations()
 		return acc
@@ -315,10 +315,10 @@ func TestGravitationalConstantScalesForces(t *testing.T) {
 		}
 	}
 	// Potentials scale too (via Energy).
-	s1, _ := New(Config{Ranks: 2, Eps: 0.05, G: 1}, parts)
+	s1, _ := New(Config{Ranks: 2, Softening: 0.05, GravConst: 1}, parts)
 	s1.ComputeForces()
 	_, p1 := s1.Energy()
-	s2, _ := New(Config{Ranks: 2, Eps: 0.05, G: 2}, parts)
+	s2, _ := New(Config{Ranks: 2, Softening: 0.05, GravConst: 2}, parts)
 	s2.ComputeForces()
 	_, p2 := s2.Energy()
 	if math.Abs(p2-2*p1) > 1e-9*math.Abs(p1) {
@@ -348,7 +348,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 	// Pausing a run through a snapshot must continue the same trajectory:
 	// the restart differs only by the domain/tree state being rebuilt, which
 	// perturbs forces within multipole acceptance error.
-	cfg := Config{Ranks: 3, Theta: 0.3, Eps: 0.05, DT: 1e-3}
+	cfg := Config{Ranks: 3, Theta: 0.3, Softening: 0.05, DT: 1e-3}
 	parts := plummer(800, 32)
 
 	// Continuous run: 10 steps.
@@ -390,7 +390,7 @@ func TestCommunicationMostlyHidden(t *testing.T) {
 	// verdict is the median of five steady-state evaluations against the same
 	// 25%.
 	parts := plummer(48_000, 41)
-	s, _ := New(Config{Ranks: 4, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
 	s.ComputeForces()
 	var fracs []float64
 	for len(fracs) < 5 {
@@ -411,7 +411,7 @@ func TestStepProfileShape(t *testing.T) {
 	// Table II's profile shape: gravity dominates the step; the device
 	// pipeline (sort + build + properties) is a small fraction.
 	parts := plummer(12_000, 43)
-	s, _ := New(Config{Ranks: 2, Theta: 0.4, Eps: 0.05}, parts)
+	s, _ := New(Config{Ranks: 2, Theta: 0.4, Softening: 0.05}, parts)
 	s.ComputeForces()
 	st := s.ComputeForces()
 	total := st.Times[obs.Total].Seconds()
@@ -432,8 +432,8 @@ func TestNonFiniteForceFailsTheStep(t *testing.T) {
 	// particle named rather than integrate the NaN. One rank, driven on the
 	// test's goroutine, so the panic can be recovered here.
 	for _, cfg := range []Config{
-		{Ranks: 1, Eps: 0.05, DT: 1e-3},
-		{Ranks: 1, Eps: 0.05, DT: 1e-3, MaxRungs: 3},
+		{Ranks: 1, Softening: 0.05, DT: 1e-3},
+		{Ranks: 1, Softening: 0.05, DT: 1e-3, BlockSteps: true, MaxRungs: 3},
 	} {
 		n, err := NewNode(cfg, mpi.NewWorld(1), 0, plummer(600, 77))
 		if err != nil {
@@ -467,7 +467,7 @@ func TestExchangeConservationFailsByName(t *testing.T) {
 	nodes := make([]*Node, 2)
 	for k := range nodes {
 		var err error
-		if nodes[k], err = NewNode(Config{Ranks: 2, Eps: 0.05, DT: 1e-3}, w, k, parts[k*n/2:(k+1)*n/2]); err != nil {
+		if nodes[k], err = NewNode(Config{Ranks: 2, Softening: 0.05, DT: 1e-3}, w, k, parts[k*n/2:(k+1)*n/2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -500,7 +500,7 @@ func TestTreeMassInvariantFailsByName(t *testing.T) {
 	// A subtree whose moments were never computed — a span the properties
 	// partition missed — leaves the root short of its mass. Construct that
 	// tree by hand and hold the post-sweep check to its named error.
-	n, err := NewNode(Config{Ranks: 1, Eps: 0.05, DT: 1e-3}, mpi.NewWorld(1), 0, plummer(600, 78))
+	n, err := NewNode(Config{Ranks: 1, Softening: 0.05, DT: 1e-3}, mpi.NewWorld(1), 0, plummer(600, 78))
 	if err != nil {
 		t.Fatal(err)
 	}

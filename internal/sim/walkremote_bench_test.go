@@ -28,7 +28,7 @@ func remotePassP64(b *testing.B) (r *rank, srcs []octree.Source) {
 			})
 		}
 	}
-	s, err := New(Config{Ranks: p, WorkersPerRank: 1, Theta: 0.4, Eps: 0.05, SerialLET: true}, parts)
+	s, err := New(Config{Ranks: p, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05, SerialLET: true}, parts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkWalkRemote_P64(b *testing.B) {
 	var st grav.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := octree.WalkSources(srcs, r.groups, r.pos, r.cfg.Theta, r.cfg.Eps*r.cfg.Eps, acc, pot, 1, &st, nil); f != 0 {
+		if f := octree.WalkSources(srcs, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st, nil); f != 0 {
 			b.Fatalf("%d forced accepts", f)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkWalkRemote_P64_PerTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range srcs {
-			octree.WalkSource(src, r.groups, r.pos, r.cfg.Theta, r.cfg.Eps*r.cfg.Eps, acc, pot, 1, &st, nil)
+			octree.WalkSource(src, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st, nil)
 		}
 	}
 	b.ReportMetric(st.Gflops(b.Elapsed()), "Gflop/s")

@@ -12,10 +12,13 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"bonsai/internal/body"
 )
@@ -69,9 +72,50 @@ func CommitCkpt(dir string, step int64, ranks int) error {
 	return os.Rename(tmp, filepath.Join(sd, manifestName))
 }
 
+// ErrManifest is returned (wrapped) by parseManifest for a manifest that is
+// not exactly the one CommitCkpt writes for its step.
+var ErrManifest = errors.New("snapshot: malformed checkpoint manifest")
+
+// parseManifest returns the rank count a step directory's MANIFEST declares.
+// It accepts only what CommitCkpt writes: "bonsai-ckpt <ranks> <step>\n"
+// with canonical decimals, ranks ≥ 1 and the directory's own step.
+func parseManifest(data []byte, step int64) (ranks int, err error) {
+	f := strings.Fields(string(data))
+	if len(f) != 3 || f[0] != "bonsai-ckpt" {
+		return 0, fmt.Errorf("%w: %q", ErrManifest, data)
+	}
+	ranks, err1 := strconv.Atoi(f[1])
+	s, err2 := strconv.ParseInt(f[2], 10, 64)
+	switch {
+	case err1 != nil || err2 != nil || fmt.Sprintf("bonsai-ckpt %d %d\n", ranks, s) != string(data):
+		return 0, fmt.Errorf("%w: %q", ErrManifest, data)
+	case ranks < 1:
+		return 0, fmt.Errorf("%w: %d ranks", ErrManifest, ranks)
+	case s != step:
+		return 0, fmt.Errorf("%w: step %d in the directory of step %d", ErrManifest, s, step)
+	}
+	return ranks, nil
+}
+
+// committed reports whether the step directory name under dir holds a
+// committed checkpoint — a well-formed manifest for its step — and the rank
+// count it was written with.
+func committed(dir, name string) (step int64, ranks int, ok bool) {
+	if _, err := fmt.Sscanf(name, "step_%d", &step); err != nil {
+		return 0, 0, false
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name, manifestName))
+	if err != nil {
+		return step, 0, false // uncommitted (interrupted) checkpoint
+	}
+	ranks, err = parseManifest(data, step)
+	return step, ranks, err == nil
+}
+
 // LatestCkpt scans a checkpoint directory and returns the highest committed
 // step and its rank count. ok is false when no committed checkpoint exists
-// (including when the directory is absent).
+// (including when the directory is absent); a step whose manifest is missing
+// or malformed is not committed.
 func LatestCkpt(dir string) (step int64, ranks int, ok bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -80,24 +124,11 @@ func LatestCkpt(dir string) (step int64, ranks int, ok bool) {
 	best := int64(-1)
 	bestRanks := 0
 	for _, e := range entries {
-		var s int64
 		if !e.IsDir() {
 			continue
 		}
-		if _, err := fmt.Sscanf(e.Name(), "step_%d", &s); err != nil {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name(), manifestName))
-		if err != nil {
-			continue // uncommitted (interrupted) checkpoint
-		}
-		var mr int
-		var ms int64
-		if _, err := fmt.Sscanf(string(data), "bonsai-ckpt %d %d", &mr, &ms); err != nil || ms != s {
-			continue
-		}
-		if s > best {
-			best, bestRanks = s, mr
+		if s, r, ok := committed(dir, e.Name()); ok && s > best {
+			best, bestRanks = s, r
 		}
 	}
 	if best < 0 {
@@ -122,7 +153,7 @@ func PruneCkpts(dir string, keep int) error {
 		}
 		return err
 	}
-	var committed []int64
+	var done []int64
 	var all []int64
 	for _, e := range entries {
 		var s int64
@@ -133,30 +164,30 @@ func PruneCkpts(dir string, keep int) error {
 			continue
 		}
 		all = append(all, s)
-		if _, err := os.Stat(filepath.Join(dir, e.Name(), manifestName)); err == nil {
-			committed = append(committed, s)
+		if _, _, ok := committed(dir, e.Name()); ok {
+			done = append(done, s)
 		}
 	}
-	if len(committed) == 0 {
+	if len(done) == 0 {
 		return nil
 	}
 	if keep < 1 {
 		keep = 1
 	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i] > committed[j] })
-	newest := committed[0]
+	sort.Slice(done, func(i, j int) bool { return done[i] > done[j] })
+	newest := done[0]
 	cut := int64(-1)
-	if keep < len(committed) {
-		cut = committed[keep-1]
+	if keep < len(done) {
+		cut = done[keep-1]
 	}
 	var firstErr error
 	for _, s := range all {
 		drop := false
-		if keep < len(committed) && s < cut && contains(committed, s) {
+		if keep < len(done) && s < cut && contains(done, s) {
 			drop = true // committed but older than the keep window
 		}
-		if s < newest && !contains(committed, s) {
-			drop = true // uncommitted leftovers of an interrupted checkpoint
+		if s < newest && !contains(done, s) {
+			drop = true // leftovers of an interrupted checkpoint, or a malformed manifest
 		}
 		if drop {
 			if err := os.RemoveAll(ckptStepDir(dir, s)); err != nil && firstErr == nil {

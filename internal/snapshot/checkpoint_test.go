@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,4 +113,85 @@ func TestPruneCkpts(t *testing.T) {
 	if !ok || step != 4 {
 		t.Fatalf("after prune LatestCkpt = (%d, %v), want (4, true)", step, ok)
 	}
+}
+
+// TestParseManifest: a manifest commits a step only in exactly the form
+// CommitCkpt writes it.
+func TestParseManifest(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		data  string
+		ranks int // 0: rejected
+	}{
+		{"written by CommitCkpt", "bonsai-ckpt 4 12\n", 4},
+		{"one rank", "bonsai-ckpt 1 12\n", 1},
+		{"trailing bytes", "bonsai-ckpt 4 12\ngarbage", 0},
+		{"no newline", "bonsai-ckpt 4 12", 0},
+		{"two newlines", "bonsai-ckpt 4 12\n\n", 0},
+		{"zero ranks", "bonsai-ckpt 0 12\n", 0},
+		{"negative ranks", "bonsai-ckpt -3 12\n", 0},
+		{"other step", "bonsai-ckpt 4 11\n", 0},
+		{"signed ranks", "bonsai-ckpt +4 12\n", 0},
+		{"padded ranks", "bonsai-ckpt 04 12\n", 0},
+		{"double space", "bonsai-ckpt  4 12\n", 0},
+		{"other magic", "bonsai-ckpu 4 12\n", 0},
+		{"rank overflow", "bonsai-ckpt 99999999999999999999 12\n", 0},
+		{"empty", "", 0},
+	} {
+		ranks, err := parseManifest([]byte(c.data), 12)
+		if c.ranks == 0 && !errors.Is(err, ErrManifest) || c.ranks != 0 && (err != nil || ranks != c.ranks) {
+			t.Errorf("%s: %q = (%d, %v), want %d ranks", c.name, c.data, ranks, err, c.ranks)
+		}
+	}
+}
+
+// TestLatestCkptSkipsMalformedManifest: a newer step whose manifest declares
+// 0 or -3 ranks, or carries trailing bytes, is not committed — the newest
+// well-formed one is returned, and pruning treats the bad ones as leftovers.
+func TestLatestCkptSkipsMalformedManifest(t *testing.T) {
+	dir := t.TempDir()
+	for _, step := range []int64{2, 5, 6, 7} {
+		for r := 0; r < 2; r++ {
+			if err := WriteRankCkpt(dir, step, r, float64(step), ckptParts(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := CommitCkpt(dir, step, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step, bad := range map[int64]string{5: "bonsai-ckpt 0 5\n", 6: "bonsai-ckpt -3 6\n", 7: "bonsai-ckpt 2 7\nx"} {
+		if err := os.WriteFile(filepath.Join(ckptStepDir(dir, step), manifestName), []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if step, ranks, ok := LatestCkpt(dir); !ok || step != 2 || ranks != 2 {
+		t.Fatalf("LatestCkpt = (%d, %d, %v), want (2, 2, true)", step, ranks, ok)
+	}
+	if err := PruneCkpts(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ckptStepDir(dir, 2)); err != nil {
+		t.Errorf("the one committed checkpoint was pruned: %v", err)
+	}
+}
+
+// FuzzManifest: any bytes parse to an error or to a rank count ≥ 1 whose
+// manifest, written the way CommitCkpt writes it, is those bytes exactly.
+func FuzzManifest(f *testing.F) {
+	for _, s := range []string{"bonsai-ckpt 4 12\n", "bonsai-ckpt 0 12\n", "bonsai-ckpt -3 12\n", "bonsai-ckpt 4 12\nx", "bonsai-ckpt 4 11\n", ""} {
+		f.Add([]byte(s), int64(12))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, step int64) {
+		ranks, err := parseManifest(data, step)
+		if err != nil {
+			if !errors.Is(err, ErrManifest) {
+				t.Fatalf("unnamed error %v", err)
+			}
+			return
+		}
+		if want := fmt.Sprintf("bonsai-ckpt %d %d\n", ranks, step); ranks < 1 || string(data) != want {
+			t.Fatalf("%q accepted as %d ranks at step %d", data, ranks, step)
+		}
+	})
 }

@@ -17,8 +17,8 @@ import (
 func TestSubstepBarrierRestartThroughFile(t *testing.T) {
 	parts := ic.Plummer(800, 1, 0.1, 1, 71)
 	cfg := sim.Config{
-		Ranks: 2, Theta: 0.3, Eps: 0.01, DT: 4e-3,
-		MaxRungs: 3, EtaDT: 0.1,
+		Ranks: 2, Theta: 0.3, Softening: 0.01, DT: 4e-3,
+		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
 	}
 
 	// Continuous reference: 3 top-level steps.
