@@ -4,7 +4,8 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 .PHONY: tier1 vet build test race fuzz-smoke bench bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
 # tier1 is the pre-merge gate: static checks, full build and test suite
-# (including the noasm scalar-only configuration of the force kernels),
+# (including the noasm scalar-only configuration of the force kernels, and
+# cmd/benchfigs's smoke of every paper-figure section at reduced size),
 # the race-detector subset covering the concurrent gravity pipeline
 # (8+ ranks, multiple walk workers, one boundary tree walked by eight
 # goroutines at once, eight batched passes over overlapping sets of shared
@@ -130,7 +131,6 @@ trace-smoke:
 	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" -prom "$$tmp/metrics.prom" "$$tmp/trace.json" | tee "$$tmp/report.txt" && \
 	grep -q 'batched passes per rank per evaluation' "$$tmp/report.txt" && \
 	grep -q 'format ok' "$$tmp/report.txt" && \
-	$(GO) run ./cmd/snapinfo -metrics "$$tmp/metrics.jsonl" >/dev/null && \
 	echo "trace-smoke: OK"
 
 # End-to-end smoke test of the distributed telemetry plane: a 4-rank

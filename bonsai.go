@@ -356,9 +356,7 @@ func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeS
 // SliceForRank cuts rank r's initial share out of a global particle set,
 // using the same even split Simulation applies at creation.
 func SliceForRank(parts []Particle, r, ranks int) []Particle {
-	lo := r * len(parts) / ranks
-	hi := (r + 1) * len(parts) / ranks
-	return parts[lo:hi]
+	return sim.SliceForRank(parts, r, ranks)
 }
 
 // Rank returns the rank this node drives.

@@ -2,61 +2,48 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 
+	"bonsai"
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
 	"bonsai/internal/ic"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
-	"bonsai/internal/mpi"
 	"bonsai/internal/octree"
-	"bonsai/internal/psort"
 	"bonsai/internal/vec"
 )
 
 // printFig2 reproduces Fig. 2: a Peano–Hilbert space-filling-curve domain
 // decomposition of a disk into 5 domains, rendered as an ASCII ownership
 // map, plus the boundary-cell statistics (the gray squares of the figure:
-// tree cells owned by a single process).
+// tree cells owned by a single process). The decomposition is the
+// simulation's own: one force evaluation runs the sampling decomposition,
+// the particle exchange and the LET exchange over it.
 func printFig2(outdir string) {
 	section("FIG. 2 — Peano-Hilbert SFC domain decomposition (5 domains)")
 
 	const p = 5
 	const n = 30_000
-	model := ic.DefaultMilkyWay()
-	parts := model.Realize(n, 7, 0)
+	parts := ic.DefaultMilkyWay().Realize(n, 7, 0)
 	// Flatten to the disk plane for the 2-D illustration.
 	for i := range parts {
 		parts[i].Pos.Z = 0
 	}
-
-	grid := keys.NewGrid(body.Bounds(parts))
-	w := mpi.NewWorld(p)
-	var dec domain.Decomposition
-	var wg sync.WaitGroup
-	owned := make([][]body.Particle, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c := w.Comm(r)
-			lo, hi := r*n/p, (r+1)*n/p
-			local := parts[lo:hi]
-			hk := make([]keys.Key, len(local))
-			for i := range local {
-				hk[i] = grid.HilbertOf(local[i].Pos)
-			}
-			d := domain.SampleDecompose(c, hk, nil, domain.Options{})
-			owned[r] = domain.Exchange(c, d, local, grid)
-			if r == 0 {
-				dec = d
-			}
-		}(r)
+	s, err := bonsai.New(bonsai.Config{
+		Ranks: p, Theta: 0.4, Softening: bonsai.SofteningForN(n), GravConst: bonsai.G,
+	}, parts)
+	if err != nil {
+		panic(err)
 	}
-	wg.Wait()
+	st := s.ComputeForces()
+	cur, owned := s.Particles(), make([][]body.Particle, p)
+	for i, r := range s.Owners() {
+		owned[r] = append(owned[r], cur[i])
+	}
 
 	// ASCII ownership map over the inner disk.
 	const cells = 48
@@ -87,53 +74,61 @@ func printFig2(outdir string) {
 	}
 
 	fmt.Printf("\nparticles per domain: %v (imbalance cap %.0f%%)\n", counts, 100*(domain.ImbalanceCap-1))
-	maxc := 0
-	for _, c := range counts {
-		if c > maxc {
-			maxc = c
-		}
-	}
-	fmt.Printf("max/avg = %.3f\n", float64(maxc)/(float64(n)/p))
+	fmt.Printf("max/avg = %.3f\n", float64(slices.Max(counts))/(float64(n)/p))
+	fmt.Printf("LET exchange this step: %d full LETs pushed, %d pairs served by boundary trees, %.2f MB\n",
+		st.LETsSent, st.BoundaryUsed, float64(st.BytesSent)/1e6)
 
 	// Boundary-tree statistics: the paper's gray cells are single-owner tree
 	// cells; each rank's boundary tree is its top levels plus multipoles.
-	fmt.Println("\nboundary trees (the LET-exchange currency):")
-	for r := 0; r < p; r++ {
-		pos := make([]vec.V3, len(owned[r]))
-		mass := make([]float64, len(owned[r]))
-		for i := range owned[r] {
-			pos[i] = owned[r][i].Pos
-			mass[i] = owned[r][i].Mass
+	fmt.Printf("\nboundary trees (the LET-exchange currency) and domain compactness (mean distance\n")
+	fmt.Printf("of a particle inside the map to its domain's centroid there: SFC domains are compact):\n")
+	for r, ps := range owned {
+		pos := make([]vec.V3, len(ps))
+		mass := make([]float64, len(ps))
+		for i := range ps {
+			pos[i] = ps[i].Pos
+			mass[i] = ps[i].Mass
 		}
-		tr := buildTree(pos, mass, grid)
-		bt := lettree.BoundaryTree(tr, 4, body.Bounds(owned[r]))
-		fmt.Printf("  rank %d: local tree %5d cells -> boundary tree %4d cells, %5d particles, %6.1f KiB\n",
-			r, len(tr.Cells), len(bt.Cells), len(bt.Pos), float64(bt.WireBytes())/1024)
+		tr, _ := octree.BuildFrom(pos, mass, 16, 0)
+		bt := lettree.BoundaryTree(tr, 4, body.Bounds(ps))
+		fmt.Printf("  rank %d: local tree %5d cells -> boundary tree %4d cells, %5d particles, %6.1f KiB; %s\n",
+			r, len(tr.Cells), len(bt.Cells), len(bt.Pos), float64(bt.WireBytes())/1024, compactness(pos, extent))
 	}
 
 	// Contiguity: along the Hilbert curve each domain is one key interval.
-	fmt.Println("\nHilbert-key intervals (each rank owns one contiguous range of the curve):")
-	for r := 0; r < p; r++ {
-		fmt.Printf("  rank %d: [%d, %d)\n", r, dec.Bounds[r], dec.Bounds[r+1])
+	grid := keys.NewGrid(body.Bounds(parts))
+	fmt.Println("\nHilbert-key span of each domain (one contiguous, disjoint range of the curve each):")
+	for r, ps := range owned {
+		lo, hi := keys.Key(math.MaxUint64), keys.Key(0)
+		for i := range ps {
+			k := grid.HilbertOf(ps[i].Pos)
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		fmt.Printf("  rank %d: [%d, %d]\n", r, lo, hi)
 	}
 	writeFig2PGM(filepath.Join(outdir, "fig2_domains.pgm"), owned, extent)
 }
 
-func buildTree(pos []vec.V3, mass []float64, grid keys.Grid) *octree.Tree {
-	kv := make([]psort.KV, len(pos))
-	for i := range pos {
-		kv[i] = psort.KV{Key: uint64(grid.MortonOf(pos[i])), Idx: int32(i)}
+// compactness reports the mean distance of the points inside the square of
+// the given half-width to their centroid, and how many points it averages.
+func compactness(pos []vec.V3, extent float64) string {
+	var in []vec.V3
+	var c vec.V3
+	for _, x := range pos {
+		if math.Abs(x.X) < extent && math.Abs(x.Y) < extent {
+			in = append(in, x)
+			c = c.Add(x)
+		}
 	}
-	psort.Sort(kv, 0)
-	sk := make([]keys.Key, len(pos))
-	sp := make([]vec.V3, len(pos))
-	sm := make([]float64, len(pos))
-	for i, e := range kv {
-		sk[i] = keys.Key(e.Key)
-		sp[i] = pos[e.Idx]
-		sm[i] = mass[e.Idx]
+	if len(in) == 0 {
+		return "no particles in the map"
 	}
-	return octree.Build(sk, sp, sm, grid, 16)
+	c = c.Scale(1 / float64(len(in)))
+	sum := 0.0
+	for _, x := range in {
+		sum += x.Sub(c).Norm()
+	}
+	return fmt.Sprintf("%.1f kpc over %d particles", sum/float64(len(in)), len(in))
 }
 
 func writeFig2PGM(path string, owned [][]body.Particle, extent float64) {

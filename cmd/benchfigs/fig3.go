@@ -33,8 +33,10 @@ func runFig3(outdir string, n, steps int) {
 	}
 	diskF := bonsai.ComponentFilter(model, n, bonsai.Disk)
 
-	fmt.Printf("softening %.4f kpc, dt %.3f Myr\n", eps, bonsai.Gyr(dt)*1e3)
-	fmt.Printf("%8s %10s %10s %12s %10s\n", "step", "t [Myr]", "A2(R<5)", "sigmaR(7-9)", "z_rms")
+	nb, nd, nh := model.Counts(n)
+	fmt.Printf("bulge %d / disk %d / halo %d equal-mass particles, softening %.4f kpc, dt %.3f Myr\n",
+		nb, nd, nh, eps, bonsai.Gyr(dt)*1e3)
+	fmt.Printf("%8s %10s %10s %10s %12s %10s\n", "step", "t [Myr]", "A2(R<5)", "bar phase", "sigmaR(7-9)", "z_rms")
 
 	writeMap := func(tag string) {
 		cur := s.Particles()
@@ -55,11 +57,11 @@ func runFig3(outdir string, n, steps int) {
 
 	report := func() {
 		cur := s.Particles()
-		a2, _ := bonsai.BarStrength(cur, diskF, 5)
+		a2, phase := bonsai.BarStrength(cur, diskF, 5)
 		sig := bonsai.VelocityDispersion(cur, diskF, 7, 9)
 		z := bonsai.DiskThickness(cur, diskF)
-		fmt.Printf("%8d %10.1f %10.4f %12.1f %10.3f\n",
-			s.StepCount(), bonsai.Gyr(s.Time())*1e3, a2, sig, z)
+		fmt.Printf("%8d %10.1f %10.4f %10.3f %12.1f %10.3f\n",
+			s.StepCount(), bonsai.Gyr(s.Time())*1e3, a2, phase, sig, z)
 	}
 
 	writeMap("initial")
@@ -78,6 +80,9 @@ func runFig3(outdir string, n, steps int) {
 		report()
 	}
 	writeMap("final")
+	k, p := s.Energy()
+	fmt.Printf("energy E=%.4e (K=%.3e, W=%.3e), simulated %.1f Myr\n",
+		k+p, k, p, bonsai.Gyr(s.Time())*1e3)
 
 	// Velocity-space structure near the Sun (bottom-left panel). At reduced
 	// N the 500-pc sphere of the paper holds no stars; widen to 2 kpc.

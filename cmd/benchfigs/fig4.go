@@ -9,53 +9,80 @@ import (
 	"bonsai/internal/plot"
 )
 
-// measuredPoint runs the in-process tree-code and reports one scaling point.
-type measuredPoint struct {
-	ranks int
-	stats bonsai.StepStats
+// scalingRuns measures in-process Milky Way force evaluations (seed 3,
+// θ = 0.4, softening for N), each (N, ranks) point once: the weak sweep that
+// Fig. 4 and Table II both print, and the points the strong-scaling and
+// comm-surface tables share with it, run once per invocation.
+type scalingRuns map[[2]int]bonsai.StepStats
+
+// at returns the steady-state evaluation of n particles over the given ranks:
+// the first evaluation settles the decomposition, the second is measured.
+func (m scalingRuns) at(n, ranks int) bonsai.StepStats {
+	key := [2]int{n, ranks}
+	if st, ok := m[key]; ok {
+		return st
+	}
+	s, err := bonsai.New(bonsai.Config{
+		Ranks: ranks, Theta: 0.4, Softening: bonsai.SofteningForN(n),
+		GravConst: bonsai.G,
+	}, bonsai.NewMilkyWay(n, 3))
+	if err != nil {
+		panic(err)
+	}
+	s.ComputeForces()
+	m[key] = s.ComputeForces()
+	return m[key]
 }
 
-func measureWeak(perRank, maxRanks int) []measuredPoint {
-	var out []measuredPoint
+// weak returns the weak sweep: perRank particles per rank, 1, 2, 4, …
+// maxRanks ranks.
+func (m scalingRuns) weak(perRank, maxRanks int) []bonsai.StepStats {
+	var out []bonsai.StepStats
 	for ranks := 1; ranks <= maxRanks; ranks *= 2 {
-		n := perRank * ranks
-		parts := bonsai.NewMilkyWay(n, 3)
-		s, err := bonsai.New(bonsai.Config{
-			Ranks: ranks, Theta: 0.4, Softening: bonsai.SofteningForN(n),
-			GravConst: bonsai.G,
-		}, parts)
-		if err != nil {
-			panic(err)
-		}
-		s.ComputeForces() // settle the decomposition
-		st := s.ComputeForces()
-		out = append(out, measuredPoint{ranks, st})
+		out = append(out, m.at(perRank*ranks, ranks))
 	}
 	return out
 }
 
-func printFig4Measured(perRank, maxRanks int) {
+func printFig4Measured(runs scalingRuns, perRank, maxRanks int) {
 	section(fmt.Sprintf("FIG. 4 (measured) — weak scaling, %d particles/rank, in-process ranks", perRank))
-	pts := measureWeak(perRank, maxRanks)
-	base := pts[0].stats.AppGflops
-	fmt.Printf("%6s %10s %10s %10s %10s %10s %10s\n",
-		"ranks", "walk Gf/s", "app Gf/s", "pp/part", "pc/part", "retain %", "comm MB")
-	for _, p := range pts {
+	pts := runs.weak(perRank, maxRanks)
+	base := pts[0].AppGflops
+	fmt.Printf("%6s %9s %10s %10s %10s %10s %10s %10s %12s\n",
+		"ranks", "N", "walk Gf/s", "app Gf/s", "pp/part", "pc/part", "retain %", "comm MB", "comm/rank MB")
+	for _, st := range pts {
 		// In-process ranks time-share this host's cores, so the ideal
 		// aggregate rate is flat with rank count (not linear as on a
 		// cluster); "retain" is App(r)/App(1), the fraction of the
 		// single-rank rate that survives the parallelization overheads
 		// (LET construction, extra cell interactions, exchange).
-		retain := p.stats.AppGflops / base * 100
-		fmt.Printf("%6d %10.2f %10.2f %10.0f %10.0f %10.1f %10.2f\n",
-			p.ranks, p.stats.WalkGflops, p.stats.AppGflops,
-			p.stats.PPPerParticle, p.stats.PCPerParticle, retain,
-			float64(p.stats.BytesSent)/1e6)
+		fmt.Printf("%6d %9d %10.2f %10.2f %10.0f %10.0f %10.1f %10.2f %12.3f\n",
+			st.Ranks, st.N, st.WalkGflops, st.AppGflops,
+			st.PPPerParticle, st.PCPerParticle, st.AppGflops/base*100,
+			float64(st.BytesSent)/1e6, float64(st.BytesSent)/float64(st.Ranks)/1e6)
 	}
 	fmt.Println("\n(absolute Gflop/s reflect this host CPU, not a K20X, and in-process")
 	fmt.Println(" ranks share cores — cluster-style parallel efficiency at paper scale")
 	fmt.Println(" comes from the calibrated model below. Shapes to compare here: pp per")
 	fmt.Println(" particle roughly flat, comm growing sub-linearly with total N.)")
+
+	// §III.B.2: at a fixed rank count, the LET exchange grows with the
+	// domain surface, not with the particle count.
+	fmt.Printf("\ncommunication surface scaling (%d ranks, growing N; §III.B.2)\n", maxRanks)
+	fmt.Printf("%9s %14s %14s\n", "N", "comm bytes", "growth vs 2x N")
+	var prev int64
+	for k := 1; k <= 8; k *= 2 {
+		n := perRank * k
+		comm := runs.at(n, maxRanks).BytesSent
+		growth := "-"
+		if prev > 0 {
+			growth = fmt.Sprintf("%.2fx", float64(comm)/float64(prev))
+		}
+		fmt.Printf("%9d %14d %14s\n", n, comm, growth)
+		prev = comm
+	}
+	fmt.Println("(a volume-scaling code would double its traffic with 2x particles;")
+	fmt.Println(" the LET exchange grows like a domain surface, ~1.3-1.7x)")
 }
 
 func printFig4Model() {
@@ -136,18 +163,18 @@ func printFig4Model() {
 	}
 }
 
-func printTable2Measured(perRank, maxRanks int) {
+func printTable2Measured(runs scalingRuns, perRank, maxRanks int) {
 	section(fmt.Sprintf("TABLE II (measured) — phase breakdown, %d particles/rank, in-process", perRank))
-	pts := measureWeak(perRank, maxRanks)
+	pts := runs.weak(perRank, maxRanks)
 	fmt.Printf("%-28s", "Operation [ms]")
-	for _, p := range pts {
-		fmt.Printf("%10d", p.ranks)
+	for _, st := range pts {
+		fmt.Printf("%10d", st.Ranks)
 	}
 	fmt.Println()
 	row := func(name string, get func(bonsai.StepStats) float64) {
 		fmt.Printf("%-28s", name)
-		for _, p := range pts {
-			fmt.Printf("%10.1f", get(p.stats))
+		for _, st := range pts {
+			fmt.Printf("%10.1f", get(st))
 		}
 		fmt.Println()
 	}
@@ -164,6 +191,22 @@ func printTable2Measured(perRank, maxRanks int) {
 	row("Receiver idle (hidden)", func(s bonsai.StepStats) float64 { return s.RecvIdle.Seconds() * 1e3 })
 	row("Walk Gflop/s (23/65)", func(s bonsai.StepStats) float64 { return s.WalkGflops })
 	row("App Gflop/s (23/65)", func(s bonsai.StepStats) float64 { return s.AppGflops })
+
+	// The paper's strong-scaling columns hold the total fixed; so does this.
+	total := 4 * perRank
+	fmt.Printf("\nstrong scaling (%d particles in total)\n", total)
+	fmt.Printf("%6s %9s %11s %9s %12s\n", "ranks", "N/rank", "app Gf/s", "retain %", "step ms")
+	var t1 float64
+	for ranks := 1; ranks <= maxRanks; ranks *= 2 {
+		st := runs.at(total, ranks)
+		stepMS := st.MaxTimes.Total.Seconds() * 1e3
+		if ranks == 1 {
+			t1 = stepMS
+		}
+		fmt.Printf("%6d %9d %11.2f %9.1f %12.1f\n", ranks, total/ranks, st.AppGflops, 100*t1/stepMS, stepMS)
+	}
+	fmt.Println("(in-process ranks share this host's cores: the ideal step time is flat,")
+	fmt.Println(" and \"retain\" is T(1)/T(r), the part of it the parallel overheads leave)")
 }
 
 // paper values for the modeled Table II print-out.

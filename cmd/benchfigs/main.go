@@ -6,8 +6,8 @@
 //	benchfigs -fig1                # force-kernel performance bars
 //	benchfigs -fig2                # PH-SFC domain decomposition
 //	benchfigs -fig3 -outdir out    # Milky Way science run (writes PGM maps)
-//	benchfigs -fig4                # weak scaling (measured + model)
-//	benchfigs -table1 -table2      # hardware and time-breakdown tables
+//	benchfigs -fig4                # weak scaling + comm surface (measured + model)
+//	benchfigs -table1 -table2      # hardware and time-breakdown tables (+ strong scaling)
 //	benchfigs -flops -tts -peak    # op counts, time-to-solution, peak
 //
 // Measured results come from in-process runs (goroutine ranks over the
@@ -67,12 +67,13 @@ func main() {
 	if *all || *fig2 {
 		printFig2(*outdir)
 	}
+	runs := scalingRuns{}
 	if *all || *fig4 {
-		printFig4Measured(*fig4N, *maxRanks)
+		printFig4Measured(runs, *fig4N, *maxRanks)
 		printFig4Model()
 	}
 	if *all || *table2 {
-		printTable2Measured(*fig4N, *maxRanks)
+		printTable2Measured(runs, *fig4N, *maxRanks)
 		printTable2Model()
 	}
 	if *all || *tts {

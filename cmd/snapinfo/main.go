@@ -1,12 +1,9 @@
 // Command snapinfo inspects a snapshot file: header, particle statistics,
 // and (for Milky-Way-shaped data) quick structure diagnostics. Useful for
-// checking restart files between runs. With -metrics it also summarizes a
-// per-step JSONL metrics stream from a traced run (overlap fraction,
-// non-hidden communication, straggler rank), sharing the report code with
-// cmd/tracestats.
+// checking restart files between runs. (A per-step JSONL metrics stream is
+// summarized by cmd/tracestats -metrics.)
 //
 //	snapinfo mw_00050.snap
-//	snapinfo -metrics run.jsonl
 package main
 
 import (
@@ -14,33 +11,17 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"os"
 	"sort"
 
 	"bonsai"
-	"bonsai/internal/obs"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("snapinfo: ")
-	metricsPath := flag.String("metrics", "", "also summarize this per-step JSONL metrics file (from bonsai -metrics)")
 	flag.Parse()
-	if flag.NArg() == 0 && *metricsPath == "" {
-		log.Fatal("usage: snapinfo [-metrics run.jsonl] [file.snap ...]")
-	}
-	if *metricsPath != "" {
-		f, err := os.Open(*metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		steps, err := obs.ReadMetricsJSONL(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", *metricsPath, err)
-		}
-		fmt.Printf("%s:\n", *metricsPath)
-		obs.FormatMetricsSummary(os.Stdout, steps)
+	if flag.NArg() == 0 {
+		log.Fatal("usage: snapinfo file.snap ...")
 	}
 	for _, path := range flag.Args() {
 		t, step, parts, err := bonsai.LoadSnapshot(path)

@@ -213,6 +213,12 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		r.stats.Substep, r.stats.Substeps = boundary, 1
 	}
 
+	// Path choice from the shared rung population: every rank agrees, so the
+	// collective structure of the gravity phase stays symmetric.
+	activeN, totalN := r.globalActive(boundary, S)
+	r.stats.ActiveN, r.stats.TotalN = activeN, totalN
+	full := totalN == 0 || activeN == totalN
+
 	if forceRebuild || domainUpdate || r.rebuildVote() {
 		r.buildPipeline(step, eval, domainUpdate)
 		if hier {
@@ -222,18 +228,20 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 	} else {
 		// Reuse the tree: same Morton order and cell structure, multipoles
 		// recomputed on the drifted positions (r.pos tracks every drift).
+		// A full-active walk targets the tree's groups, so their boxes are
+		// recomputed on the drifted positions too: the walk's MAC and the
+		// advertised box must bound where the targets are now.
 		tP := time.Now()
 		r.tree.RefreshProperties(r.cfg.WorkersPerRank)
 		r.checkTreeMass()
+		if full {
+			r.groups = r.tree.MakeGroupsScratch(octree.DefaultNGroup, r.cfg.WorkersPerRank, r.groups)
+		}
 		r.stats.Times[obs.TreeProps] = time.Since(tP)
 		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 1)
 	}
 
-	// Path choice from the shared rung population: every rank agrees, so the
-	// collective structure of the gravity phase stays symmetric.
-	activeN, totalN := r.globalActive(boundary, S)
-	r.stats.ActiveN, r.stats.TotalN = activeN, totalN
-	if full := totalN == 0 || activeN == totalN; full {
+	if full {
 		t := r.fullTargets()
 		r.gravity(eval%2, &t)
 		r.finishForces(&t)

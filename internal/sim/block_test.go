@@ -167,6 +167,52 @@ func TestBlockRungsSpreadAndTreeReuse(t *testing.T) {
 	}
 }
 
+// TestReusedTreeFullActiveGroupBoxes: a full-active evaluation that reuses
+// the tree (every particle on a rung active at a mid-step barrier, drift under
+// the rebuild bound) must walk and advertise group boxes that bound the
+// drifted targets, not the boxes of the last build. The drive is kdk's: a
+// building evaluation, then a drift of every particle radially outward by a
+// tenth of the rebuild bound, accounted the way the integrator accounts it.
+func TestReusedTreeFullActiveGroupBoxes(t *testing.T) {
+	cfg := Config{Ranks: 2, Softening: 0.01, DT: 4e-3, BlockSteps: true, MaxRungs: 4, EtaDT: 1e-4}
+	s, err := New(cfg, plummer(4096, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.advance(func(_ int, n *Node) {
+		r := n.r
+		r.blockForces(0, 0, true, true, 0)
+		for i := range r.parts {
+			r.parts[i].Rung = uint8(cfg.MaxRungs)
+		}
+		r.reduceRungPop()
+		d := 0.1 * driftFrac * r.minLeaf
+		for i := range r.parts {
+			p := r.parts[i].Pos
+			p = p.Add(p.Scale(d / p.Norm()))
+			r.parts[i].Pos, r.pos[i] = p, p
+			r.maxDrift2 = max(r.maxDrift2, p.Sub(r.buildPos[i]).Norm2())
+		}
+		r.blockForces(0, 1, false, false, 1)
+		if r.stats.Rebuilds != 0 || r.stats.ActiveN != r.stats.TotalN {
+			t.Errorf("rank %d: rebuilds %d, active %d of %d: not a full-active reuse",
+				n.Rank(), r.stats.Rebuilds, r.stats.ActiveN, r.stats.TotalN)
+			return
+		}
+		outside := 0
+		for _, g := range r.groups {
+			for i := g.Start; i < g.Start+g.N; i++ {
+				if !g.Box.Contains(r.pos[i]) {
+					outside++
+				}
+			}
+		}
+		if outside > 0 {
+			t.Errorf("rank %d: %d of %d targets lie outside their group's box", n.Rank(), outside, len(r.pos))
+		}
+	})
+}
+
 // TestBlockEnergyConservation bounds the energy drift of a rung-enabled run
 // and requires it to be no worse than a global-dt run at the SAME top-level
 // DT — the accuracy half of the acceptance criterion (the substeps refine
