@@ -13,7 +13,9 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # socket transports (the ./internal/mpi conformance matrix runs every
 # transport test over unix and tcp at 8 ranks), the parallel sort, and the
 # domain exchange (p goroutine ranks carving their send bins from one buffer,
-# checked element for element against the append-grown reference), plus
+# checked element for element against the append-grown reference), the
+# telemetry plane (GatherStep, GatherEnd and the fleet view across goroutine
+# ranks), plus
 # short fuzzes of the SIMD force kernels against the scalar reference, of the
 # MaxRungs=0 integrator against the written-out shared-step leapfrog, and of
 # the four decoders of bytes this process did not write: the snapshot reader,
@@ -79,7 +81,7 @@ test:
 	$(GO) test -tags noasm $(NOASM_PKGS)
 
 race:
-	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/octree ./internal/lettree ./internal/par ./internal/domain
+	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/obs/telemetry ./internal/octree ./internal/lettree ./internal/par ./internal/domain
 	$(GO) test -race -tags noasm -count=1 $(NOASM_PKGS)
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched

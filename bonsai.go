@@ -182,8 +182,8 @@ func (t traced) WriteMetricsJSONL(w io.Writer) error {
 // WriteProm writes the fleet view in Prometheus text format: every rank's
 // gauges of its latest evaluation and the straggler alert count, plus, after
 // a multi-process run's GatherTelemetry, the clock offsets, pair bytes and
-// mailbox depths. Safe to call while the run steps (a live /metrics
-// endpoint). Requires Config.Tracing, and rank 0 of a multi-process run.
+// mailbox depths. Safe to call while the run steps. Requires Config.Tracing,
+// and rank 0 of a multi-process run.
 func (t traced) WriteProm(w io.Writer) error {
 	if t.rec == nil {
 		return ErrTracingDisabled
@@ -205,18 +205,6 @@ func (t traced) WatchStragglers(mult float64, logf func(format string, args ...a
 	if t.fleet != nil {
 		t.fleet.Watch(mult, logf)
 	}
-	return nil
-}
-
-// PublishExpvar exposes the live metric histograms through the expvar
-// variable "bonsai.obs" (serve with net/http's /debug/vars). Requires
-// Config.Tracing; safe to call repeatedly, and a later simulation's call
-// repoints the variable at its own recorder.
-func (t traced) PublishExpvar() error {
-	if t.rec == nil {
-		return ErrTracingDisabled
-	}
-	t.rec.PublishExpvar()
 	return nil
 }
 

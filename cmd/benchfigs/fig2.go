@@ -28,11 +28,7 @@ func printFig2(outdir string) {
 
 	const p = 5
 	const n = 30_000
-	parts := ic.DefaultMilkyWay().Realize(n, 7, 0)
-	// Flatten to the disk plane for the 2-D illustration.
-	for i := range parts {
-		parts[i].Pos.Z = 0
-	}
+	parts := ic.DefaultMilkyWay().RealizeDiskOnly(n, 7, 0)
 	s, err := bonsai.New(bonsai.Config{
 		Ranks: p, Theta: 0.4, Softening: bonsai.SofteningForN(n), GravConst: bonsai.G,
 	}, parts)

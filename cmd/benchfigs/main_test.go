@@ -57,6 +57,10 @@ func TestEverySectionSmoke(t *testing.T) {
 			t.Errorf("output lacks %q", want)
 		}
 	}
+	// Fig. 2 draws a disk: every one of its domains owns part of the map.
+	if strings.Contains(out, "no particles in the map") {
+		t.Error("Fig. 2 has a domain with no particles inside the map")
+	}
 	for _, name := range []string{"fig2_domains.pgm", "fig3_density_initial.pgm", "fig3_density_final.pgm"} {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {

@@ -12,17 +12,16 @@ import (
 // launchConfig is everything the launcher and its forked workers must agree
 // on besides the simulation itself (simFlags): the transport topology, the
 // checkpoint location and the observability outputs. Workers re-derive the
-// same rank and debug addresses from the same flags.
+// same rank addresses from the same flags.
 type launchConfig struct {
-	transport    string // "unix" or "tcp"
-	ranks        int
-	ckptEvery    int
-	ckptDir      string
-	portBase     int
-	telePortBase int
-	maxRestarts  int
-	sockDir      string
-	obs          obsFlags
+	transport   string // "unix" or "tcp"
+	ranks       int
+	ckptEvery   int
+	ckptDir     string
+	portBase    int
+	maxRestarts int
+	sockDir     string
+	obs         obsFlags
 }
 
 // rankAddrs returns the listen address of every rank: deterministic, so the

@@ -50,11 +50,9 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-step output")
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON timeline here (open in Perfetto); with a socket transport this is the clock-aligned merge of all worker processes")
 		metricsOut = flag.String("metrics", "", "write per-step JSONL metrics here (analyze with tracestats -metrics)")
-		expvarAddr = flag.String("expvar", "", "serve live metrics on this address (e.g. :6060) from the process holding rank 0, for every transport: Prometheus /metrics of the fleet view, expvar /debug/vars and pprof /debug/pprof")
 
 		promSnapshot  = flag.String("prom-snapshot", "", "write a final Prometheus text-format snapshot of the fleet view here")
 		stragglerMult = flag.Float64("straggler-mult", 2.0, "traced runs: alert when a rank's step time exceeds this multiple of the cross-rank median")
-		telePortBase  = flag.Int("tele-port-base", 29600, "traced tcp runs: rank r serves pprof and expvar on 127.0.0.1:(tele-port-base+r)")
 
 		transport   = flag.String("transport", "chan", "rank transport: chan (in-process goroutines), unix or tcp (one OS process per rank)")
 		ckptEvery   = flag.Int("ckpt-every", 16, "steps between distributed checkpoints (socket transports; 0 = none)")
@@ -76,7 +74,7 @@ func main() {
 		steps:     *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
 	}
 	o := obsFlags{
-		tracePath: *tracePath, metricsOut: *metricsOut, expvarAddr: *expvarAddr,
+		tracePath: *tracePath, metricsOut: *metricsOut,
 		promSnapshot: *promSnapshot, stragglerMult: *stragglerMult,
 	}
 	switch *transport {
@@ -84,15 +82,14 @@ func main() {
 		runInProcess(f, o)
 	case "unix", "tcp":
 		lc := launchConfig{
-			transport:    *transport,
-			ranks:        *ranks,
-			ckptEvery:    *ckptEvery,
-			ckptDir:      *ckptDir,
-			portBase:     *portBase,
-			telePortBase: *telePortBase,
-			maxRestarts:  *maxRestarts,
-			sockDir:      *sockDir,
-			obs:          o,
+			transport:   *transport,
+			ranks:       *ranks,
+			ckptEvery:   *ckptEvery,
+			ckptDir:     *ckptDir,
+			portBase:    *portBase,
+			maxRestarts: *maxRestarts,
+			sockDir:     *sockDir,
+			obs:         o,
 		}
 		if *workerRank >= 0 {
 			runWorker(lc, *workerRank, f)

@@ -1,13 +1,12 @@
 package main
 
 import (
-	"context"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bonsai"
@@ -103,34 +102,68 @@ func TestMultiProcessSnapshotsAndRestore(t *testing.T) {
 	}
 }
 
-// Every worker of a traced run serves the stdlib debug handlers on its debug
-// address, and the process holding rank 0 adds the fleet view's /metrics.
-func TestDebugHandlersServe(t *testing.T) {
-	sock := filepath.Join(t.TempDir(), "debug.sock")
-	ln, err := net.Listen("unix", sock)
+// A traced socket run opens no listener beside its ranks' own: a tcp run
+// finishes with 127.0.0.1:29600 held by another process (the default port of
+// the per-worker debug servers traced runs used to open), and a unix run
+// leaves no socket file in its socket directory but the ranks'.
+func TestTracedRunOpensNoDebugListener(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks 4 worker processes")
+	}
+	held, err := net.Listen("tcp", "127.0.0.1:29600")
+	if err != nil {
+		t.Skipf("cannot hold 127.0.0.1:29600: %v", err)
+	}
+	defer held.Close()
+
+	dir := t.TempDir()
+	bonsaiCmd(t, dir, "-model", "plummer", "-n", "1000", "-ranks", "2", "-steps", "1", "-q",
+		"-transport", "tcp", "-port-base", strconv.Itoa(freePortPair(t)), "-max-restarts", "0",
+		"-metrics", "m.jsonl", "-ckpt-dir", filepath.Join(dir, "ckpt-tcp"))
+	f, err := os.Open(filepath.Join(dir, "m.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	serveHTTP(ln, func(w io.Writer) error {
-		_, err := io.WriteString(w, "bonsai_ranks 4\n")
-		return err
-	})
-	hc := http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
-		return (&net.Dialer{}).DialContext(ctx, "unix", sock)
-	}}}
-	for _, path := range []string{"/debug/pprof/", "/debug/vars", "/metrics"} {
-		resp, err := hc.Get("http://rank0" + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		if path == "/metrics" && string(body) != "bonsai_ranks 4\n" {
-			t.Errorf("/metrics served %q", body)
+	defer f.Close()
+	if recs, err := obs.ReadMetricsJSONL(f); err != nil || len(recs) == 0 {
+		t.Fatalf("metrics stream: %d records, err %v", len(recs), err)
+	}
+
+	sockDir := filepath.Join(dir, "sock")
+	if err := os.Mkdir(sockDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bonsaiCmd(t, dir, "-model", "plummer", "-n", "1000", "-ranks", "2", "-steps", "1", "-q",
+		"-transport", "unix", "-sock-dir", sockDir, "-max-restarts", "0",
+		"-metrics", "u.jsonl", "-ckpt-dir", filepath.Join(dir, "ckpt-unix"))
+	entries, err := os.ReadDir(sockDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "rank") {
+			t.Errorf("traced unix run left %s in its socket directory", e.Name())
 		}
 	}
+}
+
+// freePortPair returns a port p such that p and p+1 are both free on
+// 127.0.0.1 when it returns: the -port-base of a 2-rank tcp run.
+func freePortPair(t *testing.T) int {
+	t.Helper()
+	for range 20 {
+		ln0, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := ln0.Addr().(*net.TCPAddr).Port
+		ln1, err := net.Listen("tcp", "127.0.0.1:"+strconv.Itoa(p+1))
+		ln0.Close()
+		if err == nil {
+			ln1.Close()
+			return p
+		}
+	}
+	t.Fatal("no two consecutive free ports on 127.0.0.1")
+	return 0
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"os"
 
 	"bonsai"
 )
@@ -41,24 +39,9 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A traced run's telemetry travels over w. Every worker serves the stdlib
-	// pprof and expvar handlers on its debug address, so any rank can be
-	// profiled mid-run; rank 0 holds the fleet view.
-	if lc.obs.on() {
-		addr := lc.debugAddrs()[rank]
-		if lc.transport == "unix" {
-			os.Remove(addr) // a restarted worker must replace its stale socket
-		}
-		ln, err := net.Listen(lc.transport, addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		serveHTTP(ln, nil)
-		if rank == 0 {
-			lc.obs.start(n)
-		} else {
-			n.PublishExpvar() //nolint:errcheck // tracing is on
-		}
+	// A traced run's telemetry travels over w; rank 0 holds the fleet view.
+	if lc.obs.on() && rank == 0 {
+		lc.obs.start(n)
 	}
 	if ckptStep > 0 {
 		n.SetClock(ckptStep, ckptTime)

@@ -73,15 +73,18 @@ func GlobalBox(c *mpi.Comm, local vec.Box) vec.Box {
 	return mpi.Allreduce(c, local, vec.Box.Union, 6*8)
 }
 
+// rate1 and rate2 are the per-rank sample counts of the two sampling stages.
+const (
+	rate1 = 128
+	rate2 = 512
+)
+
 // Options configures the sampling decomposition.
 type Options struct {
 	// PX is the number of first-stage decomposition processes; 0 chooses the
 	// largest divisor of p not exceeding sqrt(p). PX=1 reproduces the
 	// original serial sampling method.
 	PX int
-	// Rate1 and Rate2 are per-rank sample counts for the two stages; 0
-	// selects defaults (128 and 512).
-	Rate1, Rate2 int
 }
 
 func (o Options) withDefaults(p int) Options {
@@ -96,12 +99,6 @@ func (o Options) withDefaults(p int) Options {
 	}
 	for p%o.PX != 0 {
 		o.PX--
-	}
-	if o.Rate1 <= 0 {
-		o.Rate1 = 128
-	}
-	if o.Rate2 <= 0 {
-		o.Rate2 = 512
 	}
 	return o
 }
@@ -162,7 +159,7 @@ func sampleOnce(c *mpi.Comm, hk []keys.Key, weights []float64, opt Options) Deco
 	py := p / px
 
 	// --- Stage 1: coarse cut into px super-domains.
-	s1 := systematicSample(hk, weights, opt.Rate1)
+	s1 := systematicSample(hk, weights, rate1)
 	all := mpi.Gather(c, 0, s1, len(s1)*8)
 	var coarse []keys.Key
 	if c.Rank() == 0 {
@@ -173,7 +170,7 @@ func sampleOnce(c *mpi.Comm, hk []keys.Key, weights []float64, opt Options) Deco
 
 	// --- Stage 2: each rank samples again and routes samples to the
 	// DD-process responsible for the enclosing super-domain (ranks 0..px-1).
-	s2 := systematicSample(hk, weights, opt.Rate2)
+	s2 := systematicSample(hk, weights, rate2)
 	bins := make([][]keys.Key, p)
 	cd := Decomposition{Bounds: coarse}
 	for _, k := range s2 {

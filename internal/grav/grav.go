@@ -17,7 +17,7 @@ import (
 
 // Flop-count conventions (§VI.A). These are *accounting* constants, not
 // measurements: every reported flop rate in the repo — obs.StepMetrics
-// (Walk/App Gflops), the JSONL/expvar exporters, BenchmarkKernels — is
+// (Walk/App Gflops), the JSONL and Prometheus exporters, BenchmarkKernels — is
 // interactions × convention / wall-clock. The counts are per
 // (target, source) interaction and deliberately independent of how the
 // kernel executes (scalar loop, AVX-512F or AVX2+FMA lanes, or the device model): an

@@ -26,7 +26,6 @@ package lettree
 import (
 	"bonsai/internal/grav"
 	"bonsai/internal/keys"
-	"bonsai/internal/obs"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
@@ -258,15 +257,7 @@ func Sufficient(l *LET, targetBox vec.Box, theta float64) bool {
 // protocol violation and are surfaced through the returned count.
 func Walk(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats) (forcedAccepts int64) {
-	return WalkObs(l, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
-}
-
-// WalkObs is Walk with an optional observability hook: when listLen is
-// non-nil, the interaction-list length of every target group is recorded into
-// it. A nil listLen costs one branch per group.
-func WalkObs(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forcedAccepts int64) {
-	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
+	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
 }
 
 // TotalMass returns the LET root's mass.

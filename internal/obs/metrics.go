@@ -2,12 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Metrics is the fixed set of named histograms the tree-code records. All
@@ -158,38 +155,4 @@ func ReadMetricsJSONL(r io.Reader) ([]StepMetrics, error) {
 			return out, nil
 		}
 	}
-}
-
-var (
-	expvarOnce sync.Once
-	expvarRec  atomic.Pointer[Recorder]
-)
-
-// PublishExpvar registers the recorder under the expvar name "bonsai.obs":
-// the histogram snapshots plus the latest step metrics, served live on
-// /debug/vars by any process that mounts the expvar handler. Safe to call
-// any number of times: the expvar name is registered once per process
-// (expvar panics on duplicate names) and backed by an atomic recorder
-// pointer, so the latest published recorder is always the one served — a
-// second simulation in the same process replaces the first, now-dead one.
-func (r *Recorder) PublishExpvar() {
-	if r == nil {
-		return
-	}
-	expvarRec.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("bonsai.obs", expvar.Func(func() any {
-			rec := expvarRec.Load()
-			steps := rec.Steps()
-			v := struct {
-				Histograms []HistSnapshot `json:"histograms"`
-				Steps      int            `json:"steps"`
-				Last       *StepMetrics   `json:"last,omitempty"`
-			}{Histograms: rec.Metrics().Snapshot(), Steps: len(steps)}
-			if len(steps) > 0 {
-				v.Last = &steps[len(steps)-1]
-			}
-			return v
-		}))
-	})
 }

@@ -5,8 +5,8 @@
 // arrival offset relative to local-walk completion, remote-pass walk latency,
 // interaction-list lengths, mailbox queue depth, per-step imbalance), and
 // exporters: Chrome trace-event JSON (loadable in chrome://tracing or
-// Perfetto, one track per rank with one lane per thread role), a per-step
-// JSONL metrics stream, and an optional expvar snapshot for live inspection.
+// Perfetto, one track per rank with one lane per thread role) and a per-step
+// JSONL metrics stream.
 //
 // The hot path is built so that *disabled* tracing costs a single nil check:
 // every recording method is nil-receiver safe, so callers hold a possibly-nil

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"expvar"
 	"reflect"
 	"runtime"
 	"strings"
@@ -58,7 +57,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 			t.Error("nil Metrics accessors must return nil hists")
 		}
 	}
-	r.PublishExpvar() // must not panic
 }
 
 // TestRecorderConcurrent drives each rank's buffer from the three pipeline
@@ -337,19 +335,5 @@ func TestMetricsJSONLRoundTrip(t *testing.T) {
 func TestReadMetricsJSONLRejectsGarbage(t *testing.T) {
 	if _, err := ReadMetricsJSONL(strings.NewReader("{\"step\":0}\nnot json\n")); err == nil {
 		t.Error("expected an error on a malformed line")
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := New(1, 8)
-	r.AddStep(StepMetrics{Step: 7, Ranks: 1})
-	r.PublishExpvar()
-	r.PublishExpvar() // second call must not panic on the duplicate name
-	v := expvar.Get("bonsai.obs")
-	if v == nil {
-		t.Fatal("bonsai.obs not published")
-	}
-	if s := v.String(); !strings.Contains(s, "histograms") || !strings.Contains(s, "\"steps\":1") {
-		t.Errorf("unexpected expvar payload: %s", s)
 	}
 }

@@ -57,7 +57,7 @@ func (p *PhaseTimes) DeriveOther() { p[Other] = max(p[Total]-p.Accounted(), 0) }
 
 // StepMetrics is the one step record: what a rank writes during a force
 // evaluation, what the JSONL stream and the telemetry wire carry, and what
-// every view (Prometheus, expvar, tracestats, the public StepStats) reads.
+// every view (the Prometheus snapshot, tracestats, the public StepStats) reads.
 // Schema declares each field once; the two folds and the codec below are
 // driven by it.
 //

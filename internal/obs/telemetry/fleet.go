@@ -21,7 +21,8 @@ import (
 )
 
 // Fleet is the one fleet view both drivers feed. Observe runs on the driving
-// goroutine; WriteProm may run concurrently with it (a live /metrics scrape).
+// goroutine; WriteProm may run concurrently with it (a library caller reading
+// the fleet view while the run steps).
 type Fleet struct {
 	rec *obs.Recorder
 

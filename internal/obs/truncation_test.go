@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"expvar"
 	"math"
 	"reflect"
 	"strings"
@@ -11,29 +10,6 @@ import (
 
 	"bonsai/internal/grav"
 )
-
-// Satellite regression: a second simulation in the same process must replace
-// the first recorder behind the "bonsai.obs" expvar, not keep serving the
-// dead one through the process-wide sync.Once.
-func TestPublishExpvarSwapsRecorder(t *testing.T) {
-	first := New(1, 8)
-	first.AddStep(StepMetrics{Step: 0, Ranks: 1})
-	first.PublishExpvar()
-
-	second := New(1, 8)
-	second.AddStep(StepMetrics{Step: 0, Ranks: 1})
-	second.AddStep(StepMetrics{Step: 1, Ranks: 1})
-	second.AddStep(StepMetrics{Step: 2, Ranks: 1})
-	second.PublishExpvar()
-
-	v := expvar.Get("bonsai.obs")
-	if v == nil {
-		t.Fatal("bonsai.obs not published")
-	}
-	if s := v.String(); !strings.Contains(s, "\"steps\":3") {
-		t.Errorf("expvar still serves the first recorder: %s", s)
-	}
-}
 
 // A SIGKILLed worker leaves a JSONL file cut mid-line: the reader must return
 // the complete prefix, not an error.

@@ -399,12 +399,3 @@ func (t *Tree) Walk(groups []Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats) {
 	WalkSource(t, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
 }
-
-// WalkObs is Walk with an optional observability hook: when listLen is
-// non-nil, the interaction-list length (accepted cells + opened-leaf
-// particles) of every target group is recorded into it. A nil listLen is the
-// disabled state and costs one branch per group.
-func (t *Tree) WalkObs(groups []Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) {
-	WalkSource(t, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
-}

@@ -397,7 +397,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		r.stats.LETsOverlapped += x.drain()
 		n := min(chunk, len(pending))
 		tL := time.Now()
-		r.tree.WalkObs(pending[:n], t.pos, theta, eps2, t.acc, t.pot,
+		octree.WalkSource(r.tree, pending[:n], t.pos, theta, eps2, t.acc, t.pot,
 			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 		d := time.Since(tL)
 		localWalk += d
