@@ -125,13 +125,15 @@ e2e-bench:
 # in-process run must produce a Perfetto-loadable Chrome trace, a parseable
 # metrics stream and a Prometheus snapshot of its fleet view, and tracestats
 # must turn them into the overlap/straggler report, with the remote walk's
-# passes per evaluation and trees per pass, and validate the snapshot.
+# passes per evaluation and trees per pass and the chart of LET arrival
+# offsets against local-walk completion, and validate the snapshot.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 2 -q \
 	  -trace "$$tmp/trace.json" -metrics "$$tmp/metrics.jsonl" -prom-snapshot "$$tmp/metrics.prom" && \
 	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" -prom "$$tmp/metrics.prom" "$$tmp/trace.json" | tee "$$tmp/report.txt" && \
 	grep -q 'batched passes per rank per evaluation' "$$tmp/report.txt" && \
+	grep -q 'LET arrival offset vs local-walk completion' "$$tmp/report.txt" && \
 	grep -q 'format ok' "$$tmp/report.txt" && \
 	echo "trace-smoke: OK"
 

@@ -181,9 +181,9 @@ func (t traced) WriteMetricsJSONL(w io.Writer) error {
 
 // WriteProm writes the fleet view in Prometheus text format: every rank's
 // gauges of its latest evaluation and the straggler alert count, plus, after
-// a multi-process run's GatherTelemetry, the clock offsets, pair bytes and
-// mailbox depths. Safe to call while the run steps. Requires Config.Tracing,
-// and rank 0 of a multi-process run.
+// a multi-process run's GatherTelemetry, the clock offsets and pair bytes.
+// Safe to call while the run steps. Requires Config.Tracing, and rank 0 of a
+// multi-process run.
 func (t traced) WriteProm(w io.Writer) error {
 	if t.rec == nil {
 		return ErrTracingDisabled
@@ -329,7 +329,7 @@ type NodeSimulation struct {
 // an identically generated (or restored) global set in every process.
 //
 // With Config.Tracing set, the node records its own rank's spans and
-// communication histograms, and every Step ends with a gather of the step's
+// per-peer byte counts, and every Step ends with a gather of the step's
 // evaluation records to rank 0, whose fleet view folds them: rank 0 writes
 // the run's metrics stream and Prometheus view, and after GatherTelemetry its
 // merged trace.
@@ -376,10 +376,10 @@ func (n *NodeSimulation) Step() StepStats {
 
 // GatherTelemetry ends a traced run's telemetry (collective; call after the
 // last step): rank 0 aligns every rank's recorder clock on its own by
-// round-trip probes over the world, and every rank sends it its span track,
-// histograms and per-peer byte counts. Rank 0 returns the bound on the
-// residual cross-rank clock skew of the merged trace, and the first failure
-// of this or any per-step gather. Requires Config.Tracing.
+// round-trip probes over the world, and every rank sends it its span track
+// and per-peer byte counts. Rank 0 returns the bound on the residual
+// cross-rank clock skew of the merged trace, and the first failure of this or
+// any per-step gather. Requires Config.Tracing.
 func (n *NodeSimulation) GatherTelemetry() (skew time.Duration, err error) {
 	if n.rec == nil {
 		return 0, ErrTracingDisabled

@@ -82,7 +82,7 @@ func runExchange(t *testing.T, transport string, in [][]body.Particle, dec Decom
 	} else {
 		w = mpi.NewWorld(p)
 	}
-	w.EnableObs(nil)
+	w.MeterPairs()
 	out := make([][]body.Particle, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {

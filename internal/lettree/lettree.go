@@ -257,7 +257,7 @@ func Sufficient(l *LET, targetBox vec.Box, theta float64) bool {
 // protocol violation and are surfaced through the returned count.
 func Walk(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats) (forcedAccepts int64) {
-	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
+	return octree.WalkSource(l, groups, tpos, theta, eps2, acc, pot, workers, st)
 }
 
 // TotalMass returns the LET root's mass.

@@ -185,7 +185,7 @@ func requireForcesMatchPerTreeWalks(t *testing.T, trees []*LET, groups []octree.
 	for _, workers := range []int{1, 3} {
 		got, gotPot := make([]vec.V3, n), make([]float64, n)
 		var st grav.Stats
-		forced := octree.WalkSources(asSources(trees), groups, tpos, theta, eps2, got, gotPot, workers, &st, nil)
+		forced := octree.WalkSources(asSources(trees), groups, tpos, theta, eps2, got, gotPot, workers, &st)
 		if forced != wantForced || st != wantSt {
 			t.Fatalf("workers=%d: forced %d stats %+v, per-tree walks forced %d stats %+v", workers, forced, st, wantForced, wantSt)
 		}
@@ -222,7 +222,7 @@ func TestConcurrentPassesShareBoundaryTrees(t *testing.T) {
 	refPot := make([][]float64, len(ref))
 	for lo := range ref {
 		ref[lo], refPot[lo] = make([]vec.V3, len(tpos)), make([]float64, len(tpos))
-		octree.WalkSources(asSources(fresh[lo:lo+window]), groups, tpos, theta, eps2, ref[lo], refPot[lo], 1, nil, nil)
+		octree.WalkSources(asSources(fresh[lo:lo+window]), groups, tpos, theta, eps2, ref[lo], refPot[lo], 1, nil)
 	}
 
 	var wg sync.WaitGroup
@@ -232,7 +232,7 @@ func TestConcurrentPassesShareBoundaryTrees(t *testing.T) {
 			defer wg.Done()
 			lo := g % len(ref) // overlapping windows of the shared trees
 			acc, pot := make([]vec.V3, len(tpos)), make([]float64, len(tpos))
-			if f := octree.WalkSources(asSources(shared[lo:lo+window]), groups, tpos, theta, eps2, acc, pot, 2, nil, nil); f != 0 {
+			if f := octree.WalkSources(asSources(shared[lo:lo+window]), groups, tpos, theta, eps2, acc, pot, 2, nil); f != 0 {
 				t.Errorf("pass %d: %d forced accepts from sufficient boundary trees", g, f)
 			}
 			if !slices.Equal(acc, ref[lo]) || !slices.Equal(pot, refPot[lo]) {

@@ -15,7 +15,6 @@ import (
 	"bonsai/internal/grav"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
-	"bonsai/internal/obs"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
@@ -209,9 +208,7 @@ func TestWireFrameBytesExact(t *testing.T) {
 	// every message including codec-level self-sends.
 	w, cleanup := newSockWorld("unix", 2)
 	defer cleanup()
-	w.EnableObs(nil)
-	fb := &obs.Hist{Name: "frames", Unit: "bytes"}
-	w.ObserveFrameBytes(fb)
+	w.MeterPairs()
 	runWorld(w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []byte("abcdefgh"), 8) // frame = 14 + 8
@@ -228,10 +225,6 @@ func TestWireFrameBytesExact(t *testing.T) {
 	}
 	if got := w.PairBytes(0, 0); got != 14+16 {
 		t.Errorf("PairBytes(0,0) = %d, want %d", got, 14+16)
-	}
-	// The frame histogram saw every frame.
-	if got := fb.Count(); got != 3 {
-		t.Errorf("frame hist count = %d, want 3", got)
 	}
 	// BytesSent keeps declared sizes even over the wire.
 	if got := w.BytesSent(0); got != 8+5+16 {
@@ -297,7 +290,7 @@ func TestWireLETFramePayloadMatchesWireBytes(t *testing.T) {
 	}
 	w, cleanup := newSockWorld("unix", 2)
 	defer cleanup()
-	w.EnableObs(nil)
+	w.MeterPairs()
 	runWorld(w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, let, let.WireBytes())

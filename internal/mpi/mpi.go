@@ -35,8 +35,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"bonsai/internal/obs"
 )
 
 // MaxUserTag is the exclusive upper bound for user point-to-point tags;
@@ -107,14 +105,10 @@ type World struct {
 	bytesSent []atomic.Int64
 	msgsSent  []atomic.Int64
 
-	// Observability (nil/empty when disabled, the default): queueDepth
-	// records the destination mailbox depth seen by every delivery,
-	// frameBytes the encoded size of every wire frame, and pairBytes is a
-	// size×size row-major matrix of bytes sent per (from, to) rank pair —
-	// declared bytes in-process, real framed bytes over a wire transport.
-	queueDepth *obs.Hist
-	frameBytes *obs.Hist
-	pairBytes  []atomic.Int64
+	// pairBytes (nil unless MeterPairs was called) is a size×size row-major
+	// matrix of bytes sent per (from, to) rank pair — declared bytes
+	// in-process, real framed bytes over a wire transport.
+	pairBytes []atomic.Int64
 }
 
 // NewWorld creates a world with the given number of ranks, all hosted in
@@ -187,23 +181,14 @@ func (w *World) TotalMessages() int64 {
 	return t
 }
 
-// EnableObs turns on communication observability: every delivery records the
-// destination mailbox depth into queueDepth (may be nil to skip) and every
-// send its bytes into a per-(from,to) pair matrix. Call before the ranks
-// start communicating.
-func (w *World) EnableObs(queueDepth *obs.Hist) {
-	w.queueDepth = queueDepth
-	w.pairBytes = make([]atomic.Int64, w.size*w.size)
-}
-
-// ObserveFrameBytes records the encoded size of every outgoing wire frame
-// into h. No frames are produced by the in-process transport, so this is
-// meaningful only for socket worlds. Call before communication starts.
-func (w *World) ObserveFrameBytes(h *obs.Hist) { w.frameBytes = h }
+// MeterPairs turns on the per-(from, to) pair byte matrix PairBytes reads:
+// every send adds its bytes to its pair's total. Call before the ranks start
+// communicating.
+func (w *World) MeterPairs() { w.pairBytes = make([]atomic.Int64, w.size*w.size) }
 
 // PairBytes returns the cumulative bytes sent from one rank to another: the
 // sender-declared size in-process, the real framed byte count (codec payload
-// plus frame header) over a wire transport. Zero unless EnableObs was
+// plus frame header) over a wire transport. Zero unless MeterPairs was
 // called; under a multi-process transport each process sees only rows of
 // locally hosted ranks.
 func (w *World) PairBytes(from, to int) int64 {
@@ -211,19 +196,6 @@ func (w *World) PairBytes(from, to int) int64 {
 		return 0
 	}
 	return w.pairBytes[from*w.size+to].Load()
-}
-
-// ResetCounters zeroes the traffic meters, including the per-pair byte
-// matrix when observability is enabled — a reset must not leak pre-reset
-// pair traffic into post-reset measurements.
-func (w *World) ResetCounters() {
-	for i := 0; i < w.size; i++ {
-		w.bytesSent[i].Store(0)
-		w.msgsSent[i].Store(0)
-	}
-	for i := range w.pairBytes {
-		w.pairBytes[i].Store(0)
-	}
 }
 
 // deliver appends a message to a locally hosted rank's mailbox and wakes its
@@ -237,10 +209,8 @@ func (w *World) deliver(to, from, tag int, data any) {
 	mb.mu.Lock()
 	mb.queue = append(mb.queue, message{from: from, tag: tag, seq: mb.nextSeq, data: data})
 	mb.nextSeq++
-	depth := len(mb.queue)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
-	w.queueDepth.Observe(int64(depth))
 }
 
 // Comm is a rank's handle on the world.
@@ -290,9 +260,6 @@ func (c *Comm) send(to, tag int, data any, nbytes int) {
 	c.w.bytesSent[c.rank].Add(int64(nbytes))
 	c.w.msgsSent[c.rank].Add(1)
 	wire := c.w.tr.Send(c.rank, to, tag, data)
-	if wire > 0 {
-		c.w.frameBytes.Observe(int64(wire))
-	}
 	if c.w.pairBytes != nil {
 		b := int64(nbytes)
 		if wire > 0 {

@@ -253,10 +253,6 @@ func testByteAccounting(t *testing.T, sp spawner) {
 	if w.TotalBytes() != 6 {
 		t.Errorf("total = %d", w.TotalBytes())
 	}
-	w.ResetCounters()
-	if w.TotalBytes() != 0 || w.MessagesSent(0) != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func testManyRanksStress(t *testing.T, sp spawner, size int) {
@@ -362,29 +358,6 @@ func TestManyRanksStress(t *testing.T) {
 func TestGatherRootOnly(t *testing.T) { testGatherRootOnly(t, spawn) }
 func TestConcurrentSendRecvAnyMix(t *testing.T) {
 	testConcurrentSendRecvAnyMix(t, spawn)
-}
-
-func TestResetCountersClearsPairBytes(t *testing.T) {
-	// Regression: ResetCounters used to zero bytesSent/msgsSent but leave the
-	// per-pair matrix, leaking pre-reset traffic into post-reset measurements.
-	w := NewWorld(2)
-	w.EnableObs(nil)
-	c0, c1 := w.Comm(0), w.Comm(1)
-	c0.Send(1, 1, "abc", 3)
-	c1.Recv(0, 1)
-	if got := w.PairBytes(0, 1); got != 3 {
-		t.Fatalf("PairBytes(0,1) = %d, want 3", got)
-	}
-	w.ResetCounters()
-	if got := w.PairBytes(0, 1); got != 0 {
-		t.Errorf("PairBytes(0,1) = %d after ResetCounters, want 0", got)
-	}
-	// The matrix must still meter traffic after the reset.
-	c0.Send(1, 1, "defg", 4)
-	c1.Recv(0, 1)
-	if got := w.PairBytes(0, 1); got != 4 {
-		t.Errorf("PairBytes(0,1) = %d after post-reset send, want 4", got)
-	}
 }
 
 func TestDequeueClearsVacatedSlot(t *testing.T) {

@@ -3,8 +3,6 @@ package mpi
 import (
 	"sync"
 	"testing"
-
-	"bonsai/internal/obs"
 )
 
 func TestPairBytesDisabledByDefault(t *testing.T) {
@@ -16,16 +14,14 @@ func TestPairBytesDisabledByDefault(t *testing.T) {
 		}
 	})
 	if got := w.PairBytes(0, 1); got != 0 {
-		t.Errorf("PairBytes without EnableObs = %d, want 0", got)
+		t.Errorf("PairBytes without MeterPairs = %d, want 0", got)
 	}
 }
 
-func TestEnableObsMetersPairsAndQueueDepth(t *testing.T) {
+func TestMeterPairsSumsToBytesSent(t *testing.T) {
 	const size = 3
 	w := NewWorld(size)
-	var depth obs.Hist
-	depth.Name, depth.Unit = "queue", "count"
-	w.EnableObs(&depth)
+	w.MeterPairs()
 
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
@@ -66,21 +62,5 @@ func TestEnableObsMetersPairsAndQueueDepth(t *testing.T) {
 		if sum != w.BytesSent(from) {
 			t.Errorf("rank %d: pair matrix sums to %d, BytesSent says %d", from, sum, w.BytesSent(from))
 		}
-	}
-	if got := depth.Count(); got != size*(size-1) {
-		t.Errorf("queue-depth histogram saw %d sends, want %d", got, size*(size-1))
-	}
-}
-
-func TestEnableObsNilHistogram(t *testing.T) {
-	w := NewWorld(2)
-	w.EnableObs(nil) // depth recording disabled, pair metering on
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); w.Comm(0).Send(1, 1, nil, 64) }()
-	go func() { defer wg.Done(); w.Comm(1).Recv(0, 1) }()
-	wg.Wait()
-	if got := w.PairBytes(0, 1); got != 64 {
-		t.Errorf("PairBytes = %d, want 64", got)
 	}
 }

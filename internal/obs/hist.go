@@ -3,143 +3,82 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"strings"
-	"sync/atomic"
-	"time"
 )
 
 // Hist is a two-sided log2-bucketed histogram of int64 samples (durations in
-// nanoseconds, list lengths, queue depths, signed time offsets). Bucket k
-// covers magnitudes [2^k, 2^(k+1)); negative samples land in a mirrored
-// bucket set, and zero has its own counter. Observe is lock-free (atomic
-// bucket increments) and nil-receiver safe, so a disabled histogram is a
-// single branch.
+// nanoseconds, signed time offsets, counts). Bucket k covers magnitudes
+// [2^k, 2^(k+1)); negative samples land in a mirrored bucket set, and zero
+// has its own counter. It is filled and formatted on one goroutine: the trace
+// report's arrival-offset chart.
 type Hist struct {
 	Name string
 	Unit string // "ns" renders durations; anything else renders raw counts
 
-	zero  atomic.Int64
-	pos   [64]atomic.Int64
-	neg   [64]atomic.Int64
-	count atomic.Int64
-	sum   atomic.Int64
+	zero     int64
+	pos, neg [64]int64
+	count    int64
+	sum      int64
 }
 
-// Observe records one sample. No-op on a nil receiver.
+// Observe records one sample.
 func (h *Hist) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.count++
+	h.sum += v
 	switch {
 	case v == 0:
-		h.zero.Add(1)
+		h.zero++
 	case v > 0:
-		h.pos[bits.Len64(uint64(v))-1].Add(1)
+		h.pos[bits.Len64(uint64(v))-1]++
 	default:
-		h.neg[bits.Len64(uint64(-v))-1].Add(1)
+		h.neg[bits.Len64(uint64(-v))-1]++
 	}
 }
 
-// ObserveDuration records a duration sample in nanoseconds.
-func (h *Hist) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
+// Count returns the number of samples.
+func (h *Hist) Count() int64 { return h.count }
 
-// Count returns the number of samples (0 for nil).
-func (h *Hist) Count() int64 {
-	if h == nil {
-		return 0
+// Format renders the histogram as an ASCII bar chart, one line per non-empty
+// bucket in ascending order (most negative first, then zero, then positive),
+// scaled to the largest bucket.
+func (h *Hist) Format(w io.Writer) {
+	var mean float64
+	if h.count > 0 {
+		mean = float64(h.sum) / float64(h.count)
 	}
-	return h.count.Load()
-}
-
-// Bucket is one non-empty histogram bucket covering [Lo, Hi).
-type Bucket struct {
-	Lo, Hi int64
-	Count  int64
-}
-
-// HistSnapshot is a point-in-time copy of a histogram, safe to format and
-// serialize while recording continues.
-type HistSnapshot struct {
-	Name    string   `json:"name"`
-	Unit    string   `json:"unit"`
-	Count   int64    `json:"count"`
-	Mean    float64  `json:"mean"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// Snapshot copies the current bucket counts (ascending bucket order:
-// most-negative first, then zero, then positive).
-func (h *Hist) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	s := HistSnapshot{Name: h.Name, Unit: h.Unit, Count: h.count.Load()}
-	if s.Count > 0 {
-		s.Mean = float64(h.sum.Load()) / float64(s.Count)
-	}
-	for k := 63; k >= 0; k-- {
-		if c := h.neg[k].Load(); c > 0 {
-			s.Buckets = append(s.Buckets, Bucket{Lo: -(int64(1) << uint(k+1)), Hi: -(int64(1) << uint(k)) + 1, Count: c})
-		}
-	}
-	if c := h.zero.Load(); c > 0 {
-		s.Buckets = append(s.Buckets, Bucket{Lo: 0, Hi: 1, Count: c})
-	}
-	for k := 0; k < 64; k++ {
-		if c := h.pos[k].Load(); c > 0 {
-			s.Buckets = append(s.Buckets, Bucket{Lo: int64(1) << uint(k), Hi: int64(1) << uint(k+1), Count: c})
-		}
-	}
-	return s
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket midpoints.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	target := q * float64(s.Count)
-	var seen float64
-	for _, b := range s.Buckets {
-		seen += float64(b.Count)
-		if seen >= target {
-			return float64(b.Lo+b.Hi) / 2
-		}
-	}
-	last := s.Buckets[len(s.Buckets)-1]
-	return float64(last.Lo+last.Hi) / 2
-}
-
-// Format renders the snapshot as an ASCII bar chart, one line per non-empty
-// bucket, scaled to the largest bucket.
-func (s HistSnapshot) Format(w io.Writer) {
-	fmt.Fprintf(w, "%s (%d samples, mean %s):\n", s.Name, s.Count, s.fmtVal(s.Mean))
-	if s.Count == 0 {
+	fmt.Fprintf(w, "%s (%d samples, mean %s):\n", h.Name, h.count, h.fmtVal(mean))
+	if h.count == 0 {
 		return
 	}
-	var max int64 = 1
-	for _, b := range s.Buckets {
-		if b.Count > max {
-			max = b.Count
+	type bucket struct{ lo, hi, n int64 } // [lo, hi)
+	var bs []bucket
+	for k := 63; k >= 0; k-- {
+		if n := h.neg[k]; n > 0 {
+			bs = append(bs, bucket{-(int64(1) << uint(k+1)), -(int64(1) << uint(k)) + 1, n})
 		}
 	}
-	for _, b := range s.Buckets {
-		bar := int(40 * b.Count / max)
-		if bar == 0 {
-			bar = 1
+	if h.zero > 0 {
+		bs = append(bs, bucket{0, 1, h.zero})
+	}
+	for k := 0; k < 64; k++ {
+		if n := h.pos[k]; n > 0 {
+			bs = append(bs, bucket{int64(1) << uint(k), int64(1) << uint(k+1), n})
 		}
+	}
+	var top int64 = 1
+	for _, b := range bs {
+		top = max(top, b.n)
+	}
+	for _, b := range bs {
+		bar := max(1, int(40*b.n/top))
 		fmt.Fprintf(w, "  [%12s, %12s) %s %d\n",
-			s.fmtVal(float64(b.Lo)), s.fmtVal(float64(b.Hi)),
-			strings.Repeat("#", bar), b.Count)
+			h.fmtVal(float64(b.lo)), h.fmtVal(float64(b.hi)), strings.Repeat("#", bar), b.n)
 	}
 }
 
-func (s HistSnapshot) fmtVal(v float64) string {
-	if s.Unit == "ns" {
+func (h *Hist) fmtVal(v float64) string {
+	if h.Unit == "ns" {
 		return formatDur(v)
 	}
 	return fmt.Sprintf("%.4g", v)

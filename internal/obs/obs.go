@@ -1,16 +1,15 @@
 // Package obs is the event-level tracing and metrics layer of the tree-code:
 // per-rank span timelines (sort, domain, tree build/props, local walk, and
-// the per-LET build/send/recv/walk events of the gravity pipeline),
-// log-bucketed histograms of the quantities that locate stragglers (LET
-// arrival offset relative to local-walk completion, remote-pass walk latency,
-// interaction-list lengths, mailbox queue depth, per-step imbalance), and
-// exporters: Chrome trace-event JSON (loadable in chrome://tracing or
-// Perfetto, one track per rank with one lane per thread role) and a per-step
-// JSONL metrics stream.
+// the per-LET build/send/recv/walk events of the gravity pipeline), the
+// per-step metrics record (StepMetrics), and exporters: Chrome trace-event
+// JSON (loadable in chrome://tracing or Perfetto, one track per rank with one
+// lane per thread role) and a per-step JSONL metrics stream. The trace report
+// (AnalyzeTrace) rebuilds the LET-arrival-vs-walk-completion analysis from an
+// exported trace and charts the offsets in a log-bucketed histogram.
 //
 // The hot path is built so that *disabled* tracing costs a single nil check:
 // every recording method is nil-receiver safe, so callers hold a possibly-nil
-// *RankRec / *Hist and call unconditionally. Enabled recording appends into a
+// *RankRec and call unconditionally. Enabled recording appends into a
 // preallocated per-rank span buffer through an atomic cursor — no locks, no
 // allocations, safe for the concurrent receiver/builder/compute goroutines of
 // one rank. Overflowing spans are counted and dropped, never reallocated. A
@@ -113,14 +112,13 @@ type Span struct {
 // room for several hundred traced steps.
 const DefaultSpanCap = 1 << 15
 
-// Recorder owns the per-rank span buffers, the named histograms, and the
-// per-step metrics stream. A nil *Recorder is the disabled state: all methods
-// are nil-safe and record nothing.
+// Recorder owns the per-rank span buffers and the per-step metrics stream. A
+// nil *Recorder is the disabled state: all methods are nil-safe and record
+// nothing.
 type Recorder struct {
 	epoch   time.Time
 	spanCap int
 	ranks   []RankRec
-	metrics Metrics
 
 	mu    sync.Mutex
 	steps []StepMetrics
@@ -137,7 +135,6 @@ func New(ranks, spanCap int) *Recorder {
 		epoch:   time.Now(),
 		spanCap: spanCap,
 		ranks:   make([]RankRec, ranks),
-		metrics: newMetrics(),
 	}
 	for i := range r.ranks {
 		r.ranks[i].rank = i
@@ -177,14 +174,6 @@ func (r *Recorder) Rank(i int) *RankRec {
 	rr := &r.ranks[i]
 	rr.alloc.Do(func() { rr.spans = make([]Span, r.spanCap) })
 	return rr
-}
-
-// Metrics returns the histogram set, or nil when disabled.
-func (r *Recorder) Metrics() *Metrics {
-	if r == nil {
-		return nil
-	}
-	return &r.metrics
 }
 
 // AddStep appends one per-step metrics record to the JSONL stream.

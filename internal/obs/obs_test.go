@@ -30,7 +30,7 @@ func TestPhaseNamesRoundTrip(t *testing.T) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() || r.Ranks() != 0 || r.Rank(0) != nil || r.Metrics() != nil {
+	if r.Enabled() || r.Ranks() != 0 || r.Rank(0) != nil {
 		t.Error("nil recorder accessors must report disabled")
 	}
 	r.AddStep(StepMetrics{})
@@ -43,19 +43,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	rr.Mark(0, PhaseArrive, LaneReceiver, now, 0)
 	if rr.Spans() != nil || rr.Dropped() != 0 || rr.Since(now) != 0 {
 		t.Error("nil RankRec must record nothing")
-	}
-	var h *Hist
-	h.Observe(42)
-	h.ObserveDuration(time.Second)
-	if h.Count() != 0 {
-		t.Error("nil Hist must count nothing")
-	}
-	var m *Metrics
-	for _, hp := range []*Hist{m.LETArrivalHist(), m.LETWalkHist(), m.ListLenHist(),
-		m.QueueDepthHist(), m.ImbalanceHist()} {
-		if hp != nil {
-			t.Error("nil Metrics accessors must return nil hists")
-		}
 	}
 }
 
@@ -160,44 +147,43 @@ func TestRecorderOverflowDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestHistBuckets pins the arrival chart's exact rendering: bucket bounds
+// (mirrored below zero, zero on its own), duration and count units, bar
+// scaling, and the empty histogram.
 func TestHistBuckets(t *testing.T) {
-	var h Hist
-	h.Name, h.Unit = "test", "ns"
-	for _, v := range []int64{0, 1, 1, 3, -5, 1000} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 6 {
-		t.Fatalf("Count() = %d, want 6", got)
-	}
-	snap := h.Snapshot()
-	var total int64
-	var sawNeg, sawZero bool
-	for _, b := range snap.Buckets {
-		total += b.Count
-		if b.Lo < 0 {
-			sawNeg = true
+	for _, tc := range []struct {
+		name, unit string
+		samples    []int64
+		want       string
+	}{
+		{"LET arrival offset vs local-walk completion", "ns", []int64{-3000, 0, 1, 1, 5, 2000000},
+			"LET arrival offset vs local-walk completion (6 samples, mean 332.83µs):\n" +
+				"  [     -4.10µs,      -2.05µs) #################### 1\n" +
+				"  [         0ns,          1ns) #################### 1\n" +
+				"  [         1ns,          2ns) ######################################## 2\n" +
+				"  [         4ns,          8ns) #################### 1\n" +
+				"  [      1.05ms,       2.10ms) #################### 1\n"},
+		{"interaction list", "count", []int64{-2, 0, 3, 3, 17, 1000, 1000, 1000},
+			"interaction list (8 samples, mean 377.6):\n" +
+				"  [          -4,           -1) ############# 1\n" +
+				"  [           0,            1) ############# 1\n" +
+				"  [           2,            4) ########################## 2\n" +
+				"  [          16,           32) ############# 1\n" +
+				"  [         512,         1024) ######################################## 3\n"},
+		{"empty", "ns", nil, "empty (0 samples, mean 0ns):\n"},
+	} {
+		h := Hist{Name: tc.name, Unit: tc.unit}
+		for _, v := range tc.samples {
+			h.Observe(v)
 		}
-		if b.Lo == 0 && b.Hi == 1 {
-			sawZero = true
+		if got := h.Count(); got != int64(len(tc.samples)) {
+			t.Errorf("%s: Count() = %d, want %d", tc.name, got, len(tc.samples))
 		}
-		// every observation must fall inside its bucket bounds
-		if b.Lo > b.Hi {
-			t.Errorf("bucket [%d,%d] inverted", b.Lo, b.Hi)
+		var buf bytes.Buffer
+		h.Format(&buf)
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s: Format =\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
-	}
-	if total != 6 {
-		t.Errorf("bucket counts sum to %d, want 6", total)
-	}
-	if !sawNeg || !sawZero {
-		t.Errorf("expected negative and zero buckets (neg=%v zero=%v)", sawNeg, sawZero)
-	}
-	if q := snap.Quantile(0.5); q < 0 || q > 4 {
-		t.Errorf("median %v outside plausible [0,4]", q)
-	}
-	var buf bytes.Buffer
-	snap.Format(&buf)
-	if !strings.Contains(buf.String(), "test") {
-		t.Error("Format omitted the histogram name")
 	}
 }
 
@@ -284,6 +270,38 @@ func TestAnalyzeTraceStraggler(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 hidden, 1 late") {
 		t.Errorf("report does not classify the arrivals:\n%s", out)
+	}
+}
+
+// TestAnalyzeTraceArrivalWithoutWalkEnd: a rank whose evaluation kept an
+// arrival but lost its local-walk spans (a truncated trace, a full span
+// buffer) has nothing to measure the arrival against. It is neither hidden
+// nor late, and the report says so instead of printing NaN offsets.
+func TestAnalyzeTraceArrivalWithoutWalkEnd(t *testing.T) {
+	r := New(1, 16)
+	base := time.Now()
+	r.Rank(0).Span(0, PhaseSortBuild, LaneCompute, 0, base, base.Add(100*time.Microsecond), 0)
+	r.Rank(0).Mark(0, PhaseArrive, LaneReceiver, base.Add(50*time.Microsecond), 1)
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ParseChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := AnalyzeTrace(events)
+	if len(rep.Steps) != 1 || len(rep.Steps[0].Ranks) != 1 {
+		t.Fatalf("got %d evaluations, want 1 with one rank", len(rep.Steps))
+	}
+	if rr := rep.Steps[0].Ranks[0]; rr.Hidden != 0 || rr.Late != 0 || rr.NoWalkEnd != 1 {
+		t.Errorf("hidden=%d late=%d no-walk-end=%d, want 0, 0, 1", rr.Hidden, rr.Late, rr.NoWalkEnd)
+	}
+	buf.Reset()
+	rep.Format(&buf)
+	out := buf.String()
+	if strings.Contains(out, "NaN") || !strings.Contains(out, "no local-walk end") {
+		t.Errorf("report must name the unmeasured arrival without NaN:\n%s", out)
 	}
 }
 

@@ -19,6 +19,7 @@ type RankStepReport struct {
 	ArrivalsUS []float64 // full-LET arrival offsets vs WalkEndUS, µs (negative = hidden)
 	Hidden     int       // arrivals with offset <= 0
 	Late       int       // arrivals with offset > 0
+	NoWalkEnd  int       // arrivals with nothing to measure against: WalkEndUS is NaN
 	Passes     int       // batched remote-tree passes (walk:let + walk:boundary spans)
 	PassTrees  int       // remote trees walked over those passes
 }
@@ -129,16 +130,19 @@ func AnalyzeTrace(events []TraceEvent) TraceReport {
 				Passes: a.passes, PassTrees: a.passTrees}
 			startLo = math.Min(startLo, a.first)
 			startHi = math.Max(startHi, a.first)
-			for _, ts := range a.arrivals {
-				off := ts - a.walkEnd
-				if math.IsNaN(a.walkEnd) {
-					off = math.NaN()
-				}
-				rr.ArrivalsUS = append(rr.ArrivalsUS, off)
-				if off > 0 {
-					rr.Late++
-				} else {
-					rr.Hidden++
+			// A truncated trace or a full span buffer can keep a rank's
+			// arrivals but lose its walk end: those are neither hidden nor late.
+			if math.IsNaN(a.walkEnd) {
+				rr.NoWalkEnd = len(a.arrivals)
+			} else {
+				for _, ts := range a.arrivals {
+					off := ts - a.walkEnd
+					rr.ArrivalsUS = append(rr.ArrivalsUS, off)
+					if off > 0 {
+						rr.Late++
+					} else {
+						rr.Hidden++
+					}
 				}
 			}
 			sr.MeanBusy += rr.BusyUS
@@ -187,9 +191,7 @@ func (rep TraceReport) Format(w io.Writer) {
 	if rep.NumRanks > 1 {
 		fmt.Fprintf(w, "cross-rank start skew: max %.3f ms over the run\n", rep.MaxStartSkewUS/1e3)
 	}
-	var all Hist
-	all.Name = "LET arrival offset vs local-walk completion"
-	all.Unit = "ns"
+	all := Hist{Name: "LET arrival offset vs local-walk completion", Unit: "ns"}
 	passes, passTrees, rankEvals := 0, 0, 0
 	for _, sr := range rep.Steps {
 		over := 0.0
@@ -203,18 +205,19 @@ func (rep TraceReport) Format(w io.Writer) {
 			passTrees += rr.PassTrees
 			rankEvals++
 			line := fmt.Sprintf("  rank %d: busy %8.2f ms", rr.Rank, rr.BusyUS/1e3)
-			if len(rr.ArrivalsUS) > 0 {
+			switch {
+			case len(rr.ArrivalsUS) > 0:
 				lo, hi := math.Inf(1), math.Inf(-1)
 				for _, off := range rr.ArrivalsUS {
 					lo = math.Min(lo, off)
 					hi = math.Max(hi, off)
-					if !math.IsNaN(off) {
-						all.Observe(int64(off * 1e3)) // µs → ns
-					}
+					all.Observe(int64(off * 1e3)) // µs → ns
 				}
 				line += fmt.Sprintf("  LET arrivals: %d hidden, %d late, offsets [%s, %s]",
 					rr.Hidden, rr.Late, formatDur(lo*1e3), formatDur(hi*1e3))
-			} else {
+			case rr.NoWalkEnd > 0:
+				line += fmt.Sprintf("  LET arrivals: %d, no local-walk end to measure them against", rr.NoWalkEnd)
+			default:
 				line += "  LET arrivals: none"
 			}
 			fmt.Fprintln(w, line)
@@ -225,7 +228,7 @@ func (rep TraceReport) Format(w io.Writer) {
 			float64(passes)/float64(rankEvals), float64(passTrees)/float64(passes))
 	}
 	fmt.Fprintln(w)
-	all.Snapshot().Format(w)
+	all.Format(w)
 }
 
 // FormatMetricsSummary prints the per-step JSONL metrics stream as the same

@@ -1,15 +1,14 @@
 // Package telemetry is the fleet view of a traced run. Rank 0 holds it: per
 // force evaluation it folds every rank's record into the run's one metrics
-// stream, feeds the imbalance histogram and an online straggler watchdog, and
-// keeps each rank's latest record for the Prometheus gauges. At run end it
-// holds every rank's span track aligned on its own clock, for one merged
-// trace.
+// stream, feeds an online straggler watchdog, and keeps each rank's latest
+// record for the Prometheus gauges. At run end it holds every rank's span
+// track aligned on its own clock, for one merged trace.
 //
 // An in-process Simulation feeds the fleet view directly. A multi-process run
 // feeds it over the mpi.World its ranks already share (plane.go): a gather of
 // each step's evaluation records, and one run-end collective that estimates
-// every rank's clock offset and carries the spans, histograms and per-peer
-// byte rows. There is no second channel beside the world.
+// every rank's clock offset and carries the spans and per-peer byte rows.
+// There is no second channel beside the world.
 package telemetry
 
 import (
@@ -48,13 +47,11 @@ func (f *Fleet) Watch(mult float64, logf func(format string, args ...any)) {
 }
 
 // Observe takes one force evaluation's records, indexed by rank: it appends
-// their FoldRanks to the recorder's metrics stream, feeds the imbalance
-// histogram, keeps each record as its rank's latest, and has the watchdog
-// judge the evaluation.
+// their FoldRanks to the recorder's metrics stream, keeps each record as its
+// rank's latest, and has the watchdog judge the evaluation.
 func (f *Fleet) Observe(per []obs.StepMetrics) {
 	var m obs.StepMetrics
 	obs.FoldRanks(&m, per)
-	f.rec.Metrics().ImbalanceHist().Observe(int64(m.MaxTimes[obs.Total] - m.Times[obs.Total]))
 	f.rec.AddStep(m)
 	f.mu.Lock()
 	copy(f.latest, per)
@@ -85,11 +82,10 @@ func (f *Fleet) End() *End {
 // End is a multi-process run's end-of-run state as rank 0 holds it, indexed
 // by rank.
 type End struct {
-	Tracks  []obs.RankTrack      // span tracks, ShiftNS aligning each on the merged timeline
-	Offsets []int64              // recorder-clock offset vs rank 0's, ns (0 for rank 0)
-	Uncerts []int64              // ± bound of each offset: half the best probe round trip, ns
-	Hists   [][]obs.HistSnapshot // histogram snapshots
-	Pair    [][]int64            // cumulative bytes sent, [from][to]
+	Tracks  []obs.RankTrack // span tracks, ShiftNS aligning each on the merged timeline
+	Offsets []int64         // recorder-clock offset vs rank 0's, ns (0 for rank 0)
+	Uncerts []int64         // ± bound of each offset: half the best probe round trip, ns
+	Pair    [][]int64       // cumulative bytes sent, [from][to]
 }
 
 // MaxUncertainty is the bound on residual cross-rank clock skew in the

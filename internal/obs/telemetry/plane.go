@@ -52,29 +52,28 @@ const clockProbes = 16
 
 // rankEnd is what one rank sends rank 0 at run end.
 type rankEnd struct {
-	Track obs.RankTrack      `json:"track"`
-	Hists []obs.HistSnapshot `json:"hists"`
-	Pair  []int64            `json:"pair"`
+	Track obs.RankTrack `json:"track"`
+	Pair  []int64       `json:"pair"`
 }
 
 // GatherEnd is the run-end collective of a traced multi-process run: rank 0
 // estimates every rank's recorder-clock offset against its own (syncClocks),
-// then every rank sends it its span track, histogram snapshots and per-peer
-// byte row. Rank 0 returns them as one End, every other rank nil. Call after
-// the rank's last step, when its recording goroutines are joined.
+// then every rank sends it its span track and per-peer byte row. Rank 0
+// returns them as one End, every other rank nil. Call after the rank's last
+// step, when its recording goroutines are joined.
 func GatherEnd(c *mpi.Comm, rec *obs.Recorder) (*End, error) {
 	offsets, uncerts := syncClocks(c, rec)
 	me := c.Rank()
-	mine := rankEnd{Track: rec.Tracks()[me], Hists: rec.Metrics().Snapshot(), Pair: make([]int64, c.Size())}
+	mine := rankEnd{Track: rec.Tracks()[me], Pair: make([]int64, c.Size())}
 	for to := range mine.Pair {
 		mine.Pair[to] = c.World().PairBytes(me, to)
 	}
-	b, _ := json.Marshal(mine) // integers and finite means only: cannot fail
+	b, _ := json.Marshal(mine) // integers only: cannot fail
 	all := mpi.Gather(c, 0, b, len(b))
 	if all == nil {
 		return nil, nil
 	}
-	e := &End{Offsets: offsets, Uncerts: uncerts, Hists: make([][]obs.HistSnapshot, len(all)), Pair: make([][]int64, len(all))}
+	e := &End{Offsets: offsets, Uncerts: uncerts, Pair: make([][]int64, len(all))}
 	for r, b := range all {
 		var re rankEnd
 		if err := json.Unmarshal(b, &re); err != nil {
@@ -82,7 +81,7 @@ func GatherEnd(c *mpi.Comm, rec *obs.Recorder) (*End, error) {
 		}
 		re.Track.Rank = r
 		e.Tracks = append(e.Tracks, re.Track)
-		e.Hists[r], e.Pair[r] = re.Hists, re.Pair
+		e.Pair[r] = re.Pair
 	}
 	e.align()
 	return e, nil

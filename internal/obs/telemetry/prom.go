@@ -103,8 +103,8 @@ func writeStepProm(p *promWriter, m *obs.StepMetrics, rank int) {
 
 // WriteProm writes the fleet view in Prometheus text format: every rank's
 // gauges from its latest record and the watchdog's alert count, and once the
-// run-end state is in, each rank's clock offset and its uncertainty, the
-// pair-byte totals and the mean mailbox depth.
+// run-end state is in, each rank's clock offset and its uncertainty and the
+// pair-byte totals.
 func (f *Fleet) WriteProm(w io.Writer) error {
 	f.mu.Lock()
 	latest := append([]obs.StepMetrics(nil), f.latest...)
@@ -131,14 +131,6 @@ func (f *Fleet) WriteProm(w io.Writer) error {
 				if b > 0 {
 					p.counter("bonsai_pair_bytes", "cumulative wire bytes by (sender, receiver) rank pair",
 						[]label{{"from", strconv.Itoa(from)}, {"to", strconv.Itoa(to)}}, float64(b))
-				}
-			}
-		}
-		for rank, hists := range end.Hists {
-			for _, h := range hists {
-				if h.Name == "mailbox_queue_depth" && h.Count > 0 {
-					p.gauge("bonsai_mailbox_depth_mean", "mean receive-mailbox depth observed by sends",
-						rankLabel(rank), h.Mean)
 				}
 			}
 		}

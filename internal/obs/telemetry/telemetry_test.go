@@ -56,7 +56,7 @@ func TestClockSyncAlignsStaggeredClocks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const ranks = 2
 			w := tc.world(t)
-			w.EnableObs(nil)
+			w.MeterPairs()
 			rec0 := obs.New(ranks, 0)
 			time.Sleep(60 * time.Millisecond) // stagger the epochs like forked workers
 			recs := []*obs.Recorder{rec0, obs.New(ranks, 0)}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"bonsai/internal/grav"
-	"bonsai/internal/obs"
 	"bonsai/internal/vec"
 )
 
@@ -290,7 +289,7 @@ func (w *Walker) Append(src Source, cells []ViewCell, box vec.Box) (forced int64
 // many trees contributed. Each group writes a disjoint [Start, Start+N) range
 // of acc/pot, so concurrent workers never contend.
 func (w *Walker) walkGroup(srcs []viewedSource, g *Group, tpos []vec.V3, eps2 float64,
-	acc []vec.V3, pot []float64, st *grav.Stats, listLen *obs.Hist) (forced int64) {
+	acc []vec.V3, pot []float64, st *grav.Stats) (forced int64) {
 
 	w.Reset()
 	for i := range srcs {
@@ -299,7 +298,6 @@ func (w *Walker) walkGroup(srcs []viewedSource, g *Group, tpos []vec.V3, eps2 fl
 	lo, hi := g.Start, g.Start+g.N
 	tg := &w.tg
 	tg.Gather(tpos[lo:hi])
-	listLen.Observe(int64(w.PC.Len() + w.PP.Len()))
 
 	grav.PCBatch(tg.X, tg.Y, tg.Z, &w.PC, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
 	grav.PPBatch(tg.X, tg.Y, tg.Z, &w.PP, eps2, tg.AX, tg.AY, tg.AZ, tg.Pot)
@@ -325,10 +323,9 @@ var walkerPool = sync.Pool{New: func() any { return &Walker{} }}
 // workers claim groups from a shared atomic counter, so no worker ever blocks
 // on a feeder channel and the tail of the group list is stolen by whichever
 // workers finish early. Interaction counts are added to st if non-nil, merged
-// with atomic adds; every group's merged list length is recorded into listLen
-// if non-nil.
+// with atomic adds.
 func WalkSources(srcs []Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forced int64) {
+	acc []vec.V3, pot []float64, workers int, st *grav.Stats) (forced int64) {
 
 	if len(groups) == 0 {
 		return 0
@@ -351,7 +348,7 @@ func WalkSources(srcs []Source, groups []Group, tpos []vec.V3, theta, eps2 float
 	if workers <= 1 {
 		var local grav.Stats
 		for g := range groups {
-			forced += lead.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local, listLen)
+			forced += lead.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local)
 		}
 		if st != nil {
 			st.Add(local)
@@ -373,7 +370,7 @@ func WalkSources(srcs []Source, groups []Group, tpos []vec.V3, theta, eps2 float
 				if g >= len(groups) {
 					break
 				}
-				forced += w.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local, listLen)
+				forced += w.walkGroup(viewed, &groups[g], tpos, eps2, acc, pot, &local)
 			}
 			walkerPool.Put(w)
 			if st != nil {
@@ -388,8 +385,8 @@ func WalkSources(srcs []Source, groups []Group, tpos []vec.V3, theta, eps2 float
 
 // WalkSource is the one-tree case of WalkSources.
 func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forced int64) {
-	return WalkSources([]Source{src}, groups, tpos, theta, eps2, acc, pot, workers, st, listLen)
+	acc []vec.V3, pot []float64, workers int, st *grav.Stats) (forced int64) {
+	return WalkSources([]Source{src}, groups, tpos, theta, eps2, acc, pot, workers, st)
 }
 
 // Walk computes gravitational forces exerted by this tree's mass distribution
@@ -397,5 +394,5 @@ func WalkSource(src Source, groups []Group, tpos []vec.V3, theta, eps2 float64,
 // acc and pot; callers zero them first when appropriate.
 func (t *Tree) Walk(groups []Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats) {
-	WalkSource(t, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
+	WalkSource(t, groups, tpos, theta, eps2, acc, pot, workers, st)
 }

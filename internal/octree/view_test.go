@@ -203,7 +203,7 @@ func TestWarmWalkAllocFree(t *testing.T) {
 		other, _ := BuildFrom(p, m, 16, 1)
 		srcs = append(srcs, other)
 	}
-	pass := func() { WalkSources(srcs, groups, tr.Pos, 0.4, 1e-4, acc, pot, 1, &st, nil) }
+	pass := func() { WalkSources(srcs, groups, tr.Pos, 0.4, 1e-4, acc, pot, 1, &st) }
 	pass()
 	if n := testing.AllocsPerRun(5, pass); n != 0 {
 		t.Fatalf("warm WalkSources over %d trees at workers=1 allocated %v times per run", len(srcs), n)

@@ -368,11 +368,10 @@ func (x *exchange) flush() {
 	}
 	tW := time.Now()
 	forced := octree.WalkSources(pass, t.groups, t.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening,
-		t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
+		t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav)
 	d := time.Since(tW)
 	x.letWalk += d
 	r.obs.Span(r.eval, ph, obs.LaneCompute, 0, tW, tW.Add(d), int64(len(pass)))
-	r.met.LETWalkHist().ObserveDuration(d)
 	if forced != 0 {
 		panic(fmt.Sprintf("sim: rank %d: %d remote trees (%d received LETs, the rest boundary trees judged sufficient) forced %d accepts",
 			r.comm.Rank(), len(pass), x.readyLETs, forced))
@@ -424,7 +423,6 @@ func (x *exchange) finish() {
 		worst := int64(math.MinInt64)
 		for _, a := range x.arrivalNS {
 			off := a - x.walkEndNS
-			r.met.LETArrivalHist().Observe(off)
 			worst = max(worst, off)
 		}
 		r.stats.WorstArrival = time.Duration(worst)

@@ -40,9 +40,10 @@ type Node struct {
 // dropped: the first decomposition weighs every particle alike, and later
 // ones use the work the step itself measured.
 //
-// With cfg.Tracing the node records its own rank's spans and histograms, the
-// world meters its mailboxes into them, and rank 0 holds the fleet view the
-// other ranks' step records are gathered to (telemetry.GatherStep).
+// With cfg.Tracing the node records its own rank's spans, the world meters
+// its bytes per rank pair (for telemetry.GatherEnd), and rank 0 holds the
+// fleet view the other ranks' step records are gathered to
+// (telemetry.GatherStep).
 func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node, error) {
 	var rec *obs.Recorder
 	if cfg.Tracing {
@@ -52,7 +53,7 @@ func NewNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle) (*Node
 	if err != nil || rec == nil {
 		return n, err
 	}
-	meterWorld(w, rec)
+	w.MeterPairs()
 	if rankID == 0 {
 		n.fleet = telemetry.NewFleet(rec, w.Size())
 	}
@@ -95,7 +96,6 @@ func newNode(cfg Config, w *mpi.World, rankID int, parts []body.Particle, rec *o
 		parts: local,
 		dec:   domain.Uniform(cfg.Ranks),
 		obs:   rec.Rank(rankID),
-		met:   rec.Metrics(),
 	}
 	return n, nil
 }

@@ -189,7 +189,7 @@ func TestNodeTCPPairBytesConsistentWithDeclared(t *testing.T) {
 	cfg := Config{Ranks: ranks, DT: 1e-3}
 	parts := plummer(nPart, 7)
 	w := newTestSockWorld(t, "tcp", ranks)
-	w.EnableObs(nil)
+	w.MeterPairs()
 	runNodes(t, cfg, w, parts, steps)
 
 	var framed, declared int64

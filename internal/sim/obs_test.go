@@ -72,7 +72,7 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 
 // TestTracingIntegration runs a traced 8-rank simulation and checks every
 // layer of the observability stack end to end: spans recorded on each rank,
-// histograms fed, the Chrome trace exports and parses, the analysis finds a
+// arrivals measured, the Chrome trace exports and parses, the analysis finds a
 // straggler, and the metrics stream round-trips. Run under -race (make race)
 // this doubles as the concurrency test for recording from the receiver,
 // builder, and compute goroutines at once.
@@ -109,14 +109,8 @@ func TestTracingIntegration(t *testing.T) {
 		}
 	}
 
-	m := rec.Metrics()
-	if stats.LETsRecv > 0 {
-		if got := m.LETArrivalHist().Count(); got == 0 {
-			t.Error("LETs were received but the arrival histogram is empty")
-		}
-	}
-	// One walk:let / walk:boundary span and one LETWalkHist sample per
-	// batched pass; the passes' tree counts add up to every pair slot.
+	// One walk:let / walk:boundary span per batched pass; the passes' tree
+	// counts add up to every pair slot.
 	var passes, passTrees int64
 	for i := 0; i < ranks; i++ {
 		for _, sp := range rec.Rank(i).Spans() {
@@ -126,8 +120,8 @@ func TestTracingIntegration(t *testing.T) {
 			}
 		}
 	}
-	if passes == 0 || m.LETWalkHist().Count() != passes {
-		t.Errorf("%d batched passes traced, walk-latency histogram holds %d samples", passes, m.LETWalkHist().Count())
+	if passes == 0 {
+		t.Error("no batched remote-tree pass traced")
 	}
 	// The first step's record folds its priming evaluation and the one at
 	// t+dt.
@@ -135,31 +129,11 @@ func TestTracingIntegration(t *testing.T) {
 		t.Errorf("pass spans count %d trees over 3 evaluations, the first step's 2 evaluations served %d; want %d pair slots each",
 			passTrees, stats.LETsRecv+stats.BoundaryUsed, slots)
 	}
-	if m.ListLenHist().Count() == 0 {
-		t.Error("interaction-list histogram is empty")
-	}
-	if m.QueueDepthHist().Count() == 0 {
-		t.Error("mailbox queue-depth histogram is empty")
-	}
-	if m.ImbalanceHist().Count() == 0 {
-		t.Error("imbalance histogram is empty")
-	}
 	for _, a := range rec.Steps() {
 		totalArrivals += a.ArrivalsSeen
 	}
 	if stats.LETsRecv > 0 && totalArrivals == 0 {
 		t.Error("no LET arrivals measured against walk completion")
-	}
-
-	// Pair-bytes matrix: the traffic totals must agree with the global meter.
-	var pair int64
-	for from := 0; from < ranks; from++ {
-		for to := 0; to < ranks; to++ {
-			pair += s.World().PairBytes(from, to)
-		}
-	}
-	if pair != s.World().TotalBytes() {
-		t.Errorf("pair-bytes matrix sums to %d, total meter says %d", pair, s.World().TotalBytes())
 	}
 
 	// Chrome trace export → parse → analysis.

@@ -52,11 +52,9 @@ type rank struct {
 	weights []float64
 	ts      octree.BuildScratch
 
-	// Observability (all nil when tracing is disabled): the rank's span
-	// buffer, the shared histogram set, and the current evaluation sequence
-	// number.
+	// Observability (nil when tracing is disabled): the rank's span buffer,
+	// and the current evaluation sequence number.
 	obs  *obs.RankRec
-	met  *obs.Metrics
 	eval int
 
 	// The current gravity phase's LET exchange; its per-peer tables are
@@ -398,7 +396,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		n := min(chunk, len(pending))
 		tL := time.Now()
 		octree.WalkSource(r.tree, pending[:n], t.pos, theta, eps2, t.acc, t.pot,
-			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
+			r.cfg.WorkersPerRank, &r.stats.Grav)
 		d := time.Since(tL)
 		localWalk += d
 		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(d), int64(n))

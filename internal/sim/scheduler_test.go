@@ -105,7 +105,7 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 		cfg := *ref.cfg
 		cfg.SerialLET = serial
 		r := &rank{
-			cfg: &cfg, comm: w.Comm(me), obs: rec.Rank(me), met: rec.Metrics(),
+			cfg: &cfg, comm: w.Comm(me), obs: rec.Rank(me),
 			parts: ref.parts, pos: ref.pos, mass: ref.mass, tree: ref.tree, groups: ref.groups,
 			acc: make([]vec.V3, len(ref.acc)), pot: make([]float64, len(ref.pot)),
 		}

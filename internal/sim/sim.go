@@ -104,9 +104,9 @@ type Config struct {
 	SerialLET bool
 
 	// Tracing enables the event-level observability layer: per-rank span
-	// timelines, LET-arrival and walk histograms, MPI queue-depth and
-	// frame-size metering, and a per-evaluation metrics record folded over
-	// ranks into the fleet view (held by rank 0). Disabled (the default) it
+	// timelines, LET arrivals measured against local-walk completion, and a
+	// per-evaluation metrics record folded over ranks into the fleet view
+	// (held by rank 0); a NodeSimulation also meters its bytes per rank pair. Disabled (the default) it
 	// costs one nil check per record point, sends no message, and does not
 	// change results.
 	Tracing bool
@@ -220,7 +220,6 @@ func newSimulation(cfg Config, parts []body.Particle, spanCap int) (*Simulation,
 	s := &Simulation{world: mpi.NewWorld(cfg.Ranks), recs: make([]obs.StepMetrics, cfg.Ranks)}
 	if cfg.Tracing {
 		s.rec = obs.New(cfg.Ranks, spanCap)
-		meterWorld(s.world, s.rec)
 		s.fleet = telemetry.NewFleet(s.rec, cfg.Ranks)
 	}
 	for r := 0; r < cfg.Ranks; r++ {
@@ -231,13 +230,6 @@ func newSimulation(cfg Config, parts []body.Particle, spanCap int) (*Simulation,
 		s.nodes = append(s.nodes, n)
 	}
 	return s, nil
-}
-
-// meterWorld points the world's mailbox queue-depth and frame-size meters at
-// the recorder's histograms.
-func meterWorld(w *mpi.World, rec *obs.Recorder) {
-	w.EnableObs(rec.Metrics().QueueDepthHist())
-	w.ObserveFrameBytes(rec.Metrics().FrameBytesHist())
 }
 
 // Config returns the effective (default-filled) configuration.

@@ -55,7 +55,7 @@ func BenchmarkWalkRemote_P64(b *testing.B) {
 	var st grav.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := octree.WalkSources(srcs, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st, nil); f != 0 {
+		if f := octree.WalkSources(srcs, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st); f != 0 {
 			b.Fatalf("%d forced accepts", f)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkWalkRemote_P64_PerTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range srcs {
-			octree.WalkSource(src, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st, nil)
+			octree.WalkSource(src, r.groups, r.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening, acc, pot, 1, &st)
 		}
 	}
 	b.ReportMetric(st.Gflops(b.Elapsed()), "Gflop/s")
