@@ -1,7 +1,7 @@
 GO ?= go
-BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
+BENCH_TXT ?= BENCH_$(shell date +%Y-%m-%d).txt
 
-.PHONY: tier1 vet build test race fuzz-smoke bench bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
+.PHONY: tier1 vet build test race fuzz-smoke bench bench-smoke bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
 # tier1 is the pre-merge gate: static checks, full build and test suite
 # (including the noasm scalar-only configuration of the force kernels, and
@@ -95,8 +95,10 @@ race:
 # / groups, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
 # equivalent (wall-clock per simulated time + energy drift in ppm), three
-# samples each, recorded as BENCH_<date>.json for local use (git-ignored: the
-# rows compare only on one host; the gate is `go run ./benchmark compare`).
+# samples each. go test's own output is shown and kept as BENCH_<date>.txt,
+# the text format benchstat reads, for local use (git-ignored: the rows compare
+# only on one host; the gate is `go run ./benchmark compare`). The pipe into
+# tee hides go test's exit status, so the recipe fails on any FAIL line.
 bench:
 	@{ $(GO) test -run XXX -bench 'BenchmarkKernels' -benchtime 300x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkKernelTiers' -benchtime 2000x -count=3 ./internal/grav ; \
@@ -108,7 +110,13 @@ bench:
 	   $(GO) test -run XXX -bench 'BenchmarkPingPong|BenchmarkAllgather' -benchtime 200x -count=3 ./internal/mpi ; \
 	   $(GO) test -run XXX -bench 'BenchmarkExchangeScale' -benchtime 1x -count=3 . ; \
 	   $(GO) test -run XXX -bench 'BenchmarkBlockSteps' -benchtime 1x -count=3 . ; } \
-	  | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
+	  | tee $(BENCH_TXT) && ! grep -q '^FAIL' $(BENCH_TXT)
+
+# Every Benchmark* function in the module, run once: a benchmark that no
+# longer builds, panics or calls b.Fatal fails here instead of rotting
+# unnoticed until someone next runs `make bench`.
+bench-smoke:
+	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
 # Serial vs pipelined gravity phase; nonhidden_ms should drop and
 # overlap_% rise in the Pipelined rows.

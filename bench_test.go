@@ -1,18 +1,18 @@
-// Benchmarks regenerating the paper's tables and figures at repository
-// scale. Each benchmark corresponds to an entry of DESIGN.md's
-// per-experiment index; `cmd/benchfigs` prints the full paper-vs-reproduction
-// comparison using the same machinery.
+// Microbenchmarks of the engine through the public API: the force kernels,
+// the tree walk against the TreePM mesh baseline, the block-timestep
+// integrator, the LET exchange at scale and the pipelined gravity phase. The
+// paper's figures, Table II and the design-choice ablations are produced by
+// `cmd/benchfigs`, not here.
 //
-// Naming: BenchmarkFig1_* (force-kernel bars), BenchmarkFig4_* (weak
-// scaling), BenchmarkTable2_* (phase breakdown), BenchmarkStrong_* (strong
-// scaling), BenchmarkAblation_* (design-choice sweeps from DESIGN.md §5).
+// Naming: BenchmarkOverlap_* (§III.B.3 overlap), BenchmarkKernels_* (force
+// kernels), BenchmarkBaselinePM_* (§I baseline), BenchmarkBlockSteps_* (block
+// timesteps), BenchmarkExchangeScale_* (all-pairs LET exchange).
 package bonsai
 
 import (
 	"math/rand"
 	"testing"
 
-	"bonsai/internal/device"
 	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/octree"
@@ -34,233 +34,12 @@ func mwPoints(n int) (pos []vec.V3, mass []float64) {
 }
 
 // mwSample builds a Morton-ordered octree over an n-particle Milky Way
-// sample with the paper's leaf and group sizes (16 and 64), shared across the
-// Fig. 1 kernel benchmarks, which model the paper's GPUs.
+// sample with the paper's leaf and group sizes (16 and 64).
 func mwSample(n int) (*octree.Tree, []octree.Group) {
 	pos, mass := mwPoints(n)
 	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
 	return tr, octree.GroupsOf(tr.Pos, 64)
 }
-
-// benchFig1Tree emulates one Fig. 1 tree-kernel bar.
-func benchFig1Tree(b *testing.B, spec device.Spec, kernel device.Kernel, paperGflops float64) {
-	tr, groups := mwSample(60_000)
-	n := tr.NumParticles()
-	acc := make([]vec.V3, n)
-	pot := make([]float64, n)
-	var modelGflops float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range acc {
-			acc[j], pot[j] = vec.V3{}, 0
-		}
-		run, err := device.ExecuteTreeWalk(spec, kernel, tr, groups, tr.Pos, 0.4, 1e-4, acc, pot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		modelGflops = run.ModelGflops
-	}
-	b.ReportMetric(modelGflops, "modelGflops")
-	b.ReportMetric(paperGflops, "paperGflops")
-}
-
-func BenchmarkFig1_TreeKernel_C2075_Original(b *testing.B) {
-	benchFig1Tree(b, device.C2075(), device.TreeKernelFermi(), 460)
-}
-
-func BenchmarkFig1_TreeKernel_K20X_Original(b *testing.B) {
-	benchFig1Tree(b, device.K20X(), device.TreeKernelFermi(), 829)
-}
-
-func BenchmarkFig1_TreeKernel_K20X_Tuned(b *testing.B) {
-	benchFig1Tree(b, device.K20X(), device.TreeKernelKeplerTuned(), 1746)
-}
-
-func benchFig1Direct(b *testing.B, spec device.Spec, paperGflops float64) {
-	parts := ic.DefaultMilkyWay().Realize(4096, 2, 0)
-	pos := make([]vec.V3, len(parts))
-	mass := make([]float64, len(parts))
-	for i, p := range parts {
-		pos[i] = p.Pos
-		mass[i] = p.Mass
-	}
-	acc := make([]vec.V3, len(pos))
-	pot := make([]float64, len(pos))
-	var modelGflops float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range acc {
-			acc[j], pot[j] = vec.V3{}, 0
-		}
-		run, err := device.ExecuteDirect(spec, device.DirectKernel(), pos, mass, 1e-4, acc, pot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		modelGflops = run.ModelGflops
-	}
-	b.ReportMetric(modelGflops, "modelGflops")
-	b.ReportMetric(paperGflops, "paperGflops")
-}
-
-func BenchmarkFig1_Direct_C2075(b *testing.B) { benchFig1Direct(b, device.C2075(), 638) }
-func BenchmarkFig1_Direct_K20X(b *testing.B)  { benchFig1Direct(b, device.K20X(), 1768) }
-
-// ---------------------------------------------------------------------------
-// Fig. 4: weak scaling (fixed particles per rank).
-
-func benchWeak(b *testing.B, ranks int) {
-	const perRank = 8000
-	parts := NewMilkyWay(perRank*ranks, 3)
-	s, err := New(Config{Ranks: ranks, Theta: 0.4, Softening: SofteningForN(len(parts)), GravConst: G}, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.ComputeForces() // settle domains
-	var st StepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = s.ComputeForces()
-	}
-	b.ReportMetric(st.WalkGflops, "walkGflops")
-	b.ReportMetric(st.AppGflops, "appGflops")
-	b.ReportMetric(st.PCPerParticle, "pc/particle")
-	b.ReportMetric(st.PPPerParticle, "pp/particle")
-}
-
-func BenchmarkFig4_Weak_R1(b *testing.B) { benchWeak(b, 1) }
-func BenchmarkFig4_Weak_R2(b *testing.B) { benchWeak(b, 2) }
-func BenchmarkFig4_Weak_R4(b *testing.B) { benchWeak(b, 4) }
-func BenchmarkFig4_Weak_R8(b *testing.B) { benchWeak(b, 8) }
-
-// ---------------------------------------------------------------------------
-// Table II: phase breakdown and strong scaling (fixed total size).
-
-func benchTable2(b *testing.B, ranks int) {
-	const total = 48000
-	parts := NewMilkyWay(total, 4)
-	s, err := New(Config{Ranks: ranks, Theta: 0.4, Softening: SofteningForN(total), GravConst: G}, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.ComputeForces()
-	var st StepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = s.ComputeForces()
-	}
-	ms := func(d interface{ Seconds() float64 }) float64 { return d.Seconds() * 1e3 }
-	b.ReportMetric(ms(st.Times.SortBuild), "sortbuild_ms")
-	b.ReportMetric(ms(st.Times.Domain), "domain_ms")
-	b.ReportMetric(ms(st.Times.TreeProps), "props_ms")
-	b.ReportMetric(ms(st.Times.GravLocal), "gravLocal_ms")
-	b.ReportMetric(ms(st.Times.GravLET), "gravLET_ms")
-	b.ReportMetric(ms(st.Times.NonHiddenComm), "comm_ms")
-	b.ReportMetric(ms(st.MaxTimes.Total), "total_ms")
-	b.ReportMetric(float64(st.BytesSent), "bytes")
-}
-
-func BenchmarkTable2_Strong_R1(b *testing.B) { benchTable2(b, 1) }
-func BenchmarkTable2_Strong_R2(b *testing.B) { benchTable2(b, 2) }
-func BenchmarkTable2_Strong_R4(b *testing.B) { benchTable2(b, 4) }
-func BenchmarkTable2_Strong_R8(b *testing.B) { benchTable2(b, 8) }
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5).
-
-// #1: opening angle θ — cost claimed to grow as θ⁻³ (§IV).
-func benchTheta(b *testing.B, theta float64) {
-	tr, groups := mwSample(60_000)
-	n := tr.NumParticles()
-	acc := make([]vec.V3, n)
-	pot := make([]float64, n)
-	var flops float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range acc {
-			acc[j], pot[j] = vec.V3{}, 0
-		}
-		var st grav.Stats
-		tr.Walk(groups, tr.Pos, theta, 1e-4, acc, pot, 0, &st)
-		flops = st.Flops()
-	}
-	b.ReportMetric(flops/1e9, "Gflop/iter")
-}
-
-func BenchmarkAblation_Theta020(b *testing.B) { benchTheta(b, 0.2) }
-func BenchmarkAblation_Theta030(b *testing.B) { benchTheta(b, 0.3) }
-func BenchmarkAblation_Theta040(b *testing.B) { benchTheta(b, 0.4) }
-func BenchmarkAblation_Theta055(b *testing.B) { benchTheta(b, 0.55) }
-func BenchmarkAblation_Theta070(b *testing.B) { benchTheta(b, 0.7) }
-
-// #2: NLEAF — leaf size trades build cost against walk cost, at the default
-// group size.
-func benchNLeaf(b *testing.B, nleaf int) {
-	pos, mass := mwPoints(60_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, _ := octree.BuildFrom(pos, mass, nleaf, 0)
-		groups := tr.MakeGroups(octree.DefaultNGroup)
-		acc := make([]vec.V3, len(pos))
-		pot := make([]float64, len(pos))
-		tr.Walk(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, nil)
-	}
-}
-
-func BenchmarkAblation_NLeaf8(b *testing.B)  { benchNLeaf(b, 8) }
-func BenchmarkAblation_NLeaf16(b *testing.B) { benchNLeaf(b, 16) }
-func BenchmarkAblation_NLeaf32(b *testing.B) { benchNLeaf(b, 32) }
-func BenchmarkAblation_NLeaf64(b *testing.B) { benchNLeaf(b, 64) }
-
-// #3: group size NCRIT — interaction-list sharing vs extra p-p work, at the
-// default leaf size.
-func benchNGroup(b *testing.B, ngroup int) {
-	pos, mass := mwPoints(60_000)
-	tr, _ := octree.BuildFrom(pos, mass, octree.DefaultNLeaf, 0)
-	groups := tr.MakeGroups(ngroup)
-	n := tr.NumParticles()
-	acc := make([]vec.V3, n)
-	pot := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range acc {
-			acc[j], pot[j] = vec.V3{}, 0
-		}
-		tr.Walk(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, nil)
-	}
-}
-
-func BenchmarkAblation_NGroup16(b *testing.B)  { benchNGroup(b, 16) }
-func BenchmarkAblation_NGroup64(b *testing.B)  { benchNGroup(b, 64) }
-func BenchmarkAblation_NGroup128(b *testing.B) { benchNGroup(b, 128) }
-func BenchmarkAblation_NGroup256(b *testing.B) { benchNGroup(b, 256) }
-
-// #4: boundary-tree depth — LET traffic vs boundary-only coverage.
-func benchBoundaryDepth(b *testing.B, depth int) {
-	const total = 24000
-	parts := NewMilkyWay(total, 5)
-	s, err := New(Config{
-		Ranks: 4, Theta: 0.4, Softening: SofteningForN(total), BoundaryDepth: depth, GravConst: G,
-	}, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.ComputeForces()
-	var st StepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = s.ComputeForces()
-	}
-	b.ReportMetric(float64(st.BoundaryUsed), "boundaryUsed")
-	b.ReportMetric(float64(st.LETsSent), "letsSent")
-	b.ReportMetric(float64(st.BytesSent), "bytes")
-}
-
-func BenchmarkAblation_BoundaryDepth2(b *testing.B) { benchBoundaryDepth(b, 2) }
-func BenchmarkAblation_BoundaryDepth4(b *testing.B) { benchBoundaryDepth(b, 4) }
-func BenchmarkAblation_BoundaryDepth6(b *testing.B) { benchBoundaryDepth(b, 6) }
-
-// Ablation #6 (serial vs two-stage parallel sampling) lives next to its
-// implementation: see BenchmarkSampling* in internal/domain.
 
 // ---------------------------------------------------------------------------
 // §III.B.3 overlap: the pipelined gravity phase (receiver goroutine +
@@ -436,13 +215,7 @@ func BenchmarkKernels_PC_SIMD_L4096(b *testing.B)   { benchKernelPCBatch(b, 4096
 // tree-walk vs a periodic PM solve in a 2x-padded box.
 
 func BenchmarkBaselinePM_Mesh64(b *testing.B) {
-	parts := ic.DefaultMilkyWay().Realize(60_000, 1, 0)
-	pos := make([]vec.V3, len(parts))
-	mass := make([]float64, len(parts))
-	for i, p := range parts {
-		pos[i] = p.Pos
-		mass[i] = p.Mass
-	}
+	pos, mass := mwPoints(60_000)
 	mesh := pm.NewMesh(64, vec.V3{X: -300, Y: -300, Z: -300}, 600, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -180,8 +180,8 @@ func (t traced) WriteMetricsJSONL(w io.Writer) error {
 }
 
 // WriteProm writes the fleet view in Prometheus text format: every rank's
-// gauges of its latest evaluation and the straggler alert count, plus, after
-// a multi-process run's GatherTelemetry, the clock offsets and pair bytes.
+// gauges of its latest evaluation plus, after a multi-process run's
+// GatherTelemetry, the clock offsets and pair bytes.
 // Safe to call while the run steps. Requires Config.Tracing, and rank 0 of a
 // multi-process run.
 func (t traced) WriteProm(w io.Writer) error {
@@ -192,20 +192,6 @@ func (t traced) WriteProm(w io.Writer) error {
 		return errNotRoot
 	}
 	return t.fleet.WriteProm(w)
-}
-
-// WatchStragglers sets the fleet view's straggler watchdog: an evaluation in
-// which a rank's step time exceeds mult times the cross-rank median (mult ≤ 1
-// selects 2) logs one line through logf. Requires Config.Tracing; a no-op off
-// rank 0 of a multi-process run.
-func (t traced) WatchStragglers(mult float64, logf func(format string, args ...any)) error {
-	if t.rec == nil {
-		return ErrTracingDisabled
-	}
-	if t.fleet != nil {
-		t.fleet.Watch(mult, logf)
-	}
-	return nil
 }
 
 // Simulation is a running distributed N-body system.

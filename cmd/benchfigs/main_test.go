@@ -10,7 +10,9 @@ import (
 
 // TestEverySectionSmoke runs every section at reduced size into a temporary
 // directory: each must print its title and the tables it owns, and each PGM
-// it writes must be a plain-text greymap.
+// it writes must be a plain-text greymap. Fig. 1 must print all five of its
+// bars (a bar whose device run errors prints the error instead of its line),
+// and the ablations all four of their sweeps.
 func TestEverySectionSmoke(t *testing.T) {
 	dir := t.TempDir()
 	runs := scalingRuns{}
@@ -46,6 +48,9 @@ func TestEverySectionSmoke(t *testing.T) {
 		"§VI.C — Time-to-solution",
 		"§VI.D — Peak performance",
 		"ABLATIONS (DESIGN.md §5)",
+		"#1 opening angle",
+		"#2 NLEAF",
+		"#3 group size NCRIT",
 		"#4 boundary-tree depth",
 		"FIG. 3 — Milky Way structure run (N=2000, 4 steps",
 		"bar phase",
@@ -55,6 +60,13 @@ func TestEverySectionSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q", want)
+		}
+	}
+	for _, bar := range []string{
+		"tree  C2075/original", "tree  K20X/original", "tree  K20X/tuned", "direct C2075", "direct K20X",
+	} {
+		if !strings.Contains(out, "\n"+bar+" ") {
+			t.Errorf("Fig. 1 lacks the %q bar", bar)
 		}
 	}
 	// Fig. 2 draws a disk: every one of its domains owns part of the map.

@@ -51,8 +51,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON timeline here (open in Perfetto); with a socket transport this is the clock-aligned merge of all worker processes")
 		metricsOut = flag.String("metrics", "", "write per-step JSONL metrics here (analyze with tracestats -metrics)")
 
-		promSnapshot  = flag.String("prom-snapshot", "", "write a final Prometheus text-format snapshot of the fleet view here")
-		stragglerMult = flag.Float64("straggler-mult", 2.0, "traced runs: alert when a rank's step time exceeds this multiple of the cross-rank median")
+		promSnapshot = flag.String("prom-snapshot", "", "write a final Prometheus text-format snapshot of the fleet view here")
 
 		transport   = flag.String("transport", "chan", "rank transport: chan (in-process goroutines), unix or tcp (one OS process per rank)")
 		ckptEvery   = flag.Int("ckpt-every", 16, "steps between distributed checkpoints (socket transports; 0 = none)")
@@ -75,7 +74,7 @@ func main() {
 	}
 	o := obsFlags{
 		tracePath: *tracePath, metricsOut: *metricsOut,
-		promSnapshot: *promSnapshot, stragglerMult: *stragglerMult,
+		promSnapshot: *promSnapshot,
 	}
 	switch *transport {
 	case "chan":
@@ -107,9 +106,6 @@ func runInProcess(f simFlags, o obsFlags) {
 	s, err := bonsai.New(r.cfg, r.parts)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if o.on() {
-		o.start(s)
 	}
 	r.printHeader("in-process")
 

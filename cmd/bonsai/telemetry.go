@@ -10,10 +10,9 @@ import (
 // process holding rank 0 — the in-process run, or a multi-process run's
 // rank-0 worker — writes the files.
 type obsFlags struct {
-	tracePath     string
-	metricsOut    string
-	promSnapshot  string
-	stragglerMult float64
+	tracePath    string
+	metricsOut   string
+	promSnapshot string
 }
 
 func (o obsFlags) on() bool {
@@ -26,14 +25,6 @@ type fleetView interface {
 	WriteChromeTrace(w io.Writer) error
 	WriteMetricsJSONL(w io.Writer) error
 	WriteProm(w io.Writer) error
-	WatchStragglers(mult float64, logf func(format string, args ...any)) error
-}
-
-// start arms the fleet view's straggler watchdog.
-func (o obsFlags) start(v fleetView) {
-	if err := v.WatchStragglers(o.stragglerMult, log.Printf); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // write writes the requested output files.

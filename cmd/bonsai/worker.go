@@ -39,10 +39,6 @@ func runWorker(lc launchConfig, rank int, f simFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A traced run's telemetry travels over w; rank 0 holds the fleet view.
-	if lc.obs.on() && rank == 0 {
-		lc.obs.start(n)
-	}
 	if ckptStep > 0 {
 		n.SetClock(ckptStep, ckptTime)
 		if rank == 0 {

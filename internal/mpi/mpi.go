@@ -158,10 +158,6 @@ func (w *World) Close() error { return w.tr.Close() }
 // each process observes only its locally hosted ranks' sends.
 func (w *World) BytesSent(rank int) int64 { return w.bytesSent[rank].Load() }
 
-// MessagesSent returns the cumulative message count sent by a rank,
-// including messages generated internally by collectives.
-func (w *World) MessagesSent(rank int) int64 { return w.msgsSent[rank].Load() }
-
 // TotalBytes returns the bytes sent summed over all ranks.
 func (w *World) TotalBytes() int64 {
 	var t int64

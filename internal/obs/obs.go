@@ -143,9 +143,6 @@ func New(ranks, spanCap int) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Now returns nanoseconds elapsed since the recorder epoch (0 for nil) — the
 // recorder-local timebase every span timestamp lives on. A multi-process
 // run's merged trace aligns the ranks by round-trip probes of this value from

@@ -1,8 +1,8 @@
 // Package telemetry is the fleet view of a traced run. Rank 0 holds it: per
 // force evaluation it folds every rank's record into the run's one metrics
-// stream, feeds an online straggler watchdog, and keeps each rank's latest
-// record for the Prometheus gauges. At run end it holds every rank's span
-// track aligned on its own clock, for one merged trace.
+// stream and keeps each rank's latest record for the Prometheus gauges. At
+// run end it holds every rank's span track aligned on its own clock, for one
+// merged trace.
 //
 // An in-process Simulation feeds the fleet view directly. A multi-process run
 // feeds it over the mpi.World its ranks already share (plane.go): a gather of
@@ -26,38 +26,26 @@ type Fleet struct {
 	rec *obs.Recorder
 
 	mu     sync.Mutex
-	wd     *Watchdog
 	latest []obs.StepMetrics // each rank's latest record; Ranks 0 until it reports
 	end    *End
 }
 
 // NewFleet creates the fleet view of a ranks-rank run whose folded records go
-// to rec. The watchdog starts at DefaultStragglerMult without logging; see
-// Watch.
+// to rec.
 func NewFleet(rec *obs.Recorder, ranks int) *Fleet {
-	return &Fleet{rec: rec, wd: NewWatchdog(0, nil), latest: make([]obs.StepMetrics, ranks)}
-}
-
-// Watch replaces the straggler watchdog with one of the given threshold and
-// alert log (see NewWatchdog).
-func (f *Fleet) Watch(mult float64, logf func(format string, args ...any)) {
-	f.mu.Lock()
-	f.wd = NewWatchdog(mult, logf)
-	f.mu.Unlock()
+	return &Fleet{rec: rec, latest: make([]obs.StepMetrics, ranks)}
 }
 
 // Observe takes one force evaluation's records, indexed by rank: it appends
-// their FoldRanks to the recorder's metrics stream, keeps each record as its
-// rank's latest, and has the watchdog judge the evaluation.
+// their FoldRanks to the recorder's metrics stream and keeps each record as
+// its rank's latest.
 func (f *Fleet) Observe(per []obs.StepMetrics) {
 	var m obs.StepMetrics
 	obs.FoldRanks(&m, per)
 	f.rec.AddStep(m)
 	f.mu.Lock()
 	copy(f.latest, per)
-	wd := f.wd
 	f.mu.Unlock()
-	wd.Judge(per)
 }
 
 // SetEnd installs the run-end state GatherEnd returned.

@@ -102,13 +102,12 @@ func writeStepProm(p *promWriter, m *obs.StepMetrics, rank int) {
 }
 
 // WriteProm writes the fleet view in Prometheus text format: every rank's
-// gauges from its latest record and the watchdog's alert count, and once the
-// run-end state is in, each rank's clock offset and its uncertainty and the
-// pair-byte totals.
+// gauges from its latest record and, once the run-end state is in, each
+// rank's clock offset and its uncertainty and the pair-byte totals.
 func (f *Fleet) WriteProm(w io.Writer) error {
 	f.mu.Lock()
 	latest := append([]obs.StepMetrics(nil), f.latest...)
-	end, alerts := f.end, len(f.wd.Alerts())
+	end := f.end
 	f.mu.Unlock()
 
 	p := newPromWriter(w)
@@ -135,8 +134,6 @@ func (f *Fleet) WriteProm(w io.Writer) error {
 			}
 		}
 	}
-	p.counter("bonsai_straggler_alerts_total", "watchdog alerts: rank step time over the median multiple",
-		nil, float64(alerts))
 	return p.flush()
 }
 

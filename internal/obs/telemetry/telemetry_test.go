@@ -138,7 +138,6 @@ func TestClockSyncAlignsStaggeredClocks(t *testing.T) {
 				`bonsai_clock_offset_seconds{rank="1"}`, `bonsai_clock_uncertainty_seconds{rank="1"}`,
 				`bonsai_kernel_isa{rank="1",isa="test-isa"}`,
 				`bonsai_pair_bytes{from="1",to="0"}`,
-				"bonsai_straggler_alerts_total",
 			} {
 				if _, ok := samples[key]; !ok {
 					t.Errorf("exposition is missing %s\nhave: %v", key, PromKeys(samples))
@@ -175,48 +174,6 @@ func TestGatherStepRejectsMismatchedEvaluations(t *testing.T) {
 	wg.Wait()
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "rank 1 reports 2 evaluations") || errs[1] != nil {
 		t.Errorf("errors = %v, want rank 0 to name rank 1's extra evaluation", errs)
-	}
-}
-
-func TestWatchdogFlagsStraggler(t *testing.T) {
-	var lines []string
-	wd := NewWatchdog(2.0, func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	// Evaluation 0: balanced, no alert.
-	wd.Judge([]obs.StepMetrics{stepRecord(0, 0, 3, 10), stepRecord(0, 1, 3, 10), stepRecord(0, 2, 3, 10)})
-	if n := len(wd.Alerts()); n != 0 {
-		t.Fatalf("balanced step fired %d alerts", n)
-	}
-	// Evaluation 1: rank 2 takes 5× the median.
-	wd.Judge([]obs.StepMetrics{stepRecord(1, 0, 3, 10), stepRecord(1, 1, 3, 10), stepRecord(1, 2, 3, 50)})
-	alerts := wd.Alerts()
-	if len(alerts) != 1 {
-		t.Fatalf("got %d alerts, want 1", len(alerts))
-	}
-	a := alerts[0]
-	if a.Step != 1 || a.Rank != 2 || a.StepMS != 50 || math.Abs(a.MedianMS-10) > 1e-9 {
-		t.Errorf("alert = %+v, want step 1 rank 2, 50ms vs median 10ms", a)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "straggler alert") {
-		t.Errorf("log lines = %q, want one straggler alert", lines)
-	}
-}
-
-func TestWatchdogTwoRankRuleNeverSelfTrips(t *testing.T) {
-	// With 2 ranks the median is the mean, so a mult >= 2 can never fire:
-	// v > 2*(v+w)/2 requires v > v+w. Sanity-check no spurious alerts.
-	eval := []obs.StepMetrics{stepRecord(0, 0, 2, 1), stepRecord(0, 1, 2, 100)}
-	wd := NewWatchdog(2.0, nil)
-	wd.Judge(eval)
-	if n := len(wd.Alerts()); n != 0 {
-		t.Errorf("two-rank watchdog fired %d alerts at mult 2", n)
-	}
-	// A tighter multiple does fire.
-	wd = NewWatchdog(1.5, nil)
-	wd.Judge(eval)
-	if n := len(wd.Alerts()); n != 1 {
-		t.Errorf("two-rank watchdog at mult 1.5 fired %d alerts, want 1", n)
 	}
 }
 

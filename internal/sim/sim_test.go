@@ -139,6 +139,42 @@ func TestMomentumConservation(t *testing.T) {
 	}
 }
 
+func TestTimeReversibility(t *testing.T) {
+	// Kick-drift-kick leapfrog is time-reversible: run forward, negate every
+	// velocity, run as many steps again from a fresh simulation, and each
+	// particle retraces its path to its start with its velocity negated. On
+	// one rank the tree forces are a deterministic function of the positions,
+	// so only rounding in the drifts and kicks separates the two ends; an
+	// asymmetric kick or drift moves them apart by orders of magnitude more.
+	const steps = 20
+	cfg := Config{Ranks: 1, Theta: 0.4, Softening: 0.05, DT: 0.01}
+	start := plummer(2048, 13)
+	fwd, err := New(cfg, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd.Run(steps)
+	mid := fwd.Particles()
+	for i := range mid {
+		mid[i].Vel = mid[i].Vel.Scale(-1)
+	}
+	back, err := New(cfg, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.Run(steps)
+	var worst float64
+	for i, p := range back.Particles() {
+		if p.ID != start[i].ID {
+			t.Fatalf("particle %d has ID %d, want %d", i, p.ID, start[i].ID)
+		}
+		worst = max(worst, p.Pos.Sub(start[i].Pos).Norm(), p.Vel.Add(start[i].Vel).Norm())
+	}
+	if worst > 1e-12 {
+		t.Errorf("reversed run misses its start by %.3g, want ≤ 1e-12", worst)
+	}
+}
+
 func TestLoadBalanceAfterDomainUpdate(t *testing.T) {
 	parts := plummer(4000, 6)
 	s, _ := New(Config{Ranks: 8, Softening: 0.05, DomainFreq: 1}, parts)

@@ -25,9 +25,6 @@ func (a V3) Sub(b V3) V3 { return V3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 // Scale returns s * a.
 func (a V3) Scale(s float64) V3 { return V3{s * a.X, s * a.Y, s * a.Z} }
 
-// Neg returns -a.
-func (a V3) Neg() V3 { return V3{-a.X, -a.Y, -a.Z} }
-
 // Dot returns the scalar product a · b.
 func (a V3) Dot(b V3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
@@ -160,15 +157,6 @@ func (b Box) Dist2(p V3) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
-// BoxDist2 returns the squared minimum distance between two boxes
-// (zero when they overlap).
-func (b Box) BoxDist2(o Box) float64 {
-	dx := gapDist(b.Min.X, b.Max.X, o.Min.X, o.Max.X)
-	dy := gapDist(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y)
-	dz := gapDist(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z)
-	return dx*dx + dy*dy + dz*dz
-}
-
 // AxisDist is the distance from p to the interval [lo, hi] along one axis,
 // the per-axis term of Box.Dist2 (exported so the tree-walk's hot loop can
 // inline the three terms; Dist2 itself is past the inlining budget). At
@@ -185,17 +173,6 @@ func AxisDist(p, lo, hi float64) float64 {
 func posPart(x float64) float64 {
 	b := math.Float64bits(x)
 	return math.Float64frombits(b &^ uint64(int64(b)>>63))
-}
-
-func gapDist(alo, ahi, blo, bhi float64) float64 {
-	switch {
-	case ahi < blo:
-		return blo - ahi
-	case bhi < alo:
-		return alo - bhi
-	default:
-		return 0
-	}
 }
 
 // Cubify returns the smallest cube with the same centre that contains the

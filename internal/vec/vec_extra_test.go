@@ -38,24 +38,3 @@ func TestDist2MonotoneUnderInclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBoxDist2SymmetricAndConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 500; i++ {
-		mk := func() Box {
-			c := V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			h := V3{rng.Float64(), rng.Float64(), rng.Float64()}
-			return Box{Min: c.Sub(h), Max: c.Add(h)}
-		}
-		a, b := mk(), mk()
-		if d1, d2 := a.BoxDist2(b), b.BoxDist2(a); d1 != d2 {
-			t.Fatalf("BoxDist2 not symmetric: %v vs %v", d1, d2)
-		}
-		// Point-box consistency: a point is a degenerate box.
-		p := V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		pb := Box{Min: p, Max: p}
-		if d1, d2 := a.Dist2(p), a.BoxDist2(pb); d1 != d2 {
-			t.Fatalf("point-box inconsistency: %v vs %v", d1, d2)
-		}
-	}
-}

@@ -23,9 +23,6 @@ func TestV3Arithmetic(t *testing.T) {
 	if got := a.Dot(b); got != -4+10+1.5 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := a.Neg(); got != (V3{-1, -2, -3}) {
-		t.Errorf("Neg = %v", got)
-	}
 }
 
 func TestCrossOrthogonality(t *testing.T) {
@@ -129,18 +126,6 @@ func TestBoxDist2(t *testing.T) {
 	}
 	if d := b.Dist2(V3{2, 2, 0.5}); !almostEq(d, 2, 1e-12) {
 		t.Errorf("corner dist2 = %v, want 2", d)
-	}
-}
-
-func TestBoxBoxDist2(t *testing.T) {
-	a := Box{Min: V3{0, 0, 0}, Max: V3{1, 1, 1}}
-	b := Box{Min: V3{3, 0, 0}, Max: V3{4, 1, 1}}
-	if d := a.BoxDist2(b); d != 4 {
-		t.Errorf("BoxDist2 = %v, want 4", d)
-	}
-	c := Box{Min: V3{0.5, 0.5, 0.5}, Max: V3{2, 2, 2}}
-	if d := a.BoxDist2(c); d != 0 {
-		t.Errorf("overlapping boxes dist2 = %v, want 0", d)
 	}
 }
 
