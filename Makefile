@@ -3,7 +3,7 @@ BENCH_TXT ?= BENCH_$(shell date +%Y-%m-%d).txt
 
 .PHONY: tier1 vet build test race fuzz-smoke bench bench-smoke bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
-# tier1 is the pre-merge gate: static checks, full build and test suite
+# tier1 is the pre-merge gate: static checks (go vet and gofmt), full build and test suite
 # (including the noasm scalar-only configuration of the force kernels, and
 # cmd/benchfigs's smoke of every paper-figure section at reduced size),
 # the race-detector subset covering the concurrent gravity pipeline
@@ -62,8 +62,10 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzReadMetricsJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run XXX -fuzz FuzzManifest -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 
+# vet also fails when any Go file is not gofmt-formatted, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .) && [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 
 # The noasm build strips the assembly kernels and pins the scalar float64
 # reference, proving the pure-Go fallback path stays buildable and correct.

@@ -15,14 +15,9 @@ import (
 	"bonsai/internal/vec"
 )
 
-// Physical constants of the simulation unit system (lengths in kpc,
-// velocities in km/s, masses in 1e10 solar masses).
-const (
-	// G is the gravitational constant in simulation units.
-	G = units.G
-	// TimeUnitGyr is one simulation time unit expressed in gigayears.
-	TimeUnitGyr = units.KpcPerKmsToGyr
-)
+// G is the gravitational constant of the simulation unit system (lengths in
+// kpc, velocities in km/s, masses in 1e10 solar masses).
+const G = units.G
 
 // Vec3 is a Cartesian 3-vector, the engine's own vector type with its
 // arithmetic methods (Add, Sub, Scale, Dot, Norm, ...).
@@ -62,77 +57,22 @@ func Gyr(t float64) float64 { return units.Gyr(t) }
 func FromGyr(gyr float64) float64 { return units.FromGyr(gyr) }
 
 // PhaseTimes is a per-step wall-clock breakdown matching the rows of the
-// paper's Table II. The paper's "Sorting SFC" and "Tree-construction" rows
-// are timed as one SortBuild phase here: Morton keys, the key sort, the
-// particle reorder and the octree construction.
-type PhaseTimes struct {
-	SortBuild     time.Duration
-	Domain        time.Duration
-	TreeProps     time.Duration
-	GravLocal     time.Duration
-	GravLET       time.Duration
-	NonHiddenComm time.Duration
-	Other         time.Duration
-	Total         time.Duration
-}
+// paper's Table II, with the evaluation's Total; see obs.PhaseTimes.
+type PhaseTimes = obs.PhaseTimes
 
-// StepStats summarizes one force computation across all ranks.
-type StepStats struct {
-	Step  int
-	Ranks int
-	N     int
-
-	// Times averages the per-rank phase breakdown; MaxTimes records the
-	// slowest rank per phase (the load-imbalance view).
-	Times    PhaseTimes
-	MaxTimes PhaseTimes
-
-	// Interaction statistics under the paper's §VI.A conventions.
-	PP            uint64
-	PC            uint64
-	PPPerParticle float64
-	PCPerParticle float64
-	Flops         float64
-
-	// LETsSent counts full LET pushes; BoundaryUsed counts rank pairs
-	// served by boundary trees alone; BoundarySent counts boundary-tree
-	// pushes (p·(p−1) per evaluation); BytesSent is the step's total
-	// metered traffic.
-	LETsSent     int
-	BoundaryUsed int
-	BoundarySent int
-	BytesSent    int64
-
-	// Overlap efficiency of the gravity phase: LETsOverlapped of the
-	// LETsRecv received full LETs were walked while the local tree-walk
-	// was still running (OverlapFrac is their ratio); RecvIdle is the mean
-	// per-rank time the receiver goroutine spent blocked on arrivals,
-	// hidden behind the local walk.
-	LETsRecv       int
-	LETsOverlapped int
-	OverlapFrac    float64
-	RecvIdle       time.Duration
-
-	// WalkGflops is the aggregate rate over gravity-walk time only (the
-	// "GPU kernels" series of Fig. 4); AppGflops uses the full step time.
-	WalkGflops float64
-	AppGflops  float64
-
-	// KernelISA names the force-kernel instruction set the walks ran on
-	// ("avx512f" or "avx2+fma" when the runtime dispatch selected the
-	// sixteen- or eight-lane SIMD kernels, "scalar" otherwise).
-	KernelISA string
-
-	// Block-timestep accounting (zero unless Config.BlockSteps with
-	// MaxRungs > 0): Substeps counts force evaluations inside the step,
-	// Rebuilds how many of them rebuilt the tree from scratch (the rest
-	// reused the Morton order and refreshed multipoles in place), and
-	// ActiveFrac is the mean fraction of particles receiving forces per
-	// substep.
-	Substeps   int
-	Rebuilds   int
-	ActiveFrac float64
-}
+// StepStats is the step record every rank writes and the JSONL metrics
+// stream carries: phase Times (mean over ranks) and MaxTimes (slowest rank),
+// interaction counts PP and PC with their Flops under the paper's §VI.A
+// conventions, LET and boundary-tree traffic, the overlap of the exchange
+// with the local walk, walk and application Gflop/s, and the block-timestep
+// counts (Substeps, Rebuilds, ActiveFrac). json.Marshal writes it with the
+// stream's keys.
+//
+// Step is the sequence number of the record's last force evaluation. On a
+// shared-step run without SetClock it equals StepCount after Step (the first
+// step also runs the priming evaluation, number 0); under BlockSteps, and
+// once ComputeForces has run, it counts evaluations instead.
+type StepStats = obs.StepMetrics
 
 // traced is the trace-export surface Simulation and NodeSimulation share: a
 // view of the run's recorder and fleet view, nil without Config.Tracing. Only
@@ -211,24 +151,16 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
-// the force-computation statistics (the first step's include the evaluation
-// that primes the accelerations).
-func (s *Simulation) Step() StepStats { return fromStats(s.inner.Step(), s.inner.StepCount()) }
+// the cross-rank record of its force computation (the first step's includes
+// the evaluation that primes the accelerations).
+func (s *Simulation) Step() StepStats { return s.inner.Step() }
 
-// Run advances n steps, returning per-step statistics.
-func (s *Simulation) Run(n int) []StepStats {
-	out := make([]StepStats, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, s.Step())
-	}
-	return out
-}
+// Run advances n steps, returning per-step records.
+func (s *Simulation) Run(n int) []StepStats { return s.inner.Run(n) }
 
 // ComputeForces runs the distributed force pipeline once without advancing
 // time; scaling studies use it to time pure force iterations.
-func (s *Simulation) ComputeForces() StepStats {
-	return fromStats(s.inner.ComputeForces(), s.inner.StepCount())
-}
+func (s *Simulation) ComputeForces() StepStats { return s.inner.ComputeForces() }
 
 // Time returns the current simulation time (internal units; see Gyr).
 func (s *Simulation) Time() float64 { return s.inner.Time() }
@@ -348,16 +280,16 @@ func (n *NodeSimulation) StepCount() int { return n.inner.StepCount() }
 func (n *NodeSimulation) SetClock(step int, t float64) { n.inner.SetClock(step, t) }
 
 // Step advances this rank by one leapfrog step, in lockstep with every other
-// rank, and returns this rank's view of the step statistics.
+// rank, and returns this rank's own record of the step: Rank is this rank,
+// Ranks the world size, and MaxTimes equals Times.
 func (n *NodeSimulation) Step() StepStats {
-	var m obs.StepMetrics
-	obs.FoldRanks(&m, []obs.StepMetrics{n.inner.Step()})
+	m := n.inner.Step()
 	if n.rec != nil {
 		if err := telemetry.GatherStep(n.inner.Comm(), n.fleet, n.inner.Records()); err != nil && n.gatherErr == nil {
 			n.gatherErr = err
 		}
 	}
-	return fromStats(m, n.inner.StepCount())
+	return m
 }
 
 // GatherTelemetry ends a traced run's telemetry (collective; call after the
@@ -409,49 +341,4 @@ func LoadRankCheckpoint(dir string, step, rank int) (t float64, parts []Particle
 		return 0, nil, err
 	}
 	return h.Time, parts, nil
-}
-
-// ---------------------------------------------------------------------------
-// the step summary
-
-func fromPhase(p *obs.PhaseTimes) PhaseTimes {
-	return PhaseTimes{
-		SortBuild: p[obs.SortBuild], Domain: p[obs.Domain],
-		TreeProps: p[obs.TreeProps],
-		GravLocal: p[obs.GravLocal], GravLET: p[obs.GravLET],
-		NonHiddenComm: p[obs.NonHiddenComm], Other: p[obs.Other], Total: p[obs.Total],
-	}
-}
-
-// fromStats is the one mapping from the engine's cross-rank record to the
-// public summary of step number step. Callers pass the record first: Go
-// evaluates call arguments left to right, so the step count is read after
-// the step ran.
-func fromStats(m obs.StepMetrics, step int) StepStats {
-	return StepStats{
-		Step:           step,
-		Ranks:          m.Ranks,
-		N:              m.N,
-		Times:          fromPhase(&m.Times),
-		MaxTimes:       fromPhase(&m.MaxTimes),
-		PP:             m.Grav.PP,
-		PC:             m.Grav.PC,
-		PPPerParticle:  m.PPPerParticle,
-		PCPerParticle:  m.PCPerParticle,
-		Flops:          m.Grav.Flops(),
-		LETsSent:       m.LETsSent,
-		BoundaryUsed:   m.BoundaryUsed,
-		BytesSent:      m.BytesSent,
-		BoundarySent:   m.BoundarySent,
-		LETsRecv:       m.LETsRecv,
-		LETsOverlapped: m.LETsOverlapped,
-		OverlapFrac:    m.OverlapFrac,
-		RecvIdle:       m.RecvIdle,
-		WalkGflops:     m.WalkGflops,
-		AppGflops:      m.AppGflops,
-		KernelISA:      m.KernelISA,
-		Substeps:       m.Substeps,
-		Rebuilds:       m.Rebuilds,
-		ActiveFrac:     m.ActiveFrac,
-	}
 }

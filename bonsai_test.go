@@ -2,6 +2,7 @@ package bonsai
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -401,10 +402,10 @@ func TestSimulationAndNodeShareEngineConfig(t *testing.T) {
 	}
 }
 
-// The public StepStats and the JSONL stream are two views of one record: for
-// a traced 4-rank run, the merged JSONL record of the second step's
-// evaluation equals that step's StepStats — counts exactly, times and rates
-// to 1e-12.
+// The public StepStats is the record the JSONL stream carries: for a traced
+// 4-rank run, the merged JSONL record of the second step's evaluation equals
+// that step's StepStats in every field — counts exactly, times and rates to
+// 1e-12.
 func TestStepStatsIsTheStreamedRecord(t *testing.T) {
 	s, err := New(Config{Ranks: 4, Softening: 0.05, DT: 1e-3, Tracing: true}, NewPlummer(4000, 1, 1, 1, 3))
 	if err != nil {
@@ -423,17 +424,25 @@ func TestStepStatsIsTheStreamedRecord(t *testing.T) {
 	if len(recs) != 3 || recs[2].Step != 2 {
 		t.Fatalf("stream holds %d records, want evaluations 0..2", len(recs))
 	}
-	compareStats(t, "", reflect.ValueOf(fromStats(recs[2], st.Step)), reflect.ValueOf(st))
+	compareStats(t, "", reflect.ValueOf(recs[2]), reflect.ValueOf(st))
 }
 
-// compareStats compares two StepStats field by field: durations and floats
-// to 1e-12 relative, everything else exactly.
+// compareStats compares two StepStats field by field, slices element by
+// element: durations and floats to 1e-12 relative, everything else exactly.
 func compareStats(t *testing.T, path string, got, want reflect.Value) {
 	t.Helper()
 	switch {
 	case want.Kind() == reflect.Struct:
 		for i := 0; i < want.NumField(); i++ {
 			compareStats(t, path+"."+want.Type().Field(i).Name, got.Field(i), want.Field(i))
+		}
+	case want.Kind() == reflect.Slice:
+		if got.Len() != want.Len() {
+			t.Errorf("StepStats%s: stream %v, step %v", path, got, want)
+			return
+		}
+		for i := 0; i < want.Len(); i++ {
+			compareStats(t, fmt.Sprintf("%s[%d]", path, i), got.Index(i), want.Index(i))
 		}
 	case want.Kind() == reflect.Float64 || want.Type() == reflect.TypeOf(time.Duration(0)):
 		g, w := got.Convert(reflect.TypeOf(0.0)).Float(), want.Convert(reflect.TypeOf(0.0)).Float()
@@ -442,5 +451,34 @@ func compareStats(t *testing.T, path string, got, want reflect.Value) {
 		}
 	case !got.Equal(want):
 		t.Errorf("StepStats%s: stream %v, step %v", path, got, want)
+	}
+}
+
+// A NodeSimulation's Step returns its own rank's record: on a 2-rank
+// unix-socket world each node names itself in Rank and the world in Ranks,
+// it is its own slowest rank, the two records' particles add up to the run's,
+// and on this shared-step run Step reads StepCount.
+func TestNodeStepIsItsRanksRecord(t *testing.T) {
+	const ranks, n = 2, 2000
+	nodes := newUnixNodes(t, Config{Ranks: ranks, Softening: 0.05, DT: 1e-3}, NewPlummer(n, 1, 1, 1, 7))
+	for range 2 {
+		var recs [ranks]StepStats
+		nodes.each(func(nd *NodeSimulation) { recs[nd.Rank()] = nd.Step() })
+		total := 0
+		for r, st := range recs {
+			if st.Rank != r || st.Ranks != ranks || st.Straggler != r {
+				t.Errorf("rank %d's record: Rank %d, Ranks %d, Straggler %d", r, st.Rank, st.Ranks, st.Straggler)
+			}
+			if st.MaxTimes != st.Times || st.Times.Total <= 0 {
+				t.Errorf("rank %d's record: Times %+v, MaxTimes %+v", r, st.Times, st.MaxTimes)
+			}
+			if st.Step != nodes[r].StepCount() {
+				t.Errorf("rank %d's record: Step %d after step %d", r, st.Step, nodes[r].StepCount())
+			}
+			total += st.N
+		}
+		if total != n {
+			t.Errorf("the ranks' records hold %d particles, want %d", total, n)
+		}
 	}
 }

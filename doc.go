@@ -33,8 +33,9 @@
 // DensityMap and VelocityHist the analysis types, and HybridConfig the
 // bridge's configuration. Particle sets therefore pass between the
 // generators, the simulation, the analyses and the snapshot files without a
-// copy. The package's own types are the run handles (Simulation,
-// NodeSimulation, World, Hybrid) and the StepStats/PhaseTimes step summary.
+// copy, and StepStats and PhaseTimes are the step record every rank writes
+// and the metrics stream carries. The package's own types are the run
+// handles (Simulation, NodeSimulation, World, Hybrid).
 //
 // Scale-dependent aspects of the paper (K20X GPUs, Cray interconnects,
 // 18600 nodes) are reproduced by substrates under internal/: a SIMT device

@@ -60,16 +60,6 @@ func (p Phase) String() string {
 	return "?"
 }
 
-// PhaseByName returns the Phase with the given String() name.
-func PhaseByName(name string) (Phase, bool) {
-	for i, n := range phaseNames {
-		if n == name {
-			return Phase(i), true
-		}
-	}
-	return 0, false
-}
-
 // Instant reports whether the phase is a zero-duration marker event.
 func (p Phase) Instant() bool { return p == PhaseArrive || p == PhaseWalkDone }
 

@@ -250,8 +250,8 @@ func FormatMetricsSummary(w io.Writer, steps []StepMetrics) {
 	stragglerHits := map[int]int{}
 	for _, m := range steps {
 		fmt.Fprintf(w, "%5d %10.2f %10.2f %6.1f%% %10d %7.0f%% %7d %14.3f %10.3f\n",
-			m.Step, Millis(m.Times[Total]), Millis(m.MaxTimes[Total]), m.ImbalancePct, m.Straggler,
-			100*m.OverlapFrac, m.LETsRecv, Millis(m.WorstArrival), Millis(m.Times[NonHiddenComm]))
+			m.Step, Millis(m.Times.Total), Millis(m.MaxTimes.Total), m.ImbalancePct, m.Straggler,
+			100*m.OverlapFrac, m.LETsRecv, Millis(m.WorstArrival), Millis(m.Times.NonHiddenComm))
 		overlapSum += m.OverlapFrac
 		stragglerHits[m.Straggler]++
 		if m.ArrivalsSeen > 0 && (worstStep < 0 || m.WorstArrival > worstArr) {

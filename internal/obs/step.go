@@ -11,53 +11,53 @@ import (
 	"bonsai/internal/grav"
 )
 
-// StepPhase indexes PhaseTimes: the rows of the paper's Table II, timed per
-// rank per force evaluation, plus the evaluation's total. The paper's
-// "Sorting SFC" and "Tree-construction" rows are timed as one SortBuild
-// phase: Morton keys, the key sort, the particle reorder and the octree
-// construction.
-type StepPhase int
-
-const (
-	SortBuild     StepPhase = iota // SFC sort + particle reorder + octree construction
-	Domain                         // sampling decomposition + particle exchange
-	TreeProps                      // multipole computation + target groups
-	GravLocal                      // tree-walk over the local tree
-	GravLET                        // tree-walks over boundary trees and received LETs
-	NonHiddenComm                  // LET communication not hidden behind walks
-	Other                          // Total minus the rows above: integration, bookkeeping, waits
-	Total                          // the evaluation's wall-clock time
-	NumStepPhases
-)
-
-// stepPhaseNames is the one phase list: the JSONL keys (name + "_ms", and
-// "max_" + name + "_ms" for the slowest rank) and the Prometheus phase label
-// of every row read it.
-var stepPhaseNames = [NumStepPhases]string{
-	"sort_build", "domain", "tree_props", "grav_local", "grav_let", "non_hidden_comm", "other", "step",
+// PhaseTimes is one wall-clock breakdown: the rows of the paper's Table II,
+// timed per rank per force evaluation, plus the evaluation's total. The
+// paper's "Sorting SFC" and "Tree-construction" rows are timed as one
+// SortBuild phase: Morton keys, the key sort, the particle reorder and the
+// octree construction.
+type PhaseTimes struct {
+	SortBuild     time.Duration // SFC sort + particle reorder + octree construction
+	Domain        time.Duration // sampling decomposition + particle exchange
+	TreeProps     time.Duration // multipole computation + target groups
+	GravLocal     time.Duration // tree-walk over the local tree
+	GravLET       time.Duration // tree-walks over boundary trees and received LETs
+	NonHiddenComm time.Duration // LET communication not hidden behind walks
+	Other         time.Duration // Total minus the rows above: integration, bookkeeping, waits
+	Total         time.Duration // the evaluation's wall-clock time
 }
 
-func (p StepPhase) String() string { return stepPhaseNames[p] }
+// rowNames is the one row list: the JSONL keys (name + "_ms", and
+// "max_" + name + "_ms" for the slowest rank) and the Prometheus phase label
+// of every row read it, in the order rows returns them. Total is keyed
+// mean_step_ms and max_step_ms.
+var rowNames = [...]string{
+	"sort_build", "domain", "tree_props", "grav_local", "grav_let", "non_hidden_comm", "other",
+}
 
-// PhaseTimes is one wall-clock breakdown indexed by StepPhase.
-type PhaseTimes [NumStepPhases]time.Duration
+// rows returns the rows rowNames names, Other last.
+func (p *PhaseTimes) rows() [len(rowNames)]*time.Duration {
+	return [...]*time.Duration{&p.SortBuild, &p.Domain, &p.TreeProps, &p.GravLocal, &p.GravLET, &p.NonHiddenComm, &p.Other}
+}
 
 // Accounted returns the sum of the explicitly timed phases: every row
 // before Other.
 func (p *PhaseTimes) Accounted() (sum time.Duration) {
-	for _, d := range p[:Other] {
-		sum += d
+	rows := p.rows()
+	for _, d := range rows[:len(rows)-1] {
+		sum += *d
 	}
 	return sum
 }
 
 // DeriveOther sets Other to Total minus the accounted phases, clamped at
 // zero, so the Table II rows sum to Total.
-func (p *PhaseTimes) DeriveOther() { p[Other] = max(p[Total]-p.Accounted(), 0) }
+func (p *PhaseTimes) DeriveOther() { p.Other = max(p.Total-p.Accounted(), 0) }
 
 // StepMetrics is the one step record: what a rank writes during a force
 // evaluation, what the JSONL stream and the telemetry wire carry, and what
-// every view (the Prometheus snapshot, tracestats, the public StepStats) reads.
+// every view (the Prometheus snapshot, tracestats) reads; the public
+// bonsai.StepStats is this type.
 // Schema declares each field once; the two folds and the codec below are
 // driven by it.
 //
@@ -67,7 +67,7 @@ func (p *PhaseTimes) DeriveOther() { p[Other] = max(p[Total]-p.Accounted(), 0) }
 // (Rank 0, Ranks = records folded, Times the mean and MaxTimes the slowest
 // rank per phase); AddEval folds a rank's evaluations into its step record.
 type StepMetrics struct {
-	Step      int    // force-evaluation sequence number
+	Step      int    // sequence number of the record's (last) force evaluation
 	Rank      int    // reporting rank (0 in a cross-rank record)
 	Ranks     int    // world size (a per-rank record) or records folded (a cross-rank one)
 	Straggler int    // rank with the longest evaluation
@@ -76,14 +76,14 @@ type StepMetrics struct {
 	Times    PhaseTimes
 	MaxTimes PhaseTimes
 
-	N              int        // particles owned
-	Grav           grav.Stats // interactions evaluated
-	LETsSent       int        // full LETs pushed to other ranks
-	LETsRecv       int        // full LETs received
-	LETsOverlapped int        // full LETs walked before the local walk finished
-	BoundaryUsed   int        // peers served by their boundary tree alone
-	BoundarySent   int        // boundary trees pushed: p−1 per rank per evaluation
-	BytesSent      int64      // serialized LET + boundary traffic
+	N              int   // particles owned
+	grav.Stats           // interactions evaluated: PP and PC
+	LETsSent       int   // full LETs pushed to other ranks
+	LETsRecv       int   // full LETs received
+	LETsOverlapped int   // full LETs walked before the local walk finished
+	BoundaryUsed   int   // peers served by their boundary tree alone
+	BoundarySent   int   // boundary trees pushed: p−1 per rank per evaluation
+	BytesSent      int64 // serialized LET + boundary traffic
 
 	// RecvIdle is the receiver goroutine's time blocked on arrivals, hidden
 	// behind the local walk unlike NonHiddenComm.
@@ -116,6 +116,7 @@ type StepMetrics struct {
 	PPPerParticle float64
 	PCPerParticle float64
 	ActiveFrac    float64 // ActiveN / TotalN
+	Flops         float64 // PP·FlopsPP + PC·FlopsPC (§VI.A)
 }
 
 // Fold is how a metric combines over a step's evaluations (AddEval) or over
@@ -163,24 +164,24 @@ var Schema = func() []Metric {
 			Gauge: "bonsai_kernel_isa", Label: "isa", Help: "force-kernel ISA in use (value is always 1)",
 			field: func(m *StepMetrics) any { return &m.KernelISA }},
 		{Key: "n", Unit: "count", Eval: Last, Ranks: Sum, field: func(m *StepMetrics) any { return &m.N }},
-		{Key: "mean_step_ms", Unit: "ms", Eval: Sum, Ranks: Mean, field: func(m *StepMetrics) any { return &m.Times[Total] }},
+		{Key: "mean_step_ms", Unit: "ms", Eval: Sum, Ranks: Mean, field: func(m *StepMetrics) any { return &m.Times.Total }},
 		{Key: "max_step_ms", Unit: "ms", Eval: Sum, Ranks: Max,
 			Gauge: "bonsai_step_seconds", Help: "wall-clock time of the latest force evaluation",
-			field: func(m *StepMetrics) any { return &m.MaxTimes[Total] }},
+			field: func(m *StepMetrics) any { return &m.MaxTimes.Total }},
 		{Key: "imbalance_pct", Unit: "%", Eval: Derived, Ranks: Derived, field: func(m *StepMetrics) any { return &m.ImbalancePct }},
 	}
-	for p := SortBuild; p < Total; p++ {
+	for i, name := range rowNames {
 		s = append(s,
-			Metric{Key: p.String() + "_ms", Unit: "ms", Eval: Sum, Ranks: Mean,
-				Gauge: "bonsai_phase_seconds", Label: "phase", LabelValue: p.String(),
+			Metric{Key: name + "_ms", Unit: "ms", Eval: Sum, Ranks: Mean,
+				Gauge: "bonsai_phase_seconds", Label: "phase", LabelValue: name,
 				Help:  "per-phase time of the latest force evaluation",
-				field: func(m *StepMetrics) any { return &m.Times[p] }},
-			Metric{Key: "max_" + p.String() + "_ms", Unit: "ms", Eval: Sum, Ranks: Max,
-				field: func(m *StepMetrics) any { return &m.MaxTimes[p] }})
+				field: func(m *StepMetrics) any { return m.Times.rows()[i] }},
+			Metric{Key: "max_" + name + "_ms", Unit: "ms", Eval: Sum, Ranks: Max,
+				field: func(m *StepMetrics) any { return m.MaxTimes.rows()[i] }})
 	}
 	return append(s, []Metric{
-		{Key: "pp", Unit: "count", Eval: Sum, Ranks: Sum, field: func(m *StepMetrics) any { return &m.Grav.PP }},
-		{Key: "pc", Unit: "count", Eval: Sum, Ranks: Sum, field: func(m *StepMetrics) any { return &m.Grav.PC }},
+		{Key: "pp", Unit: "count", Eval: Sum, Ranks: Sum, field: func(m *StepMetrics) any { return &m.PP }},
+		{Key: "pc", Unit: "count", Eval: Sum, Ranks: Sum, field: func(m *StepMetrics) any { return &m.PC }},
 		{Key: "pp_per_particle", Unit: "count", Eval: Derived, Ranks: Derived, field: func(m *StepMetrics) any { return &m.PPPerParticle }},
 		{Key: "pc_per_particle", Unit: "count", Eval: Derived, Ranks: Derived, field: func(m *StepMetrics) any { return &m.PCPerParticle }},
 		{Key: "walk_gflops", Unit: "Gflop/s", Eval: Derived, Ranks: Derived,
@@ -224,7 +225,7 @@ var Schema = func() []Metric {
 // derives Other so the rows sum to it, mirrors the times into MaxTimes (a
 // rank is its own slowest rank) and derives the ratios.
 func (m *StepMetrics) EndEval(total time.Duration) {
-	m.Times[Total] = total
+	m.Times.Total = total
 	m.Times.DeriveOther()
 	m.MaxTimes = m.Times
 	m.Straggler = m.Rank
@@ -244,7 +245,7 @@ func (m *StepMetrics) AddEval(e *StepMetrics) {
 func FoldRanks(dst *StepMetrics, recs []StepMetrics) {
 	*dst = StepMetrics{Ranks: len(recs)}
 	for i := range recs {
-		if i == 0 || recs[i].MaxTimes[Total] > dst.MaxTimes[Total] {
+		if i == 0 || recs[i].MaxTimes.Total > dst.MaxTimes.Total {
 			dst.Straggler = recs[i].Rank
 		}
 		fold(dst, &recs[i], true, i == 0)
@@ -312,14 +313,15 @@ func foldValue[T int | int64 | uint64 | time.Duration](rule Fold, d *T, s T, fir
 // ratio, never Inf or NaN.
 func (m *StepMetrics) Derive() {
 	m.ImbalancePct = 0
-	if mean := m.Times[Total]; mean > 0 {
-		m.ImbalancePct = (float64(m.MaxTimes[Total])/float64(mean) - 1) * 100
+	if mean := m.Times.Total; mean > 0 {
+		m.ImbalancePct = (float64(m.MaxTimes.Total)/float64(mean) - 1) * 100
 	}
 	m.OverlapFrac = ratio(m.LETsOverlapped, m.LETsRecv)
-	m.WalkGflops = m.Grav.Gflops(m.Times[GravLocal] + m.Times[GravLET])
-	m.AppGflops = m.Grav.Gflops(m.MaxTimes[Total])
-	m.PPPerParticle = ratio(m.Grav.PP, uint64(m.N))
-	m.PCPerParticle = ratio(m.Grav.PC, uint64(m.N))
+	m.Flops = m.Stats.Flops()
+	m.WalkGflops = m.Stats.Gflops(m.Times.GravLocal + m.Times.GravLET)
+	m.AppGflops = m.Stats.Gflops(m.MaxTimes.Total)
+	m.PPPerParticle = ratio(m.PP, uint64(m.N))
+	m.PCPerParticle = ratio(m.PC, uint64(m.N))
 	m.ActiveFrac = ratio(m.ActiveN, m.TotalN)
 }
 

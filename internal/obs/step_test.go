@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"bonsai/internal/grav"
 )
 
 // setRow stores v in a row's field: v itself for counts, v ms for times, the
@@ -100,9 +102,9 @@ func TestSchemaFolds(t *testing.T) {
 		"recv_idle_ms": 43, "arrivals_seen": 129, "worst_arrival_ms": 32, "spans_dropped": 66,
 		"substep": 12, "substeps": 23, "tree_rebuilt": 2, "active_n": 23, "total_n": 23, "active_frac": 1,
 	}
-	for p := SortBuild; p < Total; p++ {
-		want[p.String()+"_ms"] = 43
-		want["max_"+p.String()+"_ms"] = 63
+	for _, name := range rowNames {
+		want[name+"_ms"] = 43
+		want["max_"+name+"_ms"] = 63
 	}
 	for i := range Schema {
 		r := &Schema[i]
@@ -129,6 +131,47 @@ func TestSchemaFolds(t *testing.T) {
 				t.Errorf("%s = %v, want %v", r.Key, v, w)
 			}
 		}
+	}
+}
+
+// Flops follows the interaction counts on every path a record takes: closing
+// an evaluation, folding evaluations and ranks, and the JSONL stream, which
+// carries pp and pc but no flops key.
+func TestFlopsFollowsCounts(t *testing.T) {
+	check := func(stage string, m *StepMetrics) {
+		t.Helper()
+		if want := float64(m.PP)*grav.FlopsPP + float64(m.PC)*grav.FlopsPC; m.Flops != want || want == 0 {
+			t.Errorf("%s: Flops %v, want %v (pp %d, pc %d)", stage, m.Flops, want, m.PP, m.PC)
+		}
+	}
+	recs := make([]StepMetrics, 2)
+	for rk := range recs {
+		for e := range 2 {
+			ev := StepMetrics{Rank: rk, Ranks: 2, Stats: grav.Stats{PP: uint64(1000*rk + 100*e + 7), PC: uint64(300*rk + 11*e + 5)}}
+			ev.EndEval(time.Millisecond)
+			check("EndEval", &ev)
+			recs[rk].AddEval(&ev)
+			check("AddEval", &recs[rk])
+		}
+	}
+	var all StepMetrics
+	FoldRanks(&all, recs)
+	check("FoldRanks", &all)
+
+	var buf bytes.Buffer
+	if err := WriteStepMetricsJSONL(&buf, []StepMetrics{all}); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"flops"`)) {
+		t.Errorf("the stream carries a flops key: %s", buf.Bytes())
+	}
+	out, err := ReadMetricsJSONL(&buf)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("read %d records, err %v; want 1", len(out), err)
+	}
+	check("JSONL", &out[0])
+	if out[0].Flops != all.Flops {
+		t.Errorf("JSONL round trip: Flops %v, want %v", out[0].Flops, all.Flops)
 	}
 }
 

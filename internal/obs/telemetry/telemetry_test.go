@@ -17,7 +17,7 @@ import (
 // stepRecord builds one per-rank step record the way sim.Node emits them.
 func stepRecord(step, rank, ranks int, stepMS float64) obs.StepMetrics {
 	m := obs.StepMetrics{Step: step, Rank: rank, Ranks: ranks, N: 1000, KernelISA: "test-isa"}
-	m.Times[obs.GravLocal] = time.Duration(stepMS * 0.8 * 1e6)
+	m.Times.GravLocal = time.Duration(stepMS * 0.8 * 1e6)
 	m.EndEval(time.Duration(stepMS * 1e6))
 	return m
 }

@@ -111,8 +111,8 @@ func TestParseChromeTraceTruncated(t *testing.T) {
 // closes it: step time total, of which walk in the local walk, and pc
 // particle-cell interactions.
 func rankRecord(step, rank, ranks int, total, walk time.Duration, pc uint64) StepMetrics {
-	m := StepMetrics{Step: step, Rank: rank, Ranks: ranks, N: 500, KernelISA: "x", Grav: grav.Stats{PC: pc}}
-	m.Times[GravLocal] = walk
+	m := StepMetrics{Step: step, Rank: rank, Ranks: ranks, N: 500, KernelISA: "x", Stats: grav.Stats{PC: pc}}
+	m.Times.GravLocal = walk
 	m.EndEval(total)
 	return m
 }
@@ -133,8 +133,8 @@ func TestFoldRanksAcrossRanks(t *testing.T) {
 	if m.Ranks != 2 || m.N != 1000 {
 		t.Errorf("ranks/N = %d/%d, want 2/1000", m.Ranks, m.N)
 	}
-	if m.Times[Total] != 20*ms || m.MaxTimes[Total] != 30*ms || m.Straggler != 1 {
-		t.Errorf("mean/max/straggler = %v/%v/%d, want 20ms/30ms/1", m.Times[Total], m.MaxTimes[Total], m.Straggler)
+	if m.Times.Total != 20*ms || m.MaxTimes.Total != 30*ms || m.Straggler != 1 {
+		t.Errorf("mean/max/straggler = %v/%v/%d, want 20ms/30ms/1", m.Times.Total, m.MaxTimes.Total, m.Straggler)
 	}
 	if m.ImbalancePct != 50 {
 		t.Errorf("imbalance = %v%%, want 50", m.ImbalancePct)
@@ -146,13 +146,13 @@ func TestFoldRanksAcrossRanks(t *testing.T) {
 		t.Errorf("arrivals = %v/%d, want 5ms/2", m.WorstArrival, m.ArrivalsSeen)
 	}
 	// The walk rate is the total flop count over the mean per-rank walk time
-	// (2·65e6 flop / 16 ms), the definition bonsai.StepStats has always
-	// used; it is not the sum of the per-rank rates (65e6/8ms + 65e6/24ms).
+	// (2·65e6 flop / 16 ms), the rate bonsai.StepStats has always
+	// reported; it is not the sum of the per-rank rates (65e6/8ms + 65e6/24ms).
 	if want := 2 * 65e6 / 16e-3 / 1e9; math.Abs(m.WalkGflops-want) > 1e-12 {
 		t.Errorf("walk rate = %v, want %v Gflop/s", m.WalkGflops, want)
 	}
-	if m.Times[GravLocal] != 16*ms {
-		t.Errorf("grav_local = %v, want the 16 ms mean", m.Times[GravLocal])
+	if m.Times.GravLocal != 16*ms {
+		t.Errorf("grav_local = %v, want the 16 ms mean", m.Times.GravLocal)
 	}
 
 	// One imbalanced evaluation — ranks with (4 Gflop, 1 s) and (2 Gflop, 2 s)

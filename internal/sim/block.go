@@ -237,8 +237,8 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		if full {
 			r.groups = r.tree.MakeGroupsScratch(octree.DefaultNGroup, r.cfg.WorkersPerRank, r.groups)
 		}
-		r.stats.Times[obs.TreeProps] = time.Since(tP)
-		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 1)
+		r.stats.Times.TreeProps = time.Since(tP)
+		r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 1)
 	}
 
 	if full {
@@ -260,7 +260,7 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 			for i := range r.parts {
 				tot += float64(uint64(1) << r.parts[i].Rung)
 			}
-			per := r.stats.Grav.Flops() / tot
+			per := r.stats.Stats.Flops() / tot
 			for i := range r.parts {
 				r.parts[i].Weight = per * float64(uint64(1)<<r.parts[i].Rung)
 			}

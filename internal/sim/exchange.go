@@ -368,7 +368,7 @@ func (x *exchange) flush() {
 	}
 	tW := time.Now()
 	forced := octree.WalkSources(pass, t.groups, t.pos, r.cfg.Theta, r.cfg.Softening*r.cfg.Softening,
-		t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav)
+		t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Stats)
 	d := time.Since(tW)
 	x.letWalk += d
 	r.obs.Span(r.eval, ph, obs.LaneCompute, 0, tW, tW.Add(d), int64(len(pass)))
@@ -430,7 +430,7 @@ func (x *exchange) finish() {
 	}
 
 	clear(x.peers) // as above: nothing of the peers' outlives the phase
-	r.stats.Times[obs.GravLET] = x.letWalk
-	r.stats.Times[obs.NonHiddenComm] = x.boundaryTime + x.waitTime
+	r.stats.Times.GravLET = x.letWalk
+	r.stats.Times.NonHiddenComm = x.boundaryTime + x.waitTime
 	r.stats.RecvIdle = x.recvIdle
 }

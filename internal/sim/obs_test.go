@@ -17,7 +17,7 @@ import (
 // work but whose walk time rounds to zero must report a finite (zero) rate,
 // and can never poison the step's cross-rank record.
 func TestWalkGflopsZeroTime(t *testing.T) {
-	rs := obs.StepMetrics{Grav: grav.Stats{PP: 1000, PC: 1000}}
+	rs := obs.StepMetrics{Stats: grav.Stats{PP: 1000, PC: 1000}}
 	rs.Derive()
 	if rs.WalkGflops != 0 {
 		t.Errorf("WalkGflops with zero walk time = %v, want 0", rs.WalkGflops)
@@ -34,17 +34,17 @@ func TestWalkGflopsZeroTime(t *testing.T) {
 
 func TestDeriveOther(t *testing.T) {
 	ms := time.Millisecond
-	p := obs.PhaseTimes{obs.SortBuild: 4 * ms, obs.Domain: 2 * ms, obs.TreeProps: 4 * ms,
-		obs.GravLocal: 5 * ms, obs.GravLET: 6 * ms, obs.NonHiddenComm: 7 * ms, obs.Total: 30 * ms}
+	p := obs.PhaseTimes{SortBuild: 4 * ms, Domain: 2 * ms, TreeProps: 4 * ms,
+		GravLocal: 5 * ms, GravLET: 6 * ms, NonHiddenComm: 7 * ms, Total: 30 * ms}
 	p.DeriveOther()
-	if want := 2 * ms; p[obs.Other] != want {
-		t.Errorf("Other = %v, want %v", p[obs.Other], want)
+	if want := 2 * ms; p.Other != want {
+		t.Errorf("Other = %v, want %v", p.Other, want)
 	}
 	// Clamp: accounted phases exceeding Total (clock skew) must not go negative.
-	p[obs.Total] = 10 * ms
+	p.Total = 10 * ms
 	p.DeriveOther()
-	if p[obs.Other] != 0 {
-		t.Errorf("Other = %v, want clamped 0", p[obs.Other])
+	if p.Other != 0 {
+		t.Errorf("Other = %v, want clamped 0", p.Other)
 	}
 }
 
@@ -59,13 +59,13 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 	s.Step()
 	for i, n := range s.nodes {
 		p := n.r.stats.Times
-		sum := p.Accounted() + p[obs.Other]
-		if p[obs.Other] < 0 {
-			t.Errorf("rank %d: negative Other %v", i, p[obs.Other])
+		sum := p.Accounted() + p.Other
+		if p.Other < 0 {
+			t.Errorf("rank %d: negative Other %v", i, p.Other)
 		}
 		// Exact unless the clamp fired (sum > Total means skew ate Other).
-		if diff := p[obs.Total] - sum; diff > 0 {
-			t.Errorf("rank %d: rows sum to %v but Total is %v (missing %v)", i, sum, p[obs.Total], diff)
+		if diff := p.Total - sum; diff > 0 {
+			t.Errorf("rank %d: rows sum to %v but Total is %v (missing %v)", i, sum, p.Total, diff)
 		}
 	}
 }
@@ -183,13 +183,13 @@ func TestTracingIntegration(t *testing.T) {
 			t.Errorf("record %d: step %d, %d ranks, n %d; want step %d, %d ranks, n 4000",
 				e, m.Step, m.Ranks, m.N, e, ranks)
 		}
-		if m.Times[obs.Total] > m.MaxTimes[obs.Total] || m.Times[obs.Total] <= 0 {
-			t.Errorf("record %d: mean step %v, max %v", e, m.Times[obs.Total], m.MaxTimes[obs.Total])
+		if m.Times.Total > m.MaxTimes.Total || m.Times.Total <= 0 {
+			t.Errorf("record %d: mean step %v, max %v", e, m.Times.Total, m.MaxTimes.Total)
 		}
 	}
 	slowest := 0
 	for i, n := range s.nodes {
-		if n.r.stats.Times[obs.Total] > s.nodes[slowest].r.stats.Times[obs.Total] {
+		if n.r.stats.Times.Total > s.nodes[slowest].r.stats.Times.Total {
 			slowest = i
 		}
 	}

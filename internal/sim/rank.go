@@ -284,22 +284,22 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 		r.parts = domain.Exchange(r.comm, r.dec, r.parts, r.grid)
 		r.checkExchange(count, mass)
 	}
-	r.stats.Times[obs.Domain] = time.Since(tD)
-	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times[obs.Domain]), 0)
+	r.stats.Times.Domain = time.Since(tD)
+	r.obs.Span(eval, obs.PhaseDomain, obs.LaneCompute, 0, tD, tD.Add(r.stats.Times.Domain), 0)
 
 	// --- Morton sort, particle reorder and tree construction.
 	tS := time.Now()
 	r.sortBuild()
-	r.stats.Times[obs.SortBuild] = time.Since(tS)
-	r.obs.Span(eval, obs.PhaseSortBuild, obs.LaneCompute, 0, tS, tS.Add(r.stats.Times[obs.SortBuild]), 0)
+	r.stats.Times.SortBuild = time.Since(tS)
+	r.obs.Span(eval, obs.PhaseSortBuild, obs.LaneCompute, 0, tS, tS.Add(r.stats.Times.SortBuild), 0)
 
 	// --- Tree properties (multipoles) and target groups, both multicore.
 	tP := time.Now()
 	r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)
 	r.checkTreeMass()
 	r.groups = r.tree.MakeGroupsScratch(octree.DefaultNGroup, r.cfg.WorkersPerRank, r.groups)
-	r.stats.Times[obs.TreeProps] = time.Since(tP)
-	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times[obs.TreeProps]), 0)
+	r.stats.Times.TreeProps = time.Since(tP)
+	r.obs.Span(eval, obs.PhaseTreeProps, obs.LaneCompute, 0, tP, tP.Add(r.stats.Times.TreeProps), 0)
 }
 
 // sortBuild computes Morton keys, sorts them, reorders r.parts (and the SoA
@@ -396,14 +396,14 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		n := min(chunk, len(pending))
 		tL := time.Now()
 		octree.WalkSource(r.tree, pending[:n], t.pos, theta, eps2, t.acc, t.pot,
-			r.cfg.WorkersPerRank, &r.stats.Grav)
+			r.cfg.WorkersPerRank, &r.stats.Stats)
 		d := time.Since(tL)
 		localWalk += d
 		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(d), int64(n))
 		pending = pending[n:]
 	}
 	x.markWalkDone()
-	r.stats.Times[obs.GravLocal] = localWalk
+	r.stats.Times.GravLocal = localWalk
 
 	if r.cfg.SerialLET {
 		x.recvLETsInOrder()

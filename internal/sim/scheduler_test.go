@@ -134,7 +134,7 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 						i, r.acc[i], r.pot[i], ref.acc[i], ref.pot[i])
 				}
 			}
-			if r.stats.Grav != ref.stats.Grav || r.stats.LETsRecv != owed || r.stats.BoundaryUsed != p-1-owed {
+			if r.stats.Stats != ref.stats.Stats || r.stats.LETsRecv != owed || r.stats.BoundaryUsed != p-1-owed {
 				t.Fatalf("SerialLET phase: stats %+v, reference %+v", r.stats, ref.stats)
 			}
 
@@ -143,8 +143,8 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 			if st.LETsRecv != owed || st.LETsRecv+st.BoundaryUsed != p-1 {
 				t.Fatalf("%d LETs + %d boundary trees walked, want %d + %d", st.LETsRecv, st.BoundaryUsed, owed, p-1-owed)
 			}
-			if st.Grav != ref.stats.Grav {
-				t.Fatalf("interaction counts %+v, SerialLET evaluation %+v: a remote tree was dropped or walked twice", st.Grav, ref.stats.Grav)
+			if st.Stats != ref.stats.Stats {
+				t.Fatalf("interaction counts %+v, SerialLET evaluation %+v: a remote tree was dropped or walked twice", st.Stats, ref.stats.Stats)
 			}
 			trees := int64(0)
 			for _, sp := range rec.Rank(me).Spans() {

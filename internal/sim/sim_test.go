@@ -12,7 +12,6 @@ import (
 	"bonsai/internal/grav"
 	"bonsai/internal/ic"
 	"bonsai/internal/mpi"
-	"bonsai/internal/obs"
 	"bonsai/internal/vec"
 )
 
@@ -201,13 +200,13 @@ func TestStepStatsPopulated(t *testing.T) {
 	if st.N != 3000 || st.Ranks != 4 {
 		t.Fatalf("stats header: %+v", st)
 	}
-	if st.Grav.PP == 0 || st.Grav.PC == 0 {
+	if st.PP == 0 || st.PC == 0 {
 		t.Error("no interactions recorded")
 	}
 	if st.PPPerParticle <= 0 || st.PCPerParticle <= 0 {
 		t.Error("per-particle interaction counts missing")
 	}
-	if st.Times[obs.GravLocal] <= 0 || st.Times[obs.SortBuild] <= 0 {
+	if st.Times.GravLocal <= 0 || st.Times.SortBuild <= 0 {
 		t.Errorf("phase timers missing: %+v", st.Times)
 	}
 	if st.WalkGflops <= 0 || st.AppGflops <= 0 {
@@ -431,11 +430,11 @@ func TestCommunicationMostlyHidden(t *testing.T) {
 	var fracs []float64
 	for len(fracs) < 5 {
 		st := s.ComputeForces() // steady state
-		grav := st.Times[obs.GravLocal] + st.Times[obs.GravLET]
+		grav := st.Times.GravLocal + st.Times.GravLET
 		if grav == 0 {
 			t.Fatal("no gravity time recorded")
 		}
-		fracs = append(fracs, st.Times[obs.NonHiddenComm].Seconds()/grav.Seconds())
+		fracs = append(fracs, st.Times.NonHiddenComm.Seconds()/grav.Seconds())
 	}
 	slices.Sort(fracs)
 	if median := fracs[len(fracs)/2]; median > 0.25 {
@@ -450,9 +449,9 @@ func TestStepProfileShape(t *testing.T) {
 	s, _ := New(Config{Ranks: 2, Theta: 0.4, Softening: 0.05}, parts)
 	s.ComputeForces()
 	st := s.ComputeForces()
-	total := st.Times[obs.Total].Seconds()
-	grav := (st.Times[obs.GravLocal] + st.Times[obs.GravLET]).Seconds()
-	pipeline := (st.Times[obs.SortBuild] + st.Times[obs.TreeProps]).Seconds()
+	total := st.Times.Total.Seconds()
+	grav := (st.Times.GravLocal + st.Times.GravLET).Seconds()
+	pipeline := (st.Times.SortBuild + st.Times.TreeProps).Seconds()
 	if grav/total < 0.5 {
 		t.Errorf("gravity is %.0f%% of the step; Table II has ~75-80%%", 100*grav/total)
 	}

@@ -32,9 +32,6 @@ const (
 
 	// PcPerKpc converts kpc to pc.
 	PcPerKpc = 1000.0
-
-	// LightYearPerPc is the number of light years in one parsec.
-	LightYearPerPc = 3.26156
 )
 
 // Gyr converts an internal simulation time to gigayears.
@@ -42,12 +39,6 @@ func Gyr(t float64) float64 { return t * KpcPerKmsToGyr }
 
 // FromGyr converts gigayears to internal simulation time.
 func FromGyr(gyr float64) float64 { return gyr * GyrToInternal }
-
-// Msun converts an internal mass to solar masses.
-func Msun(m float64) float64 { return m * MassUnitMsun }
-
-// FromMsun converts solar masses to internal mass units.
-func FromMsun(msun float64) float64 { return msun / MassUnitMsun }
 
 // SofteningForN returns the Plummer softening length (kpc) appropriate for an
 // N-particle realization of the paper's Milky Way model. The paper uses

@@ -16,7 +16,7 @@ func TestTimeConversionRoundTrip(t *testing.T) {
 func TestGValueGivesCorrectCircularVelocity(t *testing.T) {
 	// A 1e11 Msun enclosed mass at 8 kpc gives vc = sqrt(GM/r) ≈ 232 km/s,
 	// the Milky Way's rotation speed near the Sun.
-	m := FromMsun(1e11)
+	m := 1e11 / MassUnitMsun
 	vc := math.Sqrt(G * m / 8.0)
 	if vc < 225 || vc > 240 {
 		t.Errorf("vc = %v km/s, want ~232", vc)

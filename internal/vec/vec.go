@@ -28,15 +28,6 @@ func (a V3) Scale(s float64) V3 { return V3{s * a.X, s * a.Y, s * a.Z} }
 // Dot returns the scalar product a · b.
 func (a V3) Dot(b V3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
-// Cross returns the vector product a × b.
-func (a V3) Cross(b V3) V3 {
-	return V3{
-		a.Y*b.Z - a.Z*b.Y,
-		a.Z*b.X - a.X*b.Z,
-		a.X*b.Y - a.Y*b.X,
-	}
-}
-
 // Norm2 returns |a|².
 func (a V3) Norm2() float64 { return a.Dot(a) }
 

@@ -25,19 +25,6 @@ func TestV3Arithmetic(t *testing.T) {
 	}
 }
 
-func TestCrossOrthogonality(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a := V3{clampf(ax), clampf(ay), clampf(az)}
-		b := V3{clampf(bx), clampf(by), clampf(bz)}
-		c := a.Cross(b)
-		scale := a.Norm()*b.Norm() + 1
-		return almostEq(c.Dot(a), 0, 1e-9*scale*scale) && almostEq(c.Dot(b), 0, 1e-9*scale*scale)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNorm(t *testing.T) {
 	v := V3{3, 4, 12}
 	if v.Norm() != 13 {

@@ -124,11 +124,11 @@ func TestTelemetryDriversAgree(t *testing.T) {
 	}
 	for i, a := range inRecs {
 		b := mpRecs[i]
-		if a.Step != b.Step || a.Ranks != b.Ranks || a.N != b.N || a.Grav.PP != b.Grav.PP || a.Grav.PC != b.Grav.PC ||
+		if a.Step != b.Step || a.Ranks != b.Ranks || a.N != b.N || a.PP != b.PP || a.PC != b.PC ||
 			a.LETsSent != b.LETsSent || a.BoundaryUsed != b.BoundaryUsed || a.BytesSent != b.BytesSent {
 			t.Errorf("evaluation %d differs:\n Simulation      step %d ranks %d n %d pp %d pc %d lets %d boundary %d bytes %d\n NodeSimulations step %d ranks %d n %d pp %d pc %d lets %d boundary %d bytes %d",
-				i, a.Step, a.Ranks, a.N, a.Grav.PP, a.Grav.PC, a.LETsSent, a.BoundaryUsed, a.BytesSent,
-				b.Step, b.Ranks, b.N, b.Grav.PP, b.Grav.PC, b.LETsSent, b.BoundaryUsed, b.BytesSent)
+				i, a.Step, a.Ranks, a.N, a.PP, a.PC, a.LETsSent, a.BoundaryUsed, a.BytesSent,
+				b.Step, b.Ranks, b.N, b.PP, b.PC, b.LETsSent, b.BoundaryUsed, b.BytesSent)
 		}
 	}
 
