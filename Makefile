@@ -187,17 +187,17 @@ ENERGY_DRIFT = {for(i=1;i<=NF;i++) if($$i ~ /^E=/) E[++n]=substr($$i,3)} \
         exit (d < 5e-3 ? 0 : 1) }
 
 # End-to-end smoke test of the block-timestep path: a 4-rank multi-process
-# unix-socket run with -block-steps must emit substep spans into the merged
+# unix-socket run with -max-rungs 3 must emit substep spans into the merged
 # trace and active-fraction metrics into the merged JSONL, and its energy must
 # stay conserved (first-vs-last step drift under 0.5%); -eta-dt 0.005 spreads
 # the rungs over ~4 substeps per step. Its step-2 snapshot then restarts a
-# second 4-process run with -block-steps, where each worker sees only its own
+# second 4-process run with -max-rungs 3, where each worker sees only its own
 # slice of the restored rungs plus the rung-population allreduce: that run
 # must keep the hierarchy and finish inside the same drift bound.
 block-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model plummer -n 4000 -ranks 4 -steps 4 \
-	  -block-steps -max-rungs 3 -eta-dt 0.005 -transport unix \
+	  -max-rungs 3 -eta-dt 0.005 -transport unix \
 	  -snap-every 2 -snap-prefix "$$tmp/blk" \
 	  -trace "$$tmp/merged.json" -metrics "$$tmp/merged.jsonl" \
 	  | tee "$$tmp/run.txt" && \
@@ -206,6 +206,6 @@ block-smoke:
 	grep -q 'rung_pop' "$$tmp/merged.jsonl" && \
 	awk -v leg=block-smoke '$(ENERGY_DRIFT)' "$$tmp/run.txt" && \
 	$(GO) run ./cmd/bonsai -model plummer -restore "$$tmp/blk_00002.snap" -ranks 4 -steps 2 \
-	  -block-steps -max-rungs 3 -eta-dt 0.005 -transport unix | tee "$$tmp/restore.txt" && \
+	  -max-rungs 3 -eta-dt 0.005 -transport unix | tee "$$tmp/restore.txt" && \
 	awk -v leg=block-smoke/restore '$(ENERGY_DRIFT)' "$$tmp/restore.txt" && \
 	echo "block-smoke: OK"

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 
 	"bonsai"
@@ -26,9 +27,14 @@ import (
 func printFig2(outdir string) {
 	section("FIG. 2 — Peano-Hilbert SFC domain decomposition (5 domains)")
 
+	// The Milky Way model's live disk alone: the disk block of a full
+	// realization sized to hold about 30k disk particles.
 	const p = 5
-	const n = 30_000
-	parts := ic.DefaultMilkyWay().RealizeDiskOnly(n, 7, 0)
+	m := ic.DefaultMilkyWay()
+	nAll := int(30_000 * (m.HaloMass + m.DiskMass + m.BulgeMass) / m.DiskMass)
+	nb, nd, _ := m.Counts(nAll)
+	parts := slices.Clone(m.Realize(nAll, 7, runtime.GOMAXPROCS(0))[nb : nb+nd])
+	n := len(parts)
 	s, err := bonsai.New(bonsai.Config{
 		Ranks: p, Theta: 0.4, Softening: bonsai.SofteningForN(n), GravConst: bonsai.G,
 	}, parts)

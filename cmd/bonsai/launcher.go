@@ -43,12 +43,12 @@ func (lc *launchConfig) rankAddrs() []string {
 // the original flags plus -worker-rank, and supervises the team: if any
 // worker dies (crash, SIGKILL), the whole team is killed and respawned, and
 // the workers restore themselves from the newest committed checkpoint. The
-// team is restarted at most maxRestarts times.
+// team is restarted at most maxRestarts times. Without -ckpt-dir the
+// checkpoints go to a fresh temp directory, removed once the team finishes
+// cleanly and kept when the restart budget is spent.
 func runLauncher(lc launchConfig) {
-	if lc.ranks < 1 {
-		log.Fatalf("-ranks %d: need at least 1", lc.ranks)
-	}
-	if lc.ckptDir == "" {
+	tmpCkpt := lc.ckptDir == ""
+	if tmpCkpt {
 		dir, err := os.MkdirTemp("", "bonsai-ckpt")
 		if err != nil {
 			log.Fatal(err)
@@ -72,10 +72,14 @@ func runLauncher(lc launchConfig) {
 	for attempt := 0; ; attempt++ {
 		ok, failure := runTeam(self, lc)
 		if ok {
+			if tmpCkpt {
+				os.RemoveAll(lc.ckptDir)
+			}
 			return
 		}
 		if attempt >= lc.maxRestarts {
-			log.Fatalf("worker team failed (%s) and restart budget (%d) is spent", failure, lc.maxRestarts)
+			log.Fatalf("worker team failed (%s) and restart budget (%d) is spent; checkpoints kept in %s",
+				failure, lc.maxRestarts, lc.ckptDir)
 		}
 		fmt.Printf("worker team failed (%s); restarting from the last checkpoint (attempt %d/%d)\n",
 			failure, attempt+1, lc.maxRestarts)

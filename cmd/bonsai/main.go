@@ -40,8 +40,7 @@ func main() {
 		theta      = flag.Float64("theta", 0.4, "opening angle (paper: 0.4)")
 		eps        = flag.Float64("eps", 0, "softening in kpc (0 = paper's N^-1/3 scaling)")
 		dt         = flag.Float64("dt", 0, "time step (0 = softening-based minimum, paper §VI.C)")
-		blockSteps = flag.Bool("block-steps", false, "hierarchical block timesteps: per-particle dt = dt/2^k from the acceleration criterion")
-		maxRungs   = flag.Int("max-rungs", 4, "block timesteps: maximum hierarchy depth (dt/2^max-rungs is the finest step)")
+		maxRungs   = flag.Int("max-rungs", 0, "hierarchical block timesteps: per-particle dt = dt/2^k, k <= max-rungs, from the acceleration criterion (0 = one shared step)")
 		etaDT      = flag.Float64("eta-dt", 0.1, "block timesteps: accuracy parameter of dt_i = eta*sqrt(eps/|a_i|)")
 		serialLET  = flag.Bool("serial-let", false, "disable communication/compute overlap in the gravity phase (deterministic baseline)")
 		steps      = flag.Int("steps", 64, "number of leapfrog steps")
@@ -64,13 +63,17 @@ func main() {
 		sockDir    = flag.String("sock-dir", "", "internal: directory holding the unix socket files")
 	)
 	flag.Parse()
+	if *n < 1 || *ranks < 1 {
+		log.Printf("-n %d, -ranks %d: both must be at least 1", *n, *ranks)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	f := simFlags{
 		model: *model, n: *n, seed: *seed, restore: *restore,
 		ranks: *ranks, workers: *workers, theta: *theta, eps: *eps, dt: *dt,
-		blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
-		serialLET: *serialLET,
-		steps:     *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
+		maxRungs: *maxRungs, etaDT: *etaDT, serialLET: *serialLET,
+		steps: *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
 	}
 	o := obsFlags{
 		tracePath: *tracePath, metricsOut: *metricsOut,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -25,8 +26,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// bonsaiCmd runs the command with the given flags inside dir.
-func bonsaiCmd(t *testing.T, dir string, args ...string) {
+// bonsaiRun runs the command with the given flags inside dir, with env added
+// to the environment, and returns its combined output.
+func bonsaiRun(t *testing.T, dir string, env []string, args ...string) (string, error) {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -34,15 +36,60 @@ func bonsaiCmd(t *testing.T, dir string, args ...string) {
 	}
 	cmd := exec.Command(self, args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "BONSAI_TEST_AS_CMD=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
+	cmd.Env = append(append(os.Environ(), "BONSAI_TEST_AS_CMD=1"), env...)
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// bonsaiCmd runs the command with the given flags inside dir and fails the
+// test unless it exits 0.
+func bonsaiCmd(t *testing.T, dir string, args ...string) {
+	t.Helper()
+	if out, err := bonsaiRun(t, dir, nil, args...); err != nil {
 		t.Fatalf("bonsai %v: %v\n%s", args, err, out)
+	}
+}
+
+// TestSizeFlagsRejected: a particle or rank count below 1 is a usage error,
+// exit status 2 with the message, raised before any particle is generated
+// (-ranks 0 used to divide by zero, -n -5 to panic in makeslice).
+func TestSizeFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-ranks", "0"}, {"-n", "-5"}} {
+		t.Run(strings.Join(args, ""), func(t *testing.T) {
+			out, err := bonsaiRun(t, t.TempDir(), nil, args...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+				!strings.Contains(out, "must be at least 1") || strings.Contains(out, "panic:") {
+				t.Errorf("bonsai %v: %v, want a usage error\n%s", args, err, out)
+			}
+		})
+	}
+}
+
+// TestLauncherRemovesItsCheckpointDir: without -ckpt-dir the launcher keeps
+// its checkpoints in a fresh bonsai-ckpt* directory under TMPDIR, and a run
+// whose team finishes cleanly removes it.
+func TestLauncherRemovesItsCheckpointDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks 2 worker processes")
+	}
+	tmp := t.TempDir()
+	out, err := bonsaiRun(t, t.TempDir(), []string{"TMPDIR=" + tmp}, "-model", "plummer", "-n", "1000",
+		"-ranks", "2", "-steps", "1", "-q", "-transport", "unix", "-max-restarts", "0")
+	if err != nil {
+		t.Fatalf("bonsai: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "checkpoints -> "+tmp) {
+		t.Fatalf("the run did not keep its checkpoints under TMPDIR %s:\n%s", tmp, out)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "bonsai-ckpt*")); len(left) > 0 {
+		t.Errorf("a clean run left %v behind", left)
 	}
 }
 
 // TestMultiProcessSnapshotsAndRestore holds the socket-transport path to what
 // the in-process path already did: -snap-every writes loadable snapshots of
-// the whole particle set, and -restore with -block-steps keeps the rungs the
+// the whole particle set, and -restore with -max-rungs keeps the rungs the
 // snapshot carries instead of re-assigning them from fresh accelerations.
 func TestMultiProcessSnapshotsAndRestore(t *testing.T) {
 	if testing.Short() {
@@ -75,7 +122,7 @@ func TestMultiProcessSnapshotsAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	bonsaiCmd(t, dir, "-restore", "fine.snap", "-ranks", "4", "-transport", "unix", "-steps", "1",
-		"-block-steps", "-max-rungs", "2", "-dt", "1e-9", "-eps", "0.05", "-q",
+		"-max-rungs", "2", "-dt", "1e-9", "-eps", "0.05", "-q",
 		"-metrics", "m.jsonl", "-ckpt-dir", filepath.Join(dir, "ckpt2"))
 	f, err := os.Open(filepath.Join(dir, "m.jsonl"))
 	if err != nil {

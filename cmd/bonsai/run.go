@@ -21,7 +21,6 @@ type simFlags struct {
 	theta      float64
 	eps        float64
 	dt         float64
-	blockSteps bool
 	maxRungs   int
 	etaDT      float64
 	serialLET  bool
@@ -91,7 +90,7 @@ func newRun(f simFlags, tracing bool) *run {
 		Theta:          r.theta,
 		Softening:      r.eps,
 		DT:             r.dt,
-		BlockSteps:     r.blockSteps,
+		BlockSteps:     r.maxRungs != 0,
 		MaxRungs:       r.maxRungs,
 		EtaDT:          r.etaDT,
 		GravConst:      gconst,

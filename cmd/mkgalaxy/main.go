@@ -29,6 +29,11 @@ func main() {
 		out   = flag.String("o", "galaxy.snap", "output snapshot path")
 	)
 	flag.Parse()
+	if *n < 1 {
+		log.Printf("-n %d: need at least 1 particle", *n)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var parts []bonsai.Particle
 	switch *model {

@@ -20,21 +20,21 @@
 //     strength, solar-neighbourhood velocity structure);
 //   - a direct-summation baseline (DirectForces) for accuracy control;
 //   - binary snapshots for restart and offline analysis;
-//   - the paper's §I "type 1" mode — a live disk inside an analytic static
-//     halo (GalaxyModel.StaticHalo, Config.External) — and its §VII outlook:
-//     a hybrid in which a massive black hole and its stellar cusp are
-//     integrated by a 4th-order Hermite direct code coupled to the tree
-//     AMUSE-style (NewHybrid).
+//   - the paper's §VII outlook: a hybrid in which a massive black hole and
+//     its stellar cusp are integrated by a 4th-order Hermite direct code
+//     coupled to the tree AMUSE-style (NewHybrid).
+//
+// Galaxies are simulated the way the paper runs them, as §I "type 2"
+// models: halo, disk and bulge are all live particles.
 //
 // The public data types are the engine's own, re-exported as aliases:
 // Config is the simulation's configuration, Particle and Vec3 its particle
 // record and vector, GalaxyModel and GalaxyComponent the Milky Way model of
-// the IC generator, ExternalField its static-field function type, Filter,
-// DensityMap and VelocityHist the analysis types, and HybridConfig the
-// bridge's configuration. Particle sets therefore pass between the
-// generators, the simulation, the analyses and the snapshot files without a
-// copy, and StepStats and PhaseTimes are the step record every rank writes
-// and the metrics stream carries. The package's own types are the run
+// the IC generator, Filter, DensityMap and VelocityHist the analysis types,
+// and HybridConfig the bridge's configuration. Particle sets therefore pass
+// between the generators, the simulation, the analyses and the snapshot files
+// without a copy, and StepStats and PhaseTimes are the step record every rank
+// writes and the metrics stream carries. The package's own types are the run
 // handles (Simulation, NodeSimulation, World, Hybrid).
 //
 // Scale-dependent aspects of the paper (K20X GPUs, Cray interconnects,

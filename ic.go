@@ -27,10 +27,8 @@ const (
 // GalaxyModel describes a Milky-Way-like galaxy: an NFW dark halo, an
 // exponential stellar disk and a Hernquist bulge realized with equal-mass
 // particles (paper §IV). All masses in 1e10 M⊙, lengths in kpc. Its methods
-// realize it (Realize, RealizeDiskOnly), split a realization into components
-// (Counts, ComponentOf), and give the analytic field of its spheroids
-// (StaticHalo, the paper's §I "type 1" setup: pair it with RealizeDiskOnly
-// and Config{External: ..., GravConst: bonsai.G}).
+// realize it (Realize) and split a realization into components (Counts,
+// ComponentOf).
 type GalaxyModel = ic.MilkyWayModel
 
 // MilkyWayModel returns the paper's Galaxy parameters: a 6.0e11 M⊙ NFW
@@ -43,9 +41,3 @@ func MilkyWayModel() GalaxyModel { return ic.DefaultMilkyWay() }
 func NewMilkyWay(n int, seed int64) []Particle {
 	return MilkyWayModel().Realize(n, seed, 0)
 }
-
-// ExternalField is a static analytic gravitational field: given a position
-// it returns the acceleration and specific potential. Used for the paper's
-// §I "type 1" simulations (analytic dark halo + live disk); see
-// Config.External and GalaxyModel.StaticHalo.
-type ExternalField = ic.StaticField

@@ -30,11 +30,6 @@ type System struct {
 	// criterion (typical 0.01-0.02).
 	Eta float64
 
-	// External, slowly varying acceleration applied to every particle
-	// (set by the bridge kicks); included in predictions but assumed
-	// constant over a Hermite step.
-	ExtAcc []vec.V3
-
 	acc  []vec.V3
 	jerk []vec.V3
 	time float64
@@ -44,14 +39,13 @@ type System struct {
 func New(pos, vel []vec.V3, mass []float64, eps, eta float64) *System {
 	n := len(pos)
 	s := &System{
-		Pos:    append([]vec.V3(nil), pos...),
-		Vel:    append([]vec.V3(nil), vel...),
-		Mass:   append([]float64(nil), mass...),
-		Eps2:   eps * eps,
-		Eta:    eta,
-		ExtAcc: make([]vec.V3, n),
-		acc:    make([]vec.V3, n),
-		jerk:   make([]vec.V3, n),
+		Pos:  append([]vec.V3(nil), pos...),
+		Vel:  append([]vec.V3(nil), vel...),
+		Mass: append([]float64(nil), mass...),
+		Eps2: eps * eps,
+		Eta:  eta,
+		acc:  make([]vec.V3, n),
+		jerk: make([]vec.V3, n),
 	}
 	if s.Eta <= 0 {
 		s.Eta = 0.014
@@ -86,7 +80,7 @@ func (s *System) forces(pos, vel []vec.V3, acc, jerk []vec.V3) {
 			// jerk: m [dv/r³ − 3(r·v)r/r⁵]
 			j = j.Add(dv.Scale(mrinv3)).Sub(dr.Scale(3 * rv * mrinv3))
 		}
-		acc[i] = a.Add(s.ExtAcc[i])
+		acc[i] = a
 		jerk[i] = j
 	}
 }
@@ -169,7 +163,7 @@ func (s *System) Advance(dt float64) int {
 	return steps
 }
 
-// Energy returns kinetic and potential energy (excluding ExtAcc terms).
+// Energy returns kinetic and potential energy.
 func (s *System) Energy() (kin, pot float64) {
 	n := s.N()
 	for i := 0; i < n; i++ {
@@ -188,12 +182,5 @@ func (s *System) Kick(dv []vec.V3) {
 	for i := range s.Vel {
 		s.Vel[i] = s.Vel[i].Add(dv[i])
 	}
-	s.forces(s.Pos, s.Vel, s.acc, s.jerk)
-}
-
-// SetExternalAcc replaces the slowly varying external field and refreshes
-// the force state.
-func (s *System) SetExternalAcc(ext []vec.V3) {
-	copy(s.ExtAcc, ext)
 	s.forces(s.Pos, s.Vel, s.acc, s.jerk)
 }

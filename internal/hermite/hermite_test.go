@@ -74,17 +74,6 @@ func TestFourthOrderConvergence(t *testing.T) {
 	}
 }
 
-func TestExternalAccelerationUniformField(t *testing.T) {
-	// A free particle in a uniform external field follows x = ½ g t².
-	s := New([]vec.V3{{}}, []vec.V3{{}}, []float64{1}, 0, 0.01)
-	s.SetExternalAcc([]vec.V3{{X: 2}})
-	s.Advance(3)
-	want := 0.5 * 2 * 9.0
-	if math.Abs(s.Pos[0].X-want) > 1e-9 {
-		t.Errorf("x = %v, want %v", s.Pos[0].X, want)
-	}
-}
-
 func TestKick(t *testing.T) {
 	s := New([]vec.V3{{}}, []vec.V3{{X: 1}}, []float64{1}, 0, 0.01)
 	s.Kick([]vec.V3{{X: -1, Y: 2}})

@@ -245,7 +245,6 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 		t := r.fullTargets()
 		r.gravity(eval%2, &t)
 		r.finishForces(&t)
-		r.extPot = t.ext
 
 		// Work weights feed the next decomposition; decompositions happen at
 		// top-of-step barriers, which always take this full-active path. A
@@ -319,27 +318,15 @@ func (r *rank) subsetForces(eval, s, S int) {
 		mass:   r.amass,
 		acc:    r.aacc,
 		pot:    r.apot,
-		ext:    r.aext,
 		box:    box,
 		index:  r.active,
 	}
 	r.gravity(eval%2, &t)
 	r.finishForces(&t)
-	r.aext = t.ext
 
-	hasExt := len(t.ext) == na && na > 0
-	if hasExt {
-		// Mid-step rebuilds can leave inactive extPot entries stale or
-		// zeroed; Energy is only meaningful at top-of-step barriers, where
-		// the full-active evaluation refreshes the whole slice.
-		r.extPot = resize(r.extPot, len(r.parts))
-	}
 	for j, i := range r.active {
 		r.acc[i] = r.aacc[j]
 		r.pot[i] = r.apot[j]
-		if hasExt {
-			r.extPot[i] = t.ext[j]
-		}
 	}
 }
 
@@ -379,7 +366,7 @@ func (r *rank) blockAdvance(step, eval int, first bool) int {
 	if first {
 		// Prime accelerations at the top-of-step barrier, with the domain
 		// update when this step is an epoch.
-		r.blockForces(step, eval, step%r.cfg.DomainFreq == 0, true, 0)
+		r.blockForces(step, eval, step%domainFreq == 0, true, 0)
 		if hier {
 			// Particles that arrive with rungs above 0 on any rank (a restart)
 			// keep them; otherwise the primed accelerations assign them. The
@@ -424,7 +411,7 @@ func (r *rank) blockAdvance(step, eval int, first bool) int {
 		// and carries the step's domain epoch, unless the priming evaluation
 		// already decomposed this step: positions have only drifted within
 		// it, so the decomposition is still fresh.
-		domain := next == S && step%r.cfg.DomainFreq == 0 && !first
+		domain := next == S && step%domainFreq == 0 && !first
 		r.blockForces(step, eval, domain, next == S, next)
 
 		// Closing half-kicks for the block active at next (recomputed inside

@@ -56,7 +56,7 @@ func kdk(t *testing.T, cfg Config, parts []body.Particle, steps int) []body.Part
 				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
 				r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
 			}
-			r.blockForces(step, step+1, step > 0 && step%n.cfg.DomainFreq == 0, true, 0)
+			r.blockForces(step, step+1, step > 0 && step%domainFreq == 0, true, 0)
 			for i := range r.parts {
 				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
 			}
@@ -92,7 +92,7 @@ func TestBlockMaxRungs0Bitwise(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
 				Ranks: c.ranks, WorkersPerRank: c.work, Theta: 0.5, Softening: 0.05,
-				DT: 1e-3, DomainFreq: 2, SerialLET: c.serial, BoundaryDepth: c.bdepth,
+				DT: 1e-3, SerialLET: c.serial, BoundaryDepth: c.bdepth,
 			}
 			s, err := New(cfg, parts)
 			if err != nil {
@@ -119,7 +119,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 		np := 20 + int(n)
 		ns := 1 + int(steps)%6
 		parts := plummer(np, seed)
-		cfg := Config{Theta: 0.5, Softening: 0.05, DT: 1e-3, DomainFreq: 2}
+		cfg := Config{Theta: 0.5, Softening: 0.05, DT: 1e-3}
 		s, err := New(cfg, parts)
 		if err != nil {
 			t.Skip()
@@ -383,7 +383,7 @@ func TestBlockRestoreDecidesRungsCollectively(t *testing.T) {
 		high[i].Rung = maxRungs
 	}
 	f := newFleet(t, cfg, mpi.NewWorld(cfg.Ranks), parts)
-	f.SetClock(1, 0) // step 1 % DomainFreq != 0: no exchange before the decision
+	f.SetClock(1, 0) // step 1 % domainFreq != 0: no exchange before the decision
 	done := make(chan []obs.StepMetrics, 1)
 	go func() {
 		recs := make([]obs.StepMetrics, cfg.Ranks)
@@ -406,24 +406,26 @@ func TestBlockRestoreDecidesRungsCollectively(t *testing.T) {
 // TestNodeBlockMatchesSimulation runs the block-timestep path over the
 // socket transport: 4 single-rank processes in lockstep must reproduce the
 // in-process Simulation. Rungs travel inside the particle wire format, so
-// domain exchanges mid-run keep every receiving rank able to close the
-// half-finished steps of the particles it inherits.
+// domain exchanges mid-run (the run reaches step 4's epoch) keep every
+// receiving rank able to close the half-finished steps of the particles it
+// inherits.
 func TestNodeBlockMatchesSimulation(t *testing.T) {
 	const ranks = 4
 	parts := concentrated(1200, 67)
 	cfg := Config{
-		Ranks: ranks, Theta: 0.4, Softening: 0.01, DT: 4e-3, DomainFreq: 1,
+		Ranks: ranks, Theta: 0.4, Softening: 0.01, DT: 4e-3,
 		BlockSteps: true, MaxRungs: 3, EtaDT: 0.1,
 	}
+	const steps = domainFreq + 1
 	w := newTestSockWorld(t, "unix", ranks)
-	nodes := runNodes(t, cfg, w, parts, 3)
+	nodes := runNodes(t, cfg, w, parts, steps)
 	got := nodes.Particles()
 
 	s, err := New(cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < steps; i++ {
 		st := s.Step()
 		if i > 0 && st.Substeps > 1 && st.Rebuilds >= st.Substeps {
 			t.Errorf("step %d: no tree reuse (%d rebuilds / %d substeps)", i, st.Rebuilds, st.Substeps)

@@ -135,7 +135,7 @@ func (n *Node) Time() float64 { return n.time }
 func (n *Node) StepCount() int { return n.step }
 
 // SetClock fast-forwards the step counter and simulation time, for resuming
-// from a snapshot or checkpoint: the domain-epoch schedule (step % DomainFreq)
+// from a snapshot or checkpoint: the domain-epoch schedule (step % domainFreq)
 // must continue from the restored step, not restart at 0.
 func (n *Node) SetClock(step int, time float64) {
 	n.step = step
@@ -177,7 +177,7 @@ func (n *Node) ComputeForces() obs.StepMetrics {
 	r := n.r
 	r.recs = r.recs[:0]
 	n.first = false
-	r.blockForces(n.step, n.evals, n.step%n.cfg.DomainFreq == 0, true, 0)
+	r.blockForces(n.step, n.evals, n.step%domainFreq == 0, true, 0)
 	n.evals++
 	r.keep()
 	return r.stats

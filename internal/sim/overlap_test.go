@@ -17,8 +17,7 @@ func TestOverlapPipelineMatchesSerial(t *testing.T) {
 	parts := plummer(3000, 61)
 	accFor := func(serial bool) []vec.V3 {
 		s, err := New(Config{
-			Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05,
-			DomainFreq: 1, SerialLET: serial,
+			Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, SerialLET: serial,
 		}, parts)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +42,7 @@ func TestOverlapPipelineMatchesSerial(t *testing.T) {
 // populated and internally consistent at 8 ranks.
 func TestOverlapCountersConsistent(t *testing.T) {
 	parts := plummer(6000, 62)
-	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
+	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +62,7 @@ func TestOverlapCountersConsistent(t *testing.T) {
 	}
 
 	// Serial baseline: by construction nothing overlaps.
-	s2, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05,
-		DomainFreq: 1, SerialLET: true}, parts)
+	s2, err := New(Config{Ranks: 8, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, SerialLET: true}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,76 +74,25 @@ func TestOverlapCountersConsistent(t *testing.T) {
 
 // TestOverlapPipelineStress drives the full pipeline — parallel walks,
 // builder pool, receiver goroutine, batched remote passes — across several
-// steps at 8 ranks with multiple workers. Run under -race this is the
+// steps at 8 ranks with multiple workers, two of them domain epochs (the
+// priming evaluation and step 4). Run under -race this is the
 // regression net for the concurrency structure; accuracy is pinned against
 // direct summation.
 func TestOverlapPipelineStress(t *testing.T) {
 	parts := plummer(2500, 63)
 	s, err := New(Config{
 		Ranks: 8, WorkersPerRank: 4,
-		Theta: 0.4, Softening: 0.05, DT: 1e-3, DomainFreq: 1,
+		Theta: 0.4, Softening: 0.05, DT: 1e-3,
 	}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(3)
+	s.Run(domainFreq + 1)
 	if len(s.Particles()) != 2500 {
 		t.Fatal("particles lost")
 	}
 	if rms := rmsAccError(t, s, 0.05); rms > 2e-3 {
 		t.Errorf("rms acc error %v vs direct after pipelined steps", rms)
-	}
-}
-
-// TestExternalPotentialReported: with Config.External set, Accelerations()
-// must report the true physical potential — self-gravity plus the analytic
-// field — not the energy-bookkeeping hybrid the seed code stored (which
-// doubled the external term).
-func TestExternalPotentialReported(t *testing.T) {
-	parts := plummer(1500, 64)
-	ext := func(pos vec.V3) (vec.V3, float64) {
-		// Harmonic trap: a = -k x, phi = 0.5 k |x|^2 (sign chosen so the
-		// pair is consistent: a = -grad phi).
-		const k = 0.3
-		return pos.Scale(-k), 0.5 * k * pos.Norm2()
-	}
-	base, err := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.ComputeForces()
-	baseAcc, basePot := base.Accelerations()
-
-	s, err := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1, External: ext}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ComputeForces()
-	acc, pot := s.Accelerations()
-
-	ps := s.Particles()
-	for i := range ps {
-		ea, ep := ext(ps[i].Pos)
-		wantAcc := baseAcc[i].Add(ea)
-		if acc[i].Sub(wantAcc).Norm() > grav.KernelTol()*(1+wantAcc.Norm()) {
-			t.Fatalf("particle %d: acc %v, want self+ext %v", i, acc[i], wantAcc)
-		}
-		wantPot := basePot[i] + ep
-		if math.Abs(pot[i]-wantPot) > grav.KernelTol()*(1+math.Abs(wantPot)) {
-			t.Fatalf("particle %d: pot %v, want self+ext %v (self %v, ext %v)",
-				i, pot[i], wantPot, basePot[i], ep)
-		}
-	}
-
-	// Energy bookkeeping: total potential energy = ½ Σ m·self + Σ m·ext.
-	_, potE := s.Energy()
-	var want float64
-	for i := range ps {
-		_, ep := ext(ps[i].Pos)
-		want += 0.5*ps[i].Mass*basePot[i] + ps[i].Mass*ep
-	}
-	if math.Abs(potE-want) > grav.KernelTol()*(1+math.Abs(want)) {
-		t.Errorf("potential energy %v, want %v", potE, want)
 	}
 }
 
@@ -156,12 +103,14 @@ func TestExternalPotentialReported(t *testing.T) {
 // state is identical at every evaluation, so message counts metered by the
 // World must satisfy: first Step = one domain-updating evaluation (measured
 // on a twin simulation via ComputeForces) + one plain evaluation (measured
-// from a later no-update step).
+// from a later no-update step). The same counts pin the epoch schedule: the
+// steps up to domainFreq are plain, and step domainFreq sends exactly one
+// domain-updating evaluation's messages.
 func TestFirstStepSingleDomainExchange(t *testing.T) {
 	mk := func() *Simulation {
 		// DT small enough that pos + v*DT rounds to pos exactly: every
 		// force evaluation sees bitwise-identical particles.
-		s, err := New(Config{Ranks: 6, Theta: 0.4, Softening: 0.05, DT: 1e-300, DomainFreq: 4},
+		s, err := New(Config{Ranks: 6, Theta: 0.4, Softening: 0.05, DT: 1e-300},
 			plummer(1800, 65))
 		if err != nil {
 			t.Fatal(err)
@@ -174,34 +123,42 @@ func TestFirstStepSingleDomainExchange(t *testing.T) {
 	a.ComputeForces()
 	withDomain := a.World().TotalMessages()
 
-	// Twin B: first Step (priming + post-drift evaluations), then a second
-	// Step at step 1 (1 % 4 != 0: a plain evaluation, no domain work).
+	// Twin B: steps 0 to domainFreq. The first Step runs the priming and the
+	// post-drift evaluations; steps 1 to domainFreq-1 run one plain
+	// evaluation each, no domain work; step domainFreq closes with the next
+	// domain epoch.
 	b := mk()
-	b.Step()
-	firstStep := b.World().TotalMessages()
-	b.Step()
-	plain := b.World().TotalMessages() - firstStep
-	b.Step()
-	plain2 := b.World().TotalMessages() - firstStep - plain
-	if plain != plain2 {
-		t.Fatalf("steady-state steps differ in message count (%d vs %d); test assumptions broken", plain, plain2)
+	msgs := make([]int64, domainFreq+1)
+	for i := range msgs {
+		before := b.World().TotalMessages()
+		b.Step()
+		msgs[i] = b.World().TotalMessages() - before
+	}
+	firstStep, plain := msgs[0], msgs[1]
+	for i := 2; i < domainFreq; i++ {
+		if msgs[i] != plain {
+			t.Fatalf("steady-state steps differ in message count (%v); test assumptions broken", msgs)
+		}
 	}
 
 	if firstStep != withDomain+plain {
 		t.Errorf("first Step sent %d messages, want %d (one domain-updating evaluation %d + one plain %d): domain update ran twice?",
 			firstStep, withDomain+plain, withDomain, plain)
 	}
+	if msgs[domainFreq] != withDomain {
+		t.Errorf("step %d sent %d messages, want %d (one domain-updating evaluation): the epoch did not run", domainFreq, msgs[domainFreq], withDomain)
+	}
 }
 
 // TestZeroAndTinyRankOverlap: empty or near-empty ranks must not deadlock
-// the receiver/builder/compute pipeline.
+// the receiver/builder/compute pipeline, across a domain epoch (step 4).
 func TestZeroAndTinyRankOverlap(t *testing.T) {
 	parts := ic.Plummer(64, 1, 0.01, 1, 66)
-	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Softening: 0.01, DomainFreq: 1}, parts)
+	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Softening: 0.01}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2)
+	s.Run(domainFreq + 1)
 	if len(s.Particles()) != 64 {
 		t.Fatal("particles lost")
 	}

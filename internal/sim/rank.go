@@ -30,12 +30,11 @@ type rank struct {
 	dec   domain.Decomposition
 
 	// SoA views rebuilt each step (tree order == parts order).
-	pos    []vec.V3
-	mass   []float64
-	mk     []keys.Key
-	acc    []vec.V3
-	pot    []float64 // self-gravity potential only
-	extPot []float64 // external analytic field potential (empty when unset)
+	pos  []vec.V3
+	mass []float64
+	mk   []keys.Key
+	acc  []vec.V3
+	pot  []float64
 
 	tree   *octree.Tree
 	groups []octree.Group
@@ -83,7 +82,6 @@ type rank struct {
 	amass      []float64
 	aacc       []vec.V3
 	apot       []float64
-	aext       []float64
 	agroups    []octree.Group
 }
 
@@ -99,7 +97,6 @@ type walkTargets struct {
 	mass   []float64
 	acc    []vec.V3
 	pot    []float64
-	ext    []float64
 	box    vec.Box
 	index  []int32 // each target's index into the rank's particles; nil when target i is particle i
 }
@@ -218,7 +215,6 @@ func (r *rank) fullTargets() walkTargets {
 		mass:   r.mass,
 		acc:    r.acc,
 		pot:    r.pot,
-		ext:    r.extPot,
 		box:    groupsBox(r.groups),
 	}
 }
@@ -240,7 +236,7 @@ func (r *rank) buildPipeline(step, eval int, domainUpdate bool) {
 	gbox := domain.GlobalBox(r.comm, body.Bounds(r.parts))
 	r.grid = keys.NewGrid(gbox)
 
-	// --- Domain update (decomposition + exchange) every DomainFreq steps.
+	// --- Domain update (decomposition + exchange) every domainFreq steps.
 	tD := time.Now()
 	if domainUpdate {
 		// Hilbert keys and work weights go into rank scratch (not fresh
@@ -421,12 +417,11 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 }
 
 // finishForces applies the target-local post-processing of a gravity phase:
-// the softened self-interaction fix, the G scaling, and the static external
-// field, and then panics with a *NonFiniteForceError if any target's result
-// is not finite. It operates purely on t's arrays, so it serves both the full
-// pipeline (t aliases the rank's tree-ordered slices) and active-subset
-// evaluations (t aliases the compact gather buffers). The caller stores
-// t.ext back into the matching rank slice — finishForces may reallocate it.
+// the softened self-interaction fix and the G scaling, and then panics with a
+// *NonFiniteForceError if any target's result is not finite. It operates
+// purely on t's arrays, so it serves both the full pipeline (t aliases the
+// rank's tree-ordered slices) and active-subset evaluations (t aliases the
+// compact gather buffers).
 func (r *rank) finishForces(t *walkTargets) {
 	// Remove the softened self-interaction contributed by each particle's
 	// own leaf (acc contribution is exactly zero; potential is -m/ε).
@@ -445,21 +440,6 @@ func (r *rank) finishForces(t *walkTargets) {
 		}
 	}
 
-	// Static external field (analytic halo; §I "type 1" simulations). The
-	// field potential is kept in its own slice: t.pot stays the physical
-	// self-gravity potential (reported by Accelerations), while Energy sums
-	// ½·self + ext, the ½ applying only to the pairwise part.
-	if ext := r.cfg.External; ext != nil {
-		t.ext = resize(t.ext, len(t.pos))
-		for i := range t.acc {
-			a, ep := ext(t.pos[i])
-			t.acc[i] = t.acc[i].Add(a)
-			t.ext[i] = ep
-		}
-	} else {
-		t.ext = t.ext[:0]
-	}
-
 	// Always-on invariant: nothing non-finite leaves a force phase.
 	for i, a := range t.acc {
 		if p := t.pot[i]; !a.IsFinite() || math.IsNaN(p) || math.IsInf(p, 0) {
@@ -473,17 +453,12 @@ func (r *rank) finishForces(t *walkTargets) {
 }
 
 // energy adds this rank's kinetic and potential energy from the most recent
-// force evaluation to the running sums. The pairwise self-gravity potential
-// is halved (each pair is counted twice by the per-particle sums); the
-// external-field potential, if any, enters at full weight.
+// force evaluation to the running sums. The potential is halved: each pair is
+// counted twice by the per-particle sums.
 func (r *rank) energy(kin, pot float64) (float64, float64) {
-	ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 	for i := range r.parts {
 		kin += 0.5 * r.parts[i].Mass * r.parts[i].Vel.Norm2()
 		pot += 0.5 * r.parts[i].Mass * r.pot[i]
-		if ext {
-			pot += r.parts[i].Mass * r.extPot[i]
-		}
 	}
 	return kin, pot
 }

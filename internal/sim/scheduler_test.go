@@ -58,7 +58,7 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 			parts = append(parts, q)
 		}
 	}
-	s, err := New(Config{Ranks: p, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, DomainFreq: 1, SerialLET: true}, parts)
+	s, err := New(Config{Ranks: p, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, SerialLET: true}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

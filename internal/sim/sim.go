@@ -36,6 +36,12 @@ import (
 	"bonsai/internal/vec"
 )
 
+// domainFreq is the number of steps between domain re-decompositions: the
+// sampling decomposition and particle exchange run in the force evaluation
+// that closes every step whose number (from 0) is a multiple of it, or in the
+// priming evaluation of a run's first step when that step is one.
+const domainFreq = 4
+
 // Config configures a simulation. Zero values select the paper's defaults
 // where one exists (Theta 0.4) and sensible values elsewhere. The octree's
 // leaf and target-group sizes are the measured constants
@@ -58,9 +64,6 @@ type Config struct {
 	// BoundaryDepth is the depth of the boundary tree every rank pushes to
 	// every peer. Default 4.
 	BoundaryDepth int
-	// DomainFreq is the number of steps between domain re-decompositions.
-	// Default 4.
-	DomainFreq int
 
 	// BlockSteps enables hierarchical power-of-two block timesteps
 	// (block.go): each particle integrates on its own rung dt = DT/2^k
@@ -87,13 +90,6 @@ type Config struct {
 	// linear in it, so it scales the accelerations and potentials after
 	// each force evaluation.
 	GravConst float64
-
-	// External, if non-nil, adds a static analytic field to the particle
-	// self-gravity: the paper's §I "type 1" setup (analytic dark halo + live
-	// disk), see ic.MilkyWayModel.StaticHalo. It must be thread-safe; it
-	// receives a position and returns the acceleration and specific
-	// potential of the field, NOT scaled by GravConst.
-	External func(pos vec.V3) (acc vec.V3, pot float64)
 
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: outgoing LETs are built and pushed on the compute thread
@@ -137,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BoundaryDepth <= 0 {
 		c.BoundaryDepth = 4
-	}
-	if c.DomainFreq <= 0 {
-		c.DomainFreq = 4
 	}
 	if c.GravConst == 0 {
 		c.GravConst = 1
@@ -326,9 +319,7 @@ func (s *Simulation) Particles() []body.Particle {
 }
 
 // Accelerations gathers the most recent accelerations and potentials,
-// ordered to match Particles(). The potential is the physical specific
-// potential each particle sits in: self-gravity plus the external analytic
-// field when Config.External is set.
+// ordered to match Particles().
 func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 	type rec struct {
 		id  int64
@@ -338,13 +329,8 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 	var all []rec
 	for _, n := range s.nodes {
 		r := n.r
-		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 		for i := range r.parts {
-			p := r.pot[i]
-			if ext {
-				p += r.extPot[i]
-			}
-			all = append(all, rec{r.parts[i].ID, r.acc[i], p})
+			all = append(all, rec{r.parts[i].ID, r.acc[i], r.pot[i]})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })

@@ -78,7 +78,7 @@ func TestForcesRankInvariance(t *testing.T) {
 
 func TestParticleConservation(t *testing.T) {
 	parts := plummer(1500, 3)
-	s, _ := New(Config{Ranks: 5, Softening: 0.05, DT: 1e-3, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 5, Softening: 0.05, DT: 1e-3}, parts)
 	s.Run(5)
 	after := s.Particles()
 	if len(after) != len(parts) {
@@ -176,7 +176,7 @@ func TestTimeReversibility(t *testing.T) {
 
 func TestLoadBalanceAfterDomainUpdate(t *testing.T) {
 	parts := plummer(4000, 6)
-	s, _ := New(Config{Ranks: 8, Softening: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 8, Softening: 0.05}, parts)
 	s.ComputeForces()
 	counts := s.RankCounts()
 	total := 0
@@ -195,7 +195,7 @@ func TestLoadBalanceAfterDomainUpdate(t *testing.T) {
 
 func TestStepStatsPopulated(t *testing.T) {
 	parts := plummer(3000, 7)
-	s, _ := New(Config{Ranks: 4, Softening: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Softening: 0.05}, parts)
 	st := s.ComputeForces()
 	if st.N != 3000 || st.Ranks != 4 {
 		t.Fatalf("stats header: %+v", st)
@@ -258,7 +258,7 @@ func TestBoundaryTreesServeDistantRanks(t *testing.T) {
 		b[i].ID += 1000
 		parts = append(parts, b[i])
 	}
-	s, _ := New(Config{Ranks: 4, Softening: 0.05, Theta: 0.5, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Softening: 0.05, Theta: 0.5}, parts)
 	st := s.ComputeForces()
 	if st.BoundaryUsed == 0 {
 		t.Error("no rank pair was served by boundary trees despite wide separation")
@@ -289,7 +289,7 @@ func TestCommSurfaceScaling(t *testing.T) {
 	// count. Double N and compare LET bytes: growth factor must be well
 	// below 2 (surface-like, ~2^(2/3) ≈ 1.6).
 	bytesFor := func(n int) float64 {
-		s, _ := New(Config{Ranks: 8, Softening: 0.05, DomainFreq: 1}, plummer(n, 12))
+		s, _ := New(Config{Ranks: 8, Softening: 0.05}, plummer(n, 12))
 		st := s.ComputeForces()
 		st2 := s.ComputeForces() // steady state, after balancing
 		_ = st
@@ -318,17 +318,18 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
-	if cfg.Theta != 0.4 || cfg.DomainFreq != 4 || cfg.Ranks != 1 {
+	if cfg.Theta != 0.4 || cfg.BoundaryDepth != 4 || cfg.Ranks != 1 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
 
 func TestZeroParticleRankSurvives(t *testing.T) {
 	// A tight cluster on 4 ranks: after the first decomposition some ranks
-	// may be nearly empty; the pipeline must not deadlock or crash.
+	// may be nearly empty; the pipeline must not deadlock or crash, through
+	// the next domain epoch (step 4) too.
 	parts := ic.Plummer(64, 1, 0.01, 1, 13)
-	s, _ := New(Config{Ranks: 4, Softening: 0.01, DomainFreq: 1}, parts)
-	s.Run(2)
+	s, _ := New(Config{Ranks: 4, Softening: 0.01}, parts)
+	s.Run(domainFreq + 1)
 	if len(s.Particles()) != 64 {
 		t.Fatal("particles lost")
 	}
@@ -425,7 +426,7 @@ func TestCommunicationMostlyHidden(t *testing.T) {
 	// verdict is the median of five steady-state evaluations against the same
 	// 25%.
 	parts := plummer(48_000, 41)
-	s, _ := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05, DomainFreq: 1}, parts)
+	s, _ := New(Config{Ranks: 4, Theta: 0.4, Softening: 0.05}, parts)
 	s.ComputeForces()
 	var fracs []float64
 	for len(fracs) < 5 {
