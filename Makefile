@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TXT ?= BENCH_$(shell date +%Y-%m-%d).txt
 
-.PHONY: tier1 vet build test race fuzz-smoke bench bench-smoke bench-overlap e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
+.PHONY: tier1 vet build test race fuzz-smoke bench bench-smoke digests e2e-bench trace-smoke telemetry-smoke block-smoke scale-smoke
 
 # tier1 is the pre-merge gate: static checks (go vet and gofmt), full build and test suite
 # (including the noasm scalar-only configuration of the force kernels, and
@@ -120,10 +120,12 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# Serial vs pipelined gravity phase; nonhidden_ms should drop and
-# overlap_% rise in the Pipelined rows.
-bench-overlap:
-	$(GO) test -run XXX -bench 'BenchmarkOverlap' -benchtime 3x .
+# The SHA-256 of the final particle state of the benchmark's four workload
+# configurations (TestStateDigests, which also requires each to be bitwise
+# equal under two worker counts or two transports). Run it at two commits:
+# equal digests mean identical arithmetic.
+digests:
+	$(GO) test -count=1 -run '^TestStateDigests$$' -v .
 
 # The end-to-end benchmark BENCHMARK.json declares: four workloads, step time
 # at stated force accuracy, and the per-layer replay. Results are comparable

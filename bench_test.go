@@ -43,18 +43,17 @@ func mwSample(n int) (*octree.Tree, []octree.Group) {
 
 // ---------------------------------------------------------------------------
 // §III.B.3 overlap: the pipelined gravity phase (receiver goroutine +
-// LET-builder pool + interleaved walks) against the strict
-// local-walk-then-LETs baseline. nonhidden_ms is the communication time the
-// pipeline failed to hide behind compute; overlap_% is the fraction of
-// received LETs walked while the local walk was still running.
+// LET-builder pool, LETs banked during the local walk and walked in one pass
+// after it). nonhidden_ms is the communication time the pipeline failed to
+// hide behind compute; overlap_% is the fraction of received LETs that
+// arrived while the local walk was still running.
 
-func benchOverlap(b *testing.B, ranks int, serial bool) {
+func benchOverlap(b *testing.B, ranks int) {
 	const perRank = 3000
 	parts := NewMilkyWay(perRank*ranks, 5)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 2, Theta: 0.4,
 		Softening: SofteningForN(len(parts)), GravConst: G,
-		SerialLET: serial,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)
@@ -72,12 +71,9 @@ func benchOverlap(b *testing.B, ranks int, serial bool) {
 	b.ReportMetric(ms(st.MaxTimes.Total), "total_ms")
 }
 
-func BenchmarkOverlap_Serial_R8(b *testing.B)     { benchOverlap(b, 8, true) }
-func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8, false) }
-func BenchmarkOverlap_Serial_R16(b *testing.B)    { benchOverlap(b, 16, true) }
-func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16, false) }
-func BenchmarkOverlap_Serial_R32(b *testing.B)    { benchOverlap(b, 32, true) }
-func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
+func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8) }
+func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16) }
+func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32) }
 
 // ---------------------------------------------------------------------------
 // Force-kernel microbenchmarks: the batched SoA kernels against the scalar
@@ -308,9 +304,9 @@ func BenchmarkBlockSteps_Global(b *testing.B) { benchBlockSteps(b, false) }
 func BenchmarkBlockSteps_Rungs(b *testing.B)  { benchBlockSteps(b, true) }
 
 // ---------------------------------------------------------------------------
-// Exchange scaling past 64 ranks: one force evaluation of the SerialLET
-// schedule on clustered ICs (well-separated blobs, one per rank), where most
-// rank pairs are served by boundary trees alone. boundary/step counts
+// Exchange scaling past 64 ranks: one force evaluation on clustered ICs
+// (well-separated blobs, one per rank), where most rank pairs are served by
+// boundary trees alone. boundary/step counts
 // boundary-tree pushes (p·(p−1)) and exchBytes/step the evaluation's total
 // exchange traffic. The rows keep the _AllPairs names they carried beside the
 // deleted coarse-global-tree rows (EXPERIMENTS.md, "Verdict: coarse global
@@ -348,7 +344,6 @@ func benchExchangeScale(b *testing.B, ranks int) {
 	parts := exchangeBlobs(ranks, perRank, 6)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05,
-		SerialLET: true,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)

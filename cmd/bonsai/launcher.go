@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,13 +44,14 @@ func (lc *launchConfig) rankAddrs() []string {
 // the workers restore themselves from the newest committed checkpoint. The
 // team is restarted at most maxRestarts times. Without -ckpt-dir the
 // checkpoints go to a fresh temp directory, removed once the team finishes
-// cleanly and kept when the restart budget is spent.
-func runLauncher(lc launchConfig) {
+// cleanly and kept when the restart budget is spent. The socket directory it
+// makes is removed either way, so it returns a failure instead of exiting.
+func runLauncher(lc launchConfig) error {
 	tmpCkpt := lc.ckptDir == ""
 	if tmpCkpt {
 		dir, err := os.MkdirTemp("", "bonsai-ckpt")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lc.ckptDir = dir
 		fmt.Printf("checkpoints -> %s\n", dir)
@@ -59,14 +59,14 @@ func runLauncher(lc launchConfig) {
 	if lc.transport == "unix" && lc.sockDir == "" {
 		dir, err := os.MkdirTemp("", "bonsai-sock")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		lc.sockDir = dir
 		defer os.RemoveAll(dir)
 	}
 	self, err := os.Executable()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -75,10 +75,10 @@ func runLauncher(lc launchConfig) {
 			if tmpCkpt {
 				os.RemoveAll(lc.ckptDir)
 			}
-			return
+			return nil
 		}
 		if attempt >= lc.maxRestarts {
-			log.Fatalf("worker team failed (%s) and restart budget (%d) is spent; checkpoints kept in %s",
+			return fmt.Errorf("worker team failed (%s) and restart budget (%d) is spent; checkpoints kept in %s",
 				failure, lc.maxRestarts, lc.ckptDir)
 		}
 		fmt.Printf("worker team failed (%s); restarting from the last checkpoint (attempt %d/%d)\n",
@@ -111,9 +111,11 @@ func runTeam(self string, lc launchConfig) (ok bool, failure string) {
 		if err := cmd.Start(); err != nil {
 			for _, c := range cmds[:r] {
 				c.Process.Kill()
-				c.Wait()
 			}
-			log.Fatalf("starting worker %d: %v", r, err)
+			for range r {
+				<-exits
+			}
+			return false, fmt.Sprintf("starting worker %d: %v", r, err)
 		}
 		cmds[r] = cmd
 		go func(r int, cmd *exec.Cmd) {

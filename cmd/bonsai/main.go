@@ -42,7 +42,6 @@ func main() {
 		dt         = flag.Float64("dt", 0, "time step (0 = softening-based minimum, paper §VI.C)")
 		maxRungs   = flag.Int("max-rungs", 0, "hierarchical block timesteps: per-particle dt = dt/2^k, k <= max-rungs, from the acceleration criterion (0 = one shared step)")
 		etaDT      = flag.Float64("eta-dt", 0.1, "block timesteps: accuracy parameter of dt_i = eta*sqrt(eps/|a_i|)")
-		serialLET  = flag.Bool("serial-let", false, "disable communication/compute overlap in the gravity phase (deterministic baseline)")
 		steps      = flag.Int("steps", 64, "number of leapfrog steps")
 		snapEvery  = flag.Int("snap-every", 0, "snapshot interval in steps (0 = none)")
 		snapPrefix = flag.String("snap-prefix", "snap", "snapshot filename prefix")
@@ -72,12 +71,17 @@ func main() {
 	f := simFlags{
 		model: *model, n: *n, seed: *seed, restore: *restore,
 		ranks: *ranks, workers: *workers, theta: *theta, eps: *eps, dt: *dt,
-		maxRungs: *maxRungs, etaDT: *etaDT, serialLET: *serialLET,
+		maxRungs: *maxRungs, etaDT: *etaDT,
 		steps: *steps, snapEvery: *snapEvery, snapPrefix: *snapPrefix, quiet: *quiet,
 	}
 	o := obsFlags{
 		tracePath: *tracePath, metricsOut: *metricsOut,
 		promSnapshot: *promSnapshot,
+	}
+	// Checked once here, before the launcher forks a team that could not
+	// start: nothing Validate checks depends on the particle count.
+	if err := f.config(f.n, false).Validate(); err != nil {
+		log.Fatal(err)
 	}
 	switch *transport {
 	case "chan":
@@ -95,8 +99,8 @@ func main() {
 		}
 		if *workerRank >= 0 {
 			runWorker(lc, *workerRank, f)
-		} else {
-			runLauncher(lc)
+		} else if err := runLauncher(lc); err != nil {
+			log.Fatal(err)
 		}
 	default:
 		log.Fatalf("unknown transport %q (want chan, unix or tcp)", *transport)

@@ -87,6 +87,47 @@ func TestLauncherRemovesItsCheckpointDir(t *testing.T) {
 	}
 }
 
+// TestFailedLauncherRemovesItsSocketDir: a unix run whose team cannot start
+// — its -ckpt-dir holds a committed 1-rank checkpoint, so every worker of a
+// 2-rank team exits on the rank mismatch — exits non-zero once the restart
+// budget is spent and leaves no bonsai-sock* directory under TMPDIR.
+func TestFailedLauncherRemovesItsSocketDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks 3 worker processes")
+	}
+	dir, tmp := t.TempDir(), t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	env := []string{"TMPDIR=" + tmp}
+	common := []string{"-model", "plummer", "-n", "1000", "-q", "-transport", "unix", "-max-restarts", "0", "-ckpt-dir", ckpt}
+	if out, err := bonsaiRun(t, dir, env, append(common, "-ranks", "1", "-steps", "2", "-ckpt-every", "1")...); err != nil {
+		t.Fatalf("1-rank run: %v\n%s", err, out)
+	}
+	out, err := bonsaiRun(t, dir, env, append(common, "-ranks", "2", "-steps", "2")...)
+	if err == nil || !strings.Contains(out, "restart budget (0) is spent") {
+		t.Fatalf("2-rank run on a 1-rank checkpoint: %v, want the spent-budget failure\n%s", err, out)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "bonsai-sock*")); len(left) > 0 {
+		t.Errorf("a failed run left %v behind", left)
+	}
+}
+
+// TestInvalidConfigFailsBeforeForking: a configuration Config.Validate
+// rejects fails the launcher at once with Validate's message, as it fails an
+// in-process run, instead of respawning a team that cannot start.
+func TestInvalidConfigFailsBeforeForking(t *testing.T) {
+	for _, transport := range []string{"chan", "unix"} {
+		t.Run(transport, func(t *testing.T) {
+			tmp := t.TempDir()
+			out, err := bonsaiRun(t, t.TempDir(), []string{"TMPDIR=" + tmp}, "-model", "plummer", "-n", "1000",
+				"-ranks", "2", "-steps", "1", "-q", "-transport", transport, "-theta", "-1")
+			if err == nil || !strings.Contains(out, "sim: config Theta = -1 is negative") ||
+				strings.Contains(out, "restarting") || strings.Contains(out, "checkpoints ->") {
+				t.Errorf("bonsai -theta -1: %v, want Validate's message and no team\n%s", err, out)
+			}
+		})
+	}
+}
+
 // TestMultiProcessSnapshotsAndRestore holds the socket-transport path to what
 // the in-process path already did: -snap-every writes loadable snapshots of
 // the whole particle set, and -restore with -max-rungs keeps the rungs the

@@ -23,7 +23,6 @@ type simFlags struct {
 	dt         float64
 	maxRungs   int
 	etaDT      float64
-	serialLET  bool
 	steps      int
 	snapEvery  int
 	snapPrefix string
@@ -41,9 +40,10 @@ type run struct {
 	startTime float64
 }
 
-// newRun loads or generates the global particle set and fills the N-derived
-// defaults. Initial conditions are deterministic in (model, n, seed), so every
-// worker of a multi-process run derives the identical set and parameters.
+// newRun loads or generates the global particle set and resolves the run's
+// configuration for it. Initial conditions are deterministic in (model, n,
+// seed), so every worker of a multi-process run derives the identical set and
+// parameters.
 func newRun(f simFlags, tracing bool) *run {
 	r := &run{simFlags: f}
 	switch {
@@ -60,44 +60,48 @@ func newRun(f simFlags, tracing bool) *run {
 	default:
 		log.Fatalf("unknown model %q", f.model)
 	}
+	r.cfg = f.config(len(r.parts), tracing)
+	return r
+}
 
+// config maps the flags to the engine configuration of a run of n particles,
+// filling the N-derived defaults.
+func (f *simFlags) config(n int, tracing bool) bonsai.Config {
+	cfg := bonsai.Config{
+		Ranks:          f.ranks,
+		WorkersPerRank: f.workers,
+		Theta:          f.theta,
+		Softening:      f.eps,
+		DT:             f.dt,
+		BlockSteps:     f.maxRungs != 0,
+		MaxRungs:       f.maxRungs,
+		EtaDT:          f.etaDT,
+		GravConst:      bonsai.G,
+		Tracing:        tracing,
+	}
 	// A Plummer sphere is in model units (G = M = a = 1), generated or
 	// restored with -model plummer; Milky Way models and other snapshots are
 	// in galactic units.
 	modelUnits := f.model == "plummer"
-	gconst := bonsai.G
 	if modelUnits {
-		gconst = 1
+		cfg.GravConst = 1
 	}
-	if r.eps == 0 {
-		r.eps = bonsai.SofteningForN(len(r.parts))
+	if cfg.Softening == 0 {
+		cfg.Softening = bonsai.SofteningForN(n)
 	}
-	if r.dt == 0 {
+	if cfg.DT == 0 {
 		if modelUnits {
-			r.dt = 0.01 // a fraction of the dynamical time
+			cfg.DT = 0.01 // a fraction of the dynamical time
 		} else {
 			// The paper's softening-crossing criterion, capped by the
 			// disk's orbital timescale (binding at reduced N).
-			r.dt = bonsai.SuggestedDT(len(r.parts))
+			cfg.DT = bonsai.SuggestedDT(n)
 		}
 	}
-	if r.workers == 0 {
-		r.workers = max(1, runtime.GOMAXPROCS(0)/r.ranks)
+	if cfg.WorkersPerRank == 0 {
+		cfg.WorkersPerRank = max(1, runtime.GOMAXPROCS(0)/f.ranks)
 	}
-	r.cfg = bonsai.Config{
-		Ranks:          r.ranks,
-		WorkersPerRank: r.workers,
-		Theta:          r.theta,
-		Softening:      r.eps,
-		DT:             r.dt,
-		BlockSteps:     r.maxRungs != 0,
-		MaxRungs:       r.maxRungs,
-		EtaDT:          r.etaDT,
-		GravConst:      gconst,
-		SerialLET:      r.serialLET,
-		Tracing:        tracing,
-	}
-	return r
+	return cfg
 }
 
 // printHeader describes the run; how names where the ranks live.
@@ -106,7 +110,7 @@ func (r *run) printHeader(how string) {
 		fmt.Printf("restored %d particles at t=%.4f (step %d)\n", len(r.parts), r.startTime, r.startStep)
 	}
 	fmt.Printf("N=%d ranks=%d (%s) workers/rank=%d theta=%.2f eps=%.4f kpc dt=%.3e (%.2f Myr)\n",
-		len(r.parts), r.ranks, how, r.workers, r.theta, r.eps, r.dt, bonsai.Gyr(r.dt)*1e3)
+		len(r.parts), r.ranks, how, r.cfg.WorkersPerRank, r.theta, r.cfg.Softening, r.cfg.DT, bonsai.Gyr(r.cfg.DT)*1e3)
 }
 
 // stepper is what the step loop drives: a bonsai.Simulation in-process, one

@@ -23,7 +23,6 @@ func TestMeasuredCommFeedsPerfmodel(t *testing.T) {
 			parts := exchangeBlobs(ranks, perRank, 11)
 			s, err := New(Config{
 				Ranks: ranks, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05,
-				SerialLET: true,
 			}, parts)
 			if err != nil {
 				t.Fatal(err)

@@ -69,30 +69,27 @@ func kdk(t *testing.T, cfg Config, parts []body.Particle, steps int) []body.Part
 // MaxRungs == 0 the one advance must reproduce the shared-step leapfrog
 // (kdk) bit for bit and leave the block fields of its records zero.
 // Single-rank runs are deterministic under any worker count (group walks
-// write disjoint targets). Multi-rank runs pin SerialLET and a boundary depth
-// deeper than any local tree, so every pair is served by its (exact)
-// boundary tree in rank order and no arrival-order float jitter exists to
-// hide behind.
+// write disjoint targets), and so are multi-rank runs: each rank sums its
+// remote trees, boundary trees and full LETs alike, in one pass in peer
+// order.
 func TestBlockMaxRungs0Bitwise(t *testing.T) {
 	type tc struct {
-		name   string
-		ranks  int
-		work   int
-		serial bool
-		bdepth int
+		name  string
+		ranks int
+		work  int
 	}
 	cases := []tc{
-		{"1rank-1worker", 1, 1, false, 0},
-		{"1rank-4workers", 1, 4, false, 0},
-		{"2ranks", 2, 1, true, 16},
-		{"4ranks-2workers", 4, 2, true, 16},
+		{"1rank-1worker", 1, 1},
+		{"1rank-4workers", 1, 4},
+		{"2ranks", 2, 1},
+		{"4ranks-2workers", 4, 2},
 	}
 	parts := plummer(400, 61)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
 				Ranks: c.ranks, WorkersPerRank: c.work, Theta: 0.5, Softening: 0.05,
-				DT: 1e-3, SerialLET: c.serial, BoundaryDepth: c.bdepth,
+				DT: 1e-3,
 			}
 			s, err := New(cfg, parts)
 			if err != nil {
@@ -405,7 +402,7 @@ func TestBlockRestoreDecidesRungsCollectively(t *testing.T) {
 
 // TestNodeBlockMatchesSimulation runs the block-timestep path over the
 // socket transport: 4 single-rank processes in lockstep must reproduce the
-// in-process Simulation. Rungs travel inside the particle wire format, so
+// in-process Simulation bitwise. Rungs travel inside the particle wire format, so
 // domain exchanges mid-run (the run reaches step 4's epoch) keep every
 // receiving rank able to close the half-finished steps of the particles it
 // inherits.
@@ -431,9 +428,7 @@ func TestNodeBlockMatchesSimulation(t *testing.T) {
 			t.Errorf("step %d: no tree reuse (%d rebuilds / %d substeps)", i, st.Rebuilds, st.Substeps)
 		}
 	}
-	if rms := rmsPosDiff(t, got, s.Particles()); rms > 1e-10 {
-		t.Errorf("socket block run diverged from in-process: rms %v", rms)
-	}
+	exactlyEqual(t, got, s.Particles(), "socket block run vs in-process")
 }
 
 // TestConfigValidateRejectsGarbage is the satellite regression for Config

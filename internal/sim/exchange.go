@@ -24,15 +24,13 @@ const (
 // serve the peer's targets, and expected only where the peer's cannot serve
 // ours. Each peer therefore ends up standing for exactly one remote tree, its
 // boundary tree or its full LET, banked in the ready table by peer and walked
-// by flush as ONE merged interaction list per target group
-// (octree.WalkSources): a few long kernel lists instead of p−1 short ones,
-// in ascending peer order within a pass.
+// by flush, once every tree is in, as ONE merged interaction list per target
+// group (octree.WalkSources) in ascending peer order: a few long kernel lists
+// instead of p−1 short ones, summed in an order arrival timing cannot change.
 //
-// rank.gravity drives it on one of two schedules that differ in nothing else:
-// pipelined (overlap: a builder pool and a receiver goroutine beside the
-// compute thread, boundary trees polled between local-walk chunks) or the
-// SerialLET oracle (everything on the compute thread, blocking, in ascending
-// peer order). All fields belong to the compute thread except where noted.
+// rank.gravity drives it with a builder pool and a receiver goroutine beside
+// the compute thread (overlap), boundary trees polled between local-walk
+// chunks. All fields belong to the compute thread except where noted.
 type exchange struct {
 	r    *rank
 	t    *walkTargets
@@ -55,17 +53,16 @@ type exchange struct {
 	builders  sync.WaitGroup
 	sentBytes []int64
 
-	// Incoming full LETs (pipelined schedule): the receiver goroutine learns
-	// from letCount how many to expect once every boundary tree has settled,
-	// and hands them over on arrivals. recvIdle and arrivalNS (obs-epoch ns
-	// of each arrival) are the receiver's until arrivals is seen closed.
+	// Incoming full LETs: the receiver goroutine learns from letCount how
+	// many to expect once every boundary tree has settled, and hands them
+	// over on arrivals. recvIdle and arrivalNS (obs-epoch ns of each
+	// arrival) are the receiver's until arrivals is seen closed.
 	letCount  chan int
 	arrivals  chan arrival
 	recvIdle  time.Duration
 	arrivalNS []int64
 
-	// ready[j] is the tree banked for peer j and not walked yet; pass is
-	// flush's compaction of it.
+	// ready[j] is the tree banked for peer j; pass is flush's compaction of it.
 	ready     []octree.Source
 	pass      []octree.Source
 	readyLETs int
@@ -119,7 +116,7 @@ func (r *rank) startExchange(tagPar int, t *walkTargets) *exchange {
 	return x
 }
 
-// overlap starts the pipelined schedule's two helper roles (§III.B.3). The
+// overlap starts the exchange's two helper roles (§III.B.3). The
 // builder pool consumes LET destinations as boundary trees settle, so
 // construction starts while most peers are still walking. The receiver
 // drains the mailbox as messages arrive, so a LET is ready for the compute
@@ -146,7 +143,7 @@ func (x *exchange) overlap() {
 			if r.obs != nil {
 				now := time.Now()
 				r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
-				x.recordArrival(now, from, obs.LaneReceiver)
+				x.recordArrival(now, from)
 			}
 			x.arrivals <- arrival{from, msg.(*lettree.LET)}
 		}
@@ -203,27 +200,11 @@ func (x *exchange) awaitBoundaries() {
 	for x.bLeft > 0 {
 		tR := time.Now()
 		from, msg := x.r.comm.RecvAny(x.btag)
-		x.boundaryLanded(from, msg, tR)
+		d := time.Since(tR)
+		x.boundaryTime += d
+		x.r.obs.Span(x.r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
+		x.settle(from, msg.(*lettree.LET))
 	}
-}
-
-// awaitBoundariesInOrder is awaitBoundaries for the SerialLET oracle: one
-// blocking receive per peer in ascending rank order, so that nothing it does
-// next depends on arrival order.
-func (x *exchange) awaitBoundariesInOrder() {
-	for j := range x.peers {
-		if j != x.r.comm.Rank() {
-			tR := time.Now()
-			x.boundaryLanded(j, x.r.comm.Recv(j, x.btag), tR)
-		}
-	}
-}
-
-func (x *exchange) boundaryLanded(from int, msg any, since time.Time) {
-	d := time.Since(since)
-	x.boundaryTime += d
-	x.r.obs.Span(x.r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, since, since.Add(d), int64(from))
-	x.settle(from, msg.(*lettree.LET))
 }
 
 // buildLET builds and pushes the full LET owed to j. BuildFor only reads the
@@ -244,8 +225,8 @@ func (x *exchange) buildLET(j int, lane obs.Lane, worker int) {
 }
 
 // buildQueued runs, on the compute thread, every build still in the queue.
-// It needs the queue closed (every boundary tree settled). The pipelined
-// schedule ends with it, when no receive is left to overlap with.
+// It needs the queue closed (every boundary tree settled). The phase ends
+// with it, when no receive is left to overlap with.
 func (x *exchange) buildQueued() {
 	if x.steal == nil {
 		return
@@ -256,17 +237,8 @@ func (x *exchange) buildQueued() {
 	x.steal = nil
 }
 
-// buildAhead is the SerialLET oracle's send side: every owed LET built and
-// pushed on the compute thread ahead of the local walk. That time is exactly
-// the communication cost the pipeline hides, so it is booked as such.
-func (x *exchange) buildAhead() {
-	tS := time.Now()
-	x.buildQueued()
-	x.waitTime += time.Since(tS)
-}
-
 // bank records the one tree that stands for peer from — its boundary tree
-// judged sufficient, or its received full LET — for the next pass.
+// judged sufficient, or its received full LET — for the pass.
 func (x *exchange) bank(from int, l *lettree.LET, full bool) {
 	x.ready[from] = l
 	if full {
@@ -325,31 +297,9 @@ func (x *exchange) wait() bool {
 	return false
 }
 
-// recvLETsInOrder is the SerialLET oracle's receive side: a blocking receive
-// from every peer whose boundary tree was not banked, in ascending rank
-// order. Sends are eager and every rank built before it walked, so the
-// receives cannot deadlock.
-func (x *exchange) recvLETsInOrder() {
-	r := x.r
-	for j := range x.ready {
-		if j == r.comm.Rank() || x.ready[j] != nil {
-			continue
-		}
-		tR := time.Now()
-		msg := r.comm.Recv(j, x.tag)
-		d := time.Since(tR)
-		x.waitTime += d
-		if r.obs != nil {
-			r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(j))
-			x.recordArrival(tR.Add(d), j, obs.LaneCompute)
-		}
-		x.bank(j, msg.(*lettree.LET), true)
-	}
-}
-
-// flush walks every banked tree in one batched pass — a walk:let span if a
-// full LET is among them, else walk:boundary, carrying the tree count — and
-// empties the ready table.
+// flush walks every banked tree in one batched pass, in ascending peer order
+// — a walk:let span if a full LET is among them, else walk:boundary, carrying
+// the tree count — and empties the ready table.
 func (x *exchange) flush() {
 	r, t := x.r, x.t
 	pass := x.pass[:0]
@@ -382,11 +332,10 @@ func (x *exchange) flush() {
 
 // recordArrival notes a full LET's arrival for the hidden-vs-straggler
 // analysis: a trace instant plus the epoch timestamp the offsets are computed
-// from once the local walk's completion time is known. Called by whichever
-// goroutine performed the receive, before the LET is handed to the compute
-// side.
-func (x *exchange) recordArrival(at time.Time, from int, lane obs.Lane) {
-	x.r.obs.Mark(x.r.eval, obs.PhaseArrive, lane, at, int64(from))
+// from once the local walk's completion time is known. Called by the receiver
+// before it hands the LET to the compute side.
+func (x *exchange) recordArrival(at time.Time, from int) {
+	x.r.obs.Mark(x.r.eval, obs.PhaseArrive, obs.LaneReceiver, at, int64(from))
 	x.arrivalNS = append(x.arrivalNS, x.r.obs.Since(at))
 }
 

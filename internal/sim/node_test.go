@@ -2,14 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"bonsai/internal/body"
-	"bonsai/internal/grav"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/snapshot"
@@ -120,30 +118,11 @@ func runNodes(t *testing.T, cfg Config, w *mpi.World, parts []body.Particle, ste
 	return f
 }
 
-// rmsPosDiff returns the rms position difference between two equally ordered
-// particle sets.
-func rmsPosDiff(t *testing.T, a, b []body.Particle) float64 {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("particle count mismatch: %d vs %d", len(a), len(b))
-	}
-	var sum float64
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("particle %d: id %d vs %d", i, a[i].ID, b[i].ID)
-		}
-		d := a[i].Pos.Sub(b[i].Pos)
-		sum += d.Norm2()
-	}
-	return math.Sqrt(sum / float64(len(a)))
-}
-
 func TestNodeSocketMatchesInProcess(t *testing.T) {
 	// Acceptance: an 8-rank run over the unix-socket transport reproduces the
-	// in-process Simulation to rms < grav.KernelTol (1e-12 on the float64
-	// tier). The runs are not bitwise identical — LET arrival order differs
-	// between transports, and it decides the order of the sums and which
-	// trees share a kernel call — but the jitter stays at rounding level.
+	// in-process Simulation bitwise. LET arrival order differs between
+	// transports, but every rank sums its remote trees in one pass in peer
+	// order, so it cannot change a result.
 	const (
 		ranks = 8
 		nPart = 1600
@@ -157,23 +136,10 @@ func TestNodeSocketMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(steps)
-	want := s.Particles()
 
 	w := newTestSockWorld(t, "unix", ranks)
 	nodes := runNodes(t, cfg, w, parts, steps)
-	got := nodes.Particles()
-
-	tol := grav.KernelTol()
-	if rms := rmsPosDiff(t, want, got); rms >= tol {
-		t.Errorf("rms position difference chan vs unix socket = %g, want < %g", rms, tol)
-	}
-	for i := range want {
-		d := want[i].Vel.Sub(got[i].Vel)
-		if d.Norm() >= 100*tol {
-			t.Errorf("particle id %d velocity differs by %g", want[i].ID, d.Norm())
-			break
-		}
-	}
+	exactlyEqual(t, nodes.Particles(), s.Particles(), "unix socket vs in-process")
 }
 
 func TestNodeTCPPairBytesConsistentWithDeclared(t *testing.T) {
@@ -211,8 +177,7 @@ func TestNodeTCPPairBytesConsistentWithDeclared(t *testing.T) {
 
 func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 	// A run checkpointed at step 2 and resumed by fresh Nodes must finish
-	// bitwise identical to one that never stopped: same transport, same
-	// arrival determinism modulo LET ordering — so compare at rounding level.
+	// bitwise identical to one that never stopped.
 	const (
 		ranks = 4
 		nPart = 800
@@ -262,8 +227,5 @@ func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 			n.Step()
 		}
 	})
-	got := resumed.Particles()
-	if rms := rmsPosDiff(t, want, got); rms >= 1e-12 {
-		t.Errorf("rms position difference continuous vs restarted = %g, want < 1e-12", rms)
-	}
+	exactlyEqual(t, resumed.Particles(), want, "restarted vs continuous")
 }

@@ -355,14 +355,12 @@ func (r *rank) fill(lo, hi int) {
 // gravity computes the targets' accelerations from the local tree and from
 // every remote tree of the phase's exchange (exchange.go). The compute thread
 // walks the local tree in chunks with a non-blocking poll of the exchange
-// between them; nothing remote is walked while local groups are pending. Then
-// come the batched passes: one over everything banked by the time the local
-// walk and the last boundary tree are in, and one more per wake-up of the
-// straggler wait. Config.SerialLET drives the same exchange with no overlap —
-// every boundary tree received and every owed LET built before the walk, the
-// walk in one piece, every owed LET received after it, one pass — which fixes
-// each group's merged list and so the accelerations bitwise: the reference
-// the equivalence suites compare against.
+// between them, banking boundary trees and LETs as they land; nothing remote
+// is walked while local groups are pending. Then it banks every tree still
+// owed, stealing queued builds while it blocks, and walks them all in one
+// batched pass in ascending peer order. Each group's merged list, and so
+// every acceleration, is therefore fixed bitwise whatever the arrival order,
+// transport or worker count.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
 // comes from t: a full evaluation passes every local particle, a mid-step
@@ -371,18 +369,11 @@ func (r *rank) fill(lo, hi int) {
 func (r *rank) gravity(tagPar int, t *walkTargets) {
 	theta, eps2 := r.cfg.Theta, r.cfg.Softening*r.cfg.Softening
 	x := r.startExchange(tagPar, t)
+	x.overlap()
 
 	// Chunks give the pipeline regular poll points while staying wide enough
 	// to feed the walk's worker pool.
 	chunk := max((len(t.groups)+15)/16, r.cfg.WorkersPerRank)
-	if r.cfg.SerialLET {
-		x.awaitBoundariesInOrder()
-		x.buildAhead()
-		chunk = len(t.groups)
-	} else {
-		x.overlap()
-	}
-
 	var localWalk time.Duration
 	for pending := t.groups; len(pending) > 0; {
 		if x.pollBoundary() {
@@ -401,18 +392,11 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	x.markWalkDone()
 	r.stats.Times.GravLocal = localWalk
 
-	if r.cfg.SerialLET {
-		x.recvLETsInOrder()
-	} else {
-		x.awaitBoundaries()
+	x.awaitBoundaries()
+	x.drain()
+	for x.wait() {
 	}
-	for {
-		x.drain()
-		x.flush()
-		if !x.wait() {
-			break
-		}
-	}
+	x.flush()
 	x.finish()
 }
 

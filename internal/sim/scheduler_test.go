@@ -2,12 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"bonsai/internal/body"
-	"bonsai/internal/grav"
 	"bonsai/internal/lettree"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
@@ -35,16 +33,14 @@ func peerTrees(s *Simulation, me int) (bts, lets []*lettree.LET) {
 }
 
 // TestSchedulerScriptedArrivals runs one rank's gravity phase against scripted
-// peers, once per schedule: the test plays the other p−1 ranks over a fresh
-// chan world, delivering their boundary trees and the full LETs they owe in a
-// scripted order — a prefix sitting in the mailbox before the phase starts,
-// the rest pushed while it runs, LETs free to overtake other peers' boundary
-// trees. Whatever the order, the SerialLET schedule must reproduce the
-// reference evaluation's accelerations bitwise, and on the pipelined schedule
-// every remote tree must be walked exactly once: LETsRecv + BoundaryUsed
-// equals the p−1 pair slots, the passes' tree counts sum to p−1, the
-// interaction counts are those of the SerialLET evaluation of the same state,
-// and the forces agree with it to reassociation error.
+// peers: the test plays the other p−1 ranks over a fresh chan world,
+// delivering their boundary trees and the full LETs they owe in a scripted
+// order — a prefix sitting in the mailbox before the phase starts, the rest
+// pushed while it runs, LETs free to overtake other peers' boundary trees.
+// Whatever the order, the phase must reproduce the reference evaluation's
+// accelerations, potentials and interaction counts bitwise, walking every
+// remote tree exactly once in one pass: LETsRecv + BoundaryUsed equals the
+// p−1 pair slots, and one pass span carries all p−1 trees.
 func TestSchedulerScriptedArrivals(t *testing.T) {
 	const p, me = 7, 3
 	// Three well-separated clumps over seven ranks: ranks sharing a clump owe
@@ -58,7 +54,7 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 			parts = append(parts, q)
 		}
 	}
-	s, err := New(Config{Ranks: p, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05, SerialLET: true}, parts)
+	s, err := New(Config{Ranks: p, WorkersPerRank: 2, Theta: 0.4, Softening: 0.05}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +84,9 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 		t.Fatalf("%d of %d peers owe a full LET: the test wants both kinds of remote tree", owed, p-1)
 	}
 
-	// phase runs rank me's gravity phase on the given schedule against the
-	// script shuffled by seed, the first seed%(len+1) pushes delivered early.
-	phase := func(seed int64, serial bool) (*rank, *obs.Recorder) {
+	// phase runs rank me's gravity phase against the script shuffled by
+	// seed, the first seed%(len+1) pushes delivered early.
+	phase := func(seed int64) (*rank, *obs.Recorder) {
 		rng := rand.New(rand.NewSource(seed))
 		order := append([]push(nil), script...)
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
@@ -102,10 +98,8 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 			send(m)
 		}
 		rec := obs.New(p, 0)
-		cfg := *ref.cfg
-		cfg.SerialLET = serial
 		r := &rank{
-			cfg: &cfg, comm: w.Comm(me), obs: rec.Rank(me),
+			cfg: ref.cfg, comm: w.Comm(me), obs: rec.Rank(me),
 			parts: ref.parts, pos: ref.pos, mass: ref.mass, tree: ref.tree, groups: ref.groups,
 			acc: make([]vec.V3, len(ref.acc)), pot: make([]float64, len(ref.pot)),
 		}
@@ -127,41 +121,26 @@ func TestSchedulerScriptedArrivals(t *testing.T) {
 
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprint("script", seed), func(t *testing.T) {
-			r, _ := phase(seed, true)
+			r, rec := phase(seed)
 			for i := range r.acc {
 				if r.acc[i] != ref.acc[i] || r.pot[i] != ref.pot[i] {
-					t.Fatalf("SerialLET phase: particle %d acc %v pot %v, reference evaluation %v %v (must be bitwise)",
+					t.Fatalf("particle %d acc %v pot %v, reference evaluation %v %v (must be bitwise)",
 						i, r.acc[i], r.pot[i], ref.acc[i], ref.pot[i])
 				}
 			}
-			if r.stats.Stats != ref.stats.Stats || r.stats.LETsRecv != owed || r.stats.BoundaryUsed != p-1-owed {
-				t.Fatalf("SerialLET phase: stats %+v, reference %+v", r.stats, ref.stats)
-			}
-
-			r, rec := phase(seed, false)
 			st := r.stats
-			if st.LETsRecv != owed || st.LETsRecv+st.BoundaryUsed != p-1 {
-				t.Fatalf("%d LETs + %d boundary trees walked, want %d + %d", st.LETsRecv, st.BoundaryUsed, owed, p-1-owed)
+			if st.Stats != ref.stats.Stats || st.LETsRecv != owed || st.BoundaryUsed != p-1-owed {
+				t.Fatalf("interaction counts %+v, %d LETs + %d boundary trees; reference %+v, %d + %d",
+					st.Stats, st.LETsRecv, st.BoundaryUsed, ref.stats.Stats, owed, p-1-owed)
 			}
-			if st.Stats != ref.stats.Stats {
-				t.Fatalf("interaction counts %+v, SerialLET evaluation %+v: a remote tree was dropped or walked twice", st.Stats, ref.stats.Stats)
-			}
-			trees := int64(0)
+			var passes []int64
 			for _, sp := range rec.Rank(me).Spans() {
 				if sp.Phase == obs.PhaseWalkLET || sp.Phase == obs.PhaseWalkBound {
-					trees += sp.Arg
+					passes = append(passes, sp.Arg)
 				}
 			}
-			if trees != p-1 {
-				t.Fatalf("pass spans count %d trees, want %d", trees, p-1)
-			}
-			var sum2, ref2 float64
-			for i := range r.acc {
-				sum2 += r.acc[i].Sub(ref.acc[i]).Norm2()
-				ref2 += ref.acc[i].Norm2()
-			}
-			if rms := math.Sqrt(sum2 / ref2); rms > grav.KernelTol() {
-				t.Fatalf("scripted pipelined forces diverge from the SerialLET evaluation: rms %v", rms)
+			if len(passes) != 1 || passes[0] != p-1 {
+				t.Fatalf("pass spans carry %v trees, want one pass of %d", passes, p-1)
 			}
 		})
 	}

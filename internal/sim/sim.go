@@ -91,14 +91,6 @@ type Config struct {
 	// each force evaluation.
 	GravConst float64
 
-	// SerialLET disables all communication/compute overlap in the gravity
-	// phase: outgoing LETs are built and pushed on the compute thread
-	// before the local tree-walk, and incoming ones are walked only after
-	// it completes, in ascending peer order. Kept as the deterministic
-	// reference of the bitwise equivalence tests and the non-overlapped
-	// baseline of the overlap benchmarks.
-	SerialLET bool
-
 	// Tracing enables the event-level observability layer: per-rank span
 	// timelines, LET arrivals measured against local-walk completion, and a
 	// per-evaluation metrics record folded over ranks into the fleet view

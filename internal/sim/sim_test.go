@@ -266,22 +266,14 @@ func TestBoundaryTreesServeDistantRanks(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	// Same config, same seed: particle positions after several steps must be
-	// reproducible to floating tolerance (LET arrival order varies, so only
-	// near-bitwise agreement is demanded).
+	// Same config, same seed: particle state after several steps must be
+	// reproducible bitwise, whatever order the LETs arrive in.
 	run := func() []body.Particle {
 		s, _ := New(Config{Ranks: 3, Softening: 0.05, DT: 1e-3}, plummer(900, 11))
 		s.Run(3)
 		return s.Particles()
 	}
-	p1 := run()
-	p2 := run()
-	for i := range p1 {
-		if p1[i].Pos.Sub(p2[i].Pos).Norm() > 1e-9 {
-			t.Fatalf("non-reproducible trajectory at particle %d: %v vs %v",
-				i, p1[i].Pos, p2[i].Pos)
-		}
-	}
+	exactlyEqual(t, run(), run(), "second run vs first")
 }
 
 func TestCommSurfaceScaling(t *testing.T) {

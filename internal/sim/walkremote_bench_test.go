@@ -28,7 +28,7 @@ func remotePassP64(b *testing.B) (r *rank, srcs []octree.Source) {
 			})
 		}
 	}
-	s, err := New(Config{Ranks: p, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05, SerialLET: true}, parts)
+	s, err := New(Config{Ranks: p, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05}, parts)
 	if err != nil {
 		b.Fatal(err)
 	}

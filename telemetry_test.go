@@ -61,14 +61,14 @@ func (ns unixNodes) gatherTelemetry() error {
 }
 
 // The two drivers feed one fleet view: a traced 4-rank Simulation and four
-// traced NodeSimulations over a unix-socket world, same seed, SerialLET, three
+// traced NodeSimulations over a unix-socket world, same seed, three
 // block steps, write the same folded JSONL stream — as many records, the same
 // keys, the same counts per evaluation — and Prometheus views that parse and
 // carry every gauge row of obs.Schema for every rank; the multi-process merged
 // trace has every rank's track.
 func TestTelemetryDriversAgree(t *testing.T) {
 	const steps = 3
-	cfg := Config{Ranks: 4, Softening: 0.05, DT: 1e-2, SerialLET: true, Tracing: true,
+	cfg := Config{Ranks: 4, Softening: 0.05, DT: 1e-2, Tracing: true,
 		BlockSteps: true, MaxRungs: 2, EtaDT: 0.02, GravConst: 1}
 	parts := NewPlummer(4000, 1, 1, 1, 5)
 
