@@ -82,19 +82,24 @@ test:
 	$(GO) test ./...
 	$(GO) test -tags noasm $(NOASM_PKGS)
 
+# The third line repeats the exchange's interleaving tests: the compute
+# thread and the LET builders share one mailbox with no goroutine between
+# them, so repeated schedules are the check.
 race:
 	$(GO) test -race -count=1 ./internal/sim ./internal/mpi ./internal/psort ./internal/obs ./internal/obs/telemetry ./internal/octree ./internal/lettree ./internal/par ./internal/domain
 	$(GO) test -race -tags noasm -count=1 $(NOASM_PKGS)
+	$(GO) test -race -count=5 -run 'TestSchedulerScriptedArrivals|TestOverlapPipeline|TestTracingIntegration' ./internal/sim
 
 # Force-kernel microbenchmarks (scalar per-pair vs scalar batch vs dispatched
 # SIMD, ns/inter and Gflop/s under the §VI.A conventions, and every float32
 # kernel tier the host supports side by side: the Fig. 1 table),
-# the full 100k-particle tree-walk, the walk's traversal/gather/kernel cost
-# split, one rank's batched pass over its 63 remote trees at p=64 against the
+# the full 100k-particle tree-walk and the walk's traversal/gather/kernel
+# cost split (both at the program's leaf and group sizes, octree.DefaultNLeaf
+# and DefaultNGroup), one rank's batched pass over its 63 remote trees at p=64 against the
 # same work walked tree by tree, the remote-tree builds with their
 # allocations (a boundary tree, a near-domain LET, and one rank's 63 LETs in
 # the blobs_p64 shape), the tree-pipeline phases (build / properties
-# / groups, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
+# / groups at the default sizes, 1 vs 8 workers), the MPI transports (ping-pong + 8-rank allgather over chan/unix/tcp),
 # and the block-timestep integrator against its finest-rung global-dt
 # equivalent (wall-clock per simulated time + energy drift in ppm), three
 # samples each. go test's own output is shown and kept as BENCH_<date>.txt,

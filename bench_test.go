@@ -1,12 +1,11 @@
 // Microbenchmarks of the engine through the public API: the force kernels,
 // the tree walk against the TreePM mesh baseline, the block-timestep
-// integrator, the LET exchange at scale and the pipelined gravity phase. The
-// paper's figures, Table II and the design-choice ablations are produced by
-// `cmd/benchfigs`, not here.
+// integrator and the LET exchange at scale. The paper's figures, Table II and
+// the design-choice ablations are produced by `cmd/benchfigs`, not here.
 //
-// Naming: BenchmarkOverlap_* (§III.B.3 overlap), BenchmarkKernels_* (force
-// kernels), BenchmarkBaselinePM_* (§I baseline), BenchmarkBlockSteps_* (block
-// timesteps), BenchmarkExchangeScale_* (all-pairs LET exchange).
+// Naming: BenchmarkKernels_* (force kernels), BenchmarkBaselinePM_* (§I
+// baseline), BenchmarkBlockSteps_* (block timesteps),
+// BenchmarkExchangeScale_* (all-pairs LET exchange).
 package bonsai
 
 import (
@@ -40,40 +39,6 @@ func mwSample(n int) (*octree.Tree, []octree.Group) {
 	tr, _ := octree.BuildFrom(pos, mass, 16, 0)
 	return tr, octree.GroupsOf(tr.Pos, 64)
 }
-
-// ---------------------------------------------------------------------------
-// §III.B.3 overlap: the pipelined gravity phase (receiver goroutine +
-// LET-builder pool, LETs banked during the local walk and walked in one pass
-// after it). nonhidden_ms is the communication time the pipeline failed to
-// hide behind compute; overlap_% is the fraction of received LETs that
-// arrived while the local walk was still running.
-
-func benchOverlap(b *testing.B, ranks int) {
-	const perRank = 3000
-	parts := NewMilkyWay(perRank*ranks, 5)
-	s, err := New(Config{
-		Ranks: ranks, WorkersPerRank: 2, Theta: 0.4,
-		Softening: SofteningForN(len(parts)), GravConst: G,
-	}, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.ComputeForces() // settle domains
-	var st StepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st = s.ComputeForces()
-	}
-	ms := func(d interface{ Seconds() float64 }) float64 { return d.Seconds() * 1e3 }
-	b.ReportMetric(ms(st.Times.NonHiddenComm), "nonhidden_ms")
-	b.ReportMetric(st.OverlapFrac*100, "overlap_%")
-	b.ReportMetric(ms(st.RecvIdle), "recvIdle_ms")
-	b.ReportMetric(ms(st.MaxTimes.Total), "total_ms")
-}
-
-func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8) }
-func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16) }
-func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32) }
 
 // ---------------------------------------------------------------------------
 // Force-kernel microbenchmarks: the batched SoA kernels against the scalar

@@ -32,27 +32,19 @@ type chromeTrace struct {
 }
 
 // tid maps a (lane, worker) pair to a stable thread id within a rank track:
-// compute 0, receiver 1, builders 2+worker.
+// compute 0, builders 1+worker.
 func tid(lane Lane, worker uint8) int {
-	switch lane {
-	case LaneCompute:
+	if lane == LaneCompute {
 		return 0
-	case LaneReceiver:
-		return 1
-	default:
-		return 2 + int(worker)
 	}
+	return 1 + int(worker)
 }
 
 func tidName(t int) string {
-	switch t {
-	case 0:
+	if t == 0 {
 		return "compute"
-	case 1:
-		return "receiver"
-	default:
-		return fmt.Sprintf("builder-%d", t-2)
 	}
+	return fmt.Sprintf("builder-%d", t-1)
 }
 
 // RankTrack is one rank's span set for the trace writer: the spans, the drop

@@ -11,8 +11,8 @@
 // every recording method is nil-receiver safe, so callers hold a possibly-nil
 // *RankRec and call unconditionally. Enabled recording appends into a
 // preallocated per-rank span buffer through an atomic cursor — no locks, no
-// allocations, safe for the concurrent receiver/builder/compute goroutines of
-// one rank. Overflowing spans are counted and dropped, never reallocated. A
+// allocations, safe for the concurrent compute and builder goroutines of one
+// rank. Overflowing spans are counted and dropped, never reallocated. A
 // rank's buffer is allocated when the rank is first asked for, so a recorder
 // sized for a p-rank world costs a process only the ranks it hosts.
 package obs
@@ -36,10 +36,9 @@ const (
 	PhaseWalkLET                // one batched pass over banked remote trees, a full LET among them (arg = trees in the pass)
 	PhaseWalkBound              // one batched pass over boundary trees only (arg = trees in the pass)
 	PhaseLETBuild               // build + push of one outgoing LET (arg = destination rank)
-	PhaseRecvWait               // receiver goroutine blocked on an arrival (arg = source rank)
-	PhaseWaitLET                // compute thread blocked on straggler LETs / builder join
+	PhaseWaitLET                // compute thread blocked on a straggler LET (arg = source rank) or the builder join (arg = -1)
 	PhaseIntegrate              // leapfrog kick/drift
-	PhaseArrive                 // instant: a full LET arrived (arg = source rank)
+	PhaseArrive                 // instant: the compute thread took a full LET from the mailbox (arg = source rank)
 	PhaseWalkDone               // instant: local-tree walk completed
 	PhaseSortBuild              // SFC sort + particle reorder + octree construction
 	PhaseSubstep                // one block-timestep substep: kicks+drift+forces (arg = boundary index)
@@ -48,9 +47,8 @@ const (
 
 var phaseNames = [numPhase]string{
 	"domain", "tree-props", "boundary",
-	"walk:local", "walk:let", "walk:boundary", "let:build", "recv:wait",
-	"wait:let", "integrate", "let:arrive", "walk:done", "sort+build",
-	"substep",
+	"walk:local", "walk:let", "walk:boundary", "let:build", "wait:let",
+	"integrate", "let:arrive", "walk:done", "sort+build", "substep",
 }
 
 func (p Phase) String() string {
@@ -64,13 +62,12 @@ func (p Phase) String() string {
 func (p Phase) Instant() bool { return p == PhaseArrive || p == PhaseWalkDone }
 
 // Lane is the thread role a span executed on, one trace lane per role within
-// a rank's track: the paper's compute / communication(receive) / LET-builder
-// thread groups.
+// a rank's track: the paper's compute and LET-builder thread groups. Its
+// communication thread has no lane: the compute thread receives.
 type Lane uint8
 
 const (
 	LaneCompute Lane = iota
-	LaneReceiver
 	LaneBuilder
 )
 
@@ -78,8 +75,6 @@ func (l Lane) String() string {
 	switch l {
 	case LaneCompute:
 		return "compute"
-	case LaneReceiver:
-		return "receiver"
 	default:
 		return "builder"
 	}
@@ -186,7 +181,7 @@ func (r *Recorder) Steps() []StepMetrics {
 }
 
 // RankRec is one rank's span buffer. Concurrent goroutines of the rank
-// (compute, receiver, builders) append through an atomic cursor; the buffer
+// (compute, builders) append through an atomic cursor; the buffer
 // is read only after the writers have been joined (end of run). Readers check
 // the cursor first: a non-zero cursor orders the buffer's allocation before
 // the read, so a rank nobody asked for is never touched.

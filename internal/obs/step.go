@@ -80,17 +80,18 @@ type StepMetrics struct {
 	grav.Stats           // interactions evaluated: PP and PC
 	LETsSent       int   // full LETs pushed to other ranks
 	LETsRecv       int   // full LETs received
-	LETsOverlapped int   // full LETs walked before the local walk finished
+	LETsOverlapped int   // full LETs taken from the mailbox before the local walk finished
 	BoundaryUsed   int   // peers served by their boundary tree alone
 	BoundarySent   int   // boundary trees pushed: p−1 per rank per evaluation
 	BytesSent      int64 // serialized LET + boundary traffic
 
-	// RecvIdle is the receiver goroutine's time blocked on arrivals, hidden
-	// behind the local walk unlike NonHiddenComm.
+	// RecvIdle is the compute thread's time blocked on straggler LETs after
+	// its local walk and every boundary tree are done; it is part of
+	// NonHiddenComm.
 	RecvIdle time.Duration
-	// WorstArrival is the latest full-LET arrival relative to local-walk
-	// completion (negative = all hidden), measured over ArrivalsSeen
-	// arrivals; traced runs only.
+	// WorstArrival is the latest time a full LET was taken from the mailbox,
+	// relative to local-walk completion (negative = all hidden), measured
+	// over ArrivalsSeen arrivals; traced runs only.
 	WorstArrival time.Duration
 	ArrivalsSeen int
 	SpansDropped int64 // trace spans the rank's full buffer discarded so far

@@ -456,14 +456,16 @@ func BenchmarkBuild100k(b *testing.B) {
 	pos, mass := clusteredCloud(100_000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildFrom(pos, mass, 16, 0)
+		BuildFrom(pos, mass, DefaultNLeaf, 0)
 	}
 }
 
+// BenchmarkWalk100k times the walk at the leaf and group sizes the program
+// runs.
 func BenchmarkWalk100k(b *testing.B) {
 	pos, mass := clusteredCloud(100_000, 1)
-	tr, _ := BuildFrom(pos, mass, 16, 0)
-	groups := tr.MakeGroups(64)
+	tr, _ := BuildFrom(pos, mass, DefaultNLeaf, 0)
+	groups := tr.MakeGroups(DefaultNGroup)
 	n := tr.NumParticles()
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)

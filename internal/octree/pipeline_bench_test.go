@@ -11,7 +11,8 @@ import (
 // BenchmarkTreePipeline times the per-rank tree pipeline phases — structure
 // build, multipole properties, group building, and the three chained ("full")
 // — at 1 and 8 workers, over pre-sorted inputs with warm scratch, mirroring a
-// rank's steady-state step. The build is serial at any worker count (its w=8
+// rank's steady-state step at its leaf and group sizes (DefaultNLeaf,
+// DefaultNGroup). The build is serial at any worker count (its w=8
 // row adds the properties-partition cut); properties and groups fan out. On a
 // single-core host the w=8 rows only measure scheduling overhead.
 func BenchmarkTreePipeline(b *testing.B) {
@@ -39,16 +40,16 @@ func BenchmarkTreePipeline(b *testing.B) {
 
 			b.Run("build/"+tag, func(b *testing.B) {
 				var sc BuildScratch
-				BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, 16, workers)
+				BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, DefaultNLeaf, workers)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, 16, workers)
+					BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, DefaultNLeaf, workers)
 				}
 			})
 			b.Run("props/"+tag, func(b *testing.B) {
 				var sc BuildScratch
-				tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, 16, workers)
+				tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, DefaultNLeaf, workers)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -57,13 +58,13 @@ func BenchmarkTreePipeline(b *testing.B) {
 			})
 			b.Run("groups/"+tag, func(b *testing.B) {
 				var sc BuildScratch
-				tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, 16, workers)
+				tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, DefaultNLeaf, workers)
 				tr.ComputePropertiesParallel(workers)
 				var groups []Group
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					groups = tr.MakeGroupsScratch(64, workers, groups)
+					groups = tr.MakeGroupsScratch(DefaultNGroup, workers, groups)
 				}
 				b.ReportMetric(float64(len(in.pos))/float64(len(groups)), "targets/group")
 			})
@@ -73,9 +74,9 @@ func BenchmarkTreePipeline(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, 16, workers)
+					tr := BuildStructureScratch(&sc, in.ks, in.pos, in.mass, in.grid, DefaultNLeaf, workers)
 					tr.ComputePropertiesParallel(workers)
-					groups = tr.MakeGroupsScratch(64, workers, groups)
+					groups = tr.MakeGroupsScratch(DefaultNGroup, workers, groups)
 				}
 			})
 		}

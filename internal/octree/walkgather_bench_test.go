@@ -14,11 +14,12 @@ import (
 // scan plus the sized SoA copies) and the target gather/scatter, and Full is
 // the complete walk including the force kernels. Full minus TraverseGather is
 // pure kernel time; TraverseGather minus Traverse is the gather/scatter
-// overhead the block timestep's subset walks pay once per active group.
+// overhead the block timestep's subset walks pay once per active group. The
+// tree and groups have the program's sizes, DefaultNLeaf and DefaultNGroup.
 func BenchmarkWalkGather(b *testing.B) {
 	pos, mass := clusteredCloud(100_000, 1)
-	tr, _ := BuildFrom(pos, mass, 16, 0)
-	groups := tr.MakeGroups(64)
+	tr, _ := BuildFrom(pos, mass, DefaultNLeaf, 0)
+	groups := tr.MakeGroups(DefaultNGroup)
 	n := tr.NumParticles()
 	targetsPerGroup := float64(n) / float64(len(groups))
 	acc := make([]vec.V3, n)

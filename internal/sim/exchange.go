@@ -28,9 +28,10 @@ const (
 // group (octree.WalkSources) in ascending peer order: a few long kernel lists
 // instead of p−1 short ones, summed in an order arrival timing cannot change.
 //
-// rank.gravity drives it with a builder pool and a receiver goroutine beside
-// the compute thread (overlap), boundary trees polled between local-walk
-// chunks. All fields belong to the compute thread except where noted.
+// rank.gravity drives it with a builder pool beside the compute thread
+// (overlap). The compute thread is the only one that takes from the mailbox:
+// it polls between local-walk chunks and blocks only once the local walk is
+// done. All fields belong to the compute thread except where noted.
 type exchange struct {
 	r    *rank
 	t    *walkTargets
@@ -42,24 +43,16 @@ type exchange struct {
 	bLeft int            // boundary trees still in flight
 	owed  int            // full LETs en route to us; final once bLeft == 0
 
-	// Outgoing full LETs. settle queues destinations; builders (and the
-	// compute thread, through steal) consume them. steal is the compute
-	// thread's view of the queue, nilled once drained — a nil channel never
-	// matches in a select — while the builders range over jobs itself.
-	// sentBytes[j] is written by whoever built j's LET and read after
+	// Outgoing full LETs. settle queues destinations and closes the queue
+	// once the last boundary tree has settled; the builders and, once it waits, the compute thread consume
+	// it. sentBytes[j] is written by whoever built j's LET and read after
 	// builders.Wait.
 	jobs      chan int
-	steal     <-chan int
 	builders  sync.WaitGroup
 	sentBytes []int64
 
-	// Incoming full LETs: the receiver goroutine learns from letCount how
-	// many to expect once every boundary tree has settled, and hands them
-	// over on arrivals. recvIdle and arrivalNS (obs-epoch ns of each
-	// arrival) are the receiver's until arrivals is seen closed.
-	letCount  chan int
-	arrivals  chan arrival
-	recvIdle  time.Duration
+	// arrivalNS holds the obs-epoch ns at which each full LET was taken from
+	// the mailbox (traced runs only).
 	arrivalNS []int64
 
 	// ready[j] is the tree banked for peer j; pass is flush's compaction of it.
@@ -67,14 +60,8 @@ type exchange struct {
 	pass      []octree.Source
 	readyLETs int
 
-	boundaryTime, waitTime, letWalk time.Duration
+	boundaryTime, recvIdle, letWalk time.Duration
 	walkEndNS                       int64 // obs-epoch ns of local-walk completion
-}
-
-// arrival is a received full LET and the rank that pushed it.
-type arrival struct {
-	from int
-	let  *lettree.LET
 }
 
 // startExchange opens the phase's exchange: it cuts our boundary tree for
@@ -94,12 +81,10 @@ func (r *rank) startExchange(tagPar int, t *walkTargets) *exchange {
 		bLeft:     p - 1,
 		jobs:      make(chan int, p), // never blocks settle: at most p-1 jobs
 		sentBytes: resize(x.sentBytes, p),
-		letCount:  make(chan int, 1),
 		arrivalNS: x.arrivalNS[:0],
 		ready:     resize(x.ready, p),
 		pass:      x.pass[:0],
 	}
-	x.steal = x.jobs
 	clear(x.sentBytes)
 	for j, nb := 0, x.mine.WireBytes(); j < p; j++ {
 		if j != me {
@@ -109,18 +94,18 @@ func (r *rank) startExchange(tagPar int, t *walkTargets) *exchange {
 		}
 	}
 	if x.bLeft == 0 {
-		x.allSettled()
+		close(x.jobs) // no peers: nothing to build
 	}
 	x.boundaryTime = time.Since(tB)
 	r.obs.Span(r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, tB, tB.Add(x.boundaryTime), 0)
 	return x
 }
 
-// overlap starts the exchange's two helper roles (§III.B.3). The
-// builder pool consumes LET destinations as boundary trees settle, so
-// construction starts while most peers are still walking. The receiver
-// drains the mailbox as messages arrive, so a LET is ready for the compute
-// side the moment its sender pushes it.
+// overlap starts the builder pool (§III.B.3): it consumes LET destinations
+// as boundary trees settle, so construction starts while most peers are
+// still walking. The paper's communication thread has no counterpart: the
+// transport fills the mailbox without one, and the compute thread takes from
+// it.
 func (x *exchange) overlap() {
 	r := x.r
 	p := r.comm.Size()
@@ -133,21 +118,6 @@ func (x *exchange) overlap() {
 			}
 		}(w)
 	}
-	x.arrivals = make(chan arrival, p) // never blocks the receiver: at most p-1 LETs arrive
-	go func() {
-		defer close(x.arrivals)
-		for k := <-x.letCount; k > 0; k-- {
-			tR := time.Now()
-			from, msg := r.comm.RecvAny(x.tag)
-			x.recvIdle += time.Since(tR)
-			if r.obs != nil {
-				now := time.Now()
-				r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
-				x.recordArrival(now, from)
-			}
-			x.arrivals <- arrival{from, msg.(*lettree.LET)}
-		}
-	}()
 }
 
 // settle runs peer j's two pairwise predicates the moment its boundary tree
@@ -168,28 +138,29 @@ func (x *exchange) settle(j int, bt *lettree.LET) {
 		x.owed++
 	}
 	if x.bLeft--; x.bLeft == 0 {
-		x.allSettled()
+		close(x.jobs) // every build is known, and owed is final
 	}
 }
 
-// allSettled closes the build queue and tells the receiver how many full
-// LETs to expect: both are known once the last boundary tree has settled.
-func (x *exchange) allSettled() {
-	close(x.jobs)
-	x.letCount <- x.owed
-}
-
-// pollBoundary settles one boundary tree if one is waiting in the mailbox,
-// without blocking, and reports whether it did.
-func (x *exchange) pollBoundary() bool {
-	if x.bLeft == 0 {
-		return false
-	}
-	from, msg, ok := x.r.comm.TryRecvAny(x.btag)
-	if ok {
+// poll settles every boundary tree and banks every full LET waiting in the
+// mailbox, without blocking, and returns how many LETs it banked.
+func (x *exchange) poll() (lets int) {
+	for x.bLeft > 0 {
+		from, msg, ok := x.r.comm.TryRecvAny(x.btag)
+		if !ok {
+			break
+		}
 		x.settle(from, msg.(*lettree.LET))
 	}
-	return ok
+	for x.bLeft > 0 || x.readyLETs < x.owed {
+		from, msg, ok := x.r.comm.TryRecvAny(x.tag)
+		if !ok {
+			break
+		}
+		x.take(from, msg)
+		lets++
+	}
+	return lets
 }
 
 // awaitBoundaries blocks until every boundary tree has landed, settling them
@@ -224,17 +195,37 @@ func (x *exchange) buildLET(j int, lane obs.Lane, worker int) {
 	}
 }
 
-// buildQueued runs, on the compute thread, every build still in the queue.
-// It needs the queue closed (every boundary tree settled). The phase ends
-// with it, when no receive is left to overlap with.
-func (x *exchange) buildQueued() {
-	if x.steal == nil {
-		return
+// awaitLETs banks every full LET still owed; it needs every boundary tree
+// settled, so owed is final and the build queue closed. Before each blocking
+// receive the compute thread builds one queued LET, if one is waiting:
+// finishing sends sooner helps the peers this rank is waiting on, and as only
+// settle queues builds, none can be queued while it blocks. The blocked time
+// is the rank's receive idle, exposed communication cost.
+func (x *exchange) awaitLETs() {
+	for x.readyLETs < x.owed {
+		if j, ok := <-x.jobs; ok {
+			x.buildLET(j, obs.LaneCompute, 0)
+		}
+		tR := time.Now()
+		from, msg := x.r.comm.RecvAny(x.tag)
+		d := time.Since(tR)
+		x.recvIdle += d
+		x.r.obs.Span(x.r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
+		x.take(from, msg)
 	}
-	for j := range x.steal {
-		x.buildLET(j, obs.LaneCompute, 0)
+}
+
+// take banks a full LET just taken from the mailbox and, when tracing, notes
+// its arrival for the hidden-vs-straggler analysis: a trace instant plus the
+// epoch timestamp the offsets are computed from once the local walk's
+// completion time is known.
+func (x *exchange) take(from int, msg any) {
+	if r := x.r; r.obs != nil {
+		now := time.Now()
+		r.obs.Mark(r.eval, obs.PhaseArrive, obs.LaneCompute, now, int64(from))
+		x.arrivalNS = append(x.arrivalNS, r.obs.Since(now))
 	}
-	x.steal = nil
+	x.bank(from, msg.(*lettree.LET), true)
 }
 
 // bank records the one tree that stands for peer from — its boundary tree
@@ -247,54 +238,6 @@ func (x *exchange) bank(from int, l *lettree.LET, full bool) {
 	} else {
 		x.r.stats.BoundaryUsed++
 	}
-}
-
-// drain banks, without blocking, every LET the receiver has handed over and
-// returns how many.
-func (x *exchange) drain() (n int) {
-	for x.arrivals != nil {
-		select {
-		case a, ok := <-x.arrivals:
-			if !ok {
-				x.arrivals = nil
-				return n
-			}
-			x.bank(a.from, a.let, true)
-			n++
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// wait blocks until the receiver hands over another full LET, banks it and
-// returns true; false once no more will come. While blocked the compute
-// thread steals queued builds from its own pool — finishing sends sooner
-// helps the peers this rank is waiting on.
-func (x *exchange) wait() bool {
-	for x.arrivals != nil {
-		tR := time.Now()
-		select {
-		case a, ok := <-x.arrivals:
-			if !ok {
-				x.arrivals = nil
-				return false
-			}
-			d := time.Since(tR)
-			x.waitTime += d
-			x.r.obs.Span(x.r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), 0)
-			x.bank(a.from, a.let, true)
-			return true
-		case j, ok := <-x.steal:
-			if !ok {
-				x.steal = nil
-			} else {
-				x.buildLET(j, obs.LaneCompute, 0)
-			}
-		}
-	}
-	return false
 }
 
 // flush walks every banked tree in one batched pass, in ascending peer order
@@ -330,15 +273,6 @@ func (x *exchange) flush() {
 	x.pass, x.readyLETs = pass[:0], 0
 }
 
-// recordArrival notes a full LET's arrival for the hidden-vs-straggler
-// analysis: a trace instant plus the epoch timestamp the offsets are computed
-// from once the local walk's completion time is known. Called by the receiver
-// before it hands the LET to the compute side.
-func (x *exchange) recordArrival(at time.Time, from int) {
-	x.r.obs.Mark(x.r.eval, obs.PhaseArrive, obs.LaneReceiver, at, int64(from))
-	x.arrivalNS = append(x.arrivalNS, x.r.obs.Since(at))
-}
-
 // markWalkDone stamps local-walk completion, the instant LET arrival offsets
 // (the Fig. 5 hidden-vs-straggler signal) are measured against.
 func (x *exchange) markWalkDone() {
@@ -350,16 +284,16 @@ func (x *exchange) markWalkDone() {
 	x.walkEndNS = x.r.obs.Since(now)
 }
 
-// finish closes the phase once every remote tree has been walked (wait
-// returned false, so the receiver has exited and its fields are ours): it
+// finish closes the phase once every remote tree has been walked: it
 // completes our own sends and books the phase's bytes, times and arrivals.
 func (x *exchange) finish() {
 	r := x.r
-	x.buildQueued()
+	for j := range x.jobs {
+		x.buildLET(j, obs.LaneCompute, 0)
+	}
 	tW := time.Now()
 	x.builders.Wait()
 	d := time.Since(tW)
-	x.waitTime += d
 	r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tW, tW.Add(d), -1)
 	for _, b := range x.sentBytes {
 		r.stats.BytesSent += b
@@ -380,6 +314,6 @@ func (x *exchange) finish() {
 
 	clear(x.peers) // as above: nothing of the peers' outlives the phase
 	r.stats.Times.GravLET = x.letWalk
-	r.stats.Times.NonHiddenComm = x.boundaryTime + x.waitTime
+	r.stats.Times.NonHiddenComm = x.boundaryTime + x.recvIdle + d
 	r.stats.RecvIdle = x.recvIdle
 }

@@ -18,9 +18,8 @@ import (
 // socket-transport run (cmd/bonsai's launcher) creates one Node per hosted
 // rank and calls Step in lockstep; the in-process Simulation is p Nodes over a
 // channel world, released together on p goroutines. Either way the collective
-// structure of the pipeline keeps the ranks synchronized, so an 8-rank run
-// over sockets reproduces the in-process one to within LET-arrival-order
-// float jitter.
+// structure of the pipeline keeps the ranks synchronized, and an 8-rank run
+// over sockets reproduces the in-process one bitwise.
 type Node struct {
 	cfg   Config
 	comm  *mpi.Comm

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -73,9 +74,12 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 // TestTracingIntegration runs a traced 8-rank simulation and checks every
 // layer of the observability stack end to end: spans recorded on each rank,
 // arrivals measured, the Chrome trace exports and parses, the analysis finds a
-// straggler, and the metrics stream round-trips. Run under -race (make race)
-// this doubles as the concurrency test for recording from the receiver,
-// builder, and compute goroutines at once.
+// straggler, and the metrics stream round-trips. The compute thread is the
+// only receiver: each evaluation's let:arrive instants, one per LET its rank
+// record counts, sit on the compute lane before the evaluation's one remote
+// pass, and no goroutine outlives a step. Run under -race (make race) this
+// doubles as the concurrency test for recording from the builder and compute
+// goroutines at once.
 func TestTracingIntegration(t *testing.T) {
 	const ranks = 8
 	s, err := New(Config{Ranks: ranks, Theta: 0.5, Softening: 0.05, WorkersPerRank: 2, Tracing: true},
@@ -84,8 +88,22 @@ func TestTracingIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := s.Recorder()
-	stats := s.Step()
-	s.Step()
+	perRank := make([][]obs.StepMetrics, ranks) // every evaluation's record, by rank
+	step := func() obs.StepMetrics {
+		before := runtime.NumGoroutine()
+		m := s.Step()
+		for i, n := range s.nodes {
+			perRank[i] = append(perRank[i], n.Records()...)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines a second after the step, %d before it", runtime.NumGoroutine(), before)
+			}
+		}
+		return m
+	}
+	stats := step()
+	step()
 
 	totalArrivals := 0
 	for i := 0; i < ranks; i++ {
@@ -134,6 +152,38 @@ func TestTracingIntegration(t *testing.T) {
 	}
 	if stats.LETsRecv > 0 && totalArrivals == 0 {
 		t.Error("no LET arrivals measured against walk completion")
+	}
+	for i, recs := range perRank {
+		if len(recs) != 3 {
+			t.Fatalf("rank %d kept %d evaluation records, want 3", i, len(recs))
+		}
+		spans := rec.Rank(i).Spans()
+		for _, m := range recs {
+			arrivals, passes, passStart, lastArrival := 0, 0, int64(0), int64(math.MinInt64)
+			for _, sp := range spans {
+				switch {
+				case int(sp.Step) != m.Step: // another evaluation's
+				case sp.Phase.Instant() && sp.Lane != obs.LaneCompute:
+					t.Errorf("rank %d eval %d: %v instant on the %v lane, want compute", i, m.Step, sp.Phase, sp.Lane)
+				case sp.Phase == obs.PhaseArrive:
+					arrivals++
+					lastArrival = max(lastArrival, sp.Start)
+				case sp.Phase == obs.PhaseWalkLET || sp.Phase == obs.PhaseWalkBound:
+					passes++
+					passStart = sp.Start
+				}
+			}
+			if arrivals != m.LETsRecv || passes != 1 {
+				t.Errorf("rank %d eval %d: %d let:arrive instants and %d passes, want %d (LETsRecv) and 1",
+					i, m.Step, arrivals, passes, m.LETsRecv)
+			}
+			if arrivals > 0 && lastArrival > passStart {
+				t.Errorf("rank %d eval %d: a LET is taken at %d ns, after its pass starts at %d ns", i, m.Step, lastArrival, passStart)
+			}
+			if m.RecvIdle > m.Times.NonHiddenComm {
+				t.Errorf("rank %d eval %d: RecvIdle %v exceeds NonHiddenComm %v", i, m.Step, m.RecvIdle, m.Times.NonHiddenComm)
+			}
+		}
 	}
 
 	// Chrome trace export → parse → analysis.

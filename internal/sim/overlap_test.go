@@ -6,8 +6,8 @@ import (
 	"bonsai/internal/ic"
 )
 
-// TestOverlapPipelineDeterministic: however the builder pool, the receiver
-// and the local walk interleave, each rank sums its remote trees in one pass
+// TestOverlapPipelineDeterministic: however the builder pool, the mailbox
+// polls and the local walk interleave, each rank sums its remote trees in one pass
 // in peer order, so an 8-rank evaluation is bitwise the same under one
 // worker per rank and under two, and it matches direct summation.
 func TestOverlapPipelineDeterministic(t *testing.T) {
@@ -61,7 +61,7 @@ func TestOverlapCountersConsistent(t *testing.T) {
 }
 
 // TestOverlapPipelineStress drives the full pipeline — parallel walks,
-// builder pool, receiver goroutine, batched remote passes — across several
+// builder pool, mailbox polls, batched remote passes — across several
 // steps at 8 ranks with multiple workers, two of them domain epochs (the
 // priming evaluation and step 4). Run under -race this is the
 // regression net for the concurrency structure; accuracy is pinned against
@@ -139,7 +139,7 @@ func TestFirstStepSingleDomainExchange(t *testing.T) {
 }
 
 // TestZeroAndTinyRankOverlap: empty or near-empty ranks must not deadlock
-// the receiver/builder/compute pipeline, across a domain epoch (step 4).
+// the builder/compute pipeline, across a domain epoch (step 4).
 func TestZeroAndTinyRankOverlap(t *testing.T) {
 	parts := ic.Plummer(64, 1, 0.01, 1, 66)
 	s, err := New(Config{Ranks: 8, WorkersPerRank: 2, Softening: 0.01}, parts)

@@ -354,10 +354,10 @@ func (r *rank) fill(lo, hi int) {
 
 // gravity computes the targets' accelerations from the local tree and from
 // every remote tree of the phase's exchange (exchange.go). The compute thread
-// walks the local tree in chunks with a non-blocking poll of the exchange
+// walks the local tree in chunks with a non-blocking poll of the mailbox
 // between them, banking boundary trees and LETs as they land; nothing remote
 // is walked while local groups are pending. Then it banks every tree still
-// owed, stealing queued builds while it blocks, and walks them all in one
+// owed, building queued LETs before it blocks, and walks them all in one
 // batched pass in ascending peer order. Each group's merged list, and so
 // every acceleration, is therefore fixed bitwise whatever the arrival order,
 // transport or worker count.
@@ -376,10 +376,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	chunk := max((len(t.groups)+15)/16, r.cfg.WorkersPerRank)
 	var localWalk time.Duration
 	for pending := t.groups; len(pending) > 0; {
-		if x.pollBoundary() {
-			continue
-		}
-		r.stats.LETsOverlapped += x.drain()
+		r.stats.LETsOverlapped += x.poll()
 		n := min(chunk, len(pending))
 		tL := time.Now()
 		octree.WalkSource(r.tree, pending[:n], t.pos, theta, eps2, t.acc, t.pot,
@@ -393,9 +390,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	r.stats.Times.GravLocal = localWalk
 
 	x.awaitBoundaries()
-	x.drain()
-	for x.wait() {
-	}
+	x.awaitLETs()
 	x.flush()
 	x.finish()
 }

@@ -13,7 +13,8 @@
 //  5. multipole computation ("Tree-properties")
 //  6. gravity: boundary trees pushed to every peer, then the local tree-walk
 //     overlapped with building/pushing/receiving full LETs; remote forces
-//     are computed in batched passes over the trees that have arrived
+//     are computed in one batched pass over every remote tree, once the
+//     last has arrived
 //     ("Compute gravity Local-tree" / "Compute gravity LETs" / "Non-hidden
 //     LET comm")
 //  7. second-order leapfrog (KDK) integration, one shared step or
